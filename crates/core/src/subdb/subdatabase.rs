@@ -53,7 +53,7 @@ impl Subdatabase {
 
     /// The extension's access index (counted slot extents and slot-pair
     /// adjacency), built on first use and kept current by `insert` and
-    /// `remove`. Bulk mutators (`set_patterns`, `retain_maximal`,
+    /// `remove`. Bulk mutators (`set_patterns`, `retain`, `retain_maximal`,
     /// `union_from`) discard it, so a later call rebuilds from scratch.
     pub fn index(&self) -> &SubdbIndex {
         self.index
@@ -157,6 +157,19 @@ impl Subdatabase {
     pub fn set_patterns(&mut self, ps: impl IntoIterator<Item = ExtPattern>) {
         self.patterns = ps.into_iter().collect();
         self.index = OnceLock::new();
+    }
+
+    /// Keep the patterns `keep` accepts, in place: nothing is cloned and the
+    /// set is not rebuilt. Returns how many were dropped; the index is
+    /// discarded only if that is not zero.
+    pub fn retain(&mut self, keep: impl FnMut(&ExtPattern) -> bool) -> usize {
+        let before = self.patterns.len();
+        self.patterns.retain(keep);
+        let dropped = before - self.patterns.len();
+        if dropped > 0 {
+            self.index = OnceLock::new();
+        }
+        dropped
     }
 
     /// The distinct instances appearing in a slot — the extent of that
@@ -421,6 +434,47 @@ mod tests {
         // Clones start without an index and rebuild on demand.
         let c = s.clone();
         assert!(c.index().slot_contains(0, Oid(9)));
+    }
+
+    #[test]
+    fn retain_equals_filter_and_set_patterns() {
+        let all = [
+            p(&[Some(1), Some(2), Some(3)]),
+            p(&[Some(1), Some(4), None]),
+            p(&[None, Some(5), Some(6)]),
+            p(&[Some(7), Some(2), Some(3)]),
+        ];
+        let keeps: [fn(&ExtPattern) -> bool; 4] = [
+            |_| true,
+            |_| false,
+            |q| q.get(0) == Some(Oid(1)),
+            |q| q.get(2).is_some(),
+        ];
+        for keep in keeps {
+            let mut a = subdb();
+            a.set_patterns(all.iter().cloned());
+            let mut b = a.clone();
+            let dropped = a.retain(keep);
+            b.set_patterns(all.iter().filter(|q| keep(q)).cloned());
+            assert_eq!(a.to_vec(), b.to_vec());
+            assert_eq!(dropped, all.len() - b.len());
+            // The index a later reader builds describes what was kept.
+            assert_eq!(a.index().slot_len(1), b.index().slot_len(1));
+        }
+    }
+
+    #[test]
+    fn retain_drops_the_index_only_when_it_removes() {
+        let mut s = subdb();
+        s.insert(p(&[Some(1), Some(2), Some(3)]));
+        s.insert(p(&[Some(1), Some(4), None]));
+        s.index();
+        assert_eq!(s.retain(|_| true), 0);
+        assert!(s.index.get().is_some(), "nothing removed: the index is still valid");
+        assert_eq!(s.retain(|q| q.get(1) != Some(Oid(4))), 1);
+        assert!(s.index.get().is_none(), "a removal must discard the index");
+        assert!(!s.index().slot_contains(1, Oid(4)));
+        assert_eq!(s.index().slot_len(0), 1);
     }
 
     #[test]

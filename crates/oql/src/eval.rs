@@ -38,11 +38,10 @@ impl CPred {
     fn eval(&self, db: &Database, oid: Oid) -> bool {
         match self {
             CPred::Cmp { attr, op, value } => {
-                let v = db.attr_resolved(oid, attr);
-                match v.compare(value) {
-                    Some(ord) => op.test(ord),
-                    None => false, // Null / incomparable: unknown ⇒ drop
-                }
+                // Missing perspective / Null / incomparable: unknown ⇒ drop
+                db.attr_ref(oid, attr)
+                    .and_then(|v| v.compare(value))
+                    .is_some_and(|ord| op.test(ord))
             }
             CPred::And(a, b) => a.eval(db, oid) && b.eval(db, oid),
             CPred::Or(a, b) => a.eval(db, oid) || b.eval(db, oid),

@@ -9,15 +9,13 @@
 use crate::ast::{AggFunc, ClassRef, CmpRhs, WhereCond};
 use crate::error::QueryError;
 use dood_core::error::ResolveError;
-use dood_core::fxhash::FxHashMap;
 use dood_core::ids::Oid;
 use dood_core::obs;
 use dood_core::pool::ChunkPool;
 use dood_core::schema::{ResolvedAttr, Schema};
-use dood_core::subdb::{Intension, SlotSource, Subdatabase};
+use dood_core::subdb::{ExtPattern, Intension, SlotSource, Subdatabase};
 use dood_core::value::Value;
 use dood_store::Database;
-use std::collections::BTreeSet;
 
 /// The stats key one WHERE condition's observed selectivity is recorded
 /// under (`oql.wsel.*`): a fingerprint of the condition's AST shape, so a
@@ -83,54 +81,66 @@ pub fn slot_attr(
     Ok(schema.resolve_attr(def.base, attr)?)
 }
 
-/// Compute one group's aggregate over its distinct target OIDs and test it
-/// against the threshold.
+/// One `(group, target)` pair of an aggregation: the `by` slot's object
+/// (one constant for an ungrouped aggregate) and the target slot's, if any.
+type GroupTarget = (Oid, Option<Oid>);
+
+/// Compute one group's aggregate and test it against the threshold. `run`
+/// is the group's sorted, distinct pairs: its distinct targets, after at
+/// most one `None` for patterns without one.
 fn agg_passes(
     func: &AggFunc,
     tattr: &Option<ResolvedAttr>,
-    targets: &BTreeSet<Oid>,
+    run: &[GroupTarget],
     op: &crate::ast::CmpOp,
     threshold: &Value,
     db: &Database,
 ) -> bool {
+    let targets = run.iter().filter_map(|&(_, t)| t);
     let agg: Value = match (func, tattr) {
-        (AggFunc::Count, None) => Value::Int(targets.len() as i64),
+        (AggFunc::Count, None) => Value::Int(targets.count() as i64),
         (f, attr_opt) => {
-            // Collect non-null attribute values of distinct targets (COUNT
-            // with an attribute counts non-null values).
-            let vals: Vec<f64> = targets
-                .iter()
-                .filter_map(|&o| {
-                    let a = attr_opt.as_ref().expect("parser enforces attr");
-                    db.attr_resolved(o, a).as_f64()
-                })
-                .collect();
+            // Non-null attribute values of the distinct targets (COUNT with
+            // an attribute counts non-null values).
+            let a = attr_opt.as_ref().expect("parser enforces attr");
+            let vals = targets.filter_map(|o| db.attr_ref(o, a).and_then(Value::as_f64));
             match f {
-                AggFunc::Count => Value::Int(vals.len() as i64),
-                AggFunc::Sum => Value::Real(vals.iter().sum()),
+                AggFunc::Count => Value::Int(vals.count() as i64),
+                AggFunc::Sum => Value::Real(vals.sum()),
                 AggFunc::Avg => {
-                    if vals.is_empty() {
+                    let mut n = 0usize;
+                    let sum: f64 = vals.inspect(|_| n += 1).sum();
+                    if n == 0 {
                         Value::Null
                     } else {
-                        Value::Real(vals.iter().sum::<f64>() / vals.len() as f64)
+                        Value::Real(sum / n as f64)
                     }
                 }
-                AggFunc::Min => vals
-                    .iter()
-                    .copied()
-                    .fold(None::<f64>, |m, v| Some(m.map_or(v, |x| x.min(v))))
-                    .map_or(Value::Null, Value::Real),
-                AggFunc::Max => vals
-                    .iter()
-                    .copied()
-                    .fold(None::<f64>, |m, v| Some(m.map_or(v, |x| x.max(v))))
-                    .map_or(Value::Null, Value::Real),
+                AggFunc::Min => vals.reduce(f64::min).map_or(Value::Null, Value::Real),
+                AggFunc::Max => vals.reduce(f64::max).map_or(Value::Null, Value::Real),
             }
         }
     };
     match agg.compare(threshold) {
         Some(ord) => op.test(ord),
         None => false,
+    }
+}
+
+/// Drop the patterns `keep` rejects, in place, and record the stage's
+/// cardinalities and selectivity.
+fn filter(
+    sd: &mut Subdatabase,
+    cond: &WhereCond,
+    sp: &mut obs::trace::Span,
+    keep: impl FnMut(&ExtPattern) -> bool,
+) {
+    let rows_in = sd.len();
+    let dropped = sd.retain(keep);
+    sp.attr("rows_out", sd.len() as i64);
+    observe_wsel(cond, rows_in, sd.len());
+    if dropped > 0 && obs::metrics_enabled() {
+        obs::metrics::counter("oql.where.dropped").add(dropped as u64);
     }
 }
 
@@ -159,33 +169,20 @@ pub fn apply_where(
                         Rhs::Attr(rslot, rattr)
                     }
                 };
-                let keep: Vec<_> = sd
-                    .patterns()
-                    .filter(|p| {
-                        let Some(lo) = p.get(lslot) else { return false };
-                        let lv = db.attr_resolved(lo, &lattr);
-                        let rv = match &rhs {
-                            Rhs::Lit(v) => v.clone(),
-                            Rhs::Attr(rslot, rattr) => match p.get(*rslot) {
-                                Some(ro) => db.attr_resolved(ro, rattr),
-                                None => Value::Null,
-                            },
-                        };
-                        match lv.compare(&rv) {
-                            Some(ord) => op.test(ord),
-                            None => false,
+                // An absent component or perspective reads as no value, and
+                // so does Null: the comparison is unknown, the pattern goes.
+                filter(sd, cond, &mut sp, |p| {
+                    let lv = p.get(lslot).and_then(|lo| db.attr_ref(lo, &lattr));
+                    let rv = match &rhs {
+                        Rhs::Lit(v) => Some(v),
+                        Rhs::Attr(rslot, rattr) => {
+                            p.get(*rslot).and_then(|ro| db.attr_ref(ro, rattr))
                         }
-                    })
-                    .cloned()
-                    .collect();
-                let rows_in = sd.len();
-                let dropped = rows_in - keep.len();
-                sd.set_patterns(keep);
-                sp.attr("rows_out", sd.len() as i64);
-                observe_wsel(cond, rows_in, sd.len());
-                if dropped > 0 && obs::metrics_enabled() {
-                    obs::metrics::counter("oql.where.dropped").add(dropped as u64);
-                }
+                    };
+                    lv.zip(rv)
+                        .and_then(|(lv, rv)| lv.compare(rv))
+                        .is_some_and(|ord| op.test(ord))
+                });
             }
             WhereCond::Agg { func, target, attr, by, op, value } => {
                 let mut sp = obs::trace::span("oql.where.agg");
@@ -199,79 +196,53 @@ pub fn apply_where(
                     Some(b) => Some(find_slot(&sd.intension, b)?),
                     None => None,
                 };
-                // Accumulate per group: distinct target OIDs, then aggregate.
-                // Accumulation runs chunk-parallel: each chunk of patterns
-                // builds a partial group map, merged by set union — union is
-                // commutative, so the merged groups are independent of chunk
-                // assignment and thread count.
-                let pool = ChunkPool::from_env();
-                let pats: Vec<_> = sd.patterns().collect();
-                let partials = pool.par_chunk_map(&pats, |chunk| {
-                    let mut groups: FxHashMap<Option<Oid>, BTreeSet<Oid>> =
-                        FxHashMap::default();
-                    for p in chunk {
-                        let key = match bslot {
-                            Some(bs) => match p.get(bs) {
-                                Some(o) => Some(o),
-                                None => continue, // ungrouped pattern: cannot qualify
-                            },
-                            None => None,
-                        };
-                        if let Some(t) = p.get(tslot) {
-                            groups.entry(key).or_default().insert(t);
-                        } else {
-                            groups.entry(key).or_default();
+                // A pattern's group: the `by` slot's object (none: the
+                // pattern is ungrouped and cannot qualify), or the one
+                // group of an aggregate without `by`.
+                let ungrouped = Oid(0);
+                let group_of = |p: &ExtPattern| match bslot {
+                    Some(bs) => p.get(bs),
+                    None => Some(ungrouped),
+                };
+                // Sorted and deduplicated, the pairs list every group's
+                // distinct targets in one run. Patterns arrive sorted, so a
+                // pair often repeats the one before it.
+                let mut pairs: Vec<GroupTarget> = Vec::with_capacity(sd.len());
+                for p in sd.patterns() {
+                    if let Some(g) = group_of(p) {
+                        let pair = (g, p.get(tslot));
+                        if pairs.last() != Some(&pair) {
+                            pairs.push(pair);
                         }
                     }
-                    groups
-                });
-                let mut partials = partials.into_iter();
-                let mut groups = partials.next().unwrap_or_default();
-                for partial in partials {
-                    for (key, targets) in partial {
-                        groups.entry(key).or_default().extend(targets);
-                    }
                 }
+                pairs.sort_unstable();
+                pairs.dedup();
+                let runs: Vec<&[GroupTarget]> = pairs.chunk_by(|a, b| a.0 == b.0).collect();
+                sp.attr("groups", runs.len() as i64);
                 let threshold = value.to_value();
                 // Aggregates per group are independent; compute them
-                // chunk-parallel over a deterministically-ordered group list
-                // (the result map is key-addressed, so order is moot anyway).
-                let mut group_list: Vec<(Option<Oid>, BTreeSet<Oid>)> =
-                    groups.into_iter().collect();
-                group_list.sort_unstable_by_key(|(k, _)| *k);
-                sp.attr("groups", group_list.len() as i64);
-                let verdicts = pool.par_chunk_map(&group_list, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|(key, targets)| {
-                            (*key, agg_passes(func, &tattr, targets, op, &threshold, db))
-                        })
-                        .collect::<Vec<_>>()
-                });
-                let passes: FxHashMap<Option<Oid>, bool> =
-                    verdicts.into_iter().flatten().collect();
-                let keep: Vec<_> = sd
-                    .patterns()
-                    .filter(|p| {
-                        let key = match bslot {
-                            Some(bs) => match p.get(bs) {
-                                Some(o) => Some(o),
-                                None => return false,
-                            },
-                            None => None,
-                        };
-                        passes.get(&key).copied().unwrap_or(false)
+                // chunk-parallel. Chunks come back in order, so `passing`
+                // is sorted whatever the thread count.
+                let passing: Vec<Oid> = ChunkPool::from_env()
+                    .par_chunk_map(&runs, |chunk| {
+                        chunk
+                            .iter()
+                            .filter(|run| agg_passes(func, &tattr, run, op, &threshold, db))
+                            .map(|run| run[0].0)
+                            .collect::<Vec<_>>()
                     })
-                    .cloned()
+                    .into_iter()
+                    .flatten()
                     .collect();
-                let rows_in = sd.len();
-                let dropped = rows_in - keep.len();
-                sd.set_patterns(keep);
-                sp.attr("rows_out", sd.len() as i64);
-                observe_wsel(cond, rows_in, sd.len());
-                if dropped > 0 && obs::metrics_enabled() {
-                    obs::metrics::counter("oql.where.dropped").add(dropped as u64);
-                }
+                let mut last = (None, false);
+                filter(sd, cond, &mut sp, |p| {
+                    let g = group_of(p);
+                    if g != last.0 {
+                        last = (g, g.is_some_and(|g| passing.binary_search(&g).is_ok()));
+                    }
+                    last.1
+                });
             }
         }
     }
@@ -284,7 +255,7 @@ mod tests {
     use crate::parser::Parser;
     use dood_core::ids::ClassId;
     use dood_core::schema::SchemaBuilder;
-    use dood_core::subdb::{ExtPattern, SlotDef};
+    use dood_core::subdb::SlotDef;
     use dood_core::value::DType;
 
     fn setup() -> (Database, Subdatabase) {

@@ -36,26 +36,31 @@ fn rank(v: &Value) -> u8 {
 
 impl Ord for OrdValue {
     fn cmp(&self, other: &Self) -> Ordering {
-        let (a, b) = (&self.0, &other.0);
-        match rank(a).cmp(&rank(b)) {
-            Ordering::Equal => match (a, b) {
-                (Value::Null, Value::Null) => Ordering::Equal,
-                (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
-                (Value::Str(x), Value::Str(y)) => x.as_ref().cmp(y.as_ref()),
-                _ => {
-                    // Numeric: compare as f64 with total ordering; equal
-                    // numerics tie-break Int before Real for determinism.
-                    let fx = a.as_f64().expect("numeric rank");
-                    let fy = b.as_f64().expect("numeric rank");
-                    fx.total_cmp(&fy).then_with(|| {
-                        let ix = matches!(a, Value::Int(_));
-                        let iy = matches!(b, Value::Int(_));
-                        iy.cmp(&ix)
-                    })
-                }
-            },
-            o => o,
-        }
+        ord_cmp(&self.0, &other.0)
+    }
+}
+
+/// The [`OrdValue`] order on borrowed values, for callers that sort or rank
+/// values they do not own.
+pub fn ord_cmp(a: &Value, b: &Value) -> Ordering {
+    match rank(a).cmp(&rank(b)) {
+        Ordering::Equal => match (a, b) {
+            (Value::Null, Value::Null) => Ordering::Equal,
+            (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+            (Value::Str(x), Value::Str(y)) => x.as_ref().cmp(y.as_ref()),
+            _ => {
+                // Numeric: compare as f64 with total ordering; equal
+                // numerics tie-break Int before Real for determinism.
+                let fx = a.as_f64().expect("numeric rank");
+                let fy = b.as_f64().expect("numeric rank");
+                fx.total_cmp(&fy).then_with(|| {
+                    let ix = matches!(a, Value::Int(_));
+                    let iy = matches!(b, Value::Int(_));
+                    iy.cmp(&ix)
+                })
+            }
+        },
+        o => o,
     }
 }
 

@@ -297,22 +297,29 @@ impl Database {
         Ok(self.attr_resolved(oid, &resolved))
     }
 
-    /// Read via a pre-resolved attribute (hot path for query evaluation).
+    /// Read via a pre-resolved attribute.
     pub fn attr_resolved(&self, oid: Oid, resolved: &ResolvedAttr) -> Value {
-        match self.climb(oid, &resolved.up_chain) {
-            Some(target) => self.attr_direct(target, resolved.attr),
-            None => Value::Null,
-        }
+        self.attr_ref(oid, resolved).cloned().unwrap_or(Value::Null)
+    }
+
+    /// Borrow the stored value of a pre-resolved attribute (hot path for
+    /// query evaluation: no clone). `None` where `attr_resolved` reads
+    /// `Value::Null` for want of an object: the owning perspective is
+    /// missing, or the object does not carry the attribute. An unset
+    /// attribute is `Some(&Value::Null)`.
+    pub fn attr_ref(&self, oid: Oid, resolved: &ResolvedAttr) -> Option<&Value> {
+        self.direct_ref(self.climb(oid, &resolved.up_chain)?, resolved.attr)
     }
 
     /// Read a directly-declared attribute; `Value::Null` if unset or if the
     /// object/attribute do not match.
     pub fn attr_direct(&self, oid: Oid, attr: AssocId) -> Value {
-        let Some(rec) = self.objects.get(&oid) else { return Value::Null };
-        match self.layouts.slot(rec.class, attr) {
-            Some(slot) => rec.attrs[slot].clone(),
-            None => Value::Null,
-        }
+        self.direct_ref(oid, attr).cloned().unwrap_or(Value::Null)
+    }
+
+    fn direct_ref(&self, oid: Oid, attr: AssocId) -> Option<&Value> {
+        let rec = self.objects.get(&oid)?;
+        Some(&rec.attrs[self.layouts.slot(rec.class, attr)?])
     }
 
     // ------------------------------------------------------------------
@@ -672,6 +679,31 @@ mod tests {
         assert_eq!(db.attr(s, "GPA").unwrap(), Value::Real(3.7));
         // The superclass does not see subclass attributes.
         assert!(db.attr(p, "GPA").is_err());
+    }
+
+    #[test]
+    fn attr_ref_borrows_what_attr_resolved_clones() {
+        let mut db = Database::new(schema());
+        let student = cid(&db, "Student");
+        let name = db.schema().resolve_attr(student, "Name").unwrap();
+        let gpa = db.schema().resolve_attr(student, "GPA").unwrap();
+        let p = db.new_object(cid(&db, "Person")).unwrap();
+        db.set_attr(p, "Name", Value::str("smith")).unwrap();
+        let s = db.specialize(p, student).unwrap();
+        // Stored on the Person perspective, read through the Student.
+        assert_eq!(db.attr_ref(s, &name), Some(&Value::str("smith")));
+        // Unset: there is a value, and it is Null.
+        assert_eq!(db.attr_ref(s, &gpa), Some(&Value::Null));
+        // A Student without a Person perspective has no `Name` to borrow.
+        let alone = db.new_object(student).unwrap();
+        assert_eq!(db.attr_ref(alone, &name), None);
+        assert_eq!(db.attr_ref(Oid(9_999), &gpa), None);
+        for o in [s, alone, Oid(9_999)] {
+            for a in [&name, &gpa] {
+                let borrowed = db.attr_ref(o, a).cloned().unwrap_or(Value::Null);
+                assert_eq!(db.attr_resolved(o, a), borrowed);
+            }
+        }
     }
 
     #[test]

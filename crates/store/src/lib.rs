@@ -17,7 +17,7 @@ pub mod object;
 pub mod txn;
 
 pub use assoc_index::AssocIndex;
-pub use attr_index::{AttrIndex, OrdValue};
+pub use attr_index::{ord_cmp, AttrIndex, OrdValue};
 pub use database::Database;
 pub use dump::{dump, load, load_full, save_full, LoadError};
 pub use events::{EventLog, SubscriberId, UpdateEvent};

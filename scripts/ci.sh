@@ -2,10 +2,11 @@
 # The per-PR gate: tier-1 verify (ROADMAP.md), a warnings-as-errors build,
 # doodlint over every built-in rule program (text and --json modes), a
 # DOOD_TRACE=1 smoke run validated by `doodprof --validate`, the
-# hermeticity check, and smoke runs of the parallel (e12) and
-# observability (e15) benches so the chunked evaluation path and the
-# instrumented paths are exercised on every PR even when the full bench
-# suite isn't run.
+# hermeticity check, smoke runs of the parallel (e12) and observability
+# (e15) benches so the chunked evaluation path and the instrumented paths
+# are exercised on every PR even when the full bench suite isn't run, and
+# the end-to-end benchmark's own tests and a smoke run of each of its
+# workloads with their pass-0 oracles.
 #
 # Usage: scripts/ci.sh
 # Run from anywhere; operates on the workspace containing this script.
@@ -152,6 +153,20 @@ if [ "${DOOD_E20_FULL:-0}" = "1" ]; then
     DOOD_BENCH_STRICT=1 DOOD_BENCH_JSON="$SMOKE_JSON" \
         cargo bench -p dood-bench --bench e20_recorder
 fi
+
+echo "== ci: end-to-end benchmark smoke (benchmark/, all four workloads) =="
+# Smoke mode runs 16 ops for 1 + 1 passes on a tiny database (timings
+# meaningless) with every pass-0 oracle on: traced = untraced path,
+# maintained = derive_fresh, Datalog cross-checks, one digest in every pass.
+# The last line of a run is its JSON summary.
+(cd benchmark && cargo test --offline -q)
+for w in univ_query univ_update social_closure cold_pipeline; do
+    SUMMARY="$(bash benchmark/run.sh --workload "$w" --smoke | tail -n 1)"
+    if [[ "$SUMMARY" != *'"correct": true'* || "$SUMMARY" != *'"failed": 0,'* ]]; then
+        echo "ci: benchmark smoke failed on $w: ${SUMMARY:0:200}" >&2
+        exit 1
+    fi
+done
 
 echo "== ci: bench diff vs BENCH_SEED.json (advisory) =="
 # Smoke timings are not meaningful, so this stage never fails the build:

@@ -3,8 +3,11 @@
 //! keep the instrumented paths inert, captured profiles expose the
 //! per-operator cardinalities, and exported traces always validate.
 //!
-//! Metric-touching tests serialize on a shared lock: the registry is
-//! process-global and `reset_all` would race between tests otherwise.
+//! Every test that evaluates in-process serializes on a shared lock: the
+//! metrics registry is process-global, so a query run by an unlocked test
+//! while another test has the gate on lands in that test's totals. The
+//! tests that only spawn `doodprof`/`doodlint` touch another process's
+//! registry and stay unlocked.
 
 use dood::core::ids::{AssocId, Oid};
 use dood::core::obs::{self, metrics, trace};
@@ -19,7 +22,8 @@ use dood::rules::{EvalPolicy, RuleEngine};
 use dood::workload::university;
 use std::sync::{Mutex, MutexGuard};
 
-/// Serializes every test that enables or reads the global metrics registry.
+/// Serializes every test that enables, reads or (by evaluating in-process)
+/// writes the global metrics registry.
 fn metrics_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -120,6 +124,7 @@ fn disabled_gates_keep_instrumentation_inert() {
 /// and the query row count.
 #[test]
 fn profile_tree_exposes_operator_cardinalities() {
+    let _g = metrics_lock();
     let db = university::populate(university::Size::small(), 42);
     let mut engine = RuleEngine::new(db);
     engine
@@ -162,6 +167,7 @@ fn profile_tree_exposes_operator_cardinalities() {
 /// satellite). Replay failures with `DOOD_PROP_SEED=<seed>`.
 #[test]
 fn exported_traces_always_validate() {
+    let _g = metrics_lock();
     check("exported_traces_always_validate", 12, |g| {
         let seed = g.range(0u64..1000);
         let threads = [1usize, 2, 4][g.range(0..3) as usize];
