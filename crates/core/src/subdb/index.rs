@@ -10,7 +10,11 @@
 //! large, slowly-changing sources on every update batch. The index is
 //! instead built once per content version ([`Subdatabase::index`]) and
 //! kept current by `insert`/`remove` point updates, so steady-state
-//! evaluations pay O(1) to access it.
+//! evaluations pay O(1) to access it. Slot extents are built with the
+//! index; a slot pair's adjacency is built on its first request
+//! ([`Subdatabase::pair_adj`]) — a context over a wide derived subdatabase
+//! traverses one or two of its w(w−1)/2 pairs — and only built pairs are
+//! point-maintained.
 //!
 //! Everything is *counted*: several patterns can bind the same oid in a
 //! slot (or repeat a pair co-binding) while differing elsewhere, so a
@@ -18,10 +22,12 @@
 //! that other patterns still justify.
 //!
 //! [`Subdatabase::index`]: crate::subdb::Subdatabase::index
+//! [`Subdatabase::pair_adj`]: crate::subdb::Subdatabase::pair_adj
 
 use crate::fxhash::FxHashMap;
 use crate::ids::Oid;
 use crate::subdb::pattern::ExtPattern;
+use std::sync::OnceLock;
 
 /// Counted directional adjacency between two slots `a < b`: the distinct
 /// `(x, y)` co-bindings with their multiplicities, plus ascending neighbor
@@ -88,31 +94,43 @@ impl SlotAdj {
     }
 }
 
-/// The index over a subdatabase's extension: counted slot extents and
-/// counted adjacency for every ordered slot pair `a < b`.
+/// The index over a subdatabase's extension: counted slot extents, and
+/// counted adjacency for the ordered slot pairs `a < b` asked for so far.
 #[derive(Debug, Clone)]
 pub struct SubdbIndex {
     slots: Vec<FxHashMap<Oid, u32>>,
-    adj: FxHashMap<(usize, usize), SlotAdj>,
+    /// One cell per pair `a < b`, row-major over the strict upper triangle.
+    adj: Vec<OnceLock<SlotAdj>>,
 }
 
 impl SubdbIndex {
-    /// Build from scratch over an extension (one pass).
+    /// Build the slot extents over an extension (one pass); pairs follow
+    /// on demand.
     pub(crate) fn build<'a>(
         width: usize,
         patterns: impl Iterator<Item = &'a ExtPattern>,
     ) -> Self {
-        let mut adj = FxHashMap::default();
-        for a in 0..width {
-            for b in a + 1..width {
-                adj.insert((a, b), SlotAdj::default());
-            }
-        }
-        let mut ix = SubdbIndex { slots: vec![FxHashMap::default(); width], adj };
+        let mut ix = SubdbIndex {
+            slots: vec![FxHashMap::default(); width],
+            adj: vec![OnceLock::new(); width * width.saturating_sub(1) / 2],
+        };
         for p in patterns {
             ix.add(p);
         }
         ix
+    }
+
+    /// The cell of pair `a < b`.
+    fn cell(&self, a: usize, b: usize) -> usize {
+        let w = self.slots.len();
+        a * (2 * w - a - 1) / 2 + (b - a - 1)
+    }
+
+    /// The built pairs, each with its slots.
+    fn built_mut(&mut self) -> impl Iterator<Item = (usize, usize, &mut SlotAdj)> {
+        let w = self.slots.len();
+        let pairs = (0..w).flat_map(move |a| (a + 1..w).map(move |b| (a, b)));
+        pairs.zip(&mut self.adj).filter_map(|((a, b), c)| c.get_mut().map(|adj| (a, b, adj)))
     }
 
     /// Fold one inserted pattern in.
@@ -123,7 +141,7 @@ impl SubdbIndex {
                 *self.slots[i].entry(*o).or_insert(0) += 1;
             }
         }
-        for (&(a, b), adj) in self.adj.iter_mut() {
+        for (a, b, adj) in self.built_mut() {
             if let (Some(x), Some(y)) = (comps[a], comps[b]) {
                 adj.add(x, y);
             }
@@ -143,7 +161,7 @@ impl SubdbIndex {
                 }
             }
         }
-        for (&(a, b), adj) in self.adj.iter_mut() {
+        for (a, b, adj) in self.built_mut() {
             if let (Some(x), Some(y)) = (comps[a], comps[b]) {
                 adj.del(x, y);
             }
@@ -167,10 +185,29 @@ impl SubdbIndex {
 
     /// The adjacency between slots `a` and `b` (any order), with a flag
     /// telling the caller whether its notion of "forward" (`a` → `b`)
-    /// is flipped relative to the stored `min < max` orientation.
-    pub fn pair_adj(&self, a: usize, b: usize) -> Option<(&SlotAdj, bool)> {
-        let key = (a.min(b), a.max(b));
-        self.adj.get(&key).map(|adj| (adj, a > b))
+    /// is flipped relative to the stored `min < max` orientation. `None`
+    /// for `a == b` or a slot out of range. A pair not asked for before is
+    /// built from `patterns`, which must yield the indexed extension.
+    pub(crate) fn pair_adj<'a>(
+        &self,
+        a: usize,
+        b: usize,
+        patterns: impl Iterator<Item = &'a ExtPattern>,
+    ) -> Option<(&SlotAdj, bool)> {
+        let (lo, hi) = (a.min(b), a.max(b));
+        if lo == hi || hi >= self.slots.len() {
+            return None;
+        }
+        let adj = self.adj[self.cell(lo, hi)].get_or_init(|| {
+            let mut adj = SlotAdj::default();
+            for p in patterns {
+                if let (Some(x), Some(y)) = (p.get(lo), p.get(hi)) {
+                    adj.add(x, y);
+                }
+            }
+            adj
+        });
+        Some((adj, a > b))
     }
 }
 
@@ -193,40 +230,48 @@ mod tests {
         assert!(ix.slot_contains(0, Oid(1)));
         assert!(!ix.slot_contains(0, Oid(5)));
         assert_eq!(ix.slot_len(1), 2);
-        let (adj, flip) = ix.pair_adj(0, 1).unwrap();
+        let (adj, flip) = ix.pair_adj(0, 1, pats.iter()).unwrap();
         assert!(!flip);
         assert_eq!(adj.neighbors(Oid(1), true), &[Oid(2)]);
-        let (adj, flip) = ix.pair_adj(1, 0).unwrap();
+        let (adj, flip) = ix.pair_adj(1, 0, pats.iter()).unwrap();
         assert!(flip);
         assert_eq!(adj.neighbors(Oid(2), false), &[Oid(1)]);
+        assert!(ix.pair_adj(1, 1, pats.iter()).is_none());
+        assert!(ix.pair_adj(0, 3, pats.iter()).is_none());
 
         // Removing one of the two (1,2) co-binders keeps the edge…
         ix.del(&pats[0]);
-        let (adj, _) = ix.pair_adj(0, 1).unwrap();
+        let (adj, _) = ix.pair_adj(0, 1, pats[1..].iter()).unwrap();
         assert_eq!(adj.neighbors(Oid(1), true), &[Oid(2)]);
         assert!(ix.slot_contains(2, Oid(3))); // still bound by pats[2]
         // …and removing the second erases it.
         ix.del(&pats[1]);
-        let (adj, _) = ix.pair_adj(0, 1).unwrap();
+        let (adj, _) = ix.pair_adj(0, 1, pats[2..].iter()).unwrap();
         assert!(adj.neighbors(Oid(1), true).is_empty());
         assert!(!ix.slot_contains(0, Oid(1)));
         assert!(ix.slot_contains(1, Oid(5)));
     }
 
+    /// Pairs are built on their first request and point-maintained from
+    /// then on; a pair first asked for after the edits is built from the
+    /// edited extension. Either way it equals the pair of a fresh index.
     #[test]
-    fn incremental_matches_rebuild() {
-        let pats = [
+    fn lazily_built_pairs_match_rebuild() {
+        let before = [
             p(&[Some(1), Some(2), None]),
             p(&[Some(1), Some(3), Some(9)]),
             p(&[Some(4), Some(2), Some(9)]),
         ];
-        let mut ix = SubdbIndex::build(3, pats.iter());
-        ix.del(&pats[1]);
-        ix.add(&p(&[Some(7), Some(2), Some(8)]));
-        let fresh = SubdbIndex::build(
-            3,
-            [pats[0].clone(), pats[2].clone(), p(&[Some(7), Some(2), Some(8)])].iter(),
-        );
+        let added = p(&[Some(7), Some(2), Some(8)]);
+        let after = [before[0].clone(), before[2].clone(), added.clone()];
+        let mut ix = SubdbIndex::build(3, before.iter());
+        // (0, 1) is built now and maintained through the edits; (0, 2) and
+        // (1, 2) are not built yet and must not be touched by them.
+        ix.pair_adj(0, 1, before.iter()).unwrap();
+        ix.del(&before[1]);
+        ix.add(&added);
+        assert_eq!(ix.adj.iter().filter(|c| c.get().is_some()).count(), 1);
+        let fresh = SubdbIndex::build(3, after.iter());
         for s in 0..3 {
             let mut a: Vec<Oid> = ix.slot_oids(s).collect();
             let mut b: Vec<Oid> = fresh.slot_oids(s).collect();
@@ -235,10 +280,14 @@ mod tests {
             assert_eq!(a, b, "slot {s}");
         }
         for (a, b) in [(0, 1), (0, 2), (1, 2)] {
-            let (ia, _) = ix.pair_adj(a, b).unwrap();
-            let (fa, _) = fresh.pair_adj(a, b).unwrap();
-            for o in ix.slot_oids(a) {
+            let (ia, _) = ix.pair_adj(a, b, after.iter()).unwrap();
+            let (fa, _) = fresh.pair_adj(a, b, after.iter()).unwrap();
+            assert_eq!(ia.pair_count(), fa.pair_count(), "pair ({a}, {b})");
+            for o in fresh.slot_oids(a) {
                 assert_eq!(ia.neighbors(o, true), fa.neighbors(o, true));
+            }
+            for o in fresh.slot_oids(b) {
+                assert_eq!(ia.neighbors(o, false), fa.neighbors(o, false));
             }
         }
     }

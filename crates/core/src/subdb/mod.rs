@@ -9,6 +9,6 @@ pub mod subdatabase;
 
 pub use index::{SlotAdj, SubdbIndex};
 pub use intension::{IntEdge, Intension, SlotDef, SlotSource};
-pub use pattern::{ExtPattern, PatternType};
+pub use pattern::{is_part, ExtPattern, HeadRange, PatternType};
 pub use registry::{RegistryEntry, SubdbRegistry};
 pub use subdatabase::Subdatabase;

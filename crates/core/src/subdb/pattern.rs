@@ -8,7 +8,9 @@
 //! slots of the owning intension.
 
 use crate::ids::Oid;
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Bound;
 
 /// A pattern type: bitmask over the slots of an intension (bit i set ⇔ slot
 /// i is non-null). Limits an intension to 64 slots, asserted at
@@ -112,12 +114,7 @@ impl ExtPattern {
     /// if it is part of a larger extensional pattern" (§5.1).
     pub fn is_part_of(&self, other: &ExtPattern) -> bool {
         debug_assert_eq!(self.width(), other.width());
-        let st = self.pattern_type();
-        let ot = other.pattern_type();
-        if !st.is_strict_subtype_of(ot) {
-            return false;
-        }
-        st.slots().all(|i| self.components[i] == other.components[i])
+        is_part(&self.components, &other.components)
     }
 
     /// Project onto the given slots (producing a narrower pattern).
@@ -134,6 +131,59 @@ impl ExtPattern {
             out[dst] = self.components[src];
         }
         ExtPattern::new(out)
+    }
+}
+
+/// [`ExtPattern::is_part_of`] on bare component rows of equal width: `b`
+/// agrees with every non-null component of `a` and binds strictly more.
+pub fn is_part(a: &[Option<Oid>], b: &[Option<Oid>]) -> bool {
+    let mut wider = false;
+    for pair in a.iter().zip(b) {
+        match pair {
+            (Some(x), Some(y)) if x == y => {}
+            (None, Some(_)) => wider = true,
+            (None, None) => {}
+            _ => return false,
+        }
+    }
+    wider
+}
+
+/// Patterns order, compare and hash exactly as their component slices do
+/// (the derived impls delegate to the one field), so ordered pattern sets
+/// can be searched by a borrowed slice — in particular by a bare head.
+impl Borrow<[Option<Oid>]> for ExtPattern {
+    fn borrow(&self) -> &[Option<Oid>] {
+        &self.components
+    }
+}
+
+/// One end of a range of component rows.
+pub type RowBound<'a> = Bound<&'a [Option<Oid>]>;
+
+/// The range, in the lexicographic pattern order, of the patterns whose
+/// slot 0 holds one given head: a one-element slice sorts before every
+/// longer slice it prefixes, and `None < Some(_)`. Lets ordered pattern
+/// sets and maps be walked one head at a time, in place.
+pub struct HeadRange {
+    lo: [Option<Oid>; 1],
+    hi: Option<[Option<Oid>; 1]>,
+}
+
+impl HeadRange {
+    /// The range of patterns headed by `head`.
+    pub fn of(head: Option<Oid>) -> Self {
+        let next = match head {
+            None => Some(Oid(0)),
+            Some(o) => o.raw().checked_add(1).map(Oid),
+        };
+        HeadRange { lo: [head], hi: next.map(|n| [Some(n)]) }
+    }
+
+    /// The bounds to hand to `BTreeSet::range` / `BTreeMap::range`.
+    pub fn bounds(&self) -> (RowBound<'_>, RowBound<'_>) {
+        let hi = self.hi.as_ref().map_or(Bound::Unbounded, |h| Bound::Excluded(&h[..]));
+        (Bound::Included(&self.lo[..]), hi)
     }
 }
 

@@ -4,9 +4,9 @@
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::Oid;
-use crate::subdb::index::SubdbIndex;
+use crate::subdb::index::{SlotAdj, SubdbIndex};
 use crate::subdb::intension::Intension;
-use crate::subdb::pattern::{ExtPattern, PatternType};
+use crate::subdb::pattern::{ExtPattern, HeadRange, PatternType};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
@@ -51,13 +51,22 @@ impl Subdatabase {
         }
     }
 
-    /// The extension's access index (counted slot extents and slot-pair
-    /// adjacency), built on first use and kept current by `insert` and
-    /// `remove`. Bulk mutators (`set_patterns`, `retain`, `retain_maximal`,
-    /// `union_from`) discard it, so a later call rebuilds from scratch.
+    /// The extension's access index (counted slot extents; slot-pair
+    /// adjacency through [`Subdatabase::pair_adj`]), built on first use and
+    /// kept current by `insert` and `remove`. Bulk mutators (`set_patterns`,
+    /// `retain`, `retain_maximal`, `union_from`) discard it, so a later
+    /// call rebuilds from scratch.
     pub fn index(&self) -> &SubdbIndex {
         self.index
             .get_or_init(|| SubdbIndex::build(self.intension.width(), self.patterns.iter()))
+    }
+
+    /// The counted adjacency between slots `a` and `b` of the access index
+    /// (any order; the flag says whether the caller's "forward" `a` → `b`
+    /// is flipped relative to the stored `min < max` orientation). Built on
+    /// the pair's first request, point-maintained afterwards.
+    pub fn pair_adj(&self, a: usize, b: usize) -> Option<(&SlotAdj, bool)> {
+        self.index().pair_adj(a, b, self.patterns.iter())
     }
 
     /// Number of extensional patterns.
@@ -88,6 +97,12 @@ impl Subdatabase {
     /// Iterate patterns in deterministic (lexicographic) order.
     pub fn patterns(&self) -> impl Iterator<Item = &ExtPattern> {
         self.patterns.iter()
+    }
+
+    /// The patterns whose slot 0 holds `head`, in order: one contiguous
+    /// range of the ordered extension, found without scanning the rest.
+    pub fn head_range(&self, head: Option<Oid>) -> impl Iterator<Item = &ExtPattern> {
+        self.patterns.range::<[Option<Oid>], _>(HeadRange::of(head).bounds())
     }
 
     /// Whether the extension contains this exact pattern.
@@ -404,6 +419,27 @@ mod tests {
     }
 
     #[test]
+    fn head_range_is_the_patterns_with_that_head() {
+        let mut s = subdb();
+        let all = [
+            p(&[None, Some(5), Some(6)]),
+            p(&[None, Some(7), None]),
+            p(&[Some(0), Some(1), None]),
+            p(&[Some(1), Some(2), Some(3)]),
+            p(&[Some(1), Some(4), None]),
+            p(&[Some(2), None, None]),
+            p(&[Some(u64::MAX), Some(2), Some(3)]),
+        ];
+        s.set_patterns(all.iter().cloned());
+        for head in [None, Some(0), Some(1), Some(2), Some(3), Some(u64::MAX)] {
+            let head = head.map(Oid);
+            let got: Vec<&ExtPattern> = s.head_range(head).collect();
+            let want: Vec<&ExtPattern> = all.iter().filter(|q| q.get(0) == head).collect();
+            assert_eq!(got, want, "head {head:?}");
+        }
+    }
+
+    #[test]
     fn contains_exact_pattern() {
         let mut s = subdb();
         s.insert(p(&[Some(1), Some(2), None]));
@@ -422,7 +458,7 @@ mod tests {
         s.remove(&p(&[Some(1), Some(4), None]));
         assert_eq!(s.index().slot_len(0), 2);
         assert!(!s.index().slot_contains(1, Oid(4)));
-        let (adj, flip) = s.index().pair_adj(1, 0).unwrap();
+        let (adj, flip) = s.pair_adj(1, 0).unwrap();
         assert!(flip);
         let mut back: Vec<Oid> = adj.neighbors(Oid(2), false).to_vec();
         back.sort_unstable();

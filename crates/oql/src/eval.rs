@@ -198,7 +198,6 @@ fn bind_sources<'a>(
             .ok_or_else(|| QueryError::UnknownSubdb(subdb.clone()))?;
         Ok(entry
             .subdb
-            .index()
             .pair_adj(a, b)
             .expect("resolved derived edge joins two distinct slots"))
     };

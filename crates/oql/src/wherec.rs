@@ -6,7 +6,7 @@
 //! Conditions bind against the *result* intension, so they also work on the
 //! runtime-determined intensions of closure queries (`Grad_2`, …).
 
-use crate::ast::{AggFunc, ClassRef, CmpRhs, WhereCond};
+use crate::ast::{AggFunc, ClassRef, CmpOp, CmpRhs, WhereCond};
 use crate::error::QueryError;
 use dood_core::error::ResolveError;
 use dood_core::ids::Oid;
@@ -85,46 +85,161 @@ pub fn slot_attr(
 /// (one constant for an ungrouped aggregate) and the target slot's, if any.
 type GroupTarget = (Oid, Option<Oid>);
 
-/// Compute one group's aggregate and test it against the threshold. `run`
-/// is the group's sorted, distinct pairs: its distinct targets, after at
-/// most one `None` for patterns without one.
-fn agg_passes(
-    func: &AggFunc,
-    tattr: &Option<ResolvedAttr>,
-    run: &[GroupTarget],
-    op: &crate::ast::CmpOp,
-    threshold: &Value,
-    db: &Database,
-) -> bool {
-    let targets = run.iter().filter_map(|&(_, t)| t);
-    let agg: Value = match (func, tattr) {
-        (AggFunc::Count, None) => Value::Int(targets.count() as i64),
-        (f, attr_opt) => {
-            // Non-null attribute values of the distinct targets (COUNT with
-            // an attribute counts non-null values).
-            let a = attr_opt.as_ref().expect("parser enforces attr");
-            let vals = targets.filter_map(|o| db.attr_ref(o, a).and_then(Value::as_f64));
-            match f {
-                AggFunc::Count => Value::Int(vals.count() as i64),
-                AggFunc::Sum => Value::Real(vals.sum()),
-                AggFunc::Avg => {
-                    let mut n = 0usize;
-                    let sum: f64 = vals.inspect(|_| n += 1).sum();
-                    if n == 0 {
-                        Value::Null
-                    } else {
-                        Value::Real(sum / n as f64)
-                    }
-                }
-                AggFunc::Min => vals.reduce(f64::min).map_or(Value::Null, Value::Real),
-                AggFunc::Max => vals.reduce(f64::max).map_or(Value::Null, Value::Real),
-            }
-        }
-    };
-    match agg.compare(threshold) {
-        Some(ord) => op.test(ord),
-        None => false,
+/// A comparison condition bound to the slots of one intension: the
+/// per-pattern verdict, shared by [`apply_where`] and by incremental rule
+/// maintenance, which re-checks single patterns.
+#[derive(Debug, Clone)]
+pub struct CmpCond {
+    lslot: usize,
+    lattr: ResolvedAttr,
+    op: CmpOp,
+    rhs: Rhs,
+}
+
+#[derive(Debug, Clone)]
+enum Rhs {
+    Attr(usize, ResolvedAttr),
+    Lit(Value),
+}
+
+impl CmpCond {
+    /// Whether `p` satisfies the comparison. An absent component or
+    /// perspective reads as no value, and so does Null: the comparison is
+    /// unknown, the pattern goes.
+    pub fn passes(&self, p: &ExtPattern, db: &Database) -> bool {
+        let lv = p.get(self.lslot).and_then(|lo| db.attr_ref(lo, &self.lattr));
+        let rv = match &self.rhs {
+            Rhs::Lit(v) => Some(v),
+            Rhs::Attr(rslot, rattr) => p.get(*rslot).and_then(|ro| db.attr_ref(ro, rattr)),
+        };
+        lv.zip(rv).and_then(|(lv, rv)| lv.compare(rv)).is_some_and(|ord| self.op.test(ord))
     }
+}
+
+/// An aggregation condition bound to the slots of one intension: which
+/// group and target a pattern contributes, and a group's verdict given its
+/// distinct targets. Shared by [`apply_where`], which regroups the whole
+/// set, and by incremental rule maintenance, which keeps the groups.
+#[derive(Debug, Clone)]
+pub struct AggCond {
+    func: AggFunc,
+    tslot: usize,
+    tattr: Option<ResolvedAttr>,
+    bslot: Option<usize>,
+    op: CmpOp,
+    threshold: Value,
+}
+
+impl AggCond {
+    /// The one group of an aggregate without `by`.
+    const UNGROUPED: Oid = Oid(0);
+
+    /// A pattern's group: the `by` slot's object (none: the pattern is
+    /// ungrouped and cannot qualify), or one constant without `by`.
+    pub fn group_of(&self, p: &ExtPattern) -> Option<Oid> {
+        match self.bslot {
+            Some(bs) => p.get(bs),
+            None => Some(Self::UNGROUPED),
+        }
+    }
+
+    /// The object a pattern contributes to its group's aggregate, if any.
+    pub fn target_of(&self, p: &ExtPattern) -> Option<Oid> {
+        p.get(self.tslot)
+    }
+
+    /// The `by` slot; `None` for an ungrouped aggregate.
+    pub fn by_slot(&self) -> Option<usize> {
+        self.bslot
+    }
+
+    /// Whether the verdict reads attribute values (every aggregate but a
+    /// plain `count(X …)`), so that it can flip without any pattern
+    /// joining or leaving the group.
+    pub fn reads_attrs(&self) -> bool {
+        self.tattr.is_some()
+    }
+
+    /// Compute one group's aggregate over its distinct targets — in
+    /// ascending order, which fixes the floating-point sum — and test it
+    /// against the threshold.
+    pub fn passes(&self, targets: impl Iterator<Item = Oid>, db: &Database) -> bool {
+        let agg: Value = match (&self.func, &self.tattr) {
+            (AggFunc::Count, None) => Value::Int(targets.count() as i64),
+            (f, attr_opt) => {
+                // Non-null attribute values of the distinct targets (COUNT
+                // with an attribute counts non-null values).
+                let a = attr_opt.as_ref().expect("parser enforces attr");
+                let vals = targets.filter_map(|o| db.attr_ref(o, a).and_then(Value::as_f64));
+                match f {
+                    AggFunc::Count => Value::Int(vals.count() as i64),
+                    AggFunc::Sum => Value::Real(vals.sum()),
+                    AggFunc::Avg => {
+                        let mut n = 0usize;
+                        let sum: f64 = vals.inspect(|_| n += 1).sum();
+                        if n == 0 {
+                            Value::Null
+                        } else {
+                            Value::Real(sum / n as f64)
+                        }
+                    }
+                    AggFunc::Min => vals.reduce(f64::min).map_or(Value::Null, Value::Real),
+                    AggFunc::Max => vals.reduce(f64::max).map_or(Value::Null, Value::Real),
+                }
+            }
+        };
+        match agg.compare(&self.threshold) {
+            Some(ord) => self.op.test(ord),
+            None => false,
+        }
+    }
+}
+
+/// A WHERE condition bound to the slots of one intension.
+enum BoundCond {
+    Cmp(CmpCond),
+    Agg(AggCond),
+}
+
+/// Bind a condition's class references and attributes against `int`.
+fn bind_cond(
+    cond: &WhereCond,
+    int: &Intension,
+    schema: &Schema,
+) -> Result<BoundCond, QueryError> {
+    Ok(match cond {
+        WhereCond::Cmp { left, op, right } => {
+            let lslot = find_slot(int, &left.0)?;
+            let lattr = slot_attr(int, lslot, &left.1, schema)?;
+            let rhs = match right {
+                CmpRhs::Lit(l) => Rhs::Lit(l.to_value()),
+                CmpRhs::Attr(c, a) => {
+                    let rslot = find_slot(int, c)?;
+                    Rhs::Attr(rslot, slot_attr(int, rslot, a, schema)?)
+                }
+            };
+            BoundCond::Cmp(CmpCond { lslot, lattr, op: *op, rhs })
+        }
+        WhereCond::Agg { func, target, attr, by, op, value } => {
+            let tslot = find_slot(int, target)?;
+            let tattr = match attr {
+                Some(a) => Some(slot_attr(int, tslot, a, schema)?),
+                None => None,
+            };
+            let bslot = match by {
+                Some(b) => Some(find_slot(int, b)?),
+                None => None,
+            };
+            BoundCond::Agg(AggCond {
+                func: *func,
+                tslot,
+                tattr,
+                bslot,
+                op: *op,
+                threshold: value.to_value(),
+            })
+        }
+    })
 }
 
 /// Drop the patterns `keep` rejects, in place, and record the stage's
@@ -144,6 +259,79 @@ fn filter(
     }
 }
 
+/// What one applied condition leaves behind for a caller that will
+/// maintain its verdicts: the bound condition and, for an aggregate, the
+/// groups that passed, ascending.
+#[derive(Debug)]
+pub enum Applied {
+    /// A comparison; its verdicts are per pattern.
+    Cmp(CmpCond),
+    /// An aggregate and its passing groups.
+    Agg(AggCond, Vec<Oid>),
+}
+
+/// Apply one WHERE condition, dropping non-satisfying patterns.
+pub fn apply_cond(
+    sd: &mut Subdatabase,
+    cond: &WhereCond,
+    db: &Database,
+) -> Result<Applied, QueryError> {
+    let mut sp = obs::trace::span(match cond {
+        WhereCond::Cmp { .. } => "oql.where.cmp",
+        WhereCond::Agg { .. } => "oql.where.agg",
+    });
+    sp.attr("rows_in", sd.len() as i64);
+    match bind_cond(cond, &sd.intension, db.schema())? {
+        BoundCond::Cmp(cmp) => {
+            filter(sd, cond, &mut sp, |p| cmp.passes(p, db));
+            Ok(Applied::Cmp(cmp))
+        }
+        BoundCond::Agg(agg) => {
+            // Sorted and deduplicated, the pairs list every group's
+            // distinct targets in one run. Patterns arrive sorted, so a
+            // pair often repeats the one before it.
+            let mut pairs: Vec<GroupTarget> = Vec::with_capacity(sd.len());
+            for p in sd.patterns() {
+                if let Some(g) = agg.group_of(p) {
+                    let pair = (g, agg.target_of(p));
+                    if pairs.last() != Some(&pair) {
+                        pairs.push(pair);
+                    }
+                }
+            }
+            pairs.sort_unstable();
+            pairs.dedup();
+            // A run: its group's distinct targets, after at most one `None`
+            // for patterns without one.
+            let runs: Vec<&[GroupTarget]> = pairs.chunk_by(|a, b| a.0 == b.0).collect();
+            sp.attr("groups", runs.len() as i64);
+            // Aggregates per group are independent; compute them
+            // chunk-parallel. Chunks come back in order, so `passing`
+            // is sorted whatever the thread count.
+            let passing: Vec<Oid> = ChunkPool::from_env()
+                .par_chunk_map(&runs, |chunk| {
+                    chunk
+                        .iter()
+                        .filter(|run| agg.passes(run.iter().filter_map(|&(_, t)| t), db))
+                        .map(|run| run[0].0)
+                        .collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect();
+            let mut last = (None, false);
+            filter(sd, cond, &mut sp, |p| {
+                let g = agg.group_of(p);
+                if g != last.0 {
+                    last = (g, g.is_some_and(|g| passing.binary_search(&g).is_ok()));
+                }
+                last.1
+            });
+            Ok(Applied::Agg(agg, passing))
+        }
+    }
+}
+
 /// Apply WHERE conditions (conjunctive), dropping non-satisfying patterns.
 pub fn apply_where(
     sd: &mut Subdatabase,
@@ -151,100 +339,7 @@ pub fn apply_where(
     db: &Database,
 ) -> Result<(), QueryError> {
     for cond in conds {
-        match cond {
-            WhereCond::Cmp { left, op, right } => {
-                let mut sp = obs::trace::span("oql.where.cmp");
-                sp.attr("rows_in", sd.len() as i64);
-                let lslot = find_slot(&sd.intension, &left.0)?;
-                let lattr = slot_attr(&sd.intension, lslot, &left.1, db.schema())?;
-                enum Rhs {
-                    Attr(usize, ResolvedAttr),
-                    Lit(Value),
-                }
-                let rhs = match right {
-                    CmpRhs::Lit(l) => Rhs::Lit(l.to_value()),
-                    CmpRhs::Attr(c, a) => {
-                        let rslot = find_slot(&sd.intension, c)?;
-                        let rattr = slot_attr(&sd.intension, rslot, a, db.schema())?;
-                        Rhs::Attr(rslot, rattr)
-                    }
-                };
-                // An absent component or perspective reads as no value, and
-                // so does Null: the comparison is unknown, the pattern goes.
-                filter(sd, cond, &mut sp, |p| {
-                    let lv = p.get(lslot).and_then(|lo| db.attr_ref(lo, &lattr));
-                    let rv = match &rhs {
-                        Rhs::Lit(v) => Some(v),
-                        Rhs::Attr(rslot, rattr) => {
-                            p.get(*rslot).and_then(|ro| db.attr_ref(ro, rattr))
-                        }
-                    };
-                    lv.zip(rv)
-                        .and_then(|(lv, rv)| lv.compare(rv))
-                        .is_some_and(|ord| op.test(ord))
-                });
-            }
-            WhereCond::Agg { func, target, attr, by, op, value } => {
-                let mut sp = obs::trace::span("oql.where.agg");
-                sp.attr("rows_in", sd.len() as i64);
-                let tslot = find_slot(&sd.intension, target)?;
-                let tattr = match attr {
-                    Some(a) => Some(slot_attr(&sd.intension, tslot, a, db.schema())?),
-                    None => None,
-                };
-                let bslot = match by {
-                    Some(b) => Some(find_slot(&sd.intension, b)?),
-                    None => None,
-                };
-                // A pattern's group: the `by` slot's object (none: the
-                // pattern is ungrouped and cannot qualify), or the one
-                // group of an aggregate without `by`.
-                let ungrouped = Oid(0);
-                let group_of = |p: &ExtPattern| match bslot {
-                    Some(bs) => p.get(bs),
-                    None => Some(ungrouped),
-                };
-                // Sorted and deduplicated, the pairs list every group's
-                // distinct targets in one run. Patterns arrive sorted, so a
-                // pair often repeats the one before it.
-                let mut pairs: Vec<GroupTarget> = Vec::with_capacity(sd.len());
-                for p in sd.patterns() {
-                    if let Some(g) = group_of(p) {
-                        let pair = (g, p.get(tslot));
-                        if pairs.last() != Some(&pair) {
-                            pairs.push(pair);
-                        }
-                    }
-                }
-                pairs.sort_unstable();
-                pairs.dedup();
-                let runs: Vec<&[GroupTarget]> = pairs.chunk_by(|a, b| a.0 == b.0).collect();
-                sp.attr("groups", runs.len() as i64);
-                let threshold = value.to_value();
-                // Aggregates per group are independent; compute them
-                // chunk-parallel. Chunks come back in order, so `passing`
-                // is sorted whatever the thread count.
-                let passing: Vec<Oid> = ChunkPool::from_env()
-                    .par_chunk_map(&runs, |chunk| {
-                        chunk
-                            .iter()
-                            .filter(|run| agg_passes(func, &tattr, run, op, &threshold, db))
-                            .map(|run| run[0].0)
-                            .collect::<Vec<_>>()
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                let mut last = (None, false);
-                filter(sd, cond, &mut sp, |p| {
-                    let g = group_of(p);
-                    if g != last.0 {
-                        last = (g, g.is_some_and(|g| passing.binary_search(&g).is_ok()));
-                    }
-                    last.1
-                });
-            }
-        }
+        apply_cond(sd, cond, db)?;
     }
     Ok(())
 }

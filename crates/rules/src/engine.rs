@@ -34,6 +34,8 @@ use dood_core::subdb::{Subdatabase, SubdbRegistry};
 use dood_oql::ast::{ClassRef, Item, Query, SelectItem, Seq, WhereCond};
 use dood_oql::{Oql, QueryOutput};
 use dood_store::{Database, SubscriberId};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 /// Per-result evaluation policy (result-oriented control, paper §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,13 +109,17 @@ pub struct RuleEngine {
     strict: bool,
     /// Dirty objects of the update batch being propagated, when any. Grows
     /// as maintained subdatabases commit content diffs.
-    current_dirty: Option<std::collections::BTreeSet<Oid>>,
+    current_dirty: Option<BTreeSet<Oid>>,
     /// Event-log watermark the current dirty set starts from: a rule cache
     /// at `at_seq >= dirty_from` can be delta-advanced by `current_dirty`.
     dirty_from: u64,
     /// Subdatabases (re)materialized this propagate without a before-image;
     /// readers cannot trust their content delta and re-seed in full.
     unknown: FxHashSet<String>,
+    /// Post-evaluated results the propagate under way invalidated: when a
+    /// later stratum backward-derives one as a source, its rules step from
+    /// this image and its content delta is the edits replayed onto it.
+    invalidated: FxHashMap<String, Subdatabase>,
     /// Forward targets skipped by the last effective propagate because a
     /// backward-derived source was absent (rule-oriented mode) — these are
     /// now silently stale, per the paper's POSTGRES critique.
@@ -148,6 +154,7 @@ impl RuleEngine {
             current_dirty: None,
             dirty_from: watermark,
             unknown: FxHashSet::default(),
+            invalidated: FxHashMap::default(),
             stale_skips: Vec::new(),
             strict: false,
             events_sub,
@@ -418,33 +425,50 @@ impl RuleEngine {
             self.commit_derived(sd);
             return Ok(());
         }
-        let idxs = self.graph.rules_for(name).to_vec();
-        debug_assert!(!idxs.is_empty());
-        let mut sp = obs::trace::span("rules.derive");
-        sp.label(|| name.to_string());
-        sp.attr("rules", idxs.len() as i64);
-        let mut acc: Option<Subdatabase> = None;
-        for i in idxs {
-            let rule = self.rules[i].clone();
-            let sd = self.apply_one(&rule)?;
-            acc = Some(match acc {
-                None => sd,
-                Some(mut prev) => {
-                    if !layouts_compatible(&prev, &sd) {
-                        return Err(RuleError::TargetLayoutMismatch {
-                            subdb: name.to_string(),
-                            rule: rule.name.clone(),
-                        });
-                    }
-                    prev.union_from(&sd);
-                    prev
+        // Lend the dirty set to the step, as the stratum fan-out does.
+        let dirty = self.current_dirty.take();
+        // Inside a propagate the rules step from the copy they last
+        // produced — the registered one if it is still there (stale), else
+        // the image this propagate invalidated — and the edits are the
+        // content delta. Outside one there is no delta to account for.
+        let registered = dirty.as_ref().and_then(|_| self.registry.take(name));
+        let was_registered = registered.is_some();
+        let entry = registered.or_else(|| {
+            dirty.as_ref().and_then(|_| self.invalidated.remove(name)).map(|sd| (sd, 0))
+        });
+        let mut state = self.take_state(name, entry);
+        let result = self.maintain_subdb(name, &mut state, dirty.as_ref());
+        self.current_dirty = dirty;
+        self.caches.extend(state.caches);
+        let (sd, diff) = match result {
+            Ok(Maintained::Unchanged { sd, .. }) => (sd, Some(Vec::new())),
+            Ok(Maintained::Changed { sd, diff }) => (sd, diff),
+            Err(e) => {
+                match state.entry {
+                    Some((sd, at)) if was_registered => self.registry.put(sd, at),
+                    Some((sd, _)) => drop(self.invalidated.insert(name.to_string(), sd)),
+                    None => {}
                 }
-            });
-        }
-        let sd = acc.expect("at least one rule ran");
-        sp.attr("rows_out", sd.len() as i64);
+                return Err(e);
+            }
+        };
         self.commit_derived(sd);
+        self.fold_commit_delta(name, diff);
         Ok(())
+    }
+
+    /// Pull `name`'s maintenance state — its rules' caches, and `entry` as
+    /// the copy to refresh — out of the engine, so that a step can mutate
+    /// it while the engine stays read-only.
+    fn take_state(&mut self, name: &str, entry: Option<(Subdatabase, u64)>) -> MaintainState {
+        let mut caches = FxHashMap::default();
+        for &i in self.graph.rules_for(name) {
+            let rn = &self.rules[i].name;
+            if let Some(c) = self.caches.remove(rn) {
+                caches.insert(rn.clone(), c);
+            }
+        }
+        MaintainState { caches, entry }
     }
 
     /// The unioned result of every rule deriving `name` against the current
@@ -478,31 +502,6 @@ impl RuleEngine {
         Ok(sd)
     }
 
-    /// Apply one rule, via the delta path when enabled and sound, caching
-    /// the maintenance state for the next delta.
-    fn apply_one(&mut self, rule: &Rule) -> Result<Subdatabase, RuleError> {
-        if !self.incremental || plan_for(rule) == MaintainPlan::Recompute {
-            return apply_rule(rule, &self.db, &self.registry);
-        }
-        let sources_known = rule.reads().iter().all(|r| !self.unknown.contains(r));
-        if let (Some(cache), Some(dirty)) =
-            (self.caches.get_mut(&rule.name), self.current_dirty.as_ref())
-        {
-            if sources_known && cache.at_seq >= self.dirty_from && !cache.needs_replan() {
-                let out = delta_apply(rule, &self.db, &self.registry, cache, dirty)?;
-                account_delta(&out);
-                return Ok(cache.target.clone());
-            }
-        }
-        if self.caches.get(&rule.name).is_some_and(RuleCache::needs_replan) {
-            note_replan();
-        }
-        let cache = seed_cache(rule, &self.db, &self.registry)?;
-        let target = cache.target.clone();
-        self.caches.insert(rule.name.clone(), cache);
-        Ok(target)
-    }
-
     // ------------------------------------------------------------------
     // Forward chaining
     // ------------------------------------------------------------------
@@ -511,35 +510,34 @@ impl RuleEngine {
     /// control mode. Returns the names of re-derived subdatabases.
     pub fn propagate(&mut self) -> Result<Vec<String>, RuleError> {
         let prev_watermark = self.watermark;
-        let events = self.db.events().since(self.watermark).to_vec();
-        self.watermark = self.db.seq();
-        self.db.events_mut().ack(self.events_sub, self.watermark);
-        let mut sp = obs::trace::span("rules.propagate");
-        sp.attr("events", events.len() as i64);
-        if obs::metrics_enabled() {
-            obs::metrics::counter("rules.propagate.runs").inc();
-        }
-        if events.is_empty() {
-            sp.attr("rederived", 0);
-            return Ok(Vec::new());
-        }
-        let _acct =
-            obs::account::begin("maintain", || format!("propagate events={}", events.len()));
-        self.stale_skips.clear();
-        self.unknown.clear();
-        self.dirty_from = prev_watermark;
-        // Classes touched by the batch.
+        let events = self.db.events().since(prev_watermark);
+        let n_events = events.len();
+        // Classes touched by the batch, and — for delta maintenance — the
+        // objects, read off the borrowed log slice.
         let mut touched: FxHashSet<ClassId> = FxHashSet::default();
-        for e in &events {
-            for c in e.touched_classes(self.db.schema()) {
-                touched.insert(c);
-            }
+        for e in events {
+            touched.extend(e.touched_classes(self.db.schema()));
         }
-        // Objects touched by the batch (for delta maintenance).
-        if self.incremental {
+        if self.incremental && n_events > 0 {
             let oids = events.iter().flat_map(|e| e.touched_oids());
             self.current_dirty = Some(dirty_closure(&self.db, oids));
         }
+        self.watermark = self.db.seq();
+        self.db.events_mut().ack(self.events_sub, self.watermark);
+        let mut sp = obs::trace::span("rules.propagate");
+        sp.attr("events", n_events as i64);
+        if obs::metrics_enabled() {
+            obs::metrics::counter("rules.propagate.runs").inc();
+        }
+        if n_events == 0 {
+            sp.attr("rederived", 0);
+            return Ok(Vec::new());
+        }
+        let _acct = obs::account::begin("maintain", || format!("propagate events={n_events}"));
+        self.stale_skips.clear();
+        self.unknown.clear();
+        self.invalidated.clear();
+        self.dirty_from = prev_watermark;
         // Dirty subdatabases: derived by a rule reading a touched class.
         let mut dirty: FxHashSet<String> = FxHashSet::default();
         for (i, rule) in self.rules.iter().enumerate() {
@@ -631,9 +629,7 @@ impl RuleEngine {
                         .iter()
                         .all(|d| self.registry.subdb(d).is_some());
                     if sources_present {
-                        let before = self.registry.subdb(&name).cloned();
                         self.run_rules_for(&name)?;
-                        self.record_commit_delta(&name, before.as_ref());
                         rederived.push(name);
                     } else {
                         if !self.stale_skips.contains(&name) {
@@ -655,27 +651,19 @@ impl RuleEngine {
         Ok(rederived)
     }
 
-    /// After committing a maintained subdatabase, fold its content delta
-    /// into the running dirty set (perspective-closed) so downstream rules'
-    /// delta steps see source-extent changes — aggregate verdict flips can
-    /// add or drop target patterns whose components were never base-dirty.
-    /// Without a before-image the delta is unknowable: the name goes into
-    /// `unknown` and readers re-seed in full.
-    fn record_commit_delta(&mut self, name: &str, before: Option<&Subdatabase>) {
-        if self.current_dirty.is_none() {
-            return;
-        }
-        match (before, self.registry.subdb(name)) {
-            (Some(b), Some(a)) => {
-                let diff = b.diff_components(a);
-                if !diff.is_empty() {
-                    let closed = dirty_closure(&self.db, diff);
-                    if let Some(d) = self.current_dirty.as_mut() {
-                        d.extend(closed);
-                    }
-                }
-            }
-            _ => {
+    /// After committing a maintained subdatabase, fold its content delta —
+    /// the component oids of the patterns that came or went — into the
+    /// running dirty set (perspective-closed) so downstream rules' delta
+    /// steps see source-extent changes: aggregate verdict flips can add or
+    /// drop target patterns whose components were never base-dirty.
+    /// Without a before-image the delta is unknowable (`None`): the name
+    /// goes into `unknown` and readers re-seed in full.
+    fn fold_commit_delta(&mut self, name: &str, diff: Option<Vec<Oid>>) {
+        let Some(dirty) = self.current_dirty.as_mut() else { return };
+        match diff {
+            Some(d) if d.is_empty() => {}
+            Some(d) => dirty.extend(dirty_closure(&self.db, d)),
+            None => {
                 self.unknown.insert(name.to_string());
             }
         }
@@ -692,10 +680,6 @@ impl RuleEngine {
         order: &[String],
     ) -> Result<Vec<String>, RuleError> {
         let mut rederived: Vec<String> = Vec::new();
-        // Before-images of invalidated post-evaluated results: when a later
-        // stratum backward-derives one as a source, its content delta is
-        // computed against this image.
-        let mut removed: FxHashMap<String, Subdatabase> = FxHashMap::default();
         let pool = ChunkPool::from_env();
         for (stratum_idx, stratum) in self.graph.strata()?.into_iter().enumerate() {
             let mut ssp = obs::trace::span("rules.stratum");
@@ -712,7 +696,7 @@ impl RuleEngine {
                     EvalPolicy::PostEvaluated => {
                         // Invalidate; the next query re-derives.
                         if let Some(old) = self.registry.remove(&name) {
-                            removed.insert(name, old);
+                            self.invalidated.insert(name, old);
                         }
                     }
                 }
@@ -720,19 +704,13 @@ impl RuleEngine {
             if batch.is_empty() {
                 continue;
             }
-            // Ensure sources fresh, dependency-first, recording each
-            // content delta *before* any reader's delta step runs.
+            // Ensure sources fresh, dependency-first: each derivation folds
+            // its content delta into the dirty set *before* any reader's
+            // delta step runs.
             for dep in self.graph.transitive_deps(&batch)? {
-                if !self.needs_derivation(&dep) {
-                    continue;
+                if self.needs_derivation(&dep) {
+                    self.derive(&dep)?;
                 }
-                let before = self
-                    .registry
-                    .subdb(&dep)
-                    .cloned()
-                    .or_else(|| removed.get(&dep).cloned());
-                self.derive(&dep)?;
-                self.record_commit_delta(&dep, before.as_ref());
             }
             ssp.attr("subdbs", batch.len() as i64);
             // Lend the dirty set to the fan-out (reinstalled below before
@@ -747,28 +725,20 @@ impl RuleEngine {
             let items: Vec<(String, std::sync::Mutex<MaintainState>)> = batch
                 .into_iter()
                 .map(|name| {
-                    let mut caches = FxHashMap::default();
-                    for &i in self.graph.rules_for(&name) {
-                        let rn = &self.rules[i].name;
-                        if let Some(c) = self.caches.remove(rn) {
-                            caches.insert(rn.clone(), c);
-                        }
-                    }
                     let entry = self.registry.take(&name);
-                    (name, std::sync::Mutex::new(MaintainState { caches, entry }))
+                    let state = self.take_state(&name, entry);
+                    (name, std::sync::Mutex::new(state))
                 })
                 .collect();
             let results = pool.par_map(&items, |(name, state)| {
                 let mut st = state.lock().expect("maintain state lock");
-                self.maintain_subdb(name, &mut st, &dirty)
+                self.maintain_subdb(name, &mut st, Some(&dirty))
             });
             self.current_dirty = Some(dirty);
             let mut first_err: Option<RuleError> = None;
             for ((name, state), result) in items.into_iter().zip(results) {
                 let state = state.into_inner().expect("maintain state lock");
-                for (rn, c) in state.caches {
-                    self.caches.insert(rn, c);
-                }
+                self.caches.extend(state.caches);
                 match result {
                     Err(e) => {
                         // Restore the untouched registered copy so a rule
@@ -790,21 +760,7 @@ impl RuleEngine {
                     }
                     Ok(Maintained::Changed { sd, diff }) => {
                         self.commit_derived(sd);
-                        match diff {
-                            Some(d) => {
-                                if !d.is_empty() {
-                                    let closed = dirty_closure(&self.db, d);
-                                    if let Some(cd) = self.current_dirty.as_mut() {
-                                        cd.extend(closed);
-                                    }
-                                }
-                            }
-                            // Without a before-image the content delta is
-                            // unknowable: readers must re-seed in full.
-                            None => {
-                                self.unknown.insert(name.clone());
-                            }
-                        }
+                        self.fold_commit_delta(&name, diff);
                         rederived.push(name);
                     }
                 }
@@ -823,12 +779,14 @@ impl RuleEngine {
     /// seeding otherwise — *without* touching the engine. `&self` stays
     /// read-only, so same-stratum results run on separate threads; all
     /// mutation lands in the worker-owned `state`. Returns the refreshed
-    /// registered copy plus what the commit loop needs to know.
+    /// copy plus what the commit loop needs to know. `dirty` is the
+    /// perspective-closed dirty set of the propagate under way; without one
+    /// (a derivation outside any propagate) every rule seeds.
     fn maintain_subdb(
         &self,
         name: &str,
         state: &mut MaintainState,
-        dirty: &std::collections::BTreeSet<Oid>,
+        dirty: Option<&BTreeSet<Oid>>,
     ) -> Result<Maintained, RuleError> {
         let idxs = self.graph.rules_for(name);
         debug_assert!(!idxs.is_empty());
@@ -836,141 +794,94 @@ impl RuleEngine {
         sp.label(|| name.to_string());
         sp.attr("rules", idxs.len() as i64);
 
-        // Hot path: a single delta-maintainable rule with a usable cache
-        // and a registered copy. The step's exact edits are replayed onto
-        // that copy in O(|edits|) — no context-sized clone, rebuild, or
-        // compare anywhere on this path.
-        if let &[i] = idxs {
-            let rule = &self.rules[i];
-            // For a single-rule subdatabase the dep-graph edge list equals
-            // the rule's read set, and borrowing it avoids the per-step
-            // `reads()` allocation.
-            let sources_known =
-                self.graph.deps_of(name).iter().all(|r| !self.unknown.contains(r));
-            if plan_for(rule) != MaintainPlan::Recompute
-                && sources_known
-                && state.entry.is_some()
-            {
-                if let Some(cache) = state.caches.get_mut(&rule.name) {
-                    let step_dirty = if cache.needs_replan() {
-                        // Drift-flagged plan: fall through to the general
-                        // path, which re-seeds (and thereby re-plans).
-                        None
-                    } else if cache.at_seq >= self.dirty_from {
-                        Some(std::borrow::Cow::Borrowed(dirty))
-                    } else if cache.at_seq >= self.db.events().dropped() {
-                        // The cache predates this batch: the subdatabase sat
-                        // out earlier propagates because nothing it reads
-                        // changed (it is materialized, so it was never
-                        // dropped while affected). Replay the event log from
-                        // `at_seq` to rebuild the rule-local dirty set
-                        // instead of re-seeding.
-                        let replay = self
-                            .db
-                            .events()
-                            .since(cache.at_seq)
-                            .iter()
-                            .flat_map(|e| e.touched_oids());
-                        let mut full_dirty = dirty_closure(&self.db, replay);
-                        full_dirty.extend(dirty.iter().copied());
-                        Some(std::borrow::Cow::Owned(full_dirty))
-                    } else {
-                        None
-                    };
-                    if let Some(step_dirty) = step_dirty {
-                        let out =
-                            delta_apply(rule, &self.db, &self.registry, cache, &step_dirty)?;
-                        account_delta(&out);
-                        let (mut sd, derived_at) = state.entry.take().expect("checked above");
-                        if sd.intension.width() != cache.target.intension.width() {
-                            // A closure delta that changed the longest
-                            // chain re-shaped the target intension; edit
-                            // replay cannot cross that, so take the
-                            // maintained copy wholesale.
-                            sd = cache.target.clone();
-                        } else {
-                            for p in &out.removed {
-                                sd.remove(p);
-                            }
-                            for p in &out.inserted {
-                                sd.insert(p.clone());
-                            }
-                        }
-                        debug_assert!(
-                            sd.patterns().eq(cache.target.patterns()),
-                            "registered copy diverged from maintained target for {name}"
-                        );
-                        sp.attr("rows_out", sd.len() as i64);
-                        return Ok(if out.changed() {
-                            let diff: Vec<Oid> = out.components().into_iter().collect();
-                            Maintained::Changed { sd, diff: Some(diff) }
-                        } else {
-                            Maintained::Unchanged { sd, derived_at }
-                        });
-                    }
-                }
-            }
-        }
-
-        // General path: recomputing rules, multi-rule unions, and seeding.
-        let mut acc: Option<Subdatabase> = None;
+        // Step every rule: by delta where its cache allows, by seeding (or,
+        // for a recomputing rule, from scratch) otherwise. The copy is
+        // refreshed by edit replay iff every rule took a delta step.
+        let mut outs: Vec<DeltaOutcome> = Vec::with_capacity(idxs.len());
+        let mut recomputed: FxHashMap<usize, Subdatabase> = FxHashMap::default();
         for &i in idxs {
             let rule = &self.rules[i];
-            let sd = if plan_for(rule) == MaintainPlan::Recompute {
-                apply_rule(rule, &self.db, &self.registry)?
-            } else {
-                let sources_known = rule.reads().iter().all(|r| !self.unknown.contains(r));
-                let stepped = match state.caches.get_mut(&rule.name) {
-                    Some(c)
-                        if sources_known
-                            && c.at_seq >= self.dirty_from
-                            && !c.needs_replan() =>
-                    {
-                        let out = delta_apply(rule, &self.db, &self.registry, c, dirty)?;
-                        account_delta(&out);
-                        true
-                    }
-                    Some(c)
-                        if sources_known
-                            && state.entry.is_some()
-                            && c.at_seq >= self.db.events().dropped()
-                            && !c.needs_replan() =>
-                    {
-                        // Same sat-out replay as the hot path, for a rule
-                        // inside a multi-rule union.
-                        let replay = self
-                            .db
-                            .events()
-                            .since(c.at_seq)
-                            .iter()
-                            .flat_map(|e| e.touched_oids());
-                        let mut full_dirty = dirty_closure(&self.db, replay);
-                        full_dirty.extend(dirty.iter().copied());
-                        let out = delta_apply(rule, &self.db, &self.registry, c, &full_dirty)?;
-                        account_delta(&out);
-                        true
-                    }
-                    _ => false,
-                };
-                if !stepped {
-                    if state.caches.get(&rule.name).is_some_and(RuleCache::needs_replan) {
+            if plan_for(rule) == MaintainPlan::Recompute {
+                recomputed.insert(i, apply_rule(rule, &self.db, &self.registry)?);
+                continue;
+            }
+            let step_dirty = dirty.and_then(|d| {
+                let cache = state.caches.get(&rule.name)?;
+                self.step_dirty(rule, cache, d, state.entry.is_some())
+            });
+            match (step_dirty, state.caches.get_mut(&rule.name)) {
+                (Some(step_dirty), Some(cache)) => {
+                    let out = delta_apply(rule, &self.db, &self.registry, cache, &step_dirty)?;
+                    account_delta(&out);
+                    outs.push(out);
+                }
+                (_, cache) => {
+                    if cache.is_some_and(|c| c.needs_replan()) {
                         note_replan();
                     }
                     let cache = seed_cache(rule, &self.db, &self.registry)?;
                     state.caches.insert(rule.name.clone(), cache);
                 }
-                state.caches.get(&rule.name).expect("just stepped or seeded").target.clone()
-            };
+            }
+        }
+        let targets: Vec<&Subdatabase> = idxs
+            .iter()
+            .map(|i| match recomputed.get(i) {
+                Some(sd) => sd,
+                None => &state.caches[&self.rules[*i].name].target,
+            })
+            .collect();
+
+        // Hot path: every rule stepped and there is a copy to refresh. The
+        // steps' exact edits are replayed onto it in O(|edits|) — no
+        // context-sized clone, rebuild, or compare anywhere on this path.
+        // A closure delta that changed the longest chain re-shaped the
+        // target intension; edit replay cannot cross that.
+        let replay = outs.len() == idxs.len()
+            && state.entry.as_ref().is_some_and(|(sd, _)| {
+                targets.iter().all(|t| t.intension.width() == sd.intension.width())
+            });
+        if replay {
+            let (mut sd, derived_at) = state.entry.take().expect("checked above");
+            let mut diff: BTreeSet<Oid> = BTreeSet::new();
+            // Removals first, and only of patterns no rule of the union
+            // derives any more; then the insertions.
+            for p in outs.iter().flat_map(|out| &out.removed) {
+                if !targets.iter().any(|t| t.contains(p)) && sd.remove(p) {
+                    diff.extend(p.components().iter().flatten().copied());
+                }
+            }
+            for p in outs.iter().flat_map(|out| &out.inserted) {
+                if sd.insert(p.clone()) {
+                    diff.extend(p.components().iter().flatten().copied());
+                }
+            }
+            debug_assert!(
+                targets.len() > 1 || sd.patterns().eq(targets[0].patterns()),
+                "registered copy diverged from maintained target for {name}"
+            );
+            sp.attr("rows_out", sd.len() as i64);
+            return Ok(if diff.is_empty() {
+                Maintained::Unchanged { sd, derived_at }
+            } else {
+                Maintained::Changed { sd, diff: Some(diff.into_iter().collect()) }
+            });
+        }
+
+        // Otherwise: the union of the rules' results, compared with the
+        // copy it replaces.
+        let mut acc: Option<Subdatabase> = None;
+        for (&i, &sd) in idxs.iter().zip(&targets) {
             acc = Some(match acc {
-                None => sd,
+                None => sd.clone(),
                 Some(mut prev) => {
-                    if !layouts_compatible(&prev, &sd) {
+                    if !layouts_compatible(&prev, sd) {
                         return Err(RuleError::TargetLayoutMismatch {
                             subdb: name.to_string(),
                             rule: self.rules[i].name.clone(),
                         });
                     }
-                    prev.union_from(&sd);
+                    prev.union_from(sd);
                     prev
                 }
             });
@@ -988,6 +899,37 @@ impl RuleEngine {
             }
             None => Maintained::Changed { sd, diff: None },
         })
+    }
+
+    /// The dirty set one rule's cache can be delta-advanced by, if any.
+    fn step_dirty<'d>(
+        &self,
+        rule: &Rule,
+        cache: &RuleCache,
+        dirty: &'d BTreeSet<Oid>,
+        has_copy: bool,
+    ) -> Option<Cow<'d, BTreeSet<Oid>>> {
+        let sources_known =
+            self.unknown.is_empty() || rule.reads().iter().all(|r| !self.unknown.contains(r));
+        if !sources_known || cache.needs_replan() {
+            // Unknown source delta or drift-flagged plan: re-seed (and
+            // thereby re-plan).
+            None
+        } else if cache.at_seq >= self.dirty_from {
+            Some(Cow::Borrowed(dirty))
+        } else if has_copy && cache.at_seq >= self.db.events().dropped() {
+            // The cache predates this batch: the subdatabase sat out earlier
+            // propagates because nothing it reads changed (it is
+            // materialized, so it was never dropped while affected). Replay
+            // the event log from `at_seq` to rebuild the rule-local dirty
+            // set instead of re-seeding.
+            let replay = self.db.events().since(cache.at_seq).iter().flat_map(|e| e.touched_oids());
+            let mut full_dirty = dirty_closure(&self.db, replay);
+            full_dirty.extend(dirty.iter().copied());
+            Some(Cow::Owned(full_dirty))
+        } else {
+            None
+        }
     }
 
     // ------------------------------------------------------------------

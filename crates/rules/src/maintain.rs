@@ -8,25 +8,31 @@
 //! every cached context pattern either
 //!
 //! 1. contains no dirty object — it cannot have changed and is kept; or
-//! 2. contains a dirty object — it is dropped, and every pattern with at
-//!    least one delta-bound slot is re-derived by the semi-naive restricted
-//!    join [`Evaluator::eval_delta`].
+//! 2. contains a dirty object — it is found through the cache's posting
+//!    list and dropped, and every pattern with at least one delta-bound
+//!    slot is re-derived by the semi-naive restricted join
+//!    [`Evaluator::eval_delta`]. A row dropped and re-derived identically
+//!    is no edit.
 //!
-//! Deletion is handled by *derivation counts*: the target is the projection
-//! of the post-WHERE context, so each target pattern carries the number of
-//! context patterns deriving it; a target pattern dies exactly when its
-//! count reaches zero. Aggregate WHERE conditions are not per-pattern-local
-//! (one pattern joining a group can flip the verdict of every other member)
-//! so the WHERE clause is split at the first aggregate: the *prefix* of
-//! plain comparisons has cacheable per-pattern verdicts, the *suffix* is
-//! re-applied to the whole refreshed set on every delta. Cyclic (closure)
-//! contexts carry the fixpoint's successor-relation provenance
-//! ([`Evaluator::eval_closure_state`]) in the cache: a delta recomputes the
-//! successor lists of the affected slot-0 nodes only, extends the frontier
-//! from newly reachable nodes, prunes unsupported ones, and re-runs the
-//! chain DFS for exactly the roots whose chains can have changed
-//! ([`MaintainPlan::DeltaClosure`]). Only non-closure family targets still
-//! fall back to full re-derivation.
+//! The context edits then run through the WHERE clause one condition at a
+//! time, each turning the edits of its input into the edits of its output:
+//! a comparison has per-pattern verdicts; an aggregate keeps, per group,
+//! the multiplicities of its distinct targets and a cached verdict,
+//! re-evaluates exactly the groups an edit touches, and emits the member
+//! rows of a group whose verdict flipped. Deletion is handled by
+//! *derivation counts*: the target is the projection of the post-WHERE
+//! context, so each target pattern carries the number of context patterns
+//! deriving it; a target pattern dies exactly when its count reaches zero.
+//! A step costs O(dirty-touched patterns) whatever the size of the context.
+//!
+//! Cyclic (closure) contexts carry the fixpoint's successor-relation
+//! provenance ([`Evaluator::eval_closure_state`]) in the cache: a delta
+//! recomputes the successor lists of the affected slot-0 nodes only, extends
+//! the frontier from newly reachable nodes, prunes unsupported ones, and
+//! re-runs the chain DFS for exactly the roots whose chains can have changed
+//! ([`MaintainPlan::Closure`]); the chain edits take the same WHERE and
+//! target stages. Only non-closure family targets still fall back to full
+//! re-derivation.
 
 use crate::ast::{Rule, TargetItem};
 use crate::derive::{project_targets, target_slots};
@@ -34,52 +40,40 @@ use crate::error::RuleError;
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::Oid;
 use dood_core::obs;
-use dood_core::subdb::{ExtPattern, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{is_part, ExtPattern, HeadRange, Subdatabase, SubdbRegistry};
 use dood_oql::ast::WhereCond;
 use dood_oql::eval::Evaluator;
 use dood_oql::plan::CompiledContext;
 use dood_oql::resolve::{resolve_context, ResolvedContext};
-use dood_oql::wherec::apply_where;
+use dood_oql::wherec::{apply_cond, AggCond, Applied, CmpCond};
 use dood_store::Database;
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// How a rule can be maintained under updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintainPlan {
-    /// No aggregates, no closure: clean patterns keep their cached WHERE
-    /// verdicts and the target is rebuilt from derivation counts.
-    DeltaLocal,
-    /// Aggregate WHERE conditions present: the context delta is still
-    /// semi-naive, but the aggregate suffix re-applies to the whole
-    /// refreshed set (group membership is not pattern-local).
-    DeltaReWhere,
+    /// Acyclic context: dirty-bound patterns are re-derived, the WHERE
+    /// conditions turn context edits into post-WHERE edits, and the target
+    /// follows by derivation counts.
+    Delta,
     /// Cyclic (closure) context: the cached successor-relation provenance
     /// is patched around the dirty objects and only the chains of affected
-    /// roots are re-derived (DESIGN.md §11).
-    DeltaClosure,
+    /// roots are re-derived (DESIGN.md §11); WHERE and target as `Delta`.
+    Closure,
     /// Family target over a non-closure context: re-derive in full.
     Recompute,
-}
-
-/// Whether the target can be maintained by derivation counts (no aggregate
-/// WHERE condition whose verdict could flip without a post-set change).
-fn counting_target(rule: &Rule) -> bool {
-    !rule.where_.iter().any(|w| matches!(w, WhereCond::Agg { .. }))
 }
 
 /// Classify a rule for incremental maintenance.
 pub fn plan_for(rule: &Rule) -> MaintainPlan {
     if rule.context.closure.is_some() {
-        return MaintainPlan::DeltaClosure;
-    }
-    if rule.targets.iter().any(|t| matches!(t, TargetItem::Family { .. })) {
-        return MaintainPlan::Recompute;
-    }
-    if counting_target(rule) {
-        MaintainPlan::DeltaLocal
+        MaintainPlan::Closure
+    } else if rule.targets.iter().any(|t| matches!(t, TargetItem::Family { .. })) {
+        MaintainPlan::Recompute
     } else {
-        MaintainPlan::DeltaReWhere
+        MaintainPlan::Delta
     }
 }
 
@@ -99,10 +93,11 @@ pub fn dirty_closure(db: &Database, touched: impl IntoIterator<Item = Oid>) -> B
     db.perspective_closure_set(touched)
 }
 
-/// Split a WHERE clause at the first aggregate condition. `apply_where`
-/// applies conditions in written order and aggregates group over the
-/// currently-filtered set, so the prefix/suffix application order is
-/// exactly the original order.
+/// Split a WHERE clause at the first aggregate condition. The comparisons
+/// before it see the whole context and share one cached output set; from
+/// the first aggregate on, every condition keeps its own verdict state.
+/// Conditions apply in written order — an aggregate groups over the
+/// currently-filtered set — so the split preserves the original order.
 fn split_where(conds: &[WhereCond]) -> (&[WhereCond], &[WhereCond]) {
     let cut = conds
         .iter()
@@ -232,18 +227,438 @@ fn chain_len(p: &ExtPattern) -> usize {
     p.components().iter().flatten().count()
 }
 
+/// End of a posting chain.
+const NIL: u32 = u32::MAX;
+
+/// The cache-owned posting list of a cached context: oid → the rows binding
+/// it, so a delta step finds the dirty-bound rows, a partial row's covers
+/// and parts, and a flipped group's members without scanning the context.
+/// Flat: the rows are copied into one vector, and each (row, slot) entry is
+/// a node of its oid's doubly linked chain, threaded through two more
+/// vectors — an edit allocates nothing.
+#[derive(Debug, Clone)]
+struct Posting {
+    width: usize,
+    /// The indexed rows, `width` components each; a freed row is all `None`.
+    rows: Vec<Option<Oid>>,
+    /// Freed rows, reused by the next insertion.
+    free: Vec<u32>,
+    /// Per entry (`row * width + slot`): the next and previous entry of the
+    /// chain of the oid it binds.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Per oid: the first entry of its chain and the chain's length.
+    chains: FxHashMap<Oid, (u32, u32)>,
+}
+
+impl Posting {
+    fn build(ctx: &Subdatabase) -> Self {
+        let width = ctx.intension.width();
+        let entries = ctx.len() * width;
+        let mut posting = Posting {
+            width,
+            rows: Vec::with_capacity(entries),
+            free: Vec::new(),
+            next: Vec::with_capacity(entries),
+            prev: Vec::with_capacity(entries),
+            chains: FxHashMap::default(),
+        };
+        for p in ctx.patterns() {
+            posting.insert(p);
+        }
+        posting
+    }
+
+    fn row(&self, entry: u32) -> &[Option<Oid>] {
+        let start = entry as usize / self.width * self.width;
+        &self.rows[start..start + self.width]
+    }
+
+    /// Index a row; the caller keeps rows distinct.
+    fn insert(&mut self, p: &ExtPattern) {
+        debug_assert_eq!(p.width(), self.width);
+        let start = match self.free.pop() {
+            Some(row) => row as usize * self.width,
+            None => {
+                let start = self.rows.len();
+                assert!(start + self.width < NIL as usize, "posting list limited to 2^32 entries");
+                self.rows.resize(start + self.width, None);
+                self.next.resize(start + self.width, NIL);
+                self.prev.resize(start + self.width, NIL);
+                start
+            }
+        };
+        for (slot, &c) in p.components().iter().enumerate() {
+            let entry = (start + slot) as u32;
+            self.rows[start + slot] = c;
+            let Some(oid) = c else { continue };
+            let chain = self.chains.entry(oid).or_insert((NIL, 0));
+            self.next[entry as usize] = chain.0;
+            self.prev[entry as usize] = NIL;
+            if chain.0 != NIL {
+                self.prev[chain.0 as usize] = entry;
+            }
+            *chain = (entry, chain.1 + 1);
+        }
+    }
+
+    /// The first entry of the shortest chain among `comps`' bound
+    /// components: every row binding all of them is on it. `None` if one of
+    /// them is bound by no row (or `comps` binds nothing).
+    fn shortest_chain(&self, comps: &[Option<Oid>]) -> Option<u32> {
+        let mut best: Option<(u32, u32)> = None;
+        for oid in comps.iter().flatten() {
+            let &(first, len) = self.chains.get(oid)?;
+            if best.is_none_or(|(_, l)| len < l) {
+                best = Some((first, len));
+            }
+        }
+        best.map(|(first, _)| first)
+    }
+
+    /// The rows on the chain starting at `entry`, once per entry.
+    fn chain(&self, mut entry: u32) -> impl Iterator<Item = &[Option<Oid>]> + '_ {
+        std::iter::from_fn(move || {
+            (entry != NIL).then(|| {
+                let row = self.row(entry);
+                entry = self.next[entry as usize];
+                row
+            })
+        })
+    }
+
+    /// The rows binding `oid`, once per slot that binds it.
+    fn rows_of(&self, oid: Oid) -> impl Iterator<Item = &[Option<Oid>]> + '_ {
+        self.chain(self.chains.get(&oid).map_or(NIL, |c| c.0))
+    }
+
+    /// Un-index a row; whether it was indexed.
+    fn remove(&mut self, p: &ExtPattern) -> bool {
+        let Some(mut entry) = self.shortest_chain(p.components()) else { return false };
+        while entry != NIL && self.row(entry) != p.components() {
+            entry = self.next[entry as usize];
+        }
+        if entry == NIL {
+            return false;
+        }
+        let start = entry as usize / self.width * self.width;
+        for e in start..start + self.width {
+            let Some(oid) = self.rows[e].take() else { continue };
+            let (next, prev) = (self.next[e], self.prev[e]);
+            if next != NIL {
+                self.prev[next as usize] = prev;
+            }
+            if prev != NIL {
+                self.next[prev as usize] = next;
+            }
+            let chain = self.chains.get_mut(&oid).expect("a bound entry is on its oid's chain");
+            if prev == NIL {
+                chain.0 = next;
+            }
+            chain.1 -= 1;
+            if chain.1 == 0 {
+                self.chains.remove(&oid);
+            }
+        }
+        self.free.push((start / self.width) as u32);
+        true
+    }
+
+    /// Whether an indexed row strictly covers the partial row `r`. A cover
+    /// binds every component `r` binds, so it is on each of their chains.
+    fn covers(&self, r: &ExtPattern) -> bool {
+        self.shortest_chain(r.components())
+            .is_some_and(|e| self.chain(e).any(|q| is_part(r.components(), q)))
+    }
+
+    /// The indexed rows that are strict parts of `r`. A part binds a subset
+    /// of `r`'s components, so it is on the chain of one of them.
+    fn parts_of(&self, r: &ExtPattern) -> Vec<ExtPattern> {
+        let mut parts: Vec<ExtPattern> = r
+            .components()
+            .iter()
+            .flatten()
+            .flat_map(|&o| self.rows_of(o))
+            .filter(|q| is_part(q, r.components()))
+            .map(ExtPattern::new)
+            .collect();
+        parts.sort_unstable();
+        parts.dedup();
+        parts
+    }
+}
+
+/// One group of an aggregate condition's input: how many rows are in it,
+/// its distinct targets (ascending) with the number of rows contributing
+/// each, and the verdict as of the cache's `at_seq`.
+#[derive(Debug, Clone, Default)]
+struct Group {
+    rows: u32,
+    targets: Vec<(Oid, u32)>,
+    verdict: bool,
+}
+
+impl Group {
+    fn add(&mut self, target: Option<Oid>) {
+        self.rows += 1;
+        if let Some(t) = target {
+            match self.targets.binary_search_by_key(&t, |e| e.0) {
+                Ok(i) => self.targets[i].1 += 1,
+                Err(i) => self.targets.insert(i, (t, 1)),
+            }
+        }
+    }
+
+    fn del(&mut self, target: Option<Oid>) {
+        self.rows -= 1;
+        if let Some(i) = target.and_then(|t| self.targets.binary_search_by_key(&t, |e| e.0).ok()) {
+            self.targets[i].1 -= 1;
+            if self.targets[i].1 == 0 {
+                self.targets.remove(i);
+            }
+        }
+    }
+}
+
+/// The verdict state of one WHERE condition from the first aggregate on.
+/// A stage's input is the previous stage's output (the prefix output for
+/// the first); [`Stage::step`] turns exact edits of the one into exact
+/// edits of the other.
+#[derive(Debug, Clone)]
+enum Stage {
+    /// A comparison after an aggregate: the input rows it rejects.
+    Cmp { cond: CmpCond, rejected: FxHashSet<ExtPattern> },
+    /// An aggregate and its groups.
+    Agg { cond: AggCond, groups: Groups },
+}
+
+/// The groups of an aggregate stage. Seeding records only which groups
+/// passed; the cache's first delta step builds the groups from the stage's
+/// input as of `at_seq` and takes their verdicts from that list.
+#[derive(Debug, Clone)]
+enum Groups {
+    /// The passing groups, ascending.
+    Seeded(Vec<Oid>),
+    Built(FxHashMap<Oid, Group>),
+}
+
+impl Stage {
+    /// Whether `r`, a row of this stage's input, is in its output.
+    fn admits(&self, r: &ExtPattern) -> bool {
+        match self {
+            Stage::Cmp { rejected, .. } => !rejected.contains(r),
+            Stage::Agg { cond, groups } => cond.group_of(r).is_some_and(|g| match groups {
+                Groups::Seeded(passing) => passing.binary_search(&g).is_ok(),
+                Groups::Built(groups) => groups.get(&g).is_some_and(|g| g.verdict),
+            }),
+        }
+    }
+
+    /// Fold the input edits `rem`/`add` in and return the output edits.
+    /// `members(cond, g)` lists the rows of group `g` in the stage's *new*
+    /// input; it is asked only for groups whose verdict flipped.
+    fn step(
+        &mut self,
+        mut rem: Vec<ExtPattern>,
+        mut add: Vec<ExtPattern>,
+        db: &Database,
+        stats: &mut StepStats,
+        members: impl Fn(&AggCond, Oid) -> Vec<ExtPattern>,
+    ) -> (Vec<ExtPattern>, Vec<ExtPattern>) {
+        let (cond, groups) = match self {
+            Stage::Cmp { cond, rejected } => {
+                rem.retain(|p| !rejected.remove(p));
+                add.retain(|p| {
+                    let ok = cond.passes(p, db);
+                    if !ok {
+                        rejected.insert(p.clone());
+                    }
+                    ok
+                });
+                return (rem, add);
+            }
+            Stage::Agg { cond, groups: Groups::Built(groups) } => (&*cond, groups),
+            Stage::Agg { .. } => unreachable!("groups are built before the first step"),
+        };
+        // Every group of a removed or added row is re-evaluated — rows whose
+        // attributes may have changed arrive as both — so a verdict that
+        // flips on an attribute alone is caught.
+        let mut touched: Vec<Oid> = Vec::with_capacity(rem.len() + add.len());
+        rem.retain(|p| {
+            let Some(g) = cond.group_of(p) else { return false };
+            let group = groups.get_mut(&g).expect("an input row is counted in its group");
+            group.del(cond.target_of(p));
+            touched.push(g);
+            // Verdicts still are the old ones: the row was in the output
+            // iff its group passed.
+            group.verdict
+        });
+        add.retain(|p| {
+            let Some(g) = cond.group_of(p) else { return false };
+            groups.entry(g).or_default().add(cond.target_of(p));
+            touched.push(g);
+            true
+        });
+        touched.sort_unstable();
+        touched.dedup();
+        stats.groups_touched += touched.len();
+        let (mut lit, mut doused): (Vec<Oid>, Vec<Oid>) = (Vec::new(), Vec::new());
+        for g in touched {
+            let group = groups.get_mut(&g).expect("touched groups exist");
+            let verdict = group.rows > 0 && cond.passes(group.targets.iter().map(|&(t, _)| t), db);
+            match (group.verdict, verdict) {
+                (false, true) => lit.push(g),
+                (true, false) => doused.push(g),
+                _ => {}
+            }
+            group.verdict = verdict;
+            if group.rows == 0 {
+                groups.remove(&g);
+            }
+        }
+        // A group that stays as it was passes its own added rows through or
+        // holds them back; a flipped group moves with all its members.
+        let flipped = |g: &Oid| lit.binary_search(g).is_ok() || doused.binary_search(g).is_ok();
+        let mut joined: Vec<ExtPattern> = Vec::new();
+        add.retain(|p| {
+            let g = cond.group_of(p).expect("ungrouped rows were dropped above");
+            if flipped(&g) {
+                joined.push(p.clone());
+                return false;
+            }
+            groups.get(&g).is_some_and(|g| g.verdict)
+        });
+        for &g in &lit {
+            add.extend(members(cond, g));
+        }
+        // The members of a doused group that were in the old input too: the
+        // ones removed from it are in `rem` already, the ones that only now
+        // joined it never were in the output.
+        joined.sort_unstable();
+        for &g in &doused {
+            rem.extend(members(cond, g).into_iter().filter(|p| joined.binary_search(p).is_err()));
+        }
+        (rem, add)
+    }
+}
+
+/// The WHERE clause and THEN projection of a rule over its cached context:
+/// verdict state per condition, and the derivation counts the target is
+/// maintained by.
+#[derive(Debug, Clone)]
+struct Filter {
+    /// The comparisons before the first aggregate.
+    prefix: Vec<CmpCond>,
+    /// The context after the prefix; `None` without one (the context
+    /// itself serves). Per-pattern verdicts here are stable for clean
+    /// patterns.
+    post: Option<Subdatabase>,
+    /// The conditions from the first aggregate on.
+    stages: Vec<Stage>,
+    /// Whether any condition reads attribute values, so that a row whose
+    /// objects were touched must be re-checked even if it was re-derived
+    /// identically.
+    reads_attrs: bool,
+    /// The context slots the THEN clause projects onto.
+    slots: Vec<usize>,
+    /// Derivation counts: target projection → number of post-WHERE context
+    /// patterns deriving it. Ordered, so the keys of one head are a range.
+    counts: BTreeMap<ExtPattern, u32>,
+}
+
+impl Filter {
+    /// Apply the rule's WHERE clause and THEN projection to a freshly
+    /// evaluated context. Returns the filter state, the number of context
+    /// rows left after the whole WHERE clause, and the target.
+    fn derive(
+        rule: &Rule,
+        ctx: &Subdatabase,
+        db: &Database,
+    ) -> Result<(Filter, usize, Subdatabase), RuleError> {
+        let (pre_conds, suf_conds) = split_where(&rule.where_);
+        let mut prefix = Vec::with_capacity(pre_conds.len());
+        let mut post = None;
+        if !pre_conds.is_empty() {
+            let mut sd = ctx.clone();
+            for cond in pre_conds {
+                match apply_cond(&mut sd, cond, db).map_err(RuleError::Query)? {
+                    Applied::Cmp(cmp) => prefix.push(cmp),
+                    Applied::Agg(..) => unreachable!("the prefix ends before the first aggregate"),
+                }
+            }
+            post = Some(sd);
+        }
+        let mut stages = Vec::with_capacity(suf_conds.len());
+        let mut full = None;
+        if !suf_conds.is_empty() {
+            let mut sd = post.as_ref().unwrap_or(ctx).clone();
+            for cond in suf_conds {
+                let input = matches!(cond, WhereCond::Cmp { .. }).then(|| sd.clone());
+                stages.push(match apply_cond(&mut sd, cond, db).map_err(RuleError::Query)? {
+                    Applied::Agg(cond, passing) => {
+                        Stage::Agg { cond, groups: Groups::Seeded(passing) }
+                    }
+                    Applied::Cmp(cond) => {
+                        let input = input.expect("cloned for a comparison");
+                        let rejected =
+                            input.patterns().filter(|p| !sd.contains(p)).cloned().collect();
+                        Stage::Cmp { cond, rejected }
+                    }
+                });
+            }
+            full = Some(sd);
+        }
+        let reads_attrs = !prefix.is_empty()
+            || stages.iter().any(|s| match s {
+                Stage::Cmp { .. } => true,
+                Stage::Agg { cond, .. } => cond.reads_attrs(),
+            });
+        let full = full.as_ref().or(post.as_ref()).unwrap_or(ctx);
+        let target = project_targets(rule, full, db)?;
+        let slots = target_slots(rule, &ctx.intension)?;
+        let counts = tally(full, &slots);
+        let ctx_rows = full.len();
+        Ok((Filter { prefix, post, stages, reads_attrs, slots, counts }, ctx_rows, target))
+    }
+
+    /// Whether the rule has no WHERE clause.
+    fn is_empty(&self) -> bool {
+        self.prefix.is_empty() && self.stages.is_empty()
+    }
+
+    /// Build the groups of every aggregate stage that still lacks them,
+    /// from the stage inputs as cached — before a step's edits are folded
+    /// in — with the verdicts recorded at seeding.
+    fn build_groups(&mut self, ctx: &Subdatabase) {
+        let base = self.post.as_ref().unwrap_or(ctx);
+        for k in 0..self.stages.len() {
+            let (done, rest) = self.stages.split_at_mut(k);
+            let Stage::Agg { cond, groups } = &mut rest[0] else { continue };
+            let Groups::Seeded(passing) = groups else { continue };
+            let mut built: FxHashMap<Oid, Group> = FxHashMap::default();
+            for r in base.patterns().filter(|r| done.iter().all(|s| s.admits(r))) {
+                if let Some(g) = cond.group_of(r) {
+                    built.entry(g).or_default().add(cond.target_of(r));
+                }
+            }
+            for g in passing {
+                built.get_mut(g).expect("a passing group has rows").verdict = true;
+            }
+            *groups = Groups::Built(built);
+        }
+    }
+}
+
 /// The per-rule state carried between maintenance steps.
 #[derive(Debug, Clone)]
 pub struct RuleCache {
     /// The IF-context before any WHERE condition (post-subsumption).
-    pub ctx_pre: Subdatabase,
-    /// The context after the WHERE *prefix* (plain comparisons before the
-    /// first aggregate). Per-pattern verdicts here are stable for clean
-    /// patterns.
-    post: Subdatabase,
-    /// Derivation counts: target projection → number of post-context
-    /// patterns deriving it ([`MaintainPlan::DeltaLocal`] only).
-    counts: FxHashMap<ExtPattern, u32>,
+    ctx_pre: Subdatabase,
+    /// The context's posting list, built by the cache's first delta step
+    /// and kept in step with `ctx_pre` from then on.
+    posting: Option<Posting>,
+    /// WHERE verdict state and derivation counts.
+    filter: Filter,
     /// The projected target as of `at_seq`.
     pub target: Subdatabase,
     /// Event-log sequence number the cache reflects. A delta application
@@ -257,7 +672,7 @@ pub struct RuleCache {
     /// delta steps skip predicate compilation and plan ordering and only
     /// re-anchor per restricted slot.
     plan: Arc<CompiledContext>,
-    /// Fixpoint provenance for [`MaintainPlan::DeltaClosure`] rules.
+    /// Fixpoint provenance for [`MaintainPlan::Closure`] rules.
     closure: Option<ClosureCache>,
 }
 
@@ -270,12 +685,104 @@ impl RuleCache {
     pub fn needs_replan(&self) -> bool {
         self.plan.drift.flagged()
     }
+
+    /// Build what only delta steps need, on the first of them: the posting
+    /// list (an acyclic context finds its dirty-bound rows through it; a
+    /// closure context needs it only to re-check rows and list group
+    /// members, i.e. under a WHERE clause) and the aggregate groups.
+    fn ensure_delta_state(&mut self) {
+        if self.posting.is_none() && (self.closure.is_none() || !self.filter.is_empty()) {
+            self.posting = Some(Posting::build(&self.ctx_pre));
+        }
+        self.filter.build_groups(&self.ctx_pre);
+    }
+
+    /// Edit the cached context, and its posting list with it.
+    fn ctx_insert(&mut self, p: ExtPattern) {
+        if let Some(posting) = self.posting.as_mut().filter(|_| !self.ctx_pre.contains(&p)) {
+            posting.insert(&p);
+        }
+        self.ctx_pre.insert(p);
+    }
+
+    fn ctx_remove(&mut self, p: &ExtPattern) {
+        if self.ctx_pre.remove(p) {
+            if let Some(posting) = &mut self.posting {
+                posting.remove(p);
+            }
+        }
+    }
+
+    /// The cached context rows binding a dirty object, ascending.
+    fn dirty_bound(&self, dirty: &BTreeSet<Oid>) -> Vec<ExtPattern> {
+        let posting = self.posting.as_ref().expect("built by ensure_delta_state");
+        let mut rows: Vec<ExtPattern> =
+            dirty.iter().flat_map(|&o| posting.rows_of(o)).map(ExtPattern::new).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
+
+    /// Stages 3–4, shared by the flat and closure delta paths: run the
+    /// exact context edits — `dropped` rows gone, `added` rows new, `kept`
+    /// rows still there but binding a dirty object — through the WHERE
+    /// conditions, then maintain the target by derivation counts.
+    fn refresh(
+        &mut self,
+        db: &Database,
+        dropped: Vec<ExtPattern>,
+        added: Vec<ExtPattern>,
+        kept: Vec<ExtPattern>,
+        stats: &mut StepStats,
+    ) -> DeltaOutcome {
+        let RuleCache { ctx_pre, posting, filter, target, .. } = self;
+        let Filter { prefix, post, stages, reads_attrs, slots, counts } = filter;
+        // A kept row's attributes may have changed: it re-enters as a
+        // removal plus an addition, so every verdict it takes part in is
+        // re-evaluated. Without attribute-reading conditions it is no edit.
+        let (mut rem, mut add) = (dropped, added);
+        if *reads_attrs {
+            rem.extend(kept.iter().cloned());
+            add.extend(kept);
+        }
+        // 3. WHERE prefix: clean patterns keep their cached verdict (their
+        //    attributes are untouched); only the added rows are checked.
+        if let Some(post) = post {
+            rem.retain(|p| post.remove(p));
+            add.retain(|p| prefix.iter().all(|c| c.passes(p, db)));
+            for p in &add {
+                post.insert(p.clone());
+            }
+        }
+        let base = post.as_ref().unwrap_or(ctx_pre);
+        for k in 0..stages.len() {
+            let (done, rest) = stages.split_at_mut(k);
+            let in_input = |r: &ExtPattern| done.iter().all(|s| s.admits(r));
+            (rem, add) = rest[0].step(rem, add, db, stats, |cond, g| match cond.by_slot() {
+                None => base.patterns().filter(|r| in_input(r)).cloned().collect(),
+                Some(by) => {
+                    let posting = posting.as_ref().expect("built by ensure_delta_state");
+                    let mut rows: Vec<ExtPattern> = posting
+                        .rows_of(g)
+                        .filter(|row| row[by] == Some(g))
+                        .map(ExtPattern::new)
+                        .filter(|r| (post.is_none() || base.contains(r)) && in_input(r))
+                        .collect();
+                    rows.sort_unstable();
+                    rows.dedup();
+                    rows
+                }
+            });
+        }
+        // 4. Target.
+        count_target(slots, counts, target, &rem, &add)
+    }
 }
 
 /// Tally derivation counts: how many post-context patterns project onto
 /// each (non-empty) target pattern.
-fn tally(post: &Subdatabase, slots: &[usize]) -> FxHashMap<ExtPattern, u32> {
-    let mut counts: FxHashMap<ExtPattern, u32> = FxHashMap::default();
+fn tally(post: &Subdatabase, slots: &[usize]) -> BTreeMap<ExtPattern, u32> {
+    let mut counts: BTreeMap<ExtPattern, u32> = BTreeMap::new();
     for p in post.patterns() {
         let key = p.project(slots);
         if key.pattern_type().arity() == 0 {
@@ -306,8 +813,7 @@ pub fn seed_cache(
     if let Some(a) = obs::account::active() {
         a.set_plan(plan.describe());
     }
-    let maintain = plan_for(rule);
-    let (ctx_pre, closure) = if maintain == MaintainPlan::DeltaClosure {
+    let (ctx_pre, closure) = if plan_for(rule) == MaintainPlan::Closure {
         // Closure rules evaluate through the compiled kernel so the cache
         // captures the fixpoint's successor-relation provenance.
         let (sd, state) = ev.eval_closure_state("if-context");
@@ -316,20 +822,19 @@ pub fn seed_cache(
     } else {
         (ev.eval("if-context"), None)
     };
-    let (prefix, suffix) = split_where(&rule.where_);
-    let mut post = ctx_pre.clone();
-    apply_where(&mut post, prefix, db).map_err(RuleError::Query)?;
-    let mut full = post.clone();
-    apply_where(&mut full, suffix, db).map_err(RuleError::Query)?;
-    sp.attr("ctx_rows", full.len() as i64);
-    let target = project_targets(rule, &full, db)?;
+    let (filter, ctx_rows, target) = Filter::derive(rule, &ctx_pre, db)?;
+    sp.attr("ctx_rows", ctx_rows as i64);
     sp.attr("target_rows", target.len() as i64);
-    let counts = if maintain != MaintainPlan::Recompute && counting_target(rule) {
-        tally(&post, &target_slots(rule, &post.intension)?)
-    } else {
-        FxHashMap::default()
-    };
-    Ok(RuleCache { ctx_pre, post, counts, target, at_seq: db.seq(), resolved, plan, closure })
+    Ok(RuleCache {
+        ctx_pre,
+        posting: None,
+        filter,
+        target,
+        at_seq: db.seq(),
+        resolved,
+        plan,
+        closure,
+    })
 }
 
 /// The exact target-pattern edits one delta step performed. The engine
@@ -349,72 +854,63 @@ impl DeltaOutcome {
     pub fn changed(&self) -> bool {
         !self.inserted.is_empty() || !self.removed.is_empty()
     }
+}
 
-    /// The distinct oids appearing in the edits — the downstream dirty
-    /// contribution of this step.
-    pub fn components(&self) -> BTreeSet<Oid> {
-        let mut out = BTreeSet::new();
-        for p in self.inserted.iter().chain(&self.removed) {
-            out.extend(p.components().iter().flatten().copied());
-        }
-        out
-    }
+/// The work one delta step did, in rows and groups — reported on its
+/// `rules.rule` span, and what the work-proportionality test bounds.
+#[derive(Debug, Default)]
+struct StepStats {
+    /// Rows the restricted re-join (or the chain re-derivation) returned.
+    delta_rows: usize,
+    /// Cached context rows found bound to a dirty object (or headed by a
+    /// root whose chains are re-derived).
+    dropped: usize,
+    /// Aggregate groups re-evaluated, over all conditions.
+    groups_touched: usize,
 }
 
 /// Whether a pattern has any unbound slot. Only partial patterns can take
 /// part in strict subsumption (`is_part_of` requires a strict pattern-type
-/// subtype, so two fully-bound patterns relate only by equality); scans
-/// that look for subsumers or subsumees stay proportional to the
-/// usually-empty partial subset.
+/// subtype, so two fully-bound patterns relate only by equality).
 fn is_partial(p: &ExtPattern) -> bool {
     p.components().iter().any(|c| c.is_none())
 }
 
-/// Symmetric difference of two pattern sets as (in `next` only, in `prev`
-/// only) — one merge pass over the lexicographic iterators.
-fn sym_diff(prev: &Subdatabase, next: &Subdatabase) -> (Vec<ExtPattern>, Vec<ExtPattern>) {
-    let mut inserted = Vec::new();
-    let mut removed = Vec::new();
-    let mut a = prev.patterns().peekable();
-    let mut b = next.patterns().peekable();
+/// Split two ascending, duplicate-free vectors into (only in `a`, only in
+/// `b`, in both): a row dropped and re-derived identically is not an edit.
+fn split_common(
+    a: Vec<ExtPattern>,
+    b: Vec<ExtPattern>,
+) -> (Vec<ExtPattern>, Vec<ExtPattern>, Vec<ExtPattern>) {
+    let (mut only_a, mut only_b, mut both) = (Vec::new(), Vec::new(), Vec::new());
+    let mut ia = a.into_iter().peekable();
+    let mut ib = b.into_iter().peekable();
     loop {
-        match (a.peek(), b.peek()) {
-            (Some(&x), Some(&y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => {
-                    removed.push(x.clone());
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    inserted.push(y.clone());
-                    b.next();
-                }
+        match (ia.peek(), ib.peek()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                std::cmp::Ordering::Less => only_a.extend(ia.next()),
+                std::cmp::Ordering::Greater => only_b.extend(ib.next()),
                 std::cmp::Ordering::Equal => {
-                    a.next();
-                    b.next();
+                    both.extend(ia.next());
+                    ib.next();
                 }
             },
-            (Some(&x), None) => {
-                removed.push(x.clone());
-                a.next();
-            }
-            (None, Some(&y)) => {
-                inserted.push(y.clone());
-                b.next();
-            }
+            (Some(_), None) => only_a.extend(ia.next()),
+            (None, Some(_)) => only_b.extend(ib.next()),
             (None, None) => break,
         }
     }
-    (inserted, removed)
+    (only_a, only_b, both)
 }
 
 /// Apply one delta step **in place**: refresh the cache (context, WHERE
 /// verdicts, derivation counts, and target) given the perspective-closed
 /// dirty set covering every event since `cache.at_seq`, and return the
 /// exact target edits. The whole step is O(dirty-touched patterns), not
-/// O(context): clean patterns are never copied, re-checked, or re-counted.
-/// The caller must ensure `plan_for(rule) != Recompute` and that every
-/// change to the rule's derived sources since `at_seq` is reflected in
-/// `dirty`.
+/// O(context): clean patterns are never scanned, copied, re-checked, or
+/// re-counted. The caller must ensure `plan_for(rule) != Recompute` and
+/// that every change to the rule's derived sources since `at_seq` is
+/// reflected in `dirty`.
 pub fn delta_apply(
     rule: &Rule,
     db: &Database,
@@ -430,13 +926,18 @@ pub fn delta_apply(
     if obs::metrics_enabled() {
         obs::metrics::counter("rules.rule.delta_applications").inc();
     }
-    let out = if plan == MaintainPlan::DeltaClosure {
-        delta_apply_closure(rule, db, registry, cache, dirty)?
+    cache.ensure_delta_state();
+    let mut stats = StepStats::default();
+    let out = if plan == MaintainPlan::Closure {
+        delta_apply_closure(rule, db, registry, cache, dirty, &mut stats)?
     } else {
-        delta_apply_flat(rule, db, registry, cache, dirty, plan)?
+        delta_apply_flat(db, registry, cache, dirty, &mut stats)?
     };
     cache.at_seq = db.seq();
-    sp.attr("ctx_rows", cache.post.len() as i64);
+    sp.attr("delta_rows", stats.delta_rows as i64);
+    sp.attr("dropped", stats.dropped as i64);
+    sp.attr("groups_touched", stats.groups_touched as i64);
+    sp.attr("ctx_rows", cache.filter.post.as_ref().unwrap_or(&cache.ctx_pre).len() as i64);
     sp.attr("target_rows", cache.target.len() as i64);
     Ok(out)
 }
@@ -444,169 +945,72 @@ pub fn delta_apply(
 /// The non-closure delta step: semi-naive restricted re-join around the
 /// dirty patterns (stages 1–2), then the shared WHERE/target refresh.
 fn delta_apply_flat(
-    rule: &Rule,
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
     dirty: &BTreeSet<Oid>,
-    plan: MaintainPlan,
+    stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
-    // 1. Drop dirty-bound cached patterns; expand the re-binding set with
-    //    every component of a dropped pattern. A shorter pattern
-    //    resurfacing because its subsumer died has all its components
-    //    inside that subsumer, so the expansion guarantees it is
-    //    re-derived. The same pass collects the retained *partial*
-    //    patterns: only those can take part in strict subsumption (two
-    //    fully-bound patterns of one intension relate only by equality),
-    //    so the merge below scans this usually-empty list instead of the
-    //    whole context.
-    let mut rebind: BTreeSet<Oid> = dirty.clone();
-    let mut dropped: Vec<ExtPattern> = Vec::new();
-    let mut partials: Vec<ExtPattern> = Vec::new();
-    if cache.ctx_pre.intension.width() == 2
-        && cache.resolved.spans.as_slice() == [(0usize, 2usize)]
-    {
-        // Binary single-span contexts (the paper's common association-pair
-        // shape) hold only fully-bound rows, so the access index's counted
-        // (0,1) adjacency *is* the pattern set: walk the dirty oids'
-        // neighbor lists — O(|dirty| + |dropped|) — instead of scanning
-        // the whole context. Partial rows cannot exist here, so `partials`
-        // stays empty.
-        if let Some((adj, _)) = cache.ctx_pre.index().pair_adj(0, 1) {
-            for &o in dirty {
-                for &n in adj.neighbors(o, true) {
-                    dropped.push(ExtPattern::new(vec![Some(o), Some(n)]));
-                }
-                for &n in adj.neighbors(o, false) {
-                    // A pattern with both ends dirty was already collected
-                    // from the dirty slot-0 end above.
-                    if !dirty.contains(&n) {
-                        dropped.push(ExtPattern::new(vec![Some(n), Some(o)]));
-                    }
-                }
-            }
-        }
-        for p in &dropped {
-            rebind.extend(p.components().iter().flatten().copied());
-        }
+    // 1. The cached rows binding a dirty object, off the posting list.
+    let bound = cache.dirty_bound(dirty);
+    stats.dropped = bound.len();
+    // A context that is one retention span over all its slots holds full
+    // rows only, so nothing is ever subsumed: a clean row stays exactly as
+    // valid as it was, and a row that is new binds a dirty object —
+    // re-binding `dirty` finds all of them. Under braces a shorter pattern
+    // resurfaces when its subsumer dies; all its components are inside
+    // that subsumer, so there the re-binding set widens to every component
+    // of a dirty-bound row.
+    let width = cache.ctx_pre.intension.width();
+    let full_rows_only = cache.resolved.spans.as_slice() == [(0, width)];
+    let rebind: Cow<BTreeSet<Oid>> = if full_rows_only {
+        Cow::Borrowed(dirty)
     } else {
-        let dirty_hash: FxHashSet<Oid> = dirty.iter().copied().collect();
-        let is_dirty =
-            |p: &ExtPattern| p.components().iter().flatten().any(|o| dirty_hash.contains(o));
-        for p in cache.ctx_pre.patterns() {
-            if is_dirty(p) {
-                rebind.extend(p.components().iter().flatten().copied());
-                dropped.push(p.clone());
-            } else if is_partial(p) {
-                partials.push(p.clone());
-            }
+        let mut wide = dirty.clone();
+        for p in &bound {
+            wide.extend(p.components().iter().flatten().copied());
         }
-    }
+        Cow::Owned(wide)
+    };
+
+    // 2. Semi-naive delta: every valid pattern with a delta-bound slot, once
+    //    per such slot. A bound row that comes back is kept, not an edit.
+    let mut delta =
+        Evaluator::with_compiled(&cache.resolved, db, registry, Arc::clone(&cache.plan))
+            .map_err(RuleError::Query)?
+            .eval_delta(&cache.ctx_pre.name, &rebind);
+    stats.delta_rows = delta.len();
+    delta.sort_unstable();
+    delta.dedup();
+    let (mut dropped, fresh, mut kept) = split_common(bound, delta);
     for p in &dropped {
-        cache.ctx_pre.remove(p);
+        cache.ctx_remove(p);
     }
-
-    // 2. Semi-naive delta: every valid pattern with a delta-bound slot,
-    //    merged into the retained context under subsumption. A delta row
-    //    equal to (or part of) a retained clean pattern is redundant; a
-    //    retained pattern that a delta row strictly covers is dropped.
-    let mut ev = Evaluator::with_compiled(&cache.resolved, db, registry, Arc::clone(&cache.plan))
-        .map_err(RuleError::Query)?;
-    let delta = ev.eval_delta(&cache.ctx_pre.name, &rebind);
-    let mut added: Vec<ExtPattern> = Vec::new();
-    for r in &delta {
-        if cache.ctx_pre.contains(r) {
-            continue;
-        }
-        let r_partial = is_partial(r);
-        // A partial row may hide under *any* retained pattern (full scan;
-        // only brace contexts produce partial rows). A full row cannot be
-        // a strict part of anything.
-        if r_partial && cache.ctx_pre.patterns().any(|q| r.is_part_of(q)) {
-            continue;
-        }
-        // Retained patterns strictly covered by `r` are necessarily
-        // partial, so only the partial list is scanned.
-        let shadowed: Vec<ExtPattern> =
-            partials.iter().filter(|q| q.is_part_of(r)).cloned().collect();
-        for q in shadowed {
-            cache.ctx_pre.remove(&q);
-            if let Some(i) = partials.iter().position(|a| *a == q) {
-                partials.swap_remove(i);
+    let mut added: Vec<ExtPattern> = Vec::with_capacity(fresh.len());
+    for r in fresh {
+        if !full_rows_only {
+            // Merge under subsumption. The wider re-binding set re-derives
+            // clean rows too; a partial row may hide under a retained one;
+            // and a retained (necessarily partial) row that `r` strictly
+            // covers goes.
+            let posting = cache.posting.as_ref().expect("built by ensure_delta_state");
+            if cache.ctx_pre.contains(&r) || (is_partial(&r) && posting.covers(&r)) {
+                continue;
             }
-            if let Some(i) = added.iter().position(|a| *a == q) {
-                added.swap_remove(i);
-            } else {
-                dropped.push(q);
+            for q in posting.parts_of(&r) {
+                cache.ctx_remove(&q);
+                if let Some(i) = added.iter().position(|a| *a == q) {
+                    added.swap_remove(i);
+                } else {
+                    kept.retain(|k| *k != q);
+                    dropped.push(q);
+                }
             }
         }
-        cache.ctx_pre.insert(r.clone());
-        if r_partial {
-            partials.push(r.clone());
-        }
-        added.push(r.clone());
+        cache.ctx_insert(r.clone());
+        added.push(r);
     }
-
-    refresh_post_and_target(rule, db, cache, plan == MaintainPlan::DeltaLocal, &dropped, &added)
-}
-
-/// Stages 3–4, shared by the flat and closure delta paths: refresh the
-/// cached WHERE-prefix verdicts for the `dropped`/`added` context edits,
-/// then the target — by derivation counts when `counting`, by re-applying
-/// the aggregate suffix otherwise.
-fn refresh_post_and_target(
-    rule: &Rule,
-    db: &Database,
-    cache: &mut RuleCache,
-    counting: bool,
-    dropped: &[ExtPattern],
-    added: &[ExtPattern],
-) -> Result<DeltaOutcome, RuleError> {
-    // 3. WHERE prefix: clean patterns keep their cached verdict (their
-    //    attributes are untouched); only the added rows are checked.
-    let (prefix, suffix) = split_where(&rule.where_);
-    let mut removed_post: Vec<ExtPattern> = Vec::new();
-    for p in dropped {
-        if cache.post.remove(p) {
-            removed_post.push(p.clone());
-        }
-    }
-    let mut added_post: Vec<ExtPattern> = Vec::new();
-    if !added.is_empty() {
-        if prefix.is_empty() {
-            // No prefix conditions: every added row passes.
-            for p in added {
-                cache.post.insert(p.clone());
-                added_post.push(p.clone());
-            }
-        } else {
-            let mut check =
-                Subdatabase::new(cache.post.name.clone(), cache.post.intension.clone());
-            for p in added {
-                check.insert(p.clone());
-            }
-            apply_where(&mut check, prefix, db).map_err(RuleError::Query)?;
-            for p in check.patterns() {
-                cache.post.insert(p.clone());
-                added_post.push(p.clone());
-            }
-        }
-    }
-
-    // 4. Target.
-    if counting {
-        delta_local_target(rule, cache, &removed_post, &added_post)
-    } else {
-        // Aggregate verdicts can flip without any post-set change (an
-        // attribute update inside a group), so the suffix and the
-        // projection always re-run over the refreshed set.
-        let mut full = cache.post.clone();
-        apply_where(&mut full, suffix, db).map_err(RuleError::Query)?;
-        let next = project_targets(rule, &full, db)?;
-        let (inserted, removed) = sym_diff(&cache.target, &next);
-        cache.target = next;
-        Ok(DeltaOutcome { inserted, removed })
-    }
+    Ok(cache.refresh(db, dropped, added, kept, stats))
 }
 
 /// The closure delta step (DESIGN.md §11). The cached chains are a pure
@@ -645,6 +1049,7 @@ fn delta_apply_closure(
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
     dirty: &BTreeSet<Oid>,
+    stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
     let ev = Evaluator::with_compiled(&cache.resolved, db, registry, Arc::clone(&cache.plan))
         .map_err(RuleError::Query)?;
@@ -738,27 +1143,19 @@ fn delta_apply_closure(
     redo_roots.extend(root_adds.iter().copied());
     redo_roots.sort_unstable();
     redo_roots.dedup();
-    let mut drop_set: FxHashSet<Oid> = redo_roots.iter().copied().collect();
-    drop_set.extend(root_drops.iter().copied());
+    let mut drop_roots: Vec<Oid> = redo_roots.iter().chain(&root_drops).copied().collect();
+    drop_roots.sort_unstable();
+    drop_roots.dedup();
 
-    // Partition the cached chains: chains of redo/dropped roots go; the
-    // rest stay, but those touching a dirty object re-check their
-    // WHERE-prefix verdict (their structure is intact, their attributes
-    // may not be).
-    let has_prefix = !split_where(&rule.where_).0.is_empty();
-    let dirty_hash: FxHashSet<Oid> = dirty.iter().copied().collect();
+    // The cached chains of redo and dropped roots go: one head range of the
+    // ordered context per root, ascending.
     let mut dropped: Vec<ExtPattern> = Vec::new();
-    let mut recheck: Vec<ExtPattern> = Vec::new();
-    for p in cache.ctx_pre.patterns() {
-        if p.get(0).is_some_and(|o| drop_set.contains(&o)) {
-            dropped.push(p.clone());
-        } else if has_prefix
-            && p.components().iter().flatten().any(|o| dirty_hash.contains(o))
-        {
-            recheck.push(p.clone());
-        }
+    for &root in &drop_roots {
+        dropped.extend(cache.ctx_pre.head_range(Some(root)).cloned());
     }
+    stats.dropped = dropped.len();
     let new_chains = ev.closure_chains(&redo_roots, &mut cc.succ);
+    stats.delta_rows = new_chains.len();
     for p in &dropped {
         let c = cc.len_counts.entry(chain_len(p)).or_insert(0);
         *c = c.saturating_sub(1);
@@ -790,19 +1187,10 @@ fn delta_apply_closure(
         cc.width = new_width;
         cache.closure = Some(cc);
         cache.ctx_pre = next_pre;
-        let (prefix, suffix) = split_where(&rule.where_);
-        let mut post = cache.ctx_pre.clone();
-        apply_where(&mut post, prefix, db).map_err(RuleError::Query)?;
-        let mut full = post.clone();
-        apply_where(&mut full, suffix, db).map_err(RuleError::Query)?;
-        let next = project_targets(rule, &full, db)?;
-        cache.counts = if counting_target(rule) {
-            tally(&post, &target_slots(rule, &post.intension)?)
-        } else {
-            FxHashMap::default()
-        };
-        let (inserted, removed) = sym_diff(&cache.target, &next);
-        cache.post = post;
+        cache.posting = None;
+        let (filter, _, next) = Filter::derive(rule, &cache.ctx_pre, db)?;
+        let (removed, inserted, _) = split_common(cache.target.to_vec(), next.to_vec());
+        cache.filter = filter;
         cache.target = next;
         return Ok(DeltaOutcome { inserted, removed });
     }
@@ -824,82 +1212,64 @@ fn delta_apply_closure(
     // Re-derived chains that came back identical net out (a redo root
     // whose subtree was mostly intact) — cancel them before touching the
     // caches so the WHERE/target stage sees only real edits.
-    dropped.sort_unstable();
     added.sort_unstable();
-    let (dropped, added) = cancel_common(dropped, added);
+    added.dedup();
+    let (dropped, added, _) = split_common(dropped, added);
     for p in &dropped {
-        cache.ctx_pre.remove(p);
+        cache.ctx_remove(p);
     }
     for p in &added {
-        cache.ctx_pre.insert(p.clone());
+        cache.ctx_insert(p.clone());
     }
-    let mut dropped = dropped;
-    let mut added = added;
-    dropped.extend(recheck.iter().cloned());
-    added.extend(recheck);
     cache.closure = Some(cc);
-    refresh_post_and_target(rule, db, cache, counting_target(rule), &dropped, &added)
-}
-
-/// Drop the elements common to both sorted vectors (multiset
-/// cancellation): a chain dropped and re-derived identically is not an
-/// edit.
-fn cancel_common(a: Vec<ExtPattern>, b: Vec<ExtPattern>) -> (Vec<ExtPattern>, Vec<ExtPattern>) {
-    let mut oa: Vec<ExtPattern> = Vec::new();
-    let mut ob: Vec<ExtPattern> = Vec::new();
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => oa.push(ia.next().unwrap()),
-                std::cmp::Ordering::Greater => ob.push(ib.next().unwrap()),
-                std::cmp::Ordering::Equal => {
-                    ia.next();
-                    ib.next();
-                }
-            },
-            (Some(_), None) => oa.push(ia.next().unwrap()),
-            (None, Some(_)) => ob.push(ib.next().unwrap()),
-            (None, None) => break,
-        }
+    // Chains that stay — cancelled or untouched — but bind a dirty object
+    // keep their structure, not necessarily their attributes: under
+    // attribute-reading conditions they re-check their verdicts.
+    let mut kept = Vec::new();
+    if cache.filter.reads_attrs {
+        kept = cache.dirty_bound(dirty);
+        kept.retain(|p| added.binary_search(p).is_err());
     }
-    (oa, ob)
+    Ok(cache.refresh(db, dropped, added, kept, stats))
 }
 
-/// Count-maintained target update for [`MaintainPlan::DeltaLocal`]: adjust
-/// derivation counts by the post-set edits, then patch the target — which
-/// always holds exactly the maximal elements of the live count keys — by
-/// the keys whose count crossed zero. Births run before deaths so a
-/// death's resurrection scan sees the final cover.
-fn delta_local_target(
-    rule: &Rule,
-    cache: &mut RuleCache,
-    removed_post: &[ExtPattern],
-    added_post: &[ExtPattern],
-) -> Result<DeltaOutcome, RuleError> {
-    let slots = target_slots(rule, &cache.post.intension)?;
+/// Count-maintained target update: adjust derivation counts by the
+/// post-WHERE edits, then patch the target — which always holds exactly the
+/// maximal elements of the live count keys — by the keys whose count
+/// crossed zero. Births run before deaths so a death's resurrection scan
+/// sees the final cover.
+///
+/// The part-of relation pins every bound slot of the part — slot 0
+/// included — so a cover, eviction, or resurrection scan can only ever
+/// match patterns whose head equals the key's head (or is unbound). Target
+/// and counts are ordered, so those are head ranges, walked in place:
+/// family-projected closure targets hold thousands of mostly-partial chain
+/// patterns, and full scans would dominate the step.
+fn count_target(
+    slots: &[usize],
+    counts: &mut BTreeMap<ExtPattern, u32>,
+    target: &mut Subdatabase,
+    removed: &[ExtPattern],
+    added: &[ExtPattern],
+) -> DeltaOutcome {
     let mut dead: Vec<ExtPattern> = Vec::new();
     let mut born: Vec<ExtPattern> = Vec::new();
-    for p in removed_post {
-        let key = p.project(&slots);
-        if key.pattern_type().arity() == 0 {
-            continue;
-        }
-        if let Some(c) = cache.counts.get_mut(&key) {
-            *c = c.saturating_sub(1);
+    for p in removed {
+        let key = p.project(slots);
+        if let Some(c) = counts.get_mut(&key) {
+            *c -= 1;
             if *c == 0 {
-                cache.counts.remove(&key);
+                counts.remove(&key);
                 dead.push(key);
             }
         }
     }
-    for p in added_post {
-        let key = p.project(&slots);
+    for p in added {
+        let key = p.project(slots);
         if key.pattern_type().arity() == 0 {
             continue;
         }
-        let c = cache.counts.entry(key.clone()).or_insert(0);
+        let c = counts.entry(key.clone()).or_insert(0);
         *c += 1;
         if *c == 1 {
             // A key that died and was re-born in the same step nets out.
@@ -910,111 +1280,57 @@ fn delta_local_target(
             }
         }
     }
-    let mut out = DeltaOutcome::default();
-    if born.is_empty() && dead.is_empty() {
-        return Ok(out);
-    }
-    // The part-of relation pins every bound slot of the part — slot 0
-    // included — so a cover, eviction, or resurrection scan can only ever
-    // match patterns whose head equals the key's head (or is unbound).
-    // Bucketing by head turns each O(|target|) scan into a bucket walk:
-    // family-projected closure targets hold thousands of mostly-partial
-    // chain patterns, and the full scans dominated the delta step.
-    fn ix_insert(ix: &mut FxHashMap<Option<Oid>, Vec<ExtPattern>>, p: &ExtPattern) {
-        ix.entry(p.get(0)).or_default().push(p.clone());
-    }
-    fn ix_remove(ix: &mut FxHashMap<Option<Oid>, Vec<ExtPattern>>, p: &ExtPattern) {
-        if let Some(b) = ix.get_mut(&p.get(0)) {
-            if let Some(i) = b.iter().position(|q| q == p) {
-                b.swap_remove(i);
-            }
-        }
-    }
-    /// Is `key` strictly part of any pattern in the index?
-    fn covered(ix: &FxHashMap<Option<Oid>, Vec<ExtPattern>>, key: &ExtPattern) -> bool {
+    /// Is `key` strictly part of any target pattern?
+    fn covered(target: &Subdatabase, key: &ExtPattern) -> bool {
         match key.get(0) {
-            Some(h) => {
-                ix.get(&Some(h)).is_some_and(|b| b.iter().any(|q| key.is_part_of(q)))
-            }
-            None => ix.values().flatten().any(|q| key.is_part_of(q)),
+            Some(h) => target.head_range(Some(h)).any(|q| key.is_part_of(q)),
+            None => target.patterns().any(|q| key.is_part_of(q)),
         }
     }
-    /// The index entries strictly part of `key`: the matching-head bucket
-    /// plus the unbound-head one.
-    fn parts_of(
-        ix: &FxHashMap<Option<Oid>, Vec<ExtPattern>>,
-        key: &ExtPattern,
-        f: &mut impl FnMut(&ExtPattern),
-    ) {
-        let mut walk = |b: Option<&Vec<ExtPattern>>| {
-            for q in b.into_iter().flatten().filter(|q| q.is_part_of(key)) {
-                f(q);
-            }
-        };
-        walk(ix.get(&key.get(0)));
-        if key.get(0).is_some() {
-            walk(ix.get(&None));
-        }
+    /// The heads a strict part of `key` can have: `key`'s own, and unbound.
+    fn part_heads(key: &ExtPattern) -> impl Iterator<Item = Option<Oid>> {
+        key.get(0).map(Some).into_iter().chain([None])
     }
-    let mut by_head: FxHashMap<Option<Oid>, Vec<ExtPattern>> = FxHashMap::default();
-    for p in cache.target.patterns() {
-        ix_insert(&mut by_head, p);
-    }
+    let mut out = DeltaOutcome::default();
     for key in born {
         // Covered (or already present) keys stay implicit; an uncovered
         // key evicts the target members it strictly covers.
-        if cache.target.contains(&key) {
+        if target.contains(&key) || (is_partial(&key) && covered(target, &key)) {
             continue;
         }
-        if is_partial(&key) && covered(&by_head, &key) {
-            continue;
-        }
-        let mut shadowed: Vec<ExtPattern> = Vec::new();
-        parts_of(&by_head, &key, &mut |q| shadowed.push(q.clone()));
+        let shadowed: Vec<ExtPattern> = part_heads(&key)
+            .flat_map(|h| target.head_range(h))
+            .filter(|q| q.is_part_of(&key))
+            .cloned()
+            .collect();
         for q in shadowed {
-            cache.target.remove(&q);
-            ix_remove(&mut by_head, &q);
+            target.remove(&q);
             out.removed.push(q);
         }
-        cache.target.insert(key.clone());
-        ix_insert(&mut by_head, &key);
+        target.insert(key.clone());
         out.inserted.push(key);
     }
-    if dead.is_empty() {
-        return Ok(out);
-    }
-    // Resurrection candidates are strictly part of a dead key, hence
-    // partial.
-    let mut counts_by_head: FxHashMap<Option<Oid>, Vec<ExtPattern>> = FxHashMap::default();
-    for k in cache.counts.keys().filter(|k| is_partial(k)) {
-        ix_insert(&mut counts_by_head, k);
-    }
     for key in dead {
-        if !cache.target.remove(&key) {
+        if !target.remove(&key) {
             continue; // was covered by a live key: nothing visible changed
         }
-        ix_remove(&mut by_head, &key);
-        out.removed.push(key.clone());
-        // Resurrect the maximal live keys the dead pattern was covering.
-        let mut cands: Vec<ExtPattern> = Vec::new();
-        parts_of(&counts_by_head, &key, &mut |k| {
-            if cache.counts.contains_key(k)
-                && !cache.target.contains(k)
-                && !covered(&by_head, k)
-            {
-                cands.push(k.clone());
-            }
-        });
+        // Resurrect the maximal live keys the dead pattern was covering
+        // (strictly part of it, hence partial).
+        let cands: Vec<&ExtPattern> = part_heads(&key)
+            .flat_map(|h| counts.range::<[Option<Oid>], _>(HeadRange::of(h).bounds()))
+            .map(|(k, _)| k)
+            .filter(|k| k.is_part_of(&key) && !target.contains(k) && !covered(target, k))
+            .collect();
         for k in &cands {
             if cands.iter().any(|d| k.is_part_of(d)) {
                 continue;
             }
-            cache.target.insert(k.clone());
-            ix_insert(&mut by_head, k);
-            out.inserted.push(k.clone());
+            target.insert((*k).clone());
+            out.inserted.push((*k).clone());
         }
+        out.removed.push(key);
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -1052,21 +1368,81 @@ mod tests {
     #[test]
     fn plans_cover_the_rule_space() {
         let plan = |src: &str| plan_for(&parse_rule("r", src).unwrap());
-        assert_eq!(plan("if context A * B then T (A, B)"), MaintainPlan::DeltaLocal);
-        assert_eq!(
-            plan("if context A * B where A.v > 1 then T (A)"),
-            MaintainPlan::DeltaLocal
-        );
-        // Braces are delta-maintainable now (eval_delta spans every span).
-        assert_eq!(plan("if context {A} * B then T (A)"), MaintainPlan::DeltaLocal);
+        assert_eq!(plan("if context A * B then T (A, B)"), MaintainPlan::Delta);
+        assert_eq!(plan("if context A * B where A.v > 1 then T (A)"), MaintainPlan::Delta);
+        assert_eq!(plan("if context {A} * B then T (A)"), MaintainPlan::Delta);
+        // Aggregates keep group state; they are no plan of their own.
         assert_eq!(
             plan("if context A * B where count(B by A) > 1 then T (A)"),
-            MaintainPlan::DeltaReWhere
+            MaintainPlan::Delta
         );
         // Closure contexts maintain the fixpoint provenance incrementally.
-        assert_eq!(plan("if context A ^* then T (A, A_*)"), MaintainPlan::DeltaClosure);
+        assert_eq!(plan("if context A ^* then T (A, A_*)"), MaintainPlan::Closure);
         assert!(supports_incremental(&parse_rule("r", "if context A ^* then T (A, A_*)").unwrap()));
         assert!(supports_incremental(&parse_rule("r", "if context {A} * B then T (A)").unwrap()));
+    }
+
+    /// The posting list answers exactly what a scan of the rows answers,
+    /// through insertions, removals and row reuse.
+    #[test]
+    fn posting_list_matches_a_scan() {
+        use dood_core::subdb::{Intension, SlotDef};
+        let p =
+            |v: &[Option<u64>]| ExtPattern::new(v.iter().map(|o| o.map(Oid)).collect::<Vec<_>>());
+        let cls = dood_core::ids::ClassId(0);
+        let int = Intension::new(vec![
+            SlotDef::base("A", cls),
+            SlotDef::base("B", cls),
+            SlotDef::base("C", cls),
+        ]);
+        let mut sd = Subdatabase::new("ctx", int);
+        for row in [
+            p(&[Some(1), Some(2), Some(3)]),
+            p(&[Some(1), Some(2), None]),
+            p(&[Some(1), Some(4), Some(3)]),
+            p(&[None, Some(2), Some(5)]),
+            p(&[Some(6), Some(6), None]), // one oid in two slots
+        ] {
+            sd.insert(row);
+        }
+        let mut posting = Posting::build(&sd);
+        let check = |posting: &Posting, sd: &Subdatabase| {
+            for o in 0..8u64 {
+                let mut got: Vec<ExtPattern> =
+                    posting.rows_of(Oid(o)).map(ExtPattern::new).collect();
+                got.sort_unstable();
+                got.dedup();
+                let want: Vec<ExtPattern> = sd
+                    .patterns()
+                    .filter(|q| q.components().contains(&Some(Oid(o))))
+                    .cloned()
+                    .collect();
+                assert_eq!(got, want, "rows of o{o}");
+            }
+        };
+        check(&posting, &sd);
+        let partial = p(&[Some(1), Some(2), None]);
+        assert!(posting.covers(&partial), "(1,2,3) covers (1,2,Null)");
+        assert!(!posting.covers(&p(&[Some(1), Some(9), None])));
+        assert!(!posting.covers(&p(&[None, Some(4), Some(5)])));
+        assert_eq!(posting.parts_of(&p(&[Some(1), Some(2), Some(3)])), vec![partial.clone()]);
+        assert!(posting.parts_of(&partial).is_empty());
+
+        for gone in [p(&[Some(1), Some(2), Some(3)]), p(&[Some(6), Some(6), None])] {
+            assert!(posting.remove(&gone));
+            assert!(!posting.remove(&gone), "already gone");
+            sd.remove(&gone);
+        }
+        assert!(!posting.covers(&partial));
+        check(&posting, &sd);
+        // The freed rows are reused.
+        let entries = posting.rows.len();
+        for row in [p(&[Some(7), Some(2), Some(3)]), p(&[Some(1), None, Some(7)])] {
+            posting.insert(&row);
+            sd.insert(row);
+        }
+        assert_eq!(posting.rows.len(), entries);
+        check(&posting, &sd);
     }
 
     /// delta_apply after a mixed batch (associate, dissociate, create,
@@ -1080,6 +1456,13 @@ mod tests {
             "if context A [v >= 2] * B then T (A)",
             "if context A * B where A.v >= 1 then T (A, B)",
             "if context A * B where count(B by A) > 1 then T (A)",
+            "if context A * B where count(B) > 5 then T (A)",
+            "if context A * B where sum(A.v by B) >= 2 then T (B)",
+            "if context A * B where avg(A.v) > 2.0 then T (A, B)",
+            "if context A * B where max(A.v by B) < 50 then T (A)",
+            "if context A * B where count(B by A) >= 1 and A.v >= 1 then T (A)",
+            "if context A * B where count(A by B) >= 1 and min(A.v) >= 0 then T (B)",
+            "if context {A} * B where count(B by A) >= 1 then T (A, B)",
         ] {
             let (mut db, avec, bvec) = setup();
             let rule = parse_rule("r", src).unwrap();

@@ -167,6 +167,24 @@ for w in univ_query univ_update social_closure cold_pipeline; do
         exit 1
     fi
 done
+# Forward maintenance must stay O(|delta|): allocations per store event in
+# `rules.propagate`, from one traced smoke run. Allocation counts repeat to
+# 0.1 %, so the ceiling is the value PR 16 measured (80.7; its parent 353.0)
+# plus 25 %.
+PROPAGATE_ALLOCS_PER_EVENT_MAX=101
+SUMMARY="$(bash benchmark/run.sh --workload univ_update --smoke --trace 1 | tail -n 1)"
+metric() {
+    sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"
+}
+ALLOCS="$(metric rules.propagate.allocs_per_op)"
+EVENTS="$(metric rules.propagate.events_per_op)"
+if ! awk -v a="$ALLOCS" -v e="$EVENTS" -v max="$PROPAGATE_ALLOCS_PER_EVENT_MAX" \
+    'BEGIN { if (a == "" || e == "" || e + 0 == 0) exit 1
+             printf "ci: rules.propagate allocates %.1f per store event (ceiling %d)\n", a / e, max
+             exit (a / e > max) }'; then
+    echo "ci: rules.propagate allocations per event ($ALLOCS / $EVENTS) exceed $PROPAGATE_ALLOCS_PER_EVENT_MAX or are missing" >&2
+    exit 1
+fi
 
 echo "== ci: bench diff vs BENCH_SEED.json (advisory) =="
 # Smoke timings are not meaningful, so this stage never fails the build:

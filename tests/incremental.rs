@@ -8,12 +8,29 @@
 //!
 //! Driven by the in-repo seeded harness (`dood::core::propcheck`); replay
 //! a reported failure with `DOOD_PROP_SEED=<seed> cargo test <name>`.
+//!
+//! Each of these seeded mutations of `rules::maintain` was tried and fails
+//! the tests named (EXPERIMENTS.md E21 lists the runs):
+//! * rows re-derived identically but binding a touched object no longer
+//!   re-enter the WHERE stages (`refresh` ignoring `kept`), so
+//!   attribute-dirty groups are not re-evaluated —
+//!   `incremental_equals_fresh_aggregates`, `…_company`; with only the
+//!   aggregates exempted (`reads_attrs` false for them) — `…_aggregates`;
+//! * re-binding only `dirty` on a brace context too — `…_university`;
+//! * the net-zero cancellation without its multiset rule — the re-join
+//!   returns a row once per dirty-bound slot and it must count once
+//!   (`delta` not deduplicated) — `…_aggregates`, `…_company`,
+//!   `…_university`; a key that dies and is re-born within one step no
+//!   longer netting out in `count_target` — `…_aggregates`, `…_company`;
+//! * a group whose verdict turns true not emitting its members —
+//!   `…_aggregates`, `…_company`, `…_university`.
 
 use dood::core::ids::Oid;
+use dood::core::obs::trace;
 use dood::core::propcheck::check;
 use dood::core::value::Value;
-use dood::rules::{ChainStrategy, ControlMode, EvalPolicy, RuleEngine};
-use dood::workload::{cad, company, university};
+use dood::rules::{ChainStrategy, ControlMode, EvalPolicy, Program, RuleEngine};
+use dood::workload::{cad, company, programs, university};
 
 const CASES: usize = 10;
 const THREADS: &[&str] = &["1", "2", "4"];
@@ -34,13 +51,17 @@ fn assert_fresh(engine: &RuleEngine, subdbs: &[&str]) {
 }
 
 /// Company schema: plain join, second-level chaining, comparison WHERE,
-/// and a grouped aggregate — a DeltaLocal / DeltaReWhere mix — under
-/// random link churn, salary flips, hires, and firings.
+/// a grouped aggregate, and a two-rule union whose rules can derive the
+/// same pattern — under random link churn, salary flips, hires, and
+/// firings. In half the cases the chain's first link `REa` stays
+/// post-evaluated: propagate invalidates it and backward-derives it again
+/// as `REb`'s source, stepping its rule from the invalidated image.
 #[test]
 fn incremental_equals_fresh_company() {
     check("incremental_equals_fresh_company", CASES, |g| {
         let seed = g.range(0u64..100);
         let ops = g.vec(2..10, |g| (g.range(0u8..6), g.range(0usize..64)));
+        let post_source = g.bool(0.5);
         for threads in THREADS {
             std::env::set_var("DOOD_THREADS", threads);
             let (db, _) = company::populate(company::CompanySize::small(), seed);
@@ -61,9 +82,22 @@ fn incremental_equals_fresh_company() {
                  then Busy (Department)",
             )
             .unwrap();
-            let subdbs = ["REa", "REb", "WellPaid", "Busy"];
+            e.add_rule(
+                "Ru1",
+                "if context Employee * Department where Employee.salary >= 150000 \
+                 then Picked (Employee)",
+            )
+            .unwrap();
+            e.add_rule(
+                "Ru2",
+                "if context Employee * Project where count(Employee by Project) > 9 \
+                 then Picked (Employee)",
+            )
+            .unwrap();
+            let all = ["REa", "REb", "WellPaid", "Busy", "Picked"];
+            let subdbs = if post_source { &all[1..] } else { &all[..] };
             for s in subdbs {
-                e.set_policy(s, EvalPolicy::PreEvaluated);
+                e.set_policy(*s, EvalPolicy::PreEvaluated);
             }
             for s in subdbs {
                 e.subdb(s).unwrap();
@@ -71,7 +105,7 @@ fn incremental_equals_fresh_company() {
             for (i, (op, k)) in ops.iter().copied().enumerate() {
                 apply_company_op(&mut e, i, op, k);
                 e.propagate().unwrap();
-                assert_fresh(&e, &subdbs);
+                assert_fresh(&e, subdbs);
             }
             std::env::remove_var("DOOD_THREADS");
         }
@@ -118,14 +152,272 @@ fn apply_company_op(e: &mut RuleEngine, i: usize, op: u8, k: usize) {
     }
 }
 
-/// University schema (Fig. 2.1): three-way joins, a brace grouping, and a
+/// The aggregate conditions' group state (DESIGN.md §9): every aggregate
+/// function with and without `by`, two aggregates in sequence, a
+/// comparison after an aggregate (and an aggregate after that), a brace
+/// context under an aggregate, and an aggregate over a maintained source —
+/// under link churn, hires and firings, attribute-only updates that flip a
+/// verdict without moving a pattern, and groups emptied in one step. The
+/// thresholds sit where `CompanySize::small()` puts the aggregates, so
+/// verdicts flip both ways in most schedules.
+#[test]
+fn incremental_equals_fresh_aggregates() {
+    const RULES: &[(&str, &str)] = &[
+        (
+            "CountBy",
+            "if context Employee * Department where count(Employee by Department) > 9 \
+             then CountBy (Department)",
+        ),
+        ("CountAll", "if context Employee * Department where count(Employee) >= 30 then CountAll (Employee)"),
+        (
+            "SumBy",
+            "if context Employee * Department where sum(Employee.salary by Department) > 1100000 \
+             then SumBy (Department)",
+        ),
+        (
+            "AvgAll",
+            "if context Employee * Department where avg(Employee.salary) > 113000 \
+             then AvgAll (Employee, Department)",
+        ),
+        (
+            "MinBy",
+            "if context Employee * Project where min(Employee.salary by Project) >= 40000 \
+             then MinBy (Project)",
+        ),
+        (
+            "MaxBy",
+            "if context Department * Project where max(Project.budget by Department) < 800 \
+             then MaxBy (Department)",
+        ),
+        ("MaxAll", "if context Department * Project where max(Project.budget) < 940 then MaxAll (Project)"),
+        (
+            "TwoAggs",
+            "if context Employee * Department where count(Employee by Department) > 8 \
+             and sum(Employee.salary by Department) > 1000000 then TwoAggs (Department)",
+        ),
+        (
+            "CmpAfter",
+            "if context Employee * Department where count(Employee by Department) > 8 \
+             and Employee.salary >= 100000 and avg(Employee.salary by Department) > 150000 \
+             then CmpAfter (Employee)",
+        ),
+        (
+            "CmpBefore",
+            "if context Employee * Department where Employee.salary >= 60000 \
+             and count(Employee by Department) > 7 then CmpBefore (Department)",
+        ),
+        (
+            "Braced",
+            "if context {Department} * Project [budget < 900] \
+             where count(Project by Department) < 2 then Braced (Department)",
+        ),
+        (
+            "OverSource",
+            "if context Employee * CountBy:Department where min(Employee.salary by Department) < 35000 \
+             then OverSource (Employee)",
+        ),
+    ];
+    check("incremental_equals_fresh_aggregates", CASES, |g| {
+        let seed = g.range(0u64..100);
+        let ops = g.vec(3..12, |g| (g.range(0u8..10), g.range(0usize..64)));
+        for threads in THREADS {
+            std::env::set_var("DOOD_THREADS", threads);
+            let (db, _) = company::populate(company::CompanySize::small(), seed);
+            let mut e = RuleEngine::new(db);
+            let subdbs: Vec<&str> = RULES.iter().map(|(name, _)| *name).collect();
+            for (name, src) in RULES {
+                e.add_rule(name, src).unwrap();
+                e.set_policy(*name, EvalPolicy::PreEvaluated);
+            }
+            for s in &subdbs {
+                e.subdb(s).unwrap();
+            }
+            for (i, (op, k)) in ops.iter().copied().enumerate() {
+                apply_aggregate_op(&mut e, i, op, k);
+                e.propagate().unwrap();
+                assert_fresh(&e, &subdbs);
+            }
+            std::env::remove_var("DOOD_THREADS");
+        }
+    });
+}
+
+fn apply_aggregate_op(e: &mut RuleEngine, i: usize, op: u8, k: usize) {
+    let db = e.db_mut();
+    let employee = db.schema().class_by_name("Employee").unwrap();
+    let department = db.schema().class_by_name("Department").unwrap();
+    let project = db.schema().class_by_name("Project").unwrap();
+    let works_in = db.schema().own_link_by_name(employee, "WorksIn").unwrap();
+    let assigned = db.schema().own_link_by_name(employee, "AssignedTo").unwrap();
+    let sponsors = db.schema().own_link_by_name(department, "Sponsors").unwrap();
+    let es: Vec<Oid> = db.extent(employee).collect();
+    let ds: Vec<Oid> = db.extent(department).collect();
+    let ps: Vec<Oid> = db.extent(project).collect();
+    if es.is_empty() || ps.is_empty() {
+        return;
+    }
+    let (emp, dept, proj) = (es[k % es.len()], ds[k % ds.len()], ps[k % ps.len()]);
+    match op {
+        0 => {
+            // Attribute only: a salary far above or far below every
+            // threshold, no pattern moves.
+            let v = if k.is_multiple_of(2) { 400_000 } else { 10_000 };
+            let _ = db.set_attr(emp, "salary", Value::Int(v + i as i64));
+        }
+        1 => {
+            // Attribute only, on the other class.
+            let v = if k.is_multiple_of(2) { 990 } else { 50 };
+            let _ = db.set_attr(proj, "budget", Value::Int(v));
+        }
+        2 => {
+            // Move an employee to another department (WorksIn is single).
+            if let Some(&old) = db.neighbors(works_in, emp, true).first() {
+                let _ = db.dissociate(works_in, emp, old);
+            }
+            let _ = db.associate(works_in, emp, dept);
+        }
+        3 => {
+            let e2 = db.new_object(employee).unwrap();
+            let salary = if k.is_multiple_of(2) { 20_000 } else { 300_000 };
+            let _ = db.set_attr(e2, "salary", Value::Int(salary));
+            let _ = db.associate(works_in, e2, dept);
+            let _ = db.associate(assigned, e2, proj);
+        }
+        4 => {
+            let _ = db.delete_object(emp);
+        }
+        5 => {
+            // Empty a whole group in one step: everyone leaves `dept`.
+            for o in db.neighbors(works_in, dept, false).to_vec() {
+                let _ = db.dissociate(works_in, o, dept);
+            }
+        }
+        6 => {
+            // Empty the other kind of group: `dept` sponsors nothing, and
+            // stays in the braced context as a partial pattern.
+            for o in db.neighbors(sponsors, dept, true).to_vec() {
+                let _ = db.dissociate(sponsors, dept, o);
+            }
+        }
+        7 => {
+            let _ = db.associate(sponsors, dept, proj);
+        }
+        8 => {
+            let _ = db.delete_object(proj);
+        }
+        _ => {
+            let _ = db.associate(assigned, emp, proj);
+            if let Some(&other) = db.neighbors(assigned, es[(k / 2) % es.len()], true).first() {
+                let _ = db.dissociate(assigned, es[(k / 2) % es.len()], other);
+            }
+        }
+    }
+}
+
+/// Work proportionality, in counts: what a delta step re-derives, drops
+/// and re-aggregates is bounded by the fan-out of the objects the update
+/// touched, whatever the size of the cached context — the `rules.rule`
+/// delta span reports all three. One *enrol* and one *set GPA* step on the
+/// paper's program, at two database sizes.
+#[test]
+fn delta_work_is_bounded_by_the_touched_fanout() {
+    let mut ctx_rows_by_scale = Vec::new();
+    for scale in [2, 4] {
+        let db = university::populate(university::Size::scaled(scale), 21);
+        let mut e = RuleEngine::new(db);
+        let (program, diags) = Program::parse(programs::UNIVERSITY);
+        assert!(diags.is_empty(), "{diags:?}");
+        e.register(&program).unwrap();
+        let subdbs = ["Suggest_offer", "Deps_need_res"];
+        for s in subdbs {
+            e.set_policy(s, EvalPolicy::PreEvaluated);
+        }
+        for s in subdbs {
+            e.subdb(s).unwrap();
+        }
+
+        let db = e.db();
+        let class = |n: &str| db.schema().class_by_name(n).unwrap();
+        let enrolls = db.schema().own_link_by_name(class("Student"), "Enrolls").unwrap();
+        let of_course = db.schema().own_link_by_name(class("Section"), "Course").unwrap();
+        let in_dept = db.schema().own_link_by_name(class("Course"), "Department").unwrap();
+        // A section of a CIS course — R2's context holds its enrolments —
+        // and a student not yet in it.
+        let section = db
+            .extent(class("Section"))
+            .find(|&s| {
+                db.neighbors(of_course, s, true).iter().any(|&c| {
+                    db.neighbors(in_dept, c, true)
+                        .iter()
+                        .any(|&d| db.attr(d, "name").unwrap() == Value::str("CIS"))
+                })
+            })
+            .expect("a CIS section");
+        let student = db
+            .extent(class("Student"))
+            .find(|&s| !db.linked(enrolls, s, section))
+            .expect("a student outside the section");
+        // A grad (the GPA is a Grad attribute) with enrolments.
+        let (grad, grad_as_student) = db
+            .extent(class("Grad"))
+            .find_map(|g| {
+                let s = db
+                    .perspective_closure(g)
+                    .into_iter()
+                    .find(|&o| db.class_of(o) == Ok(class("Student")))?;
+                (!db.neighbors(enrolls, s, true).is_empty()).then_some((g, s))
+            })
+            .expect("an enrolled grad");
+        let degree = |o: Oid, forward: bool| db.neighbors(enrolls, o, forward).len();
+        // Each touched object re-binds its own slot: its rows, once more
+        // for the new link, and the shared row once per slot.
+        let enrol_bound = (degree(student, true) + degree(section, false) + 2) as i64;
+        let gpa_bound = degree(grad_as_student, true) as i64;
+
+        let step = |e: &mut RuleEngine, bound: i64, what: &str| -> i64 {
+            let (rederived, spans) = trace::capture(|| e.propagate().unwrap());
+            assert!(rederived.iter().any(|n| n == "Suggest_offer"), "{what}: R2 did not step");
+            assert_fresh(e, &subdbs);
+            let deltas: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name == "rules.rule" && s.attr("delta") == Some(1))
+                .collect();
+            assert!(!deltas.is_empty(), "{what}: no delta step ran");
+            let mut ctx_rows = 0;
+            for s in deltas {
+                for key in ["delta_rows", "dropped", "groups_touched"] {
+                    let v = s.attr(key).unwrap_or_else(|| panic!("{what}: no `{key}` attribute"));
+                    assert!(
+                        v <= bound,
+                        "{what} at scaled({scale}): {key} = {v} exceeds the fan-out bound {bound}"
+                    );
+                }
+                ctx_rows = ctx_rows.max(s.attr("ctx_rows").unwrap());
+            }
+            assert!(ctx_rows > 8 * bound, "{what}: a context of {ctx_rows} rows proves nothing");
+            ctx_rows
+        };
+        e.db_mut().associate(enrolls, student, section).unwrap();
+        let rows = step(&mut e, enrol_bound, "enrol");
+        e.db_mut().set_attr(grad, "GPA", Value::Real(2.25)).unwrap();
+        step(&mut e, gpa_bound, "set GPA");
+        ctx_rows_by_scale.push(rows);
+    }
+    // The context doubles with the database; the bounds above did not move.
+    assert!(ctx_rows_by_scale[1] > ctx_rows_by_scale[0] * 3 / 2, "{ctx_rows_by_scale:?}");
+}
+
+/// University schema (Fig. 2.1): three-way joins, brace groupings, and a
 /// grouped aggregate over Section counts, under teaching/enrollment churn,
-/// section creation and deletion.
+/// section creation and deletion, and credit-hour updates: a course that
+/// stops qualifying takes its full patterns with it, and the
+/// teacher-section parts they subsumed resurface although no object of
+/// theirs was touched.
 #[test]
 fn incremental_equals_fresh_university() {
     check("incremental_equals_fresh_university", CASES, |g| {
         let seed = g.range(0u64..100);
-        let ops = g.vec(2..10, |g| (g.range(0u8..5), g.range(0usize..64)));
+        let ops = g.vec(2..10, |g| (g.range(0u8..6), g.range(0usize..64)));
         for threads in THREADS {
             std::env::set_var("DOOD_THREADS", threads);
             let db = university::populate(university::Size::small(), seed);
@@ -140,7 +432,13 @@ fn incremental_equals_fresh_university() {
                  then Popular (Course)",
             )
             .unwrap();
-            let subdbs = ["TSC", "TC", "Popular"];
+            e.add_rule(
+                "Ru4",
+                "if context {Teacher * Section} * Course [credit_hours > 2] \
+                 then Heavy (Teacher, Section, Course)",
+            )
+            .unwrap();
+            let subdbs = ["TSC", "TC", "Popular", "Heavy"];
             for s in subdbs {
                 e.set_policy(s, EvalPolicy::PreEvaluated);
             }
@@ -184,9 +482,14 @@ fn apply_university_op(e: &mut RuleEngine, op: u8, k: usize) {
             let _ = db.associate(section_course, s2, cs[k % cs.len()]);
             let _ = db.associate(teaches, ts[k % ts.len()], s2);
         }
-        _ => {
+        4 => {
             // Cancel a section: aggregate counts must drop with it.
             let _ = db.delete_object(ss[k % ss.len()]);
+        }
+        _ => {
+            // Only the course is touched; whether it qualifies flips.
+            let hours = if k.is_multiple_of(2) { 1 } else { 4 };
+            let _ = db.set_attr(cs[k % cs.len()], "credit_hours", Value::Int(hours));
         }
     }
 }
