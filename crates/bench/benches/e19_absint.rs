@@ -1,13 +1,12 @@
 //! E19 — abstract interpretation (DESIGN.md §12): analysis throughput of
-//! `rules::absint` next to the E14 base-analyzer baseline, and the
-//! cold-start plan-quality experiment — with the stats registry empty,
+//! `rules::absint`, and the cold-start plan-quality experiment — with the stats registry empty,
 //! do static priors recover the warmed-stats join order?
 //!
 //! Plan quality is measured **deterministically** in the warmed cost
 //! model, not in wall-clock: for each shape we warm the EWMA registry by
 //! executing the context, freeze the warmed `CompiledContext` W, then
-//! replan cold (schema fallbacks), cold+priors (`install_priors`), and
-//! forced-leftmost, and recost each candidate's spans under W's inputs
+//! replan cold (schema fallbacks) and cold+priors (`install_priors`), and
+//! recost each candidate's spans under W's inputs
 //! (`CompiledContext::recost_span`). `ratio = cost(candidate) /
 //! cost(warmed)`; the warmed plan is the optimum of its own model, so
 //! every ratio is ≥ 1.
@@ -15,8 +14,8 @@
 //! Verdicts:
 //!
 //! * **absint throughput** — `analyze_bounds` on the 200-rule chain must
-//!   stay within `NS_PER_RULE_BUDGET` per rule (the base analyzer runs
-//!   at ~2 µs/rule, E14);
+//!   stay within `NS_PER_RULE_BUDGET` per rule (the base analyzer ran at
+//!   ~2 µs/rule when E14 last measured it);
 //! * **cold-start plan quality** — static-prior plans within 1.2× the
 //!   warmed plan cost on the e1/e6/e7 shapes.
 //!
@@ -24,23 +23,22 @@
 //! `DOOD_BENCH_STRICT=1` (`scripts/ci.sh` runs the smoke always and the
 //! strict full run under `DOOD_E19_FULL=1`).
 
-use dood_bench::harness::{fmt_ns, Harness, Record};
+use dood_bench::harness::{fmt_ns, strict, Harness};
 use dood_core::fxhash::FxHashSet;
 use dood_core::obs::stats;
 use dood_core::subdb::SubdbRegistry;
 use dood_oql::parser::Parser;
 use dood_oql::plan::CompiledContext;
 use dood_oql::resolve::resolve_context;
-use dood_oql::{Evaluator, ExecMode, PlannerMode};
+use dood_oql::Evaluator;
 use dood_rules::absint::{analyze_bounds, CardEnv};
 use dood_rules::install_priors;
 use dood_rules::program::Program;
 use dood_store::Database;
 use dood_workload::{programs, university};
-use std::path::PathBuf;
 
 /// Per-rule analysis budget for `analyze_bounds` on the 200-rule chain.
-/// The base analyzer (E14) runs at ~2 µs/rule; the abstract interpreter
+/// The base analyzer ran at ~2 µs/rule (E14); the abstract interpreter
 /// re-walks every context with interval arithmetic on top, so it gets
 /// twice that.
 const NS_PER_RULE_BUDGET: f64 = 4_000.0;
@@ -52,8 +50,8 @@ const PLAN_BUDGET: f64 = 1.2;
 /// every scan clears the registry's minimum-sample threshold).
 const FACTOR: usize = 4;
 
-/// The plan-quality shapes: E17's e1/e6/e7 trio (gated), plus the E9
-/// skewed chain and a social follow-hop (reported).
+/// The plan-quality shapes: the e1/e6/e7 trio (gated), plus a skewed chain
+/// and a social follow-hop (reported).
 const SHAPES: &[(&str, &str, &str, bool)] = &[
     ("e1", "university", "Teacher * Section * Course", true),
     ("e6", "university", "{Teacher * Section} * Course", true),
@@ -62,7 +60,7 @@ const SHAPES: &[(&str, &str, &str, bool)] = &[
     ("social", "social", "Person * Person [score >= 50]", false),
 ];
 
-/// A synthetic chain program (the E14 scale shape): `C0` reads base
+/// A synthetic chain program: `C0` reads base
 /// classes, each `Ci` reads `Ci-1`.
 fn chain_program(n: usize) -> Program {
     let mut src = String::new();
@@ -86,7 +84,6 @@ struct Quality {
     gated: bool,
     prior: f64,
     bare: f64,
-    leftmost: f64,
 }
 
 /// Replan `resolved` under the current stats-registry state and return
@@ -95,9 +92,8 @@ fn plan_under(
     db: &Database,
     resolved: &dood_oql::resolve::ResolvedContext,
     reg: &SubdbRegistry,
-    mode: PlannerMode,
 ) -> std::sync::Arc<CompiledContext> {
-    Evaluator::new(resolved, db, reg).unwrap().with_planner(mode).plan_handle()
+    Evaluator::new(resolved, db, reg).unwrap().plan_handle()
 }
 
 /// Run the cold-start experiment for one shape.
@@ -116,25 +112,21 @@ fn quality_of(
     // plan — the optimum of the warmed cost model.
     stats::clear();
     {
-        let ev = Evaluator::new(&resolved, db, &reg)
-            .unwrap()
-            .with_planner(PlannerMode::CostBased)
-            .with_exec(ExecMode::Compiled);
+        let ev = Evaluator::new(&resolved, db, &reg).unwrap();
         for _ in 0..3 {
             ev.eval("x");
         }
     }
-    let warm = plan_under(db, &resolved, &reg, PlannerMode::CostBased);
+    let warm = plan_under(db, &resolved, &reg);
     let warm_cost: f64 = warm.spans.iter().map(|s| s.est_cost).sum();
     let recost = |p: &CompiledContext| p.spans.iter().map(|s| warm.recost_span(s)).sum::<f64>();
 
     // Cold, schema fallbacks only.
     stats::clear();
-    let bare = plan_under(db, &resolved, &reg, PlannerMode::CostBased);
-    let leftmost = plan_under(db, &resolved, &reg, PlannerMode::Leftmost);
+    let bare = plan_under(db, &resolved, &reg);
     // Cold + static priors from the abstract interpreter.
     install_priors(prior_program, db.schema());
-    let prior = plan_under(db, &resolved, &reg, PlannerMode::CostBased);
+    let prior = plan_under(db, &resolved, &reg);
     stats::clear();
 
     Quality {
@@ -142,7 +134,6 @@ fn quality_of(
         gated,
         prior: recost(&prior) / warm_cost.max(1e-9),
         bare: recost(&bare) / warm_cost.max(1e-9),
-        leftmost: recost(&leftmost) / warm_cost.max(1e-9),
     }
 }
 
@@ -151,7 +142,7 @@ fn main() {
     let none = FxHashSet::default();
     let env = CardEnv::unknown();
 
-    // Analysis throughput: the builtin corpus and the E14 chain scale.
+    // Analysis throughput: the builtin corpus and synthetic chains.
     for (name, text) in programs::all() {
         let schema = programs::builtin_schema(name).expect("builtin");
         let (prog, diags) = Program::parse(text);
@@ -196,12 +187,11 @@ fn main() {
         quality.push(quality_of(name, gated, db, query, &prog));
     }
 
-    h.finish();
-    check_verdicts(&quality);
+    check_verdicts(&h, &quality);
 }
 
 /// Print the throughput and plan-quality verdicts.
-fn check_verdicts(quality: &[Quality]) {
+fn check_verdicts(h: &Harness, quality: &[Quality]) {
     let mut strict_fail = false;
 
     // Plan quality is cost-model arithmetic — meaningful even in smoke.
@@ -209,8 +199,8 @@ fn check_verdicts(quality: &[Quality]) {
     let mut gated_n = 0usize;
     for q in quality {
         println!(
-            "# e19 {}: static-prior {:.2}x, bare-cold {:.2}x, leftmost {:.2}x of warmed plan cost",
-            q.name, q.prior, q.bare, q.leftmost
+            "# e19 {}: static-prior {:.2}x, bare-cold {:.2}x of warmed plan cost",
+            q.name, q.prior, q.bare
         );
         if q.gated {
             gated_n += 1;
@@ -225,19 +215,10 @@ fn check_verdicts(quality: &[Quality]) {
     );
     strict_fail |= verdict == "WARN";
 
-    if std::env::var("DOOD_BENCH_SMOKE").is_ok_and(|v| v == "1") {
+    if h.smoke() {
         println!("# e19 throughput verdict skipped (smoke mode: timings are not meaningful)");
     } else {
-        let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(PathBuf::from)
-            .unwrap_or_default();
-        let own_path = match std::env::var_os("DOOD_BENCH_JSON") {
-            Some(dir) => PathBuf::from(dir).join("BENCH_e19_absint.json"),
-            None => workspace.join("target/bench-json/BENCH_e19_absint.json"),
-        };
-        match median_of(&own_path, "e19_absint", "chain/200rules") {
+        match h.median_ns("chain/200rules") {
             Some(total) => {
                 let per_rule = total / 200.0;
                 let verdict = if per_rule <= NS_PER_RULE_BUDGET { "PASS" } else { "WARN" };
@@ -248,24 +229,12 @@ fn check_verdicts(quality: &[Quality]) {
                 );
                 strict_fail |= verdict == "WARN";
             }
-            None => println!(
-                "# e19 throughput check skipped (missing records in {})",
-                own_path.display()
-            ),
+            None => println!("# e19 throughput check skipped (chain/200rules filtered out)"),
         }
     }
 
-    if strict_fail && std::env::var("DOOD_BENCH_STRICT").is_ok_and(|v| v == "1") {
+    if strict_fail && strict() {
         eprintln!("# e19: verdict missed under DOOD_BENCH_STRICT=1");
         std::process::exit(1);
     }
-}
-
-/// The first `group`/`bench` record's median in a JSON-lines bench file.
-fn median_of(path: &PathBuf, group: &str, bench: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    text.lines()
-        .filter_map(Record::from_json_line)
-        .find(|r| r.group == group && r.bench == bench)
-        .map(|r| r.median_ns)
 }

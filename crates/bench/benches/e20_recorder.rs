@@ -2,20 +2,15 @@
 //! always on (DESIGN.md §13).
 //!
 //! Measures the per-site gate checks and the E1 association workload with
-//! the recorder off and on (harness records, for `bench_diff.sh`
-//! continuity), then renders the verdict from a dedicated paired probe:
-//! interleaved off/on run pairs in one process, judged by the *median
-//! per-pair ratio*. Pairing cancels the machine drift that dominates a
-//! ~300µs workload on shared hosts — two independent phase medians can
-//! disagree by several percent on identical code, while the paired median
-//! is stable well under 1%. The acceptance bar is < 2% overhead. Prints
-//! `PASS`/`WARN`; exits nonzero on a miss only under `DOOD_BENCH_STRICT=1`
-//! (`DOOD_E20_FULL=1` in `scripts/ci.sh`).
+//! the recorder off and on, then renders the verdict from a dedicated
+//! paired probe ([`Harness::overhead_gate`]): interleaved off/on run pairs in one
+//! process, judged by the *median per-pair ratio*. The acceptance bar is
+//! < 2% overhead. Prints `PASS`/`WARN`; exits nonzero on a miss only under
+//! `DOOD_BENCH_STRICT=1` (`DOOD_E20_FULL=1` in `scripts/ci.sh`).
 
-use dood_bench::{assoc_dood, assoc_fixture, AssocFixture};
 use dood_bench::harness::Harness;
+use dood_bench::{assoc_dood, assoc_fixture};
 use dood_core::obs;
-use std::time::Instant;
 
 /// Allowed recorder-on overhead vs the recorder-off median (fraction).
 const OVERHEAD_BUDGET: f64 = 0.02;
@@ -41,42 +36,17 @@ fn main() {
     obs::recorder::set_enabled(false);
     obs::recorder::clear();
 
-    h.finish();
-    paired_overhead_check(&f);
-}
-
-/// The overhead verdict: run off/on back to back [`PAIRS`] times and take
-/// the median per-pair on/off ratio, so slow drift in machine state hits
-/// both sides of each pair equally.
-fn paired_overhead_check(f: &AssocFixture) {
-    if std::env::var("DOOD_BENCH_SMOKE").is_ok_and(|v| v == "1") {
-        println!("# e20 overhead check skipped (smoke mode: timings are not meaningful)");
-        return;
-    }
-    let mut ratios = Vec::with_capacity(PAIRS);
-    for _ in 0..PAIRS {
-        obs::recorder::set_enabled(false);
-        let t = Instant::now();
-        std::hint::black_box(assoc_dood(f));
-        let off = t.elapsed().as_nanos() as f64;
-        obs::recorder::set_enabled(true);
-        let t = Instant::now();
-        std::hint::black_box(assoc_dood(f));
-        let on = t.elapsed().as_nanos() as f64;
-        ratios.push(on / off);
-    }
-    obs::recorder::set_enabled(false);
-    obs::recorder::clear();
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let delta = ratios[ratios.len() / 2] - 1.0;
-    let verdict = if delta < OVERHEAD_BUDGET { "PASS" } else { "WARN" };
-    println!(
-        "# e20 recorder overhead: {verdict} — median paired on/off ratio {:+.2}% over {PAIRS} pairs (budget {:.0}%)",
-        delta * 100.0,
-        OVERHEAD_BUDGET * 100.0
+    h.overhead_gate(
+        "recorder",
+        OVERHEAD_BUDGET,
+        PAIRS,
+        || {
+            obs::recorder::set_enabled(false);
+            assoc_dood(&f)
+        },
+        || {
+            obs::recorder::set_enabled(true);
+            assoc_dood(&f)
+        },
     );
-    if verdict == "WARN" && std::env::var("DOOD_BENCH_STRICT").is_ok_and(|v| v == "1") {
-        eprintln!("# e20: over budget under DOOD_BENCH_STRICT=1");
-        std::process::exit(1);
-    }
 }

@@ -1,8 +1,5 @@
 //! Ablations of DESIGN.md's marked (✦) design decisions:
 //!
-//! * **E9** — join-order planner: the cost-based planner vs the forced
-//!   orders it replaced (min-extent anchor, naive leftmost anchor), both of
-//!   which remain available at runtime via `DOOD_PLANNER=minextent|leftmost`;
 //! * **E10** — ordered attribute indexes vs full extent scans for
 //!   intra-class conditions;
 //! * **E11** — scoped incremental (delta) forward maintenance vs full
@@ -20,7 +17,7 @@ use dood_core::pool::ChunkPool;
 use dood_core::subdb::SubdbRegistry;
 use dood_oql::parser::Parser;
 use dood_oql::resolve::resolve_context;
-use dood_oql::{Evaluator, PlannerMode};
+use dood_oql::Evaluator;
 use dood_rules::EvalPolicy;
 use dood_workload::university;
 
@@ -28,48 +25,9 @@ fn main() {
     println!("# dood ablation report\n");
 
     // ------------------------------------------------------------------
-    // E9 — join order. A skewed chain with a selective predicate at the
-    // right end: the cost-based planner anchors at the conditioned
-    // Department and works leftward; min-extent picks the smallest raw
-    // extent; leftmost starts from the populous Student.
-    // ------------------------------------------------------------------
-    println!("## E9 — join-order planner: cost-based vs forced orders\n");
-    println!("| scale | patterns | cost (us) | min-extent (us) | leftmost (us) | vs best forced |");
-    println!("|---|---|---|---|---|---|");
-    for factor in [1usize, 2, 4] {
-        let db = university::populate(university::Size::scaled(factor), 13);
-        let reg = SubdbRegistry::new();
-        let expr = Parser::parse_context_expr(
-            "Student * Section * Course * Department [name = 'CIS']",
-        )
-        .unwrap();
-        let resolved = resolve_context(&expr, db.schema(), &reg).unwrap();
-        let run = |mode: PlannerMode| {
-            Evaluator::new(&resolved, &db, &reg)
-                .unwrap()
-                .with_planner(mode)
-                .eval("x")
-                .len()
-        };
-        let n_cost = run(PlannerMode::CostBased);
-        let n_min = run(PlannerMode::MinExtent);
-        let n_left = run(PlannerMode::Leftmost);
-        assert_eq!(n_cost, n_min, "planner must not change results");
-        assert_eq!(n_cost, n_left, "planner must not change results");
-        let t_cost = time_us(5, || run(PlannerMode::CostBased));
-        let t_min = time_us(5, || run(PlannerMode::MinExtent));
-        let t_left = time_us(5, || run(PlannerMode::Leftmost));
-        let best_forced = t_min.min(t_left);
-        println!(
-            "| {factor} | {n_cost} | {t_cost:.0} | {t_min:.0} | {t_left:.0} | {:.2}x |",
-            best_forced / t_cost
-        );
-    }
-
-    // ------------------------------------------------------------------
     // E10 — attribute indexes for intra-class conditions.
     // ------------------------------------------------------------------
-    println!("\n## E10 — ordered attribute index vs full extent scan\n");
+    println!("## E10 — ordered attribute index vs full extent scan\n");
     println!("| scale | hits | scan (us) | indexed (us) | speedup |");
     println!("|---|---|---|---|---|");
     for factor in [1usize, 2, 4] {

@@ -1,94 +1,25 @@
-//! The evaluation report: one table per experiment (E1–E8 and E12 of DESIGN.md),
-//! printed in the form recorded in EXPERIMENTS.md.
+//! The evaluation report: one table per paper-claim experiment (E1–E8 of
+//! DESIGN.md), printed in the form recorded in EXPERIMENTS.md Part 2 — the
+//! one regenerator of those tables.
 //!
 //! ```sh
 //! cargo run --release -p dood-bench --bin report
 //! ```
 //!
-//! Unlike the bench targets (warmup + batched sampling via the in-repo
-//! harness), this binary takes a few quick wall-clock medians so the whole
-//! suite finishes in seconds and the *shape* of every result is visible at
-//! a glance.
-//!
-//! It can also re-render the JSON-lines files the bench harness writes
-//! (`target/bench-json/BENCH_<group>.json` by default):
-//!
-//! ```sh
-//! cargo bench --workspace
-//! cargo run --release -p dood-bench --bin report -- \
-//!     --from-json target/bench-json/BENCH_*.json
-//! ```
+//! It takes a few quick wall-clock medians per cell so the whole suite
+//! finishes in seconds and the *shape* of every result is visible at a
+//! glance; what a query costs end to end and per layer is `benchmark/`'s
+//! question, not this binary's.
 
-use dood_bench::harness::{fmt_ns, Record};
 use dood_bench::*;
 use dood_rules::{ControlMode, EvalPolicy};
 use dood_workload::university;
-
-/// Render bench-harness JSON-lines files as grouped markdown tables.
-/// Returns an error line count (unparseable lines / unreadable files).
-fn report_from_json(paths: &[String]) -> usize {
-    println!("# dood bench results (from JSON)");
-    let mut errors = 0;
-    let mut records: Vec<Record> = Vec::new();
-    for path in paths {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                // Skip blank lines and the `#` provenance header that
-                // scripts/bench_snapshot.sh prepends to BENCH_SEED.json.
-                for line in text.lines().filter(|l| {
-                    let l = l.trim();
-                    !l.is_empty() && !l.starts_with('#')
-                }) {
-                    match Record::from_json_line(line) {
-                        Some(r) => records.push(r),
-                        None => {
-                            eprintln!("warning: unparseable line in {path}: {line}");
-                            errors += 1;
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("warning: cannot read {path}: {e}");
-                errors += 1;
-            }
-        }
-    }
-    let mut groups: Vec<&str> = records.iter().map(|r| r.group.as_str()).collect();
-    groups.dedup();
-    for group in groups {
-        println!("\n## {group}\n");
-        println!("| bench | median | p95 | p99 | max | mean | min | samples | iters |");
-        println!("|---|---|---|---|---|---|---|---|---|");
-        for r in records.iter().filter(|r| r.group == group) {
-            println!(
-                "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-                r.bench,
-                fmt_ns(r.median_ns),
-                fmt_ns(r.p95_ns),
-                fmt_ns(r.p99_ns),
-                fmt_ns(r.max_ns),
-                fmt_ns(r.mean_ns),
-                fmt_ns(r.min_ns),
-                r.samples,
-                r.iters
-            );
-        }
-    }
-    println!("\n{} records.", records.len());
-    errors
-}
 
 fn header(title: &str) {
     println!("\n## {title}\n");
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--from-json") {
-        let errors = report_from_json(&args[1..]);
-        std::process::exit(if errors == 0 { 0 } else { 1 });
-    }
     println!("# dood evaluation report");
     println!("(median of 5 runs per cell; debug/release per build profile)");
 
@@ -238,24 +169,6 @@ fn main() {
         let tn = time_us(5, || dood_datalog::naive(&p, &edb).0.total());
         let ts = time_us(5, || dood_datalog::seminaive(&p, &edb).0.total());
         println!("| {n} | {facts} | {tn:.0} | {ts:.0} | {:.1}x |", tn / ts);
-    }
-
-    // ---------------- E12 ----------------
-    header("E12 — parallel evaluation scaling (reduced scale; full curve: bench e12_parallel)");
-    println!("| threads | assoc (us) | aggregate (us) |");
-    println!("|---|---|---|");
-    {
-        let db = university::populate(university::Size::scaled(8), 42);
-        let reg = dood_core::subdb::SubdbRegistry::new();
-        let n1 = with_threads(1, || assoc_query(&db, &reg));
-        for threads in [1usize, 2, 4] {
-            with_threads(threads, || {
-                assert_eq!(assoc_query(&db, &reg), n1, "thread count must not change results");
-                let ta = time_us(5, || assoc_query(&db, &reg));
-                let tg = time_us(5, || aggregate_query(&db, 10));
-                println!("| {threads} | {ta:.0} | {tg:.0} |");
-            });
-        }
     }
 
     println!("\nDone.");

@@ -3,20 +3,16 @@
 //!
 //! Protocol per benchmark: a time-boxed warmup, then timed samples; each
 //! sample is a batch of iterations sized so the clock resolution doesn't
-//! dominate. Reported statistics are per-iteration median, p95, mean and
-//! min in nanoseconds.
+//! dominate. Reported statistics are per-iteration median, p95, p99 and max.
 //!
-//! Results stream to stdout as human-readable lines and are written as
-//! JSON lines (one object per benchmark) to `$DOOD_BENCH_JSON/BENCH_<group>.json`
-//! if that env var (a directory) is set, else `target/bench-json/BENCH_<group>.json`. The `report` binary can
-//! re-render these files (`--from-json <file>…`), and the flat format is
-//! parsed by [`parse_json_line`] in this module — keep the two in sync.
+//! Results stream to stdout as human-readable lines; a bench target's
+//! verdicts read the medians back from the [`Harness`] that took them
+//! ([`Harness::median_ns`]) or time interleaved off/on pairs
+//! ([`Harness::overhead_gate`]).
 //!
 //! `cargo bench` CLI compatibility: flags (`--bench`, …) are ignored; a
 //! bare positional argument is a substring filter on benchmark names.
 
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Target wall-clock budget for one benchmark's timed phase.
@@ -28,88 +24,8 @@ const TARGET_SAMPLES: usize = 15;
 /// Minimum samples before budget cut-off applies.
 const MIN_SAMPLES: usize = 5;
 
-/// One benchmark's measured statistics (all times per-iteration, ns).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Record {
-    /// Benchmark group (one per bench target, e.g. `e1_assoc_op`).
-    pub group: String,
-    /// Benchmark name within the group (e.g. `dood/4`).
-    pub bench: String,
-    /// Total timed iterations across all samples.
-    pub iters: u64,
-    /// Number of samples (batches) taken.
-    pub samples: usize,
-    /// Median per-iteration time.
-    pub median_ns: f64,
-    /// 95th-percentile per-iteration time (nearest-rank).
-    pub p95_ns: f64,
-    /// 99th-percentile per-iteration time (nearest-rank). Old result files
-    /// predate this field; parsing falls back to `p95_ns`.
-    pub p99_ns: f64,
-    /// Slowest per-iteration time. Old result files fall back to `p95_ns`.
-    pub max_ns: f64,
-    /// Mean per-iteration time.
-    pub mean_ns: f64,
-    /// Fastest per-iteration time.
-    pub min_ns: f64,
-}
-
-impl Record {
-    /// Serialize as one JSON line (the `BENCH_*.json` format).
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"group\":{},\"bench\":{},\"iters\":{},\"samples\":{},\
-             \"median_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},\
-             \"mean_ns\":{},\"min_ns\":{}}}",
-            json_string(&self.group),
-            json_string(&self.bench),
-            self.iters,
-            self.samples,
-            self.median_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.max_ns,
-            self.mean_ns,
-            self.min_ns,
-        )
-    }
-
-    /// Parse one JSON line previously produced by [`Record::to_json_line`].
-    pub fn from_json_line(line: &str) -> Option<Record> {
-        let fields = parse_json_line(line)?;
-        let str_field = |k: &str| -> Option<String> {
-            fields.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
-                JsonVal::Str(s) => Some(s.clone()),
-                JsonVal::Num(_) => None,
-            })
-        };
-        let num_field = |k: &str| -> Option<f64> {
-            fields.iter().find(|(key, _)| key == k).and_then(|(_, v)| match v {
-                JsonVal::Num(n) => Some(*n),
-                JsonVal::Str(_) => None,
-            })
-        };
-        let p95_ns = num_field("p95_ns")?;
-        Some(Record {
-            group: str_field("group")?,
-            bench: str_field("bench")?,
-            iters: num_field("iters")? as u64,
-            samples: num_field("samples")? as usize,
-            median_ns: num_field("median_ns")?,
-            p95_ns,
-            // Files written before the tail statistics existed degrade to
-            // the p95 figure rather than failing to parse.
-            p99_ns: num_field("p99_ns").unwrap_or(p95_ns),
-            max_ns: num_field("max_ns").unwrap_or(p95_ns),
-            mean_ns: num_field("mean_ns")?,
-            min_ns: num_field("min_ns")?,
-        })
-    }
-}
-
-/// Harness for one bench target: register benchmarks, then [`finish`].
-///
-/// [`finish`]: Harness::finish
+/// Harness for one bench target: each registered benchmark runs and
+/// prints as it is registered.
 pub struct Harness {
     group: String,
     filter: Option<String>,
@@ -117,7 +33,8 @@ pub struct Harness {
     /// a CI-speed pass that exercises every measured path without the
     /// warmup/sampling budget. Timings are not meaningful in this mode.
     smoke: bool,
-    records: Vec<Record>,
+    /// `(benchmark name, median ns per iteration)`, in registration order.
+    medians: Vec<(String, f64)>,
 }
 
 impl Harness {
@@ -126,7 +43,7 @@ impl Harness {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         let smoke = std::env::var("DOOD_BENCH_SMOKE").is_ok_and(|v| v == "1");
         println!("# bench group {group}{}", if smoke { " (smoke)" } else { "" });
-        Harness { group: group.to_string(), filter, smoke, records: Vec::new() }
+        Harness { group: group.to_string(), filter, smoke, medians: Vec::new() }
     }
 
     fn skipped(&self, name: &str) -> bool {
@@ -181,105 +98,90 @@ impl Harness {
         self.record(name, total_iters, samples);
     }
 
-    /// Benchmark `routine` with a fresh `setup` value per iteration;
-    /// setup time is excluded. For routines that consume/mutate state.
-    pub fn bench_batched<S, T>(
-        &mut self,
-        name: &str,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-    ) {
-        if self.skipped(name) {
-            return;
-        }
-        if self.smoke {
-            let input = setup();
-            let t = Instant::now();
-            std::hint::black_box(routine(input));
-            self.record(name, 1, vec![t.elapsed().as_nanos() as f64]);
-            return;
-        }
-        // One warmup iteration (these routines are typically expensive).
-        std::hint::black_box(routine(setup()));
-        let mut samples = Vec::with_capacity(TARGET_SAMPLES);
-        let run_start = Instant::now();
-        while samples.len() < TARGET_SAMPLES
-            && (samples.len() < MIN_SAMPLES || run_start.elapsed() < MEASURE_BUDGET)
-        {
-            let input = setup();
-            let t = Instant::now();
-            std::hint::black_box(routine(input));
-            samples.push(t.elapsed().as_nanos() as f64);
-        }
-        let iters = samples.len() as u64;
-        self.record(name, iters, samples);
-    }
-
     fn record(&mut self, name: &str, iters: u64, mut samples: Vec<f64>) {
         samples.sort_by(f64::total_cmp);
         let n = samples.len();
         let median_ns = samples[n / 2];
-        let p95_ns = samples[(n * 95 / 100).min(n - 1)];
-        let p99_ns = samples[(n * 99 / 100).min(n - 1)];
-        let max_ns = samples[n - 1];
-        let mean_ns = samples.iter().sum::<f64>() / n as f64;
-        let min_ns = samples[0];
-        let rec = Record {
-            group: self.group.clone(),
-            bench: name.to_string(),
-            iters,
-            samples: n,
-            median_ns,
-            p95_ns,
-            p99_ns,
-            max_ns,
-            mean_ns,
-            min_ns,
-        };
         println!(
-            "{}/{:<24} median {:>12}  p95 {:>12}  p99 {:>12}  max {:>12}  ({} samples, {} iters)",
-            rec.group,
-            rec.bench,
-            fmt_ns(rec.median_ns),
-            fmt_ns(rec.p95_ns),
-            fmt_ns(rec.p99_ns),
-            fmt_ns(rec.max_ns),
-            rec.samples,
-            rec.iters
+            "{}/{:<24} median {:>12}  p95 {:>12}  p99 {:>12}  max {:>12}  ({n} samples, {iters} iters)",
+            self.group,
+            name,
+            fmt_ns(median_ns),
+            fmt_ns(samples[(n * 95 / 100).min(n - 1)]),
+            fmt_ns(samples[(n * 99 / 100).min(n - 1)]),
+            fmt_ns(samples[n - 1]),
         );
-        self.records.push(rec);
+        self.medians.push((name.to_string(), median_ns));
     }
 
-    /// Write the JSON-lines result file and print its path.
-    pub fn finish(self) {
-        let path = out_path(&self.group);
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
+    /// Whether this is a `DOOD_BENCH_SMOKE=1` run (timings meaningless, so
+    /// timing verdicts skip themselves).
+    pub fn smoke(&self) -> bool {
+        self.smoke
+    }
+
+    /// The median of the benchmark registered as `name`, if it ran (a CLI
+    /// filter may have skipped it).
+    pub fn median_ns(&self, name: &str) -> Option<f64> {
+        self.medians.iter().find(|(n, _)| n == name).map(|&(_, m)| m)
+    }
+
+    /// The overhead gate of E15/E20: measure [`paired_overhead`] of `on`
+    /// over `off`, print `PASS`/`WARN` against `budget` (a fraction), and
+    /// exit nonzero on a miss when [`strict`]. Skipped in smoke mode.
+    pub fn overhead_gate<T>(
+        &self,
+        what: &str,
+        budget: f64,
+        pairs: usize,
+        off: impl FnMut() -> T,
+        on: impl FnMut() -> T,
+    ) {
+        let tag = &self.group;
+        if self.smoke {
+            println!("# {tag} overhead check skipped (smoke mode: timings are not meaningful)");
+            return;
         }
-        match std::fs::File::create(&path) {
-            Ok(mut f) => {
-                for r in &self.records {
-                    let _ = writeln!(f, "{}", r.to_json_line());
-                }
-                println!("# wrote {} records to {}", self.records.len(), path.display());
-            }
-            Err(e) => eprintln!("# could not write {}: {e}", path.display()),
+        let delta = paired_overhead(pairs, off, on);
+        let verdict = if delta < budget { "PASS" } else { "WARN" };
+        println!(
+            "# {tag} {what} overhead: {verdict} — median paired on/off ratio {:+.2}% over {pairs} pairs (budget {:.0}%)",
+            delta * 100.0,
+            budget * 100.0
+        );
+        if verdict == "WARN" && strict() {
+            eprintln!("# {tag}: over budget under DOOD_BENCH_STRICT=1");
+            std::process::exit(1);
         }
     }
 }
 
-fn out_path(group: &str) -> PathBuf {
-    if let Some(dir) = std::env::var_os("DOOD_BENCH_JSON") {
-        return PathBuf::from(dir).join(format!("BENCH_{group}.json"));
-    }
-    // Bench executables run with CWD = the package dir; anchor the default
-    // output at the workspace root so all groups land in one place.
-    let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(PathBuf::from)
-        .unwrap_or_default();
-    workspace.join("target/bench-json").join(format!("BENCH_{group}.json"))
+/// The overhead of `on` over `off` as a fraction: run them back to back
+/// `pairs` times and take the median per-pair on/off ratio minus one.
+/// Pairing cancels the machine drift that dominates short workloads on
+/// shared hosts — two independent phase medians can disagree by several
+/// percent on identical code, while the paired median is stable well under
+/// 1%. `off` and `on` set whatever gate they measure themselves.
+pub fn paired_overhead<T>(pairs: usize, mut off: impl FnMut() -> T, mut on: impl FnMut() -> T) -> f64 {
+    let time = |f: &mut dyn FnMut() -> T| {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        t.elapsed().as_nanos() as f64
+    };
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let off_ns = time(&mut off);
+            time(&mut on) / off_ns
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2] - 1.0
+}
+
+/// Whether a missed verdict fails the run (`DOOD_BENCH_STRICT=1`); shared
+/// hosts are noisy, so the hard gate is opt-in.
+pub fn strict() -> bool {
+    std::env::var("DOOD_BENCH_STRICT").is_ok_and(|v| v == "1")
 }
 
 /// Human scale for nanosecond figures.
@@ -295,172 +197,15 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A scalar in the flat JSON-lines bench format.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonVal {
-    /// A JSON string.
-    Str(String),
-    /// A JSON number.
-    Num(f64),
-}
-
-/// Parse one flat JSON object (string/number values only — the shape
-/// [`Record::to_json_line`] emits). Returns `None` on malformed input.
-pub fn parse_json_line(line: &str) -> Option<Vec<(String, JsonVal)>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next()? != '{' {
-        return None;
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            _ => {}
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = if *chars.peek()? == '"' {
-            JsonVal::Str(parse_string(&mut chars)?)
-        } else {
-            let mut num = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                    num.push(c);
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            JsonVal::Num(num.parse().ok()?)
-        };
-        fields.push((key, val));
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn record() -> Record {
-        Record {
-            group: "e1_assoc_op".into(),
-            bench: "dood/4".into(),
-            iters: 120,
-            samples: 15,
-            median_ns: 1234.5,
-            p95_ns: 2000.0,
-            p99_ns: 2400.0,
-            max_ns: 2500.0,
-            mean_ns: 1300.25,
-            min_ns: 1100.0,
-        }
-    }
-
     #[test]
-    fn json_round_trip() {
-        let r = record();
-        let line = r.to_json_line();
-        assert_eq!(Record::from_json_line(&line).unwrap(), r);
-    }
-
-    #[test]
-    fn old_format_without_tail_stats_still_parses() {
-        let line = "{\"group\":\"g\",\"bench\":\"b\",\"iters\":10,\"samples\":5,\
-                    \"median_ns\":100,\"p95_ns\":200,\"mean_ns\":120,\"min_ns\":90}";
-        let r = Record::from_json_line(line).unwrap();
-        assert_eq!(r.p99_ns, 200.0);
-        assert_eq!(r.max_ns, 200.0);
-    }
-
-    #[test]
-    fn json_escaping_round_trips() {
-        let mut r = record();
-        r.bench = "we\"ird\\name\nwith\tstuff".into();
-        assert_eq!(Record::from_json_line(&r.to_json_line()).unwrap(), r);
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json_line("").is_none());
-        assert!(parse_json_line("not json").is_none());
-        assert!(parse_json_line("{\"a\":}").is_none());
-        assert!(parse_json_line("{\"a\":1} trailing").is_none());
-        assert!(Record::from_json_line("{\"group\":\"g\"}").is_none());
-    }
-
-    #[test]
-    fn parser_accepts_whitespace_and_unicode() {
-        let fields =
-            parse_json_line("{ \"k\" : \"caf\\u00e9\" , \"n\" : -1.5e3 }").unwrap();
-        assert_eq!(fields[0], ("k".into(), JsonVal::Str("café".into())));
-        assert_eq!(fields[1], ("n".into(), JsonVal::Num(-1500.0)));
+    fn paired_overhead_sees_a_tenfold_workload() {
+        let work = |n: u64| (0..n).fold(0u64, |a, i| a.wrapping_add(std::hint::black_box(i)));
+        let over = paired_overhead(21, || work(50_000), || work(500_000));
+        assert!(over > 1.0, "ten times the work measured as {over:+.2}");
     }
 
     #[test]

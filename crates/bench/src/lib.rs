@@ -1,8 +1,7 @@
-//! Shared setup for the evaluation suite (experiments E1–E8 and E12 of DESIGN.md).
-//!
-//! Each experiment has a bench target (`benches/`, running on the in-repo
-//! [`harness`]) and a row-printing entry in the `report` binary; both call
-//! into the fixtures here so they measure identical work.
+//! Shared setup for what is left of the evaluation suite: the fixtures of
+//! the paper-claim experiments E1–E8 (one row-printing entry each in the
+//! `report` binary) and of the gates in `benches/`, which run on the in-repo
+//! [`harness`].
 
 #![warn(missing_docs)]
 
@@ -274,24 +273,23 @@ pub fn aggregate_query(db: &Database, threshold: i64) -> usize {
         .len()
 }
 
-/// E12 population scale: the smallest factor that pushes the university
+/// E15 population scale: the smallest factor that pushes the university
 /// database past 100k objects (factor 1 ≈ 2.5k objects).
 pub const PARALLEL_FACTOR: usize = 41;
 
-/// E12 fixture: the E1 association workload's database at
-/// [`PARALLEL_FACTOR`] scale. No Datalog baseline — the comparison axis is
-/// the thread count, not the engine.
+/// E15 fixture: the E1 association workload's database at
+/// [`PARALLEL_FACTOR`] scale, where one query runs for milliseconds.
 pub fn parallel_fixture() -> (Database, SubdbRegistry) {
     let db = university::populate(university::Size::scaled(PARALLEL_FACTOR), 42);
     (db, SubdbRegistry::new())
 }
 
-/// E12: the E1 association query against an explicit database; returns the
+/// E15: the E1 association query against an explicit database; returns the
 /// pattern count.
 pub fn assoc_query(db: &Database, registry: &SubdbRegistry) -> usize {
     Oql::new()
         .query(db, registry, "context Teacher * Section * Course")
-        .expect("E12 query")
+        .expect("E15 query")
         .subdb
         .len()
 }

@@ -23,8 +23,6 @@ use dood_store::Database;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-pub use crate::plan::{ExecMode, PlannerMode};
-
 /// A compiled intra-class predicate: attribute references are resolved.
 #[derive(Debug, Clone)]
 pub(crate) enum CPred {
@@ -95,7 +93,7 @@ enum Members<'a> {
     Open,
     /// Derived slot: membership is the given slot of the source's index.
     Indexed(&'a SubdbIndex, usize),
-    /// Explicitly restricted (delta evaluation / `restrict_slot`).
+    /// Explicitly restricted (delta evaluation).
     Fixed(BTreeSet<Oid>),
 }
 
@@ -103,10 +101,6 @@ enum Members<'a> {
 pub struct Evaluator<'a> {
     ctx: &'a ResolvedContext,
     db: &'a Database,
-    planner: PlannerMode,
-    /// Which executor runs span joins (compiled pipeline vs. legacy AST
-    /// walk — the E17 ablation axis).
-    exec: ExecMode,
     /// The compiled form: predicates, hints, owned edge info, and the
     /// cost-ordered span plans. Shared (via [`Evaluator::plan_handle`])
     /// with rule caches so delta steps skip recompilation.
@@ -280,8 +274,7 @@ fn drift_exceeds(observed: f64, planned: f64) -> bool {
 
 /// Lower a resolved context to its compiled form: gather cost-model
 /// inputs (observed stats where present, schema-derived estimates
-/// otherwise), pre-direct base edges, and order every retention span
-/// under `mode`.
+/// otherwise), pre-direct base edges, and order every retention span.
 fn build_plan(
     ctx: &ResolvedContext,
     db: &Database,
@@ -289,7 +282,6 @@ fn build_plan(
     derived_adj: &FxHashMap<usize, (&SlotAdj, bool)>,
     preds: Vec<Option<CPred>>,
     hints: Vec<Option<IndexScan>>,
-    mode: PlannerMode,
 ) -> CompiledContext {
     let n = ctx.slots.len();
     let cards: Vec<f64> = (0..n)
@@ -419,7 +411,7 @@ fn build_plan(
         closure,
     };
     let inputs = PlanInputs { cards, sels, fwd_fan, rev_fan, constrained, hinted };
-    crate::plan::compile(parts, inputs, mode)
+    crate::plan::compile(parts, inputs)
 }
 
 impl<'a> Evaluator<'a> {
@@ -457,22 +449,11 @@ impl<'a> Evaluator<'a> {
                 cond.as_ref().and_then(|c| index_hint(slot.base, c, db))
             })
             .collect();
-        let planner = PlannerMode::from_env();
-        let plan = Arc::new(build_plan(
-            ctx,
-            db,
-            &memberships,
-            &derived_adj,
-            preds,
-            hints,
-            planner,
-        ));
+        let plan = Arc::new(build_plan(ctx, db, &memberships, &derived_adj, preds, hints));
         let index_scan = plan.hints.clone();
         Ok(Evaluator {
             ctx,
             db,
-            planner,
-            exec: ExecMode::from_env(),
             plan,
             memberships,
             derived_adj,
@@ -496,8 +477,6 @@ impl<'a> Evaluator<'a> {
         Ok(Evaluator {
             ctx,
             db,
-            planner: plan.mode,
-            exec: ExecMode::from_env(),
             plan,
             memberships,
             derived_adj,
@@ -511,33 +490,11 @@ impl<'a> Evaluator<'a> {
         Arc::clone(&self.plan)
     }
 
-    /// Select the span-join planner (DESIGN.md ablation E9); re-orders the
-    /// compiled plan under the new mode.
-    pub fn with_planner(mut self, planner: PlannerMode) -> Self {
-        self.planner = planner;
-        self.replan();
-        self
-    }
-
-    /// Select the span-join executor (DESIGN.md ablation E17).
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// Replace the span-join thread pool (benchmarks / ablations; the
     /// default is [`ChunkPool::from_env`]).
     pub fn with_pool(mut self, pool: ChunkPool) -> Self {
         self.pool = pool;
         self
-    }
-
-    /// Re-order the compiled plan's spans under the current planner mode
-    /// and inputs (after a mode switch or slot restriction).
-    fn replan(&mut self) {
-        let mut p = (*self.plan).clone();
-        p.reorder(self.planner);
-        self.plan = Arc::new(p);
     }
 
     /// Whether `oid` is currently a live instance of `slot`'s base class.
@@ -547,31 +504,6 @@ impl<'a> Evaluator<'a> {
     /// could resurrect patterns through the other slots.
     fn live_in_slot(&self, slot: usize, oid: Oid) -> bool {
         self.db.class_of(oid).is_ok_and(|c| c == self.ctx.slots[slot].base)
-    }
-
-    /// Restrict a slot's instances to `oids` (intersected with any derived
-    /// membership). Used by incremental rule maintenance to compute the
-    /// delta patterns containing a dirty object in that slot. Oids that are
-    /// not live instances of the slot's base class are dropped.
-    pub fn restrict_slot(mut self, slot: usize, oids: BTreeSet<Oid>) -> Self {
-        let live: BTreeSet<Oid> = oids
-            .into_iter()
-            .filter(|&o| self.live_in_slot(slot, o) && self.member_ok(slot, o))
-            .collect();
-        let restricted = live.len() as f64;
-        self.memberships[slot] = Members::Fixed(live);
-        // A restriction invalidates any index hint for the slot (the index
-        // would widen the candidate set again), and re-orders the plan
-        // around the now-tiny candidate set.
-        self.index_scan[slot] = None;
-        let mut p = (*self.plan).clone();
-        p.inputs.cards[slot] = restricted;
-        p.inputs.constrained[slot] = true;
-        p.inputs.hinted[slot] = false;
-        p.hints[slot] = None;
-        p.reorder(self.planner);
-        self.plan = Arc::new(p);
-        self
     }
 
     /// Semi-naive delta evaluation for incremental forward maintenance: the
@@ -648,17 +580,11 @@ impl<'a> Evaluator<'a> {
                     Members::Fixed(restricted),
                 );
                 let saved_ix = self.index_scan[slot].take();
-                // Compiled execution re-plans the span around the
-                // restricted slot (the semi-naive delta anchor) instead of
-                // reusing the full-evaluation order.
-                let rows = match self.exec {
-                    ExecMode::Interp => self.join_span(lo, hi),
-                    ExecMode::Compiled => {
-                        let dsp = self.plan.delta_span(lo, hi, slot, restricted_len);
-                        self.exec_span(&dsp)
-                    }
-                };
-                for row in rows {
+                // Re-plan the span around the restricted slot (the
+                // semi-naive delta anchor) instead of reusing the
+                // full-evaluation order.
+                let dsp = self.plan.delta_span(lo, hi, slot, restricted_len);
+                for row in self.exec_span(&dsp) {
                     let mut comps = vec![None; width];
                     for (i, oid) in row.into_iter().enumerate() {
                         comps[lo + i] = Some(oid);
@@ -748,14 +674,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn candidate_count_estimate(&self, slot: usize) -> usize {
-        match &self.memberships[slot] {
-            Members::Open => self.db.extent_size(self.ctx.slots[slot].base),
-            Members::Indexed(ix, s) => ix.slot_len(*s),
-            Members::Fixed(set) => set.len(),
-        }
-    }
-
     /// Traverse edge `edge_idx` from `oid`; `forward` follows left→right.
     fn step(&self, edge_idx: usize, kind: &REdgeKind, oid: Oid, forward: bool) -> Vec<Oid> {
         match kind {
@@ -782,69 +700,6 @@ impl<'a> Evaluator<'a> {
                 .get(&edge_idx)
                 .is_some_and(|&(adj, flip)| adj.neighbors(x, !flip).binary_search(&y).is_ok()),
         }
-    }
-
-    /// Extend rows across one edge. `row_pos` is the index within the rows
-    /// of the slot we extend *from*; the new slot's values are pushed.
-    fn extend(
-        &self,
-        rows: Vec<Vec<Oid>>,
-        from_slot: usize,
-        to_slot: usize,
-        edge_idx: usize,
-        row_pos: usize,
-    ) -> Vec<Vec<Oid>> {
-        let edge = &self.ctx.edges[edge_idx];
-        let forward = to_slot > from_slot;
-        let mut out = Vec::new();
-        match edge.op {
-            crate::ast::PatOp::Assoc => {
-                for row in rows {
-                    let from = row[row_pos];
-                    for next in self.step(edge_idx, &edge.kind, from, forward) {
-                        if self.accepts(to_slot, next) {
-                            let mut r = row.clone();
-                            r.push(next);
-                            out.push(r);
-                        }
-                    }
-                }
-            }
-            crate::ast::PatOp::NonAssoc => {
-                // "A ! B": pairs whose instances are NOT associated.
-                let cands = self.candidates(to_slot);
-                for row in rows {
-                    let from = row[row_pos];
-                    for &next in &cands {
-                        let linked = if forward {
-                            self.links(edge_idx, &edge.kind, from, next)
-                        } else {
-                            self.links(edge_idx, &edge.kind, next, from)
-                        };
-                        if !linked {
-                            let mut r = row.clone();
-                            r.push(next);
-                            out.push(r);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Full inner join over the chain `[lo, hi)`. Rows come back in slot
-    /// order `lo..hi`. Dispatches on the executor mode: the compiled plan
-    /// interpreter (default) or the legacy AST-walking join (the E17
-    /// baseline).
-    fn join_span(&self, lo: usize, hi: usize) -> Vec<Vec<Oid>> {
-        debug_assert!(lo < hi);
-        if self.exec == ExecMode::Compiled {
-            if let Some(sp) = self.plan.span(lo, hi) {
-                return self.exec_span(sp);
-            }
-        }
-        self.join_span_interp(lo, hi)
     }
 
     /// Execute one compiled span plan: anchor scan, then the fused DFS
@@ -1101,88 +956,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The legacy AST-walking span join, anchored by the planner heuristic
-    /// (cost-based degrades to MinExtent here — the interpreter has no
-    /// ordered pipeline to follow). Kept intact as the E17 baseline and
-    /// the closure-context machinery.
-    fn join_span_interp(&self, lo: usize, hi: usize) -> Vec<Vec<Oid>> {
-        let anchor = match self.planner {
-            PlannerMode::MinExtent | PlannerMode::CostBased => (lo..hi)
-                .min_by_key(|&i| self.candidate_count_estimate(i))
-                .unwrap(),
-            PlannerMode::Leftmost => lo,
-        };
-        let mut sp = obs::trace::span("oql.join");
-        sp.attr("lo", lo as i64);
-        sp.attr("hi", hi as i64);
-        sp.attr("anchor", anchor as i64);
-        let cands = self.candidates(anchor);
-        sp.attr("rows_in", cands.len() as i64);
-        if let Some(a) = obs::account::active() {
-            a.add_rows_scanned(cands.len() as u64);
-        }
-        let rows = if self.pool.is_sequential(cands.len()) {
-            self.join_span_rows(&cands, lo, hi, anchor)
-        } else {
-            self.pool
-                .par_chunk_map(&cands, |chunk| self.join_span_rows(chunk, lo, hi, anchor))
-                .concat()
-        };
-        sp.attr("rows_out", rows.len() as i64);
-        if obs::metrics_enabled() {
-            obs::metrics::counter("oql.join.evals").inc();
-            obs::metrics::counter("oql.join.rows_out").add(rows.len() as u64);
-        }
-        rows
-    }
-
-    /// The span join restricted to a subset of the anchor's candidates.
-    fn join_span_rows(
-        &self,
-        cands: &[Oid],
-        lo: usize,
-        hi: usize,
-        anchor: usize,
-    ) -> Vec<Vec<Oid>> {
-        // Rows are built as [anchor, anchor+1, …, hi-1, anchor-1, …, lo]
-        // then reordered.
-        let mut rows: Vec<Vec<Oid>> = cands.iter().map(|&o| vec![o]).collect();
-        for to in anchor + 1..hi {
-            let row_pos = to - anchor - 1; // previous slot's position
-            rows = self.extend(rows, to - 1, to, to - 1, row_pos);
-            if rows.is_empty() {
-                return rows;
-            }
-        }
-        let right_len = hi - anchor;
-        for offset in 1..=anchor.saturating_sub(lo) {
-            let to = anchor - offset;
-            // We extend from slot `to + 1`, whose position depends on side:
-            // position 0 holds `anchor`; leftward slots are appended after
-            // the rightward ones.
-            let row_pos = if offset == 1 { 0 } else { right_len + offset - 2 };
-            rows = self.extend(rows, to + 1, to, to, row_pos);
-            if rows.is_empty() {
-                return rows;
-            }
-        }
-        // Reorder each row into slot order lo..hi.
-        rows.into_iter()
-            .map(|row| {
-                let mut ordered = vec![Oid(0); hi - lo];
-                for (pos, &oid) in row.iter().enumerate() {
-                    let slot = if pos < right_len {
-                        anchor + pos
-                    } else {
-                        anchor - (pos - right_len + 1)
-                    };
-                    ordered[slot - lo] = oid;
-                }
-                ordered
-            })
-            .collect()
-    }
-
     /// Evaluate a non-cyclic context: all retention spans joined, widened,
     /// unioned, and subsumption-filtered.
     fn eval_flat(&self, name: &str, sp: &mut obs::trace::Span) -> Subdatabase {
@@ -1193,11 +966,11 @@ impl<'a> Evaluator<'a> {
         // sort-then-bulk-load path beats one-at-a-time tree inserts by a
         // wide margin on join-sized extensions.
         let mut all: Vec<ExtPattern> = Vec::new();
-        for &(lo, hi) in &self.ctx.spans {
-            for row in self.join_span(lo, hi) {
+        for span in &self.plan.spans {
+            for row in self.exec_span(span) {
                 let mut comps = vec![None; width];
                 for (i, oid) in row.into_iter().enumerate() {
-                    comps[lo + i] = Some(oid);
+                    comps[span.lo + i] = Some(oid);
                 }
                 all.push(ExtPattern::new(comps));
             }
@@ -1244,119 +1017,11 @@ impl<'a> Evaluator<'a> {
         sp.label(|| name.to_string());
         let sd = match &self.ctx.closure {
             None => self.eval_flat(name, &mut sp),
-            Some((spec, cycle)) => match self.exec {
-                ExecMode::Compiled if self.plan.closure.is_some() => {
-                    self.eval_closure_kernel(name, &mut sp).0
-                }
-                _ => self.eval_closure(name, spec.iterations, cycle, &mut sp),
-            },
+            Some(_) => self.eval_closure_kernel(name, &mut sp).0,
         };
         sp.attr("rows_out", sd.len() as i64);
         if let Some(a) = obs::account::active() {
             a.add_patterns_built(sd.len() as u64);
-        }
-        sd
-    }
-
-    /// One closure step: from a root instance of slot 0, join the full
-    /// chain and come back to slot 0 over the cycle edge, yielding the
-    /// next-level instances.
-    fn closure_step(&self, root: Oid) -> Vec<Oid> {
-        let n = self.ctx.slots.len();
-        let mut rows = vec![vec![root]];
-        for to in 1..n {
-            rows = self.extend(rows, to - 1, to, to - 1, to - 1);
-            if rows.is_empty() {
-                return Vec::new();
-            }
-        }
-        let (_, cycle) = self.ctx.closure.as_ref().expect("closure_step needs a cycle");
-        let mut out: Vec<Oid> = Vec::new();
-        for row in rows {
-            let last = *row.last().expect("non-empty row");
-            for next in self.step(usize::MAX, cycle, last, true) {
-                if self.accepts(0, next) {
-                    out.push(next);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Evaluate a cyclic expression: builds the instance hierarchies of
-    /// §5.2. The runtime intension is `C, C_1, …, C_k` where `C` is the
-    /// cycle class and `k` is data-dependent ("the intensional pattern of
-    /// the derived subdatabase is determined at runtime") or capped by the
-    /// `^N` iteration count. Patterns are the *maximal* root-to-leaf chains
-    /// (shorter chains are parts of longer ones and are dropped, matching
-    /// the paper's braced iteration semantics); cyclic data is cut rather
-    /// than diverging (the paper assumes acyclic instance relationships).
-    fn eval_closure(
-        &self,
-        name: &str,
-        iterations: Option<u32>,
-        _cycle: &REdgeKind,
-        sp: &mut obs::trace::Span,
-    ) -> Subdatabase {
-        let max_levels = iterations.map(|n| n as usize + 1);
-        let mut memo: FxHashMap<Oid, Vec<Oid>> = FxHashMap::default();
-        let mut chains: Vec<Vec<Oid>> = Vec::new();
-        let mut steps: u64 = 0;
-        let roots = self.candidates(0);
-        sp.attr("roots", roots.len() as i64);
-        for root in roots {
-            // DFS over the successor graph, emitting maximal chains.
-            let mut stack: Vec<Vec<Oid>> = vec![vec![root]];
-            while let Some(chain) = stack.pop() {
-                let cur = *chain.last().expect("non-empty chain");
-                let at_cap = max_levels.is_some_and(|m| chain.len() >= m);
-                let nexts: Vec<Oid> = if at_cap {
-                    Vec::new()
-                } else {
-                    memo.entry(cur)
-                        .or_insert_with(|| {
-                            steps += 1;
-                            self.closure_step(cur)
-                        })
-                        .iter()
-                        .copied()
-                        .filter(|n| !chain.contains(n)) // cycle protection
-                        .collect()
-                };
-                if nexts.is_empty() {
-                    chains.push(chain);
-                } else {
-                    for n in nexts {
-                        let mut c = chain.clone();
-                        c.push(n);
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        let width = chains.iter().map(Vec::len).max().unwrap_or(1);
-        sp.attr("steps", steps as i64);
-        sp.attr("chains", chains.len() as i64);
-        sp.attr("width", width as i64);
-        if obs::metrics_enabled() {
-            obs::metrics::counter("oql.closure.steps").add(steps);
-        }
-        let mut sd = Subdatabase::new(name, self.closure_intension(width));
-        for chain in chains {
-            let mut comps = vec![None; width];
-            for (i, oid) in chain.into_iter().enumerate() {
-                comps[i] = Some(oid);
-            }
-            sd.insert(ExtPattern::new(comps));
-        }
-        let before = sd.len();
-        sd.retain_maximal();
-        let subsumed = before - sd.len();
-        sp.attr("subsumed", subsumed as i64);
-        if subsumed > 0 && obs::metrics_enabled() {
-            obs::metrics::counter("oql.subsume.eliminated").add(subsumed as u64);
         }
         sd
     }
@@ -1400,8 +1065,7 @@ impl<'a> Evaluator<'a> {
     /// Compute the successor lists for a batch of slot-0 nodes: run the
     /// fused chain join with the batch as (unchecked) anchor candidates,
     /// then the cycle step from each produced row's last slot, filtered by
-    /// slot 0's acceptance — exactly [`closure_step`](Self::closure_step)
-    /// per node, but one batched join instead of per-node re-joins.
+    /// slot 0's acceptance — one batched join, not a re-join per node.
     /// Returns one `(node, sorted deduped successors)` entry per input
     /// node, in input order.
     fn closure_expand(&self, nodes: &[Oid], na: &[Option<Vec<Oid>>]) -> Vec<(Oid, Vec<Oid>)> {
@@ -1520,13 +1184,15 @@ impl<'a> Evaluator<'a> {
     }
 
     /// DFS the successor relation from `roots`, emitting the maximal
-    /// root-to-leaf chains (per-path cycle cut, `^N` length cap). Nodes
-    /// missing from `succ` are computed on demand (and recorded) — the
-    /// incremental path reuses this after pruning stale entries.
+    /// root-to-leaf chains (per-path cycle cut, `^N` length cap). `succ`
+    /// must hold a list for every node the walk can reach below the cap:
+    /// [`closure_fixpoint`](Self::closure_fixpoint) expands every slot-0
+    /// candidate and a successor is always one, and the incremental path
+    /// expands every newly reachable node before it calls this.
     pub fn closure_chains(
         &self,
         roots: &[Oid],
-        succ: &mut FxHashMap<Oid, Vec<Oid>>,
+        succ: &FxHashMap<Oid, Vec<Oid>>,
     ) -> Vec<Vec<Oid>> {
         let max_levels = self
             .ctx
@@ -1536,47 +1202,17 @@ impl<'a> Evaluator<'a> {
         let mut chains = Vec::new();
         let mut path: Vec<Oid> = Vec::new();
         for &root in roots {
-            self.dfs_chains(root, &mut path, succ, max_levels, &mut chains);
+            dfs_chains(root, &mut path, succ, max_levels, &mut chains);
             debug_assert!(path.is_empty());
         }
         chains
-    }
-
-    fn dfs_chains(
-        &self,
-        node: Oid,
-        path: &mut Vec<Oid>,
-        succ: &mut FxHashMap<Oid, Vec<Oid>>,
-        max_levels: Option<usize>,
-        out: &mut Vec<Vec<Oid>>,
-    ) {
-        path.push(node);
-        let at_cap = max_levels.is_some_and(|m| path.len() >= m);
-        let nexts: Vec<Oid> = if at_cap {
-            Vec::new()
-        } else {
-            if !succ.contains_key(&node) {
-                let s = self.closure_step(node);
-                succ.insert(node, s);
-            }
-            succ[&node].iter().copied().filter(|n| !path.contains(n)).collect()
-        };
-        if nexts.is_empty() {
-            out.push(path.clone());
-        } else {
-            for n in nexts {
-                self.dfs_chains(n, path, succ, max_levels, out);
-            }
-        }
-        path.pop();
     }
 
     /// Materialize closure chains into a subdatabase: bulk sorted pattern
     /// load, **no subsumption pass** — a chain is emitted only when its tip
     /// has no admissible successor, so no emitted chain is a positional
     /// prefix of another from the same root, and chains from different
-    /// roots differ at slot 0. (The legacy path keeps `retain_maximal`; the
-    /// equivalence tests pin identical output.)
+    /// roots differ at slot 0.
     pub fn closure_subdb(&self, name: &str, chains: Vec<Vec<Oid>>) -> Subdatabase {
         let width = chains.iter().map(Vec::len).max().unwrap_or(1);
         let mut sd = Subdatabase::new(name, self.closure_intension(width));
@@ -1594,8 +1230,16 @@ impl<'a> Evaluator<'a> {
         sd
     }
 
-    /// The compiled closure kernel (DESIGN.md §11): frontier fixpoint over
-    /// the successor relation, then one DFS emitting maximal chains.
+    /// Evaluate a cyclic expression (DESIGN.md §11): builds the instance
+    /// hierarchies of §5.2 by a frontier fixpoint over the successor
+    /// relation, then one DFS emitting maximal chains. The runtime
+    /// intension is `C, C_1, …, C_k` where `C` is the cycle class and `k`
+    /// is data-dependent ("the intensional pattern of the derived
+    /// subdatabase is determined at runtime") or capped by the `^N`
+    /// iteration count. Patterns are the *maximal* root-to-leaf chains
+    /// (shorter chains are parts of longer ones and are dropped, matching
+    /// the paper's braced iteration semantics); cyclic data is cut rather
+    /// than diverging (the paper assumes acyclic instance relationships).
     /// Returns the provenance state alongside the result so rule caches
     /// can maintain the fixpoint incrementally.
     fn eval_closure_kernel(
@@ -1606,9 +1250,7 @@ impl<'a> Evaluator<'a> {
         let mut state = ClosureState::default();
         self.closure_fixpoint(&mut state);
         sp.attr("roots", state.roots.len() as i64);
-        let roots = std::mem::take(&mut state.roots);
-        let chains = self.closure_chains(&roots, &mut state.succ);
-        state.roots = roots;
+        let chains = self.closure_chains(&state.roots, &state.succ);
         state.width = chains.iter().map(Vec::len).max().unwrap_or(1);
         sp.attr("chains", chains.len() as i64);
         sp.attr("width", state.width as i64);
@@ -1616,11 +1258,9 @@ impl<'a> Evaluator<'a> {
         (sd, state)
     }
 
-    /// Evaluate a closure context through the compiled kernel, returning
-    /// the result *and* the successor-relation provenance
-    /// ([`ClosureState`]) that `rules::maintain` caches for incremental
-    /// fixpoint maintenance. Always uses the compiled kernel (the
-    /// `DOOD_EXEC` ablation only steers [`eval`](Self::eval)).
+    /// Evaluate a closure context, returning the result *and* the
+    /// successor-relation provenance ([`ClosureState`]) that
+    /// `rules::maintain` caches for incremental fixpoint maintenance.
     pub fn eval_closure_state(&self, name: &str) -> (Subdatabase, ClosureState) {
         let mut sp = obs::trace::span("oql.context");
         sp.label(|| name.to_string());
@@ -1693,6 +1333,34 @@ impl<'a> Evaluator<'a> {
         out.dedup();
         out
     }
+}
+
+/// One DFS level of [`Evaluator::closure_chains`].
+fn dfs_chains(
+    node: Oid,
+    path: &mut Vec<Oid>,
+    succ: &FxHashMap<Oid, Vec<Oid>>,
+    max_levels: Option<usize>,
+    out: &mut Vec<Vec<Oid>>,
+) {
+    path.push(node);
+    let at_cap = max_levels.is_some_and(|m| path.len() >= m);
+    let nexts: Vec<Oid> = if at_cap {
+        Vec::new()
+    } else {
+        debug_assert!(succ.contains_key(&node), "no successor list for {node:?}");
+        succ.get(&node)
+            .map(|l| l.iter().copied().filter(|n| !path.contains(n)).collect())
+            .unwrap_or_default()
+    };
+    if nexts.is_empty() {
+        out.push(path.clone());
+    } else {
+        for n in nexts {
+            dfs_chains(n, path, succ, max_levels, out);
+        }
+    }
+    path.pop();
 }
 
 /// The successor relation a closure fixpoint computed, exposed as
@@ -1890,15 +1558,6 @@ mod tests {
         let a = eval("Teacher * Section * Course", &db, &reg);
         let b = eval("Course * Section * Teacher", &db, &reg);
         assert_eq!(a.len(), b.len());
-        // And both planner modes agree (E9 ablation correctness).
-        let e = Parser::parse_context_expr("Teacher * Section * Course").unwrap();
-        let r = resolve_context(&e, db.schema(), &reg).unwrap();
-        let min = Evaluator::new(&r, &db, &reg).unwrap().eval("x");
-        let left = Evaluator::new(&r, &db, &reg)
-            .unwrap()
-            .with_planner(PlannerMode::Leftmost)
-            .eval("x");
-        assert_eq!(min.to_vec(), left.to_vec());
     }
 
     #[test]
@@ -1922,29 +1581,24 @@ mod tests {
     }
 
     #[test]
-    fn restrict_slot_drops_dead_oids() {
-        // A deleted oid must not bind a slot: a slot-restricted evaluation
-        // with the deleted object in the restriction set returns nothing
-        // (it cannot resurrect patterns through the other slots).
+    fn eval_delta_never_binds_dead_or_foreign_oids() {
+        // A deleted oid must not bind a slot: a delta evaluation with the
+        // deleted object in the dirty set returns nothing (it cannot
+        // resurrect patterns through the other slots).
         let (mut db, reg) = setup();
         let teacher = db.schema().class_by_name("Teacher").unwrap();
         let t1 = db.extent(teacher).next().unwrap();
         db.delete_object(t1).unwrap();
         let e = Parser::parse_context_expr("Teacher * Section * Course").unwrap();
         let r = resolve_context(&e, db.schema(), &reg).unwrap();
-        let sd = Evaluator::new(&r, &db, &reg)
-            .unwrap()
-            .restrict_slot(0, BTreeSet::from([t1]))
-            .eval("x");
-        assert_eq!(sd.len(), 0, "deleted oid bound a slot");
-        // A live oid of the wrong class is dropped just the same.
+        let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &BTreeSet::from([t1]));
+        assert!(delta.is_empty(), "deleted oid bound a slot");
+        // A live oid binds the slots of its own class only.
         let course = db.schema().class_by_name("Course").unwrap();
         let c = db.extent(course).next().unwrap();
-        let sd = Evaluator::new(&r, &db, &reg)
-            .unwrap()
-            .restrict_slot(0, BTreeSet::from([c]))
-            .eval("x");
-        assert_eq!(sd.len(), 0, "wrong-class oid bound a slot");
+        let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &BTreeSet::from([c]));
+        assert!(!delta.is_empty());
+        assert!(delta.iter().all(|p| p.get(2) == Some(c)), "wrong-class oid bound a slot");
     }
 
     #[test]

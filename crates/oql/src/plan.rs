@@ -13,15 +13,14 @@
 //! Join order is an *interval extension* problem: slots form a path graph
 //! (edge `i` connects slots `i`, `i+1`), and any cross-product-free order
 //! is an anchor plus a left/right interleaving — `n · 2^(n-1)` orders for
-//! an `n`-slot span. [`PlannerMode::CostBased`] enumerates them
-//! exhaustively for the spans the paper's queries produce (greedy frontier
-//! extension beyond [`MAX_EXHAUSTIVE`] slots), costing each order from
-//! observed `core::obs::stats` averages with schema-derived fallbacks.
-//! The legacy `MinExtent`/`Leftmost` heuristics survive as forced orders
-//! (`DOOD_PLANNER=minextent|leftmost`) — the E9 ablation baselines.
+//! an `n`-slot span. [`plan_span`] enumerates them exhaustively for the
+//! spans the paper's queries produce (greedy frontier extension beyond
+//! [`MAX_EXHAUSTIVE`] slots), costing each order from observed
+//! `core::obs::stats` averages with schema-derived fallbacks.
 //!
 //! Plans never change results, only effort: every order produces the same
-//! pattern set (`tests/plan.rs` pins compiled ≡ interpreted equivalence).
+//! pattern set (`tests/plan.rs` pins the engine to the spec-level reference
+//! evaluator of `tests/common/spec_eval.rs` under scrambled statistics).
 
 use crate::eval::{CPred, IndexScan};
 use dood_core::ids::AssocId;
@@ -33,55 +32,6 @@ use std::sync::Arc;
 /// (`n · 2^(n-1)` orders ≤ 2304 cost evaluations); wider spans fall back
 /// to greedy frontier extension.
 pub const MAX_EXHAUSTIVE: usize = 9;
-
-/// How the evaluator orders each span join (ablations E9/E17).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    /// Cost-based: enumerate anchor + interleaving orders, cost them from
-    /// observed stats (schema fallbacks when cold), pick the cheapest.
-    #[default]
-    CostBased,
-    /// Forced order: anchor at the smallest candidate set, then extend all
-    /// the way right, then left (the pre-compilation default).
-    MinExtent,
-    /// Forced order: anchor at the leftmost slot, extend right (naive
-    /// left-to-right evaluation).
-    Leftmost,
-}
-
-impl PlannerMode {
-    /// Read the mode from `DOOD_PLANNER` (`cost` | `minextent` |
-    /// `leftmost`; unset or unknown → cost-based).
-    pub fn from_env() -> Self {
-        match std::env::var("DOOD_PLANNER").as_deref() {
-            Ok("minextent") => PlannerMode::MinExtent,
-            Ok("leftmost") => PlannerMode::Leftmost,
-            _ => PlannerMode::CostBased,
-        }
-    }
-}
-
-/// Which executor runs span joins (ablation E17).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Fused plan interpreter over the compiled pipeline (default).
-    #[default]
-    Compiled,
-    /// Legacy AST-walking evaluation (per-stage row materialization) — the
-    /// E17 baseline. Cost-based ordering degrades to MinExtent here.
-    Interp,
-}
-
-impl ExecMode {
-    /// Read the mode from `DOOD_EXEC` (`interp` | `ast` → interpreted;
-    /// unset or anything else → compiled).
-    pub fn from_env() -> Self {
-        match std::env::var("DOOD_EXEC").as_deref() {
-            Ok("interp") | Ok("ast") => ExecMode::Interp,
-            _ => ExecMode::Compiled,
-        }
-    }
-}
 
 /// Cost-model inputs for one context: per-slot cardinalities and
 /// selectivities, per-edge fan-outs. Populated from observed
@@ -274,8 +224,6 @@ pub struct CompiledContext {
     pub closure: Option<ClosurePlan>,
     /// The cost-model inputs the spans were ordered with.
     pub inputs: PlanInputs,
-    /// The planner mode the spans were ordered with.
-    pub mode: PlannerMode,
     /// The drift watchdog's mark, shared across clones of this plan.
     pub drift: Arc<DriftMark>,
 }
@@ -292,16 +240,12 @@ pub(crate) struct CompileParts {
     pub closure: Option<ClosureParts>,
 }
 
-/// Compile: order every retention span under `mode` with `inputs`.
-pub(crate) fn compile(
-    parts: CompileParts,
-    inputs: PlanInputs,
-    mode: PlannerMode,
-) -> CompiledContext {
+/// Compile: order every retention span with `inputs`.
+pub(crate) fn compile(parts: CompileParts, inputs: PlanInputs) -> CompiledContext {
     let spans: Vec<SpanPlan> = parts
         .span_bounds
         .iter()
-        .map(|&(lo, hi)| plan_span(lo, hi, &inputs, &parts.edges, mode))
+        .map(|&(lo, hi)| plan_span(lo, hi, &inputs, &parts.edges))
         .collect();
     let closure = parts.closure.map(|c| {
         let n = parts.slot_names.len();
@@ -317,7 +261,6 @@ pub(crate) fn compile(
         spans,
         closure,
         inputs,
-        mode,
         drift: Arc::new(DriftMark::default()),
     }
 }
@@ -352,28 +295,6 @@ fn plan_closure(
 }
 
 impl CompiledContext {
-    /// The plan for span `[lo, hi)`, if it is one of the retention spans.
-    pub fn span(&self, lo: usize, hi: usize) -> Option<&SpanPlan> {
-        self.spans.iter().find(|s| s.lo == lo && s.hi == hi)
-    }
-
-    /// Re-order every span under `mode` with the stored inputs (used by
-    /// `with_planner` and after slot restrictions).
-    pub(crate) fn reorder(&mut self, mode: PlannerMode) {
-        self.mode = mode;
-        let bounds: Vec<(usize, usize)> = self.spans.iter().map(|s| (s.lo, s.hi)).collect();
-        self.spans = bounds
-            .into_iter()
-            .map(|(lo, hi)| plan_span(lo, hi, &self.inputs, &self.edges, mode))
-            .collect();
-        // The closure chain's anchor is structural (the frontier binds
-        // slot 0), so only its cost annotations refresh.
-        let n = self.slot_names.len();
-        if let Some(c) = &mut self.closure {
-            c.chain = plan_span_anchored(0, n, 0, &self.inputs, &self.edges);
-        }
-    }
-
     /// An ad-hoc plan for a delta evaluation of span `[lo, hi)` with
     /// `slot`'s candidates restricted to `card` dirty objects: the anchor
     /// is forced to the restricted slot (semi-naive evaluation starts from
@@ -410,12 +331,7 @@ impl CompiledContext {
     /// snapshot format (`tests/plan.rs`) and the static half of
     /// `doodprof --plan`.
     pub fn describe(&self) -> String {
-        let mode = match self.mode {
-            PlannerMode::CostBased => "cost",
-            PlannerMode::MinExtent => "minextent",
-            PlannerMode::Leftmost => "leftmost",
-        };
-        let mut out = format!("plan mode={mode}\n");
+        let mut out = String::from("plan\n");
         for s in &self.spans {
             out.push_str(&format!(
                 "  span [{},{}) anchor={} cost={:.0} rows={:.0}\n",
@@ -642,56 +558,28 @@ fn greedy_dirs(
     steps_for(lo, hi, anchor, &dirs, inputs, edges)
 }
 
-/// The forced "extend all right, then all left" interleaving used by the
-/// legacy heuristics.
-fn right_then_left(lo: usize, hi: usize, anchor: usize) -> Vec<bool> {
-    let mut dirs = vec![true; hi - 1 - anchor];
-    dirs.extend(std::iter::repeat(false).take(anchor - lo));
-    dirs
-}
-
-/// Order one span under `mode`.
+/// Order one span: the cheapest anchor + interleaving under `inputs`.
 pub(crate) fn plan_span(
     lo: usize,
     hi: usize,
     inputs: &PlanInputs,
     edges: &[EdgeInfo],
-    mode: PlannerMode,
 ) -> SpanPlan {
     debug_assert!(lo < hi);
-    match mode {
-        PlannerMode::Leftmost => {
-            steps_for(lo, hi, lo, &right_then_left(lo, hi, lo), inputs, edges)
-        }
-        PlannerMode::MinExtent => {
-            // Match the legacy heuristic exactly: raw candidate counts
-            // (ignoring selectivity), first minimum wins.
-            let anchor = (lo..hi)
-                .min_by(|&a, &b| {
-                    inputs.cards[a].partial_cmp(&inputs.cards[b]).expect("finite cards")
-                })
-                .expect("non-empty span");
-            steps_for(lo, hi, anchor, &right_then_left(lo, hi, anchor), inputs, edges)
-        }
-        PlannerMode::CostBased => {
-            if hi - lo > MAX_EXHAUSTIVE {
-                let anchor = (lo..hi)
-                    .min_by(|&a, &b| {
-                        inputs.eff(a).partial_cmp(&inputs.eff(b)).expect("finite cards")
-                    })
-                    .expect("non-empty span");
-                return greedy_dirs(lo, hi, anchor, inputs, edges);
-            }
-            let mut best: Option<SpanPlan> = None;
-            for anchor in lo..hi {
-                let bound = best.as_ref().map_or(f64::INFINITY, |b| b.est_cost);
-                if let Some(p) = search_dirs(lo, hi, anchor, inputs, edges, bound) {
-                    best = Some(p);
-                }
-            }
-            best.expect("at least one order exists")
+    if hi - lo > MAX_EXHAUSTIVE {
+        let anchor = (lo..hi)
+            .min_by(|&a, &b| inputs.eff(a).partial_cmp(&inputs.eff(b)).expect("finite cards"))
+            .expect("non-empty span");
+        return greedy_dirs(lo, hi, anchor, inputs, edges);
+    }
+    let mut best: Option<SpanPlan> = None;
+    for anchor in lo..hi {
+        let bound = best.as_ref().map_or(f64::INFINITY, |b| b.est_cost);
+        if let Some(p) = search_dirs(lo, hi, anchor, inputs, edges, bound) {
+            best = Some(p);
         }
     }
+    best.expect("at least one order exists")
 }
 
 /// Order one span with the anchor fixed (delta evaluation restricted to a
@@ -739,7 +627,7 @@ mod tests {
     fn cost_based_anchors_at_selective_slot() {
         // Slot 2 is tiny; the best order must seed there.
         let inp = inputs(&[1000.0, 1000.0, 3.0], 2.0);
-        let p = plan_span(0, 3, &inp, &chain(2), PlannerMode::CostBased);
+        let p = plan_span(0, 3, &inp, &chain(2));
         assert_eq!(p.anchor, 2);
         assert_eq!(p.steps.len(), 2);
         // Extensions walk left from the anchor.
@@ -750,29 +638,12 @@ mod tests {
 
     #[test]
     fn selectivity_moves_the_anchor() {
-        // Raw cards equal, but slot 0's condition keeps 1% of candidates:
-        // cost-based anchors there while MinExtent (raw cards, first
-        // minimum) stays at slot 0 anyway — so distinguish via slot 1.
+        // Raw cards equal, but slot 1's condition keeps 1% of candidates:
+        // the planner anchors there.
         let mut inp = inputs(&[100.0, 100.0, 100.0], 3.0);
         inp.sels[1] = 0.01;
         inp.constrained[1] = true;
-        let cost = plan_span(0, 3, &inp, &chain(2), PlannerMode::CostBased);
-        assert_eq!(cost.anchor, 1);
-        let min = plan_span(0, 3, &inp, &chain(2), PlannerMode::MinExtent);
-        assert_eq!(min.anchor, 0, "MinExtent ignores selectivity");
-    }
-
-    #[test]
-    fn forced_modes_fix_the_order() {
-        let inp = inputs(&[50.0, 5.0, 500.0], 2.0);
-        let left = plan_span(0, 3, &inp, &chain(2), PlannerMode::Leftmost);
-        assert_eq!(left.anchor, 0);
-        assert!(left.steps.iter().all(|s| s.forward));
-        let min = plan_span(0, 3, &inp, &chain(2), PlannerMode::MinExtent);
-        assert_eq!(min.anchor, 1);
-        // Right-then-left: step to slot 2 first, then back to slot 0.
-        assert_eq!(min.steps[0].to_slot, 2);
-        assert_eq!(min.steps[1].to_slot, 0);
+        assert_eq!(plan_span(0, 3, &inp, &chain(2)).anchor, 1);
     }
 
     #[test]
@@ -788,7 +659,7 @@ mod tests {
         let n = MAX_EXHAUSTIVE + 3;
         let cards: Vec<f64> = (0..n).map(|i| 10.0 + i as f64).collect();
         let inp = inputs(&cards, 1.5);
-        let p = plan_span(0, n, &inp, &chain(n - 1), PlannerMode::CostBased);
+        let p = plan_span(0, n, &inp, &chain(n - 1));
         assert_eq!(p.steps.len(), n - 1);
         // Every slot bound exactly once.
         let mut seen: Vec<usize> = p.steps.iter().map(|s| s.to_slot).collect();
@@ -802,13 +673,14 @@ mod tests {
         let mut edges = chain(2);
         edges[1].nonassoc = true;
         let mut inp = inputs(&[10.0, 10.0, 10.0], 2.0);
-        let p = plan_span(0, 3, &inp, &edges, PlannerMode::Leftmost);
+        // Anchored at slot 0 the `!` stage binds slot 2.
+        let p = plan_span_anchored(0, 3, 0, &inp, &edges);
         let na = p.steps.iter().find(|s| s.nonassoc).unwrap();
         assert!(na.cross, "unconstrained ! target must flag cross");
         // A constrained target is not a cross product.
         inp.constrained[2] = true;
         inp.sels[2] = 0.1;
-        let p = plan_span(0, 3, &inp, &edges, PlannerMode::Leftmost);
+        let p = plan_span_anchored(0, 3, 0, &inp, &edges);
         assert!(p.steps.iter().all(|s| !s.cross));
     }
 
@@ -820,8 +692,8 @@ mod tests {
         let truth = inputs(&[1000.0, 1000.0, 3.0], 2.0);
         let edges = chain(2);
         let misled = inputs(&[3.0, 1000.0, 1000.0], 2.0);
-        let cold = plan_span(0, 3, &misled, &edges, PlannerMode::CostBased);
-        let warm = plan_span(0, 3, &truth, &edges, PlannerMode::CostBased);
+        let cold = plan_span(0, 3, &misled, &edges);
+        let warm = plan_span(0, 3, &truth, &edges);
         let ctx = compile(
             CompileParts {
                 preds: vec![None; 3],
@@ -834,7 +706,6 @@ mod tests {
                 closure: None,
             },
             truth,
-            PlannerMode::CostBased,
         );
         let re_warm = ctx.recost_span(&warm);
         assert!((re_warm - warm.est_cost).abs() < 1e-9, "identity recost");
@@ -842,14 +713,13 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_beats_or_matches_forced_orders() {
-        // The chosen plan's estimated cost is never above either heuristic.
+    fn exhaustive_is_no_costlier_than_any_anchored_order() {
         let inp = inputs(&[7.0, 300.0, 2.0, 40.0], 5.0);
         let edges = chain(3);
-        let cost = plan_span(0, 4, &inp, &edges, PlannerMode::CostBased).est_cost;
-        for m in [PlannerMode::MinExtent, PlannerMode::Leftmost] {
-            let forced = plan_span(0, 4, &inp, &edges, m).est_cost;
-            assert!(cost <= forced + 1e-9, "{m:?}: {cost} > {forced}");
+        let cost = plan_span(0, 4, &inp, &edges).est_cost;
+        for anchor in 0..4 {
+            let forced = plan_span_anchored(0, 4, anchor, &inp, &edges).est_cost;
+            assert!(cost <= forced + 1e-9, "anchor {anchor}: {cost} > {forced}");
         }
     }
 }

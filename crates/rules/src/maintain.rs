@@ -86,8 +86,8 @@ pub fn supports_incremental(rule: &Rule) -> bool {
 /// Expand an update batch's touched objects over the identity links: a
 /// pattern slot may hold a different perspective of the touched object.
 /// Deleted oids are *kept* — they invalidate cached patterns referencing
-/// them — but can never re-bind a slot ([`Evaluator::restrict_slot`] and
-/// [`Evaluator::eval_delta`] drop non-live oids).
+/// them — but can never re-bind a slot ([`Evaluator::eval_delta`] drops
+/// non-live oids).
 pub fn dirty_closure(db: &Database, touched: impl IntoIterator<Item = Oid>) -> BTreeSet<Oid> {
     // Deleted objects have no closure but stay dirty (they seed the set).
     db.perspective_closure_set(touched)
@@ -1154,7 +1154,7 @@ fn delta_apply_closure(
         dropped.extend(cache.ctx_pre.head_range(Some(root)).cloned());
     }
     stats.dropped = dropped.len();
-    let new_chains = ev.closure_chains(&redo_roots, &mut cc.succ);
+    let new_chains = ev.closure_chains(&redo_roots, &cc.succ);
     stats.delta_rows = new_chains.len();
     for p in &dropped {
         let c = cc.len_counts.entry(chain_len(p)).or_insert(0);

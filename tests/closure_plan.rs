@@ -1,35 +1,42 @@
-//! E18 soundness: the compiled closure kernel (DESIGN.md §11) must agree
-//! with the legacy AST-walking closure interpreter — on every closure
-//! shape (bounded `^N`, unbounded `^*`, conditioned slot-0), over all four
-//! closure-bearing schemas, at every thread count. And incremental
-//! fixpoint maintenance (provenance-carrying delta closure in
-//! `rules::maintain`) must land on exactly the subdatabases a fresh
-//! recomputation produces, under arbitrary insert/delete/attr-flip
-//! schedules, in both execution modes. Plus golden closure-plan
-//! `describe()` snapshots pinning the fan-out/rounds/reach estimates.
+//! Soundness of the closure kernel (DESIGN.md §11): it must agree with the
+//! spec-level interpreter of `tests/common/spec_eval.rs` (§5.2 by naive
+//! iteration) — on every closure shape (bounded `^N`, unbounded `^*`,
+//! conditioned slot-0), over all four closure-bearing schemas, at every
+//! thread count. And incremental fixpoint maintenance (provenance-carrying
+//! delta closure in `rules::maintain`) must land on exactly the
+//! subdatabases a fresh recomputation produces, under arbitrary
+//! insert/delete/attr-flip schedules — and, for a rule that keeps its whole
+//! context, on what the spec interpreter says of the final database. Plus
+//! golden closure-plan `describe()` snapshots pinning the
+//! fan-out/rounds/reach estimates.
 //!
 //! Driven by the in-repo seeded harness (`dood::core::propcheck`); replay
 //! a reported failure with `DOOD_PROP_SEED=<seed> cargo test <name>`.
 
+#[path = "common/spec_eval.rs"]
+mod spec_eval;
+
 use dood::core::ids::Oid;
 use dood::core::obs::stats;
+use dood::core::pool::ChunkPool;
 use dood::core::propcheck::check;
 use dood::core::schema::SchemaBuilder;
-use dood::core::subdb::{ExtPattern, SubdbRegistry};
+use dood::core::subdb::SubdbRegistry;
 use dood::core::value::{DType, Value};
 use dood::oql::parser::Parser;
 use dood::oql::resolve::resolve_context;
-use dood::oql::{Evaluator, ExecMode};
+use dood::oql::Evaluator;
 use dood::rules::{EvalPolicy, RuleEngine};
 use dood::store::Database;
 use dood::workload::{cad, social, university};
+use spec_eval::{rows_of, spec_eval, spec_query, Row};
 use std::sync::Mutex;
 
 const CASES: usize = 4;
-const THREADS: &[&str] = &["1", "2", "4"];
+const THREADS: &[usize] = &[1, 2, 4];
 
-/// `DOOD_THREADS` / `DOOD_EXEC` are process-global; tests that set them
-/// serialize on this lock (the stats registry rides along).
+/// `DOOD_THREADS` is process-global; tests that set it serialize on this
+/// lock (the stats registry rides along).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -79,38 +86,32 @@ fn dbs(seed: u64) -> Vec<(Database, &'static [&'static str])> {
     ]
 }
 
-/// Evaluate `query` through the compiled fixpoint kernel and the legacy
-/// interpreter; assert byte-identical pattern sets.
+/// Evaluate `query` through the fixpoint kernel at every thread count
+/// (cutoff 0 forces the chunked frontier even on small graphs) and through
+/// the spec interpreter; assert identical pattern sets.
 fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str) {
     let expr = Parser::parse_context_expr(query).unwrap();
     let resolved = resolve_context(&expr, db.schema(), reg).unwrap();
-    let compiled = Evaluator::new(&resolved, db, reg)
-        .unwrap()
-        .with_exec(ExecMode::Compiled)
-        .eval("x")
-        .to_vec();
-    let interp = Evaluator::new(&resolved, db, reg)
-        .unwrap()
-        .with_exec(ExecMode::Interp)
-        .eval("x")
-        .to_vec();
-    assert_eq!(compiled, interp, "compiled != interp for `{query}`");
+    let spec = spec_eval(&resolved, db, reg);
+    for &t in THREADS {
+        let ev = Evaluator::new(&resolved, db, reg)
+            .unwrap()
+            .with_pool(ChunkPool::with_threads(t).cutoff(0));
+        assert_eq!(rows_of(&ev.eval("x")), spec, "kernel != spec for `{query}`, {t} threads");
+    }
 }
 
+/// "interp" is the spec-level interpreter of `tests/common/spec_eval.rs`.
 #[test]
 fn compiled_closure_equals_interp_across_schemas_and_threads() {
     let _g = lock();
     check("compiled_closure_equals_interp_across_schemas_and_threads", CASES, |g| {
         let seed = g.range(0u64..100);
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            for (db, queries) in dbs(seed) {
-                let reg = SubdbRegistry::new();
-                for q in queries {
-                    assert_equiv(&db, &reg, q);
-                }
+        for (db, queries) in dbs(seed) {
+            let reg = SubdbRegistry::new();
+            for q in queries {
+                assert_equiv(&db, &reg, q);
             }
-            std::env::remove_var("DOOD_THREADS");
         }
     });
 }
@@ -150,8 +151,8 @@ fn mutate(db: &mut Database, class: &str, link: &str, attr: &str, kind: usize, k
 }
 
 /// Register closure `rules` over `db`, derive `subdbs`, apply the
-/// mutation schedule propagating after each step, and return the final
-/// materializations. `incremental=false` is the fresh-recompute oracle.
+/// mutation schedule propagating after each step, and return the engine
+/// in its final state. `incremental=false` is the fresh-recompute oracle.
 #[allow(clippy::too_many_arguments)]
 fn run_schedule(
     db: Database,
@@ -162,9 +163,7 @@ fn run_schedule(
     subdbs: &[&str],
     ops: &[(usize, usize)],
     incremental: bool,
-    exec: &str,
-) -> Vec<Vec<ExtPattern>> {
-    std::env::set_var("DOOD_EXEC", exec);
+) -> RuleEngine {
     let mut e = RuleEngine::new(db);
     for (name, src) in rules {
         e.add_rule(name, src).unwrap();
@@ -180,9 +179,12 @@ fn run_schedule(
         mutate(e.db_mut(), class, link, attr, kind, k);
         e.propagate().unwrap();
     }
-    let out = subdbs.iter().map(|s| e.registry().subdb(s).unwrap().to_vec()).collect();
-    std::env::remove_var("DOOD_EXEC");
-    out
+    e
+}
+
+/// The materialized `subdbs` of an engine, as pattern rows.
+fn materialized(e: &RuleEngine, subdbs: &[&str]) -> Vec<Vec<Row>> {
+    subdbs.iter().map(|s| rows_of(e.registry().subdb(s).unwrap())).collect()
 }
 
 #[test]
@@ -200,16 +202,17 @@ fn closure_maintenance_incremental_equals_fresh_cyclic() {
         ];
         let subdbs = &["T", "U"];
         for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let run = |inc: bool, exec: &str| {
-                run_schedule(cyclic_db(6), "N", "Next", "v", rules, subdbs, &ops, inc, exec)
-            };
-            let inc_compiled = run(true, "compiled");
-            let inc_interp = run(true, "interp");
-            let fresh = run(false, "compiled");
-            assert_eq!(inc_compiled, inc_interp, "incremental compiled != interp");
-            assert_eq!(inc_compiled, fresh, "incremental != fresh recompute");
+            std::env::set_var("DOOD_THREADS", threads.to_string());
+            let run =
+                |inc: bool| run_schedule(cyclic_db(6), "N", "Next", "v", rules, subdbs, &ops, inc);
+            let maintained = run(true);
+            let fresh = run(false);
             std::env::remove_var("DOOD_THREADS");
+            let rows = materialized(&maintained, subdbs);
+            // R1 keeps its whole context and has no WHERE.
+            let spec = spec_query(maintained.db(), maintained.registry(), "N ^*");
+            assert_eq!(rows[0], spec, "maintained T != spec on the final database");
+            assert_eq!(rows, materialized(&fresh, subdbs), "incremental != fresh recompute");
         }
     });
 }
@@ -224,14 +227,14 @@ fn closure_maintenance_incremental_equals_fresh_social() {
         let rules: &[(&str, &str)] =
             &[("RS", "if context Person ^* then Reach (Person, Person_*)")];
         let build = || social::build_graph(social::SocialShape::small(), seed).0;
-        let run = |inc: bool, exec: &str| {
-            run_schedule(build(), "Person", "Follows", "score", rules, &["Reach"], &ops, inc, exec)
+        let run = |inc: bool| {
+            run_schedule(build(), "Person", "Follows", "score", rules, &["Reach"], &ops, inc)
         };
-        let inc_compiled = run(true, "compiled");
-        let inc_interp = run(true, "interp");
-        let fresh = run(false, "compiled");
-        assert_eq!(inc_compiled, inc_interp, "incremental compiled != interp");
-        assert_eq!(inc_compiled, fresh, "incremental != fresh recompute");
+        let maintained = run(true);
+        let rows = materialized(&maintained, &["Reach"]);
+        let spec = spec_query(maintained.db(), maintained.registry(), "Person ^*");
+        assert_eq!(rows[0], spec, "maintained Reach != spec on the final database");
+        assert_eq!(rows, materialized(&run(false), &["Reach"]), "incremental != fresh recompute");
     });
 }
 
@@ -257,17 +260,17 @@ fn golden_closure_plans() {
     stats::clear();
     assert_eq!(
         unbounded,
-        "plan mode=cost\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^* cycle=Person fan=1.15 est_rounds=23 est_reach=26\n",
+        "plan\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^* cycle=Person fan=1.15 est_rounds=23 est_reach=26\n",
         "social `^*` golden plan drifted:\n{unbounded}"
     );
     assert_eq!(
         bounded,
-        "plan mode=cost\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^2 cycle=Person fan=1.15 est_rounds=2 est_reach=26\n",
+        "plan\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^2 cycle=Person fan=1.15 est_rounds=2 est_reach=26\n",
         "social `^2` golden plan drifted:\n{bounded}"
     );
     assert_eq!(
         part,
-        "plan mode=cost\n  span [0,1) anchor=Part cost=30 rows=30\n    scan Part est=30\n  closure ^* cycle=Part fan=0.93 est_rounds=30 est_reach=30\n",
+        "plan\n  span [0,1) anchor=Part cost=30 rows=30\n    scan Part est=30\n  closure ^* cycle=Part fan=0.93 est_rounds=30 est_reach=30\n",
         "cad `^*` golden plan drifted:\n{part}"
     );
 }

@@ -25,12 +25,16 @@
 //! * a group whose verdict turns true not emitting its members —
 //!   `…_aggregates`, `…_company`, `…_university`.
 
+#[path = "common/spec_eval.rs"]
+mod spec_eval;
+
 use dood::core::ids::Oid;
 use dood::core::obs::trace;
 use dood::core::propcheck::check;
 use dood::core::value::Value;
 use dood::rules::{ChainStrategy, ControlMode, EvalPolicy, Program, RuleEngine};
 use dood::workload::{cad, company, programs, university};
+use spec_eval::{rows_of, spec_query};
 
 const CASES: usize = 10;
 const THREADS: &[&str] = &["1", "2", "4"];
@@ -47,6 +51,19 @@ fn assert_fresh(engine: &RuleEngine, subdbs: &[&str]) {
         let fresh = engine.derive_fresh(s).unwrap().to_vec();
         assert_eq!(current, fresh, "{s} diverged from scratch derivation");
         assert!(engine.is_consistent(s).unwrap(), "{s} inconsistent");
+    }
+}
+
+/// `derive_fresh` runs the engine's own evaluator, so at the end of each
+/// schedule the maintained subdatabases of the rules that keep their whole
+/// context and have no WHERE — `(subdatabase, context)` pairs — are also
+/// held to the spec interpreter of `tests/common/spec_eval.rs` on the final
+/// database.
+fn assert_spec(engine: &RuleEngine, whole_context: &[(&str, &str)]) {
+    for (s, context) in whole_context {
+        let maintained = rows_of(engine.registry().subdb(s).expect("materialized"));
+        let spec = spec_query(engine.db(), engine.registry(), context);
+        assert_eq!(maintained, spec, "{s} diverged from the spec of `{context}`");
     }
 }
 
@@ -107,6 +124,7 @@ fn incremental_equals_fresh_company() {
                 e.propagate().unwrap();
                 assert_fresh(&e, subdbs);
             }
+            assert_spec(&e, &[("REa", "Employee * Department"), ("REb", "REa:Employee * Project")]);
             std::env::remove_var("DOOD_THREADS");
         }
     });
@@ -450,6 +468,7 @@ fn incremental_equals_fresh_university() {
                 e.propagate().unwrap();
                 assert_fresh(&e, &subdbs);
             }
+            assert_spec(&e, &[("Heavy", "{Teacher * Section} * Course [credit_hours > 2]")]);
             std::env::remove_var("DOOD_THREADS");
         }
     });
@@ -521,6 +540,7 @@ fn incremental_equals_fresh_cad() {
                 e.propagate().unwrap();
                 assert_fresh(&e, &subdbs);
             }
+            assert_spec(&e, &[("Bom", "Part ^*"), ("SP", "Supplier * Part")]);
             std::env::remove_var("DOOD_THREADS");
         }
     });

@@ -1,60 +1,72 @@
-//! E17 soundness: compiled join pipelines (DESIGN.md §10) must produce
-//! results byte-identical to the legacy AST-walking interpreter — on all
-//! three paper schemas, under every planner mode, at every thread count,
-//! and under arbitrary (even adversarial) planner statistics. Plans may
-//! change; results may not. Plus golden EXPLAIN plan snapshots for the
-//! E1/E6/E7 context shapes, pinning the planner's chosen join orders.
+//! Soundness of the compiled join pipelines (DESIGN.md §10): the engine
+//! must produce exactly the patterns of the spec-level interpreter in
+//! `tests/common/spec_eval.rs` (nested loops written from PAPER.md §3–§5; no
+//! plan, index, cache or statistics) — on all three paper schemas, at every
+//! thread count, and under arbitrary (even adversarial) planner statistics.
+//! Plans may change; results may not. Where `datalog::translate` covers the
+//! query, the Datalog engine is a third, cross-formalism witness. Plus
+//! golden EXPLAIN plan snapshots for the E1/E6/E7 context shapes, pinning
+//! the planner's chosen join orders.
 //!
 //! Driven by the in-repo seeded harness (`dood::core::propcheck`); replay
 //! a reported failure with `DOOD_PROP_SEED=<seed> cargo test <name>`.
 
+#[path = "common/spec_eval.rs"]
+mod spec_eval;
+
 use dood::core::obs::stats;
+use dood::core::pool::ChunkPool;
 use dood::core::propcheck::check;
 use dood::core::subdb::SubdbRegistry;
 use dood::core::value::Value;
+use dood::datalog;
 use dood::oql::parser::Parser;
 use dood::oql::resolve::resolve_context;
-use dood::oql::{Evaluator, ExecMode, PlannerMode};
+use dood::oql::Evaluator;
 use dood::rules::{EvalPolicy, RuleEngine};
 use dood::store::Database;
-use dood::workload::{cad, company, university};
+use dood::workload::{cad, company, social, university};
+use spec_eval::{rows_of, spec_query, Row};
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 const CASES: usize = 6;
-const THREADS: &[&str] = &["1", "2", "4"];
-const MODES: &[PlannerMode] =
-    &[PlannerMode::CostBased, PlannerMode::MinExtent, PlannerMode::Leftmost];
+const THREADS: &[usize] = &[1, 2, 4];
 
 /// The planner statistics registry is process-global; tests that write it
-/// (every compiled execution feeds it) serialize on this lock so the
-/// golden snapshots see exactly the stats they cleared.
+/// (every execution feeds it) serialize on this lock so the golden
+/// snapshots see exactly the stats they cleared.
 static STATS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Evaluate `query` compiled and interpreted under one planner mode;
-/// assert byte-identical pattern sets.
-fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str, mode: PlannerMode) {
+/// Evaluate `query` through the engine on a `threads`-wide pool (cutoff 0
+/// forces the chunked path even on small candidate sets).
+fn engine_rows(db: &Database, reg: &SubdbRegistry, query: &str, threads: usize) -> Vec<Row> {
     let expr = Parser::parse_context_expr(query).unwrap();
     let resolved = resolve_context(&expr, db.schema(), reg).unwrap();
-    let compiled = Evaluator::new(&resolved, db, reg)
+    let ev = Evaluator::new(&resolved, db, reg)
         .unwrap()
-        .with_planner(mode)
-        .eval("x")
-        .to_vec();
-    let interp = Evaluator::new(&resolved, db, reg)
-        .unwrap()
-        .with_planner(mode)
-        .with_exec(ExecMode::Interp)
-        .eval("x")
-        .to_vec();
-    assert_eq!(compiled, interp, "compiled != interp for `{query}` under {mode:?}");
+        .with_pool(ChunkPool::with_threads(threads).cutoff(0));
+    rows_of(&ev.eval("x"))
+}
+
+/// Assert the engine's patterns for `query` are the spec's, which it
+/// returns.
+fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str, threads: &[usize]) -> Vec<Row> {
+    let spec = spec_query(db, reg, query);
+    for &t in threads {
+        assert_eq!(engine_rows(db, reg, query, t), spec, "engine != spec for `{query}`, {t} threads");
+    }
+    spec
 }
 
 /// Context expressions per schema: association chains, braces, `!` edges,
-/// and intra-class conditions — the operator mix the pipeline fuses.
+/// and intra-class conditions — the operator mix the pipeline fuses. The
+/// doubly conditioned chains put a condition on a non-anchor stage
+/// whichever end the planner starts from.
 const UNIVERSITY_QUERIES: &[&str] = &[
     "Teacher * Section * Course",
     "{Teacher * Section} * Course",
@@ -62,39 +74,54 @@ const UNIVERSITY_QUERIES: &[&str] = &[
     "Teacher ! Section",
     "Section * Course [c# >= 6000]",
     "Student * Section * Course * Department [name = 'CIS']",
+    "Department [name = 'CIS'] * Course [c# >= 3000] * Section",
 ];
 const COMPANY_QUERIES: &[&str] = &[
     "Employee * Department",
     "Employee [salary >= 100000] * Project",
     "{Employee * Department} * Project",
     "Department ! Project",
+    "Employee [salary < 100000] * Project [budget >= 500]",
 ];
 const CAD_QUERIES: &[&str] = &["Supplier * Part", "Supplier ! Part [cost >= 50]"];
 
+/// A BOM with three suppliers, each supplying every third part
+/// (`cad::build_bom` creates none, which would leave the Supplier queries
+/// with nothing to bind).
+fn bom_with_suppliers(shape: cad::BomShape, seed: u64) -> Database {
+    let mut db = cad::build_bom(shape, seed).0;
+    let supplier = db.schema().class_by_name("Supplier").unwrap();
+    let supplies = db.schema().own_link_by_name(supplier, "Supplies").unwrap();
+    let parts: Vec<_> = db.extent(db.schema().class_by_name("Part").unwrap()).collect();
+    for i in 0..3 {
+        let s = db.new_object(supplier).unwrap();
+        for &p in parts.iter().skip((seed as usize + i) % 3).step_by(3) {
+            db.associate(supplies, s, p).unwrap();
+        }
+    }
+    db
+}
+
 fn dbs(seed: u64) -> Vec<(Database, &'static [&'static str])> {
+    let bom = cad::BomShape { depth: 3, fanout: 3, roots: 2, share_per_mille: 300 };
     vec![
         (university::populate(university::Size::small(), seed), UNIVERSITY_QUERIES),
         (company::populate(company::CompanySize::small(), seed).0, COMPANY_QUERIES),
-        (cad::build_bom(cad::BomShape { depth: 3, fanout: 3, roots: 2, share_per_mille: 300 }, seed).0, CAD_QUERIES),
+        (bom_with_suppliers(bom, seed), CAD_QUERIES),
     ]
 }
 
+/// "interp" is the spec-level interpreter of `tests/common/spec_eval.rs`.
 #[test]
 fn compiled_equals_interp_across_schemas_and_threads() {
     let _g = lock();
     check("compiled_equals_interp_across_schemas_and_threads", CASES, |g| {
         let seed = g.range(0u64..100);
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            for (db, queries) in dbs(seed) {
-                let reg = SubdbRegistry::new();
-                for q in queries {
-                    for &mode in MODES {
-                        assert_equiv(&db, &reg, q, mode);
-                    }
-                }
+        for (db, queries) in dbs(seed) {
+            let reg = SubdbRegistry::new();
+            for q in queries {
+                assert_equiv(&db, &reg, q, THREADS);
             }
-            std::env::remove_var("DOOD_THREADS");
         }
     });
 }
@@ -106,11 +133,11 @@ fn random_stats_change_plans_not_results() {
         let seed = g.range(0u64..100);
         for (db, queries) in dbs(seed) {
             let reg = SubdbRegistry::new();
-            // Prime the registry: one compiled pass populates fan-out and
+            // Prime the registry: one pass populates fan-out and
             // selectivity keys for every stage of every query.
             stats::clear();
             for q in queries {
-                assert_equiv(&db, &reg, q, PlannerMode::CostBased);
+                assert_equiv(&db, &reg, q, &[1]);
             }
             // Adversarially scramble every observed statistic, plus a few
             // fan keys the pass may not have touched.
@@ -122,38 +149,126 @@ fn random_stats_change_plans_not_results() {
                     stats::set(&format!("oql.fan.a{a}.{d}"), g.range(0u64..500) as f64 / 10.0);
                 }
             }
-            // Misled plans must still agree with the interpreter.
+            // Misled plans must still agree with the spec.
             for q in queries {
-                assert_equiv(&db, &reg, q, PlannerMode::CostBased);
+                assert_equiv(&db, &reg, q, &[1]);
             }
         }
         stats::clear();
     });
 }
 
+/// The pairs `(head, later component)` of a set of closure chains: who
+/// reaches whom.
+fn reach_pairs(rows: &[Row]) -> BTreeSet<(u64, u64)> {
+    let mut out = BTreeSet::new();
+    for row in rows {
+        let head = row[0].expect("a chain starts at its root");
+        out.extend(row[1..].iter().flatten().map(|o| (head.raw(), o.raw())));
+    }
+    out
+}
+
+/// A database, a pure association chain over it, and the chain's links as
+/// `(owning class, link name)`, left to right.
+type AssocChain<'a> = (&'a Database, &'a str, &'a [(&'a str, &'a str)]);
+
+/// Three formalisms, one answer: the engine, the spec interpreter and the
+/// Datalog engine over `datalog::translate`'s flat encoding (the encoding
+/// the benchmark's pass-0 oracle uses) agree on pure association chains and
+/// on who reaches whom under `^*`.
+#[test]
+fn compiled_equals_spec_equals_datalog() {
+    let _g = lock();
+    let (v, atom) = (datalog::v, datalog::Atom::new);
+    check("compiled_equals_spec_equals_datalog", CASES, |g| {
+        let seed = g.range(0u64..100);
+        let reg = SubdbRegistry::new();
+        let uni = university::populate(university::Size::small(), seed);
+        let co = company::populate(company::CompanySize::small(), seed).0;
+        let bom = bom_with_suppliers(cad::BomShape::small(), seed);
+        let soc = social::build_graph(social::SocialShape::small(), seed).0;
+
+        // `C0 * C1 * … * Cn` over the named links, each owned by its left
+        // class: chain(X0, …, Xn) :- l0(X0, X1), …, l(n-1)(X(n-1), Xn).
+        let chains: [AssocChain; 3] = [
+            (&uni, "Teacher * Section * Course", &[("Teacher", "Teaches"), ("Section", "Course")]),
+            (&co, "Employee * Department", &[("Employee", "WorksIn")]),
+            (&bom, "Supplier * Part", &[("Supplier", "Supplies")]),
+        ];
+        for (db, query, links) in chains {
+            let mut tr = datalog::translate(db);
+            let body = links
+                .iter()
+                .enumerate()
+                .map(|(i, (owner, link))| {
+                    let owner = db.schema().class_by_name(owner).unwrap();
+                    let assoc = db.schema().own_link_by_name(owner, link).unwrap();
+                    let p = datalog::translate::assoc_pred(&mut tr, db, assoc);
+                    atom(p, vec![v(i as u32), v(i as u32 + 1)])
+                })
+                .collect();
+            let chain = tr.program.pred("chain");
+            tr.program.rule(atom(chain, (0..=links.len() as u32).map(v).collect()), body);
+            let (facts, _) = datalog::seminaive(&tr.program, &tr.edb);
+            let flat: BTreeSet<Vec<u64>> = facts.tuples(chain).cloned().collect();
+            let spec: BTreeSet<Vec<u64>> = assert_equiv(db, &reg, query, THREADS)
+                .iter()
+                .map(|r| r.iter().map(|o| o.expect("full pattern").raw()).collect())
+                .collect();
+            assert_eq!(spec, flat, "spec != datalog for `{query}`");
+        }
+
+        // reach(X, Y) :- l(X, Y).  reach(X, Z) :- reach(X, Y), l(Y, Z).
+        for (db, query, class, link) in
+            [(&soc, "Person ^*", "Person", "Follows"), (&bom, "Part ^*", "Part", "Component")]
+        {
+            let mut tr = datalog::translate(db);
+            let owner = db.schema().class_by_name(class).unwrap();
+            let assoc = db.schema().own_link_by_name(owner, link).unwrap();
+            let edge = datalog::translate::assoc_pred(&mut tr, db, assoc);
+            let reach = tr.program.pred("reach");
+            tr.program.rule(atom(reach, vec![v(0), v(1)]), vec![atom(edge, vec![v(0), v(1)])]);
+            tr.program.rule(
+                atom(reach, vec![v(0), v(2)]),
+                vec![atom(reach, vec![v(0), v(1)]), atom(edge, vec![v(1), v(2)])],
+            );
+            let (facts, _) = datalog::seminaive(&tr.program, &tr.edb);
+            // A chain never revisits an instance, so nobody reaches itself.
+            let flat: BTreeSet<(u64, u64)> =
+                facts.tuples(reach).filter(|t| t[0] != t[1]).map(|t| (t[0], t[1])).collect();
+            let spec = assert_equiv(db, &reg, query, THREADS);
+            assert_eq!(reach_pairs(&spec), flat, "spec != datalog for `{query}`");
+        }
+    });
+}
+
 /// Incremental forward maintenance runs delta evaluations through the
-/// cached compiled plan; a full run under `DOOD_EXEC=interp` must land on
-/// the same materialized subdatabases.
+/// cached compiled plan; the maintained subdatabases must equal a fresh
+/// re-derivation after every step and, at the end of the schedule, the
+/// spec interpreter ("interp") on the final database — both rules target
+/// their whole context and have no WHERE.
 #[test]
 fn delta_maintenance_compiled_equals_interp() {
     let _g = lock();
     check("delta_maintenance_compiled_equals_interp", CASES, |g| {
         let seed = g.range(0u64..100);
         let ops = g.vec(2..8, |g| g.range(0usize..64));
-        let run = |exec: &str| {
-            std::env::set_var("DOOD_EXEC", exec);
+        let rules = [
+            ("Ra", "REa", "Employee * Department", "(Employee, Department)"),
+            ("Rb", "REb", "REa:Employee * Project", "(Employee, Project)"),
+        ];
+        let run = |incremental: bool| {
             let (db, _) = company::populate(company::CompanySize::small(), seed);
             let mut e = RuleEngine::new(db);
-            e.add_rule("Ra", "if context Employee * Department then REa (Employee, Department)")
-                .unwrap();
-            e.add_rule("Rb", "if context REa:Employee * Project then REb (Employee, Project)")
-                .unwrap();
-            let subdbs = ["REa", "REb"];
-            for s in subdbs {
+            for (rule, subdb, context, target) in rules {
+                e.add_rule(rule, &format!("if context {context} then {subdb} {target}")).unwrap();
+            }
+            for (_, s, ..) in rules {
                 e.set_policy(s, EvalPolicy::PreEvaluated);
             }
-            e.set_incremental(true);
-            for s in subdbs {
+            e.set_incremental(incremental);
+            for (_, s, ..) in rules {
                 e.subdb(s).unwrap();
             }
             for (i, &k) in ops.iter().enumerate() {
@@ -167,12 +282,16 @@ fn delta_maintenance_compiled_equals_interp() {
                 db.associate(assigned, emp, p).unwrap();
                 e.propagate().unwrap();
             }
-            let out: Vec<_> =
-                subdbs.iter().map(|s| e.registry().subdb(s).unwrap().to_vec()).collect();
-            std::env::remove_var("DOOD_EXEC");
-            out
+            e
         };
-        assert_eq!(run("compiled"), run("interp"), "delta maintenance diverged");
+        let maintained = run(true);
+        let fresh = run(false);
+        for (_, s, context, _) in rules {
+            let rows = rows_of(maintained.registry().subdb(s).unwrap());
+            assert_eq!(rows, rows_of(fresh.registry().subdb(s).unwrap()), "{s}: maintained != fresh");
+            let spec = spec_query(maintained.db(), maintained.registry(), context);
+            assert_eq!(rows, spec, "{s}: maintained != spec");
+        }
     });
 }
 
@@ -197,7 +316,7 @@ fn golden_plans_e1_e6_e7() {
     stats::clear();
     assert_eq!(
         e1,
-        "plan mode=cost\n  span [0,3) anchor=Course cost=29 rows=12\n    scan Course est=8\n    step Course->Section est=9\n    step Section->Teacher est=12\n",
+        "plan\n  span [0,3) anchor=Course cost=29 rows=12\n    scan Course est=8\n    step Course->Section est=9\n    step Section->Teacher est=12\n",
         "E1 golden plan drifted:\n{e1}"
     );
     // The brace group compiles a second, prefix-only span: the retention
@@ -205,12 +324,12 @@ fn golden_plans_e1_e6_e7() {
     // partial patterns survive subsumption.
     assert_eq!(
         e6,
-        "plan mode=cost\n  span [0,3) anchor=Course cost=29 rows=12\n    scan Course est=8\n    step Course->Section est=9\n    step Section->Teacher est=12\n  span [0,2) anchor=Teacher cost=21 rows=12\n    scan Teacher est=9\n    step Teacher->Section est=12\n",
+        "plan\n  span [0,3) anchor=Course cost=29 rows=12\n    scan Course est=8\n    step Course->Section est=9\n    step Section->Teacher est=12\n  span [0,2) anchor=Teacher cost=21 rows=12\n    scan Teacher est=9\n    step Teacher->Section est=12\n",
         "E6 golden plan drifted:\n{e6}"
     );
     assert_eq!(
         e7,
-        "plan mode=cost\n  span [0,4) anchor=Department cost=70 rows=51\n    scan Department est=2\n    step Department->Course est=8\n    step Course->Section est=9\n    step Section->Student est=51\n",
+        "plan\n  span [0,4) anchor=Department cost=70 rows=51\n    scan Department est=2\n    step Department->Course est=8\n    step Course->Section est=9\n    step Section->Student est=51\n",
         "E7 golden plan drifted:\n{e7}"
     );
 }
