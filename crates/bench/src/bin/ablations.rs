@@ -2,8 +2,6 @@
 //!
 //! * **E10** — ordered attribute indexes vs full extent scans for
 //!   intra-class conditions;
-//! * **E11** — scoped incremental (delta) forward maintenance vs full
-//!   re-derivation;
 //! * **E13** — the parallel span join's sequential-fallback cutoff
 //!   (`ChunkPool::cutoff`): sweep the anchor-candidate threshold below
 //!   which evaluation stays inline.
@@ -12,13 +10,12 @@
 //! cargo run --release -p dood-bench --bin ablations
 //! ```
 
-use dood_bench::{pipeline_engine, pipeline_update, time_us};
+use dood_bench::time_us;
 use dood_core::pool::ChunkPool;
 use dood_core::subdb::SubdbRegistry;
 use dood_oql::parser::Parser;
 use dood_oql::resolve::resolve_context;
 use dood_oql::Evaluator;
-use dood_rules::EvalPolicy;
 use dood_workload::university;
 
 fn main() {
@@ -44,53 +41,6 @@ fn main() {
         assert_eq!(n, n_ix, "index must not change results");
         let t_ix = time_us(5, || oql.query(&db, &reg, q).unwrap().subdb.len());
         println!("| {factor} | {n} | {t_scan:.0} | {t_ix:.0} | {:.2}x |", t_scan / t_ix);
-    }
-
-    // ------------------------------------------------------------------
-    // E11 — incremental vs full forward maintenance.
-    // ------------------------------------------------------------------
-    println!("\n## E11 — delta maintenance vs full re-derivation (per update)\n");
-    println!("| employees | full (us) | incremental (us) | speedup |");
-    println!("|---|---|---|---|");
-    for employees in [100usize, 400, 1600] {
-        let mk = |incremental: bool| {
-            let mut e = pipeline_engine(employees, 5);
-            for s in ["REa", "REb", "REc", "REd"] {
-                e.set_policy(s, EvalPolicy::PreEvaluated);
-            }
-            e.set_incremental(incremental);
-            e.query("context REd:Department").unwrap();
-            e
-        };
-        // Correctness check outside timing.
-        {
-            let mut inc = mk(true);
-            let mut full = mk(false);
-            pipeline_update(&mut inc, 7);
-            pipeline_update(&mut full, 7);
-            inc.propagate().unwrap();
-            full.propagate().unwrap();
-            for s in ["REa", "REb"] {
-                assert_eq!(
-                    inc.registry().subdb(s).unwrap().to_vec(),
-                    full.registry().subdb(s).unwrap().to_vec()
-                );
-            }
-        }
-        let mut i = 0usize;
-        let mut full_engine = mk(false);
-        let t_full = time_us(5, || {
-            i += 1;
-            pipeline_update(&mut full_engine, i);
-            full_engine.propagate().unwrap().len()
-        });
-        let mut inc_engine = mk(true);
-        let t_inc = time_us(5, || {
-            i += 1;
-            pipeline_update(&mut inc_engine, i);
-            inc_engine.propagate().unwrap().len()
-        });
-        println!("| {employees} | {t_full:.0} | {t_inc:.0} | {:.2}x |", t_full / t_inc);
     }
 
     // ------------------------------------------------------------------

@@ -2,21 +2,32 @@
 //!
 //! Classes of derived subdatabases are referenced as `Subdb:Class` — "by
 //! qualifying the class name with the subdatabase name using a colon"
-//! (paper §4.1). The registry resolves such qualified references and tracks
-//! a validity epoch per entry so the rule engine can invalidate
-//! post-evaluated results when base data changes.
+//! (paper §4.1). The registry resolves such qualified references and keeps,
+//! per entry, what the rule engine needs to bring an out-of-date result up
+//! to date: the store sequence number it reflects, the engine epochs of its
+//! last content changes, and whether it is *stale*. A stale entry is kept
+//! only as the base of a catch-up; every reader sees it as absent.
 
 use crate::fxhash::FxHashMap;
 use crate::subdb::subdatabase::Subdatabase;
 
-/// A registry entry: the materialized subdatabase plus the engine epoch at
-/// which it was derived.
+/// A registry entry: the materialized subdatabase plus its freshness
+/// bookkeeping.
 #[derive(Debug, Clone)]
 pub struct RegistryEntry {
     /// The derived subdatabase.
     pub subdb: Subdatabase,
-    /// Epoch (update watermark) at derivation time.
+    /// Store event sequence number the content reflects.
     pub derived_at: u64,
+    /// Engine epoch of the commit that last changed the content.
+    pub changed_at: u64,
+    /// The last change a reader stepping inside the commit's propagate does
+    /// not get as a content delta: `changed_at` itself, unless that commit
+    /// folded its delta into the propagate's dirty set, in which case the
+    /// change before it.
+    pub changed_before: u64,
+    /// Out of date: kept for a catch-up, absent to readers.
+    pub stale: bool,
 }
 
 /// Registry of derived subdatabases, keyed by name.
@@ -31,43 +42,56 @@ impl SubdbRegistry {
         Self::default()
     }
 
-    /// Insert or replace a derived subdatabase.
+    /// Insert or replace a fresh derived subdatabase whose content changed
+    /// at epoch 0.
     pub fn put(&mut self, subdb: Subdatabase, derived_at: u64) {
-        self.entries
-            .insert(subdb.name.clone(), RegistryEntry { subdb, derived_at });
+        self.insert(RegistryEntry {
+            subdb,
+            derived_at,
+            changed_at: 0,
+            changed_before: 0,
+            stale: false,
+        });
     }
 
-    /// Get an entry by subdatabase name.
+    /// Insert or replace an entry.
+    pub fn insert(&mut self, entry: RegistryEntry) {
+        self.entries.insert(entry.subdb.name.clone(), entry);
+    }
+
+    /// Get a fresh entry by subdatabase name.
     pub fn get(&self, name: &str) -> Option<&RegistryEntry> {
-        self.entries.get(name)
+        self.entries.get(name).filter(|e| !e.stale)
     }
 
-    /// Get the subdatabase by name.
+    /// Get a fresh subdatabase by name.
     pub fn subdb(&self, name: &str) -> Option<&Subdatabase> {
-        self.entries.get(name).map(|e| &e.subdb)
+        self.get(name).map(|e| &e.subdb)
     }
 
-    /// Remove an entry (invalidate).
-    pub fn remove(&mut self, name: &str) -> Option<Subdatabase> {
-        self.entries.remove(name).map(|e| e.subdb)
+    /// Remove an entry, stale or not (to refresh it and insert it again).
+    pub fn take(&mut self, name: &str) -> Option<RegistryEntry> {
+        self.entries.remove(name)
     }
 
-    /// Remove an entry, returning the subdatabase together with its
-    /// derivation epoch (so the caller can re-register it unchanged).
-    pub fn take(&mut self, name: &str) -> Option<(Subdatabase, u64)> {
-        self.entries.remove(name).map(|e| (e.subdb, e.derived_at))
+    /// Mark an entry, if any, stale: readers stop seeing it, a catch-up
+    /// starts from it.
+    pub fn mark_stale(&mut self, name: &str) {
+        if let Some(e) = self.entries.get_mut(name) {
+            e.stale = true;
+        }
     }
 
-    /// Whether an entry exists and was derived at or after `epoch`.
-    pub fn is_fresh(&self, name: &str, epoch: u64) -> bool {
-        self.entries
-            .get(name)
-            .is_some_and(|e| e.derived_at >= epoch)
+    /// Whether a fresh entry exists and reflects the store at or after
+    /// sequence number `seq`.
+    pub fn is_fresh(&self, name: &str, seq: u64) -> bool {
+        self.get(name).is_some_and(|e| e.derived_at >= seq)
     }
 
-    /// Names of registered subdatabases, sorted (deterministic).
+    /// Names of fresh subdatabases, sorted (deterministic).
     pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.entries.keys().map(|s| s.as_str()).collect();
+        let mut v: Vec<&str> =
+            self.entries.iter().filter(|(_, e)| !e.stale).map(|(n, _)| n.as_str()).collect();
         v.sort_unstable();
         v
     }
@@ -80,12 +104,12 @@ impl SubdbRegistry {
         Some((s, slot))
     }
 
-    /// Number of entries.
+    /// Number of entries, stale ones included.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the registry is empty.
+    /// Whether the registry holds no entry at all.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -113,13 +137,13 @@ mod tests {
     }
 
     #[test]
-    fn put_get_remove() {
+    fn put_get_take() {
         let mut r = SubdbRegistry::new();
         r.put(sd("Teacher_course"), 3);
         assert!(r.get("Teacher_course").is_some());
         assert_eq!(r.get("Teacher_course").unwrap().derived_at, 3);
         assert!(r.subdb("Nope").is_none());
-        assert!(r.remove("Teacher_course").is_some());
+        assert!(r.take("Teacher_course").is_some());
         assert!(r.is_empty());
     }
 
@@ -131,6 +155,22 @@ mod tests {
         assert!(r.is_fresh("S", 4));
         assert!(!r.is_fresh("S", 6));
         assert!(!r.is_fresh("T", 0));
+    }
+
+    #[test]
+    fn stale_entries_are_absent_to_readers() {
+        let mut r = SubdbRegistry::new();
+        r.put(sd("S"), 5);
+        r.put(sd("T"), 5);
+        r.mark_stale("S");
+        r.mark_stale("U");
+        assert!(r.get("S").is_none() && r.subdb("S").is_none());
+        assert!(!r.is_fresh("S", 0));
+        assert!(r.resolve_qualified("S", "Course").is_none());
+        assert_eq!(r.names(), vec!["T"]);
+        // Still there for a catch-up.
+        let e = r.take("S").unwrap();
+        assert!(e.stale && e.derived_at == 5);
     }
 
     #[test]

@@ -64,23 +64,28 @@ pub fn target_slots(rule: &Rule, intension: &Intension) -> Result<Vec<usize>, Ru
                     RuleError::UnknownTarget { rule: rule.name.clone(), target: class.to_string() }
                 })?);
             }
-            TargetItem::Family { base } => {
-                let fam: Vec<usize> = intension
-                    .slots_of_family(base)
-                    .into_iter()
-                    .filter(|&i| intension.slots[i].name != *base)
-                    .collect();
-                if fam.is_empty() {
-                    return Err(RuleError::UnknownTarget {
-                        rule: rule.name.clone(),
-                        target: format!("{base}_*"),
-                    });
-                }
-                slots.extend(fam);
-            }
+            TargetItem::Family { base } => slots.extend(family_slots(rule, intension, base)?),
         }
     }
     Ok(slots)
+}
+
+/// The context slots a `base_*` target covers. Paper R6: "the second
+/// argument Grad* stands for Grad_1, Grad_2, …" — the family covers levels
+/// ≥ 1; level 0 is referenced by its plain name. How many levels there are
+/// is up to the data: a closure whose chains all stop at level 0 covers
+/// none, which is an empty family, not an error.
+fn family_slots(rule: &Rule, intension: &Intension, base: &str) -> Result<Vec<usize>, RuleError> {
+    let family = intension.slots_of_family(base);
+    let levels: Vec<usize> =
+        family.iter().copied().filter(|&i| intension.slots[i].name != base).collect();
+    if levels.is_empty() && (family.is_empty() || rule.context.closure.is_none()) {
+        return Err(RuleError::UnknownTarget {
+            rule: rule.name.clone(),
+            target: format!("{base}_*"),
+        });
+    }
+    Ok(levels)
 }
 
 /// Build the target subdatabase from an evaluated IF-context.
@@ -109,22 +114,7 @@ pub fn project_targets(
                 restrictions.push(attrs.clone());
             }
             TargetItem::Family { base } => {
-                // Paper R6: "the second argument Grad* stands for Grad_1,
-                // Grad_2, …" — the family covers levels ≥ 1; level 0 is
-                // referenced by its plain name.
-                let fam: Vec<usize> = ctx
-                    .intension
-                    .slots_of_family(base)
-                    .into_iter()
-                    .filter(|&i| ctx.intension.slots[i].name != *base)
-                    .collect();
-                if fam.is_empty() {
-                    return Err(RuleError::UnknownTarget {
-                        rule: rule.name.clone(),
-                        target: format!("{base}_*"),
-                    });
-                }
-                for s in fam {
+                for s in family_slots(rule, &ctx.intension, base)? {
                     slots.push(s);
                     restrictions.push(None);
                 }

@@ -30,7 +30,7 @@ use dood_core::ids::{ClassId, Oid};
 use dood_core::obs;
 use dood_core::obs::profile::Profile;
 use dood_core::pool::ChunkPool;
-use dood_core::subdb::{Subdatabase, SubdbRegistry};
+use dood_core::subdb::{RegistryEntry, Subdatabase, SubdbRegistry};
 use dood_oql::ast::{ClassRef, Item, Query, SelectItem, Seq, WhereCond};
 use dood_oql::{Oql, QueryOutput};
 use dood_store::{Database, SubscriberId};
@@ -42,7 +42,8 @@ use std::collections::BTreeSet;
 pub enum EvalPolicy {
     /// Materialized and kept up to date by forward chaining.
     PreEvaluated,
-    /// Computed on demand by backward chaining; invalidated by updates.
+    /// Computed on demand by backward chaining; an update leaves it stale
+    /// until a read catches it up.
     PostEvaluated,
 }
 
@@ -65,23 +66,22 @@ pub enum ControlMode {
 }
 
 /// One subdatabase's maintenance state, pulled out of the engine for a
-/// stratum's parallel fan-out: its rules' delta caches plus its registered
-/// copy (with the epoch it was derived at). The worker mutates all of it
-/// in place; the commit loop drains it back.
+/// stratum's parallel fan-out or a catch-up: its rules' delta caches plus
+/// its registry entry, stale or not. The worker mutates all of it in place;
+/// `put_back` drains it back.
 struct MaintainState {
     caches: FxHashMap<String, RuleCache>,
-    entry: Option<(Subdatabase, u64)>,
+    entry: Option<RegistryEntry>,
 }
 
-/// What maintaining one subdatabase produced, for the commit loop.
+/// What maintaining one subdatabase produced, for the commit.
 enum Maintained {
-    /// Content unchanged: re-register with the old `derived_at` so
-    /// downstream freshness checks keep passing without invalidation.
-    Unchanged { sd: Subdatabase, derived_at: u64 },
-    /// Content changed: commit at the current epoch. `diff` holds the
-    /// delta's component oids when known; `None` means no before-image
-    /// existed and readers must re-seed.
-    Changed { sd: Subdatabase, diff: Option<Vec<Oid>> },
+    /// Content unchanged: the entry, with the epochs of its last change.
+    Unchanged(RegistryEntry),
+    /// Content changed at a new epoch. `prior` is the `changed_at` of the
+    /// copy it replaces; `diff` holds the delta's component oids when known
+    /// — `None` means no before-image existed and readers must re-seed.
+    Changed { sd: Subdatabase, prior: u64, diff: Option<Vec<Oid>> },
 }
 
 /// The deductive object-oriented database engine: an object store, a rule
@@ -99,12 +99,16 @@ pub struct RuleEngine {
     watermark: u64,
     /// Per rule: the base classes its IF clause reads (hierarchy-closed).
     base_reads: Vec<FxHashSet<ClassId>>,
-    /// Use semi-naive delta maintenance where sound (the default; see
-    /// DESIGN.md §9). Disabled = the full-recompute ablation baseline.
-    incremental: bool,
     /// Per-rule maintenance caches (context, WHERE verdicts, derivation
     /// counts, target) keyed by rule name.
     caches: FxHashMap<String, RuleCache>,
+    /// Monotone count of registry commits that changed a result's content.
+    /// Entries record the epoch of their last change and caches the epoch
+    /// they last stepped at, so a cache can tell whether a source moved
+    /// since. The store's sequence number cannot tell: a cache stepped by a
+    /// read between updates and `propagate`, and a source that propagate
+    /// then commits, reflect the same one.
+    epoch: u64,
     /// Treat analyzer warnings as fatal in [`RuleEngine::register`].
     strict: bool,
     /// Dirty objects of the update batch being propagated, when any. Grows
@@ -113,13 +117,9 @@ pub struct RuleEngine {
     /// Event-log watermark the current dirty set starts from: a rule cache
     /// at `at_seq >= dirty_from` can be delta-advanced by `current_dirty`.
     dirty_from: u64,
-    /// Subdatabases (re)materialized this propagate without a before-image;
-    /// readers cannot trust their content delta and re-seed in full.
-    unknown: FxHashSet<String>,
-    /// Post-evaluated results the propagate under way invalidated: when a
-    /// later stratum backward-derives one as a source, its rules step from
-    /// this image and its content delta is the edits replayed onto it.
-    invalidated: FxHashMap<String, Subdatabase>,
+    /// Engine epoch the current dirty set starts from: the content deltas
+    /// of the commits after it are in `current_dirty`.
+    dirty_epoch: u64,
     /// Forward targets skipped by the last effective propagate because a
     /// backward-derived source was absent (rule-oriented mode) — these are
     /// now silently stale, per the paper's POSTGRES critique.
@@ -149,29 +149,14 @@ impl RuleEngine {
             mode: ControlMode::ResultOriented,
             watermark,
             base_reads: Vec::new(),
-            incremental: true,
             caches: FxHashMap::default(),
+            epoch: 0,
             current_dirty: None,
             dirty_from: watermark,
-            unknown: FxHashSet::default(),
-            invalidated: FxHashMap::default(),
+            dirty_epoch: 0,
             stale_skips: Vec::new(),
             strict: false,
             events_sub,
-        }
-    }
-
-    /// Enable/disable semi-naive incremental forward maintenance.
-    /// Incremental mode (the default) caches each rule's IF-context, WHERE
-    /// verdicts and derivation counts and, on update, re-derives only the
-    /// patterns containing touched objects; closure rules carry the
-    /// fixpoint's successor-relation provenance and re-derive only the
-    /// chains of affected roots (DESIGN.md §11). Disabling gives the
-    /// full-recompute ablation baseline (E11/E16).
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-        if !on {
-            self.caches.clear();
         }
     }
 
@@ -370,17 +355,18 @@ impl RuleEngine {
     // Backward chaining
     // ------------------------------------------------------------------
 
-    /// Whether a derived subdatabase must be (re)computed before use.
+    /// Whether a derived subdatabase must be (re)computed before use: it is
+    /// absent or stale, or it is computed on demand and the store has moved
+    /// since it was.
     fn needs_derivation(&self, name: &str) -> bool {
-        match self.mode {
-            ControlMode::ResultOriented => match self.policy(name) {
-                EvalPolicy::PreEvaluated => self.registry.subdb(name).is_none(),
-                EvalPolicy::PostEvaluated => !self.registry.is_fresh(name, self.db.seq()),
-            },
-            ControlMode::RuleOriented => match self.subdb_strategy(name) {
-                ChainStrategy::Forward => self.registry.subdb(name).is_none(),
-                ChainStrategy::Backward => !self.registry.is_fresh(name, self.db.seq()),
-            },
+        let on_demand = match self.mode {
+            ControlMode::ResultOriented => self.policy(name) == EvalPolicy::PostEvaluated,
+            ControlMode::RuleOriented => self.subdb_strategy(name) == ChainStrategy::Backward,
+        };
+        if on_demand {
+            !self.registry.is_fresh(name, self.db.seq())
+        } else {
+            self.registry.subdb(name).is_none()
         }
     }
 
@@ -408,59 +394,23 @@ impl RuleEngine {
         self.run_rules_for(name)
     }
 
-    /// Apply every rule deriving `name` (union semantics, R4/R5) against
-    /// the current registry state and register the result.
-    /// Commit a derived result to the registry, with delta-size accounting.
-    fn commit_derived(&mut self, sd: Subdatabase) {
-        if obs::metrics_enabled() {
-            obs::metrics::counter("rules.rederived").inc();
-            obs::metrics::histogram("rules.delta_rows").record(sd.len() as u64);
-        }
-        self.registry.put(sd, self.db.seq());
-    }
-
+    /// Bring `name` up to date from its kept copy and rule caches — the
+    /// catch-up of a stale or out-of-date result, inside a propagate or on
+    /// a read — and commit it.
     fn run_rules_for(&mut self, name: &str) -> Result<(), RuleError> {
-        if !self.incremental {
-            let sd = self.compute_rules_for(name)?;
-            self.commit_derived(sd);
-            return Ok(());
-        }
-        // Lend the dirty set to the step, as the stratum fan-out does.
+        let mut state = self.take_state(name);
+        // Lend the dirty set of a propagate under way, as the stratum
+        // fan-out does.
         let dirty = self.current_dirty.take();
-        // Inside a propagate the rules step from the copy they last
-        // produced — the registered one if it is still there (stale), else
-        // the image this propagate invalidated — and the edits are the
-        // content delta. Outside one there is no delta to account for.
-        let registered = dirty.as_ref().and_then(|_| self.registry.take(name));
-        let was_registered = registered.is_some();
-        let entry = registered.or_else(|| {
-            dirty.as_ref().and_then(|_| self.invalidated.remove(name)).map(|sd| (sd, 0))
-        });
-        let mut state = self.take_state(name, entry);
         let result = self.maintain_subdb(name, &mut state, dirty.as_ref());
         self.current_dirty = dirty;
-        self.caches.extend(state.caches);
-        let (sd, diff) = match result {
-            Ok(Maintained::Unchanged { sd, .. }) => (sd, Some(Vec::new())),
-            Ok(Maintained::Changed { sd, diff }) => (sd, diff),
-            Err(e) => {
-                match state.entry {
-                    Some((sd, at)) if was_registered => self.registry.put(sd, at),
-                    Some((sd, _)) => drop(self.invalidated.insert(name.to_string(), sd)),
-                    None => {}
-                }
-                return Err(e);
-            }
-        };
-        self.commit_derived(sd);
-        self.fold_commit_delta(name, diff);
-        Ok(())
+        self.put_back(state, result)
     }
 
-    /// Pull `name`'s maintenance state — its rules' caches, and `entry` as
-    /// the copy to refresh — out of the engine, so that a step can mutate
-    /// it while the engine stays read-only.
-    fn take_state(&mut self, name: &str, entry: Option<(Subdatabase, u64)>) -> MaintainState {
+    /// Pull `name`'s maintenance state — its rules' caches and its entry,
+    /// stale or not — out of the engine, so that a step can mutate it while
+    /// the engine stays read-only.
+    fn take_state(&mut self, name: &str) -> MaintainState {
         let mut caches = FxHashMap::default();
         for &i in self.graph.rules_for(name) {
             let rn = &self.rules[i].name;
@@ -468,38 +418,79 @@ impl RuleEngine {
                 caches.insert(rn.clone(), c);
             }
         }
-        MaintainState { caches, entry }
+        MaintainState { caches, entry: self.registry.take(name) }
     }
 
-    /// The unioned result of every rule deriving `name` against the current
-    /// store and registry state, *without* committing it. Read-only, so
-    /// independent results (same depgraph stratum) can be computed on
-    /// separate threads.
-    fn compute_rules_for(&self, name: &str) -> Result<Subdatabase, RuleError> {
-        debug_assert!(!self.graph.rules_for(name).is_empty());
-        let mut sp = obs::trace::span("rules.derive");
-        sp.label(|| name.to_string());
-        sp.attr("rules", self.graph.rules_for(name).len() as i64);
-        let mut acc: Option<Subdatabase> = None;
-        for &i in self.graph.rules_for(name) {
-            let sd = apply_rule(&self.rules[i], &self.db, &self.registry)?;
-            acc = Some(match acc {
-                None => sd,
-                Some(mut prev) => {
-                    if !layouts_compatible(&prev, &sd) {
-                        return Err(RuleError::TargetLayoutMismatch {
-                            subdb: name.to_string(),
-                            rule: self.rules[i].name.clone(),
-                        });
-                    }
-                    prev.union_from(&sd);
-                    prev
+    /// Return a maintenance step's state to the engine. On success the
+    /// caches go back and the result is committed. On error no cache goes
+    /// back — one may have stepped past the copy — so the rules re-seed
+    /// next time, and the copy is restored as it was, but stale: it no
+    /// longer reflects the events the failed step consumed.
+    fn put_back(
+        &mut self,
+        state: MaintainState,
+        result: Result<Maintained, RuleError>,
+    ) -> Result<(), RuleError> {
+        let maintained = match result {
+            Ok(m) => m,
+            Err(e) => {
+                if let Some(mut entry) = state.entry {
+                    entry.stale = true;
+                    self.registry.insert(entry);
                 }
-            });
+                return Err(e);
+            }
+        };
+        self.caches.extend(state.caches);
+        let derived_at = self.db.seq();
+        match maintained {
+            Maintained::Unchanged(mut entry) => {
+                if obs::metrics_enabled() {
+                    obs::metrics::counter("rules.maintain.unchanged").inc();
+                }
+                entry.derived_at = derived_at;
+                entry.stale = false;
+                self.registry.insert(entry);
+            }
+            Maintained::Changed { sd, prior, diff } => {
+                if obs::metrics_enabled() {
+                    obs::metrics::counter("rules.rederived").inc();
+                    obs::metrics::histogram("rules.delta_rows").record(sd.len() as u64);
+                }
+                self.epoch += 1;
+                // A reader stepping later in this propagate gets the change
+                // through the dirty set, if it was folded in; a reader that
+                // saw `prior` misses nothing then.
+                let changed_before = if self.fold_commit_delta(diff) { prior } else { self.epoch };
+                self.registry.insert(RegistryEntry {
+                    subdb: sd,
+                    derived_at,
+                    changed_at: self.epoch,
+                    changed_before,
+                    stale: false,
+                });
+            }
         }
-        let sd = acc.expect("at least one rule ran");
-        sp.attr("rows_out", sd.len() as i64);
-        Ok(sd)
+        Ok(())
+    }
+
+    /// Fold a committed content delta — the component oids of the patterns
+    /// that came or went — into the running dirty set of the propagate under
+    /// way (perspective-closed), so downstream rules' delta steps see
+    /// source-extent changes: aggregate verdict flips can add or drop target
+    /// patterns whose components were never base-dirty. Returns whether the
+    /// delta is in the dirty set: not outside a propagate, nor when it is
+    /// unknown (no before-image).
+    fn fold_commit_delta(&mut self, diff: Option<Vec<Oid>>) -> bool {
+        match (self.current_dirty.as_mut(), diff) {
+            (Some(dirty), Some(d)) => {
+                if !d.is_empty() {
+                    dirty.extend(dirty_closure(&self.db, d));
+                }
+                true
+            }
+            _ => false,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -518,7 +509,7 @@ impl RuleEngine {
         for e in events {
             touched.extend(e.touched_classes(self.db.schema()));
         }
-        if self.incremental && n_events > 0 {
+        if n_events > 0 {
             let oids = events.iter().flat_map(|e| e.touched_oids());
             self.current_dirty = Some(dirty_closure(&self.db, oids));
         }
@@ -535,9 +526,8 @@ impl RuleEngine {
         }
         let _acct = obs::account::begin("maintain", || format!("propagate events={n_events}"));
         self.stale_skips.clear();
-        self.unknown.clear();
-        self.invalidated.clear();
         self.dirty_from = prev_watermark;
+        self.dirty_epoch = self.epoch;
         // Dirty subdatabases: derived by a rule reading a touched class.
         let mut dirty: FxHashSet<String> = FxHashSet::default();
         for (i, rule) in self.rules.iter().enumerate() {
@@ -550,68 +540,23 @@ impl RuleEngine {
             a.extend(dirty);
             a
         };
-        let order = self.graph.topo_order()?;
+        let result = match self.mode {
+            ControlMode::ResultOriented => self.propagate_result_oriented(&affected),
+            ControlMode::RuleOriented => self.propagate_rule_oriented(&affected),
+        };
+        self.current_dirty = None;
+        let rederived = result?;
+        sp.attr("rederived", rederived.len() as i64);
+        Ok(rederived)
+    }
+
+    /// Rule-oriented (POSTGRES-style) propagation, in topological order.
+    fn propagate_rule_oriented(
+        &mut self,
+        affected: &FxHashSet<String>,
+    ) -> Result<Vec<String>, RuleError> {
         let mut rederived = Vec::new();
-        if self.mode == ControlMode::ResultOriented && self.incremental {
-            let rederived = self.propagate_incremental(&affected, &order)?;
-            self.current_dirty = None;
-            sp.attr("rederived", rederived.len() as i64);
-            return Ok(rederived);
-        }
-        if self.mode == ControlMode::ResultOriented && !self.incremental {
-            // Stratum-parallel forward maintenance: same-stratum results
-            // are independent (deps live in strictly earlier strata), so
-            // their rules run concurrently over the read-only store and
-            // registry; commits happen in deterministic within-stratum
-            // order, and `rederived` is reported in topological order as
-            // on the sequential path.
-            for (stratum_idx, stratum) in self.graph.strata()?.into_iter().enumerate() {
-                let mut ssp = obs::trace::span("rules.stratum");
-                ssp.attr("index", stratum_idx as i64);
-                let mut batch: Vec<String> = Vec::new();
-                for name in stratum {
-                    if !affected.contains(&name) {
-                        continue;
-                    }
-                    match self.policy(&name) {
-                        // Forward-maintain: collected for this stratum's
-                        // parallel fan-out.
-                        EvalPolicy::PreEvaluated => batch.push(name),
-                        EvalPolicy::PostEvaluated => {
-                            // Invalidate; the next query re-derives.
-                            self.registry.remove(&name);
-                        }
-                    }
-                }
-                // Sources are ensured fresh first, sequentially: deriving a
-                // post-evaluated source mutates the registry (the rule runs
-                // backward for it, forward for us).
-                for name in &batch {
-                    for dep in self.graph.deps_of(name).to_vec() {
-                        if self.graph.is_derived(&dep) {
-                            self.derive(&dep)?;
-                        }
-                    }
-                }
-                ssp.attr("subdbs", batch.len() as i64);
-                let pool = ChunkPool::from_env();
-                let results = pool.par_map(&batch, |name| self.compute_rules_for(name));
-                for (name, result) in batch.into_iter().zip(results) {
-                    self.commit_derived(result?);
-                    rederived.push(name);
-                }
-            }
-            let pos: FxHashMap<&str, usize> =
-                order.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
-            rederived.sort_unstable_by_key(|n| pos[n.as_str()]);
-            self.current_dirty = None;
-            sp.attr("rederived", rederived.len() as i64);
-            return Ok(rederived);
-        }
-        // Rule-oriented (POSTGRES-style) propagation: both result-oriented
-        // branches returned above.
-        debug_assert_eq!(self.mode, ControlMode::RuleOriented);
-        for name in order {
+        for name in self.graph.topo_order()? {
             if !affected.contains(&name) {
                 continue;
             }
@@ -619,10 +564,10 @@ impl RuleEngine {
                 ChainStrategy::Forward => {
                     // POSTGRES restriction: a forward rule reads its
                     // sources *as materialized right now*. If a source is
-                    // backward-derived (absent), the rule cannot run and
-                    // the target stays stale — recorded in `stale_skips`
-                    // and the `rules.maintain.stale_skip` metric rather
-                    // than silently dropped.
+                    // backward-derived (stale or absent), the rule cannot
+                    // run and the target stays stale — recorded in
+                    // `stale_skips` and the `rules.maintain.stale_skip`
+                    // metric rather than silently dropped.
                     let sources_present = self
                         .graph
                         .deps_of(&name)
@@ -641,43 +586,24 @@ impl RuleEngine {
                     }
                 }
                 ChainStrategy::Backward => {
-                    // Backward results are not preserved across updates.
-                    self.registry.remove(&name);
+                    // Backward results are not kept current across updates:
+                    // the next request catches them up.
+                    self.registry.mark_stale(&name);
                 }
             }
         }
-        self.current_dirty = None;
-        sp.attr("rederived", rederived.len() as i64);
         Ok(rederived)
     }
 
-    /// After committing a maintained subdatabase, fold its content delta —
-    /// the component oids of the patterns that came or went — into the
-    /// running dirty set (perspective-closed) so downstream rules' delta
-    /// steps see source-extent changes: aggregate verdict flips can add or
-    /// drop target patterns whose components were never base-dirty.
-    /// Without a before-image the delta is unknowable (`None`): the name
-    /// goes into `unknown` and readers re-seed in full.
-    fn fold_commit_delta(&mut self, name: &str, diff: Option<Vec<Oid>>) {
-        let Some(dirty) = self.current_dirty.as_mut() else { return };
-        match diff {
-            Some(d) if d.is_empty() => {}
-            Some(d) => dirty.extend(dirty_closure(&self.db, d)),
-            None => {
-                self.unknown.insert(name.to_string());
-            }
-        }
-    }
-
-    /// Result-oriented incremental propagation: stratum-by-stratum
-    /// semi-naive delta maintenance (DESIGN.md §9). Within a stratum,
-    /// pre-evaluated members are maintained concurrently against the
-    /// read-only store and registry and committed in deterministic order;
-    /// every commit's content delta feeds the dirty set of later strata.
-    fn propagate_incremental(
+    /// Result-oriented propagation: stratum-by-stratum semi-naive delta
+    /// maintenance (DESIGN.md §9). Post-evaluated results go stale. Within
+    /// a stratum, pre-evaluated members are maintained concurrently
+    /// against the read-only store and registry and committed in
+    /// deterministic order; every commit's content delta feeds the dirty
+    /// set of later strata.
+    fn propagate_result_oriented(
         &mut self,
         affected: &FxHashSet<String>,
-        order: &[String],
     ) -> Result<Vec<String>, RuleError> {
         let mut rederived: Vec<String> = Vec::new();
         let pool = ChunkPool::from_env();
@@ -693,18 +619,14 @@ impl RuleEngine {
                     // Forward-maintain: collected for this stratum's
                     // parallel fan-out.
                     EvalPolicy::PreEvaluated => batch.push(name),
-                    EvalPolicy::PostEvaluated => {
-                        // Invalidate; the next query re-derives.
-                        if let Some(old) = self.registry.remove(&name) {
-                            self.invalidated.insert(name, old);
-                        }
-                    }
+                    // Stale; the next read catches it up.
+                    EvalPolicy::PostEvaluated => self.registry.mark_stale(&name),
                 }
             }
             if batch.is_empty() {
                 continue;
             }
-            // Ensure sources fresh, dependency-first: each derivation folds
+            // Ensure sources fresh, dependency-first: each catch-up folds
             // its content delta into the dirty set *before* any reader's
             // delta step runs.
             for dep in self.graph.transitive_deps(&batch)? {
@@ -716,17 +638,15 @@ impl RuleEngine {
             // Lend the dirty set to the fan-out (reinstalled below before
             // the commit loop extends it) instead of cloning per stratum.
             let dirty = self.current_dirty.take().unwrap_or_default();
-            // Pull each member's maintenance state — its rules' caches and
-            // its registered copy — out of the engine so every worker owns
-            // its item and can mutate it in place. Same-stratum members
-            // never read one another (their sources live in strictly
-            // earlier strata), so removing the registry entries here is
-            // invisible to the fan-out.
+            // Pull each member's maintenance state out of the engine so
+            // every worker owns its item and can mutate it in place.
+            // Same-stratum members never read one another (their sources
+            // live in strictly earlier strata), so removing the registry
+            // entries here is invisible to the fan-out.
             let items: Vec<(String, std::sync::Mutex<MaintainState>)> = batch
                 .into_iter()
                 .map(|name| {
-                    let entry = self.registry.take(&name);
-                    let state = self.take_state(&name, entry);
+                    let state = self.take_state(&name);
                     (name, std::sync::Mutex::new(state))
                 })
                 .collect();
@@ -738,30 +658,10 @@ impl RuleEngine {
             let mut first_err: Option<RuleError> = None;
             for ((name, state), result) in items.into_iter().zip(results) {
                 let state = state.into_inner().expect("maintain state lock");
-                self.caches.extend(state.caches);
-                match result {
+                match self.put_back(state, result) {
+                    Ok(()) => rederived.push(name),
                     Err(e) => {
-                        // Restore the untouched registered copy so a rule
-                        // error does not silently drop a materialized
-                        // subdatabase.
-                        if let Some((sd, at)) = state.entry {
-                            self.registry.put(sd, at);
-                        }
                         first_err.get_or_insert(e);
-                    }
-                    Ok(Maintained::Unchanged { sd, derived_at }) => {
-                        // Content unchanged: re-register the copy with its
-                        // old derived_at, sparing downstream invalidation.
-                        self.registry.put(sd, derived_at);
-                        if obs::metrics_enabled() {
-                            obs::metrics::counter("rules.maintain.unchanged").inc();
-                        }
-                        rederived.push(name);
-                    }
-                    Ok(Maintained::Changed { sd, diff }) => {
-                        self.commit_derived(sd);
-                        self.fold_commit_delta(&name, diff);
-                        rederived.push(name);
                     }
                 }
             }
@@ -769,6 +669,7 @@ impl RuleEngine {
                 return Err(e);
             }
         }
+        let order = self.graph.topo_order()?;
         let pos: FxHashMap<&str, usize> =
             order.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
         rederived.sort_unstable_by_key(|n| pos[n.as_str()]);
@@ -779,9 +680,8 @@ impl RuleEngine {
     /// seeding otherwise — *without* touching the engine. `&self` stays
     /// read-only, so same-stratum results run on separate threads; all
     /// mutation lands in the worker-owned `state`. Returns the refreshed
-    /// copy plus what the commit loop needs to know. `dirty` is the
-    /// perspective-closed dirty set of the propagate under way; without one
-    /// (a derivation outside any propagate) every rule seeds.
+    /// copy plus what the commit needs to know. `dirty` is the
+    /// perspective-closed dirty set of the propagate under way, if any.
     fn maintain_subdb(
         &self,
         name: &str,
@@ -805,13 +705,12 @@ impl RuleEngine {
                 recomputed.insert(i, apply_rule(rule, &self.db, &self.registry)?);
                 continue;
             }
-            let step_dirty = dirty.and_then(|d| {
-                let cache = state.caches.get(&rule.name)?;
-                self.step_dirty(rule, cache, d, state.entry.is_some())
-            });
+            let step_dirty =
+                state.caches.get(&rule.name).and_then(|cache| self.step_dirty(cache, dirty));
             match (step_dirty, state.caches.get_mut(&rule.name)) {
                 (Some(step_dirty), Some(cache)) => {
                     let out = delta_apply(rule, &self.db, &self.registry, cache, &step_dirty)?;
+                    cache.at_epoch = self.epoch;
                     account_delta(&out);
                     outs.push(out);
                 }
@@ -819,7 +718,8 @@ impl RuleEngine {
                     if cache.is_some_and(|c| c.needs_replan()) {
                         note_replan();
                     }
-                    let cache = seed_cache(rule, &self.db, &self.registry)?;
+                    let mut cache = seed_cache(rule, &self.db, &self.registry)?;
+                    cache.at_epoch = self.epoch;
                     state.caches.insert(rule.name.clone(), cache);
                 }
             }
@@ -838,11 +738,12 @@ impl RuleEngine {
         // A closure delta that changed the longest chain re-shaped the
         // target intension; edit replay cannot cross that.
         let replay = outs.len() == idxs.len()
-            && state.entry.as_ref().is_some_and(|(sd, _)| {
-                targets.iter().all(|t| t.intension.width() == sd.intension.width())
+            && state.entry.as_ref().is_some_and(|e| {
+                targets.iter().all(|t| t.intension.width() == e.subdb.intension.width())
             });
         if replay {
-            let (mut sd, derived_at) = state.entry.take().expect("checked above");
+            let mut entry = state.entry.take().expect("checked above");
+            let sd = &mut entry.subdb;
             let mut diff: BTreeSet<Oid> = BTreeSet::new();
             // Removals first, and only of patterns no rule of the union
             // derives any more; then the insertions.
@@ -861,11 +762,11 @@ impl RuleEngine {
                 "registered copy diverged from maintained target for {name}"
             );
             sp.attr("rows_out", sd.len() as i64);
-            return Ok(if diff.is_empty() {
-                Maintained::Unchanged { sd, derived_at }
-            } else {
-                Maintained::Changed { sd, diff: Some(diff.into_iter().collect()) }
-            });
+            if diff.is_empty() {
+                return Ok(Maintained::Unchanged(entry));
+            }
+            let diff = Some(diff.into_iter().collect());
+            return Ok(Maintained::Changed { sd: entry.subdb, prior: entry.changed_at, diff });
         }
 
         // Otherwise: the union of the rules' results, compared with the
@@ -889,46 +790,54 @@ impl RuleEngine {
         let sd = acc.expect("at least one rule ran");
         sp.attr("rows_out", sd.len() as i64);
         Ok(match state.entry.take() {
-            Some((old, derived_at)) => {
-                if old.patterns().eq(sd.patterns()) {
-                    Maintained::Unchanged { sd, derived_at }
-                } else {
-                    let diff = old.diff_components(&sd);
-                    Maintained::Changed { sd, diff: Some(diff) }
-                }
+            Some(old) if old.subdb.patterns().eq(sd.patterns()) => Maintained::Unchanged(old),
+            Some(old) => {
+                let diff = old.subdb.diff_components(&sd);
+                Maintained::Changed { sd, prior: old.changed_at, diff: Some(diff) }
             }
-            None => Maintained::Changed { sd, diff: None },
+            None => Maintained::Changed { sd, prior: 0, diff: None },
         })
     }
 
-    /// The dirty set one rule's cache can be delta-advanced by, if any.
+    /// The dirty set a rule's cache can be delta-advanced by, if any:
+    /// every store event since its `at_seq` — the propagate's dirty set
+    /// covers those after `dirty_from`, the event log the rest — plus every
+    /// change of a source since it last stepped, which only a propagate's
+    /// dirty set can carry. `None` — re-seed — when the log was compacted
+    /// past `at_seq` or a source changed outside that dirty set since the
+    /// cache last stepped.
     fn step_dirty<'d>(
         &self,
-        rule: &Rule,
         cache: &RuleCache,
-        dirty: &'d BTreeSet<Oid>,
-        has_copy: bool,
+        dirty: Option<&'d BTreeSet<Oid>>,
     ) -> Option<Cow<'d, BTreeSet<Oid>>> {
-        let sources_known =
-            self.unknown.is_empty() || rule.reads().iter().all(|r| !self.unknown.contains(r));
-        if !sources_known || cache.needs_replan() {
-            // Unknown source delta or drift-flagged plan: re-seed (and
-            // thereby re-plan).
-            None
-        } else if cache.at_seq >= self.dirty_from {
-            Some(Cow::Borrowed(dirty))
-        } else if has_copy && cache.at_seq >= self.db.events().dropped() {
-            // The cache predates this batch: the subdatabase sat out earlier
-            // propagates because nothing it reads changed (it is
-            // materialized, so it was never dropped while affected). Replay
-            // the event log from `at_seq` to rebuild the rule-local dirty
-            // set instead of re-seeding.
-            let replay = self.db.events().since(cache.at_seq).iter().flat_map(|e| e.touched_oids());
-            let mut full_dirty = dirty_closure(&self.db, replay);
-            full_dirty.extend(dirty.iter().copied());
-            Some(Cow::Owned(full_dirty))
-        } else {
-            None
+        let source_moved = cache.sources().any(|s| {
+            self.registry.get(s).is_none_or(|e| {
+                let uncovered = if dirty.is_some() && e.changed_at > self.dirty_epoch {
+                    e.changed_before
+                } else {
+                    e.changed_at
+                };
+                uncovered > cache.at_epoch
+            })
+        });
+        if source_moved || cache.needs_replan() {
+            // A source delta the cache cannot see, or a drift-flagged plan:
+            // re-seed (and thereby re-plan).
+            return None;
+        }
+        match dirty {
+            Some(d) if cache.at_seq >= self.dirty_from => Some(Cow::Borrowed(d)),
+            _ if cache.at_seq < self.db.events().dropped() => None,
+            _ => {
+                // The cache sat out earlier propagates, or this is a read:
+                // replay the events it missed into a rule-local dirty set.
+                let missed =
+                    self.db.events().since(cache.at_seq).iter().flat_map(|e| e.touched_oids());
+                let mut full = dirty_closure(&self.db, missed);
+                full.extend(dirty.into_iter().flatten().copied());
+                Some(Cow::Owned(full))
+            }
         }
     }
 

@@ -44,7 +44,7 @@ use dood_core::subdb::{is_part, ExtPattern, HeadRange, Subdatabase, SubdbRegistr
 use dood_oql::ast::WhereCond;
 use dood_oql::eval::Evaluator;
 use dood_oql::plan::CompiledContext;
-use dood_oql::resolve::{resolve_context, ResolvedContext};
+use dood_oql::resolve::{resolve_context, REdgeKind, ResolvedContext};
 use dood_oql::wherec::{apply_cond, AggCond, Applied, CmpCond};
 use dood_store::Database;
 use std::borrow::Cow;
@@ -664,6 +664,10 @@ pub struct RuleCache {
     /// Event-log sequence number the cache reflects. A delta application
     /// is sound iff every event after `at_seq` is covered by the dirty set.
     pub at_seq: u64,
+    /// The engine epoch ([`crate::RuleEngine`]) the cache last stepped at:
+    /// a source whose content changed after it must reach the next step as
+    /// dirty objects, or the cache re-seeds. Set by the engine.
+    pub at_epoch: u64,
     /// The rule's resolved context, computed once at seeding. Resolution
     /// depends on the schema and the sources' *intensions* only — both
     /// fixed for the lifetime of a rule program — so delta steps reuse it.
@@ -684,6 +688,18 @@ impl RuleCache {
     /// statistics — on its next maintenance step instead of delta-applied.
     pub fn needs_replan(&self) -> bool {
         self.plan.drift.flagged()
+    }
+
+    /// The subdatabases the cached context reads: the memberships of its
+    /// derived slots and the pairs of its derived edges.
+    pub fn sources(&self) -> impl Iterator<Item = &str> {
+        let r = &self.resolved;
+        let slots = r.slots.iter().filter_map(|s| s.derived.as_ref().map(|(sd, _)| sd.as_str()));
+        let edges = r.edges.iter().map(|e| &e.kind).chain(r.closure.as_ref().map(|(_, k)| k));
+        slots.chain(edges.filter_map(|k| match k {
+            REdgeKind::Derived { subdb, .. } => Some(subdb.as_str()),
+            REdgeKind::Base(_) => None,
+        }))
     }
 
     /// Build what only delta steps need, on the first of them: the posting
@@ -831,6 +847,7 @@ pub fn seed_cache(
         filter,
         target,
         at_seq: db.seq(),
+        at_epoch: 0,
         resolved,
         plan,
         closure,

@@ -103,7 +103,7 @@ fn main() {
     report(&engine, "after update + propagate");
     println!(
         "→ REd/REc were forward-maintained through fresh sources; \
-         REa/REb were invalidated and will be re-derived on demand."
+         REa/REb are stale and will be caught up on demand."
     );
     engine.query("context REb:Employee * REb:Project").unwrap();
     report(&engine, "after querying REb      ");

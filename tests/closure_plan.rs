@@ -19,7 +19,7 @@ mod spec_eval;
 use dood::core::ids::Oid;
 use dood::core::obs::stats;
 use dood::core::pool::ChunkPool;
-use dood::core::propcheck::check;
+use dood::core::propcheck::{check, Gen};
 use dood::core::schema::SchemaBuilder;
 use dood::core::subdb::SubdbRegistry;
 use dood::core::value::{DType, Value};
@@ -29,7 +29,7 @@ use dood::oql::Evaluator;
 use dood::rules::{EvalPolicy, RuleEngine};
 use dood::store::Database;
 use dood::workload::{cad, social, university};
-use spec_eval::{rows_of, spec_eval, spec_query, Row};
+use spec_eval::{rows_of, spec_eval, spec_query};
 use std::sync::Mutex;
 
 const CASES: usize = 4;
@@ -151,8 +151,9 @@ fn mutate(db: &mut Database, class: &str, link: &str, attr: &str, kind: usize, k
 }
 
 /// Register closure `rules` over `db`, derive `subdbs`, apply the
-/// mutation schedule propagating after each step, and return the engine
-/// in its final state. `incremental=false` is the fresh-recompute oracle.
+/// mutation schedule propagating after each step, check every maintained
+/// subdatabase against its from-scratch derivation after each, and return
+/// the engine in its final state.
 #[allow(clippy::too_many_arguments)]
 fn run_schedule(
     db: Database,
@@ -162,7 +163,6 @@ fn run_schedule(
     rules: &[(&str, &str)],
     subdbs: &[&str],
     ops: &[(usize, usize)],
-    incremental: bool,
 ) -> RuleEngine {
     let mut e = RuleEngine::new(db);
     for (name, src) in rules {
@@ -171,50 +171,53 @@ fn run_schedule(
     for s in subdbs {
         e.set_policy(*s, EvalPolicy::PreEvaluated);
     }
-    e.set_incremental(incremental);
     for s in subdbs {
         e.subdb(s).unwrap();
     }
     for &(kind, k) in ops {
         mutate(e.db_mut(), class, link, attr, kind, k);
         e.propagate().unwrap();
+        for s in subdbs {
+            let fresh = e.derive_fresh(s).unwrap();
+            assert_eq!(rows_of(e.registry().subdb(s).unwrap()), rows_of(&fresh), "{s} != fresh");
+        }
     }
     e
 }
 
-/// The materialized `subdbs` of an engine, as pattern rows.
-fn materialized(e: &RuleEngine, subdbs: &[&str]) -> Vec<Vec<Row>> {
-    subdbs.iter().map(|s| rows_of(e.registry().subdb(s).unwrap())).collect()
+/// One case of `closure_maintenance_incremental_equals_fresh_cyclic`.
+fn cyclic_schedule(g: &mut Gen) {
+    let ops: Vec<(usize, usize)> = g.vec(3..9, |g| (g.range(0usize..4), g.range(0usize..64)));
+    // A plain chain-collecting rule plus a conditioned + WHERE-guarded
+    // one: the latter exercises the stale-verdict recheck path when an
+    // attr flip dirties a retained chain.
+    let rules: &[(&str, &str)] = &[
+        ("R1", "if context N ^* then T (N, N_*)"),
+        ("R2", "if context N [v < 60] ^* where N.v >= 0 then U (N, N_*)"),
+    ];
+    for threads in THREADS {
+        std::env::set_var("DOOD_THREADS", threads.to_string());
+        let maintained = run_schedule(cyclic_db(6), "N", "Next", "v", rules, &["T", "U"], &ops);
+        std::env::remove_var("DOOD_THREADS");
+        // R1 keeps its whole context and has no WHERE.
+        let spec = spec_query(maintained.db(), maintained.registry(), "N ^*");
+        assert_eq!(rows_of(maintained.registry().subdb("T").unwrap()), spec, "T != spec");
+    }
 }
 
 #[test]
 fn closure_maintenance_incremental_equals_fresh_cyclic() {
     let _g = lock();
-    check("closure_maintenance_incremental_equals_fresh_cyclic", CASES, |g| {
-        let ops: Vec<(usize, usize)> =
-            g.vec(3..9, |g| (g.range(0usize..4), g.range(0usize..64)));
-        // A plain chain-collecting rule plus a conditioned + WHERE-guarded
-        // one: the latter exercises the stale-verdict recheck path when an
-        // attr flip dirties a retained chain.
-        let rules: &[(&str, &str)] = &[
-            ("R1", "if context N ^* then T (N, N_*)"),
-            ("R2", "if context N [v < 60] ^* where N.v >= 0 then U (N, N_*)"),
-        ];
-        let subdbs = &["T", "U"];
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads.to_string());
-            let run =
-                |inc: bool| run_schedule(cyclic_db(6), "N", "Next", "v", rules, subdbs, &ops, inc);
-            let maintained = run(true);
-            let fresh = run(false);
-            std::env::remove_var("DOOD_THREADS");
-            let rows = materialized(&maintained, subdbs);
-            // R1 keeps its whole context and has no WHERE.
-            let spec = spec_query(maintained.db(), maintained.registry(), "N ^*");
-            assert_eq!(rows[0], spec, "maintained T != spec on the final database");
-            assert_eq!(rows, materialized(&fresh, subdbs), "incremental != fresh recompute");
-        }
-    });
+    check("closure_maintenance_incremental_equals_fresh_cyclic", CASES, cyclic_schedule);
+}
+
+/// Regression: a schedule after which every chain has length 1. A family
+/// target `N_*` over such a closure covers no level — it derives the empty
+/// level instead of failing with `UnknownTarget`.
+#[test]
+fn closure_of_width_one_derives_the_empty_family_level() {
+    let _g = lock();
+    cyclic_schedule(&mut Gen::from_seed(13904107186047154181));
 }
 
 #[test]
@@ -226,15 +229,11 @@ fn closure_maintenance_incremental_equals_fresh_social() {
             g.vec(3..8, |g| (g.range(0usize..4), g.range(0usize..64)));
         let rules: &[(&str, &str)] =
             &[("RS", "if context Person ^* then Reach (Person, Person_*)")];
-        let build = || social::build_graph(social::SocialShape::small(), seed).0;
-        let run = |inc: bool| {
-            run_schedule(build(), "Person", "Follows", "score", rules, &["Reach"], &ops, inc)
-        };
-        let maintained = run(true);
-        let rows = materialized(&maintained, &["Reach"]);
+        let db = social::build_graph(social::SocialShape::small(), seed).0;
+        let maintained =
+            run_schedule(db, "Person", "Follows", "score", rules, &["Reach"], &ops);
         let spec = spec_query(maintained.db(), maintained.registry(), "Person ^*");
-        assert_eq!(rows[0], spec, "maintained Reach != spec on the final database");
-        assert_eq!(rows, materialized(&run(false), &["Reach"]), "incremental != fresh recompute");
+        assert_eq!(rows_of(maintained.registry().subdb("Reach").unwrap()), spec, "Reach != spec");
     });
 }
 
