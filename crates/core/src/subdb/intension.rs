@@ -85,7 +85,6 @@ pub struct Intension {
 impl Intension {
     /// Build an intension with no edges.
     pub fn new(slots: Vec<SlotDef>) -> Self {
-        assert!(slots.len() <= 64, "intension limited to 64 slots");
         Intension { slots, edges: Vec::new() }
     }
 

@@ -71,6 +71,9 @@ pub enum QueryError {
     Semantic(String),
     /// An operation name is not registered.
     UnknownOperation(String),
+    /// A non-closure context with more class occurrences than a pattern
+    /// type can describe ([`crate::resolve::MAX_CONTEXT_SLOTS`]).
+    ContextTooWide { slots: usize, max: usize },
 }
 
 impl fmt::Display for QueryError {
@@ -88,6 +91,11 @@ impl fmt::Display for QueryError {
             ),
             QueryError::Semantic(m) => write!(f, "{m}"),
             QueryError::UnknownOperation(o) => write!(f, "unknown operation `{o}`"),
+            QueryError::ContextTooWide { slots, max } => write!(
+                f,
+                "context expression has {slots} class occurrences; at most {max} are supported \
+                 outside a closure"
+            ),
         }
     }
 }

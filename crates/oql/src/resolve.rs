@@ -20,6 +20,11 @@ use dood_core::ids::ClassId;
 use dood_core::schema::{ResolvedEdge, Schema};
 use dood_core::subdb::{SlotSource, SubdbRegistry};
 
+/// The most class occurrences a non-closure context may have: each of its
+/// patterns has a one-word [`dood_core::subdb::PatternType`]. A closure
+/// result is as wide as its longest chain and has no such bound.
+pub const MAX_CONTEXT_SLOTS: usize = 64;
+
 /// A resolved class occurrence.
 #[derive(Debug, Clone)]
 pub struct RSlot {
@@ -247,6 +252,9 @@ pub fn resolve_context(
     if slots.is_empty() {
         return Err(QueryError::Semantic("empty context expression".into()));
     }
+    if expr.closure.is_none() && slots.len() > MAX_CONTEXT_SLOTS {
+        return Err(QueryError::ContextTooWide { slots: slots.len(), max: MAX_CONTEXT_SLOTS });
+    }
     // Flattened edges connect consecutive slots: the paper's linear pattern
     // expressions associate the last class of one element with the first of
     // the next; after flattening, that is always (i, i+1). Nested groups
@@ -399,6 +407,29 @@ mod tests {
         let (spec, kind) = r.closure.as_ref().unwrap();
         assert_eq!(spec.iterations, None);
         assert!(matches!(kind, REdgeKind::Base(_)));
+    }
+
+    #[test]
+    fn non_closure_context_wider_than_64_slots_is_a_typed_error() {
+        let s = schema();
+        let reg = SubdbRegistry::new();
+        let chain = |n: usize| {
+            let mut src = "Course".to_string();
+            for i in 1..n {
+                src.push_str(&format!(" * Course_{i}"));
+            }
+            src
+        };
+        assert_eq!(ctx(&chain(MAX_CONTEXT_SLOTS), &s, &reg).slots.len(), MAX_CONTEXT_SLOTS);
+        let wide = Parser::parse_context_expr(&chain(MAX_CONTEXT_SLOTS + 1)).unwrap();
+        assert_eq!(
+            resolve_context(&wide, &s, &reg).unwrap_err(),
+            QueryError::ContextTooWide { slots: 65, max: 64 }
+        );
+        // A closure result's width is its longest chain, not its slot
+        // count: the same occurrences under `^*` resolve.
+        let closure = format!("{} ^*", chain(MAX_CONTEXT_SLOTS + 1));
+        assert_eq!(ctx(&closure, &s, &reg).slots.len(), 65);
     }
 
     #[test]

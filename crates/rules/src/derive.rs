@@ -140,7 +140,7 @@ pub fn project_targets(
     // whose classes were all projected away) and newly-subsumed parts.
     let keep: Vec<_> = out
         .patterns()
-        .filter(|p| p.pattern_type().arity() > 0)
+        .filter(|p| p.arity() > 0)
         .cloned()
         .collect();
     out.set_patterns(keep);

@@ -28,7 +28,7 @@ fn main() {
     );
     let longest = sd
         .patterns()
-        .map(|p| p.pattern_type().arity())
+        .map(|p| p.arity())
         .max()
         .unwrap_or(0);
     println!("chains: {}, longest chain: {} courses\n", sd.len(), longest);

@@ -237,6 +237,49 @@ fn closure_maintenance_incremental_equals_fresh_social() {
     });
 }
 
+/// Regression: a `^*` rule over a follow chain longer than 64 people. The
+/// closure result is as wide as the chain, so a pattern or intension limit
+/// of 64 slots aborted the derivation; an edge written into the middle of
+/// the chain, and later a deletion there, are maintained exactly as a
+/// fresh derivation computes them.
+#[test]
+fn closure_over_a_chain_longer_than_64_is_maintained() {
+    let _g = lock();
+    let mut db = Database::new(social::schema());
+    let person = db.schema().class_by_name("Person").unwrap();
+    let follows = db.schema().own_link_by_name(person, "Follows").unwrap();
+    let mut chain = Vec::new();
+    for i in 0..72 {
+        let o = db.new_object(person).unwrap();
+        db.set_attr(o, "score", Value::Int(i % 100)).unwrap();
+        if let Some(&prev) = chain.last() {
+            db.associate(follows, prev, o).unwrap();
+        }
+        chain.push(o);
+    }
+    let side: Vec<Oid> = (0..6).map(|_| db.new_object(person).unwrap()).collect();
+    for w in side.windows(2) {
+        db.associate(follows, w[0], w[1]).unwrap();
+    }
+    let mut e = RuleEngine::new(db);
+    e.add_rule("RS", "if context Person ^* then Reach (Person, Person_*)").unwrap();
+    e.set_policy("Reach", EvalPolicy::PreEvaluated);
+    assert_eq!(e.subdb("Reach").unwrap().intension.width(), 72);
+    let check = |e: &mut RuleEngine| {
+        e.propagate().unwrap();
+        let fresh = e.derive_fresh("Reach").unwrap();
+        assert_eq!(rows_of(e.registry().subdb("Reach").unwrap()), rows_of(&fresh));
+        fresh.intension.width()
+    };
+    // Into the middle: the side chain hangs off person 35, and the side
+    // chain's tail follows person 36 (a second route into the long tail).
+    e.db_mut().associate(follows, chain[35], side[0]).unwrap();
+    e.db_mut().associate(follows, side[5], chain[36]).unwrap();
+    assert_eq!(check(&mut e), 36 + 6 + 36);
+    e.db_mut().delete_object(chain[20]).unwrap();
+    assert_eq!(check(&mut e), 15 + 6 + 36);
+}
+
 /// Golden closure plans with the stats registry cleared (pure
 /// schema-derived estimates): a cost-model change that moves the fan-out,
 /// round, or reach estimates shows up here as a readable diff, with
