@@ -564,7 +564,9 @@ impl<'a> Evaluator<'a> {
             return rows_out;
         }
         let spans = self.ctx.spans.clone();
+        let mut row: Vec<Option<Oid>> = vec![None; width];
         for (lo, hi) in spans {
+            row.fill(None);
             for slot in lo..hi {
                 let restricted: BTreeSet<Oid> = dirty
                     .iter()
@@ -584,12 +586,10 @@ impl<'a> Evaluator<'a> {
                 // semi-naive delta anchor) instead of reusing the
                 // full-evaluation order.
                 let dsp = self.plan.delta_span(lo, hi, slot, restricted_len);
-                for row in self.exec_span(&dsp) {
-                    let mut comps = vec![None; width];
-                    for (i, oid) in row.into_iter().enumerate() {
-                        comps[lo + i] = Some(oid);
-                    }
-                    rows_out.push(ExtPattern::new(comps));
+                let rows = self.exec_span(&dsp);
+                rows_out.reserve(rows.len() / (hi - lo));
+                for r in rows.chunks_exact(hi - lo) {
+                    rows_out.push(pattern_of(&mut row, lo, r));
                 }
                 self.memberships[slot] = saved_m;
                 self.index_scan[slot] = saved_ix;
@@ -703,8 +703,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Execute one compiled span plan: anchor scan, then the fused DFS
-    /// pipeline. The anchor candidate set is partitioned into chunks
-    /// evaluated by the pool; per-chunk row buffers are concatenated in
+    /// pipeline. Returns the bound rows as one flat buffer, `hi - lo` oids
+    /// a row in slot order. The anchor candidate set is partitioned into
+    /// chunks evaluated by the pool; per-chunk buffers are concatenated in
     /// chunk order, and the DFS visits candidates and neighbors in a fixed
     /// order, so output is identical at every thread count.
     ///
@@ -712,7 +713,7 @@ impl<'a> Evaluator<'a> {
     /// carrying estimated vs. measured cardinalities (the EXPLAIN ANALYZE
     /// payload `doodprof --plan` renders), and feeds observed fan-out /
     /// acceptance ratios back into `obs::stats` for later plans.
-    fn exec_span(&self, sp: &SpanPlan) -> Vec<Vec<Oid>> {
+    fn exec_span(&self, sp: &SpanPlan) -> Vec<Oid> {
         let mut tsp = obs::trace::span("oql.join");
         tsp.attr("lo", sp.lo as i64);
         tsp.attr("hi", sp.hi as i64);
@@ -731,11 +732,11 @@ impl<'a> Evaluator<'a> {
         } else {
             let parts =
                 self.pool.par_chunk_map(&cands, |chunk| self.exec_span_rows(sp, chunk, &na));
-            let mut rows = Vec::new();
+            let mut rows = Vec::with_capacity(parts.iter().map(|(r, _, _)| r.len()).sum());
             let mut scanned = vec![0u64; sp.steps.len()];
             let mut kept = vec![0u64; sp.steps.len()];
             for (r, s, k) in parts {
-                rows.extend(r);
+                rows.extend_from_slice(&r);
                 for i in 0..s.len() {
                     scanned[i] += s[i];
                     kept[i] += k[i];
@@ -743,7 +744,8 @@ impl<'a> Evaluator<'a> {
             }
             (rows, scanned, kept)
         };
-        tsp.attr("rows_out", rows.len() as i64);
+        let rows_out = (rows.len() / (sp.hi - sp.lo)) as u64;
+        tsp.attr("rows_out", rows_out as i64);
         // Feed the planner: per-stage fan-out (neighbors per input row)
         // and acceptance (survivors per neighbor) for association stages.
         // `!` stages get their target selectivity from the hoisted
@@ -834,7 +836,7 @@ impl<'a> Evaluator<'a> {
         }
         if obs::metrics_enabled() {
             obs::metrics::counter("oql.join.evals").inc();
-            obs::metrics::counter("oql.join.rows_out").add(rows.len() as u64);
+            obs::metrics::counter("oql.join.rows_out").add(rows_out);
         }
         rows
     }
@@ -870,14 +872,14 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The compiled span pipeline over a subset of the anchor's
-    /// candidates. Returns the bound rows (slot order `lo..hi`) plus
-    /// per-stage `(scanned, kept)` counters.
+    /// candidates. Returns the bound rows (one flat buffer, `hi - lo` oids
+    /// a row in slot order) plus per-stage `(scanned, kept)` counters.
     fn exec_span_rows(
         &self,
         sp: &SpanPlan,
         cands: &[Oid],
         na: &[Option<Vec<Oid>>],
-    ) -> (Vec<Vec<Oid>>, Vec<u64>, Vec<u64>) {
+    ) -> (Vec<Oid>, Vec<u64>, Vec<u64>) {
         let mut out = Vec::new();
         let mut scanned = vec![0u64; sp.steps.len()];
         let mut kept = vec![0u64; sp.steps.len()];
@@ -892,21 +894,22 @@ impl<'a> Evaluator<'a> {
     /// One DFS level of the fused pipeline: traverse the stage's edge from
     /// the already-bound source slot, filter (membership + predicate),
     /// bind the target slot in the slot-indexed row buffer, and recurse.
-    /// Rows are cloned out at the leaves only, already in slot order — no
-    /// per-stage row materialization or reorder pass.
+    /// Rows are copied out at the leaves only, already in slot order, onto
+    /// the end of the flat output — no per-row allocation, no per-stage
+    /// row materialization or reorder pass.
     #[allow(clippy::too_many_arguments)]
     fn exec_steps(
         &self,
         sp: &SpanPlan,
         na: &[Option<Vec<Oid>>],
-        row: &mut Vec<Oid>,
+        row: &mut [Oid],
         depth: usize,
-        out: &mut Vec<Vec<Oid>>,
+        out: &mut Vec<Oid>,
         scanned: &mut [u64],
         kept: &mut [u64],
     ) {
         if depth == sp.steps.len() {
-            out.push(row.clone());
+            out.extend_from_slice(row);
             return;
         }
         let st = &sp.steps[depth];
@@ -965,16 +968,18 @@ impl<'a> Evaluator<'a> {
         // `set_patterns` collects through `BTreeSet::from_iter`, whose
         // sort-then-bulk-load path beats one-at-a-time tree inserts by a
         // wide margin on join-sized extensions.
-        let mut all: Vec<ExtPattern> = Vec::new();
-        for span in &self.plan.spans {
-            for row in self.exec_span(span) {
-                let mut comps = vec![None; width];
-                for (i, oid) in row.into_iter().enumerate() {
-                    comps[span.lo + i] = Some(oid);
-                }
-                all.push(ExtPattern::new(comps));
+        let spans = &self.plan.spans;
+        let flats: Vec<Vec<Oid>> = spans.iter().map(|span| self.exec_span(span)).collect();
+        let total = spans.iter().zip(&flats).map(|(sp, f)| f.len() / (sp.hi - sp.lo)).sum();
+        let mut all: Vec<ExtPattern> = Vec::with_capacity(total);
+        let mut row: Vec<Option<Oid>> = vec![None; width];
+        for (span, flat) in spans.iter().zip(&flats) {
+            row.fill(None);
+            for r in flat.chunks_exact(span.hi - span.lo) {
+                all.push(pattern_of(&mut row, span.lo, r));
             }
         }
+        drop(flats);
         sd.set_patterns(all);
         let before = sd.len();
         sd.retain_maximal();
@@ -1087,7 +1092,7 @@ impl<'a> Evaluator<'a> {
             let pos: FxHashMap<Oid, usize> =
                 nodes.iter().enumerate().map(|(i, &o)| (o, i)).collect();
             let (rows, _, _) = self.exec_span_rows(chain, nodes, na);
-            for row in rows {
+            for row in rows.chunks_exact(n) {
                 let i = pos[&row[0]];
                 let last = row[n - 1];
                 for s in self.step(usize::MAX, cycle, last, true) {
@@ -1216,17 +1221,7 @@ impl<'a> Evaluator<'a> {
     pub fn closure_subdb(&self, name: &str, chains: Vec<Vec<Oid>>) -> Subdatabase {
         let width = chains.iter().map(Vec::len).max().unwrap_or(1);
         let mut sd = Subdatabase::new(name, self.closure_intension(width));
-        let pats: Vec<ExtPattern> = chains
-            .into_iter()
-            .map(|chain| {
-                let mut comps = vec![None; width];
-                for (i, oid) in chain.into_iter().enumerate() {
-                    comps[i] = Some(oid);
-                }
-                ExtPattern::new(comps)
-            })
-            .collect();
-        sd.set_patterns(pats);
+        sd.set_patterns(chain_patterns(chains, width));
         sd
     }
 
@@ -1327,7 +1322,7 @@ impl<'a> Evaluator<'a> {
                 .map(|st| if st.nonassoc { Some(self.candidates(st.to_slot)) } else { None })
                 .collect();
             let (rows, _, _) = self.exec_span_rows(&spp, &anchor, &na);
-            out.extend(rows.into_iter().map(|r| r[0]));
+            out.extend(rows.chunks_exact(k + 1).map(|r| r[0]));
         }
         out.sort_unstable();
         out.dedup();
@@ -1335,7 +1330,10 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// One DFS level of [`Evaluator::closure_chains`].
+/// One DFS level of [`Evaluator::closure_chains`]: the successor list is
+/// walked in place. A node is a leaf when it is at the length cap, or when
+/// none of its successors is off the path — which includes a node with no
+/// successor list at all, in every build.
 fn dfs_chains(
     node: Oid,
     path: &mut Vec<Oid>,
@@ -1344,23 +1342,41 @@ fn dfs_chains(
     out: &mut Vec<Vec<Oid>>,
 ) {
     path.push(node);
-    let at_cap = max_levels.is_some_and(|m| path.len() >= m);
-    let nexts: Vec<Oid> = if at_cap {
-        Vec::new()
-    } else {
-        debug_assert!(succ.contains_key(&node), "no successor list for {node:?}");
-        succ.get(&node)
-            .map(|l| l.iter().copied().filter(|n| !path.contains(n)).collect())
-            .unwrap_or_default()
-    };
-    if nexts.is_empty() {
-        out.push(path.clone());
-    } else {
-        for n in nexts {
-            dfs_chains(n, path, succ, max_levels, out);
+    let mut leaf = true;
+    if max_levels.is_none_or(|m| path.len() < m) {
+        for &n in succ.get(&node).map_or(&[][..], Vec::as_slice) {
+            if !path.contains(&n) {
+                leaf = false;
+                dfs_chains(n, path, succ, max_levels, out);
+            }
         }
     }
+    if leaf {
+        out.push(path.clone());
+    }
     path.pop();
+}
+
+/// One pattern from a flat row bound at slots `lo..lo + r.len()`, built in
+/// the reused full-width `row`, whose other slots the caller keeps Null.
+fn pattern_of(row: &mut [Option<Oid>], lo: usize, r: &[Oid]) -> ExtPattern {
+    for (c, &o) in row[lo..lo + r.len()].iter_mut().zip(r) {
+        *c = Some(o);
+    }
+    ExtPattern::new(&*row)
+}
+
+/// Closure chains as patterns of `width` slots, Null-padded: one pattern
+/// each, built in one reused row into a pre-sized vector. Each chain is
+/// freed once its pattern exists, so the two are never all held at once.
+pub fn chain_patterns(chains: Vec<Vec<Oid>>, width: usize) -> Vec<ExtPattern> {
+    let mut row: Vec<Option<Oid>> = vec![None; width];
+    let mut out = Vec::with_capacity(chains.len());
+    for chain in chains {
+        row[chain.len()..].fill(None);
+        out.push(pattern_of(&mut row, 0, &chain));
+    }
+    out
 }
 
 /// The successor relation a closure fixpoint computed, exposed as
@@ -1549,6 +1565,24 @@ mod tests {
         // Chains (x,y) and (y,x), cut at revisit.
         assert_eq!(sd.intension.width(), 2);
         assert_eq!(sd.len(), 2);
+    }
+
+    #[test]
+    fn dfs_chains_ends_a_chain_at_a_node_without_a_successor_list() {
+        // 1 -> {2, 3}, 3 -> {1} (cut on the path); 2 has no list at all.
+        let succ: FxHashMap<Oid, Vec<Oid>> =
+            [(Oid(1), vec![Oid(2), Oid(3)]), (Oid(3), vec![Oid(1)])].into_iter().collect();
+        let mut path = Vec::new();
+        let mut out = Vec::new();
+        dfs_chains(Oid(1), &mut path, &succ, None, &mut out);
+        assert_eq!(out, vec![vec![Oid(1), Oid(2)], vec![Oid(1), Oid(3)]]);
+        assert!(path.is_empty());
+        out.clear();
+        dfs_chains(Oid(2), &mut path, &succ, None, &mut out);
+        assert_eq!(out, vec![vec![Oid(2)]]);
+        out.clear();
+        dfs_chains(Oid(1), &mut path, &succ, Some(1), &mut out);
+        assert_eq!(out, vec![vec![Oid(1)]]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 # a DOOD_TRACE=1 smoke run validated by `doodprof --validate`, the
 # hermeticity check, smoke runs of the three gates `benchmark/` cannot state
 # (e15 observability, e19 abstract interpretation, e20 flight recorder), and
-# the end-to-end benchmark's own tests and a smoke run of each of its
-# workloads with their pass-0 oracles.
+# the end-to-end benchmark's own tests, a smoke run of each of its
+# workloads with their pass-0 oracles, and allocation ceilings read from
+# short traced runs.
 #
 # Usage: scripts/ci.sh
 # Run from anywhere; operates on the workspace containing this script.
@@ -169,6 +170,22 @@ if ! awk -v a="$DERIVE" -v max="$DERIVE_ALLOCS_PER_OP_MAX" \
              exit (a > max) }'; then
     echo "ci: rules.derive allocations per op ($DERIVE) exceed" \
         "$DERIVE_ALLOCS_PER_OP_MAX or are missing" >&2
+    exit 1
+fi
+# A joined row reaches its pattern set in one heap block: allocations per
+# output pattern in `oql.eval` on the read mix, ceiling again a measured
+# value plus 25 %: 1.21 once span rows became flat buffers (2.43 when each
+# row was a Vec<Oid> and then a second vector of slots).
+EVAL_ALLOCS_PER_PATTERN_MAX=1.5
+SUMMARY="$(bash benchmark/run.sh --workload univ_query --seed 7 --seconds 2 --trace 1 | tail -n 1)"
+ALLOCS="$(metric oql.eval.allocs_per_op)"
+PATTERNS="$(metric oql.eval.patterns_per_op)"
+if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \
+    'BEGIN { if (a == "" || p == "" || p + 0 == 0) exit 1
+             printf "ci: oql.eval allocates %.2f per output pattern (ceiling %.2f)\n", a / p, max
+             exit (a / p > max) }'; then
+    echo "ci: oql.eval allocations per pattern ($ALLOCS / $PATTERNS) exceed" \
+        "$EVAL_ALLOCS_PER_PATTERN_MAX or are missing" >&2
     exit 1
 fi
 

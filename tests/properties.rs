@@ -97,6 +97,58 @@ fn retain_maximal_leaves_only_maximal() {
     });
 }
 
+/// `retain_maximal` keeps exactly the patterns of which no other pattern is
+/// a strict part, by the definition of §5.1 written out here on its own:
+/// `b` binds every slot `a` binds, to the same oid, and binds more slots.
+/// The extensions are built to hit every case of the type-grouped filter:
+/// several types, types with no supertype, many supertype patterns sharing
+/// one projection, the all-Null pattern, a width-1 intension, and widths
+/// past one mask word.
+#[test]
+fn retain_maximal_equals_quadratic_filter() {
+    fn part_of(a: &[Option<u64>], b: &[Option<u64>]) -> bool {
+        let bound = |r: &[Option<u64>]| r.iter().filter(|c| c.is_some()).count();
+        a.iter().zip(b).all(|(x, y)| x.is_none() || x == y) && bound(b) > bound(a)
+    }
+    check("retain_maximal_equals_quadratic_filter", CASES, |g| {
+        let width = [1, 2, 3, 4, 6, 70][g.range(0usize..6)];
+        // Full rows over few oids, then copies with random slots nulled:
+        // parts, shared projections and unrelated partial rows all occur.
+        let full = g.vec(1..6, |g| (0..width).map(|_| Some(g.range(1u64..4))).collect::<Vec<_>>());
+        let mut raw: Vec<Vec<Option<u64>>> = full.clone();
+        for _ in 0..g.range(0usize..24) {
+            let mut row = full[g.range(0..full.len())].clone();
+            for c in row.iter_mut() {
+                if g.range(0u32..3) == 0 {
+                    *c = None;
+                } else if g.range(0u32..8) == 0 {
+                    *c = Some(g.range(1u64..4));
+                }
+            }
+            raw.push(row);
+        }
+        if g.range(0u32..2) == 0 {
+            raw.push(vec![None; width]);
+        }
+        raw.sort();
+        raw.dedup();
+        let slots =
+            (0..width).map(|i| SlotDef::base(format!("C{i}"), dood::core::ids::ClassId(i as u32)));
+        let mut sd = Subdatabase::new("t", Intension::new(slots.collect()));
+        sd.set_patterns(
+            raw.iter().map(|r| ExtPattern::new(r.iter().map(|o| o.map(Oid)).collect::<Vec<_>>())),
+        );
+        sd.retain_maximal();
+        let got: Vec<Vec<Option<u64>>> = sd
+            .patterns()
+            .map(|p| p.components().iter().map(|c| c.map(|o| o.raw())).collect())
+            .collect();
+        let want: Vec<Vec<Option<u64>>> =
+            raw.iter().filter(|a| !raw.iter().any(|b| part_of(a, b))).cloned().collect();
+        assert_eq!(got, want, "width {width}");
+    });
+}
+
 /// Pattern-type census partitions the extension.
 #[test]
 fn pattern_type_census_partitions() {
