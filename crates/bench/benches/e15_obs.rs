@@ -2,7 +2,7 @@
 //! instrumentation (DESIGN.md §8), gates off and gates on.
 //!
 //! Measures the per-site gate check, then the association workload
-//! (~100k objects, 1 thread) three ways: gates off, under span capture,
+//! (~100k objects) three ways: gates off, under span capture,
 //! and with the metrics registry enabled. The verdict is the in-run paired
 //! ratio of the metrics-on run to the gates-off run
 //! ([`Harness::overhead_gate`]): the acceptance bar is < 2% — what a production
@@ -10,7 +10,7 @@
 //! nonzero on a miss only under `DOOD_BENCH_STRICT=1`.
 
 use dood_bench::harness::Harness;
-use dood_bench::{assoc_query, parallel_fixture, with_threads};
+use dood_bench::{assoc_query, e15_fixture};
 use dood_core::obs;
 
 /// Allowed metrics-on overhead over the gates-off run (fraction).
@@ -27,36 +27,34 @@ fn main() {
     h.bench("gate/metrics_enabled", || obs::metrics_enabled());
     h.bench("gate/span_disabled", || obs::trace::span("e15.site"));
 
-    let (db, reg) = parallel_fixture();
+    let (db, reg) = e15_fixture();
     eprintln!(
         "e15 workload: {} objects, {} association patterns",
         db.object_count(),
         assoc_query(&db, &reg)
     );
 
-    with_threads(1, || {
-        h.bench("assoc/off", || assoc_query(&db, &reg));
-        h.bench("assoc/traced", || {
-            let (rows, spans) = obs::trace::capture(|| assoc_query(&db, &reg));
-            rows + spans.len()
-        });
-        obs::set_metrics_enabled(true);
-        h.bench("assoc/metrics", || assoc_query(&db, &reg));
-        obs::set_metrics_enabled(false);
-        obs::metrics::reset_all();
-
-        h.overhead_gate(
-            "metrics-on",
-            OVERHEAD_BUDGET,
-            PAIRS,
-            || {
-                obs::set_metrics_enabled(false);
-                assoc_query(&db, &reg)
-            },
-            || {
-                obs::set_metrics_enabled(true);
-                assoc_query(&db, &reg)
-            },
-        );
+    h.bench("assoc/off", || assoc_query(&db, &reg));
+    h.bench("assoc/traced", || {
+        let (rows, spans) = obs::trace::capture(|| assoc_query(&db, &reg));
+        rows + spans.len()
     });
+    obs::set_metrics_enabled(true);
+    h.bench("assoc/metrics", || assoc_query(&db, &reg));
+    obs::set_metrics_enabled(false);
+    obs::metrics::reset_all();
+
+    h.overhead_gate(
+        "metrics-on",
+        OVERHEAD_BUDGET,
+        PAIRS,
+        || {
+            obs::set_metrics_enabled(false);
+            assoc_query(&db, &reg)
+        },
+        || {
+            obs::set_metrics_enabled(true);
+            assoc_query(&db, &reg)
+        },
+    );
 }

@@ -275,12 +275,12 @@ pub fn aggregate_query(db: &Database, threshold: i64) -> usize {
 
 /// E15 population scale: the smallest factor that pushes the university
 /// database past 100k objects (factor 1 ≈ 2.5k objects).
-pub const PARALLEL_FACTOR: usize = 41;
+pub const E15_FACTOR: usize = 41;
 
 /// E15 fixture: the E1 association workload's database at
-/// [`PARALLEL_FACTOR`] scale, where one query runs for milliseconds.
-pub fn parallel_fixture() -> (Database, SubdbRegistry) {
-    let db = university::populate(university::Size::scaled(PARALLEL_FACTOR), 42);
+/// [`E15_FACTOR`] scale, where one query runs for milliseconds.
+pub fn e15_fixture() -> (Database, SubdbRegistry) {
+    let db = university::populate(university::Size::scaled(E15_FACTOR), 42);
     (db, SubdbRegistry::new())
 }
 
@@ -307,19 +307,6 @@ pub fn time_us<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-/// Run `f` with `DOOD_THREADS` set to `n`, restoring the prior value after
-/// (the pool reads the variable on every construction).
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let prev = std::env::var("DOOD_THREADS").ok();
-    std::env::set_var("DOOD_THREADS", n.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("DOOD_THREADS", v),
-        None => std::env::remove_var("DOOD_THREADS"),
-    }
-    out
 }
 
 /// E8 fixture: chain EDB for naive-vs-semi-naive.

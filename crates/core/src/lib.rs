@@ -14,8 +14,6 @@
 //! * [`fxhash`] — in-tree Fx hashing for integer-keyed hot maps.
 //! * [`rng`] / [`propcheck`] — in-tree seedable PRNG and property-test
 //!   driver, keeping the workspace free of external dependencies.
-//! * [`pool`] — std-only work-chunking thread pool backing the parallel
-//!   evaluation paths (`DOOD_THREADS` override, deterministic merge order).
 //! * [`diag`] — source spans, severities, and the plain-text diagnostic
 //!   renderer shared by the parsers, the static analyzer, and `doodlint`.
 //! * [`obs`] — the hermetic observability layer: span tracing, metrics,
@@ -28,7 +26,6 @@ pub mod error;
 pub mod fxhash;
 pub mod ids;
 pub mod obs;
-pub mod pool;
 pub mod propcheck;
 pub mod rng;
 pub mod schema;

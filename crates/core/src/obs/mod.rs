@@ -3,10 +3,8 @@
 //! Three std-only pieces, shared by every crate in the workspace:
 //!
 //! * [`trace`] — a hierarchical span tracer with monotonic timestamps and
-//!   thread-aware span stacks. Spans opened on [`crate::pool::ChunkPool`]
-//!   workers attach to the pool call site through an explicit parent id, so
-//!   one connected span tree spans all worker threads. Exported as JSON
-//!   lines (streaming) or collected in memory by [`trace::capture`].
+//!   per-thread span stacks. Exported as JSON lines (streaming) or
+//!   collected in memory by [`trace::capture`].
 //! * [`metrics`] — a process-global registry of counters, gauges, and
 //!   fixed-bucket (power-of-two) histograms, with pretty-text and
 //!   JSON-lines exporters. Integer-only: no float formatting anywhere.
@@ -147,7 +145,7 @@ pub fn now_ns() -> u64 {
 
 /// A small dense ordinal for the current thread (0 for the first thread
 /// that asks, 1 for the second, …). Stable for the thread's lifetime;
-/// recorded on every span so traces show which worker ran what.
+/// recorded on every span so traces show which thread ran what.
 pub fn thread_ord() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {

@@ -2,7 +2,7 @@
 //!
 //! A [`Profile`] is built from the spans collected by
 //! [`super::trace::capture`]: each node is one span (plan operator, rule
-//! application, pool chunk, …) with its wall time and integer attributes
+//! application, closure round, …) with its wall time and integer attributes
 //! (cardinalities, selectivities), children ordered by start time. The
 //! `doodprof` CLI renders these trees; engines expose `*_profiled` entry
 //! points returning them.

@@ -6,12 +6,6 @@
 //! Records go to an optional JSON-lines stream writer (env `DOOD_TRACE`)
 //! and/or the in-memory sink drained by [`capture`].
 //!
-//! Cross-thread parentage: `ChunkPool` workers have empty span stacks, so
-//! the pool opens worker spans with [`span_under`], passing the call-site
-//! span id captured *before* spawning. While that worker span is open,
-//! ordinary [`span`] calls inside the worker nest under it — the tree stays
-//! connected across threads.
-//!
 //! When tracing is disabled every constructor returns an inert guard after
 //! a single relaxed atomic load; no allocation, no clock read.
 
@@ -426,24 +420,13 @@ pub fn span(name: &'static str) -> Span {
     if !super::trace_enabled() {
         return Span { inner: None };
     }
-    open(name, current_span_id())
-}
-
-/// Open a span with an explicit parent id (cross-thread parentage: pool
-/// workers attach to the call-site span captured before spawning). The
-/// span still pushes onto *this* thread's stack, so spans opened inside it
-/// nest under it.
-#[inline]
-pub fn span_under(name: &'static str, parent: Option<u64>) -> Span {
-    if !super::trace_enabled() {
-        return Span { inner: None };
-    }
-    open(name, parent)
+    open(name)
 }
 
 #[cold]
-fn open(name: &'static str, parent: Option<u64>) -> Span {
+fn open(name: &'static str) -> Span {
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let parent = current_span_id();
     STACK.with(|s| s.borrow_mut().push(id));
     Span {
         inner: Some(Box::new(Active {
@@ -783,26 +766,6 @@ mod tests {
         assert!(a.iter().all(|s| s.name == "test.thread_a"));
         assert_eq!(b.len(), 50);
         assert!(b.iter().all(|s| s.name == "test.thread_b"));
-    }
-
-    #[test]
-    fn explicit_parent_links_across_threads() {
-        let ((), spans) = capture(|| {
-            let sp = span("test.site");
-            let pid = sp.id();
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _w = span_under("test.worker", pid);
-                    let _inner = span("test.worker_inner");
-                });
-            });
-        });
-        let site = spans.iter().find(|s| s.name == "test.site").unwrap();
-        let worker = spans.iter().find(|s| s.name == "test.worker").unwrap();
-        let inner = spans.iter().find(|s| s.name == "test.worker_inner").unwrap();
-        assert_eq!(worker.parent, Some(site.id));
-        assert_eq!(inner.parent, Some(worker.id));
-        assert_ne!(worker.thread, site.thread);
     }
 
     #[test]

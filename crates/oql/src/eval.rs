@@ -18,7 +18,6 @@ use dood_core::subdb::{
     ExtPattern, Intension, SlotAdj, SlotDef, SlotSource, Subdatabase, SubdbIndex, SubdbRegistry,
 };
 use dood_core::value::Value;
-use dood_core::pool::ChunkPool;
 use dood_store::Database;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -116,8 +115,6 @@ pub struct Evaluator<'a> {
     /// pre-filters (E10); restrictions clear entries without touching the
     /// shared plan.
     index_scan: Vec<Option<IndexScan>>,
-    /// Thread pool for the partitioned span join (DESIGN.md §6).
-    pool: ChunkPool,
 }
 
 /// A pre-resolved index range scan for a slot condition.
@@ -458,7 +455,6 @@ impl<'a> Evaluator<'a> {
             memberships,
             derived_adj,
             index_scan,
-            pool: ChunkPool::from_env(),
         })
     }
 
@@ -481,20 +477,12 @@ impl<'a> Evaluator<'a> {
             memberships,
             derived_adj,
             index_scan,
-            pool: ChunkPool::from_env(),
         })
     }
 
     /// The compiled form, shareable with rule caches (cheap `Arc` clone).
     pub fn plan_handle(&self) -> Arc<CompiledContext> {
         Arc::clone(&self.plan)
-    }
-
-    /// Replace the span-join thread pool (benchmarks / ablations; the
-    /// default is [`ChunkPool::from_env`]).
-    pub fn with_pool(mut self, pool: ChunkPool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Whether `oid` is currently a live instance of `slot`'s base class.
@@ -704,10 +692,8 @@ impl<'a> Evaluator<'a> {
 
     /// Execute one compiled span plan: anchor scan, then the fused DFS
     /// pipeline. Returns the bound rows as one flat buffer, `hi - lo` oids
-    /// a row in slot order. The anchor candidate set is partitioned into
-    /// chunks evaluated by the pool; per-chunk buffers are concatenated in
-    /// chunk order, and the DFS visits candidates and neighbors in a fixed
-    /// order, so output is identical at every thread count.
+    /// a row in slot order. The DFS visits candidates and neighbors in a
+    /// fixed order, so the output order is deterministic.
     ///
     /// Emits the `oql.join` span with per-stage `oql.plan.*` children
     /// carrying estimated vs. measured cardinalities (the EXPLAIN ANALYZE
@@ -727,23 +713,7 @@ impl<'a> Evaluator<'a> {
             .iter()
             .map(|st| if st.nonassoc { Some(self.candidates(st.to_slot)) } else { None })
             .collect();
-        let (rows, scanned, kept) = if self.pool.is_sequential(cands.len()) {
-            self.exec_span_rows(sp, &cands, &na)
-        } else {
-            let parts =
-                self.pool.par_chunk_map(&cands, |chunk| self.exec_span_rows(sp, chunk, &na));
-            let mut rows = Vec::with_capacity(parts.iter().map(|(r, _, _)| r.len()).sum());
-            let mut scanned = vec![0u64; sp.steps.len()];
-            let mut kept = vec![0u64; sp.steps.len()];
-            for (r, s, k) in parts {
-                rows.extend_from_slice(&r);
-                for i in 0..s.len() {
-                    scanned[i] += s[i];
-                    kept[i] += k[i];
-                }
-            }
-            (rows, scanned, kept)
-        };
+        let (rows, scanned, kept) = self.exec_span_rows(sp, &cands, &na);
         let rows_out = (rows.len() / (sp.hi - sp.lo)) as u64;
         tsp.attr("rows_out", rows_out as i64);
         // Feed the planner: per-stage fan-out (neighbors per input row)
@@ -1057,7 +1027,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Hoisted `!`-stage candidate lists for the compiled chain span
-    /// (computed once per fixpoint, not once per frontier chunk).
+    /// (computed once per fixpoint, not once per round).
     fn closure_na(&self) -> Vec<Option<Vec<Oid>>> {
         let chain = &self.plan.closure.as_ref().expect("closure plan").chain;
         chain
@@ -1109,24 +1079,19 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// Batched successor computation with pool dispatch (chunk-order merge
-    /// keeps output independent of thread count). Nodes must be live
-    /// instances of the cycle class; exposed for incremental maintenance.
+    /// Batched successor computation, one entry per node in input order.
+    /// Nodes must be live instances of the cycle class; exposed for
+    /// incremental maintenance.
     pub fn closure_succ_batch(&self, nodes: &[Oid]) -> Vec<(Oid, Vec<Oid>)> {
         if nodes.is_empty() {
             return Vec::new();
         }
-        let na = self.closure_na();
-        if self.pool.is_sequential(nodes.len()) {
-            self.closure_expand(nodes, &na)
-        } else {
-            self.pool.par_chunk_map(nodes, |c| self.closure_expand(c, &na)).concat()
-        }
+        self.closure_expand(nodes, &self.closure_na())
     }
 
-    /// The frontier-parallel semi-naive fixpoint: starting from the slot-0
-    /// candidate set, expand only the nodes discovered in the previous
-    /// round (the delta frontier) until no new nodes appear — or until the
+    /// The semi-naive fixpoint: starting from the slot-0 candidate set,
+    /// expand only the nodes discovered in the previous round (the delta
+    /// frontier) until no new nodes appear — or until the
     /// `^N` round bound, past which no successor list can be consulted (a
     /// node at chain position `p` has fixpoint depth ≤ `p`, and the DFS
     /// only reads successors at positions ≤ `N - 1`).
@@ -1149,13 +1114,7 @@ impl<'a> Evaluator<'a> {
             if obs::metrics_enabled() {
                 obs::metrics::histogram("oql.closure.frontier").record(frontier.len() as u64);
             }
-            let results = if self.pool.is_sequential(frontier.len()) {
-                self.closure_expand(&frontier, &na)
-            } else {
-                self.pool
-                    .par_chunk_map(&frontier, |c| self.closure_expand(c, &na))
-                    .concat()
-            };
+            let results = self.closure_expand(&frontier, &na);
             steps += frontier.len() as u64;
             let mut next: Vec<Oid> = Vec::new();
             for (node, succs) in results {

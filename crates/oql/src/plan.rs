@@ -107,7 +107,7 @@ pub struct PlanStep {
 /// chain span lowered once, anchored at slot 0 so frontier batches seed it
 /// directly, plus the cost-model view of the fixpoint (cycle fan-out from
 /// the EWMA stats, estimated rounds and reachable-set size). Executed by
-/// the frontier-parallel semi-naive kernel in `eval` (DESIGN.md §11).
+/// the frontier-at-a-time semi-naive kernel in `eval` (DESIGN.md §11).
 #[derive(Debug, Clone)]
 pub struct ClosurePlan {
     /// The chain join `[0, n)` anchored at slot 0 — each fixpoint round

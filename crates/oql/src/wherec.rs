@@ -11,7 +11,6 @@ use crate::error::QueryError;
 use dood_core::error::ResolveError;
 use dood_core::ids::Oid;
 use dood_core::obs;
-use dood_core::pool::ChunkPool;
 use dood_core::schema::{ResolvedAttr, Schema};
 use dood_core::subdb::{ExtPattern, Intension, SlotSource, Subdatabase};
 use dood_core::value::Value;
@@ -302,23 +301,16 @@ pub fn apply_cond(
             pairs.sort_unstable();
             pairs.dedup();
             // A run: its group's distinct targets, after at most one `None`
-            // for patterns without one.
-            let runs: Vec<&[GroupTarget]> = pairs.chunk_by(|a, b| a.0 == b.0).collect();
-            sp.attr("groups", runs.len() as i64);
-            // Aggregates per group are independent; compute them
-            // chunk-parallel. Chunks come back in order, so `passing`
-            // is sorted whatever the thread count.
-            let passing: Vec<Oid> = ChunkPool::from_env()
-                .par_chunk_map(&runs, |chunk| {
-                    chunk
-                        .iter()
-                        .filter(|run| agg.passes(run.iter().filter_map(|&(_, t)| t), db))
-                        .map(|run| run[0].0)
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
+            // for patterns without one. Runs come in group order, so
+            // `passing` is sorted.
+            let mut groups = 0i64;
+            let passing: Vec<Oid> = pairs
+                .chunk_by(|a, b| a.0 == b.0)
+                .inspect(|_| groups += 1)
+                .filter(|run| agg.passes(run.iter().filter_map(|&(_, t)| t), db))
+                .map(|run| run[0].0)
                 .collect();
+            sp.attr("groups", groups);
             let mut last = (None, false);
             filter(sd, cond, &mut sp, |p| {
                 let g = agg.group_of(p);

@@ -120,7 +120,7 @@ impl DepGraph {
     /// Derived subdatabases grouped into dependency strata: a member of
     /// stratum `k` depends only on members of strata `< k` (and on base
     /// data). Same-stratum subdatabases are therefore independent — forward
-    /// maintenance may compute them concurrently and commit in the
+    /// maintenance steps them all against one dirty set and commits in the
     /// within-stratum (sorted-name) order. Errors on cycles.
     pub fn strata(&self) -> Result<Vec<Vec<String>>, RuleError> {
         if let Some(v) = self.strata_memo.get() {

@@ -29,7 +29,6 @@ use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::{ClassId, Oid};
 use dood_core::obs;
 use dood_core::obs::profile::Profile;
-use dood_core::pool::ChunkPool;
 use dood_core::subdb::{RegistryEntry, Subdatabase, SubdbRegistry};
 use dood_oql::ast::{ClassRef, Item, Query, SelectItem, Seq, WhereCond};
 use dood_oql::{Oql, QueryOutput};
@@ -66,9 +65,9 @@ pub enum ControlMode {
 }
 
 /// One subdatabase's maintenance state, pulled out of the engine for a
-/// stratum's parallel fan-out or a catch-up: its rules' delta caches plus
-/// its registry entry, stale or not. The worker mutates all of it in place;
-/// `put_back` drains it back.
+/// stratum step or a catch-up: its rules' delta caches plus its registry
+/// entry, stale or not. The step mutates all of it in place; `put_back`
+/// drains it back.
 struct MaintainState {
     caches: FxHashMap<String, RuleCache>,
     entry: Option<RegistryEntry>,
@@ -399,8 +398,8 @@ impl RuleEngine {
     /// a read — and commit it.
     fn run_rules_for(&mut self, name: &str) -> Result<(), RuleError> {
         let mut state = self.take_state(name);
-        // Lend the dirty set of a propagate under way, as the stratum
-        // fan-out does.
+        // Lend the dirty set of a propagate under way, as the stratum loop
+        // does.
         let dirty = self.current_dirty.take();
         let result = self.maintain_subdb(name, &mut state, dirty.as_ref());
         self.current_dirty = dirty;
@@ -597,16 +596,15 @@ impl RuleEngine {
 
     /// Result-oriented propagation: stratum-by-stratum semi-naive delta
     /// maintenance (DESIGN.md §9). Post-evaluated results go stale. Within
-    /// a stratum, pre-evaluated members are maintained concurrently
-    /// against the read-only store and registry and committed in
-    /// deterministic order; every commit's content delta feeds the dirty
+    /// a stratum, every pre-evaluated member is stepped against the same
+    /// dirty set and the read-only store and registry, then all are
+    /// committed in order; every commit's content delta feeds the dirty
     /// set of later strata.
     fn propagate_result_oriented(
         &mut self,
         affected: &FxHashSet<String>,
     ) -> Result<Vec<String>, RuleError> {
         let mut rederived: Vec<String> = Vec::new();
-        let pool = ChunkPool::from_env();
         for (stratum_idx, stratum) in self.graph.strata()?.into_iter().enumerate() {
             let mut ssp = obs::trace::span("rules.stratum");
             ssp.attr("index", stratum_idx as i64);
@@ -616,8 +614,7 @@ impl RuleEngine {
                     continue;
                 }
                 match self.policy(&name) {
-                    // Forward-maintain: collected for this stratum's
-                    // parallel fan-out.
+                    // Forward-maintained by this stratum's step.
                     EvalPolicy::PreEvaluated => batch.push(name),
                     // Stale; the next read catches it up.
                     EvalPolicy::PostEvaluated => self.registry.mark_stale(&name),
@@ -635,29 +632,25 @@ impl RuleEngine {
                 }
             }
             ssp.attr("subdbs", batch.len() as i64);
-            // Lend the dirty set to the fan-out (reinstalled below before
-            // the commit loop extends it) instead of cloning per stratum.
+            // Lend the dirty set to the steps (reinstalled below before the
+            // commit loop extends it) instead of cloning per stratum.
             let dirty = self.current_dirty.take().unwrap_or_default();
-            // Pull each member's maintenance state out of the engine so
-            // every worker owns its item and can mutate it in place.
-            // Same-stratum members never read one another (their sources
-            // live in strictly earlier strata), so removing the registry
-            // entries here is invisible to the fan-out.
-            let items: Vec<(String, std::sync::Mutex<MaintainState>)> = batch
+            // Step every member before committing any, so all of them see
+            // the same dirty set. Same-stratum members never read one
+            // another (their sources live in strictly earlier strata), so
+            // a member's entry being out of the registry is invisible to
+            // the others' steps.
+            let stepped: Vec<_> = batch
                 .into_iter()
                 .map(|name| {
-                    let state = self.take_state(&name);
-                    (name, std::sync::Mutex::new(state))
+                    let mut state = self.take_state(&name);
+                    let result = self.maintain_subdb(&name, &mut state, Some(&dirty));
+                    (name, state, result)
                 })
                 .collect();
-            let results = pool.par_map(&items, |(name, state)| {
-                let mut st = state.lock().expect("maintain state lock");
-                self.maintain_subdb(name, &mut st, Some(&dirty))
-            });
             self.current_dirty = Some(dirty);
             let mut first_err: Option<RuleError> = None;
-            for ((name, state), result) in items.into_iter().zip(results) {
-                let state = state.into_inner().expect("maintain state lock");
+            for (name, state, result) in stepped {
                 match self.put_back(state, result) {
                     Ok(()) => rederived.push(name),
                     Err(e) => {
@@ -678,9 +671,8 @@ impl RuleEngine {
 
     /// Refresh `name`'s maintenance state — delta where the caches allow,
     /// seeding otherwise — *without* touching the engine. `&self` stays
-    /// read-only, so same-stratum results run on separate threads; all
-    /// mutation lands in the worker-owned `state`. Returns the refreshed
-    /// copy plus what the commit needs to know. `dirty` is the
+    /// read-only; all mutation lands in the taken-out `state`. Returns the
+    /// refreshed copy plus what the commit needs to know. `dirty` is the
     /// perspective-closed dirty set of the propagate under way, if any.
     fn maintain_subdb(
         &self,

@@ -1,8 +1,8 @@
 //! Soundness of the closure kernel (DESIGN.md §11): it must agree with the
 //! spec-level interpreter of `tests/common/spec_eval.rs` (§5.2 by naive
 //! iteration) — on every closure shape (bounded `^N`, unbounded `^*`,
-//! conditioned slot-0), over all four closure-bearing schemas, at every
-//! thread count. And incremental fixpoint maintenance (provenance-carrying
+//! conditioned slot-0), over all four closure-bearing schemas. And
+//! incremental fixpoint maintenance (provenance-carrying
 //! delta closure in `rules::maintain`) must land on exactly the
 //! subdatabases a fresh recomputation produces, under arbitrary
 //! insert/delete/attr-flip schedules — and, for a rule that keeps its whole
@@ -18,7 +18,6 @@ mod spec_eval;
 
 use dood::core::ids::Oid;
 use dood::core::obs::stats;
-use dood::core::pool::ChunkPool;
 use dood::core::propcheck::{check, Gen};
 use dood::core::schema::SchemaBuilder;
 use dood::core::subdb::SubdbRegistry;
@@ -33,14 +32,14 @@ use spec_eval::{rows_of, spec_eval, spec_query};
 use std::sync::Mutex;
 
 const CASES: usize = 4;
-const THREADS: &[usize] = &[1, 2, 4];
 
-/// `DOOD_THREADS` is process-global; tests that set it serialize on this
-/// lock (the stats registry rides along).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// The EWMA statistics registry is process-global and every evaluation
+/// feeds it, so the tests here serialize on this lock to keep the golden
+/// plans' cleared registry quiet.
+static STATS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A minimal self-association schema (`N --Next--> N`) whose instances the
@@ -86,19 +85,14 @@ fn dbs(seed: u64) -> Vec<(Database, &'static [&'static str])> {
     ]
 }
 
-/// Evaluate `query` through the fixpoint kernel at every thread count
-/// (cutoff 0 forces the chunked frontier even on small graphs) and through
-/// the spec interpreter; assert identical pattern sets.
+/// Evaluate `query` through the fixpoint kernel and through the spec
+/// interpreter; assert identical pattern sets.
 fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str) {
     let expr = Parser::parse_context_expr(query).unwrap();
     let resolved = resolve_context(&expr, db.schema(), reg).unwrap();
     let spec = spec_eval(&resolved, db, reg);
-    for &t in THREADS {
-        let ev = Evaluator::new(&resolved, db, reg)
-            .unwrap()
-            .with_pool(ChunkPool::with_threads(t).cutoff(0));
-        assert_eq!(rows_of(&ev.eval("x")), spec, "kernel != spec for `{query}`, {t} threads");
-    }
+    let ev = Evaluator::new(&resolved, db, reg).unwrap();
+    assert_eq!(rows_of(&ev.eval("x")), spec, "kernel != spec for `{query}`");
 }
 
 /// "interp" is the spec-level interpreter of `tests/common/spec_eval.rs`.
@@ -195,14 +189,10 @@ fn cyclic_schedule(g: &mut Gen) {
         ("R1", "if context N ^* then T (N, N_*)"),
         ("R2", "if context N [v < 60] ^* where N.v >= 0 then U (N, N_*)"),
     ];
-    for threads in THREADS {
-        std::env::set_var("DOOD_THREADS", threads.to_string());
-        let maintained = run_schedule(cyclic_db(6), "N", "Next", "v", rules, &["T", "U"], &ops);
-        std::env::remove_var("DOOD_THREADS");
-        // R1 keeps its whole context and has no WHERE.
-        let spec = spec_query(maintained.db(), maintained.registry(), "N ^*");
-        assert_eq!(rows_of(maintained.registry().subdb("T").unwrap()), spec, "T != spec");
-    }
+    let maintained = run_schedule(cyclic_db(6), "N", "Next", "v", rules, &["T", "U"], &ops);
+    // R1 keeps its whole context and has no WHERE.
+    let spec = spec_query(maintained.db(), maintained.registry(), "N ^*");
+    assert_eq!(rows_of(maintained.registry().subdb("T").unwrap()), spec, "T != spec");
 }
 
 #[test]

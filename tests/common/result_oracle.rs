@@ -10,7 +10,6 @@
 
 use dood::core::fxhash::FxHashMap;
 use dood::core::ids::Oid;
-use dood::core::pool::ChunkPool;
 use dood::core::schema::ResolvedAttr;
 use dood::core::subdb::Subdatabase;
 use dood::core::value::Value;
@@ -288,55 +287,28 @@ pub fn apply_where_rebuilding(
                     None => None,
                 };
                 // Accumulate per group: distinct target OIDs, then aggregate.
-                // Accumulation runs chunk-parallel: each chunk of patterns
-                // builds a partial group map, merged by set union — union is
-                // commutative, so the merged groups are independent of chunk
-                // assignment and thread count.
-                let pool = ChunkPool::from_env();
-                let pats: Vec<_> = sd.patterns().collect();
-                let partials = pool.par_chunk_map(&pats, |chunk| {
-                    let mut groups: FxHashMap<Option<Oid>, BTreeSet<Oid>> =
-                        FxHashMap::default();
-                    for p in chunk {
-                        let key = match bslot {
-                            Some(bs) => match p.get(bs) {
-                                Some(o) => Some(o),
-                                None => continue, // ungrouped pattern: cannot qualify
-                            },
-                            None => None,
-                        };
-                        if let Some(t) = p.get(tslot) {
-                            groups.entry(key).or_default().insert(t);
-                        } else {
-                            groups.entry(key).or_default();
-                        }
-                    }
-                    groups
-                });
-                let mut partials = partials.into_iter();
-                let mut groups = partials.next().unwrap_or_default();
-                for partial in partials {
-                    for (key, targets) in partial {
-                        groups.entry(key).or_default().extend(targets);
+                let mut groups: FxHashMap<Option<Oid>, BTreeSet<Oid>> = FxHashMap::default();
+                for p in sd.patterns() {
+                    let key = match bslot {
+                        Some(bs) => match p.get(bs) {
+                            Some(o) => Some(o),
+                            None => continue, // ungrouped pattern: cannot qualify
+                        },
+                        None => None,
+                    };
+                    if let Some(t) = p.get(tslot) {
+                        groups.entry(key).or_default().insert(t);
+                    } else {
+                        groups.entry(key).or_default();
                     }
                 }
                 let threshold = value.to_value();
-                // Aggregates per group are independent; compute them
-                // chunk-parallel over a deterministically-ordered group list
-                // (the result map is key-addressed, so order is moot anyway).
-                let mut group_list: Vec<(Option<Oid>, BTreeSet<Oid>)> =
-                    groups.into_iter().collect();
-                group_list.sort_unstable_by_key(|(k, _)| *k);
-                let verdicts = pool.par_chunk_map(&group_list, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|(key, targets)| {
-                            (*key, agg_passes(func, &tattr, targets, op, &threshold, db))
-                        })
-                        .collect::<Vec<_>>()
-                });
-                let passes: FxHashMap<Option<Oid>, bool> =
-                    verdicts.into_iter().flatten().collect();
+                let passes: FxHashMap<Option<Oid>, bool> = groups
+                    .iter()
+                    .map(|(key, targets)| {
+                        (*key, agg_passes(func, &tattr, targets, op, &threshold, db))
+                    })
+                    .collect();
                 let keep: Vec<_> = sd
                     .patterns()
                     .filter(|p| {

@@ -1,7 +1,7 @@
 //! E16 soundness: semi-naive incremental forward maintenance (DESIGN.md §9)
 //! must be indistinguishable from from-scratch derivation under random
 //! insert / associate / dissociate / attribute-set / delete schedules, on
-//! all three paper schemas, at every thread count — plus regression tests
+//! all three paper schemas — plus regression tests
 //! for the three staleness bugs the maintenance rewrite fixed (silent
 //! forward-reads-backward skips, deleted-oid resurrection, and
 //! `is_consistent` on absent forward results). The `catch_up_*` tests do
@@ -55,7 +55,6 @@ use dood::workload::{cad, company, programs, university};
 use spec_eval::{rows_of, spec_query};
 
 const CASES: usize = 10;
-const THREADS: &[&str] = &["1", "2", "4"];
 
 /// Assert every pre-evaluated subdatabase equals its from-scratch
 /// derivation and passes the engine's own consistency oracle.
@@ -97,27 +96,23 @@ fn incremental_equals_fresh_company() {
         let seed = g.range(0u64..100);
         let ops = g.vec(2..10, |g| (g.range(0u8..6), g.range(0usize..64)));
         let post_source = g.bool(0.5);
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let (db, _) = company::populate(company::CompanySize::small(), seed);
-            let mut e = RuleEngine::new(db);
-            add_company_rules(&mut e);
-            let all = ["REa", "REb", "WellPaid", "Busy", "Picked"];
-            let subdbs = if post_source { &all[1..] } else { &all[..] };
-            for s in subdbs {
-                e.set_policy(*s, EvalPolicy::PreEvaluated);
-            }
-            for s in subdbs {
-                e.subdb(s).unwrap();
-            }
-            for (i, (op, k)) in ops.iter().copied().enumerate() {
-                apply_company_op(&mut e, i, op, k);
-                e.propagate().unwrap();
-                assert_fresh(&e, subdbs);
-            }
-            assert_spec(&e, &[("REa", "Employee * Department"), ("REb", "REa:Employee * Project")]);
-            std::env::remove_var("DOOD_THREADS");
+        let (db, _) = company::populate(company::CompanySize::small(), seed);
+        let mut e = RuleEngine::new(db);
+        add_company_rules(&mut e);
+        let all = ["REa", "REb", "WellPaid", "Busy", "Picked"];
+        let subdbs = if post_source { &all[1..] } else { &all[..] };
+        for s in subdbs {
+            e.set_policy(*s, EvalPolicy::PreEvaluated);
         }
+        for s in subdbs {
+            e.subdb(s).unwrap();
+        }
+        for (i, (op, k)) in ops.iter().copied().enumerate() {
+            apply_company_op(&mut e, i, op, k);
+            e.propagate().unwrap();
+            assert_fresh(&e, subdbs);
+        }
+        assert_spec(&e, &[("REa", "Employee * Department"), ("REb", "REa:Employee * Project")]);
     });
 }
 
@@ -262,24 +257,20 @@ fn incremental_equals_fresh_aggregates() {
     check("incremental_equals_fresh_aggregates", CASES, |g| {
         let seed = g.range(0u64..100);
         let ops = g.vec(3..12, |g| (g.range(0u8..10), g.range(0usize..64)));
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let (db, _) = company::populate(company::CompanySize::small(), seed);
-            let mut e = RuleEngine::new(db);
-            let subdbs: Vec<&str> = AGGREGATE_RULES.iter().map(|(name, _)| *name).collect();
-            for (name, src) in AGGREGATE_RULES {
-                e.add_rule(name, src).unwrap();
-                e.set_policy(*name, EvalPolicy::PreEvaluated);
-            }
-            for s in &subdbs {
-                e.subdb(s).unwrap();
-            }
-            for (i, (op, k)) in ops.iter().copied().enumerate() {
-                apply_aggregate_op(&mut e, i, op, k);
-                e.propagate().unwrap();
-                assert_fresh(&e, &subdbs);
-            }
-            std::env::remove_var("DOOD_THREADS");
+        let (db, _) = company::populate(company::CompanySize::small(), seed);
+        let mut e = RuleEngine::new(db);
+        let subdbs: Vec<&str> = AGGREGATE_RULES.iter().map(|(name, _)| *name).collect();
+        for (name, src) in AGGREGATE_RULES {
+            e.add_rule(name, src).unwrap();
+            e.set_policy(*name, EvalPolicy::PreEvaluated);
+        }
+        for s in &subdbs {
+            e.subdb(s).unwrap();
+        }
+        for (i, (op, k)) in ops.iter().copied().enumerate() {
+            apply_aggregate_op(&mut e, i, op, k);
+            e.propagate().unwrap();
+            assert_fresh(&e, &subdbs);
         }
     });
 }
@@ -471,40 +462,36 @@ fn university_schedule_survives_deleting_every_section() {
 fn university_schedule(g: &mut Gen) {
     let seed = g.range(0u64..100);
     let ops = g.vec(2..10, |g| (g.range(0u8..6), g.range(0usize..64)));
-    for threads in THREADS {
-        std::env::set_var("DOOD_THREADS", threads);
-        let db = university::populate(university::Size::small(), seed);
-        let mut e = RuleEngine::new(db);
-        e.add_rule("Ru1", "if context Teacher * Section * Course then TSC (Teacher, Course)")
-            .unwrap();
-        e.add_rule("Ru2", "if context {Teacher * Section} * Course then TC (Course)").unwrap();
-        e.add_rule(
-            "Ru3",
-            "if context Course * Section where count(Section by Course) > 1 \
-             then Popular (Course)",
-        )
+    let db = university::populate(university::Size::small(), seed);
+    let mut e = RuleEngine::new(db);
+    e.add_rule("Ru1", "if context Teacher * Section * Course then TSC (Teacher, Course)")
         .unwrap();
-        e.add_rule(
-            "Ru4",
-            "if context {Teacher * Section} * Course [credit_hours > 2] \
-             then Heavy (Teacher, Section, Course)",
-        )
-        .unwrap();
-        let subdbs = ["TSC", "TC", "Popular", "Heavy"];
-        for s in subdbs {
-            e.set_policy(s, EvalPolicy::PreEvaluated);
-        }
-        for s in subdbs {
-            e.subdb(s).unwrap();
-        }
-        for (op, k) in ops.iter().copied() {
-            apply_university_op(&mut e, op, k);
-            e.propagate().unwrap();
-            assert_fresh(&e, &subdbs);
-        }
-        assert_spec(&e, &[("Heavy", "{Teacher * Section} * Course [credit_hours > 2]")]);
-        std::env::remove_var("DOOD_THREADS");
+    e.add_rule("Ru2", "if context {Teacher * Section} * Course then TC (Course)").unwrap();
+    e.add_rule(
+        "Ru3",
+        "if context Course * Section where count(Section by Course) > 1 \
+         then Popular (Course)",
+    )
+    .unwrap();
+    e.add_rule(
+        "Ru4",
+        "if context {Teacher * Section} * Course [credit_hours > 2] \
+         then Heavy (Teacher, Section, Course)",
+    )
+    .unwrap();
+    let subdbs = ["TSC", "TC", "Popular", "Heavy"];
+    for s in subdbs {
+        e.set_policy(s, EvalPolicy::PreEvaluated);
     }
+    for s in subdbs {
+        e.subdb(s).unwrap();
+    }
+    for (op, k) in ops.iter().copied() {
+        apply_university_op(&mut e, op, k);
+        e.propagate().unwrap();
+        assert_fresh(&e, &subdbs);
+    }
+    assert_spec(&e, &[("Heavy", "{Teacher * Section} * Course [credit_hours > 2]")]);
 }
 
 fn apply_university_op(e: &mut RuleEngine, op: u8, k: usize) {
@@ -649,53 +636,49 @@ fn catch_up_equals_fresh_university() {
     check("catch_up_equals_fresh_university", CASES, |g| {
         let seed = g.range(0u64..100);
         let steps = catch_up_steps(g, 10, 5);
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let db = university::populate(university::Size::small(), seed);
-            let mut e = RuleEngine::new(db);
-            for (name, src) in [
-                ("Rt", "if context Teacher * Section * Course then TSC (Teacher, Section, Course)"),
-                ("Rb", "if context {Teacher * Section} * Course then TC (Course)"),
-                (
-                    "Rh",
-                    "if context {Teacher * Section} * Course [credit_hours > 2] \
-                     then Heavy (Teacher, Section, Course)",
-                ),
-                (
-                    "Rc",
-                    "if context Course * Section * Student where count(Student by Course) > 7 \
-                     then Crowded (Course)",
-                ),
-                (
-                    "Rx",
-                    "if context Teacher * Section * Crowded:Course \
-                     then TeachesCrowded (Teacher, Section, Course)",
-                ),
-                (
-                    "Ry1",
-                    "if context Teacher * Section * Crowded:Course then Busy (Teacher, Course)",
-                ),
-                (
-                    "Ry2",
-                    "if context Teacher * Section * Course [credit_hours > 2] \
-                     then Busy (Teacher, Course)",
-                ),
-            ] {
-                e.add_rule(name, src).unwrap();
-            }
-            e.set_policy("Crowded", EvalPolicy::PreEvaluated);
-            let readers = [
-                reader("TSC", false, Some("Teacher * Section * Course")),
-                reader("TC", false, None),
-                reader("Heavy", false, Some("{Teacher * Section} * Course [credit_hours > 2]")),
-                reader("TeachesCrowded", true, Some("Teacher * Section * Crowded:Course")),
-                reader("Busy", true, None),
-            ];
-            run_catch_up(&mut e, &["Crowded"], &readers, &steps, |e, _, op, k| {
-                apply_university_op(e, op, k)
-            });
-            std::env::remove_var("DOOD_THREADS");
+        let db = university::populate(university::Size::small(), seed);
+        let mut e = RuleEngine::new(db);
+        for (name, src) in [
+            ("Rt", "if context Teacher * Section * Course then TSC (Teacher, Section, Course)"),
+            ("Rb", "if context {Teacher * Section} * Course then TC (Course)"),
+            (
+                "Rh",
+                "if context {Teacher * Section} * Course [credit_hours > 2] \
+                 then Heavy (Teacher, Section, Course)",
+            ),
+            (
+                "Rc",
+                "if context Course * Section * Student where count(Student by Course) > 7 \
+                 then Crowded (Course)",
+            ),
+            (
+                "Rx",
+                "if context Teacher * Section * Crowded:Course \
+                 then TeachesCrowded (Teacher, Section, Course)",
+            ),
+            (
+                "Ry1",
+                "if context Teacher * Section * Crowded:Course then Busy (Teacher, Course)",
+            ),
+            (
+                "Ry2",
+                "if context Teacher * Section * Course [credit_hours > 2] \
+                 then Busy (Teacher, Course)",
+            ),
+        ] {
+            e.add_rule(name, src).unwrap();
         }
+        e.set_policy("Crowded", EvalPolicy::PreEvaluated);
+        let readers = [
+            reader("TSC", false, Some("Teacher * Section * Course")),
+            reader("TC", false, None),
+            reader("Heavy", false, Some("{Teacher * Section} * Course [credit_hours > 2]")),
+            reader("TeachesCrowded", true, Some("Teacher * Section * Crowded:Course")),
+            reader("Busy", true, None),
+        ];
+        run_catch_up(&mut e, &["Crowded"], &readers, &steps, |e, _, op, k| {
+            apply_university_op(e, op, k)
+        });
     });
 }
 
@@ -709,36 +692,32 @@ fn catch_up_equals_fresh_company() {
         let seed = g.range(0u64..100);
         let steps = catch_up_steps(g, 6, 5);
         let pre_source = g.bool(0.5);
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let (db, _) = company::populate(company::CompanySize::small(), seed);
-            let mut e = RuleEngine::new(db);
-            add_company_rules(&mut e);
-            e.add_rule(
-                "Rv",
-                "if context Picked:Employee * Department then PickedIn (Employee, Department)",
-            )
-            .unwrap();
-            let mut pre = vec!["Picked"];
-            let mut readers = vec![
-                reader("REb", pre_source, Some("REa:Employee * Project")),
-                reader("PickedIn", true, Some("Picked:Employee * Department")),
-                reader("Busy", false, None),
-                reader("WellPaid", false, None),
-            ];
-            if pre_source {
-                pre.push("REa");
-            } else {
-                readers.push(reader("REa", false, Some("Employee * Department")));
-            }
-            for s in &pre {
-                e.set_policy(*s, EvalPolicy::PreEvaluated);
-            }
-            run_catch_up(&mut e, &pre, &readers, &steps, |e, i, op, k| {
-                apply_company_op(e, i, op, k)
-            });
-            std::env::remove_var("DOOD_THREADS");
+        let (db, _) = company::populate(company::CompanySize::small(), seed);
+        let mut e = RuleEngine::new(db);
+        add_company_rules(&mut e);
+        e.add_rule(
+            "Rv",
+            "if context Picked:Employee * Department then PickedIn (Employee, Department)",
+        )
+        .unwrap();
+        let mut pre = vec!["Picked"];
+        let mut readers = vec![
+            reader("REb", pre_source, Some("REa:Employee * Project")),
+            reader("PickedIn", true, Some("Picked:Employee * Department")),
+            reader("Busy", false, None),
+            reader("WellPaid", false, None),
+        ];
+        if pre_source {
+            pre.push("REa");
+        } else {
+            readers.push(reader("REa", false, Some("Employee * Department")));
         }
+        for s in &pre {
+            e.set_policy(*s, EvalPolicy::PreEvaluated);
+        }
+        run_catch_up(&mut e, &pre, &readers, &steps, |e, i, op, k| {
+            apply_company_op(e, i, op, k)
+        });
     });
 }
 
@@ -749,21 +728,17 @@ fn catch_up_equals_fresh_aggregates() {
     check("catch_up_equals_fresh_aggregates", CASES, |g| {
         let seed = g.range(0u64..100);
         let steps = catch_up_steps(g, 10, AGGREGATE_RULES.len() - 1);
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let (db, _) = company::populate(company::CompanySize::small(), seed);
-            let mut e = RuleEngine::new(db);
-            for (name, src) in AGGREGATE_RULES {
-                e.add_rule(name, src).unwrap();
-            }
-            e.set_policy("CountBy", EvalPolicy::PreEvaluated);
-            let readers: Vec<Reader> = AGGREGATE_RULES[1..]
-                .iter()
-                .map(|(name, _)| reader(name, *name == "OverSource", None))
-                .collect();
-            run_catch_up(&mut e, &["CountBy"], &readers, &steps, apply_aggregate_op);
-            std::env::remove_var("DOOD_THREADS");
+        let (db, _) = company::populate(company::CompanySize::small(), seed);
+        let mut e = RuleEngine::new(db);
+        for (name, src) in AGGREGATE_RULES {
+            e.add_rule(name, src).unwrap();
         }
+        e.set_policy("CountBy", EvalPolicy::PreEvaluated);
+        let readers: Vec<Reader> = AGGREGATE_RULES[1..]
+            .iter()
+            .map(|(name, _)| reader(name, *name == "OverSource", None))
+            .collect();
+        run_catch_up(&mut e, &["CountBy"], &readers, &steps, apply_aggregate_op);
     });
 }
 
@@ -775,25 +750,21 @@ fn catch_up_equals_fresh_rule_oriented_backward() {
     check("catch_up_equals_fresh_rule_oriented_backward", CASES, |g| {
         let seed = g.range(0u64..100);
         let steps = catch_up_steps(g, 6, 4);
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let (db, _) = company::populate(company::CompanySize::small(), seed);
-            let mut e = RuleEngine::new(db);
-            e.set_mode(ControlMode::RuleOriented);
-            add_company_rules(&mut e);
-            e.set_strategy("Rc", ChainStrategy::Forward);
-            let readers = [
-                reader("REb", false, Some("REa:Employee * Project")),
-                reader("REa", false, Some("Employee * Department")),
-                reader("Busy", false, None),
-                reader("Picked", false, None),
-            ];
-            run_catch_up(&mut e, &["WellPaid"], &readers, &steps, |e, i, op, k| {
-                apply_company_op(e, i, op, k)
-            });
-            assert!(e.stale_skips().is_empty(), "{:?}", e.stale_skips());
-            std::env::remove_var("DOOD_THREADS");
-        }
+        let (db, _) = company::populate(company::CompanySize::small(), seed);
+        let mut e = RuleEngine::new(db);
+        e.set_mode(ControlMode::RuleOriented);
+        add_company_rules(&mut e);
+        e.set_strategy("Rc", ChainStrategy::Forward);
+        let readers = [
+            reader("REb", false, Some("REa:Employee * Project")),
+            reader("REa", false, Some("Employee * Department")),
+            reader("Busy", false, None),
+            reader("Picked", false, None),
+        ];
+        run_catch_up(&mut e, &["WellPaid"], &readers, &steps, |e, i, op, k| {
+            apply_company_op(e, i, op, k)
+        });
+        assert!(e.stale_skips().is_empty(), "{:?}", e.stale_skips());
     });
 }
 
@@ -935,27 +906,23 @@ fn incremental_equals_fresh_cad() {
     check("incremental_equals_fresh_cad", CASES, |g| {
         let seed = g.range(0u64..100);
         let ops = g.vec(2..9, |g| (g.range(0u8..5), g.range(0usize..64)));
-        for threads in THREADS {
-            std::env::set_var("DOOD_THREADS", threads);
-            let (db, _) = cad::build_bom(cad::BomShape::small(), seed);
-            let mut e = RuleEngine::new(db);
-            e.add_rule("Rbom", "if context Part ^* then Bom (Part, Part_*)").unwrap();
-            e.add_rule("Rsp", "if context Supplier * Part then SP (Supplier, Part)").unwrap();
-            let subdbs = ["Bom", "SP"];
-            for s in subdbs {
-                e.set_policy(s, EvalPolicy::PreEvaluated);
-            }
-            for s in subdbs {
-                e.subdb(s).unwrap();
-            }
-            for (op, k) in ops.iter().copied() {
-                apply_cad_op(&mut e, op, k);
-                e.propagate().unwrap();
-                assert_fresh(&e, &subdbs);
-            }
-            assert_spec(&e, &[("Bom", "Part ^*"), ("SP", "Supplier * Part")]);
-            std::env::remove_var("DOOD_THREADS");
+        let (db, _) = cad::build_bom(cad::BomShape::small(), seed);
+        let mut e = RuleEngine::new(db);
+        e.add_rule("Rbom", "if context Part ^* then Bom (Part, Part_*)").unwrap();
+        e.add_rule("Rsp", "if context Supplier * Part then SP (Supplier, Part)").unwrap();
+        let subdbs = ["Bom", "SP"];
+        for s in subdbs {
+            e.set_policy(s, EvalPolicy::PreEvaluated);
         }
+        for s in subdbs {
+            e.subdb(s).unwrap();
+        }
+        for (op, k) in ops.iter().copied() {
+            apply_cad_op(&mut e, op, k);
+            e.propagate().unwrap();
+            assert_fresh(&e, &subdbs);
+        }
+        assert_spec(&e, &[("Bom", "Part ^*"), ("SP", "Supplier * Part")]);
     });
 }
 

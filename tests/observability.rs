@@ -1,5 +1,5 @@
-//! Observability-layer integration tests (DESIGN.md §8): parallel and
-//! sequential evaluation agree on every semantic metric, disabled gates
+//! Observability-layer integration tests (DESIGN.md §8): repeated
+//! evaluations of one query agree on every semantic metric, disabled gates
 //! keep the instrumented paths inert, captured profiles expose the
 //! per-operator cardinalities, and exported traces always validate.
 //!
@@ -12,7 +12,6 @@
 use dood::core::ids::{AssocId, Oid};
 use dood::core::obs::{self, metrics, trace};
 use dood::core::obs::metrics::MetricSnapshot;
-use dood::core::pool::ChunkPool;
 use dood::core::propcheck::check;
 use dood::core::subdb::SubdbRegistry;
 use dood::oql::eval::{fan_key_assoc, Evaluator};
@@ -29,24 +28,19 @@ fn metrics_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn eval_rows(db: &dood::store::Database, src: &str, pool: ChunkPool) -> usize {
+fn eval_rows(db: &dood::store::Database, src: &str) -> usize {
     let reg = SubdbRegistry::new();
     let e = Parser::parse_context_expr(src).unwrap();
     let r = resolve_context(&e, db.schema(), &reg).unwrap();
-    Evaluator::new(&r, db, &reg).unwrap().with_pool(pool).eval("t").len()
+    Evaluator::new(&r, db, &reg).unwrap().eval("t").len()
 }
 
-/// The semantic (non-timing, non-pool) metrics of a snapshot, as
-/// comparable `(name, value)` pairs. Pool metrics (chunk counts, worker
-/// timings) legitimately differ across thread counts; everything else —
-/// join evaluations, predicate selectivity, subsumption eliminations,
-/// index probes, rule deltas — must not.
+/// The semantic (non-timing) metrics of a snapshot, as comparable
+/// `(name, value)` pairs: join evaluations, predicate selectivity,
+/// subsumption eliminations, index probes, rule deltas.
 fn semantic_metrics(snaps: &[MetricSnapshot]) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for s in snaps {
-        if s.name().starts_with("pool.") {
-            continue;
-        }
         match s {
             MetricSnapshot::Counter { name, value } => out.push((name.clone(), *value)),
             MetricSnapshot::Gauge { .. } => {}
@@ -59,9 +53,9 @@ fn semantic_metrics(snaps: &[MetricSnapshot]) -> Vec<(String, u64)> {
     out
 }
 
-/// Parallel evaluation must report the same semantic metric totals as the
-/// sequential path: the instrumentation counts work done, not how it was
-/// scheduled (ISSUE 5 acceptance).
+/// Two runs of the same query must report the same semantic metric
+/// totals: the instrumentation counts work done, which depends only on the
+/// query and the data.
 #[test]
 fn parallel_metric_totals_equal_sequential() {
     let _g = metrics_lock();
@@ -75,20 +69,19 @@ fn parallel_metric_totals_equal_sequential() {
     ];
     for src in exprs {
         metrics::reset_all();
-        let seq_rows = eval_rows(&db, src, ChunkPool::with_threads(1));
-        let seq = semantic_metrics(&metrics::snapshot());
+        let first_rows = eval_rows(&db, src);
+        let first = semantic_metrics(&metrics::snapshot());
 
         metrics::reset_all();
-        // cutoff 0 forces the chunked path even on small candidate sets.
-        let par_rows = eval_rows(&db, src, ChunkPool::with_threads(4).cutoff(0));
-        let par = semantic_metrics(&metrics::snapshot());
+        let second_rows = eval_rows(&db, src);
+        let second = semantic_metrics(&metrics::snapshot());
 
-        assert_eq!(seq_rows, par_rows, "rows differ for `{src}`");
-        assert_eq!(seq, par, "metric totals differ for `{src}`");
+        assert_eq!(first_rows, second_rows, "rows differ for `{src}`");
+        assert_eq!(first, second, "metric totals differ for `{src}`");
         assert!(
-            seq.iter().any(|(n, v)| n == "oql.join.evals" && *v > 0)
+            first.iter().any(|(n, v)| n == "oql.join.evals" && *v > 0)
                 || src.contains('^'),
-            "no join evaluations recorded for `{src}`: {seq:?}"
+            "no join evaluations recorded for `{src}`: {first:?}"
         );
     }
     metrics::reset_all();
@@ -111,7 +104,7 @@ fn disabled_gates_keep_instrumentation_inert() {
     drop(sp);
 
     let db = university::populate(university::Size::small(), 7);
-    let rows = eval_rows(&db, "Teacher * Section * Course", ChunkPool::with_threads(2).cutoff(0));
+    let rows = eval_rows(&db, "Teacher * Section * Course");
     assert!(rows > 0);
 
     let after = semantic_metrics(&metrics::snapshot());
@@ -170,12 +163,10 @@ fn exported_traces_always_validate() {
     let _g = metrics_lock();
     check("exported_traces_always_validate", 12, |g| {
         let seed = g.range(0u64..1000);
-        let threads = [1usize, 2, 4][g.range(0..3) as usize];
         let db = university::populate(university::Size::small(), seed);
-        let pool = ChunkPool::with_threads(threads).cutoff(0);
         let (rows, spans) = trace::capture(|| {
-            eval_rows(&db, "Department * Course * Section * Student", pool)
-                + eval_rows(&db, "Course ^*", ChunkPool::with_threads(1))
+            eval_rows(&db, "Department * Course * Section * Student")
+                + eval_rows(&db, "Course ^*")
         });
         assert!(!spans.is_empty(), "capture produced no spans");
 
@@ -289,24 +280,19 @@ fn slowlog_e2e_records_plans_and_stages() {
 }
 
 /// Property: enabling the flight recorder must not change evaluation
-/// results at any thread count — the ring only observes closed spans
-/// (tentpole acceptance). Replay failures with `DOOD_PROP_SEED=<seed>`.
+/// results — the ring only observes closed spans. Replay failures with
+/// `DOOD_PROP_SEED=<seed>`.
 #[test]
 fn recorder_on_equals_off_across_threads() {
     let _g = metrics_lock();
     check("recorder_on_equals_off_across_threads", 9, |g| {
         let seed = g.range(0u64..1000);
-        let threads = [1usize, 2, 4][g.range(0..3) as usize];
         let db = university::populate(university::Size::small(), seed);
         let reg = SubdbRegistry::new();
         let eval = |src: &str| {
             let e = Parser::parse_context_expr(src).unwrap();
             let r = resolve_context(&e, db.schema(), &reg).unwrap();
-            Evaluator::new(&r, &db, &reg)
-                .unwrap()
-                .with_pool(ChunkPool::with_threads(threads).cutoff(0))
-                .eval("t")
-                .to_vec()
+            Evaluator::new(&r, &db, &reg).unwrap().eval("t").to_vec()
         };
         for src in ["Teacher * Section * Course", "Course ^*"] {
             obs::recorder::set_enabled(false);
@@ -315,7 +301,7 @@ fn recorder_on_equals_off_across_threads() {
             let on = eval(src);
             obs::recorder::set_enabled(false);
             obs::recorder::clear();
-            assert_eq!(off, on, "recorder changed results for `{src}` at {threads} thread(s)");
+            assert_eq!(off, on, "recorder changed results for `{src}`");
         }
     });
 }

@@ -1,8 +1,8 @@
-//! Determinism of the parallel evaluation paths (DESIGN.md §6): the
-//! chunk-partitioned span join, the partial-group-map aggregation, and
-//! stratum-parallel forward maintenance must produce results identical to
-//! the sequential evaluator at every thread count — and the sequential
-//! evaluator's to the spec-level interpreter of `tests/common/spec_eval.rs`.
+//! The evaluator against independent references: the span join against
+//! the spec-level interpreter of `tests/common/spec_eval.rs`, grouped
+//! aggregation against the rebuilding WHERE filter of
+//! `tests/common/result_oracle.rs`, and stratum-wise forward maintenance
+//! against from-scratch derivation and against a second identical run.
 //!
 //! Driven by the in-repo seeded harness (`dood::core::propcheck`); replay
 //! a reported failure with `DOOD_PROP_SEED=<seed> cargo test <name>`.
@@ -10,7 +10,10 @@
 #[path = "common/spec_eval.rs"]
 mod spec_eval;
 
-use dood::core::pool::ChunkPool;
+#[allow(dead_code)]
+#[path = "common/result_oracle.rs"]
+mod result_oracle;
+
 use dood::core::propcheck::check;
 use dood::core::subdb::{ExtPattern, Subdatabase, SubdbRegistry};
 use dood::oql::eval::Evaluator;
@@ -19,6 +22,7 @@ use dood::oql::Parser;
 use dood::rules::{EvalPolicy, RuleEngine};
 use dood::store::Database;
 use dood::workload::university;
+use result_oracle::apply_where_rebuilding;
 use spec_eval::{rows_of, spec_query};
 
 const CASES: usize = 16;
@@ -35,15 +39,14 @@ const EXPRS: &[&str] = &[
     "Course ^*",
 ];
 
-fn eval_with(db: &Database, reg: &SubdbRegistry, src: &str, pool: ChunkPool) -> Vec<ExtPattern> {
+fn eval(db: &Database, reg: &SubdbRegistry, src: &str) -> Subdatabase {
     let e = Parser::parse_context_expr(src).unwrap();
     let r = resolve_context(&e, db.schema(), reg).unwrap();
-    Evaluator::new(&r, db, reg).unwrap().with_pool(pool).eval("t").to_vec()
+    Evaluator::new(&r, db, reg).unwrap().eval("t")
 }
 
-/// The partitioned span join is byte-identical to the sequential path at
-/// every thread count, on random populations and expressions, and the
-/// sequential path returns the spec's patterns.
+/// The span join returns the spec's patterns on random populations and
+/// expressions.
 #[test]
 fn parallel_span_join_equals_sequential() {
     check("parallel_span_join_equals_sequential", CASES, |g| {
@@ -52,16 +55,7 @@ fn parallel_span_join_equals_sequential() {
         let db = university::populate(university::Size::scaled(factor), seed);
         let reg = SubdbRegistry::new();
         let src = EXPRS[g.range(0..EXPRS.len() as u64) as usize];
-        // cutoff 0 forces the chunked path even on small candidate sets.
-        let sequential = eval_with(&db, &reg, src, ChunkPool::with_threads(1));
-        let spec = spec_query(&db, &reg, src);
-        let as_rows: Vec<_> = sequential.iter().map(|p| p.components().to_vec()).collect();
-        assert_eq!(as_rows, spec, "engine != spec, expr={src}");
-        for threads in [2, 4, 8] {
-            let parallel =
-                eval_with(&db, &reg, src, ChunkPool::with_threads(threads).cutoff(0));
-            assert_eq!(sequential, parallel, "threads={threads} expr={src}");
-        }
+        assert_eq!(rows_of(&eval(&db, &reg, src)), spec_query(&db, &reg, src), "expr={src}");
     });
 }
 
@@ -84,8 +78,8 @@ fn planner_modes_agree_on_random_workloads() {
     });
 }
 
-/// Grouped aggregation through the partial-group-map merge agrees with
-/// the expected group semantics at any configured thread count.
+/// Grouped aggregation through the query pipeline agrees with the
+/// rebuilding filter's hash-map grouping over the same context.
 #[test]
 fn parallel_aggregation_equals_sequential() {
     check("parallel_aggregation_equals_sequential", CASES, |g| {
@@ -100,28 +94,22 @@ fn parallel_aggregation_equals_sequential() {
              where count(Student by Course) > {threshold}"
         ))
         .unwrap();
-        let run = |threads: &str| {
-            std::env::set_var("DOOD_THREADS", threads);
-            let out = oql.run(&db, &reg, &q).unwrap().subdb.to_vec();
-            std::env::remove_var("DOOD_THREADS");
-            out
-        };
-        let one = run("1");
-        let four = run("4");
-        assert_eq!(one, four, "threshold={threshold}");
+        let engine = oql.run(&db, &reg, &q).unwrap().subdb.to_vec();
+        let mut oracle = eval(&db, &reg, "Department * Course * Section * Student");
+        apply_where_rebuilding(&mut oracle, &q.where_, &db).unwrap();
+        assert_eq!(engine, oracle.to_vec(), "threshold={threshold}");
     });
 }
 
-/// Stratum-parallel forward maintenance commits the same registry contents
-/// as single-threaded propagation, and both match from-scratch derivation.
+/// Stratum-wise forward maintenance matches from-scratch derivation, and
+/// two identical runs commit the same registry contents.
 #[test]
 fn parallel_forward_maintenance_is_deterministic() {
     check("parallel_forward_maintenance_is_deterministic", CASES, |g| {
         let seed = g.range(0u64..1000);
-        let results: Vec<Vec<Vec<ExtPattern>>> = ["1", "4"]
-            .iter()
-            .map(|threads| {
-                std::env::set_var("DOOD_THREADS", threads);
+        let n_new = g.range(1u64..4);
+        let results: Vec<Vec<Vec<ExtPattern>>> = (0..2)
+            .map(|_| {
                 let db = university::populate(university::Size::small(), seed);
                 let mut engine = RuleEngine::new(db);
                 // Two independent results (one stratum) plus a dependent one.
@@ -140,7 +128,6 @@ fn parallel_forward_maintenance_is_deterministic() {
                 }
                 // A batch of random updates, then forward chaining.
                 let teacher = engine.db().schema().class_by_name("Teacher").unwrap();
-                let n_new = g.range(1u64..4);
                 for _ in 0..n_new {
                     engine.db_mut().new_object(teacher).unwrap();
                 }
@@ -149,7 +136,6 @@ fn parallel_forward_maintenance_is_deterministic() {
                 for name in ["TC", "CS", "TCS"] {
                     assert!(engine.is_consistent(name).unwrap(), "{name} stale");
                 }
-                std::env::remove_var("DOOD_THREADS");
                 let mut out = Vec::new();
                 for name in ["TC", "CS", "TCS"] {
                     out.push(engine.registry().subdb(name).unwrap().to_vec());
@@ -161,9 +147,8 @@ fn parallel_forward_maintenance_is_deterministic() {
     });
 }
 
-/// The read path shared across pool workers must be `Sync` (tentpole
-/// audit): `&Database`, `&SubdbRegistry`, and subdatabases cross thread
-/// boundaries in the span join and stratum fan-out.
+/// The read path stays `Send + Sync`, so callers can share a database and
+/// its derived subdatabases across their own threads.
 #[test]
 fn read_path_types_are_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
@@ -171,5 +156,4 @@ fn read_path_types_are_sync() {
     assert_send_sync::<SubdbRegistry>();
     assert_send_sync::<Subdatabase>();
     assert_send_sync::<ExtPattern>();
-    assert_send_sync::<ChunkPool>();
 }

@@ -1,8 +1,8 @@
 //! Soundness of the compiled join pipelines (DESIGN.md §10): the engine
 //! must produce exactly the patterns of the spec-level interpreter in
 //! `tests/common/spec_eval.rs` (nested loops written from PAPER.md §3–§5; no
-//! plan, index, cache or statistics) — on all three paper schemas, at every
-//! thread count, and under arbitrary (even adversarial) planner statistics.
+//! plan, index, cache or statistics) — on all three paper schemas and
+//! under arbitrary (even adversarial) planner statistics.
 //! Plans may change; results may not. Where `datalog::translate` covers the
 //! query, the Datalog engine is a third, cross-formalism witness. Plus
 //! golden EXPLAIN plan snapshots for the E1/E6/E7 context shapes, pinning
@@ -15,7 +15,6 @@
 mod spec_eval;
 
 use dood::core::obs::stats;
-use dood::core::pool::ChunkPool;
 use dood::core::propcheck::check;
 use dood::core::subdb::SubdbRegistry;
 use dood::core::value::Value;
@@ -31,7 +30,6 @@ use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 const CASES: usize = 6;
-const THREADS: &[usize] = &[1, 2, 4];
 
 /// The planner statistics registry is process-global; tests that write it
 /// (every execution feeds it) serialize on this lock so the golden
@@ -42,24 +40,18 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Evaluate `query` through the engine on a `threads`-wide pool (cutoff 0
-/// forces the chunked path even on small candidate sets).
-fn engine_rows(db: &Database, reg: &SubdbRegistry, query: &str, threads: usize) -> Vec<Row> {
+/// Evaluate `query` through the engine.
+fn engine_rows(db: &Database, reg: &SubdbRegistry, query: &str) -> Vec<Row> {
     let expr = Parser::parse_context_expr(query).unwrap();
     let resolved = resolve_context(&expr, db.schema(), reg).unwrap();
-    let ev = Evaluator::new(&resolved, db, reg)
-        .unwrap()
-        .with_pool(ChunkPool::with_threads(threads).cutoff(0));
-    rows_of(&ev.eval("x"))
+    rows_of(&Evaluator::new(&resolved, db, reg).unwrap().eval("x"))
 }
 
 /// Assert the engine's patterns for `query` are the spec's, which it
 /// returns.
-fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str, threads: &[usize]) -> Vec<Row> {
+fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str) -> Vec<Row> {
     let spec = spec_query(db, reg, query);
-    for &t in threads {
-        assert_eq!(engine_rows(db, reg, query, t), spec, "engine != spec for `{query}`, {t} threads");
-    }
+    assert_eq!(engine_rows(db, reg, query), spec, "engine != spec for `{query}`");
     spec
 }
 
@@ -120,7 +112,7 @@ fn compiled_equals_interp_across_schemas_and_threads() {
         for (db, queries) in dbs(seed) {
             let reg = SubdbRegistry::new();
             for q in queries {
-                assert_equiv(&db, &reg, q, THREADS);
+                assert_equiv(&db, &reg, q);
             }
         }
     });
@@ -137,7 +129,7 @@ fn random_stats_change_plans_not_results() {
             // selectivity keys for every stage of every query.
             stats::clear();
             for q in queries {
-                assert_equiv(&db, &reg, q, &[1]);
+                assert_equiv(&db, &reg, q);
             }
             // Adversarially scramble every observed statistic, plus a few
             // fan keys the pass may not have touched.
@@ -151,7 +143,7 @@ fn random_stats_change_plans_not_results() {
             }
             // Misled plans must still agree with the spec.
             for q in queries {
-                assert_equiv(&db, &reg, q, &[1]);
+                assert_equiv(&db, &reg, q);
             }
         }
         stats::clear();
@@ -212,7 +204,7 @@ fn compiled_equals_spec_equals_datalog() {
             tr.program.rule(atom(chain, (0..=links.len() as u32).map(v).collect()), body);
             let (facts, _) = datalog::seminaive(&tr.program, &tr.edb);
             let flat: BTreeSet<Vec<u64>> = facts.tuples(chain).cloned().collect();
-            let spec: BTreeSet<Vec<u64>> = assert_equiv(db, &reg, query, THREADS)
+            let spec: BTreeSet<Vec<u64>> = assert_equiv(db, &reg, query)
                 .iter()
                 .map(|r| r.iter().map(|o| o.expect("full pattern").raw()).collect())
                 .collect();
@@ -237,7 +229,7 @@ fn compiled_equals_spec_equals_datalog() {
             // A chain never revisits an instance, so nobody reaches itself.
             let flat: BTreeSet<(u64, u64)> =
                 facts.tuples(reach).filter(|t| t[0] != t[1]).map(|t| (t[0], t[1])).collect();
-            let spec = assert_equiv(db, &reg, query, THREADS);
+            let spec = assert_equiv(db, &reg, query);
             assert_eq!(reach_pairs(&spec), flat, "spec != datalog for `{query}`");
         }
     });
