@@ -54,7 +54,6 @@ pub struct Account {
     closure_rounds: AtomicU64,
     delta_inserted: AtomicU64,
     delta_removed: AtomicU64,
-    drift_events: AtomicU64,
     stages: Mutex<Vec<StageObs>>,
     plan: Mutex<Option<String>>,
 }
@@ -70,7 +69,6 @@ impl Account {
             closure_rounds: AtomicU64::new(0),
             delta_inserted: AtomicU64::new(0),
             delta_removed: AtomicU64::new(0),
-            drift_events: AtomicU64::new(0),
             stages: Mutex::new(Vec::new()),
             plan: Mutex::new(None),
         }
@@ -95,11 +93,6 @@ impl Account {
     pub fn add_delta_edits(&self, inserted: u64, removed: u64) {
         self.delta_inserted.fetch_add(inserted, Ordering::Relaxed);
         self.delta_removed.fetch_add(removed, Ordering::Relaxed);
-    }
-
-    /// Count one plan-drift watchdog breach.
-    pub fn add_drift_event(&self) {
-        self.drift_events.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Append one stage's estimated-vs-actual cardinalities. Capped at
@@ -130,7 +123,6 @@ impl Account {
             closure_rounds: self.closure_rounds.load(Ordering::Relaxed),
             delta_inserted: self.delta_inserted.load(Ordering::Relaxed),
             delta_removed: self.delta_removed.load(Ordering::Relaxed),
-            drift_events: self.drift_events.load(Ordering::Relaxed),
             stages: self.stages.lock().unwrap().clone(),
             plan: self.plan.lock().unwrap().clone(),
         }
@@ -336,8 +328,6 @@ pub struct QueryReport {
     pub delta_inserted: u64,
     /// Delta-maintenance pattern removals.
     pub delta_removed: u64,
-    /// Plan-drift watchdog breaches observed during the run.
-    pub drift_events: u64,
     /// Per-stage estimated vs. actual cardinalities, in execution order.
     pub stages: Vec<StageObs>,
     /// The compiled plan snapshot (`describe()`), when one was executed.
@@ -351,7 +341,7 @@ impl QueryReport {
         s.push_str(&format!(
             "{{\"kind\":\"{}\",\"label\":\"{}\",\"wall_us\":{},\
              \"rows_scanned\":{},\"patterns_built\":{},\"closure_rounds\":{},\
-             \"delta_inserted\":{},\"delta_removed\":{},\"drift_events\":{}",
+             \"delta_inserted\":{},\"delta_removed\":{}",
             json_escape(&self.kind),
             json_escape(&self.label),
             self.wall_us,
@@ -360,7 +350,6 @@ impl QueryReport {
             self.closure_rounds,
             self.delta_inserted,
             self.delta_removed,
-            self.drift_events,
         ));
         s.push_str(",\"stages\":[");
         for (i, st) in self.stages.iter().enumerate() {
@@ -396,7 +385,6 @@ impl QueryReport {
             closure_rounds: 0,
             delta_inserted: 0,
             delta_removed: 0,
-            drift_events: 0,
             stages: Vec::new(),
             plan: None,
         };
@@ -418,7 +406,6 @@ impl QueryReport {
                 "closure_rounds" => rep.closure_rounds = p.integer()? as u64,
                 "delta_inserted" => rep.delta_inserted = p.integer()? as u64,
                 "delta_removed" => rep.delta_removed = p.integer()? as u64,
-                "drift_events" => rep.drift_events = p.integer()? as u64,
                 "plan" => rep.plan = Some(p.string()?),
                 "stages" => {
                     p.expect(b'[')?;
@@ -492,13 +479,12 @@ impl QueryReport {
         ));
         out.push_str(&format!(
             "   rows_scanned={} patterns_built={} closure_rounds={} \
-             delta=+{}/-{} drift_events={}\n",
+             delta=+{}/-{}\n",
             self.rows_scanned,
             self.patterns_built,
             self.closure_rounds,
             self.delta_inserted,
             self.delta_removed,
-            self.drift_events,
         ));
         for st in &self.stages {
             out.push_str(&format!(
@@ -549,7 +535,6 @@ mod tests {
         acc.add_patterns_built(4);
         acc.add_closure_rounds(2);
         acc.add_delta_edits(3, 1);
-        acc.add_drift_event();
         acc.add_stage("scan s0".into(), 12.5, 10, 8);
         acc.set_plan("span [0,2) anchor=s0".into());
         let rep = scope.finish_report().expect("armed scope reports");
@@ -560,7 +545,6 @@ mod tests {
         assert_eq!(rep.patterns_built, 4);
         assert_eq!(rep.closure_rounds, 2);
         assert_eq!((rep.delta_inserted, rep.delta_removed), (3, 1));
-        assert_eq!(rep.drift_events, 1);
         assert_eq!(rep.stages.len(), 1);
         assert_eq!(rep.plan.as_deref(), Some("span [0,2) anchor=s0"));
     }
@@ -593,7 +577,6 @@ mod tests {
             closure_rounds: 3,
             delta_inserted: 5,
             delta_removed: 2,
-            drift_events: 1,
             stages: vec![
                 StageObs { stage: "scan s0".into(), est: 12.5, scanned: 10, kept: 8 },
                 StageObs { stage: "step s0->s1".into(), est: 3.0, scanned: 24, kept: 20 },

@@ -12,10 +12,8 @@
 //!   tree (plan node → cardinality attributes → wall time) built from a
 //!   captured span set, rendered by the `doodprof` CLI.
 //!
-//! A fourth piece, [`stats`], is *always on*: a registry of observed
-//! cardinality/selectivity averages that feeds the cost-based join
-//! planner (DESIGN.md §10). It is an engine input, not an export surface,
-//! so it is not gated.
+//! [`stats`] holds only a no-op `clear()`: the planner's inputs are the
+//! store's own counts (DESIGN.md §10), not observations.
 //!
 //! Two production-observability pieces ride on top (DESIGN.md §13):
 //!

@@ -1,8 +1,8 @@
 //! `obs::recorder` — the always-on flight recorder (DESIGN.md §13).
 //!
 //! A bounded in-memory ring of the most recent closed spans, kept so the
-//! evidence for an anomaly (a slow query, a plan drift) already exists
-//! when the anomaly is noticed — no re-run needed. The ring is striped
+//! evidence for an anomaly (a slow query) already exists when the
+//! anomaly is noticed — no re-run needed. The ring is striped
 //! per thread: every recording thread owns a fixed-capacity buffer behind
 //! its own (uncontended) mutex, and each record is stamped with a global
 //! sequence number so [`dump`] can merge the stripes back into one

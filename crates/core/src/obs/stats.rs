@@ -1,159 +1,11 @@
-//! `obs::stats` — observed cardinality statistics feeding the cost-based
-//! join planner (DESIGN.md §10).
+//! `obs::stats` — nothing left but a no-op.
 //!
-//! A process-global registry of exponentially-weighted moving averages,
-//! keyed by stable strings describing *what* was measured rather than
-//! *where* (e.g. `oql.fan.a3.f` for the forward fan-out of association 3,
-//! `oql.sel.c2.9f31aa04` for the selectivity of one predicate shape on
-//! class 2). Keys describe schema-level quantities, so observations made
-//! by one query improve the plans of every later query touching the same
-//! associations and predicates.
-//!
-//! Unlike [`super::metrics`], this registry is **always on**: it is an
-//! engine input (plan choice), not an export surface. Recording happens
-//! per join *stage* (not per row), so the steady-state cost is one mutex
-//! lock and one hash probe per stage — negligible next to the join itself.
-//! Stats only ever influence which join order is chosen, never which rows
-//! are produced; the equivalence propcheck in `tests/plan.rs` pins that.
+//! The planner reads its cost inputs from the store's own counts at plan
+//! time (DESIGN.md §10), so there is no statistics registry to reset.
+//! [`clear`] stays only because the end-to-end benchmark calls it before
+//! every pass; it goes once the benchmark stops calling it (ROADMAP.md
+//! item 2).
 
-use crate::fxhash::FxHashMap;
-use std::sync::{Mutex, OnceLock};
-
-/// Smoothing factor: a new observation moves the average 25% of the way.
-/// Heavy smoothing keeps one outlier delta-evaluation (tiny restricted
-/// cardinalities) from wrecking the estimate for full evaluations.
-const ALPHA: f64 = 0.25;
-
-#[derive(Debug, Clone, Copy)]
-struct Stat {
-    ewma: f64,
-    count: u64,
-}
-
-fn registry() -> &'static Mutex<FxHashMap<String, Stat>> {
-    static REG: OnceLock<Mutex<FxHashMap<String, Stat>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(FxHashMap::default()))
-}
-
-/// Static priors: analysis-derived estimates (the `rules::absint`
-/// abstract interpreter) consulted only when a key has **no** observation.
-/// Kept separate from the EWMA registry so one real observation fully
-/// replaces the prior instead of being averaged with it.
-fn priors() -> &'static Mutex<FxHashMap<String, f64>> {
-    static REG: OnceLock<Mutex<FxHashMap<String, f64>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(FxHashMap::default()))
-}
-
-/// Fold one observation into `key`'s moving average.
-pub fn observe(key: &str, value: f64) {
-    if !value.is_finite() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap();
-    match reg.get_mut(key) {
-        Some(s) => {
-            s.ewma += ALPHA * (value - s.ewma);
-            s.count += 1;
-        }
-        None => {
-            reg.insert(key.to_string(), Stat { ewma: value, count: 1 });
-        }
-    }
-}
-
-/// The current average for `key`, if any observation has been recorded.
-pub fn get(key: &str) -> Option<f64> {
-    registry().lock().unwrap().get(key).map(|s| s.ewma)
-}
-
-/// Overwrite `key`'s average (tests and ablations; the count resets to 1).
-pub fn set(key: &str, value: f64) {
-    registry().lock().unwrap().insert(key.to_string(), Stat { ewma: value, count: 1 });
-}
-
-/// Record a static prior for `key` (non-finite values are ignored). Priors
-/// fill the cold-start gap: [`get_or_prior`] serves them only until the
-/// first real observation of the key arrives.
-pub fn set_prior(key: &str, value: f64) {
-    if !value.is_finite() {
-        return;
-    }
-    priors().lock().unwrap().insert(key.to_string(), value);
-}
-
-/// The static prior for `key`, if one was installed.
-pub fn prior(key: &str) -> Option<f64> {
-    priors().lock().unwrap().get(key).copied()
-}
-
-/// Observed average when any observation exists, else the static prior.
-/// The planner's lookup path: observation ≻ prior ≻ caller fallback.
-pub fn get_or_prior(key: &str) -> Option<f64> {
-    get(key).or_else(|| prior(key))
-}
-
-/// Drop every recorded statistic and prior (plans fall back to
-/// schema-derived estimates until new observations arrive). Golden-plan
-/// tests call this to make the chosen orders independent of earlier test
-/// activity.
-pub fn clear() {
-    registry().lock().unwrap().clear();
-    priors().lock().unwrap().clear();
-}
-
-/// Drop only the observed statistics, keeping installed priors — the
-/// cold-start ablation switch (warmed vs. static-prior plans).
-pub fn clear_observations() {
-    registry().lock().unwrap().clear();
-}
-
-/// Every recorded statistic as `(key, average, observations)`, sorted by
-/// key — the readback surface for `doodprof` and the random-stats
-/// propcheck.
-pub fn snapshot() -> Vec<(String, f64, u64)> {
-    let reg = registry().lock().unwrap();
-    let mut out: Vec<(String, f64, u64)> =
-        reg.iter().map(|(k, s)| (k.clone(), s.ewma, s.count)).collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ewma_converges_and_snapshot_reads_back() {
-        let key = "test.stats.ewma_converges";
-        set(key, 10.0);
-        for _ in 0..64 {
-            observe(key, 20.0);
-        }
-        let v = get(key).unwrap();
-        assert!((v - 20.0).abs() < 0.1, "ewma should converge: {v}");
-        let snap = snapshot();
-        let row = snap.iter().find(|(k, _, _)| k == key).unwrap();
-        assert_eq!(row.2, 65);
-    }
-
-    #[test]
-    fn priors_yield_to_observations() {
-        let key = "test.stats.prior_yields";
-        set_prior(key, 0.25);
-        assert_eq!(get(key), None, "priors are not observations");
-        assert_eq!(get_or_prior(key), Some(0.25));
-        observe(key, 0.8);
-        assert_eq!(get_or_prior(key), Some(0.8), "observation replaces prior");
-        set_prior(key, f64::INFINITY);
-        assert_eq!(prior(key), Some(0.25), "non-finite priors ignored");
-    }
-
-    #[test]
-    fn non_finite_observations_are_ignored() {
-        let key = "test.stats.non_finite";
-        set(key, 5.0);
-        observe(key, f64::NAN);
-        observe(key, f64::INFINITY);
-        assert_eq!(get(key), Some(5.0));
-    }
-}
+/// Does nothing: plans depend on the current data alone, never on what
+/// ran before.
+pub fn clear() {}

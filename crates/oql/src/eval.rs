@@ -13,7 +13,7 @@ use dood_core::error::ResolveError;
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::Oid;
 use dood_core::schema::{ResolvedAttr, ResolvedEdge};
-use dood_core::obs::{self, stats};
+use dood_core::obs;
 use dood_core::subdb::{
     ExtPattern, Intension, SlotAdj, SlotDef, SlotSource, Subdatabase, SubdbIndex, SubdbRegistry,
 };
@@ -127,28 +127,43 @@ pub(crate) struct IndexScan {
 }
 
 impl IndexScan {
+    /// The comparison as a range over the ordered index.
+    fn bounds(&self) -> (std::ops::Bound<&Value>, std::ops::Bound<&Value>) {
+        use std::ops::Bound::*;
+        let v = &self.value;
+        match self.op {
+            CmpOp::Eq => (Included(v), Included(v)),
+            CmpOp::Lt => (Unbounded, Excluded(v)),
+            CmpOp::Le => (Unbounded, Included(v)),
+            CmpOp::Gt => (Excluded(v), Unbounded),
+            CmpOp::Ge => (Included(v), Unbounded),
+            CmpOp::Neq => unreachable!("`!=` is never index-served"),
+        }
+    }
+
     /// The slot's candidate OIDs, straight from the ordered index.
     fn scan(&self, db: &Database) -> Option<Vec<Oid>> {
-        use std::ops::Bound::*;
-        let ix = db.attr_index(self.class, self.attr)?;
-        Some(match self.op {
-            CmpOp::Eq => ix.eq_scan(&self.value),
-            CmpOp::Lt => ix.range_scan(Unbounded, Excluded(&self.value)),
-            CmpOp::Le => ix.range_scan(Unbounded, Included(&self.value)),
-            CmpOp::Gt => ix.range_scan(Excluded(&self.value), Unbounded),
-            CmpOp::Ge => ix.range_scan(Included(&self.value), Unbounded),
-            // != rarely benefits from an index; fall back to scanning.
-            CmpOp::Neq => return None,
-        })
+        let (lo, hi) = self.bounds();
+        Some(db.attr_index(self.class, self.attr)?.range_scan(lo, hi))
+    }
+
+    /// How many candidates [`scan`](Self::scan) returns, counted over the
+    /// index without collecting them: the planner's selectivity input.
+    fn count(&self, db: &Database) -> Option<usize> {
+        let (lo, hi) = self.bounds();
+        Some(db.attr_index(self.class, self.attr)?.count(lo, hi))
     }
 }
 
 /// Detect an index-backed pre-filter for a compiled condition: a single
-/// comparison on an attribute declared directly on the slot's base class
+/// comparison other than `!=` (which keeps nearly everything, so scanning
+/// is as good) on an attribute declared directly on the slot's base class
 /// (no perspective climbing), with an index present in the store.
 fn index_hint(slot_base: dood_core::ids::ClassId, cond: &CPred, db: &Database) -> Option<IndexScan> {
     match cond {
-        CPred::Cmp { attr, op, value } if attr.up_chain.is_empty() && attr.owner == slot_base => {
+        CPred::Cmp { attr, op, value }
+            if attr.up_chain.is_empty() && attr.owner == slot_base && *op != CmpOp::Neq =>
+        {
             db.attr_index(slot_base, attr.attr)?;
             Some(IndexScan { class: slot_base, attr: attr.attr, op: *op, value: value.clone() })
         }
@@ -203,83 +218,24 @@ fn bind_sources<'a>(
     Ok((memberships, derived_adj))
 }
 
-/// The stats key for one predicate shape on one class (`oql.sel.*`): the
-/// observed fraction of candidates a structurally-identical condition
-/// keeps. Keyed by class + predicate fingerprint, not by query, so every
-/// query with the same condition shares the estimate.
-fn sel_key(class: dood_core::ids::ClassId, pred: &CPred) -> String {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{pred:?}").hash(&mut h);
-    format!("oql.sel.c{}.{:016x}", class.index(), h.finish())
-}
-
-/// The stats key for one traversal direction of a base association
-/// (`oql.fan.*`): `dir` is the association's own from→to orientation.
-pub fn fan_key_assoc(assoc: dood_core::ids::AssocId, dir: bool) -> String {
-    format!("oql.fan.a{}.{}", assoc.index(), if dir { "f" } else { "r" })
-}
-
-/// The `oql.sel.*` stats key an intra-class condition will plan under,
-/// computed from the AST predicate alone (no extensional data). This is
-/// how `rules::absint` addresses its selectivity priors at the same keys
-/// [`build_plan`] reads: it compiles the predicate exactly as the
-/// evaluator would and fingerprints the compiled form. `None` when the
-/// predicate does not compile (the analyzer reports that separately).
-pub fn static_sel_key(
-    schema: &dood_core::schema::Schema,
-    base: dood_core::ids::ClassId,
-    attr_filter: Option<&[String]>,
-    pred: &Pred,
-) -> Option<String> {
-    let slot = RSlot {
-        name: schema.class(base).name.clone(),
-        base,
-        derived: None,
-        attr_filter: attr_filter.map(|f| f.to_vec()),
-        cond: None,
-    };
-    compile_pred(pred, &slot, schema).ok().map(|c| sel_key(base, &c))
-}
-
-/// Default condition selectivity when no observation exists: index-served
-/// conditions are assumed highly selective, scanned ones moderately so.
-const DEFAULT_SEL_HINTED: f64 = 0.05;
+/// Selectivity of a condition no index answers: the one constant the cost
+/// model has for it.
 const DEFAULT_SEL_COND: f64 = 0.33;
 
-/// Minimum sample size before a scan feeds the stats registry — tiny
-/// candidate sets produce noisy ratios.
-const STAT_MIN_SCAN: usize = 4;
-
-/// Support thresholds for the plan-drift watchdog (DESIGN.md §13): an
-/// observation must rest on at least this many input rows (fan-out) or
-/// scanned candidates (selectivity) before a band breach counts as drift.
-/// Higher than [`STAT_MIN_SCAN`] — a false stat nudges an average, a
-/// false drift flag forces a re-plan.
-const DRIFT_MIN_ROWS: f64 = 8.0;
-const DRIFT_MIN_SCAN: u64 = 16;
-
-/// Whether `observed` sits outside the drift band around `planned`
-/// (ratio beyond `DOOD_DRIFT_BAND` in either direction; values are
-/// floored at a small epsilon so zero-estimates don't divide away).
-fn drift_exceeds(observed: f64, planned: f64) -> bool {
-    const EPS: f64 = 1e-2;
-    let band = crate::plan::drift_band();
-    let ratio = observed.max(EPS) / planned.max(EPS);
-    ratio > band || ratio < 1.0 / band
-}
-
-/// Lower a resolved context to its compiled form: gather cost-model
-/// inputs (observed stats where present, schema-derived estimates
-/// otherwise), pre-direct base edges, and order every retention span.
-fn build_plan(
+/// The cost-model inputs for `ctx` as the store counts them now: extent
+/// sizes and link counts for base slots and associations, slot extents and
+/// pair counts of the source's index for derived ones, and an exact count
+/// over the ordered attribute index for an index-served condition. Plans
+/// are therefore a function of the current data alone, never of what ran
+/// before.
+fn plan_inputs(
     ctx: &ResolvedContext,
     db: &Database,
     memberships: &[Members<'_>],
     derived_adj: &FxHashMap<usize, (&SlotAdj, bool)>,
-    preds: Vec<Option<CPred>>,
-    hints: Vec<Option<IndexScan>>,
-) -> CompiledContext {
+    preds: &[Option<CPred>],
+    hints: &[Option<IndexScan>],
+) -> PlanInputs {
     let n = ctx.slots.len();
     let cards: Vec<f64> = (0..n)
         .map(|i| match &memberships[i] {
@@ -288,126 +244,105 @@ fn build_plan(
             Members::Fixed(set) => set.len() as f64,
         })
         .collect();
-    let sel_keys: Vec<Option<String>> = (0..n)
-        .map(|i| preds[i].as_ref().map(|p| sel_key(ctx.slots[i].base, p)))
-        .collect();
     let sels: Vec<f64> = (0..n)
-        .map(|i| match &sel_keys[i] {
-            Some(k) => stats::get_or_prior(k).unwrap_or(if hints[i].is_some() {
-                DEFAULT_SEL_HINTED
-            } else {
-                DEFAULT_SEL_COND
-            }),
-            None => 1.0,
+        .map(|i| match (&hints[i], &preds[i]) {
+            (Some(h), _) => {
+                h.count(db).map_or(DEFAULT_SEL_COND, |hits| hits as f64 / cards[i].max(1.0))
+            }
+            (None, Some(_)) => DEFAULT_SEL_COND,
+            (None, None) => 1.0,
         })
         .collect();
     let constrained: Vec<bool> = (0..n)
         .map(|i| preds[i].is_some() || !matches!(memberships[i], Members::Open))
         .collect();
     let hinted: Vec<bool> = hints.iter().map(Option::is_some).collect();
-    let mut edges = Vec::with_capacity(ctx.edges.len());
-    let mut fan_keys = Vec::with_capacity(ctx.edges.len());
     let mut fwd_fan = Vec::with_capacity(ctx.edges.len());
     let mut rev_fan = Vec::with_capacity(ctx.edges.len());
     for (i, e) in ctx.edges.iter().enumerate() {
-        let nonassoc = matches!(e.op, crate::ast::PatOp::NonAssoc);
-        match &e.kind {
-            REdgeKind::Base(edge) => {
-                let flat = match edge {
-                    ResolvedEdge::Assoc { up_x, assoc, forward, up_y }
-                        if up_x.is_empty() && up_y.is_empty() =>
-                    {
-                        Some((*assoc, *forward))
-                    }
-                    _ => None,
-                };
-                edges.push(EdgeInfo {
-                    nonassoc,
-                    flat,
-                    fwd: Some(edge.clone()),
-                    rev: Some(reverse_edge(edge)),
-                });
-                match edge {
-                    ResolvedEdge::Assoc { assoc, forward, .. } => {
-                        let def = db.schema().assoc(*assoc);
-                        let links = db.link_count(*assoc) as f64;
-                        let (from_c, to_c) =
-                            if *forward { (def.from, def.to) } else { (def.to, def.from) };
-                        let kf = fan_key_assoc(*assoc, *forward);
-                        let kr = fan_key_assoc(*assoc, !*forward);
-                        fwd_fan.push(
-                            stats::get_or_prior(&kf)
-                                .unwrap_or(links / db.extent_size(from_c).max(1) as f64),
-                        );
-                        rev_fan.push(
-                            stats::get_or_prior(&kr)
-                                .unwrap_or(links / db.extent_size(to_c).max(1) as f64),
-                        );
-                        fan_keys.push(Some((kf, kr)));
-                    }
-                    ResolvedEdge::Identity { .. } => {
-                        fwd_fan.push(1.0);
-                        rev_fan.push(1.0);
-                        fan_keys.push(None);
-                    }
-                }
-            }
-            REdgeKind::Derived { subdb, a, b } => {
-                edges.push(EdgeInfo { nonassoc, flat: None, fwd: None, rev: None });
-                let pairs = derived_adj
-                    .get(&i)
-                    .map_or(0.0, |&(adj, _)| adj.pair_count() as f64);
-                let kf = format!("oql.fan.d.{subdb}.{a}.{b}");
-                let kr = format!("oql.fan.d.{subdb}.{b}.{a}");
-                fwd_fan.push(stats::get_or_prior(&kf).unwrap_or(pairs / cards[i].max(1.0)));
-                rev_fan.push(stats::get_or_prior(&kr).unwrap_or(pairs / cards[i + 1].max(1.0)));
-                fan_keys.push(Some((kf, kr)));
-            }
-        }
-    }
-    // Cyclic contexts get a fixpoint stage: the cycle edge's fan-out
-    // estimate (observed stats when warm) drives the planner's view of
-    // rounds and reachable-set size.
-    let closure = ctx.closure.as_ref().map(|(spec, kind)| {
-        let (fan_key, fallback) = match kind {
+        let (f, r) = match &e.kind {
             REdgeKind::Base(ResolvedEdge::Assoc { assoc, forward, .. }) => {
-                let def = db.schema().assoc(*assoc);
-                let from_c = if *forward { def.from } else { def.to };
-                let links = db.link_count(*assoc) as f64;
-                (
-                    Some(fan_key_assoc(*assoc, *forward)),
-                    links / db.extent_size(from_c).max(1) as f64,
-                )
+                (assoc_fan(db, *assoc, *forward), assoc_fan(db, *assoc, !*forward))
             }
-            REdgeKind::Base(ResolvedEdge::Identity { .. }) => (None, 1.0),
-            REdgeKind::Derived { subdb, a, b } => {
-                let pairs = derived_adj
-                    .get(&usize::MAX)
-                    .map_or(0.0, |&(adj, _)| adj.pair_count() as f64);
-                (
-                    Some(format!("oql.fan.d.{subdb}.{a}.{b}")),
-                    pairs / cards[0].max(1.0),
-                )
+            REdgeKind::Base(ResolvedEdge::Identity { .. }) => (1.0, 1.0),
+            REdgeKind::Derived { .. } => {
+                let pairs = derived_adj.get(&i).map_or(0.0, |&(adj, _)| adj.pair_count() as f64);
+                (pairs / cards[i].max(1.0), pairs / cards[i + 1].max(1.0))
             }
         };
-        let est_fan = fan_key.as_deref().and_then(stats::get_or_prior).unwrap_or(fallback);
-        crate::plan::ClosureParts {
-            fan_key,
-            est_fan,
-            max_levels: spec.iterations.map(|i| i as usize + 1),
-        }
+        fwd_fan.push(f);
+        rev_fan.push(r);
+    }
+    PlanInputs { cards, sels, fwd_fan, rev_fan, constrained, hinted }
+}
+
+/// Average neighbours per instance when traversing `assoc` in direction
+/// `forward` (its own from→to orientation): links over the source extent.
+fn assoc_fan(db: &Database, assoc: dood_core::ids::AssocId, forward: bool) -> f64 {
+    let def = db.schema().assoc(assoc);
+    let from = if forward { def.from } else { def.to };
+    db.link_count(assoc) as f64 / db.extent_size(from).max(1) as f64
+}
+
+/// Lower a resolved context to its compiled form: read the cost-model
+/// inputs from the store, pre-direct base edges, and order every
+/// retention span.
+fn build_plan(
+    ctx: &ResolvedContext,
+    db: &Database,
+    memberships: &[Members<'_>],
+    derived_adj: &FxHashMap<usize, (&SlotAdj, bool)>,
+    preds: Vec<Option<CPred>>,
+    hints: Vec<Option<IndexScan>>,
+) -> CompiledContext {
+    let inputs = plan_inputs(ctx, db, memberships, derived_adj, &preds, &hints);
+    let edges = ctx
+        .edges
+        .iter()
+        .map(|e| {
+            let nonassoc = matches!(e.op, crate::ast::PatOp::NonAssoc);
+            match &e.kind {
+                REdgeKind::Base(edge) => EdgeInfo {
+                    nonassoc,
+                    flat: match edge {
+                        ResolvedEdge::Assoc { up_x, assoc, forward, up_y }
+                            if up_x.is_empty() && up_y.is_empty() =>
+                        {
+                            Some((*assoc, *forward))
+                        }
+                        _ => None,
+                    },
+                    fwd: Some(edge.clone()),
+                    rev: Some(reverse_edge(edge)),
+                },
+                REdgeKind::Derived { .. } => EdgeInfo { nonassoc, flat: None, fwd: None, rev: None },
+            }
+        })
+        .collect();
+    // Cyclic contexts get a fixpoint stage: the cycle edge's fan-out
+    // drives the planner's view of rounds and reachable-set size.
+    let closure = ctx.closure.as_ref().map(|(spec, kind)| crate::plan::ClosureParts {
+        est_fan: match kind {
+            REdgeKind::Base(ResolvedEdge::Assoc { assoc, forward, .. }) => {
+                assoc_fan(db, *assoc, *forward)
+            }
+            REdgeKind::Base(ResolvedEdge::Identity { .. }) => 1.0,
+            REdgeKind::Derived { .. } => {
+                let pairs =
+                    derived_adj.get(&usize::MAX).map_or(0.0, |&(adj, _)| adj.pair_count() as f64);
+                pairs / inputs.cards[0].max(1.0)
+            }
+        },
+        max_levels: spec.iterations.map(|i| i as usize + 1),
     });
     let parts = CompileParts {
         preds,
         hints,
-        sel_keys,
-        fan_keys,
         edges,
         slot_names: ctx.slots.iter().map(|s| s.name.clone()).collect(),
         span_bounds: ctx.spans.clone(),
         closure,
     };
-    let inputs = PlanInputs { cards, sels, fwd_fan, rev_fan, constrained, hinted };
     crate::plan::compile(parts, inputs)
 }
 
@@ -483,6 +418,29 @@ impl<'a> Evaluator<'a> {
     /// The compiled form, shareable with rule caches (cheap `Arc` clone).
     pub fn plan_handle(&self) -> Arc<CompiledContext> {
         Arc::clone(&self.plan)
+    }
+
+    /// The join order [`eval_delta`](Self::eval_delta) runs span
+    /// `[lo, hi)` in when `card` dirty objects restrict `slot`: anchored
+    /// at the restricted slot (the semi-naive delta anchor) instead of
+    /// reusing the full-evaluation order, and costed from the counts now,
+    /// so a plan cached at seeding still orders its delta steps for the
+    /// data as it is.
+    pub fn delta_plan(&self, lo: usize, hi: usize, slot: usize, card: usize) -> SpanPlan {
+        self.plan.delta_span(lo, hi, slot, card as f64, self.inputs())
+    }
+
+    /// The cost-model inputs as the store and the bound sources count
+    /// them now.
+    fn inputs(&self) -> PlanInputs {
+        plan_inputs(
+            self.ctx,
+            self.db,
+            &self.memberships,
+            &self.derived_adj,
+            &self.plan.preds,
+            &self.plan.hints,
+        )
     }
 
     /// Whether `oid` is currently a live instance of `slot`'s base class.
@@ -564,16 +522,12 @@ impl<'a> Evaluator<'a> {
                 if restricted.is_empty() {
                     continue;
                 }
-                let restricted_len = restricted.len() as f64;
+                let dsp = self.delta_plan(lo, hi, slot, restricted.len());
                 let saved_m = std::mem::replace(
                     &mut self.memberships[slot],
                     Members::Fixed(restricted),
                 );
                 let saved_ix = self.index_scan[slot].take();
-                // Re-plan the span around the restricted slot (the
-                // semi-naive delta anchor) instead of reusing the
-                // full-evaluation order.
-                let dsp = self.plan.delta_span(lo, hi, slot, restricted_len);
                 let rows = self.exec_span(&dsp);
                 rows_out.reserve(rows.len() / (hi - lo));
                 for r in rows.chunks_exact(hi - lo) {
@@ -620,12 +574,6 @@ impl<'a> Evaluator<'a> {
                 if obs::metrics_enabled() {
                     obs::metrics::counter("oql.index_scan.served").inc();
                 }
-                let raw = self.db.extent_size(self.ctx.slots[slot].base);
-                if raw >= STAT_MIN_SCAN {
-                    if let Some(k) = &self.plan.sel_keys[slot] {
-                        stats::observe(k, hits.len() as f64 / raw as f64);
-                    }
-                }
                 return hits;
             }
         }
@@ -646,15 +594,6 @@ impl<'a> Evaluator<'a> {
                 if obs::metrics_enabled() {
                     obs::metrics::counter("oql.pred.scanned").add(scanned as u64);
                     obs::metrics::counter("oql.pred.kept").add(kept.len() as u64);
-                }
-                // Feed the planner — but not from explicit restrictions
-                // (delta sets), whose selectivity is not representative.
-                if scanned >= STAT_MIN_SCAN
-                    && !matches!(self.memberships[slot], Members::Fixed(_))
-                {
-                    if let Some(k) = &self.plan.sel_keys[slot] {
-                        stats::observe(k, kept.len() as f64 / scanned as f64);
-                    }
                 }
                 kept
             }
@@ -697,8 +636,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Emits the `oql.join` span with per-stage `oql.plan.*` children
     /// carrying estimated vs. measured cardinalities (the EXPLAIN ANALYZE
-    /// payload `doodprof --plan` renders), and feeds observed fan-out /
-    /// acceptance ratios back into `obs::stats` for later plans.
+    /// payload `doodprof --plan` renders).
     fn exec_span(&self, sp: &SpanPlan) -> Vec<Oid> {
         let mut tsp = obs::trace::span("oql.join");
         tsp.attr("lo", sp.lo as i64);
@@ -716,49 +654,7 @@ impl<'a> Evaluator<'a> {
         let (rows, scanned, kept) = self.exec_span_rows(sp, &cands, &na);
         let rows_out = (rows.len() / (sp.hi - sp.lo)) as u64;
         tsp.attr("rows_out", rows_out as i64);
-        // Feed the planner: per-stage fan-out (neighbors per input row)
-        // and acceptance (survivors per neighbor) for association stages.
-        // `!` stages get their target selectivity from the hoisted
-        // candidate scan above. The same observations drive the plan-drift
-        // watchdog: when they leave the band around the values the cost
-        // model planned with, the plan is marked for re-planning.
-        let acct = obs::account::active();
-        let mut rows_in = cands.len() as f64;
-        for (i, st) in sp.steps.iter().enumerate() {
-            if !st.nonassoc {
-                if rows_in >= 1.0 {
-                    if let Some((kf, kr)) = &self.plan.fan_keys[st.edge] {
-                        let key = if st.forward { kf } else { kr };
-                        stats::observe(key, scanned[i] as f64 / rows_in);
-                    }
-                }
-                if scanned[i] as usize >= STAT_MIN_SCAN {
-                    if let Some(sk) = &self.plan.sel_keys[st.to_slot] {
-                        stats::observe(sk, kept[i] as f64 / scanned[i] as f64);
-                    }
-                }
-                if rows_in >= DRIFT_MIN_ROWS {
-                    let observed = scanned[i] as f64 / rows_in;
-                    let planned = if st.forward {
-                        self.plan.inputs.fwd_fan[st.edge]
-                    } else {
-                        self.plan.inputs.rev_fan[st.edge]
-                    };
-                    if drift_exceeds(observed, planned) {
-                        self.note_drift(st, "fan", observed, planned, &acct);
-                    }
-                }
-                if scanned[i] >= DRIFT_MIN_SCAN {
-                    let observed = kept[i] as f64 / scanned[i] as f64;
-                    let planned = self.plan.inputs.sels[st.to_slot];
-                    if drift_exceeds(observed, planned) {
-                        self.note_drift(st, "sel", observed, planned, &acct);
-                    }
-                }
-            }
-            rows_in = kept[i] as f64;
-        }
-        if let Some(a) = &acct {
+        if let Some(a) = obs::account::active() {
             a.add_rows_scanned(cands.len() as u64 + scanned.iter().sum::<u64>());
             a.add_stage(
                 format!("scan {}", self.plan.slot_names[sp.anchor]),
@@ -809,36 +705,6 @@ impl<'a> Evaluator<'a> {
             obs::metrics::counter("oql.join.rows_out").add(rows_out);
         }
         rows
-    }
-
-    /// One drift-band breach: count the `oql.plan.drift` metric and the
-    /// active account's drift events, mark the shared plan for
-    /// re-planning, and print the runtime diagnostic once per plan.
-    #[cold]
-    fn note_drift(
-        &self,
-        st: &crate::plan::PlanStep,
-        what: &str,
-        observed: f64,
-        planned: f64,
-        acct: &Option<Arc<dood_core::obs::account::Account>>,
-    ) {
-        if obs::metrics_enabled() {
-            obs::metrics::counter("oql.plan.drift").inc();
-        }
-        if let Some(a) = acct {
-            a.add_drift_event();
-        }
-        self.plan.drift.record();
-        if self.plan.drift.should_report() {
-            eprintln!(
-                "oql: plan drift on step {}->{}: observed {what}={observed:.3} vs \
-                 planned {planned:.3} (band {:.1}); plan marked for re-planning",
-                self.plan.slot_names[st.from_slot],
-                self.plan.slot_names[st.to_slot],
-                crate::plan::drift_band(),
-            );
-        }
     }
 
     /// The compiled span pipeline over a subset of the anchor's
@@ -1247,6 +1113,7 @@ impl<'a> Evaluator<'a> {
         let n = self.ctx.slots.len();
         let (_, cycle) = self.ctx.closure.as_ref().expect("closure context");
         let mut out: Vec<Oid> = Vec::new();
+        let mut inputs = None;
         for k in 0..n {
             let mut anchor: Vec<Oid> =
                 dirty.iter().copied().filter(|&o| self.live_in_slot(k, o)).collect();
@@ -1268,13 +1135,8 @@ impl<'a> Evaluator<'a> {
                 out.extend(anchor);
                 continue;
             }
-            let spp = crate::plan::plan_span_anchored(
-                0,
-                k + 1,
-                k,
-                &self.plan.inputs,
-                &self.plan.edges,
-            );
+            let inputs = inputs.get_or_insert_with(|| self.inputs());
+            let spp = crate::plan::plan_span_anchored(0, k + 1, k, inputs, &self.plan.edges);
             let na: Vec<Option<Vec<Oid>>> = spp
                 .steps
                 .iter()

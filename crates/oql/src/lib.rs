@@ -28,7 +28,7 @@ pub mod token;
 pub mod wherec;
 
 pub use engine::{eval_context, Oql, QueryOutput};
-pub use eval::{fan_key_assoc, static_sel_key, ClosureState, Evaluator};
+pub use eval::{ClosureState, Evaluator};
 pub use plan::{ClosurePlan, CompiledContext};
 pub use error::{ParseError, QueryError};
 pub use parser::Parser;

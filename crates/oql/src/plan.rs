@@ -15,18 +15,18 @@
 //! is an anchor plus a left/right interleaving — `n · 2^(n-1)` orders for
 //! an `n`-slot span. [`plan_span`] enumerates them exhaustively for the
 //! spans the paper's queries produce (greedy frontier extension beyond
-//! [`MAX_EXHAUSTIVE`] slots), costing each order from observed
-//! `core::obs::stats` averages with schema-derived fallbacks.
+//! [`MAX_EXHAUSTIVE`] slots), costing each order from the store's own
+//! counts (extents, link counts, source-index slot extents and pair
+//! counts, ordered-index range counts).
 //!
 //! Plans never change results, only effort: every order produces the same
 //! pattern set (`tests/plan.rs` pins the engine to the spec-level reference
-//! evaluator of `tests/common/spec_eval.rs` under scrambled statistics).
+//! evaluator of `tests/common/spec_eval.rs` over databases of opposite
+//! skew, which plan differently).
 
 use crate::eval::{CPred, IndexScan};
 use dood_core::ids::AssocId;
 use dood_core::schema::ResolvedEdge;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Spans no wider than this are planned by exhaustive enumeration
 /// (`n · 2^(n-1)` orders ≤ 2304 cost evaluations); wider spans fall back
@@ -34,9 +34,8 @@ use std::sync::Arc;
 pub const MAX_EXHAUSTIVE: usize = 9;
 
 /// Cost-model inputs for one context: per-slot cardinalities and
-/// selectivities, per-edge fan-outs. Populated from observed
-/// `core::obs::stats` averages where available, schema-derived estimates
-/// otherwise. Purely advisory — inputs steer order choice, never results.
+/// selectivities, per-edge fan-outs, all read from the store's counts at
+/// plan time. Purely advisory — inputs steer order choice, never results.
 #[derive(Debug, Clone)]
 pub struct PlanInputs {
     /// Per slot: candidate count before any condition (extent size,
@@ -106,22 +105,20 @@ pub struct PlanStep {
 /// The compiled fixpoint stage for a cyclic (`^*`) context: the full
 /// chain span lowered once, anchored at slot 0 so frontier batches seed it
 /// directly, plus the cost-model view of the fixpoint (cycle fan-out from
-/// the EWMA stats, estimated rounds and reachable-set size). Executed by
+/// the link or pair count, estimated rounds and reachable-set size). Executed by
 /// the frontier-at-a-time semi-naive kernel in `eval` (DESIGN.md §11).
 #[derive(Debug, Clone)]
 pub struct ClosurePlan {
     /// The chain join `[0, n)` anchored at slot 0 — each fixpoint round
     /// runs it with the frontier as the (unchecked) anchor candidates.
     pub chain: SpanPlan,
-    /// Estimated per-node fan-out of the cycle edge (observed stats when
-    /// warm, link-count fallback otherwise).
+    /// Estimated per-node fan-out of the cycle edge (links, or a derived
+    /// edge's pairs, over the source extent).
     pub est_fan: f64,
     /// Estimated fixpoint rounds until the frontier drains.
     pub est_rounds: f64,
     /// Estimated reachable-set size (capped at slot 0's effective extent).
     pub est_reach: f64,
-    /// Stats key feeding `est_fan` (`None` for identity cycle edges).
-    pub fan_key: Option<String>,
     /// `^N` bound as a chain-length cap in slots (`N + 1`); `None` = until
     /// Null.
     pub max_levels: Option<usize>,
@@ -129,7 +126,6 @@ pub struct ClosurePlan {
 
 /// What the evaluator hands [`compile`] to build a [`ClosurePlan`].
 pub(crate) struct ClosureParts {
-    pub fan_key: Option<String>,
     pub est_fan: f64,
     pub max_levels: Option<usize>,
 }
@@ -151,60 +147,6 @@ pub struct SpanPlan {
     pub steps: Vec<PlanStep>,
 }
 
-/// The plan-drift watchdog's per-plan state (DESIGN.md §13). Shared
-/// through an `Arc` so clones of a [`CompiledContext`] observe the same
-/// mark: the executor flags it when observed fan-outs/selectivities leave
-/// the band around the values the cost model planned with, and
-/// `rules::maintain` re-plans a flagged cache entry on its next
-/// evaluation instead of reusing the stale order.
-#[derive(Debug, Default)]
-pub struct DriftMark {
-    flagged: AtomicBool,
-    reported: AtomicBool,
-    events: AtomicU64,
-}
-
-/// The drift band: a plan is flagged when an observed fan-out or
-/// selectivity differs from the planned value by more than this ratio in
-/// either direction (`DOOD_DRIFT_BAND`, default 4.0, min 1.5).
-pub fn drift_band() -> f64 {
-    static BAND: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *BAND.get_or_init(|| {
-        std::env::var("DOOD_DRIFT_BAND")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|b| b.is_finite())
-            .map(|b| b.max(1.5))
-            .unwrap_or(4.0)
-    })
-}
-
-impl DriftMark {
-    /// Record one band breach. Returns `true` the first time this plan is
-    /// flagged (callers emit the `oql.plan.drift` metric per event and the
-    /// runtime diagnostic once).
-    pub fn record(&self) -> bool {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        !self.flagged.swap(true, Ordering::Relaxed)
-    }
-
-    /// Whether the plan has drifted out of its band since it was chosen.
-    pub fn flagged(&self) -> bool {
-        self.flagged.load(Ordering::Relaxed)
-    }
-
-    /// Whether the runtime diagnostic for this plan is still unprinted
-    /// (flips on first call).
-    pub fn should_report(&self) -> bool {
-        !self.reported.swap(true, Ordering::Relaxed)
-    }
-
-    /// Total band breaches recorded against this plan.
-    pub fn events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-}
-
 /// A fully compiled context: predicates, index hints, owned edge info, and
 /// a cost-ordered [`SpanPlan`] per retention span. Owns everything, so it
 /// is cached per rule (behind an `Arc`) and reused across delta steps.
@@ -212,9 +154,6 @@ impl DriftMark {
 pub struct CompiledContext {
     pub(crate) preds: Vec<Option<CPred>>,
     pub(crate) hints: Vec<Option<IndexScan>>,
-    pub(crate) sel_keys: Vec<Option<String>>,
-    /// Per edge: stats keys for the two traversal directions.
-    pub(crate) fan_keys: Vec<Option<(String, String)>>,
     pub(crate) edges: Vec<EdgeInfo>,
     pub(crate) slot_names: Vec<String>,
     /// The plan per retention span (same order as the resolved context's
@@ -222,18 +161,12 @@ pub struct CompiledContext {
     pub spans: Vec<SpanPlan>,
     /// The fixpoint stage for cyclic (`^*`) contexts.
     pub closure: Option<ClosurePlan>,
-    /// The cost-model inputs the spans were ordered with.
-    pub inputs: PlanInputs,
-    /// The drift watchdog's mark, shared across clones of this plan.
-    pub drift: Arc<DriftMark>,
 }
 
 /// Everything the evaluator hands to [`compile`] besides the cost inputs.
 pub(crate) struct CompileParts {
     pub preds: Vec<Option<CPred>>,
     pub hints: Vec<Option<IndexScan>>,
-    pub sel_keys: Vec<Option<String>>,
-    pub fan_keys: Vec<Option<(String, String)>>,
     pub edges: Vec<EdgeInfo>,
     pub slot_names: Vec<String>,
     pub span_bounds: Vec<(usize, usize)>,
@@ -254,14 +187,10 @@ pub(crate) fn compile(parts: CompileParts, inputs: PlanInputs) -> CompiledContex
     CompiledContext {
         preds: parts.preds,
         hints: parts.hints,
-        sel_keys: parts.sel_keys,
-        fan_keys: parts.fan_keys,
         edges: parts.edges,
         slot_names: parts.slot_names,
         spans,
         closure,
-        inputs,
-        drift: Arc::new(DriftMark::default()),
     }
 }
 
@@ -289,7 +218,6 @@ fn plan_closure(
         est_fan: parts.est_fan,
         est_rounds,
         est_reach: reach_cap,
-        fan_key: parts.fan_key,
         max_levels: parts.max_levels,
     }
 }
@@ -298,26 +226,22 @@ impl CompiledContext {
     /// An ad-hoc plan for a delta evaluation of span `[lo, hi)` with
     /// `slot`'s candidates restricted to `card` dirty objects: the anchor
     /// is forced to the restricted slot (semi-naive evaluation starts from
-    /// the delta) and the remaining order is re-costed around it.
-    pub(crate) fn delta_span(&self, lo: usize, hi: usize, slot: usize, card: f64) -> SpanPlan {
-        let mut inputs = self.inputs.clone();
+    /// the delta) and the remaining order is costed around it from
+    /// `inputs`, the counts at this step. A cached plan so follows data
+    /// growth with no threshold and no observation stream.
+    pub(crate) fn delta_span(
+        &self,
+        lo: usize,
+        hi: usize,
+        slot: usize,
+        card: f64,
+        mut inputs: PlanInputs,
+    ) -> SpanPlan {
         inputs.cards[slot] = card;
         inputs.sels[slot] = 1.0; // the restriction set is pre-filtered
         inputs.constrained[slot] = true;
         inputs.hinted[slot] = false;
         plan_span_anchored(lo, hi, slot, &inputs, &self.edges)
-    }
-
-    /// Re-cost a span plan (possibly chosen under *different* inputs)
-    /// under **this** context's cost-model inputs: the order is replayed —
-    /// same anchor, same left/right interleaving — and its estimated total
-    /// cost under `self.inputs` is returned. This is the deterministic
-    /// plan-quality metric of E19: cost a cold-start (static-prior) order
-    /// with warmed-stats inputs and compare against the warmed optimum.
-    /// Both contexts must compile the same resolved context shape.
-    pub fn recost_span(&self, span: &SpanPlan) -> f64 {
-        let dirs: Vec<bool> = span.steps.iter().map(|s| s.forward).collect();
-        steps_for(span.lo, span.hi, span.anchor, &dirs, &self.inputs, &self.edges).est_cost
     }
 
     /// Whether any span's chosen plan contains an unconstrained
@@ -682,34 +606,6 @@ mod tests {
         inp.sels[2] = 0.1;
         let p = plan_span_anchored(0, 3, 0, &inp, &edges);
         assert!(p.steps.iter().all(|s| !s.cross));
-    }
-
-    #[test]
-    fn recost_replays_a_foreign_order() {
-        // A plan chosen under misleading inputs, re-costed under the truth,
-        // must cost at least the true optimum — and re-costing the true
-        // optimum under its own inputs is the identity.
-        let truth = inputs(&[1000.0, 1000.0, 3.0], 2.0);
-        let edges = chain(2);
-        let misled = inputs(&[3.0, 1000.0, 1000.0], 2.0);
-        let cold = plan_span(0, 3, &misled, &edges);
-        let warm = plan_span(0, 3, &truth, &edges);
-        let ctx = compile(
-            CompileParts {
-                preds: vec![None; 3],
-                hints: vec![None; 3],
-                sel_keys: vec![None; 3],
-                fan_keys: vec![None; 2],
-                edges,
-                slot_names: vec!["a".into(), "b".into(), "c".into()],
-                span_bounds: vec![(0, 3)],
-                closure: None,
-            },
-            truth,
-        );
-        let re_warm = ctx.recost_span(&warm);
-        assert!((re_warm - warm.est_cost).abs() < 1e-9, "identity recost");
-        assert!(ctx.recost_span(&cold) >= re_warm - 1e-9, "optimum is minimal");
     }
 
     #[test]

@@ -16,30 +16,6 @@ use dood_core::subdb::{ExtPattern, Intension, SlotSource, Subdatabase};
 use dood_core::value::Value;
 use dood_store::Database;
 
-/// The stats key one WHERE condition's observed selectivity is recorded
-/// under (`oql.wsel.*`): a fingerprint of the condition's AST shape, so a
-/// structurally identical condition in any query or rule shares the
-/// estimate. Static analysis (`rules::absint`) installs priors at the same
-/// keys; `doodprof --plan` joins static, estimated, and measured values on
-/// them.
-pub fn where_sel_key(cond: &WhereCond) -> String {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{cond:?}").hash(&mut h);
-    format!("oql.wsel.{:016x}", h.finish())
-}
-
-/// Minimum input rows before a WHERE stage feeds the stats registry —
-/// tiny pattern sets produce noisy selectivity ratios.
-const WSEL_MIN_ROWS: usize = 4;
-
-/// Record one WHERE stage's observed keep-fraction.
-fn observe_wsel(cond: &WhereCond, rows_in: usize, rows_out: usize) {
-    if rows_in >= WSEL_MIN_ROWS {
-        obs::stats::observe(&where_sel_key(cond), rows_out as f64 / rows_in as f64);
-    }
-}
-
 /// Find the unique slot a class reference denotes within an intension.
 pub fn find_slot(int: &Intension, cref: &ClassRef) -> Result<usize, QueryError> {
     let mut hits = Vec::new();
@@ -242,17 +218,10 @@ fn bind_cond(
 }
 
 /// Drop the patterns `keep` rejects, in place, and record the stage's
-/// cardinalities and selectivity.
-fn filter(
-    sd: &mut Subdatabase,
-    cond: &WhereCond,
-    sp: &mut obs::trace::Span,
-    keep: impl FnMut(&ExtPattern) -> bool,
-) {
-    let rows_in = sd.len();
+/// output cardinality.
+fn filter(sd: &mut Subdatabase, sp: &mut obs::trace::Span, keep: impl FnMut(&ExtPattern) -> bool) {
     let dropped = sd.retain(keep);
     sp.attr("rows_out", sd.len() as i64);
-    observe_wsel(cond, rows_in, sd.len());
     if dropped > 0 && obs::metrics_enabled() {
         obs::metrics::counter("oql.where.dropped").add(dropped as u64);
     }
@@ -282,7 +251,7 @@ pub fn apply_cond(
     sp.attr("rows_in", sd.len() as i64);
     match bind_cond(cond, &sd.intension, db.schema())? {
         BoundCond::Cmp(cmp) => {
-            filter(sd, cond, &mut sp, |p| cmp.passes(p, db));
+            filter(sd, &mut sp, |p| cmp.passes(p, db));
             Ok(Applied::Cmp(cmp))
         }
         BoundCond::Agg(agg) => {
@@ -312,7 +281,7 @@ pub fn apply_cond(
                 .collect();
             sp.attr("groups", groups);
             let mut last = (None, false);
-            filter(sd, cond, &mut sp, |p| {
+            filter(sd, &mut sp, |p| {
                 let g = agg.group_of(p);
                 if g != last.0 {
                     last = (g, g.is_some_and(|g| passing.binary_search(&g).is_ok()));

@@ -32,11 +32,6 @@
 //!    cycle-back edges are all generalization identities reaches fixpoint
 //!    at level 1 — so `^N` with `N >= 2` is a provably dead tail (`W110`).
 //!
-//! The same analysis feeds the planner: [`install_priors`] converts
-//! predicate intervals into selectivity priors and `Single` cardinalities
-//! into fan-out priors, registered in `core::obs::stats` under exactly the
-//! keys `oql::plan`'s cost model reads — consulted only until real
-//! observations arrive, so a warmed registry is never perturbed.
 //! Soundness is machine-checked: `tests/absint.rs` asserts observed
 //! runtime cardinalities never exceed the static bounds across all builtin
 //! schemas and populations.
@@ -48,10 +43,9 @@ use crate::program::{Program, ProgramRule};
 use dood_core::diag::{Diagnostic, Span};
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::{AssocId, ClassId};
-use dood_core::obs::stats;
 use dood_core::schema::{Cardinality, ResolvedEdge, Schema};
 use dood_core::value::{DType, Value};
-use dood_oql::ast::{AggFunc, ClassRef, CmpOp, CmpRhs, Literal, PatOp, Pred, Seq, WhereCond};
+use dood_oql::ast::{AggFunc, ClassRef, CmpOp, CmpRhs, PatOp, Pred, WhereCond};
 use dood_store::Database;
 
 /// Cap on DNF disjuncts; predicates exceeding it are conservatively
@@ -205,16 +199,6 @@ impl Ival {
         self.lo.is_some() || self.hi.is_some() || !self.ne.is_empty()
     }
 
-    /// `(is_point, is_two_sided)` — the interval-shape features the prior
-    /// estimator maps to selectivities.
-    fn span_shape(&self) -> (bool, bool) {
-        let point = matches!(
-            (&self.lo, &self.hi),
-            (Some((a, true)), Some((b, true)))
-                if a.compare(b) == Some(std::cmp::Ordering::Equal)
-        );
-        (point, self.lo.is_some() && self.hi.is_some())
-    }
 }
 
 /// Pick the tighter of two optional bounds (`is_lo`: larger lower bounds
@@ -1195,114 +1179,10 @@ fn where_cmp_slots(wheres: &[WhereCond], occs: &[Occ<'_>]) -> Vec<usize> {
     out
 }
 
-// ====================================================================
-// Planner priors
-// ====================================================================
-
-/// A coarse selectivity estimate for a predicate tree, from its interval
-/// shape: equality points are rare, two-sided ranges rarer than one-sided
-/// cuts, exclusions keep almost everything.
-fn sel_estimate(pred: &Pred) -> f64 {
-    match pred {
-        Pred::Cmp { op, .. } => match op {
-            CmpOp::Eq => 0.05,
-            CmpOp::Neq => 0.9,
-            _ => 0.33,
-        },
-        Pred::And(a, b) => (sel_estimate(a) * sel_estimate(b)).max(0.01),
-        Pred::Or(a, b) => (sel_estimate(a) + sel_estimate(b)).min(1.0),
-        Pred::Not(p) => (1.0 - sel_estimate(p)).clamp(0.01, 1.0),
-    }
-}
-
-/// The selectivity estimate for one WHERE comparison's interval shape.
-fn where_sel_estimate(op: CmpOp, lit: &Literal, dtype: Option<DType>) -> f64 {
-    let iv = Ival::from_cmp(op, &lit.to_value(), dtype);
-    if iv.is_empty() {
-        return 0.0;
-    }
-    let (point, two_sided) = iv.span_shape();
-    if point {
-        0.05
-    } else if two_sided {
-        0.15
-    } else if matches!(op, CmpOp::Neq) {
-        0.9
-    } else {
-        0.33
-    }
-}
-
-/// Install static planner priors for a program's predicates and the
-/// schema's cardinality constraints, under the exact `core::obs::stats`
-/// keys `oql::plan`'s cost model reads:
-///
-/// * every intra-class condition gets a selectivity prior at its
-///   [`dood_oql::static_sel_key`] (`0.0` when statically unsatisfiable);
-/// * every literal WHERE comparison gets one at its
-///   [`dood_oql::wherec::where_sel_key`];
-/// * every `Single`-cardinality non-attribute association gets a from→to
-///   fan-out prior of `1.0` at its [`dood_oql::fan_key_assoc`].
-///
-/// Priors are consulted only while a key has no observations
-/// (`stats::get_or_prior`), so a warmed registry is never perturbed.
-/// [`crate::engine::RuleEngine::register`] calls this after a program
-/// passes analysis.
-pub fn install_priors(program: &Program, schema: &Schema) {
-    let install_ctx = |seq: &Seq| {
-        let sh = shape(seq);
-        for (cref, pred) in &sh.occs {
-            let Some(p) = pred else { continue };
-            // Best-effort direct resolution (closure family aliases
-            // included); occurrences whose name does not resolve to a
-            // schema class simply get no prior.
-            let base = schema.try_class_by_name(&cref.name).or_else(|| {
-                let (family, level) = ClassRef::split_alias(&cref.name);
-                if level > 0 {
-                    schema.try_class_by_name(family)
-                } else {
-                    None
-                }
-            });
-            let Some(base) = base else { continue };
-            let Some(key) = dood_oql::static_sel_key(schema, base, None, p) else { continue };
-            let sat = abstract_pred(p, &|attr| {
-                schema.resolve_attr(base, attr).ok().and_then(|ra| schema.attr_dtype(ra.attr))
-            })
-            .sat;
-            stats::set_prior(&key, if sat { sel_estimate(p) } else { 0.0 });
-        }
-    };
-    let install_wheres = |conds: &[WhereCond]| {
-        for cond in conds {
-            if let WhereCond::Cmp { left: (cref, attr), op, right: CmpRhs::Lit(lit) } = cond {
-                let dt = schema
-                    .try_class_by_name(&cref.name)
-                    .and_then(|c| schema.resolve_attr(c, attr).ok())
-                    .and_then(|ra| schema.attr_dtype(ra.attr));
-                let est = where_sel_estimate(*op, lit, dt);
-                stats::set_prior(&dood_oql::wherec::where_sel_key(cond), est);
-            }
-        }
-    };
-    for pr in &program.rules {
-        install_ctx(&pr.rule.context.seq);
-        install_wheres(&pr.rule.where_);
-    }
-    for q in &program.queries {
-        install_ctx(&q.query.context.seq);
-        install_wheres(&q.query.where_);
-    }
-    for a in schema.assocs() {
-        if a.cardinality == Cardinality::Single && !schema.is_attribute(a.id) {
-            stats::set_prior(&dood_oql::fan_key_assoc(a.id, true), 1.0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dood_oql::ast::Literal;
 
     fn iv(op: CmpOp, v: i64) -> Ival {
         Ival::from_cmp(op, &Value::Int(v), Some(DType::Int))
@@ -1417,22 +1297,6 @@ mod tests {
         assert_eq!(mul_b(0.0, f64::INFINITY), 0.0);
         assert_eq!(mul_b(f64::INFINITY, 0.0), 0.0);
         assert_eq!(mul_b(2.0, 3.0), 6.0);
-    }
-
-    #[test]
-    fn sel_estimates_are_probability_shaped() {
-        let eq = cmp("x", CmpOp::Eq, 1);
-        let ne = cmp("x", CmpOp::Neq, 1);
-        assert!(sel_estimate(&eq) < sel_estimate(&ne));
-        let both = Pred::And(Box::new(eq.clone()), Box::new(eq.clone()));
-        assert!(sel_estimate(&both) <= sel_estimate(&eq));
-        let either = Pred::Or(Box::new(eq), Box::new(ne));
-        assert!(sel_estimate(&either) <= 1.0);
-        assert_eq!(
-            where_sel_estimate(CmpOp::Lt, &Literal::Int(7), Some(DType::Int)),
-            0.33,
-            "a one-sided cut is never empty on its own"
-        );
     }
 
     #[test]

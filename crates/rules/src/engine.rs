@@ -298,10 +298,6 @@ impl RuleEngine {
         for pr in &program.rules {
             self.add_parsed_rule(pr.rule.clone())?;
         }
-        // Static planner priors: abstract-interpretation selectivity and
-        // fan-out estimates, consulted by the cost model only until real
-        // observations warm the corresponding stats keys.
-        crate::absint::install_priors(program, self.db.schema());
         Ok(diags)
     }
 
@@ -706,10 +702,7 @@ impl RuleEngine {
                     account_delta(&out);
                     outs.push(out);
                 }
-                (_, cache) => {
-                    if cache.is_some_and(|c| c.needs_replan()) {
-                        note_replan();
-                    }
+                _ => {
                     let mut cache = seed_cache(rule, &self.db, &self.registry)?;
                     cache.at_epoch = self.epoch;
                     state.caches.insert(rule.name.clone(), cache);
@@ -813,9 +806,8 @@ impl RuleEngine {
                 uncovered > cache.at_epoch
             })
         });
-        if source_moved || cache.needs_replan() {
-            // A source delta the cache cannot see, or a drift-flagged plan:
-            // re-seed (and thereby re-plan).
+        if source_moved {
+            // A source delta the cache cannot see: re-seed.
             return None;
         }
         match dirty {
@@ -956,15 +948,6 @@ impl RuleEngine {
 fn account_delta(out: &DeltaOutcome) {
     if let Some(a) = obs::account::active() {
         a.add_delta_edits(out.inserted.len() as u64, out.removed.len() as u64);
-    }
-}
-
-/// Count a drift-forced cache re-seed: the plan-drift watchdog flagged the
-/// cached compiled plan, so the delta path was bypassed and the rule is
-/// re-planned against the corrected statistics.
-fn note_replan() {
-    if obs::metrics_enabled() {
-        obs::metrics::counter("rules.maintain.replans").inc();
     }
 }
 

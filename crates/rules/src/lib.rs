@@ -20,7 +20,7 @@ pub mod maintain;
 pub mod parser;
 pub mod program;
 
-pub use absint::{analyze_bounds, install_priors, Analysis, CardEnv, RuleBounds};
+pub use absint::{analyze_bounds, Analysis, CardEnv, RuleBounds};
 pub use analyze::analyze;
 pub use ast::{Rule, TargetItem};
 pub use depgraph::DepGraph;

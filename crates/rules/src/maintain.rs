@@ -675,15 +675,6 @@ pub struct RuleCache {
 }
 
 impl RuleCache {
-    /// Whether the plan-drift watchdog flagged this cache's compiled plan
-    /// during execution (observed fan-out/selectivity left the
-    /// `DOOD_DRIFT_BAND` band around the cost model's estimates). A flagged
-    /// cache is re-seeded — and thereby re-planned against the corrected
-    /// statistics — on its next maintenance step instead of delta-applied.
-    pub fn needs_replan(&self) -> bool {
-        self.plan.drift.flagged()
-    }
-
     /// The subdatabases the cached context reads: the memberships of its
     /// derived slots and the pairs of its derived edges.
     pub fn sources(&self) -> impl Iterator<Item = &str> {

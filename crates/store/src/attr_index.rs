@@ -118,19 +118,33 @@ impl AttrIndex {
     /// Objects whose value falls within the bounds (null-valued entries are
     /// never returned: predicate semantics treat Null as unknown).
     pub fn range_scan(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<Oid> {
+        let mut out = Vec::new();
+        for (_, set) in self.non_null_range(lo, hi) {
+            out.extend(set.iter().copied());
+        }
+        out
+    }
+
+    /// How many objects [`range_scan`](Self::range_scan) would return, by
+    /// summing set lengths over the ordered map: no allocation (a bound's
+    /// value is cloned into the map's key type, which for strings is a
+    /// reference-count bump).
+    pub fn count(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> usize {
+        self.non_null_range(lo, hi).map(|(_, set)| set.len()).sum()
+    }
+
+    /// The non-null entries within the bounds.
+    fn non_null_range(
+        &self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> impl Iterator<Item = (&OrdValue, &BTreeSet<Oid>)> {
         let conv = |b: Bound<&Value>| match b {
             Bound::Included(v) => Bound::Included(OrdValue(v.clone())),
             Bound::Excluded(v) => Bound::Excluded(OrdValue(v.clone())),
             Bound::Unbounded => Bound::Unbounded,
         };
-        let mut out = Vec::new();
-        for (k, set) in self.map.range((conv(lo), conv(hi))) {
-            if k.0.is_null() {
-                continue;
-            }
-            out.extend(set.iter().copied());
-        }
-        out
+        self.map.range((conv(lo), conv(hi))).filter(|(k, _)| !k.0.is_null())
     }
 }
 
@@ -187,6 +201,30 @@ mod tests {
         ix.insert(Value::Int(1), Oid(2));
         let hits = ix.range_scan(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(hits, vec![Oid(2)]);
+    }
+
+    #[test]
+    fn count_equals_range_scan_len() {
+        use Bound::*;
+        let mut ix = AttrIndex::new();
+        ix.insert(Value::Null, Oid(9));
+        for (v, o) in [(5000, 1), (6000, 2), (6000, 3), (6500, 4), (7000, 5)] {
+            ix.insert(Value::Int(v), Oid(o));
+        }
+        let (v6, v7) = (Value::Int(6000), Value::Int(7000));
+        let cases: [(Bound<&Value>, Bound<&Value>, usize); 6] = [
+            (Included(&v6), Included(&v6), 2), // eq
+            (Unbounded, Excluded(&v6), 1),     // one-sided, Null skipped
+            (Included(&v6), Unbounded, 4),     // one-sided
+            (Included(&v6), Excluded(&v7), 3), // two-sided
+            (Excluded(&v6), Included(&v7), 2), // two-sided
+            (Unbounded, Unbounded, 5),         // Null skipped
+        ];
+        for (lo, hi, n) in cases {
+            assert_eq!(ix.count(lo, hi), n, "{lo:?}..{hi:?}");
+            assert_eq!(ix.count(lo, hi), ix.range_scan(lo, hi).len(), "{lo:?}..{hi:?}");
+        }
+        assert_eq!(ix.count(Included(&Value::Null), Included(&Value::Null)), 0);
     }
 
     #[test]

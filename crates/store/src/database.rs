@@ -379,7 +379,7 @@ impl Database {
         self.assoc_ix[assoc.index()].contains(from, to)
     }
 
-    /// Number of links under an association (planner statistics).
+    /// Number of links under an association (a planner input).
     pub fn link_count(&self, assoc: AssocId) -> usize {
         self.assoc_ix[assoc.index()].len()
     }

@@ -4,7 +4,7 @@
 # back, doodlint over every built-in rule program (text and --json modes),
 # a DOOD_TRACE=1 smoke run validated by `doodprof --validate`, the
 # hermeticity check, smoke runs of the three gates `benchmark/` cannot state
-# (e15 observability, e19 abstract interpretation, e20 flight recorder), and
+# (e15 observability, e19 analysis throughput, e20 flight recorder), and
 # the end-to-end benchmark's own tests, a smoke run of each of its
 # workloads with their pass-0 oracles, and allocation ceilings read from
 # short traced runs.
@@ -22,20 +22,22 @@ cargo test -q
 echo "== ci: warnings-as-errors build =="
 RUSTFLAGS="-D warnings" cargo build --workspace
 
-echo "== ci: one sequential executor, one measuring stick =="
+echo "== ci: one sequential executor, one measuring stick, plans from counts =="
 # The AST-walking evaluator, its mode switches, the committed bench
-# snapshot and the chunking thread pool are gone; the reference is
+# snapshot, the chunking thread pool, and the planner's statistics loop
+# (static priors, drift watchdog, re-plan path) are gone; the reference is
 # tests/common/spec_eval.rs. The names are spelled in two halves so this
 # file passes its own check.
 SOURCES="crates src tests scripts examples"
 GONE="Exec""Mode|Planner""Mode|DOOD_""EXEC|DOOD_""PLANNER|BENCH_""SEED"
 GONE="$GONE|Chunk""Pool|DOOD_""THREADS|span_""under|par_""chunk_map"
+GONE="$GONE|Drift""Mark|drift_""band|DOOD_""DRIFT_BAND|install_""priors|get_or_""prior|needs_""replan"
 if grep -rnE "$GONE" $SOURCES; then
     echo "ci: a deleted name is back (see above)" >&2
     exit 1
 fi
 # Every switch is a configuration to test: the count only goes down.
-MAX_SWITCHES=15
+MAX_SWITCHES=14
 SWITCHES="$(grep -rhoE 'DOOD_[A-Z0-9_]+' $SOURCES | sort -u)"
 if [ "$(wc -l <<<"$SWITCHES")" -gt "$MAX_SWITCHES" ]; then
     echo "ci: more than $MAX_SWITCHES distinct DOOD_* names:" >&2
@@ -115,13 +117,12 @@ DOOD_BENCH_SMOKE=1 cargo bench -p dood-bench --bench e15_obs
 
 echo "== ci: abstract-interpretation smoke (bench e19_absint) =="
 # Smoke mode exercises `analyze_bounds` over the builtin corpus and the
-# deterministic cold-start plan-quality experiment (static priors vs
-# warmed stats; the throughput verdict self-skips). Set DOOD_E19_FULL=1
-# to also run the timed bench with the per-rule throughput and
-# plan-quality gates enforced (DOOD_BENCH_STRICT=1).
+# synthetic rule chains (the throughput verdict self-skips). Set
+# DOOD_E19_FULL=1 to also run the timed bench with the per-rule throughput
+# gate enforced (DOOD_BENCH_STRICT=1).
 DOOD_BENCH_SMOKE=1 cargo bench -p dood-bench --bench e19_absint
 if [ "${DOOD_E19_FULL:-0}" = "1" ]; then
-    echo "== ci: e19 absint throughput + cold-start plan gates (DOOD_BENCH_STRICT=1) =="
+    echo "== ci: e19 absint throughput gate (DOOD_BENCH_STRICT=1) =="
     DOOD_BENCH_STRICT=1 cargo bench -p dood-bench --bench e19_absint
 fi
 

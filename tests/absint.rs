@@ -12,8 +12,9 @@
 
 use dood::core::fxhash::FxHashSet;
 use dood::core::ids::Oid;
-use dood::core::obs::stats;
 use dood::core::propcheck::check;
+use dood::oql::resolve::resolve_context;
+use dood::oql::Evaluator;
 use dood::rules::absint::{analyze_bounds, CardEnv};
 use dood::rules::program::Program;
 use dood::rules::RuleEngine;
@@ -91,39 +92,34 @@ fn closure_reach_bounds_cover_observed() {
     }
 }
 
-/// Registering a program installs static selectivity priors for its
-/// predicates, so the planner has a cost signal before any observation.
+/// Plans are per database, never per process: registering (and deriving)
+/// a program on one engine leaves every plan another engine compiles
+/// unchanged — registration installs nothing the planner reads.
 #[test]
 fn register_installs_static_priors() {
-    stats::clear();
     let (prog, db) = setup("university", 7);
-    let schema = db.schema().clone();
-    let mut engine = RuleEngine::new(db);
-    engine.register(&prog).unwrap();
-    // R5's `Course [c# < 5000]` condition must have a prior at the exact
-    // key the planner reads.
-    use dood::oql::ast::{Item, Pred, Seq};
-    fn find_cond<'a>(seq: &'a Seq, class: &str) -> Option<&'a Pred> {
-        let probe = |i: &'a Item| match i {
-            Item::Class { class: c, cond: Some(p) } if c.name == class => Some(p),
-            Item::Group(inner) => find_cond(inner, class),
-            _ => None,
-        };
-        probe(&seq.first).or_else(|| seq.rest.iter().find_map(|(_, i)| probe(i)))
+    let mut mine = RuleEngine::new(db);
+    mine.register(&prog).unwrap();
+    for pr in &prog.rules {
+        mine.subdb(&pr.rule.target_subdb).unwrap();
     }
-    let course = schema.class_by_name("Course").unwrap();
-    let pr = prog.rules.iter().find(|r| r.rule.name == "R5").unwrap();
-    let pred =
-        find_cond(&pr.rule.context.seq, "Course").expect("R5 has a predicated Course occurrence");
-    let key =
-        dood::oql::static_sel_key(&schema, course, None, pred).expect("compilable predicate");
-    let prior = stats::prior(&key)
-        .unwrap_or_else(|| panic!("no static prior installed at `{key}`"));
-    assert!(
-        (0.0..=1.0).contains(&prior) && prior < 0.5,
-        "one-sided comparison prior should be selective, got {prior}"
-    );
-    stats::clear();
+    let plans = |e: &RuleEngine| -> Vec<String> {
+        prog.rules
+            .iter()
+            .map(|pr| {
+                let ctx = resolve_context(&pr.rule.context, e.db().schema(), e.registry()).unwrap();
+                Evaluator::new(&ctx, e.db(), e.registry()).unwrap().plan_handle().describe()
+            })
+            .collect()
+    };
+    let before = plans(&mine);
+    let (_, other_db) = setup("university", 42);
+    let mut other = RuleEngine::new(other_db);
+    other.register(&prog).unwrap();
+    for pr in &prog.rules {
+        other.subdb(&pr.rule.target_subdb).unwrap();
+    }
+    assert_eq!(plans(&mine), before, "another engine's registration moved a plan");
 }
 
 /// The chain catalogue for the propcheck: valid university join chains

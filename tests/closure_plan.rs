@@ -17,7 +17,6 @@
 mod spec_eval;
 
 use dood::core::ids::Oid;
-use dood::core::obs::stats;
 use dood::core::propcheck::{check, Gen};
 use dood::core::schema::SchemaBuilder;
 use dood::core::subdb::SubdbRegistry;
@@ -29,18 +28,8 @@ use dood::rules::{EvalPolicy, RuleEngine};
 use dood::store::Database;
 use dood::workload::{cad, social, university};
 use spec_eval::{rows_of, spec_eval, spec_query};
-use std::sync::Mutex;
 
 const CASES: usize = 4;
-
-/// The EWMA statistics registry is process-global and every evaluation
-/// feeds it, so the tests here serialize on this lock to keep the golden
-/// plans' cleared registry quiet.
-static STATS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A minimal self-association schema (`N --Next--> N`) whose instances the
 /// maintenance schedules mutate freely: the smallest graph where frontier
@@ -98,7 +87,6 @@ fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str) {
 /// "interp" is the spec-level interpreter of `tests/common/spec_eval.rs`.
 #[test]
 fn compiled_closure_equals_interp_across_schemas_and_threads() {
-    let _g = lock();
     check("compiled_closure_equals_interp_across_schemas_and_threads", CASES, |g| {
         let seed = g.range(0u64..100);
         for (db, queries) in dbs(seed) {
@@ -197,7 +185,6 @@ fn cyclic_schedule(g: &mut Gen) {
 
 #[test]
 fn closure_maintenance_incremental_equals_fresh_cyclic() {
-    let _g = lock();
     check("closure_maintenance_incremental_equals_fresh_cyclic", CASES, cyclic_schedule);
 }
 
@@ -206,13 +193,11 @@ fn closure_maintenance_incremental_equals_fresh_cyclic() {
 /// level instead of failing with `UnknownTarget`.
 #[test]
 fn closure_of_width_one_derives_the_empty_family_level() {
-    let _g = lock();
     cyclic_schedule(&mut Gen::from_seed(13904107186047154181));
 }
 
 #[test]
 fn closure_maintenance_incremental_equals_fresh_social() {
-    let _g = lock();
     check("closure_maintenance_incremental_equals_fresh_social", CASES, |g| {
         let seed = g.range(0u64..100);
         let ops: Vec<(usize, usize)> =
@@ -234,7 +219,6 @@ fn closure_maintenance_incremental_equals_fresh_social() {
 /// fresh derivation computes them.
 #[test]
 fn closure_over_a_chain_longer_than_64_is_maintained() {
-    let _g = lock();
     let mut db = Database::new(social::schema());
     let person = db.schema().class_by_name("Person").unwrap();
     let follows = db.schema().own_link_by_name(person, "Follows").unwrap();
@@ -270,14 +254,11 @@ fn closure_over_a_chain_longer_than_64_is_maintained() {
     assert_eq!(check(&mut e), 15 + 6 + 36);
 }
 
-/// Golden closure plans with the stats registry cleared (pure
-/// schema-derived estimates): a cost-model change that moves the fan-out,
-/// round, or reach estimates shows up here as a readable diff, with
-/// `doodprof --plan` as the investigation tool.
+/// Golden closure plans (estimates from the store's counts): a cost-model
+/// change that moves the fan-out, round, or reach estimates shows up here
+/// as a readable diff, with `doodprof --plan` as the investigation tool.
 #[test]
 fn golden_closure_plans() {
-    let _g = lock();
-    stats::clear();
     let plan_of = |db: &Database, query: &str| {
         let reg = SubdbRegistry::new();
         let expr = Parser::parse_context_expr(query).unwrap();
@@ -289,7 +270,6 @@ fn golden_closure_plans() {
     let unbounded = plan_of(&social_db, "Person ^*");
     let bounded = plan_of(&social_db, "Person ^2");
     let part = plan_of(&cad_db, "Part ^*");
-    stats::clear();
     assert_eq!(
         unbounded,
         "plan\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^* cycle=Person fan=1.15 est_rounds=23 est_reach=26\n",

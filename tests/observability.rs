@@ -9,12 +9,12 @@
 //! tests that only spawn `doodprof`/`doodlint` touch another process's
 //! registry and stay unlocked.
 
-use dood::core::ids::{AssocId, Oid};
+use dood::core::ids::Oid;
 use dood::core::obs::{self, metrics, trace};
 use dood::core::obs::metrics::MetricSnapshot;
 use dood::core::propcheck::check;
 use dood::core::subdb::SubdbRegistry;
-use dood::oql::eval::{fan_key_assoc, Evaluator};
+use dood::oql::eval::Evaluator;
 use dood::oql::resolve::resolve_context;
 use dood::oql::Parser;
 use dood::rules::{EvalPolicy, RuleEngine};
@@ -306,25 +306,30 @@ fn recorder_on_equals_off_across_threads() {
     });
 }
 
-/// Scrambled statistics must trip the plan-drift watchdog during seeding,
-/// force drift-flagged caches to re-seed (re-plan) instead of delta-apply
-/// on subsequent maintenance, keep maintained results equal to
-/// from-scratch derivation throughout, and converge — replans stop once
-/// the EWMA statistics re-enter the band (tentpole acceptance).
+/// A plan cached at seeding orders its delta steps from the counts at
+/// each step, not from those it was seeded with. `TSC` is seeded while
+/// only every fourth `Teaches` link exists, then `Teaches` grows past one
+/// link per section over 30 rounds. The maintained copy equals a fresh
+/// derivation every round, and at the end the seeded plan orders a
+/// Section-anchored delta step exactly as a plan compiled from the final
+/// counts does — differently from how it ordered it at seeding.
 #[test]
 fn drift_watchdog_replans_and_converges() {
+    // Evaluates in-process, so it would leak counts into a locked test's
+    // metric totals while that test has the gate on.
     let _g = metrics_lock();
-    obs::set_metrics_enabled(true);
-    metrics::reset_all();
-    obs::stats::clear();
-
-    let db = university::populate(university::Size::scaled(2), 42);
-    // Scramble every association's fan-out statistic to an absurd value so
-    // the first compiled plan's estimates are far outside DOOD_DRIFT_BAND.
-    for i in 0..db.schema().assoc_count() {
-        let id = AssocId::from(i as u32);
-        obs::stats::set(&fan_key_assoc(id, true), 512.0);
-        obs::stats::set(&fan_key_assoc(id, false), 512.0);
+    let mut db = university::populate(university::Size::small(), 42);
+    let teacher = db.schema().class_by_name("Teacher").unwrap();
+    let section = db.schema().class_by_name("Section").unwrap();
+    let teaches = db.schema().own_link_by_name(teacher, "Teaches").unwrap();
+    let ts: Vec<Oid> = db.extent(teacher).collect();
+    let ss: Vec<Oid> = db.extent(section).collect();
+    let links: Vec<(Oid, Oid)> =
+        ts.iter().flat_map(|&t| db.neighbors(teaches, t, true).iter().map(move |&s| (t, s))).collect();
+    for (i, &(t, s)) in links.iter().enumerate() {
+        if i % 4 != 0 {
+            db.dissociate(teaches, t, s).unwrap();
+        }
     }
 
     let mut e = RuleEngine::new(db);
@@ -332,61 +337,36 @@ fn drift_watchdog_replans_and_converges() {
         .unwrap();
     e.set_policy("TSC", EvalPolicy::PreEvaluated);
     e.subdb("TSC").unwrap();
-    assert!(
-        metrics::counter("oql.plan.drift").get() > 0,
-        "scrambled stats must trip the watchdog during seeding"
-    );
+    let expr = Parser::parse_context_expr("Teacher * Section * Course").unwrap();
+    let ctx = resolve_context(&expr, e.db().schema(), e.registry()).unwrap();
+    // Steps of the delta plan anchored at Section (slot 1), one dirty object.
+    let order = |ev: &Evaluator| -> Vec<(usize, usize)> {
+        ev.delta_plan(0, 3, 1, 1).steps.iter().map(|st| (st.from_slot, st.to_slot)).collect()
+    };
+    let seeded = Evaluator::new(&ctx, e.db(), e.registry()).unwrap();
+    let seeded_order = order(&seeded);
+    let seeded = seeded.plan_handle();
 
-    // Churn the teaching links: each propagate must keep the maintained
-    // copy exact while flagged caches re-seed against corrected stats.
-    let mut last_replans = 0u64;
-    let mut stable_rounds = 0u32;
+    let per_round = 2 * ss.len() / 30 + 2;
     for round in 0..30usize {
-        poke_teaches(&mut e, round);
+        let db = e.db_mut();
+        for j in 0..per_round {
+            let k = round * per_round + j;
+            let (t, s) = (ts[k % ts.len()], ss[(k / ts.len() + k) % ss.len()]);
+            if !db.linked(teaches, t, s) {
+                db.associate(teaches, t, s).unwrap();
+            }
+        }
         e.propagate().unwrap();
         let current = e.registry().subdb("TSC").expect("TSC materialized").to_vec();
         let fresh = e.derive_fresh("TSC").unwrap().to_vec();
         assert_eq!(current, fresh, "maintained TSC diverged in round {round}");
-        let replans = metrics::counter("rules.maintain.replans").get();
-        if replans == last_replans {
-            stable_rounds += 1;
-            if stable_rounds >= 3 {
-                break;
-            }
-        } else {
-            stable_rounds = 0;
-            last_replans = replans;
-        }
     }
-    assert!(
-        metrics::counter("rules.maintain.replans").get() > 0,
-        "a drift-flagged cache must force a re-seed"
-    );
-    assert!(
-        stable_rounds >= 3,
-        "replans kept firing after 30 rounds: stats never converged"
-    );
-
-    metrics::reset_all();
-    obs::set_metrics_enabled(false);
-    obs::stats::clear();
-}
-
-/// Flip one random Teaches link per round (associate on even rounds,
-/// dissociate on odd), so every propagate has a real delta to maintain.
-fn poke_teaches(e: &mut RuleEngine, k: usize) {
-    let db = e.db_mut();
-    let teacher = db.schema().class_by_name("Teacher").unwrap();
-    let section = db.schema().class_by_name("Section").unwrap();
-    let teaches = db.schema().own_link_by_name(teacher, "Teaches").unwrap();
-    let ts: Vec<Oid> = db.extent(teacher).collect();
-    let ss: Vec<Oid> = db.extent(section).collect();
-    let (t, s) = (ts[k % ts.len()], ss[(k * 7 + 1) % ss.len()]);
-    if k % 2 == 0 {
-        let _ = db.associate(teaches, t, s);
-    } else {
-        let _ = db.dissociate(teaches, t, s);
-    }
+    assert!(e.db().link_count(teaches) > ss.len(), "Teaches did not outgrow the sections");
+    let cached = Evaluator::with_compiled(&ctx, e.db(), e.registry(), seeded).unwrap();
+    let costed = Evaluator::new(&ctx, e.db(), e.registry()).unwrap();
+    assert_eq!(order(&cached), order(&costed), "cached plan ignored the final counts");
+    assert_ne!(order(&costed), seeded_order, "growth never changed the delta order");
 }
 
 /// `doodlint --json` emits one parseable JSON object per diagnostic on

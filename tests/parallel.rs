@@ -61,8 +61,7 @@ fn parallel_span_join_equals_sequential() {
 
 /// The engine's cost-based join order and the spec interpreter's fixed
 /// left-to-right one return the same patterns on random workloads. (The
-/// statistics registry is process-global, so the orders the engine picks
-/// here vary with how this binary's tests interleave.)
+/// engine's orders follow each random population's counts.)
 #[test]
 fn planner_modes_agree_on_random_workloads() {
     check("planner_modes_agree_on_random_workloads", CASES, |g| {

@@ -1,12 +1,13 @@
 //! Soundness of the compiled join pipelines (DESIGN.md §10): the engine
 //! must produce exactly the patterns of the spec-level interpreter in
 //! `tests/common/spec_eval.rs` (nested loops written from PAPER.md §3–§5; no
-//! plan, index, cache or statistics) — on all three paper schemas and
-//! under arbitrary (even adversarial) planner statistics.
-//! Plans may change; results may not. Where `datalog::translate` covers the
-//! query, the Datalog engine is a third, cross-formalism witness. Plus
-//! golden EXPLAIN plan snapshots for the E1/E6/E7 context shapes, pinning
-//! the planner's chosen join orders.
+//! plan, index, cache or statistics) — on all three paper schemas and on
+//! databases of opposite skew, which the planner orders differently.
+//! Plans may change with the data; results may not, and plans never change
+//! with history. Where `datalog::translate` covers the query, the Datalog
+//! engine is a third, cross-formalism witness. Plus golden EXPLAIN plan
+//! snapshots for the E1/E6/E7 context shapes, pinning the planner's chosen
+//! join orders.
 //!
 //! Driven by the in-repo seeded harness (`dood::core::propcheck`); replay
 //! a reported failure with `DOOD_PROP_SEED=<seed> cargo test <name>`.
@@ -14,10 +15,10 @@
 #[path = "common/spec_eval.rs"]
 mod spec_eval;
 
-use dood::core::obs::stats;
-use dood::core::propcheck::check;
+use dood::core::propcheck::{check, Gen};
+use dood::core::schema::SchemaBuilder;
 use dood::core::subdb::SubdbRegistry;
-use dood::core::value::Value;
+use dood::core::value::{DType, Value};
 use dood::datalog;
 use dood::oql::parser::Parser;
 use dood::oql::resolve::resolve_context;
@@ -27,24 +28,21 @@ use dood::store::Database;
 use dood::workload::{cad, company, social, university};
 use spec_eval::{rows_of, spec_query, Row};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 const CASES: usize = 6;
-
-/// The planner statistics registry is process-global; tests that write it
-/// (every execution feeds it) serialize on this lock so the golden
-/// snapshots see exactly the stats they cleared.
-static STATS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Evaluate `query` through the engine.
 fn engine_rows(db: &Database, reg: &SubdbRegistry, query: &str) -> Vec<Row> {
     let expr = Parser::parse_context_expr(query).unwrap();
     let resolved = resolve_context(&expr, db.schema(), reg).unwrap();
     rows_of(&Evaluator::new(&resolved, db, reg).unwrap().eval("x"))
+}
+
+/// The plan the engine compiles for `query`, as `describe()` renders it.
+fn plan_of(db: &Database, reg: &SubdbRegistry, query: &str) -> String {
+    let expr = Parser::parse_context_expr(query).unwrap();
+    let resolved = resolve_context(&expr, db.schema(), reg).unwrap();
+    Evaluator::new(&resolved, db, reg).unwrap().plan_handle().describe()
 }
 
 /// Assert the engine's patterns for `query` are the spec's, which it
@@ -106,7 +104,6 @@ fn dbs(seed: u64) -> Vec<(Database, &'static [&'static str])> {
 /// "interp" is the spec-level interpreter of `tests/common/spec_eval.rs`.
 #[test]
 fn compiled_equals_interp_across_schemas_and_threads() {
-    let _g = lock();
     check("compiled_equals_interp_across_schemas_and_threads", CASES, |g| {
         let seed = g.range(0u64..100);
         for (db, queries) in dbs(seed) {
@@ -118,36 +115,127 @@ fn compiled_equals_interp_across_schemas_and_threads() {
     });
 }
 
+/// A three-class chain `A --AB--> B --BC--> C` of `a`, `b` and `c`
+/// objects: each B is linked to one random A and, mostly, one random C, so
+/// the fan-outs out of A and C are about `b / a` and `b / c`. Every class
+/// carries an integer `v` for conditions.
+fn skewed_chain(g: &mut Gen, a: usize, b: usize, c: usize) -> Database {
+    let mut sb = SchemaBuilder::new();
+    for class in ["A", "B", "C"] {
+        sb.e_class(class);
+    }
+    sb.d_class("v", DType::Int);
+    for class in ["A", "B", "C"] {
+        sb.attr(class, "v");
+    }
+    sb.aggregate_named("A", "B", "AB");
+    sb.aggregate_named("B", "C", "BC");
+    let mut db = Database::new(sb.build().expect("chain schema valid"));
+    let mut make = |db: &mut Database, class: &str, n: usize| -> Vec<_> {
+        let cls = db.schema().class_by_name(class).unwrap();
+        (0..n)
+            .map(|_| {
+                let o = db.new_object(cls).unwrap();
+                db.set_attr(o, "v", Value::Int(g.range(0i64..10))).unwrap();
+                o
+            })
+            .collect()
+    };
+    let (xs, ys, zs) = (make(&mut db, "A", a), make(&mut db, "B", b), make(&mut db, "C", c));
+    let ab = db.schema().own_link_by_name(db.schema().class_by_name("A").unwrap(), "AB").unwrap();
+    let bc = db.schema().own_link_by_name(db.schema().class_by_name("B").unwrap(), "BC").unwrap();
+    for &y in &ys {
+        db.associate(ab, xs[g.range(0..a)], y).unwrap();
+        if g.bool(0.9) {
+            db.associate(bc, y, zs[g.range(0..c)]).unwrap();
+        }
+    }
+    db
+}
+
+const SKEW_QUERIES: &[&str] = &[
+    "A * B * C",
+    "{A * B} * C",
+    "A [v >= 3] * B * C [v < 7]",
+    "A ! B * C",
+];
+
+/// Skewed data changes plans, not results: two databases of opposite
+/// association skew live in one process, at least one query is ordered
+/// differently over them, and every query agrees with the spec on both.
 #[test]
 fn random_stats_change_plans_not_results() {
-    let _g = lock();
     check("random_stats_change_plans_not_results", CASES, |g| {
-        let seed = g.range(0u64..100);
-        for (db, queries) in dbs(seed) {
-            let reg = SubdbRegistry::new();
-            // Prime the registry: one pass populates fan-out and
-            // selectivity keys for every stage of every query.
-            stats::clear();
-            for q in queries {
-                assert_equiv(&db, &reg, q);
-            }
-            // Adversarially scramble every observed statistic, plus a few
-            // fan keys the pass may not have touched.
-            for (key, _, _) in stats::snapshot() {
-                stats::set(&key, g.range(0u64..10_000) as f64 / 10.0);
-            }
-            for a in 0..8u32 {
-                for d in ["f", "r"] {
-                    stats::set(&format!("oql.fan.a{a}.{d}"), g.range(0u64..500) as f64 / 10.0);
-                }
-            }
-            // Misled plans must still agree with the spec.
-            for q in queries {
-                assert_equiv(&db, &reg, q);
+        let (few, many, mid) = (g.range(1usize..4), g.range(20usize..40), g.range(30usize..60));
+        let left = skewed_chain(g, few, mid, many);
+        let right = skewed_chain(g, many, mid, few);
+        let reg = SubdbRegistry::new();
+        let differ = SKEW_QUERIES
+            .iter()
+            .filter(|q| plan_of(&left, &reg, q) != plan_of(&right, &reg, q))
+            .count();
+        assert!(differ > 0, "opposite skew never changed a plan");
+        for db in [&left, &right] {
+            for q in SKEW_QUERIES {
+                assert_equiv(db, &reg, q);
             }
         }
-        stats::clear();
     });
+}
+
+/// Plans are a function of the data alone: every corpus query compiles to
+/// a byte-identical plan on its first run and after 100 mixed runs of the
+/// corpus (full evaluations and delta evaluations, interleaved across the
+/// three schemas).
+#[test]
+fn plans_are_history_free() {
+    let seed = 42;
+    let dbs = dbs(seed);
+    let reg = SubdbRegistry::new();
+    let plans = |dbs: &[(Database, &[&str])]| -> Vec<String> {
+        dbs.iter().flat_map(|(db, qs)| qs.iter().map(|q| plan_of(db, &reg, q))).collect()
+    };
+    let first = plans(&dbs);
+    let corpus: Vec<(&Database, &str)> =
+        dbs.iter().flat_map(|(db, qs)| qs.iter().map(move |q| (db, *q))).collect();
+    for i in 0..100 {
+        let (db, q) = corpus[(i * 7) % corpus.len()];
+        let expr = Parser::parse_context_expr(q).unwrap();
+        let resolved = resolve_context(&expr, db.schema(), &reg).unwrap();
+        let mut ev = Evaluator::new(&resolved, db, &reg).unwrap();
+        if i % 3 == 0 {
+            let dirty: BTreeSet<_> = ev.eval("x").patterns().filter_map(|p| p.get(0)).take(3).collect();
+            ev.eval_delta("x", &dirty);
+        } else {
+            ev.eval("x");
+        }
+    }
+    assert_eq!(plans(&dbs), first, "a plan changed with history");
+}
+
+/// An index-served condition is costed by an exact count over the ordered
+/// index: the indexed slot anchors the join while few objects pass, and
+/// stops anchoring once most do.
+#[test]
+fn index_count_moves_the_anchor() {
+    let mut g = Gen::from_seed(7);
+    // 10 As, 100 Bs with `v` in 0..10, each B under one A.
+    let mut db = skewed_chain(&mut g, 10, 100, 1);
+    let b = db.schema().class_by_name("B").unwrap();
+    db.create_attr_index(b, "v").unwrap();
+    let reg = SubdbRegistry::new();
+    let anchor = |query: &str| {
+        let expr = Parser::parse_context_expr(query).unwrap();
+        let resolved = resolve_context(&expr, db.schema(), &reg).unwrap();
+        let plan = Evaluator::new(&resolved, &db, &reg).unwrap().plan_handle();
+        assert!(plan.describe().contains("B[ix]"), "index not used:\n{}", plan.describe());
+        plan.spans[0].anchor
+    };
+    assert_eq!(anchor("A * B [v >= 9]"), 1, "a small count anchors at the indexed slot");
+    assert_eq!(anchor("A * B [v >= 0]"), 0, "a large count does not");
+    for q in ["A * B [v >= 9]", "A * B [v >= 0]"] {
+        assert_equiv(&db, &reg, q);
+    }
 }
 
 /// The pairs `(head, later component)` of a set of closure chains: who
@@ -171,7 +259,6 @@ type AssocChain<'a> = (&'a Database, &'a str, &'a [(&'a str, &'a str)]);
 /// on who reaches whom under `^*`.
 #[test]
 fn compiled_equals_spec_equals_datalog() {
-    let _g = lock();
     let (v, atom) = (datalog::v, datalog::Atom::new);
     check("compiled_equals_spec_equals_datalog", CASES, |g| {
         let seed = g.range(0u64..100);
@@ -242,7 +329,6 @@ fn compiled_equals_spec_equals_datalog() {
 /// their whole context and have no WHERE.
 #[test]
 fn delta_maintenance_compiled_equals_interp() {
-    let _g = lock();
     check("delta_maintenance_compiled_equals_interp", CASES, |g| {
         let seed = g.range(0u64..100);
         let ops = g.vec(2..8, |g| g.range(0usize..64));
@@ -285,24 +371,15 @@ fn delta_maintenance_compiled_equals_interp() {
 }
 
 /// Golden plans for the E1/E6/E7 context shapes over the university
-/// schema, with the stats registry cleared (pure schema-derived
-/// estimates). A planner change that re-orders these joins shows up here
+/// schema (estimates from the store's counts). A planner change that re-orders these joins shows up here
 /// as a readable diff, with `doodprof --plan` as the investigation tool.
 #[test]
 fn golden_plans_e1_e6_e7() {
-    let _g = lock();
-    stats::clear();
     let db = university::populate(university::Size::small(), 42);
     let reg = SubdbRegistry::new();
-    let plan_of = |query: &str| {
-        let expr = Parser::parse_context_expr(query).unwrap();
-        let resolved = resolve_context(&expr, db.schema(), &reg).unwrap();
-        Evaluator::new(&resolved, &db, &reg).unwrap().plan_handle().describe()
-    };
-    let e1 = plan_of("Teacher * Section * Course");
-    let e6 = plan_of("{Teacher * Section} * Course");
-    let e7 = plan_of("Department * Course * Section * Student");
-    stats::clear();
+    let e1 = plan_of(&db, &reg, "Teacher * Section * Course");
+    let e6 = plan_of(&db, &reg, "{Teacher * Section} * Course");
+    let e7 = plan_of(&db, &reg, "Department * Course * Section * Student");
     assert_eq!(
         e1,
         "plan\n  span [0,3) anchor=Course cost=29 rows=12\n    scan Course est=8\n    step Course->Section est=9\n    step Section->Teacher est=12\n",
