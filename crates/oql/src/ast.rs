@@ -212,6 +212,16 @@ impl Seq {
         }
         item(&self.first) + self.rest.iter().map(|(_, i)| item(i)).sum::<usize>()
     }
+
+    /// Call `f` on every class occurrence, in order, groups included.
+    pub fn for_each_class<'a>(&'a self, f: &mut impl FnMut(&'a ClassRef)) {
+        for item in std::iter::once(&*self.first).chain(self.rest.iter().map(|(_, i)| i)) {
+            match item {
+                Item::Class { class, .. } => f(class),
+                Item::Group(g) => g.for_each_class(f),
+            }
+        }
+    }
 }
 
 /// The iteration marker on a cyclic expression (paper §5.2): `^*` performs
@@ -292,6 +302,18 @@ pub enum WhereCond {
         /// Right operand.
         right: CmpRhs,
     },
+}
+
+impl WhereCond {
+    /// The classes the condition names.
+    pub fn classes(&self) -> impl Iterator<Item = &ClassRef> {
+        let (first, second) = match self {
+            WhereCond::Agg { target, by, .. } => (target, by.as_ref()),
+            WhereCond::Cmp { left, right: CmpRhs::Attr(c, _), .. } => (&left.0, Some(c)),
+            WhereCond::Cmp { left, right: CmpRhs::Lit(_), .. } => (&left.0, None),
+        };
+        std::iter::once(first).chain(second)
+    }
 }
 
 /// Right-hand side of an inter-class comparison.

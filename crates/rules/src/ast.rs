@@ -68,45 +68,9 @@ impl Rule {
     /// references in its IF clause and WHERE subclause).
     pub fn reads(&self) -> Vec<String> {
         let mut out = Vec::new();
-        fn walk_seq(seq: &dood_oql::ast::Seq, out: &mut Vec<String>) {
-            let item = |i: &dood_oql::ast::Item, out: &mut Vec<String>| match i {
-                dood_oql::ast::Item::Class { class, .. } => {
-                    if let Some(s) = &class.subdb {
-                        out.push(s.clone());
-                    }
-                }
-                dood_oql::ast::Item::Group(g) => walk_seq(g, out),
-            };
-            item(&seq.first, out);
-            for (_, i) in &seq.rest {
-                item(i, out);
-            }
-        }
-        walk_seq(&self.context.seq, &mut out);
-        for w in &self.where_ {
-            match w {
-                WhereCond::Agg { target, by, .. } => {
-                    if let Some(s) = &target.subdb {
-                        out.push(s.clone());
-                    }
-                    if let Some(b) = by {
-                        if let Some(s) = &b.subdb {
-                            out.push(s.clone());
-                        }
-                    }
-                }
-                WhereCond::Cmp { left, right, .. } => {
-                    if let Some(s) = &left.0.subdb {
-                        out.push(s.clone());
-                    }
-                    if let dood_oql::ast::CmpRhs::Attr(c, _) = right {
-                        if let Some(s) = &c.subdb {
-                            out.push(s.clone());
-                        }
-                    }
-                }
-            }
-        }
+        self.context.seq.for_each_class(&mut |c| out.extend(c.subdb.clone()));
+        let conds = self.where_.iter().flat_map(WhereCond::classes);
+        out.extend(conds.filter_map(|c| c.subdb.clone()));
         out.sort_unstable();
         out.dedup();
         out

@@ -17,7 +17,7 @@ use dood_core::obs;
 use dood_oql::ast::ClassRef;
 use dood_oql::eval_context;
 use dood_oql::wherec::find_slot;
-use dood_core::subdb::{Intension, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{ExtPattern, Intension, SlotDef, Subdatabase, SubdbRegistry};
 use dood_store::Database;
 
 /// Evaluate `rule` against the database and the already-derived sources in
@@ -52,22 +52,96 @@ pub fn eval_rule_context(
         .map_err(RuleError::Query)
 }
 
-/// Resolve a rule's THEN-clause targets to context-slot indices (in target
-/// order, families expanded). Exposed for incremental maintenance, which
-/// counts projections of context patterns onto these slots.
-pub fn target_slots(rule: &Rule, intension: &Intension) -> Result<Vec<usize>, RuleError> {
-    let mut slots: Vec<usize> = Vec::new();
+/// Where a rule's THEN clause takes each target slot from, and the target
+/// intension: a function of the rule and the context *intension* only.
+#[derive(Debug, Clone)]
+pub struct TargetLayout {
+    /// Per target slot, the context slot it projects; `None` for a named
+    /// closure level the data's chains do not reach, Null in every pattern.
+    pub slots: Vec<Option<usize>>,
+    /// The retained slots with their attribute restrictions, the context's
+    /// edges between them, and a derived direct association between each
+    /// pair of consecutive target classes.
+    pub intension: Intension,
+}
+
+/// Lay out a rule's THEN clause over a context intension (families
+/// expanded, attribute restrictions validated against the base class);
+/// [`project_targets`] and incremental maintenance both build through it.
+pub fn target_layout(
+    rule: &Rule,
+    ctx: &Intension,
+    db: &Database,
+) -> Result<TargetLayout, RuleError> {
+    let mut slots: Vec<Option<usize>> = Vec::new();
+    let mut defs: Vec<SlotDef> = Vec::new();
     for t in &rule.targets {
         match t {
-            TargetItem::Class { class, .. } => {
-                slots.push(find_slot(intension, class).map_err(|_| {
-                    RuleError::UnknownTarget { rule: rule.name.clone(), target: class.to_string() }
-                })?);
+            TargetItem::Class { class, attrs } => {
+                let (slot, mut def) = match find_slot(ctx, class) {
+                    Ok(i) => (Some(i), ctx.slots[i].clone()),
+                    Err(_) => (
+                        None,
+                        absent_level(rule, ctx, class).ok_or_else(|| RuleError::UnknownTarget {
+                            rule: rule.name.clone(),
+                            target: class.to_string(),
+                        })?,
+                    ),
+                };
+                if let Some(list) = attrs {
+                    for a in list {
+                        db.schema()
+                            .resolve_attr(def.base, a)
+                            .map_err(|e| RuleError::Query(e.into()))?;
+                    }
+                    def.attrs = Some(match def.attrs.take() {
+                        None => list.clone(),
+                        Some(existing) => {
+                            list.iter().filter(|a| existing.contains(a)).cloned().collect()
+                        }
+                    });
+                }
+                slots.push(slot);
+                defs.push(def);
             }
-            TargetItem::Family { base } => slots.extend(family_slots(rule, intension, base)?),
+            TargetItem::Family { base } => {
+                for s in family_slots(rule, ctx, base)? {
+                    slots.push(Some(s));
+                    defs.push(ctx.slots[s].clone());
+                }
+            }
         }
     }
-    Ok(slots)
+    let mut intension = Intension::new(defs);
+    let at = |s: u16| slots.iter().position(|&t| t == Some(s as usize));
+    for e in &ctx.edges {
+        if let (Some(a), Some(b)) = (at(e.a), at(e.b)) {
+            intension.add_edge(a, b);
+        }
+    }
+    for i in 0..intension.width().saturating_sub(1) {
+        intension.add_edge(i, i + 1);
+    }
+    Ok(TargetLayout { slots, intension })
+}
+
+/// A context pattern projected onto a layout's target slots.
+pub fn project(p: &ExtPattern, slots: &[Option<usize>]) -> ExtPattern {
+    ExtPattern::new(slots.iter().map(|s| s.and_then(|i| p.get(i))).collect::<Vec<_>>())
+}
+
+/// The slot of a named closure level (`Grad_2`) that the data's chains do
+/// not reach, so the evaluated context has none: whether a level exists is
+/// up to the data, as for a `base_*` family, so the rule stays legal and
+/// the level is Null in every pattern.
+fn absent_level(rule: &Rule, ctx: &Intension, class: &ClassRef) -> Option<SlotDef> {
+    let (family, level) = ClassRef::split_alias(&class.name);
+    if rule.context.closure.is_none() || level == 0 {
+        return None;
+    }
+    let level0 = ClassRef { subdb: class.subdb.clone(), name: family.to_string() };
+    let cycle = &ctx.slots[find_slot(ctx, &level0).ok().filter(|&i| i == 0)?];
+    Some(SlotDef { name: class.name.clone(), ..cycle.clone() })
 }
 
 /// The context slots a `base_*` target covers. Paper R6: "the second
@@ -94,56 +168,12 @@ pub fn project_targets(
     ctx: &Subdatabase,
     db: &Database,
 ) -> Result<Subdatabase, RuleError> {
-    let mut slots: Vec<usize> = Vec::new();
-    let mut restrictions: Vec<Option<Vec<String>>> = Vec::new();
-    for t in &rule.targets {
-        match t {
-            TargetItem::Class { class, attrs } => {
-                let slot = find_slot(&ctx.intension, class).map_err(|_| {
-                    RuleError::UnknownTarget { rule: rule.name.clone(), target: class.to_string() }
-                })?;
-                // Validate the attribute restriction against the base class.
-                if let Some(list) = attrs {
-                    for a in list {
-                        db.schema()
-                            .resolve_attr(ctx.intension.slots[slot].base, a)
-                            .map_err(|e| RuleError::Query(e.into()))?;
-                    }
-                }
-                slots.push(slot);
-                restrictions.push(attrs.clone());
-            }
-            TargetItem::Family { base } => {
-                for s in family_slots(rule, &ctx.intension, base)? {
-                    slots.push(s);
-                    restrictions.push(None);
-                }
-            }
-        }
-    }
-    let mut out = ctx.project(&rule.target_subdb, &slots);
-    // Intersect attribute restrictions.
-    for (i, restriction) in restrictions.iter().enumerate() {
-        if let Some(list) = restriction {
-            let def = &mut out.intension.slots[i];
-            def.attrs = Some(match def.attrs.take() {
-                None => list.clone(),
-                Some(existing) => list.iter().filter(|a| existing.contains(a)).cloned().collect(),
-            });
-        }
-    }
-    // Derived direct associations between consecutive target classes.
-    for i in 0..out.intension.width().saturating_sub(1) {
-        out.intension.add_edge(i, i + 1);
-    }
+    let layout = target_layout(rule, &ctx.intension, db)?;
+    let mut out = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
+    out.set_patterns(ctx.patterns().map(|p| project(p, &layout.slots)));
     // Projection may produce all-Null rows (a retained brace-span pattern
     // whose classes were all projected away) and newly-subsumed parts.
-    let keep: Vec<_> = out
-        .patterns()
-        .filter(|p| p.arity() > 0)
-        .cloned()
-        .collect();
-    out.set_patterns(keep);
+    out.retain(|p| p.arity() > 0);
     out.retain_maximal();
     Ok(out)
 }
@@ -169,16 +199,6 @@ pub fn target_names(rule: &Rule) -> Vec<String> {
             TargetItem::Class { class, .. } => class.name.clone(),
             TargetItem::Family { base } => format!("{base}_*"),
         })
-        .collect()
-}
-
-/// A [`ClassRef`] to each derived class of a subdatabase (helper for
-/// callers constructing follow-up queries).
-pub fn derived_refs(sd: &Subdatabase) -> Vec<ClassRef> {
-    sd.intension
-        .slots
-        .iter()
-        .map(|s| ClassRef::qualified(sd.name.clone(), s.name.clone()))
         .collect()
 }
 
@@ -295,20 +315,5 @@ mod tests {
         let s2 = apply_rule(&r2, &db, &reg).unwrap();
         assert!(!layouts_compatible(&s1, &s2));
         assert!(layouts_compatible(&s1, &s1));
-    }
-
-    #[test]
-    fn derived_refs_are_qualified() {
-        let db = setup();
-        let reg = SubdbRegistry::new();
-        let rule = parse_rule(
-            "R1",
-            "if context Teacher * Section * Course then TC (Teacher, Course)",
-        )
-        .unwrap();
-        let sd = apply_rule(&rule, &db, &reg).unwrap();
-        let refs = derived_refs(&sd);
-        assert_eq!(refs[0].to_string(), "TC:Teacher");
-        assert_eq!(refs[1].to_string(), "TC:Course");
     }
 }

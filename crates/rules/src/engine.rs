@@ -19,9 +19,7 @@ use crate::ast::Rule;
 use crate::depgraph::DepGraph;
 use crate::derive::{apply_rule, layouts_compatible};
 use crate::error::RuleError;
-use crate::maintain::{
-    delta_apply, dirty_closure, plan_for, seed_cache, DeltaOutcome, MaintainPlan, RuleCache,
-};
+use crate::maintain::{delta_apply, dirty_closure, seed_cache, DeltaOutcome, RuleCache};
 use crate::parser::parse_rule;
 use crate::program::Program;
 use dood_core::diag::Diagnostic;
@@ -29,8 +27,8 @@ use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::{ClassId, Oid};
 use dood_core::obs;
 use dood_core::obs::profile::Profile;
-use dood_core::subdb::{RegistryEntry, Subdatabase, SubdbRegistry};
-use dood_oql::ast::{ClassRef, Item, Query, SelectItem, Seq, WhereCond};
+use dood_core::subdb::{ExtPattern, RegistryEntry, Subdatabase, SubdbRegistry};
+use dood_oql::ast::{ClassRef, Query, SelectItem, WhereCond};
 use dood_oql::{Oql, QueryOutput};
 use dood_store::{Database, SubscriberId};
 use std::borrow::Cow;
@@ -65,22 +63,45 @@ pub enum ControlMode {
 }
 
 /// One subdatabase's maintenance state, pulled out of the engine for a
-/// stratum step or a catch-up: its rules' delta caches plus its registry
-/// entry, stale or not. The step mutates all of it in place; `put_back`
-/// drains it back.
+/// stratum step or a catch-up: its rules' delta caches, a union's per-rule
+/// targets, and its registry entry, stale or not. The entry of a
+/// single-rule result *is* the target its rule's cache maintains. The step
+/// mutates all of it in place; `put_back` drains it back.
 struct MaintainState {
     caches: FxHashMap<String, RuleCache>,
+    targets: FxHashMap<String, Subdatabase>,
     entry: Option<RegistryEntry>,
 }
 
-/// What maintaining one subdatabase produced, for the commit.
-enum Maintained {
-    /// Content unchanged: the entry, with the epochs of its last change.
-    Unchanged(RegistryEntry),
-    /// Content changed at a new epoch. `prior` is the `changed_at` of the
-    /// copy it replaces; `diff` holds the delta's component oids when known
-    /// — `None` means no before-image existed and readers must re-seed.
-    Changed { sd: Subdatabase, prior: u64, diff: Option<Vec<Oid>> },
+/// What maintaining one subdatabase produced, for the commit: the refreshed
+/// entry, its epochs still those of its last change, and the content
+/// change, if any, as the component oids of its delta — `Some(None)` when
+/// no before-image existed, so readers must re-seed.
+struct Maintained {
+    entry: RegistryEntry,
+    change: Option<Option<Vec<Oid>>>,
+}
+
+impl Maintained {
+    /// `entry` after in-place edits: `edits` are the patterns added or removed.
+    fn edited<'a>(entry: RegistryEntry, edits: impl IntoIterator<Item = &'a ExtPattern>) -> Self {
+        let diff: BTreeSet<Oid> =
+            edits.into_iter().flat_map(|p| p.components().iter().flatten().copied()).collect();
+        let change = (!diff.is_empty()).then(|| Some(diff.into_iter().collect()));
+        Maintained { entry, change }
+    }
+
+    /// A whole new result in place of `old`.
+    fn replaced(old: Option<RegistryEntry>, subdb: Subdatabase) -> Self {
+        let Some(old) = old else {
+            let (derived_at, changed_at, changed_before, stale) = (0, 0, 0, false);
+            let entry = RegistryEntry { subdb, derived_at, changed_at, changed_before, stale };
+            return Maintained { entry, change: Some(None) };
+        };
+        let change = (!old.subdb.patterns().eq(subdb.patterns()))
+            .then(|| Some(old.subdb.diff_components(&subdb)));
+        Maintained { entry: RegistryEntry { subdb, ..old }, change }
+    }
 }
 
 /// The deductive object-oriented database engine: an object store, a rule
@@ -99,8 +120,12 @@ pub struct RuleEngine {
     /// Per rule: the base classes its IF clause reads (hierarchy-closed).
     base_reads: Vec<FxHashSet<ClassId>>,
     /// Per-rule maintenance caches (context, WHERE verdicts, derivation
-    /// counts, target) keyed by rule name.
+    /// counts) keyed by rule name.
     caches: FxHashMap<String, RuleCache>,
+    /// The targets the caches of a union's rules (R4/R5) maintain, keyed
+    /// by rule name; the registry holds their union. A single-rule
+    /// result's cache maintains its registry entry itself.
+    union_targets: FxHashMap<String, Subdatabase>,
     /// Monotone count of registry commits that changed a result's content.
     /// Entries record the epoch of their last change and caches the epoch
     /// they last stepped at, so a cache can tell whether a source moved
@@ -149,6 +174,7 @@ impl RuleEngine {
             watermark,
             base_reads: Vec::new(),
             caches: FxHashMap::default(),
+            union_targets: FxHashMap::default(),
             epoch: 0,
             current_dirty: None,
             dirty_from: watermark,
@@ -241,19 +267,29 @@ impl RuleEngine {
     /// [`RuleEngine::register`] for the analyzed path.
     pub fn add_rule(&mut self, name: &str, src: &str) -> Result<(), RuleError> {
         let rule = parse_rule(name, src)?;
-        self.add_parsed_rule(rule)
+        self.add_rules([rule])
     }
 
-    fn add_parsed_rule(&mut self, rule: Rule) -> Result<(), RuleError> {
-        if self.rules.iter().any(|r| r.name == rule.name) {
-            return Err(RuleError::DuplicateRule(rule.name));
+    /// Append rules, then build the dependency graph once and reject a
+    /// duplicate name or a cyclic rule set eagerly. All or nothing: on
+    /// error the rules, their base reads and the graph are as they were.
+    fn add_rules(&mut self, rules: impl IntoIterator<Item = Rule>) -> Result<(), RuleError> {
+        let before = self.rules.len();
+        let pushed = rules.into_iter().try_for_each(|rule| {
+            if self.rules.iter().any(|r| r.name == rule.name) {
+                return Err(RuleError::DuplicateRule(rule.name));
+            }
+            self.base_reads.push(self.rule_base_reads(&rule));
+            self.rules.push(rule);
+            Ok(())
+        });
+        let graph = DepGraph::build(&self.rules);
+        if let Err(e) = pushed.and_then(|()| graph.topo_order()) {
+            self.rules.truncate(before);
+            self.base_reads.truncate(before);
+            return Err(e);
         }
-        let reads = self.rule_base_reads(&rule);
-        self.rules.push(rule);
-        self.base_reads.push(reads);
-        self.graph = DepGraph::build(&self.rules);
-        // Reject cyclic rule sets eagerly.
-        self.graph.topo_order()?;
+        self.graph = graph;
         Ok(())
     }
 
@@ -271,7 +307,8 @@ impl RuleEngine {
     /// diagnostics are returned. If the analyzer reports any error — or any
     /// warning under [`RuleEngine::set_strict`] — the program is rejected
     /// *before any rule is added*, so no derivation can ever run over an
-    /// ill-typed, unsafe, or unstratifiable program.
+    /// ill-typed, unsafe, or unstratifiable program. A program the analyzer
+    /// passes but the registered rules make cyclic is rejected whole, too.
     pub fn register(&mut self, program: &Program) -> Result<Vec<Diagnostic>, RuleError> {
         let mut external: FxHashSet<String> =
             self.registry.names().into_iter().map(str::to_string).collect();
@@ -295,9 +332,7 @@ impl RuleEngine {
         if dood_core::diag::has_errors(&diags) || (self.strict && !diags.is_empty()) {
             return Err(RuleError::Analysis(diags));
         }
-        for pr in &program.rules {
-            self.add_parsed_rule(pr.rule.clone())?;
-        }
+        self.add_rules(program.rules.iter().map(|pr| pr.rule.clone()))?;
         Ok(diags)
     }
 
@@ -306,27 +341,14 @@ impl RuleEngine {
     /// can affect patterns observed through another perspective).
     fn rule_base_reads(&self, rule: &Rule) -> FxHashSet<ClassId> {
         let mut out = FxHashSet::default();
-        fn walk(seq: &Seq, schema: &dood_core::schema::Schema, out: &mut FxHashSet<ClassId>) {
-            let item = |i: &Item, out: &mut FxHashSet<ClassId>| match i {
-                Item::Class { class, .. } if class.subdb.is_none() => {
-                    let name = &class.name;
-                    let id = schema.try_class_by_name(name).or_else(|| {
-                        let (family, lvl) = ClassRef::split_alias(name);
-                        (lvl > 0).then(|| schema.try_class_by_name(family)).flatten()
-                    });
-                    if let Some(id) = id {
-                        out.insert(id);
-                    }
-                }
-                Item::Class { .. } => {}
-                Item::Group(g) => walk(g, schema, out),
-            };
-            item(&seq.first, out);
-            for (_, i) in &seq.rest {
-                item(i, out);
+        let schema = self.db.schema();
+        rule.context.seq.for_each_class(&mut |class| {
+            if class.subdb.is_none() {
+                let (family, lvl) = ClassRef::split_alias(&class.name);
+                let id = schema.try_class_by_name(&class.name);
+                out.extend(id.or_else(|| (lvl > 0).then(|| schema.try_class_by_name(family))?));
             }
-        }
-        walk(&rule.context.seq, self.db.schema(), &mut out);
+        });
         // Hierarchy closure: ancestors and descendants.
         let mut closed = out.clone();
         for &c in &out {
@@ -402,31 +424,35 @@ impl RuleEngine {
         self.put_back(state, result)
     }
 
-    /// Pull `name`'s maintenance state — its rules' caches and its entry,
-    /// stale or not — out of the engine, so that a step can mutate it while
-    /// the engine stays read-only.
+    /// Pull `name`'s maintenance state — its rules' caches and targets and
+    /// its entry, stale or not — out of the engine, so that a step can
+    /// mutate it while the engine stays read-only.
     fn take_state(&mut self, name: &str) -> MaintainState {
         let mut caches = FxHashMap::default();
+        let mut targets = FxHashMap::default();
         for &i in self.graph.rules_for(name) {
             let rn = &self.rules[i].name;
             if let Some(c) = self.caches.remove(rn) {
                 caches.insert(rn.clone(), c);
             }
+            if let Some(t) = self.union_targets.remove(rn) {
+                targets.insert(rn.clone(), t);
+            }
         }
-        MaintainState { caches, entry: self.registry.take(name) }
+        MaintainState { caches, targets, entry: self.registry.take(name) }
     }
 
     /// Return a maintenance step's state to the engine. On success the
-    /// caches go back and the result is committed. On error no cache goes
-    /// back — one may have stepped past the copy — so the rules re-seed
-    /// next time, and the copy is restored as it was, but stale: it no
-    /// longer reflects the events the failed step consumed.
+    /// caches and targets go back and the result is committed. On error no
+    /// cache goes back — one may have stepped past the entry — so the rules
+    /// re-seed next time, and the entry is restored as it was, but stale:
+    /// it no longer reflects the events the failed step consumed.
     fn put_back(
         &mut self,
         state: MaintainState,
         result: Result<Maintained, RuleError>,
     ) -> Result<(), RuleError> {
-        let maintained = match result {
+        let Maintained { mut entry, change } = match result {
             Ok(m) => m,
             Err(e) => {
                 if let Some(mut entry) = state.entry {
@@ -437,35 +463,25 @@ impl RuleEngine {
             }
         };
         self.caches.extend(state.caches);
-        let derived_at = self.db.seq();
-        match maintained {
-            Maintained::Unchanged(mut entry) => {
-                if obs::metrics_enabled() {
-                    obs::metrics::counter("rules.maintain.unchanged").inc();
-                }
-                entry.derived_at = derived_at;
-                entry.stale = false;
-                self.registry.insert(entry);
+        self.union_targets.extend(state.targets);
+        entry.derived_at = self.db.seq();
+        entry.stale = false;
+        if let Some(diff) = change {
+            if obs::metrics_enabled() {
+                obs::metrics::counter("rules.rederived").inc();
+                obs::metrics::histogram("rules.delta_rows").record(entry.subdb.len() as u64);
             }
-            Maintained::Changed { sd, prior, diff } => {
-                if obs::metrics_enabled() {
-                    obs::metrics::counter("rules.rederived").inc();
-                    obs::metrics::histogram("rules.delta_rows").record(sd.len() as u64);
-                }
-                self.epoch += 1;
-                // A reader stepping later in this propagate gets the change
-                // through the dirty set, if it was folded in; a reader that
-                // saw `prior` misses nothing then.
-                let changed_before = if self.fold_commit_delta(diff) { prior } else { self.epoch };
-                self.registry.insert(RegistryEntry {
-                    subdb: sd,
-                    derived_at,
-                    changed_at: self.epoch,
-                    changed_before,
-                    stale: false,
-                });
-            }
+            self.epoch += 1;
+            // A reader stepping later in this propagate gets the change
+            // through the dirty set, if it was folded in; a reader that saw
+            // the change before misses nothing then.
+            let folded = self.fold_commit_delta(diff);
+            entry.changed_before = if folded { entry.changed_at } else { self.epoch };
+            entry.changed_at = self.epoch;
+        } else if obs::metrics_enabled() {
+            obs::metrics::counter("rules.maintain.unchanged").inc();
         }
+        self.registry.insert(entry);
         Ok(())
     }
 
@@ -668,7 +684,7 @@ impl RuleEngine {
     /// Refresh `name`'s maintenance state — delta where the caches allow,
     /// seeding otherwise — *without* touching the engine. `&self` stays
     /// read-only; all mutation lands in the taken-out `state`. Returns the
-    /// refreshed copy plus what the commit needs to know. `dirty` is the
+    /// refreshed result plus what the commit needs to know. `dirty` is the
     /// perspective-closed dirty set of the propagate under way, if any.
     fn maintain_subdb(
         &self,
@@ -681,47 +697,62 @@ impl RuleEngine {
         let mut sp = obs::trace::span("rules.derive");
         sp.label(|| name.to_string());
         sp.attr("rules", idxs.len() as i64);
+        let maintained = match *idxs {
+            // A single-rule result: its registry entry is the target the
+            // rule's cache maintains, so a delta step patches the entry in
+            // place and a seed moves its target in.
+            [i] => {
+                let rule = &self.rules[i];
+                let stepped = match (state.caches.get_mut(&rule.name), &mut state.entry) {
+                    (Some(cache), Some(entry)) => self.step(rule, cache, &mut entry.subdb, dirty)?,
+                    _ => None,
+                };
+                match stepped {
+                    Some(out) => {
+                        let entry = state.entry.take().expect("stepped above");
+                        Maintained::edited(entry, out.inserted.iter().chain(&out.removed))
+                    }
+                    None => {
+                        let sd = self.seed(rule, &mut state.caches)?;
+                        Maintained::replaced(state.entry.take(), sd)
+                    }
+                }
+            }
+            _ => self.maintain_union(name, idxs, state, dirty)?,
+        };
+        sp.attr("rows_out", maintained.entry.subdb.len() as i64);
+        Ok(maintained)
+    }
 
-        // Step every rule: by delta where its cache allows, by seeding (or,
-        // for a recomputing rule, from scratch) otherwise. The copy is
-        // refreshed by edit replay iff every rule took a delta step.
+    /// A union of several rules (R4/R5): each rule maintains a target of
+    /// its own, and the registered union follows by replaying their edits
+    /// when every rule took a delta step, by re-forming it otherwise.
+    fn maintain_union(
+        &self,
+        name: &str,
+        idxs: &[usize],
+        state: &mut MaintainState,
+        dirty: Option<&BTreeSet<Oid>>,
+    ) -> Result<Maintained, RuleError> {
         let mut outs: Vec<DeltaOutcome> = Vec::with_capacity(idxs.len());
-        let mut recomputed: FxHashMap<usize, Subdatabase> = FxHashMap::default();
         for &i in idxs {
             let rule = &self.rules[i];
-            if plan_for(rule) == MaintainPlan::Recompute {
-                recomputed.insert(i, apply_rule(rule, &self.db, &self.registry)?);
-                continue;
-            }
-            let step_dirty =
-                state.caches.get(&rule.name).and_then(|cache| self.step_dirty(cache, dirty));
-            match (step_dirty, state.caches.get_mut(&rule.name)) {
-                (Some(step_dirty), Some(cache)) => {
-                    let out = delta_apply(rule, &self.db, &self.registry, cache, &step_dirty)?;
-                    cache.at_epoch = self.epoch;
-                    account_delta(&out);
-                    outs.push(out);
-                }
+            let kept = state.caches.get_mut(&rule.name).zip(state.targets.get_mut(&rule.name));
+            match kept.map(|(cache, target)| self.step(rule, cache, target, dirty)).transpose()? {
+                Some(Some(out)) => outs.push(out),
                 _ => {
-                    let mut cache = seed_cache(rule, &self.db, &self.registry)?;
-                    cache.at_epoch = self.epoch;
-                    state.caches.insert(rule.name.clone(), cache);
+                    let sd = self.seed(rule, &mut state.caches)?;
+                    state.targets.insert(rule.name.clone(), sd);
                 }
             }
         }
-        let targets: Vec<&Subdatabase> = idxs
-            .iter()
-            .map(|i| match recomputed.get(i) {
-                Some(sd) => sd,
-                None => &state.caches[&self.rules[*i].name].target,
-            })
-            .collect();
+        let targets: Vec<&Subdatabase> =
+            idxs.iter().map(|&i| &state.targets[&self.rules[i].name]).collect();
 
-        // Hot path: every rule stepped and there is a copy to refresh. The
-        // steps' exact edits are replayed onto it in O(|edits|) — no
-        // context-sized clone, rebuild, or compare anywhere on this path.
-        // A closure delta that changed the longest chain re-shaped the
-        // target intension; edit replay cannot cross that.
+        // Every rule stepped and there is a union to refresh: the steps'
+        // exact edits are replayed onto it in O(|edits|). A closure delta
+        // that changed the longest chain re-shaped its target's intension;
+        // edit replay cannot cross that.
         let replay = outs.len() == idxs.len()
             && state.entry.as_ref().is_some_and(|e| {
                 targets.iter().all(|t| t.intension.width() == e.subdb.intension.width())
@@ -729,59 +760,75 @@ impl RuleEngine {
         if replay {
             let mut entry = state.entry.take().expect("checked above");
             let sd = &mut entry.subdb;
-            let mut diff: BTreeSet<Oid> = BTreeSet::new();
             // Removals first, and only of patterns no rule of the union
             // derives any more; then the insertions.
-            for p in outs.iter().flat_map(|out| &out.removed) {
-                if !targets.iter().any(|t| t.contains(p)) && sd.remove(p) {
-                    diff.extend(p.components().iter().flatten().copied());
-                }
-            }
-            for p in outs.iter().flat_map(|out| &out.inserted) {
-                if sd.insert(p.clone()) {
-                    diff.extend(p.components().iter().flatten().copied());
-                }
-            }
-            debug_assert!(
-                targets.len() > 1 || sd.patterns().eq(targets[0].patterns()),
-                "registered copy diverged from maintained target for {name}"
-            );
-            sp.attr("rows_out", sd.len() as i64);
-            if diff.is_empty() {
-                return Ok(Maintained::Unchanged(entry));
-            }
-            let diff = Some(diff.into_iter().collect());
-            return Ok(Maintained::Changed { sd: entry.subdb, prior: entry.changed_at, diff });
+            let mut edited: Vec<&ExtPattern> = outs
+                .iter()
+                .flat_map(|out| &out.removed)
+                .filter(|p| !targets.iter().any(|t| t.contains(p)) && sd.remove(p))
+                .collect();
+            let inserted = outs.iter().flat_map(|out| &out.inserted);
+            edited.extend(inserted.filter(|p| sd.insert((*p).clone())));
+            return Ok(Maintained::edited(entry, edited));
         }
 
         // Otherwise: the union of the rules' results, compared with the
-        // copy it replaces.
+        // one it replaces.
+        let sd = self.union_of(name, idxs.iter().copied().zip(targets))?;
+        Ok(Maintained::replaced(state.entry.take(), sd))
+    }
+
+    /// The union of a subdatabase's rule targets (R4/R5), given with the
+    /// indices of their rules: the rules must agree on its layout.
+    fn union_of<'s>(
+        &self,
+        name: &str,
+        parts: impl IntoIterator<Item = (usize, &'s Subdatabase)>,
+    ) -> Result<Subdatabase, RuleError> {
         let mut acc: Option<Subdatabase> = None;
-        for (&i, &sd) in idxs.iter().zip(&targets) {
-            acc = Some(match acc {
-                None => sd.clone(),
-                Some(mut prev) => {
-                    if !layouts_compatible(&prev, sd) {
-                        return Err(RuleError::TargetLayoutMismatch {
-                            subdb: name.to_string(),
-                            rule: self.rules[i].name.clone(),
-                        });
-                    }
-                    prev.union_from(sd);
-                    prev
+        for (i, sd) in parts {
+            match &mut acc {
+                None => acc = Some(sd.clone()),
+                Some(prev) if layouts_compatible(prev, sd) => prev.union_from(sd),
+                Some(_) => {
+                    return Err(RuleError::TargetLayoutMismatch {
+                        subdb: name.to_string(),
+                        rule: self.rules[i].name.clone(),
+                    })
                 }
-            });
-        }
-        let sd = acc.expect("at least one rule ran");
-        sp.attr("rows_out", sd.len() as i64);
-        Ok(match state.entry.take() {
-            Some(old) if old.subdb.patterns().eq(sd.patterns()) => Maintained::Unchanged(old),
-            Some(old) => {
-                let diff = old.subdb.diff_components(&sd);
-                Maintained::Changed { sd, prior: old.changed_at, diff: Some(diff) }
             }
-            None => Maintained::Changed { sd, prior: 0, diff: None },
-        })
+        }
+        Ok(acc.expect("at least one rule"))
+    }
+
+    /// Advance `cache` and the `target` it maintains by one delta step, if
+    /// the events since the cache's last step allow one (`None`: re-seed).
+    fn step(
+        &self,
+        rule: &Rule,
+        cache: &mut RuleCache,
+        target: &mut Subdatabase,
+        dirty: Option<&BTreeSet<Oid>>,
+    ) -> Result<Option<DeltaOutcome>, RuleError> {
+        let Some(step_dirty) = self.step_dirty(cache, dirty) else { return Ok(None) };
+        let out = delta_apply(rule, &self.db, &self.registry, cache, target, &step_dirty)?;
+        cache.at_epoch = self.epoch;
+        if let Some(a) = obs::account::active() {
+            a.add_delta_edits(out.inserted.len() as u64, out.removed.len() as u64);
+        }
+        Ok(Some(out))
+    }
+
+    /// Seed `rule`'s cache into `caches`; returns the target it maintains.
+    fn seed(
+        &self,
+        rule: &Rule,
+        caches: &mut FxHashMap<String, RuleCache>,
+    ) -> Result<Subdatabase, RuleError> {
+        let (mut cache, sd) = seed_cache(rule, &self.db, &self.registry)?;
+        cache.at_epoch = self.epoch;
+        caches.insert(rule.name.clone(), cache);
+        Ok(sd)
     }
 
     /// The dirty set a rule's cache can be delta-advanced by, if any:
@@ -921,81 +968,27 @@ impl RuleEngine {
                 return Err(RuleError::UnderivableSubdb(dep.clone()));
             }
         }
-        let mut acc: Option<Subdatabase> = None;
-        for &i in self.graph.rules_for(name) {
-            let sd = apply_rule(&self.rules[i], &self.db, scratch)?;
-            acc = Some(match acc {
-                None => sd,
-                Some(mut prev) => {
-                    if !layouts_compatible(&prev, &sd) {
-                        return Err(RuleError::TargetLayoutMismatch {
-                            subdb: name.to_string(),
-                            rule: self.rules[i].name.clone(),
-                        });
-                    }
-                    prev.union_from(&sd);
-                    prev
-                }
-            });
-        }
-        scratch.put(acc.expect("at least one rule"), self.db.seq());
+        let idxs = self.graph.rules_for(name);
+        let targets: Vec<Subdatabase> = idxs
+            .iter()
+            .map(|&i| apply_rule(&self.rules[i], &self.db, scratch))
+            .collect::<Result<_, _>>()?;
+        let sd = self.union_of(name, idxs.iter().copied().zip(&targets))?;
+        scratch.put(sd, self.db.seq());
         Ok(())
-    }
-}
-
-/// Fold one delta step's exact edits into the active accounting scope, if
-/// any. One relaxed atomic load when no scope is open.
-fn account_delta(out: &DeltaOutcome) {
-    if let Some(a) = obs::account::active() {
-        a.add_delta_edits(out.inserted.len() as u64, out.removed.len() as u64);
     }
 }
 
 /// The derived subdatabases a query references (context, WHERE, SELECT).
 pub fn referenced_subdbs(q: &Query) -> Vec<String> {
     let mut out = Vec::new();
-    fn walk(seq: &Seq, out: &mut Vec<String>) {
-        let item = |i: &Item, out: &mut Vec<String>| match i {
-            Item::Class { class, .. } => {
-                if let Some(s) = &class.subdb {
-                    out.push(s.clone());
-                }
-            }
-            Item::Group(g) => walk(g, out),
-        };
-        item(&seq.first, out);
-        for (_, i) in &seq.rest {
-            item(i, out);
-        }
-    }
-    walk(&q.context.seq, &mut out);
-    let push_ref = |c: &ClassRef, out: &mut Vec<String>| {
-        if let Some(s) = &c.subdb {
-            out.push(s.clone());
-        }
-    };
-    for w in &q.where_ {
-        match w {
-            WhereCond::Agg { target, by, .. } => {
-                push_ref(target, &mut out);
-                if let Some(b) = by {
-                    push_ref(b, &mut out);
-                }
-            }
-            WhereCond::Cmp { left, right, .. } => {
-                push_ref(&left.0, &mut out);
-                if let dood_oql::ast::CmpRhs::Attr(c, _) = right {
-                    push_ref(c, &mut out);
-                }
-            }
-        }
-    }
-    for s in &q.select {
-        match s {
-            SelectItem::ClassAttrs(c, _) | SelectItem::Class(c) => push_ref(c, &mut out),
-            SelectItem::Attr(_) => {}
-        }
-    }
+    q.context.seq.for_each_class(&mut |c| out.extend(c.subdb.clone()));
+    let selected = q.select.iter().filter_map(|s| match s {
+        SelectItem::ClassAttrs(c, _) | SelectItem::Class(c) => Some(c),
+        SelectItem::Attr(_) => None,
+    });
+    let named = q.where_.iter().flat_map(WhereCond::classes).chain(selected);
+    out.extend(named.filter_map(|c| c.subdb.clone()));
     out.sort_unstable();
     out.dedup();
     out

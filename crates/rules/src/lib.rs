@@ -26,8 +26,7 @@ pub use ast::{Rule, TargetItem};
 pub use depgraph::DepGraph;
 pub use derive::{apply_rule, eval_rule_context, project_targets};
 pub use maintain::{
-    delta_apply, dirty_closure, plan_for, seed_cache, supports_incremental, DeltaOutcome,
-    MaintainPlan, RuleCache,
+    delta_apply, dirty_closure, plan_for, seed_cache, DeltaOutcome, MaintainPlan, RuleCache,
 };
 pub use engine::{ChainStrategy, ControlMode, EvalPolicy, RuleEngine};
 pub use error::RuleError;

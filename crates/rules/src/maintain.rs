@@ -31,11 +31,10 @@
 //! the frontier from newly reachable nodes, prunes unsupported ones, and
 //! re-runs the chain DFS for exactly the roots whose chains can have changed
 //! ([`MaintainPlan::Closure`]); the chain edits take the same WHERE and
-//! target stages. Only non-closure family targets still fall back to full
-//! re-derivation.
+//! target stages.
 
-use crate::ast::{Rule, TargetItem};
-use crate::derive::{project_targets, target_slots};
+use crate::ast::Rule;
+use crate::derive::{project, target_layout};
 use crate::error::RuleError;
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::Oid;
@@ -62,25 +61,17 @@ pub enum MaintainPlan {
     /// is patched around the dirty objects and only the chains of affected
     /// roots are re-derived (DESIGN.md §11); WHERE and target as `Delta`.
     Closure,
-    /// Family target over a non-closure context: re-derive in full.
-    Recompute,
 }
 
-/// Classify a rule for incremental maintenance.
+/// Classify a rule for incremental maintenance. A family target needs no
+/// plan of its own: over an acyclic context its slots are fixed like any
+/// other target's ([`crate::derive::target_layout`]).
 pub fn plan_for(rule: &Rule) -> MaintainPlan {
     if rule.context.closure.is_some() {
         MaintainPlan::Closure
-    } else if rule.targets.iter().any(|t| matches!(t, TargetItem::Family { .. })) {
-        MaintainPlan::Recompute
     } else {
         MaintainPlan::Delta
     }
-}
-
-/// Whether delta maintenance is sound for this rule (anything but a full
-/// recompute).
-pub fn supports_incremental(rule: &Rule) -> bool {
-    plan_for(rule) != MaintainPlan::Recompute
 }
 
 /// Expand an update batch's touched objects over the identity links: a
@@ -553,8 +544,8 @@ struct Filter {
     /// objects were touched must be re-checked even if it was re-derived
     /// identically.
     reads_attrs: bool,
-    /// The context slots the THEN clause projects onto.
-    slots: Vec<usize>,
+    /// The context slots the THEN clause projects onto (`None`: Null).
+    slots: Vec<Option<usize>>,
     /// Derivation counts: target projection → number of post-WHERE context
     /// patterns deriving it. Ordered, so the keys of one head are a range.
     counts: BTreeMap<ExtPattern, u32>,
@@ -563,7 +554,8 @@ struct Filter {
 impl Filter {
     /// Apply the rule's WHERE clause and THEN projection to a freshly
     /// evaluated context. Returns the filter state, the number of context
-    /// rows left after the whole WHERE clause, and the target.
+    /// rows left after the whole WHERE clause, and the target: the maximal
+    /// keys of the derivation counts, each context row projected once.
     fn derive(
         rule: &Rule,
         ctx: &Subdatabase,
@@ -608,10 +600,16 @@ impl Filter {
                 Stage::Agg { cond, .. } => cond.reads_attrs(),
             });
         let full = full.as_ref().or(post.as_ref()).unwrap_or(ctx);
-        let target = project_targets(rule, full, db)?;
-        let slots = target_slots(rule, &ctx.intension)?;
-        let counts = tally(full, &slots);
+        let layout = target_layout(rule, &ctx.intension, db)?;
+        let mut counts: BTreeMap<ExtPattern, u32> = BTreeMap::new();
+        for key in full.patterns().map(|p| project(p, &layout.slots)).filter(|k| k.arity() > 0) {
+            *counts.entry(key).or_insert(0) += 1;
+        }
+        let mut target = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
+        target.set_patterns(counts.keys().cloned());
+        target.retain_maximal();
         let ctx_rows = full.len();
+        let slots = layout.slots;
         Ok((Filter { prefix, post, stages, reads_attrs, slots, counts }, ctx_rows, target))
     }
 
@@ -643,7 +641,8 @@ impl Filter {
     }
 }
 
-/// The per-rule state carried between maintenance steps.
+/// The per-rule state carried between maintenance steps. The target it
+/// maintains is the caller's: [`delta_apply`] patches it in place.
 #[derive(Debug, Clone)]
 pub struct RuleCache {
     /// The IF-context before any WHERE condition (post-subsumption).
@@ -653,8 +652,6 @@ pub struct RuleCache {
     posting: Option<Posting>,
     /// WHERE verdict state and derivation counts.
     filter: Filter,
-    /// The projected target as of `at_seq`.
-    pub target: Subdatabase,
     /// Event-log sequence number the cache reflects. A delta application
     /// is sound iff every event after `at_seq` is covered by the dirty set.
     pub at_seq: u64,
@@ -730,13 +727,14 @@ impl RuleCache {
     /// conditions, then maintain the target by derivation counts.
     fn refresh(
         &mut self,
+        target: &mut Subdatabase,
         db: &Database,
         dropped: Vec<ExtPattern>,
         added: Vec<ExtPattern>,
         kept: Vec<ExtPattern>,
         stats: &mut StepStats,
     ) -> DeltaOutcome {
-        let RuleCache { ctx_pre, posting, filter, target, .. } = self;
+        let RuleCache { ctx_pre, posting, filter, .. } = self;
         let Filter { prefix, post, stages, reads_attrs, slots, counts } = filter;
         // A kept row's attributes may have changed: it re-enters as a
         // removal plus an addition, so every verdict it takes part in is
@@ -780,28 +778,15 @@ impl RuleCache {
     }
 }
 
-/// Tally derivation counts: how many post-context patterns project onto
-/// each (non-empty) target pattern.
-fn tally(post: &Subdatabase, slots: &[usize]) -> BTreeMap<ExtPattern, u32> {
-    let mut counts: BTreeMap<ExtPattern, u32> = BTreeMap::new();
-    for p in post.patterns() {
-        let key = p.project(slots);
-        if key.arity() == 0 {
-            continue;
-        }
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    counts
-}
-
-/// Derive a rule from scratch and build its maintenance cache. Span and
-/// metric output matches [`crate::derive::apply_rule`] (one `rules.rule`
-/// span with `ctx_rows`/`target_rows`).
+/// Derive a rule from scratch and build its maintenance cache; returns the
+/// cache and the target it maintains. Span and metric output matches
+/// [`crate::derive::apply_rule`] (one `rules.rule` span with
+/// `ctx_rows`/`target_rows`).
 pub fn seed_cache(
     rule: &Rule,
     db: &Database,
     registry: &SubdbRegistry,
-) -> Result<RuleCache, RuleError> {
+) -> Result<(RuleCache, Subdatabase), RuleError> {
     let mut sp = obs::trace::span("rules.rule");
     sp.label(|| rule.name.clone());
     if obs::metrics_enabled() {
@@ -826,23 +811,23 @@ pub fn seed_cache(
     let (filter, ctx_rows, target) = Filter::derive(rule, &ctx_pre, db)?;
     sp.attr("ctx_rows", ctx_rows as i64);
     sp.attr("target_rows", target.len() as i64);
-    Ok(RuleCache {
+    let cache = RuleCache {
         ctx_pre,
         posting: None,
         filter,
-        target,
         at_seq: db.seq(),
         at_epoch: 0,
         resolved,
         plan,
         closure,
-    })
+    };
+    Ok((cache, target))
 }
 
-/// The exact target-pattern edits one delta step performed. The engine
-/// replays them onto the registered copy of the target subdatabase in
-/// O(|edits|) instead of cloning the whole cached target, and their
-/// components are the content delta fed to downstream rules' dirty sets.
+/// The exact target-pattern edits one delta step made to the target it
+/// patched. Their components are the content delta fed to downstream
+/// rules' dirty sets; a union of several rules (R4/R5) replays them onto
+/// its registered union.
 #[derive(Debug, Default)]
 pub struct DeltaOutcome {
     /// Target patterns added by this step.
@@ -906,22 +891,23 @@ fn split_common(
 }
 
 /// Apply one delta step **in place**: refresh the cache (context, WHERE
-/// verdicts, derivation counts, and target) given the perspective-closed
+/// verdicts, derivation counts) and `target` — the target as of
+/// `cache.at_seq`, as seeded and stepped — given the perspective-closed
 /// dirty set covering every event since `cache.at_seq`, and return the
-/// exact target edits. The whole step is O(dirty-touched patterns), not
+/// exact target edits. On error `target` is as it was (the cache is not:
+/// drop it and re-seed). The whole step is O(dirty-touched patterns), not
 /// O(context): clean patterns are never scanned, copied, re-checked, or
-/// re-counted. The caller must ensure `plan_for(rule) != Recompute` and
-/// that every change to the rule's derived sources since `at_seq` is
-/// reflected in `dirty`.
+/// re-counted. The caller must ensure that every change to the rule's
+/// derived sources since `at_seq` is reflected in `dirty`.
 pub fn delta_apply(
     rule: &Rule,
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
+    target: &mut Subdatabase,
     dirty: &BTreeSet<Oid>,
 ) -> Result<DeltaOutcome, RuleError> {
     let plan = plan_for(rule);
-    debug_assert!(plan != MaintainPlan::Recompute, "caller must gate on supports_incremental");
     let mut sp = obs::trace::span("rules.rule");
     sp.label(|| rule.name.clone());
     sp.attr("delta", 1);
@@ -931,16 +917,16 @@ pub fn delta_apply(
     cache.ensure_delta_state();
     let mut stats = StepStats::default();
     let out = if plan == MaintainPlan::Closure {
-        delta_apply_closure(rule, db, registry, cache, dirty, &mut stats)?
+        delta_apply_closure(rule, db, registry, cache, target, dirty, &mut stats)?
     } else {
-        delta_apply_flat(db, registry, cache, dirty, &mut stats)?
+        delta_apply_flat(db, registry, cache, target, dirty, &mut stats)?
     };
     cache.at_seq = db.seq();
     sp.attr("delta_rows", stats.delta_rows as i64);
     sp.attr("dropped", stats.dropped as i64);
     sp.attr("groups_touched", stats.groups_touched as i64);
     sp.attr("ctx_rows", cache.filter.post.as_ref().unwrap_or(&cache.ctx_pre).len() as i64);
-    sp.attr("target_rows", cache.target.len() as i64);
+    sp.attr("target_rows", target.len() as i64);
     Ok(out)
 }
 
@@ -950,6 +936,7 @@ fn delta_apply_flat(
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
+    target: &mut Subdatabase,
     dirty: &BTreeSet<Oid>,
     stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
@@ -1012,7 +999,7 @@ fn delta_apply_flat(
         cache.ctx_insert(r.clone());
         added.push(r);
     }
-    Ok(cache.refresh(db, dropped, added, kept, stats))
+    Ok(cache.refresh(target, db, dropped, added, kept, stats))
 }
 
 /// The closure delta step (DESIGN.md §11). The cached chains are a pure
@@ -1050,6 +1037,7 @@ fn delta_apply_closure(
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
+    target: &mut Subdatabase,
     dirty: &BTreeSet<Oid>,
     stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
@@ -1191,9 +1179,9 @@ fn delta_apply_closure(
         cache.ctx_pre = next_pre;
         cache.posting = None;
         let (filter, _, next) = Filter::derive(rule, &cache.ctx_pre, db)?;
-        let (removed, inserted, _) = split_common(cache.target.to_vec(), next.to_vec());
+        let (removed, inserted, _) = split_common(target.to_vec(), next.to_vec());
         cache.filter = filter;
-        cache.target = next;
+        *target = next;
         return Ok(DeltaOutcome { inserted, removed });
     }
 
@@ -1222,7 +1210,7 @@ fn delta_apply_closure(
         kept = cache.dirty_bound(dirty);
         kept.retain(|p| added.binary_search(p).is_err());
     }
-    Ok(cache.refresh(db, dropped, added, kept, stats))
+    Ok(cache.refresh(target, db, dropped, added, kept, stats))
 }
 
 /// Count-maintained target update: adjust derivation counts by the
@@ -1238,7 +1226,7 @@ fn delta_apply_closure(
 /// family-projected closure targets hold thousands of mostly-partial chain
 /// patterns, and full scans would dominate the step.
 fn count_target(
-    slots: &[usize],
+    slots: &[Option<usize>],
     counts: &mut BTreeMap<ExtPattern, u32>,
     target: &mut Subdatabase,
     removed: &[ExtPattern],
@@ -1247,7 +1235,7 @@ fn count_target(
     let mut dead: Vec<ExtPattern> = Vec::new();
     let mut born: Vec<ExtPattern> = Vec::new();
     for p in removed {
-        let key = p.project(slots);
+        let key = project(p, slots);
         if let Some(c) = counts.get_mut(&key) {
             *c -= 1;
             if *c == 0 {
@@ -1257,7 +1245,7 @@ fn count_target(
         }
     }
     for p in added {
-        let key = p.project(slots);
+        let key = project(p, slots);
         if key.arity() == 0 {
             continue;
         }
@@ -1370,8 +1358,6 @@ mod tests {
         );
         // Closure contexts maintain the fixpoint provenance incrementally.
         assert_eq!(plan("if context A ^* then T (A, A_*)"), MaintainPlan::Closure);
-        assert!(supports_incremental(&parse_rule("r", "if context A ^* then T (A, A_*)").unwrap()));
-        assert!(supports_incremental(&parse_rule("r", "if context {A} * B then T (A)").unwrap()));
     }
 
     /// The posting list answers exactly what a scan of the rows answers,
@@ -1459,8 +1445,8 @@ mod tests {
             let (mut db, avec, bvec) = setup();
             let rule = parse_rule("r", src).unwrap();
             let reg = SubdbRegistry::new();
-            let mut cache = seed_cache(&rule, &db, &reg).unwrap();
-            let mut mirror = cache.target.clone();
+            let (mut cache, mut target) = seed_cache(&rule, &db, &reg).unwrap();
+            let mut mirror = target.clone();
 
             let a_cls = db.schema().class_by_name("A").unwrap();
             let b_cls = db.schema().class_by_name("B").unwrap();
@@ -1473,9 +1459,10 @@ mod tests {
             let nb = db.new_object(b_cls).unwrap();
             db.associate(link, na, nb).unwrap();
 
-            let out = delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
+            let dirty = dirty_since(&db, mark);
+            let out = delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
             let full = apply_rule(&rule, &db, &reg).unwrap();
-            assert_eq!(cache.target.to_vec(), full.to_vec(), "target diverged for `{src}`");
+            assert_eq!(target.to_vec(), full.to_vec(), "target diverged for `{src}`");
             // Replaying the reported edits reproduces the new target.
             for p in &out.removed {
                 assert!(mirror.remove(p), "removed edit not present for `{src}`");
@@ -1487,9 +1474,10 @@ mod tests {
             // The refreshed cache is itself a valid base for another step.
             let mark = db.seq();
             db.dissociate(link, avec[0], bvec[0]).unwrap();
-            delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
+            let dirty = dirty_since(&db, mark);
+            delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
             let full2 = apply_rule(&rule, &db, &reg).unwrap();
-            assert_eq!(cache.target.to_vec(), full2.to_vec(), "second step diverged for `{src}`");
+            assert_eq!(target.to_vec(), full2.to_vec(), "second step diverged for `{src}`");
         }
     }
 
@@ -1501,14 +1489,13 @@ mod tests {
         let (mut db, avec, _bvec) = setup();
         let rule = parse_rule("r", "if context {A} * B then T (A, B)").unwrap();
         let reg = SubdbRegistry::new();
-        let mut cache = seed_cache(&rule, &db, &reg).unwrap();
+        let (mut cache, mut target) = seed_cache(&rule, &db, &reg).unwrap();
         let mark = db.seq();
         db.delete_object(avec[1]).unwrap();
-        delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
+        delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty_since(&db, mark)).unwrap();
         let full = apply_rule(&rule, &db, &reg).unwrap();
-        assert_eq!(cache.target.to_vec(), full.to_vec());
-        assert!(cache
-            .target
+        assert_eq!(target.to_vec(), full.to_vec());
+        assert!(target
             .patterns()
             .all(|p| p.components().iter().flatten().all(|&o| o != avec[1])));
     }
@@ -1525,21 +1512,23 @@ mod tests {
         db.associate(link, avec[0], bvec[1]).unwrap();
         let rule = parse_rule("r", "if context A * B then T (A)").unwrap();
         let reg = SubdbRegistry::new();
-        let mut cache = seed_cache(&rule, &db, &reg).unwrap();
-        assert!(cache.target.patterns().any(|p| p.get(0) == Some(avec[0])));
+        let (mut cache, mut target) = seed_cache(&rule, &db, &reg).unwrap();
+        assert!(target.patterns().any(|p| p.get(0) == Some(avec[0])));
 
         let mark = db.seq();
         db.dissociate(link, avec[0], bvec[0]).unwrap();
-        let one = delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
-        assert!(cache.target.patterns().any(|p| p.get(0) == Some(avec[0])), "count 2→1 kept");
+        let dirty = dirty_since(&db, mark);
+        let one = delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
+        assert!(target.patterns().any(|p| p.get(0) == Some(avec[0])), "count 2→1 kept");
         assert!(!one.changed(), "count 2→1 is invisible in the target");
 
         let mark = db.seq();
         db.dissociate(link, avec[0], bvec[1]).unwrap();
-        let zero = delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
-        assert!(cache.target.patterns().all(|p| p.get(0) != Some(avec[0])), "count 1→0 dies");
+        let dirty = dirty_since(&db, mark);
+        let zero = delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
+        assert!(target.patterns().all(|p| p.get(0) != Some(avec[0])), "count 1→0 dies");
         assert!(zero.removed.iter().any(|p| p.get(0) == Some(avec[0])));
-        assert_eq!(cache.target.to_vec(), apply_rule(&rule, &db, &reg).unwrap().to_vec());
+        assert_eq!(target.to_vec(), apply_rule(&rule, &db, &reg).unwrap().to_vec());
     }
 
     /// A prerequisite-style self-association for closure rules: five nodes
@@ -1578,7 +1567,7 @@ mod tests {
             let (mut db, ns) = setup_cyclic();
             let rule = parse_rule("r", src).unwrap();
             let reg = SubdbRegistry::new();
-            let mut cache = seed_cache(&rule, &db, &reg).unwrap();
+            let (mut cache, mut target) = seed_cache(&rule, &db, &reg).unwrap();
             let n_cls = db.schema().class_by_name("N").unwrap();
             let next = db.schema().own_link_by_name(n_cls, "Next").unwrap();
 
@@ -1590,15 +1579,16 @@ mod tests {
             db.associate(next, ns[4], n5).unwrap();
             db.associate(next, ns[1], ns[3]).unwrap();
             db.set_attr(ns[2], "v", Value::Int(99)).unwrap();
-            let mut mirror = cache.target.clone();
-            let out = delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
+            let mut mirror = target.clone();
+            let dirty = dirty_since(&db, mark);
+            let out = delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
             let full = apply_rule(&rule, &db, &reg).unwrap();
-            assert_eq!(cache.target.to_vec(), full.to_vec(), "insert step diverged for `{src}`");
+            assert_eq!(target.to_vec(), full.to_vec(), "insert step diverged for `{src}`");
             // Replay the reported edits as the engine does: a width change
             // re-shapes the intension, so the maintained copy is taken
             // wholesale there.
-            if mirror.intension.width() != cache.target.intension.width() {
-                mirror = cache.target.clone();
+            if mirror.intension.width() != target.intension.width() {
+                mirror = target.clone();
             } else {
                 for p in &out.removed {
                     assert!(mirror.remove(p), "removed edit not present for `{src}`");
@@ -1613,16 +1603,18 @@ mod tests {
             let mark = db.seq();
             db.dissociate(next, ns[4], n5).unwrap();
             db.delete_object(ns[3]).unwrap();
-            delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
+            let dirty = dirty_since(&db, mark);
+            delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
             let full = apply_rule(&rule, &db, &reg).unwrap();
-            assert_eq!(cache.target.to_vec(), full.to_vec(), "delete step diverged for `{src}`");
+            assert_eq!(target.to_vec(), full.to_vec(), "delete step diverged for `{src}`");
 
             // Cycle creation: n2 → n0 closes a loop.
             let mark = db.seq();
             db.associate(next, ns[2], ns[0]).unwrap();
-            delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
+            let dirty = dirty_since(&db, mark);
+            delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
             let full = apply_rule(&rule, &db, &reg).unwrap();
-            assert_eq!(cache.target.to_vec(), full.to_vec(), "cycle step diverged for `{src}`");
+            assert_eq!(target.to_vec(), full.to_vec(), "cycle step diverged for `{src}`");
         }
     }
 
@@ -1643,13 +1635,13 @@ mod tests {
         db.associate(next, m0, m1).unwrap();
         let rule = parse_rule("r", "if context N ^* then T (N, N_*)").unwrap();
         let reg = SubdbRegistry::new();
-        let mut cache = seed_cache(&rule, &db, &reg).unwrap();
+        let (mut cache, mut target) = seed_cache(&rule, &db, &reg).unwrap();
         let mark = db.seq();
         db.dissociate(next, m0, m1).unwrap();
         db.associate(next, m1, m0).unwrap();
-        delta_apply(&rule, &db, &reg, &mut cache, &dirty_since(&db, mark)).unwrap();
+        delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty_since(&db, mark)).unwrap();
         let full = apply_rule(&rule, &db, &reg).unwrap();
-        assert_eq!(cache.target.to_vec(), full.to_vec());
+        assert_eq!(target.to_vec(), full.to_vec());
         assert_eq!(cache.ctx_pre.intension.width(), 5, "width must not have changed");
         // Untouched chains' provenance survives: ns[0] still reaches ns[1].
         assert!(cache.closure.as_ref().unwrap().succ[&ns[0]].contains(&ns[1]));

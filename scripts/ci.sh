@@ -199,4 +199,25 @@ if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \
     exit 1
 fi
 
+# Each derived result is built once and the rule graph once per program:
+# allocations per `cold_pipeline` op in `rules.register` and `rules.derive`,
+# from one short traced run, each ceiling a measured value plus 25 %:
+# 1 137 and 3 236 once `register` built the dependency graph once and a
+# seeded result went into the registry as the maintained target (2 125
+# and 4 182 with a graph rebuild after every added rule and four copies
+# of each seeded result).
+SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
+for ceiling in rules.register:1422 rules.derive:4045; do
+    STAGE="${ceiling%%:*}"
+    MAX="${ceiling##*:}"
+    ALLOCS="$(metric "$STAGE.allocs_per_op")"
+    if ! awk -v a="$ALLOCS" -v s="$STAGE" -v max="$MAX" \
+        'BEGIN { if (a == "") exit 1
+                 printf "ci: %s allocates %.1f per cold_pipeline op (ceiling %d)\n", s, a, max
+                 exit (a > max) }'; then
+        echo "ci: $STAGE allocations per cold_pipeline op ($ALLOCS) exceed $MAX or are missing" >&2
+        exit 1
+    fi
+done
+
 echo "ci: PASS"

@@ -5,7 +5,7 @@
 use dood::core::subdb::SubdbRegistry;
 use dood::core::value::Value;
 use dood::oql::Oql;
-use dood::rules::{RuleEngine, RuleError};
+use dood::rules::{EvalPolicy, Program, RuleEngine, RuleError};
 use dood::store::Database;
 use dood::workload::university::{self, Size};
 
@@ -34,6 +34,47 @@ fn cyclic_rule_sets_rejected_eagerly() {
         .add_rule("Rb", "if context Xx:Teacher * Section then Yy (Teacher)")
         .unwrap_err();
     assert!(matches!(err, RuleError::CyclicRules(_)));
+}
+
+/// `register` is all or nothing: a program the analyzer passes but whose
+/// last rule closes a cycle through an already registered rule leaves the
+/// rules, the dependency graph and the registry as they were.
+#[test]
+fn register_rejected_at_its_last_rule_changes_nothing() {
+    let db = university::populate(Size::small(), 1);
+    let mut engine = RuleEngine::new(db);
+    engine
+        .add_rule(
+            "R1",
+            "if context Teacher * Section * Course then Teacher_course (Teacher, Course)",
+        )
+        .unwrap();
+    engine
+        .add_rule("Ra", "if context Yy:Teacher * Section then Xx (Teacher)")
+        .unwrap();
+    engine.set_policy("Teacher_course", EvalPolicy::PreEvaluated);
+    engine.derive("Teacher_course").unwrap();
+    let rule_names = |e: &RuleEngine| e.rules().iter().map(|r| r.name.clone()).collect::<Vec<_>>();
+    let subdb_names =
+        |e: &RuleEngine| e.registry().names().into_iter().map(String::from).collect::<Vec<_>>();
+    let (rules_before, subdbs_before) = (rule_names(&engine), subdb_names(&engine));
+
+    let (program, diags) = Program::parse(
+        "schema builtin university\n\
+         rule Rp:\n  if context Teacher * Section\n  then Zz (Teacher)\n\
+         rule Rb:\n  if context Xx:Teacher * Section\n  then Yy (Teacher)\n",
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+    let err = engine.register(&program).unwrap_err();
+    assert!(matches!(err, RuleError::CyclicRules(_)), "{err:?}");
+    assert_eq!(rule_names(&engine), rules_before);
+    assert_eq!(subdb_names(&engine), subdbs_before);
+    // The graph is the one before: the rejected rules derive nothing, and
+    // forward chaining still finds an order for the rules it has.
+    assert!(matches!(engine.derive("Zz"), Err(RuleError::UnderivableSubdb(_))));
+    let course = engine.db().schema().class_by_name("Course").unwrap();
+    engine.db_mut().new_object(course).unwrap();
+    assert_eq!(engine.propagate().expect("the rule set is still acyclic"), ["Teacher_course"]);
 }
 
 #[test]

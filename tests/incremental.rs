@@ -41,7 +41,10 @@
 //! * the copy is committed with its old epoch —
 //!   `catch_up_equals_fresh_company`, `…_university`;
 //! * a failed step puts its caches back and the copy fresh —
-//!   `failed_step_leaves_no_cache_ahead_of_its_copy`.
+//!   `failed_step_leaves_no_cache_ahead_of_its_copy`;
+//! * a union (R4/R5) applies a rule's removal although another of its
+//!   rules still derives the pattern — `incremental_equals_fresh_company`,
+//!   `catch_up_equals_fresh_company`, `…_rule_oriented_backward`.
 
 #[path = "common/spec_eval.rs"]
 mod spec_eval;

@@ -2,16 +2,20 @@
 //! Query 5.1) and the transitive closure operation (rules R6 and R7).
 
 mod common;
+#[path = "common/spec_eval.rs"]
+mod spec_eval;
 
-use common::{assert_patterns, s};
+use common::{assert_patterns, patterns_of, s};
 use dood::core::ids::Oid;
 use dood::core::subdb::SubdbRegistry;
 use dood::core::value::Value;
+use dood::oql::resolve::resolve_context;
 use dood::oql::Oql;
-use dood::rules::RuleEngine;
+use dood::rules::{Program, RuleEngine};
 use dood::store::Database;
 use dood::workload::figures::fig_5_1;
-use dood::workload::university;
+use dood::workload::{programs, university};
+use spec_eval::{spec_eval, Row};
 
 /// §5.1's exact example: "if the original database contains only the two
 /// patterns (a1,b5,c5,d5) and (b2,c2), then the expression A * {B * C} * D
@@ -199,6 +203,45 @@ fn rule_r7_levels() {
             vec![s(g3), None],
         ],
     );
+}
+
+/// R7 over a population whose grad-teaching-grad chains all stop before
+/// the third level (the builtin university database, seed 8): `Grad_2` is
+/// a slot that is Null in every pattern, not an unknown target — whether a
+/// named level exists is up to the data, as for a `Grad_*` family, so the
+/// rule's legality is not. The result is the spec evaluator's R7 context
+/// projected by hand, and what `derive_fresh` derives.
+#[test]
+fn rule_r7_level_the_data_does_not_reach() {
+    let db = programs::builtin_database("university", 8).expect("builtin database");
+    let (program, parse_diags) = Program::parse(programs::UNIVERSITY);
+    assert!(parse_diags.is_empty(), "{parse_diags:?}");
+    let r7 = &program.rules.iter().find(|r| r.rule.name == "R7").expect("R7").rule;
+    let ctx = resolve_context(&r7.context, db.schema(), &SubdbRegistry::new()).unwrap();
+    let chains = spec_eval(&ctx, &db, &SubdbRegistry::new());
+    assert!(
+        chains.iter().all(|row| row.len() < 3),
+        "the seed must stop every chain before Grad_2"
+    );
+    // THEN (Grad, Grad_2): project, drop all-Null rows and strict parts.
+    let mut projected: Vec<Row> =
+        chains.iter().map(|row| vec![row[0], row.get(2).copied().flatten()]).collect();
+    projected.retain(|row| row.iter().any(Option::is_some));
+    projected.sort();
+    projected.dedup();
+    let part = |a: &Row, b: &Row| a != b && a.iter().zip(b).all(|(x, y)| x.is_none() || x == y);
+    let want: Vec<Row> =
+        projected.iter().filter(|a| !projected.iter().any(|b| part(a, b))).cloned().collect();
+    assert!(!want.is_empty());
+
+    let mut engine = RuleEngine::new(db);
+    engine.register(&program).expect("the builtin program registers");
+    let sd = engine.subdb("First_and_third").expect("R7 derives");
+    let names: Vec<&str> = sd.intension.slots.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["Grad", "Grad_2"]);
+    assert_eq!(patterns_of(sd), want);
+    let fresh = engine.derive_fresh("First_and_third").expect("the oracle derives");
+    assert_eq!(patterns_of(&fresh), want);
 }
 
 /// Bounded iteration `^N`: N traversals produce at most N+1 levels
