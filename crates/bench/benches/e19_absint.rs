@@ -1,5 +1,7 @@
-//! E19 — abstract interpretation (DESIGN.md §12): analysis throughput of
-//! `rules::absint` over the builtin corpus and synthetic rule chains.
+//! E19 — abstract interpretation (DESIGN.md §12): throughput of
+//! `analyze_bounds` — the analyzer's walk plus the numeric bounds, the
+//! on-demand path behind `doodlint --absint` and `doodprof --plan` — over
+//! the builtin corpus and synthetic rule chains.
 //!
 //! Verdict: `analyze_bounds` on the 200-rule chain must stay within
 //! `NS_PER_RULE_BUDGET` per rule (the base analyzer ran at ~2 µs/rule when
@@ -16,9 +18,8 @@ use dood_rules::program::Program;
 use dood_workload::{programs, university};
 
 /// Per-rule analysis budget for `analyze_bounds` on the 200-rule chain.
-/// The base analyzer ran at ~2 µs/rule (E14); the abstract interpreter
-/// re-walks every context with interval arithmetic on top, so it gets
-/// twice that.
+/// The base analyzer ran at ~2 µs/rule (E14); `analyze_bounds` runs that
+/// walk and then bounds every context it resolved, so it gets twice that.
 const NS_PER_RULE_BUDGET: f64 = 4_000.0;
 
 /// A synthetic chain program: `C0` reads base

@@ -1,9 +1,7 @@
-//! `rules::absint` — a multi-pass abstract interpreter over analyzed rule
-//! programs (DESIGN.md §12).
+//! `rules::absint` — abstract interpretation of analyzed rule programs
+//! (DESIGN.md §12), in two stages over the analyzer's one resolution.
 //!
-//! Everything here is decidable (or soundly boundable) from the **schema
-//! and program text alone** — no extensional data is touched unless the
-//! caller supplies a [`CardEnv`] snapshot:
+//! **In the analyzer's walk** (schema only, every `analyze`/`register`):
 //!
 //! 1. **Predicate lattice** — every intra-class condition and WHERE
 //!    comparison is abstracted into a per-attribute interval with excluded
@@ -13,39 +11,41 @@
 //!    satisfiability of attribute-vs-literal predicates is decided
 //!    *exactly* within the atom domain. Contradictions are `E017`; a later
 //!    condition implied by the constraints already accumulated is `W108`.
-//! 2. **Abstract cardinalities** — schema-derived per-slot candidate
-//!    bounds and per-edge fan-out bounds (`Single` cardinality → 1,
-//!    generalization identity → 1, `Many` → link count or ∞) are
-//!    propagated through each context's join chain: any contiguous slot
-//!    range gets a worst-case row bound (minimum over anchor choices of
-//!    the directed fan product). Rule extents are bounded by the sum over
-//!    retention spans; derived-subdatabase bounds flow topologically into
-//!    downstream rules. Reading a provably-empty derived source is
-//!    `E018`; an unconstrained chain crossing several wide (Many)
-//!    association edges is the `W109` join-blowup warning.
-//! 3. **Null-flow** — brace retention (`{...}`) leaves slots outside the
-//!    retained span Null, and a WHERE comparison referencing such a slot
-//!    drops every retained pattern, so those spans contribute **zero** to
-//!    the extent bound (the quantitative side of the `W104` lint).
-//! 4. **Closure reach/depth** — a `^*`/`^N` context's family reach is
-//!    bounded by the seed class's extent, and a closure whose chain *and*
-//!    cycle-back edges are all generalization identities reaches fixpoint
-//!    at level 1 — so `^N` with `N >= 2` is a provably dead tail (`W110`).
+//! 2. **Emptiness** — a context is provably empty when a predicate or
+//!    WHERE condition admits nothing, or it reads a provably-empty derived
+//!    subdatabase (`E018`); the flag flows to readers in topological
+//!    order. Brace retention counts (null-flow, below).
+//! 3. **Schema shape** — an unconstrained chain crossing several wide
+//!    (Many) association edges is the `W109` join-blowup warning; a
+//!    closure whose chain *and* cycle-back edges are all generalization
+//!    identities reaches fixpoint at level 1, so `^N` with `N >= 2` is a
+//!    provably dead tail (`W110`).
+//!
+//! **On demand** ([`analyze_bounds`], against a [`CardEnv`]): per-slot
+//! candidate bounds and per-edge fan-out bounds (`Single` cardinality → 1,
+//! generalization identity → 1, `Many` → link count or ∞) are propagated
+//! through each context's join chain: any contiguous slot range gets a
+//! worst-case row bound (minimum over anchor choices of the directed fan
+//! product). Rule extents are bounded by the sum over retention spans —
+//! null-flow: a span that a WHERE comparison reads outside of sees Null
+//! there and contributes **zero** (the quantitative side of `W104`) — and
+//! derived-subdatabase bounds flow topologically into downstream rules.
+//! A `^*`/`^N` context's family reach is bounded by the seed class's
+//! extent.
 //!
 //! Soundness is machine-checked: `tests/absint.rs` asserts observed
 //! runtime cardinalities never exceed the static bounds across all builtin
-//! schemas and populations.
+//! schemas and populations, and pins the bound tables of the builtin
+//! corpus.
 
-use crate::analyze::{shape, Shape};
-use crate::ast::{Rule, TargetItem};
-use crate::depgraph::DepGraph;
-use crate::program::{Program, ProgramRule};
+use crate::analyze::{Analyzer, Context, Edge, OccInfo, Shape};
+use crate::program::Program;
 use dood_core::diag::{Diagnostic, Span};
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::{AssocId, ClassId};
-use dood_core::schema::{Cardinality, ResolvedEdge, Schema};
+use dood_core::schema::{Cardinality, Schema};
 use dood_core::value::{DType, Value};
-use dood_oql::ast::{AggFunc, ClassRef, CmpOp, CmpRhs, PatOp, Pred, WhereCond};
+use dood_oql::ast::{AggFunc, CmpOp, CmpRhs, PatOp, Pred, WhereCond};
 use dood_store::Database;
 
 /// Cap on DNF disjuncts; predicates exceeding it are conservatively
@@ -551,11 +551,12 @@ fn range_hi_of(slot_hi: &[f64], fan_fwd: &[f64], fan_rev: &[f64], lo: usize, hi:
 }
 
 /// The whole program's abstract interpretation: per-context bounds plus
-/// the diagnostics the pass derives from them.
+/// the analyzer's abstract-interpretation diagnostics.
 pub struct Analysis {
     /// Bounds per rule (declaration order) then query (declaration order).
     pub rules: Vec<RuleBounds>,
-    /// E017/E018/W108/W109/W110 diagnostics, unsorted.
+    /// E017/E018/W108/W109/W110 diagnostics from the schema alone (the
+    /// same whatever the [`CardEnv`]), unsorted.
     pub diags: Vec<Diagnostic>,
     /// Derived-subdatabase extent bounds (sums over deriving rules).
     pub subdb_hi: FxHashMap<String, f64>,
@@ -569,469 +570,234 @@ impl Analysis {
 }
 
 // ====================================================================
-// The interpreter
+// Numeric bounds, on demand
 // ====================================================================
 
-/// Run the abstract interpreter over a program.
+/// Bound every rule and query of a program against `env`: run the
+/// analyzer, then, over the contexts it resolved and in its walk order
+/// (topological for rules, so source bounds exist before their readers),
+/// slot candidates, edge fans, rows, derived-subdatabase extents and
+/// closure reach/depth. The program's own `extern` directives are honored
+/// in addition to `external`. The diagnostics are the analyzer's
+/// schema-only abstract-interpretation codes, whatever `env`.
 pub fn analyze_bounds(
     program: &Program,
     schema: &Schema,
     external: &FxHashSet<String>,
     env: &CardEnv,
 ) -> Analysis {
-    let mut it = Interp {
-        prog: program,
-        schema,
-        external,
-        layouts: FxHashMap::default(),
-        subdb_hi: FxHashMap::default(),
-        out: Vec::new(),
-        diags: Vec::new(),
-    };
-    it.run(env);
-    Analysis { rules: it.out, diags: it.diags, subdb_hi: it.subdb_hi }
-}
-
-/// The diagnostics-only entry point `rules::analyze` folds in: pure
-/// schema reasoning (no extensional data). The program's own `extern`
-/// directives are honored in addition to `external`.
-pub fn diagnostics(
-    program: &Program,
-    schema: &Schema,
-    external: &FxHashSet<String>,
-) -> Vec<Diagnostic> {
-    let mut ext = external.clone();
-    ext.extend(program.externs.iter().cloned());
-    analyze_bounds(program, schema, &ext, &CardEnv::unknown()).diags
-}
-
-/// A derived subdatabase's statically-known slot layout.
-struct Layout {
-    slot_names: Vec<String>,
-    bases: Vec<Option<ClassId>>,
-    attrs: Vec<Option<Vec<String>>>,
-}
-
-/// A resolved context occurrence.
-struct Occ<'a> {
-    name: String,
-    subdb: Option<String>,
-    base: Option<ClassId>,
-    attr_filter: Option<Vec<String>>,
-    pred: Option<&'a Pred>,
-    span: Span,
-}
-
-struct Interp<'a> {
-    prog: &'a Program,
-    schema: &'a Schema,
-    external: &'a FxHashSet<String>,
-    layouts: FxHashMap<String, Layout>,
-    subdb_hi: FxHashMap<String, f64>,
-    out: Vec<RuleBounds>,
-    diags: Vec<Diagnostic>,
-}
-
-impl<'a> Interp<'a> {
-    fn err(&mut self, code: &'static str, msg: String, span: Span, owner: &str) {
-        let d = Diagnostic::error(code, msg).with_span(span, &self.prog.source).with_owner(owner);
-        self.diags.push(d);
-    }
-
-    fn warn(&mut self, code: &'static str, msg: String, span: Span, owner: &str, note: &str) {
-        let d = Diagnostic::warning(code, msg)
-            .with_span(span, &self.prog.source)
-            .with_owner(owner)
-            .with_note(note);
-        self.diags.push(d);
-    }
-
-    fn run(&mut self, env: &CardEnv) {
-        // Rule processing order: topological when stratified (so source
-        // subdatabase bounds exist before readers); declaration order on a
-        // cycle (the analyzer reports the cycle separately).
-        let rules: Vec<Rule> = self.prog.rules.iter().map(|r| r.rule.clone()).collect();
-        let graph = DepGraph::build(&rules);
-        let order: Vec<usize> = match graph.topo_order() {
-            Ok(names) => {
-                let mut out = Vec::new();
-                for n in &names {
-                    out.extend(graph.rules_for(n).iter().copied());
-                }
-                out
+    let a = Analyzer::run(program, schema, external);
+    let mut subdb_hi: FxHashMap<String, f64> = FxHashMap::default();
+    let mut rules = Vec::with_capacity(program.rules.len());
+    let mut queries = Vec::with_capacity(program.queries.len());
+    for ctx in &a.contexts {
+        let b = a.bounds(ctx, env, &subdb_hi);
+        match ctx.target {
+            Some(t) => {
+                *subdb_hi.entry(t.to_string()).or_insert(0.0) += b.rows_hi;
+                rules.push((ctx.index, b));
             }
-            Err(_) => (0..self.prog.rules.len()).collect(),
-        };
-        let mut computed: Vec<(usize, RuleBounds)> = Vec::new();
-        for ri in order {
-            let pr = &self.prog.rules[ri];
-            let b = self.interp_rule(pr, env);
-            *self.subdb_hi.entry(pr.rule.target_subdb.clone()).or_insert(0.0) += b.rows_hi;
-            self.record_layout(pr);
-            computed.push((ri, b));
-        }
-        computed.sort_by_key(|(ri, _)| *ri);
-        self.out.extend(computed.into_iter().map(|(_, b)| b));
-        let queries = self.prog.queries.iter();
-        for q in queries {
-            let sh = shape(&q.query.context.seq);
-            let occs = self.resolve_occs(&sh, &q.occurrences);
-            let b = self.interp_context(
-                &q.name,
-                &sh,
-                &occs,
-                q.query.context.closure.as_ref().map(|c| c.iterations),
-                &q.query.where_,
-                &q.wheres,
-                env,
-                true,
-            );
-            self.out.push(b);
+            None => queries.push(b),
         }
     }
+    rules.sort_by_key(|(i, _)| *i);
+    let rules = rules.into_iter().map(|(_, b)| b).chain(queries).collect();
+    Analysis { rules, diags: a.absint, subdb_hi }
+}
 
-    fn interp_rule(&mut self, pr: &'a ProgramRule, env: &CardEnv) -> RuleBounds {
-        let rule = &pr.rule;
-        let sh = shape(&rule.context.seq);
-        let occs = self.resolve_occs(&sh, &pr.spans.occurrences);
-        self.interp_context(
-            &rule.name,
-            &sh,
-            &occs,
-            rule.context.closure.as_ref().map(|c| c.iterations),
-            &rule.where_,
-            &pr.spans.wheres,
-            env,
-            false,
-        )
-    }
+/// The retention spans of a context that can contribute rows: the whole
+/// chain and each `{...}` group, less every span a WHERE comparison reads
+/// outside of — it sees Null there and drops each retained pattern
+/// (null-flow).
+fn kept_spans<'c>(ctx: &'c Context<'_>) -> impl Iterator<Item = (usize, usize)> + 'c {
+    let n = ctx.occs.len();
+    let groups = ctx.sh.groups.iter().map(|&(lo, hi)| (lo, hi + 1));
+    std::iter::once((0, n)).chain(groups.filter(move |&s| s != (0, n))).filter(|&(lo, hi)| {
+        !ctx.occs.iter().enumerate().any(|(i, o)| o.in_where && (i < lo || i >= hi))
+    })
+}
 
-    /// Record the target subdatabase's slot layout (first deriving rule
-    /// wins, matching the analyzer's layout convention).
-    fn record_layout(&mut self, pr: &'a ProgramRule) {
-        let rule = &pr.rule;
-        if self.layouts.contains_key(&rule.target_subdb) {
-            return;
-        }
-        let sh = shape(&rule.context.seq);
-        let mut slot_names = Vec::new();
-        let mut bases = Vec::new();
-        let mut attrs = Vec::new();
-        for t in &rule.targets {
-            if let TargetItem::Class { class, attrs: a } = t {
-                let base = sh
-                    .occs
-                    .iter()
-                    .find(|(c, _)| c.name == class.name)
-                    .and_then(|(c, _)| self.base_of(c));
-                bases.push(base);
-                slot_names.push(class.name.clone());
-                attrs.push(a.clone());
-            }
-        }
-        self.layouts.insert(rule.target_subdb.clone(), Layout { slot_names, bases, attrs });
-    }
-
-    /// The base class a name denotes: the class itself, or (for a closure
-    /// alias like `Part_1`) its family class.
-    fn class_of(&self, name: &str) -> Option<ClassId> {
-        self.schema.try_class_by_name(name).or_else(|| {
-            let (family, level) = ClassRef::split_alias(name);
-            if level > 0 {
-                self.schema.try_class_by_name(family)
-            } else {
-                None
-            }
-        })
-    }
-
-    fn base_of(&self, cref: &ClassRef) -> Option<ClassId> {
-        match &cref.subdb {
-            Some(sd) => match self.layouts.get(sd.as_str()) {
-                Some(l) => l
-                    .slot_names
-                    .iter()
-                    .position(|n| *n == cref.name)
-                    .and_then(|i| l.bases[i])
-                    .or_else(|| self.class_of(&cref.name)),
-                None => self.class_of(&cref.name),
-            },
-            None => self.class_of(&cref.name),
-        }
-    }
-
-    fn resolve_occs(&self, sh: &Shape<'a>, spans: &[Span]) -> Vec<Occ<'a>> {
-        sh.occs
+impl Analyzer<'_> {
+    /// One context's numeric bounds, given the extents of the derived
+    /// subdatabases bounded so far.
+    fn bounds(
+        &self,
+        ctx: &Context<'_>,
+        env: &CardEnv,
+        subdb_hi: &FxHashMap<String, f64>,
+    ) -> RuleBounds {
+        let occs = &ctx.occs;
+        let source_hi = |sd: &str| subdb_hi.get(sd).copied().unwrap_or(f64::INFINITY);
+        let slot_hi: Vec<f64> = occs
             .iter()
-            .enumerate()
-            .map(|(i, (cref, pred))| {
-                let attr_filter = cref.subdb.as_ref().and_then(|sd| {
-                    let l = self.layouts.get(sd.as_str())?;
-                    let idx = l.slot_names.iter().position(|n| *n == cref.name)?;
-                    l.attrs[idx].clone()
-                });
-                Occ {
-                    name: cref.name.clone(),
-                    subdb: cref.subdb.clone(),
-                    base: self.base_of(cref),
-                    attr_filter,
-                    pred: *pred,
-                    span: spans.get(i).copied().unwrap_or_default(),
+            .map(|o| match o.subdb {
+                _ if o.unsat => 0.0,
+                Some(sd) if self.external.contains(sd) => f64::INFINITY,
+                Some(sd) => source_hi(sd),
+                None => env.extent_hi(o.base),
+            })
+            .collect();
+        let (fan_fwd, fan_rev): (Vec<f64>, Vec<f64>) = (0..occs.len().saturating_sub(1))
+            .map(|i| {
+                let (a, b) = (&occs[i], &occs[i + 1]);
+                if ctx.sh.ops[i] == PatOp::NonAssoc {
+                    // `!` keeps unlinked pairs: per row, up to the whole
+                    // opposite candidate set. (W106 owns the lint.)
+                    (slot_hi[i + 1], slot_hi[i])
+                } else if let Some(sd) = a.subdb.filter(|_| a.subdb == b.subdb) {
+                    // Two slots of one derived subdatabase: adjacency
+                    // through its patterns, bounded by their count.
+                    (source_hi(sd), source_hi(sd))
+                } else {
+                    self.fans(a.edge, env)
                 }
             })
-            .collect()
+            .unzip();
+        let mut rows_hi = kept_spans(ctx)
+            .filter(|&(lo, hi)| lo < hi)
+            .map(|(lo, hi)| range_hi_of(&slot_hi, &fan_fwd, &fan_rev, lo, hi))
+            .sum::<f64>();
+        if ctx.where_unsat {
+            rows_hi = 0.0;
+        }
+        let closure = ctx.closure.map(|levels| {
+            // Chain counts are not usefully boundable for closures, but
+            // emptiness still propagates: an empty chain slot (or an
+            // unsatisfiable WHERE) kills every chain at every level.
+            let chain_empty = slot_hi.contains(&0.0) || ctx.where_unsat;
+            rows_hi = if chain_empty { 0.0 } else { f64::INFINITY };
+            ClosureBounds {
+                reach_hi: env.extent_hi(occs.first().and_then(|o| o.base)),
+                depth_hi: if ctx.identity_closure {
+                    1.0
+                } else {
+                    levels.map_or(f64::INFINITY, |l| l as f64)
+                },
+                levels,
+            }
+        });
+        RuleBounds {
+            owner: ctx.owner.to_string(),
+            slot_names: occs.iter().map(|o| o.name.to_string()).collect(),
+            slot_hi,
+            fan_fwd,
+            fan_rev,
+            rows_hi,
+            closure,
+            empty: rows_hi == 0.0,
+            is_query: ctx.target.is_none(),
+        }
     }
 
-    /// Resolve an attribute's declared type on an occurrence, respecting
-    /// the attribute filter a deriving rule's THEN clause imposed.
-    fn dtype_on(&self, occ: &Occ<'_>, attr: &str) -> Option<DType> {
-        if let Some(f) = &occ.attr_filter {
-            if !f.iter().any(|a| a == attr) {
-                return None;
-            }
+    /// Fan-out bounds of a resolved edge, traversing left→right and
+    /// right→left.
+    fn fans(&self, edge: Edge, env: &CardEnv) -> (f64, f64) {
+        let Edge::Assoc { assoc, forward } = edge else {
+            return if edge == Edge::Identity { (1.0, 1.0) } else { (f64::INFINITY, f64::INFINITY) };
+        };
+        let def = self.schema.assoc(assoc);
+        // A direct generalization link is identity-valued: the subclass
+        // object *is* the superclass object, so the fan is 1 both ways
+        // regardless of declared cardinality.
+        if def.is_generalization() {
+            return (1.0, 1.0);
+        }
+        let links = env.links_hi(assoc);
+        // `forward` = this edge's left→right traversal follows the
+        // association's own from→to orientation; `Single` bounds exactly
+        // that direction. Generalization climbing on either side is
+        // identity-valued (fan × 1).
+        let narrow = if def.cardinality == Cardinality::Single { 1.0 } else { links };
+        if forward {
+            (narrow, links)
+        } else {
+            (links, narrow)
+        }
+    }
+}
+
+// ====================================================================
+// Diagnostics in the analyzer's walk
+// ====================================================================
+
+impl Analyzer<'_> {
+    /// An attribute's declared type on an occurrence, respecting the
+    /// attribute filter a deriving rule's THEN clause imposed.
+    fn dtype_on(&self, occ: &OccInfo<'_>, attr: &str) -> Option<DType> {
+        if occ.filter.is_some_and(|f| !f.iter().any(|a| a == attr)) {
+            return None;
         }
         let base = occ.base?;
         self.schema.resolve_attr(base, attr).ok().and_then(|ra| self.schema.attr_dtype(ra.attr))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn interp_context(
-        &mut self,
-        owner: &str,
-        sh: &Shape<'_>,
-        occs: &[Occ<'_>],
-        closure: Option<Option<u32>>,
-        wheres: &[WhereCond],
-        where_spans: &[Span],
-        env: &CardEnv,
-        is_query: bool,
-    ) -> RuleBounds {
-        let n = occs.len();
-        // ---- Pass 1: predicate lattice per slot -----------------------
-        let mut slot_env: Vec<FxHashMap<String, Ival>> = Vec::with_capacity(n);
-        let mut slot_unsat = vec![false; n];
-        for (i, occ) in occs.iter().enumerate() {
-            let mut envmap = FxHashMap::default();
-            if let Some(p) = occ.pred {
-                let abs = abstract_pred(p, &|attr| self.dtype_on(occ, attr));
-                if !abs.sat {
-                    slot_unsat[i] = true;
-                    self.err(
-                        "E017",
-                        format!(
-                            "condition on `{}` is statically unsatisfiable: no value of \
-                             the constrained attributes can satisfy it",
-                            occ.name
-                        ),
-                        occ.span,
-                        owner,
-                    );
-                } else {
-                    envmap = abs.hull;
-                }
-            }
-            slot_env.push(envmap);
+    /// Abstract an occurrence's `[...]` condition into per-attribute
+    /// intervals; E017 when no value satisfies it.
+    pub(crate) fn interpret_condition(&mut self, occ: &mut OccInfo<'_>, owner: &str) {
+        let Some(p) = occ.pred else { return };
+        let abs = abstract_pred(p, &|attr| self.dtype_on(occ, attr));
+        if abs.sat {
+            occ.env = abs.hull;
+            return;
         }
-        // ---- Pass 2: WHERE narrowing (E017 / W108) --------------------
-        let mut where_unsat = false;
-        for (wi, cond) in wheres.iter().enumerate() {
-            let span = where_spans.get(wi).copied().unwrap_or_default();
-            where_unsat |=
-                self.interp_where(owner, cond, span, occs, &mut slot_env, &mut slot_unsat);
-        }
-        // ---- Pass 3: abstract cardinalities ---------------------------
-        let mut slot_hi = Vec::with_capacity(n);
-        for (i, occ) in occs.iter().enumerate() {
-            let raw = match &occ.subdb {
-                Some(sd) if self.external.contains(sd.as_str()) => f64::INFINITY,
-                Some(sd) => match self.subdb_hi.get(sd.as_str()).copied() {
-                    Some(v) => {
-                        if v == 0.0 {
-                            self.err(
-                                "E018",
-                                format!(
-                                    "statically-empty context: subdatabase `{sd}` is \
-                                     provably empty (no deriving rule can produce a \
-                                     pattern)"
-                                ),
-                                occ.span,
-                                owner,
-                            );
-                        }
-                        v
-                    }
-                    None => f64::INFINITY,
-                },
-                None => env.extent_hi(occ.base),
-            };
-            slot_hi.push(if slot_unsat[i] { 0.0 } else { raw });
-        }
-        // ---- Edge fan-out bounds + wide-edge count --------------------
-        let mut fan_fwd = Vec::new();
-        let mut fan_rev = Vec::new();
-        let mut wide_edges = 0usize;
-        for i in 0..n.saturating_sub(1) {
-            let (f, r, wide) = self.edge_fans(&occs[i], &occs[i + 1], sh.ops[i], &slot_hi, i, env);
-            if wide {
-                wide_edges += 1;
-            }
-            fan_fwd.push(f);
-            fan_rev.push(r);
-        }
-        // ---- W109: join blowup ---------------------------------------
-        let constrained = (0..n).any(|i| occs[i].pred.is_some() || occs[i].subdb.is_some());
-        if closure.is_none() && !constrained && wide_edges >= W109_WIDE_EDGES && n >= 3 {
-            self.warn(
-                "W109",
-                format!(
-                    "join blowup: the chain crosses {wide_edges} wide (Many-cardinality) \
-                     association edges with no narrowing condition on any slot; the \
-                     worst-case extent grows multiplicatively"
-                ),
-                occs[0].span,
-                owner,
-                "add a `[...]` condition or read from a restricted subdatabase",
-            );
-        }
-        // ---- Retention spans + null-flow ------------------------------
-        let mut spans: Vec<(usize, usize)> = vec![(0, n)];
-        for &(lo, hi) in &sh.groups {
-            if !(lo == 0 && hi + 1 == n) {
-                spans.push((lo, hi + 1));
-            }
-        }
-        let where_slots = where_cmp_slots(wheres, occs);
-        let mut rows_hi = 0.0f64;
-        for &(lo, hi) in &spans {
-            // Null-flow: a WHERE comparison referencing a slot outside this
-            // retained span sees Null there and drops every retained
-            // pattern — the span contributes nothing.
-            if where_slots.iter().any(|&s| s < lo || s >= hi) {
-                continue;
-            }
-            if lo < hi {
-                rows_hi += range_hi_of(&slot_hi, &fan_fwd, &fan_rev, lo, hi);
-            }
-        }
-        if where_unsat {
-            rows_hi = 0.0;
-        }
-        // ---- Closure bounds (reach / depth, W110) ---------------------
-        let closure_bounds = if let Some(levels) = closure {
-            let all_identity = n > 0 && self.closure_all_identity(occs);
-            let depth_hi =
-                if all_identity { 1.0 } else { levels.map_or(f64::INFINITY, |l| l as f64) };
-            if all_identity {
-                if let Some(l) = levels {
-                    if l >= 2 {
-                        self.warn(
-                            "W110",
-                            format!(
-                                "closure bound `^{l}` provably exceeds the schema reach: \
-                                 every chain and cycle edge is a generalization \
-                                 identity, so the fixpoint terminates at level 1 and \
-                                 levels 2..{l} are dead"
-                            ),
-                            occs[0].span,
-                            owner,
-                            "`^1` (or no bound at all) derives the same result",
-                        );
-                    }
-                }
-            }
-            // Chain counts are not usefully boundable for closures, but
-            // emptiness still propagates: an empty chain slot (or an
-            // unsatisfiable WHERE) kills every chain at every level.
-            let chain_empty = slot_hi.iter().any(|&h| h == 0.0) || where_unsat;
-            rows_hi = if chain_empty { 0.0 } else { f64::INFINITY };
-            Some(ClosureBounds {
-                reach_hi: env.extent_hi(occs.first().and_then(|o| o.base)),
-                depth_hi,
-                levels,
-            })
-        } else {
-            None
-        };
-        RuleBounds {
-            owner: owner.to_string(),
-            slot_names: occs.iter().map(|o| o.name.clone()).collect(),
-            slot_hi,
-            fan_fwd,
-            fan_rev,
-            rows_hi,
-            closure: closure_bounds,
-            empty: rows_hi == 0.0,
-            is_query,
-        }
+        occ.unsat = true;
+        let msg = format!(
+            "condition on `{}` is statically unsatisfiable: no value of the constrained \
+             attributes can satisfy it",
+            occ.name
+        );
+        self.finding(Diagnostic::error("E017", msg), occ.span, owner);
     }
 
-    /// Narrow slot environments through one WHERE condition, reporting
-    /// E017 (contradiction) and W108 (subsumption). Returns whether the
-    /// condition is unsatisfiable — it then empties the whole context
-    /// (`apply_where` drops even retained patterns).
-    fn interp_where(
+    /// Narrow through one WHERE condition, reporting E017 (contradiction)
+    /// and W108 (subsumption). `operand` is a comparison's resolved left
+    /// occurrence and its attribute's type. Returns whether the condition
+    /// is unsatisfiable — it then empties the whole context (`apply_where`
+    /// drops even retained patterns).
+    pub(crate) fn interpret_where(
         &mut self,
-        owner: &str,
         cond: &WhereCond,
+        operand: Option<(&mut OccInfo<'_>, DType)>,
         span: Span,
-        occs: &[Occ<'_>],
-        slot_env: &mut [FxHashMap<String, Ival>],
-        slot_unsat: &mut [bool],
+        owner: &str,
     ) -> bool {
         match cond {
             WhereCond::Cmp { left: (cref, attr), op, right: CmpRhs::Lit(lit) } => {
-                let Some(si) = find_occ(occs, cref) else { return false };
-                let Some(dt) = self.dtype_on(&occs[si], attr) else {
-                    return false; // unresolvable: the analyzer reports it
-                };
+                // Unresolvable: the base passes report it.
+                let Some((occ, dt)) = operand else { return false };
                 let iv = Ival::from_cmp(*op, &lit.to_value(), Some(dt));
                 if iv.is_empty() {
-                    slot_unsat[si] = true;
-                    self.err(
-                        "E017",
-                        format!(
-                            "WHERE condition on `{cref}.{attr}` is statically \
-                             unsatisfiable on its own"
-                        ),
-                        span,
-                        owner,
+                    occ.unsat = true;
+                    let msg = format!(
+                        "WHERE condition on `{cref}.{attr}` is statically unsatisfiable on \
+                         its own"
                     );
+                    self.finding(Diagnostic::error("E017", msg), span, owner);
                     return true;
                 }
-                let cur =
-                    slot_env[si].entry(attr.clone()).or_insert_with(|| Ival::top(Some(dt)));
+                let cur = occ.env.entry(attr.clone()).or_insert_with(|| Ival::top(Some(dt)));
                 let subsumed = iv.subsumes(cur) && cur.constrained();
-                let narrowed = cur.intersect(&iv);
-                let contradiction = narrowed.is_empty();
-                *cur = narrowed;
+                *cur = cur.intersect(&iv);
+                let contradiction = cur.is_empty();
                 if subsumed {
-                    self.warn(
-                        "W108",
-                        format!(
-                            "WHERE condition on `{cref}.{attr}` is subsumed by the \
-                             constraints already established on that attribute: it can \
-                             never drop a pattern"
-                        ),
-                        span,
-                        owner,
-                        "remove it, or tighten the earlier condition",
+                    let msg = format!(
+                        "WHERE condition on `{cref}.{attr}` is subsumed by the constraints \
+                         already established on that attribute: it can never drop a pattern"
                     );
+                    let d = Diagnostic::warning("W108", msg)
+                        .with_note("remove it, or tighten the earlier condition");
+                    self.finding(d, span, owner);
                 }
                 if contradiction {
-                    slot_unsat[si] = true;
-                    self.err(
-                        "E017",
-                        format!(
-                            "WHERE condition on `{cref}.{attr}` contradicts the \
-                             constraints already established for `{}`",
-                            occs[si].name
-                        ),
-                        span,
-                        owner,
+                    occ.unsat = true;
+                    let msg = format!(
+                        "WHERE condition on `{cref}.{attr}` contradicts the constraints \
+                         already established for `{}`",
+                        occ.name
                     );
-                    return true;
+                    self.finding(Diagnostic::error("E017", msg), span, owner);
                 }
-                false
+                contradiction
             }
             WhereCond::Cmp { .. } => false, // attr-vs-attr: no static verdict
             WhereCond::Agg { func: AggFunc::Count, op, value, .. } => {
@@ -1041,142 +807,109 @@ impl<'a> Interp<'a> {
                 let iv = Ival::from_cmp(*op, &value.to_value(), Some(DType::Int));
                 let nonneg = Ival::from_cmp(CmpOp::Ge, &Value::Int(0), Some(DType::Int));
                 if iv.intersect(&nonneg).is_empty() {
-                    self.err(
-                        "E017",
-                        "WHERE count(...) threshold is statically unsatisfiable: a \
-                         count is never negative"
-                            .to_string(),
-                        span,
-                        owner,
-                    );
-                    true
-                } else {
-                    if iv.subsumes(&nonneg) {
-                        self.warn(
-                            "W108",
-                            "WHERE count(...) threshold is vacuous: every count \
-                             satisfies it"
-                                .to_string(),
-                            span,
-                            owner,
-                            "every group passes this threshold",
-                        );
-                    }
-                    false
+                    let msg = "WHERE count(...) threshold is statically unsatisfiable: a \
+                               count is never negative";
+                    self.finding(Diagnostic::error("E017", msg), span, owner);
+                    return true;
                 }
+                if iv.subsumes(&nonneg) {
+                    let msg = "WHERE count(...) threshold is vacuous: every count satisfies it";
+                    let d = Diagnostic::warning("W108", msg)
+                        .with_note("every group passes this threshold");
+                    self.finding(d, span, owner);
+                }
+                false
             }
             WhereCond::Agg { .. } => false, // sum/avg/min/max: no static bounds
         }
     }
 
-    /// Fan-out bounds for one edge in both directions, plus whether the
-    /// edge is wide (a Many-cardinality association — both traversal
-    /// directions can exceed 1 in the worst case).
-    fn edge_fans(
-        &self,
-        a: &Occ<'_>,
-        b: &Occ<'_>,
-        op: PatOp,
-        slot_hi: &[f64],
-        edge: usize,
-        env: &CardEnv,
-    ) -> (f64, f64, bool) {
-        if matches!(op, PatOp::NonAssoc) {
-            // `!` keeps unlinked pairs: per row, up to the whole opposite
-            // candidate set. (W106 owns the lint for this shape.)
-            return (slot_hi[edge + 1], slot_hi[edge], false);
+    /// W109: a non-closure chain of three or more slots, none of them
+    /// conditioned or read from a subdatabase, that crosses at least
+    /// [`W109_WIDE_EDGES`] wide (Many-cardinality association) edges.
+    pub(crate) fn lint_join_blowup(&mut self, sh: &Shape<'_>, occs: &[OccInfo<'_>], owner: &str) {
+        let constrained = occs.iter().any(|o| o.pred.is_some() || o.subdb.is_some());
+        if constrained || occs.len() < 3 {
+            return;
         }
-        // Two slots of the same derived subdatabase: adjacency through the
-        // source's patterns, bounded by its pattern count.
-        if a.subdb.is_some() && a.subdb == b.subdb {
-            let hi = a
-                .subdb
-                .as_deref()
-                .and_then(|sd| self.subdb_hi.get(sd).copied())
-                .unwrap_or(f64::INFINITY);
-            return (hi, hi, false);
-        }
-        let (Some(ca), Some(cb)) = (a.base, b.base) else {
-            return (f64::INFINITY, f64::INFINITY, false);
-        };
-        match self.schema.resolve_edge(ca, cb) {
-            Ok(ResolvedEdge::Identity { .. }) => (1.0, 1.0, false),
-            Ok(ResolvedEdge::Assoc { assoc, forward, .. }) => {
+        let wide = |i: usize| match occs[i].edge {
+            Edge::Assoc { assoc, .. } if sh.ops[i] == PatOp::Assoc => {
                 let def = self.schema.assoc(assoc);
-                // A direct generalization link is identity-valued: the
-                // subclass object *is* the superclass object, so the fan
-                // is 1 both ways regardless of declared cardinality.
-                if def.is_generalization() {
-                    return (1.0, 1.0, false);
-                }
-                let links = env.links_hi(assoc);
-                // `forward` = this edge's left→right traversal follows the
-                // association's own from→to orientation; `Single` bounds
-                // exactly that direction. Generalization climbing on
-                // either side is identity-valued (fan × 1).
-                let narrow = def.cardinality == Cardinality::Single;
-                let (f, r) = if forward {
-                    (if narrow { 1.0 } else { links }, links)
-                } else {
-                    (links, if narrow { 1.0 } else { links })
-                };
-                (f, r, !narrow)
+                !def.is_generalization() && def.cardinality != Cardinality::Single
             }
-            Err(_) => (f64::INFINITY, f64::INFINITY, false),
-        }
-    }
-
-    /// Whether every chain edge *and* the cycle-back edge of a closure
-    /// resolve to generalization identities (the sound W110 case: the
-    /// fixpoint reaches every member at level 1).
-    fn closure_all_identity(&self, occs: &[Occ<'_>]) -> bool {
-        let n = occs.len();
-        let ident = |x: &Occ<'_>, y: &Occ<'_>| -> bool {
-            match (x.base, y.base) {
-                (Some(a), Some(b)) => match self.schema.resolve_edge(a, b) {
-                    Ok(ResolvedEdge::Identity { .. }) => true,
-                    Ok(ResolvedEdge::Assoc { assoc, .. }) => {
-                        self.schema.assoc(assoc).is_generalization()
-                    }
-                    Err(_) => false,
-                },
-                _ => false,
-            }
+            _ => false,
         };
-        (0..n - 1).all(|i| ident(&occs[i], &occs[i + 1])) && ident(&occs[n - 1], &occs[0])
-    }
-}
-
-/// The unique occurrence a WHERE operand names, when unambiguous.
-fn find_occ(occs: &[Occ<'_>], cref: &ClassRef) -> Option<usize> {
-    let hits: Vec<usize> = occs
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| {
-            o.name == cref.name
-                && cref.subdb.as_ref().is_none_or(|s| o.subdb.as_deref() == Some(s))
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if hits.len() == 1 {
-        Some(hits[0])
-    } else {
-        None
-    }
-}
-
-/// Slot indices referenced by WHERE comparisons (null-flow tracking).
-fn where_cmp_slots(wheres: &[WhereCond], occs: &[Occ<'_>]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for c in wheres {
-        if let WhereCond::Cmp { left: (cref, _), right, .. } = c {
-            out.extend(find_occ(occs, cref));
-            if let CmpRhs::Attr(rc, _) = right {
-                out.extend(find_occ(occs, rc));
-            }
+        let wide_edges = (0..sh.ops.len()).filter(|&i| wide(i)).count();
+        if wide_edges < W109_WIDE_EDGES {
+            return;
         }
+        let msg = format!(
+            "join blowup: the chain crosses {wide_edges} wide (Many-cardinality) association \
+             edges with no narrowing condition on any slot; the worst-case extent grows \
+             multiplicatively"
+        );
+        let d = Diagnostic::warning("W109", msg)
+            .with_note("add a `[...]` condition or read from a restricted subdatabase");
+        self.finding(d, occs[0].span, owner);
     }
-    out
+
+    /// Whether every chain edge and the cycle-back edge `back` of a
+    /// closure is a generalization identity — the fixpoint then reaches
+    /// every member at level 1, and W110 flags a `^N` bound with `N >= 2`
+    /// as a provably dead tail.
+    pub(crate) fn identity_closure(
+        &mut self,
+        occs: &[OccInfo<'_>],
+        back: Edge,
+        levels: Option<u32>,
+        owner: &str,
+    ) -> bool {
+        let identity = |e: Edge| match e {
+            Edge::Identity => true,
+            Edge::Assoc { assoc, .. } => self.schema.assoc(assoc).is_generalization(),
+            Edge::Open => false,
+        };
+        let chain = &occs[..occs.len() - 1];
+        if !(chain.iter().all(|o| identity(o.edge)) && identity(back)) {
+            return false;
+        }
+        if let Some(l) = levels.filter(|&l| l >= 2) {
+            let msg = format!(
+                "closure bound `^{l}` provably exceeds the schema reach: every chain and cycle \
+                 edge is a generalization identity, so the fixpoint terminates at level 1 and \
+                 levels 2..{l} are dead"
+            );
+            let d = Diagnostic::warning("W110", msg)
+                .with_note("`^1` (or no bound at all) derives the same result");
+            self.finding(d, occs[0].span, owner);
+        }
+        true
+    }
+
+    /// Whether a rule's context is provably empty on every database — what
+    /// `rows_hi == 0` is under [`CardEnv::unknown`], where every bound is
+    /// 0 or ∞: an unsatisfiable WHERE, or in every kept span an empty slot
+    /// or an empty source linking two of its own slots (a zero fan).
+    /// Closures ignore spans and fans: any empty slot empties every level.
+    pub(crate) fn provably_empty(&self, ctx: &Context<'_>) -> bool {
+        let empty_source = |sd: &str| self.subdbs.get(sd).is_some_and(|i| i.empty == Some(true));
+        let slot_empty = |o: &OccInfo<'_>| {
+            o.unsat || o.subdb.is_some_and(|sd| !self.external.contains(sd) && empty_source(sd))
+        };
+        if ctx.where_unsat {
+            return true;
+        }
+        if ctx.closure.is_some() {
+            return ctx.occs.iter().any(slot_empty);
+        }
+        let zero_fan = |i: usize| {
+            let (a, b) = (&ctx.occs[i], &ctx.occs[i + 1]);
+            ctx.sh.ops[i] == PatOp::Assoc && a.subdb == b.subdb && a.subdb.is_some_and(empty_source)
+        };
+        kept_spans(ctx).all(|(lo, hi)| {
+            lo == hi || ctx.occs[lo..hi].iter().any(slot_empty) || (lo..hi - 1).any(zero_fan)
+        })
+    }
 }
 
 #[cfg(test)]

@@ -24,11 +24,12 @@ pub struct DepGraph {
 }
 
 impl DepGraph {
-    /// Build the graph from a rule set.
-    pub fn build(rules: &[Rule]) -> Self {
+    /// Build the graph from a rule set, borrowed: rule `i` of the iteration
+    /// is rule index `i` in [`rules_for`](Self::rules_for).
+    pub fn build<'r>(rules: impl IntoIterator<Item = &'r Rule>) -> Self {
         let mut derives: FxHashMap<String, Vec<usize>> = FxHashMap::default();
         let mut deps: FxHashMap<String, Vec<String>> = FxHashMap::default();
-        for (i, r) in rules.iter().enumerate() {
+        for (i, r) in rules.into_iter().enumerate() {
             derives.entry(r.target_subdb.clone()).or_default().push(i);
             let e = deps.entry(r.target_subdb.clone()).or_default();
             for read in r.reads() {

@@ -196,7 +196,7 @@ impl RuleEngine {
     /// current rule-oriented strategy assignment — currently W105: a
     /// forward rule reading a backward-derived source.
     pub fn strategy_diagnostics(&self) -> Vec<Diagnostic> {
-        crate::analyze::lint_forward_reads_backward(&self.rules, &self.strategies)
+        crate::analyze::lint_forward_reads_backward(&self.rules, &self.graph, &self.strategies)
     }
 
     /// Read access to the store.
