@@ -261,14 +261,16 @@ pub enum AggFunc {
 impl AggFunc {
     /// Parse a (case-insensitive) function name.
     pub fn from_name(s: &str) -> Option<AggFunc> {
-        match s.to_ascii_lowercase().as_str() {
-            "count" => Some(AggFunc::Count),
-            "sum" => Some(AggFunc::Sum),
-            "avg" => Some(AggFunc::Avg),
-            "min" => Some(AggFunc::Min),
-            "max" => Some(AggFunc::Max),
-            _ => None,
-        }
+        [
+            ("count", AggFunc::Count),
+            ("sum", AggFunc::Sum),
+            ("avg", AggFunc::Avg),
+            ("min", AggFunc::Min),
+            ("max", AggFunc::Max),
+        ]
+        .into_iter()
+        .find(|(name, _)| s.eq_ignore_ascii_case(name))
+        .map(|(_, f)| f)
     }
 }
 

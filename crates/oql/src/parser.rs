@@ -102,19 +102,24 @@ impl Parser {
         &self.where_spans
     }
 
-    /// Advance and return the consumed token.
-    pub fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].tok.clone();
+    /// Advance past the current token (never past the end of input).
+    pub fn advance(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
+    }
+
+    /// Advance and return a copy of the consumed token.
+    pub fn bump(&mut self) -> Token {
+        let t = self.peek().clone();
+        self.advance();
         t
     }
 
     /// Consume the expected token or error.
     pub fn expect(&mut self, t: &Token) -> Result<(), ParseError> {
         if self.peek() == t {
-            self.bump();
+            self.advance();
             Ok(())
         } else {
             Err(ParseError::new(self.at(), format!("expected `{t}`, found `{}`", self.peek())))
@@ -123,9 +128,10 @@ impl Parser {
 
     /// Consume an identifier.
     pub fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::Ident(s) => {
-                self.bump();
+                let s = s.clone();
+                self.advance();
                 Ok(s)
             }
             other => Err(ParseError::new(self.at(), format!("expected identifier, found `{other}`"))),
@@ -167,13 +173,13 @@ impl Parser {
         self.expect(&Token::Context)?;
         let context = self.context_expr()?;
         let where_ = if matches!(self.peek(), Token::Where) {
-            self.bump();
+            self.advance();
             self.where_conds()?
         } else {
             Vec::new()
         };
         let select = if matches!(self.peek(), Token::Select) {
-            self.bump();
+            self.advance();
             self.select_items()?
         } else {
             Vec::new()
@@ -193,7 +199,7 @@ impl Parser {
     pub fn context_expr(&mut self) -> Result<ContextExpr, ParseError> {
         let seq = self.seq()?;
         let closure = if matches!(self.peek(), Token::Caret) {
-            self.bump();
+            self.advance();
             match self.bump() {
                 Token::Star => Some(ClosureSpec { iterations: None }),
                 Token::Int(n) if n > 0 => Some(ClosureSpec { iterations: Some(n as u32) }),
@@ -224,16 +230,16 @@ impl Parser {
                 Token::Bang => PatOp::NonAssoc,
                 _ => break,
             };
-            self.bump();
+            self.advance();
             rest.push((op, self.item()?));
         }
         Ok(Seq { first, rest })
     }
 
     fn item(&mut self) -> Result<Item, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::LBrace => {
-                self.bump();
+                self.advance();
                 let inner = self.seq()?;
                 self.expect(&Token::RBrace)?;
                 Ok(Item::Group(inner))
@@ -242,7 +248,7 @@ impl Parser {
                 let start = self.at();
                 let class = self.classref()?;
                 let cond = if matches!(self.peek(), Token::LBracket) {
-                    self.bump();
+                    self.advance();
                     let p = self.pred()?;
                     self.expect(&Token::RBracket)?;
                     Some(p)
@@ -263,7 +269,7 @@ impl Parser {
     pub fn classref(&mut self) -> Result<ClassRef, ParseError> {
         let first = self.ident()?;
         if matches!(self.peek(), Token::Colon) {
-            self.bump();
+            self.advance();
             let name = self.ident()?;
             Ok(ClassRef { subdb: Some(first), name })
         } else {
@@ -278,7 +284,7 @@ impl Parser {
     fn pred(&mut self) -> Result<Pred, ParseError> {
         let mut left = self.pred_and()?;
         while matches!(self.peek(), Token::Or) {
-            self.bump();
+            self.advance();
             let right = self.pred_and()?;
             left = Pred::Or(Box::new(left), Box::new(right));
         }
@@ -288,7 +294,7 @@ impl Parser {
     fn pred_and(&mut self) -> Result<Pred, ParseError> {
         let mut left = self.pred_unit()?;
         while matches!(self.peek(), Token::And) {
-            self.bump();
+            self.advance();
             let right = self.pred_unit()?;
             left = Pred::And(Box::new(left), Box::new(right));
         }
@@ -296,13 +302,13 @@ impl Parser {
     }
 
     fn pred_unit(&mut self) -> Result<Pred, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::Not => {
-                self.bump();
+                self.advance();
                 Ok(Pred::Not(Box::new(self.pred_unit()?)))
             }
             Token::LParen => {
-                self.bump();
+                self.advance();
                 let p = self.pred()?;
                 self.expect(&Token::RParen)?;
                 Ok(p)
@@ -335,13 +341,13 @@ impl Parser {
                 ))
             }
         };
-        self.bump();
+        self.advance();
         Ok(op)
     }
 
     fn literal(&mut self) -> Result<Literal, ParseError> {
         let negate = if matches!(self.peek(), Token::Minus) {
-            self.bump();
+            self.advance();
             true
         } else {
             false
@@ -364,7 +370,7 @@ impl Parser {
         let mut out = vec![self.where_cond()?];
         self.where_spans.push(self.span_since(start));
         while matches!(self.peek(), Token::And) {
-            self.bump();
+            self.advance();
             let start = self.at();
             out.push(self.where_cond()?);
             self.where_spans.push(self.span_since(start));
@@ -374,41 +380,43 @@ impl Parser {
 
     fn where_cond(&mut self) -> Result<WhereCond, ParseError> {
         // Aggregation: IDENT '(' … — distinguished by the '('.
-        if let (Token::Ident(name), Token::LParen) = (self.peek().clone(), self.peek2().clone()) {
-            if let Some(func) = AggFunc::from_name(&name) {
-                self.bump(); // func name
-                self.bump(); // (
-                let target = self.classref()?;
-                let attr = if matches!(self.peek(), Token::Dot) {
-                    self.bump();
-                    Some(self.ident()?)
-                } else {
-                    None
-                };
-                let by = if matches!(self.peek(), Token::By) {
-                    self.bump();
-                    Some(self.classref()?)
-                } else {
-                    None
-                };
-                self.expect(&Token::RParen)?;
-                let op = self.cmp_op()?;
-                let value = self.literal()?;
-                if func != AggFunc::Count && attr.is_none() {
-                    return Err(ParseError::new(
-                        self.at(),
-                        "SUM/AVG/MIN/MAX require an attribute (Class.attr)",
-                    ));
-                }
-                return Ok(WhereCond::Agg { func, target, attr, by, op, value });
+        let agg = match (self.peek(), self.peek2()) {
+            (Token::Ident(name), Token::LParen) => AggFunc::from_name(name),
+            _ => None,
+        };
+        if let Some(func) = agg {
+            self.advance(); // func name
+            self.advance(); // (
+            let target = self.classref()?;
+            let attr = if matches!(self.peek(), Token::Dot) {
+                self.advance();
+                Some(self.ident()?)
+            } else {
+                None
+            };
+            let by = if matches!(self.peek(), Token::By) {
+                self.advance();
+                Some(self.classref()?)
+            } else {
+                None
+            };
+            self.expect(&Token::RParen)?;
+            let op = self.cmp_op()?;
+            let value = self.literal()?;
+            if func != AggFunc::Count && attr.is_none() {
+                return Err(ParseError::new(
+                    self.at(),
+                    "SUM/AVG/MIN/MAX require an attribute (Class.attr)",
+                ));
             }
+            return Ok(WhereCond::Agg { func, target, attr, by, op, value });
         }
         // Inter-class or attribute/literal comparison: classref '.' attr …
         let class = self.classref()?;
         self.expect(&Token::Dot)?;
         let attr = self.ident()?;
         let op = self.cmp_op()?;
-        let right = match self.peek().clone() {
+        let right = match self.peek() {
             Token::Int(_) | Token::Real(_) | Token::Str(_) | Token::Minus => {
                 CmpRhs::Lit(self.literal()?)
             }
@@ -435,7 +443,7 @@ impl Parser {
     fn select_items(&mut self) -> Result<Vec<SelectItem>, ParseError> {
         let mut out = vec![self.select_item()?];
         while matches!(self.peek(), Token::Comma) {
-            self.bump();
+            self.advance();
             out.push(self.select_item()?);
         }
         Ok(out)
@@ -444,10 +452,10 @@ impl Parser {
     fn select_item(&mut self) -> Result<SelectItem, ParseError> {
         let first = self.classref()?;
         if matches!(self.peek(), Token::LBracket) {
-            self.bump();
+            self.advance();
             let mut attrs = vec![self.ident()?];
             while matches!(self.peek(), Token::Comma) {
-                self.bump();
+                self.advance();
                 attrs.push(self.ident()?);
             }
             self.expect(&Token::RBracket)?;

@@ -401,13 +401,9 @@ impl<'a> Analyzer<'a> {
     /// Topological processing order of rule indices; on a cycle, emit
     /// E014/E015 with the named path and fall back to declaration order.
     fn check_stratification(&mut self) -> Vec<usize> {
-        match self.graph.topo_order() {
+        match self.graph.topo_order_ref() {
             Ok(order) => {
-                let mut out = Vec::new();
-                for name in &order {
-                    out.extend(self.graph.rules_for(name).iter().copied());
-                }
-                out
+                order.iter().flat_map(|name| self.graph.rules_for(name).iter().copied()).collect()
             }
             Err(RuleError::CyclicRules(path)) => {
                 self.report_cycle(&path);

@@ -65,9 +65,9 @@ impl DepGraph {
         self.topo_order_ref().map(<[String]>::to_vec)
     }
 
-    /// Borrowing form of [`topo_order`](Self::topo_order) for internal hot
-    /// paths that only read the order.
-    fn topo_order_ref(&self) -> Result<&[String], RuleError> {
+    /// Borrowing form of [`topo_order`](Self::topo_order) for in-crate
+    /// readers of the order.
+    pub(crate) fn topo_order_ref(&self) -> Result<&[String], RuleError> {
         if let Some(v) = self.topo_memo.get() {
             return Ok(v);
         }
@@ -124,13 +124,19 @@ impl DepGraph {
     /// maintenance steps them all against one dirty set and commits in the
     /// within-stratum (sorted-name) order. Errors on cycles.
     pub fn strata(&self) -> Result<Vec<Vec<String>>, RuleError> {
+        self.strata_ref().map(<[Vec<String>]>::to_vec)
+    }
+
+    /// Borrowing form of [`strata`](Self::strata) for in-crate readers of
+    /// the strata.
+    pub(crate) fn strata_ref(&self) -> Result<&[Vec<String>], RuleError> {
         if let Some(v) = self.strata_memo.get() {
-            return Ok(v.clone());
+            return Ok(v);
         }
-        let order = self.topo_order()?;
+        let order = self.topo_order_ref()?;
         let mut depth: FxHashMap<&str, usize> = FxHashMap::default();
         let mut strata: Vec<Vec<String>> = Vec::new();
-        for name in &order {
+        for name in order {
             let d = self
                 .deps_of(name)
                 .iter()
@@ -147,7 +153,7 @@ impl DepGraph {
         for s in &mut strata {
             s.sort_unstable();
         }
-        Ok(self.strata_memo.get_or_init(|| strata).clone())
+        Ok(self.strata_memo.get_or_init(|| strata))
     }
 
     /// The transitive *derived* dependencies of a set of subdatabases, in

@@ -33,6 +33,7 @@ use dood_oql::{Oql, QueryOutput};
 use dood_store::{Database, SubscriberId};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Per-result evaluation policy (result-oriented control, paper §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +111,9 @@ pub struct RuleEngine {
     db: Database,
     oql: Oql,
     rules: Vec<Rule>,
-    graph: DepGraph,
+    /// Shared so that a loop over its strata, order or dependency lists
+    /// can hold a handle while it mutates the engine.
+    graph: Arc<DepGraph>,
     registry: SubdbRegistry,
     policies: FxHashMap<String, EvalPolicy>,
     strategies: FxHashMap<String, ChainStrategy>,
@@ -166,7 +169,7 @@ impl RuleEngine {
             db,
             oql: Oql::new(),
             rules: Vec::new(),
-            graph: DepGraph::default(),
+            graph: Arc::default(),
             registry: SubdbRegistry::new(),
             policies: FxHashMap::default(),
             strategies: FxHashMap::default(),
@@ -284,12 +287,12 @@ impl RuleEngine {
             Ok(())
         });
         let graph = DepGraph::build(&self.rules);
-        if let Err(e) = pushed.and_then(|()| graph.topo_order()) {
+        if let Err(e) = pushed.and_then(|()| graph.topo_order_ref().map(drop)) {
             self.rules.truncate(before);
             self.base_reads.truncate(before);
             return Err(e);
         }
-        self.graph = graph;
+        self.graph = Arc::new(graph);
         Ok(())
     }
 
@@ -401,11 +404,12 @@ impl RuleEngine {
         if !self.needs_derivation(name) {
             return Ok(());
         }
-        for dep in self.graph.deps_of(name).to_vec() {
-            if self.graph.is_derived(&dep) {
-                self.derive(&dep)?;
-            } else if self.registry.subdb(&dep).is_none() {
-                return Err(RuleError::UnderivableSubdb(dep));
+        let graph = Arc::clone(&self.graph);
+        for dep in graph.deps_of(name) {
+            if graph.is_derived(dep) {
+                self.derive(dep)?;
+            } else if self.registry.subdb(dep).is_none() {
+                return Err(RuleError::UnderivableSubdb(dep.clone()));
             }
         }
         self.run_rules_for(name)
@@ -567,11 +571,12 @@ impl RuleEngine {
         affected: &FxHashSet<String>,
     ) -> Result<Vec<String>, RuleError> {
         let mut rederived = Vec::new();
-        for name in self.graph.topo_order()? {
-            if !affected.contains(&name) {
+        let graph = Arc::clone(&self.graph);
+        for name in graph.topo_order_ref()? {
+            if !affected.contains(name) {
                 continue;
             }
-            match self.subdb_strategy(&name) {
+            match self.subdb_strategy(name) {
                 ChainStrategy::Forward => {
                     // POSTGRES restriction: a forward rule reads its
                     // sources *as materialized right now*. If a source is
@@ -579,16 +584,13 @@ impl RuleEngine {
                     // run and the target stays stale — recorded in
                     // `stale_skips` and the `rules.maintain.stale_skip`
                     // metric rather than silently dropped.
-                    let sources_present = self
-                        .graph
-                        .deps_of(&name)
-                        .iter()
-                        .all(|d| self.registry.subdb(d).is_some());
+                    let sources_present =
+                        graph.deps_of(name).iter().all(|d| self.registry.subdb(d).is_some());
                     if sources_present {
-                        self.run_rules_for(&name)?;
-                        rederived.push(name);
+                        self.run_rules_for(name)?;
+                        rederived.push(name.clone());
                     } else {
-                        if !self.stale_skips.contains(&name) {
+                        if !self.stale_skips.contains(name) {
                             self.stale_skips.push(name.clone());
                         }
                         if obs::metrics_enabled() {
@@ -599,7 +601,7 @@ impl RuleEngine {
                 ChainStrategy::Backward => {
                     // Backward results are not kept current across updates:
                     // the next request catches them up.
-                    self.registry.mark_stale(&name);
+                    self.registry.mark_stale(name);
                 }
             }
         }
@@ -617,19 +619,20 @@ impl RuleEngine {
         affected: &FxHashSet<String>,
     ) -> Result<Vec<String>, RuleError> {
         let mut rederived: Vec<String> = Vec::new();
-        for (stratum_idx, stratum) in self.graph.strata()?.into_iter().enumerate() {
+        let graph = Arc::clone(&self.graph);
+        for (stratum_idx, stratum) in graph.strata_ref()?.iter().enumerate() {
             let mut ssp = obs::trace::span("rules.stratum");
             ssp.attr("index", stratum_idx as i64);
             let mut batch: Vec<String> = Vec::new();
             for name in stratum {
-                if !affected.contains(&name) {
+                if !affected.contains(name) {
                     continue;
                 }
-                match self.policy(&name) {
+                match self.policy(name) {
                     // Forward-maintained by this stratum's step.
-                    EvalPolicy::PreEvaluated => batch.push(name),
+                    EvalPolicy::PreEvaluated => batch.push(name.clone()),
                     // Stale; the next read catches it up.
-                    EvalPolicy::PostEvaluated => self.registry.mark_stale(&name),
+                    EvalPolicy::PostEvaluated => self.registry.mark_stale(name),
                 }
             }
             if batch.is_empty() {
@@ -638,7 +641,7 @@ impl RuleEngine {
             // Ensure sources fresh, dependency-first: each catch-up folds
             // its content delta into the dirty set *before* any reader's
             // delta step runs.
-            for dep in self.graph.transitive_deps(&batch)? {
+            for dep in graph.transitive_deps(&batch)? {
                 if self.needs_derivation(&dep) {
                     self.derive(&dep)?;
                 }
@@ -674,7 +677,7 @@ impl RuleEngine {
                 return Err(e);
             }
         }
-        let order = self.graph.topo_order()?;
+        let order = graph.topo_order_ref()?;
         let pos: FxHashMap<&str, usize> =
             order.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
         rederived.sort_unstable_by_key(|n| pos[n.as_str()]);

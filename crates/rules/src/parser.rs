@@ -58,7 +58,7 @@ pub fn parse_rule_spanned(name: &str, src: &str) -> Result<(Rule, RuleSpans), Pa
         let context = p.context_expr()?;
         let mut where_ = Vec::new();
         if matches!(p.peek(), Token::Where) {
-            p.bump();
+            p.advance();
             where_ = p.where_conds()?;
         }
         p.expect(&Token::Then)?;
@@ -68,12 +68,12 @@ pub fn parse_rule_spanned(name: &str, src: &str) -> Result<(Rule, RuleSpans), Pa
         p.expect(&Token::LParen)?;
         let mut targets = vec![target_item(p, spans)?];
         while matches!(p.peek(), Token::Comma) {
-            p.bump();
+            p.advance();
             targets.push(target_item(p, spans)?);
         }
         p.expect(&Token::RParen)?;
         if matches!(p.peek(), Token::Where) {
-            p.bump();
+            p.advance();
             let mut more = p.where_conds()?;
             where_.append(&mut more);
         }
@@ -99,15 +99,15 @@ fn target_item_inner(p: &mut OqlParser) -> Result<TargetItem, ParseError> {
     let class = p.classref()?;
     // `Grad_*` lexes as Ident("Grad_") Star.
     if class.subdb.is_none() && class.name.ends_with('_') && matches!(p.peek(), Token::Star) {
-        p.bump();
+        p.advance();
         let base = class.name.trim_end_matches('_').to_string();
         return Ok(TargetItem::Family { base });
     }
     let attrs = if matches!(p.peek(), Token::LBracket) {
-        p.bump();
+        p.advance();
         let mut out = vec![p.ident()?];
         while matches!(p.peek(), Token::Comma) {
-            p.bump();
+            p.advance();
             out.push(p.ident()?);
         }
         p.expect(&Token::RBracket)?;

@@ -228,8 +228,8 @@ fn scan(source: &str, diags: &mut Vec<Diagnostic>) -> Vec<Section> {
             i += 1;
             continue;
         }
-        let lower = first_word(trimmed).to_ascii_lowercase();
-        match lower.as_str() {
+        let lower = directive(first_word(trimmed)).unwrap_or("");
+        match lower {
             "schema" => {
                 let rest = trimmed["schema".len()..].trim();
                 if let Some(name) = rest.strip_prefix("builtin") {
@@ -382,13 +382,20 @@ fn first_word(s: &str) -> &str {
     s.split_whitespace().next().unwrap_or("")
 }
 
+/// The directive keyword `word` spells in any letter case, in lower case.
+fn directive(word: &str) -> Option<&'static str> {
+    ["schema", "export", "extern", "allow", "rule", "query"]
+        .into_iter()
+        .find(|k| word.eq_ignore_ascii_case(k))
+}
+
 fn is_directive(line: &str) -> bool {
     let t = line.trim_start();
-    let w = first_word(t).to_ascii_lowercase();
-    match w.as_str() {
-        "schema" | "export" | "extern" | "allow" => true,
-        "rule" | "query" => t[w.len()..].contains(':'),
-        _ => false,
+    let w = first_word(t);
+    match directive(w) {
+        Some("rule" | "query") => t[w.len()..].contains(':'),
+        Some(_) => true,
+        None => false,
     }
 }
 
