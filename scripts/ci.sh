@@ -199,16 +199,26 @@ if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \
     exit 1
 fi
 
-# Each derived result is built once, the rule graph once per program, and
-# registration resolves a program once and computes no numeric bounds:
-# allocations per `cold_pipeline` op in `rules.register` and `rules.derive`,
-# from one short traced run, each ceiling a measured value plus 25 %:
-# 485 and 3 236 once `analyze` ran the abstract interpretation's lints in
-# its own walk (1 137 with a second resolution and the bound tables; 2 125
-# and 4 182 with a graph rebuild after every added rule and four copies
-# of each seeded result).
+# Each derived result is built once, the rule graph once per program,
+# registration resolves a program once and computes no numeric bounds, and
+# the front end borrows names instead of copying them per item:
+# allocations per `cold_pipeline` op in `store.load`, `rules.parse`,
+# `rules.register` and `rules.derive`, from one short traced run, each
+# ceiling a measured value plus 25 %.
+# - `store.load`: 709 once a link copied no `AssocDef` and an escape-free
+#   string skipped `unescape` (1 064 before).
+# - `rules.parse`: 306 once keywords and directives matched without a
+#   lower-case copy and the parser stopped cloning the tokens it steps
+#   over (540 before).
+# - `rules.register`: 467 once registration checked the rule graph's order
+#   by reference (485 with a copy of it; 1 137 with a second resolution
+#   and the bound tables).
+# - `rules.derive`: 2 565 once the ancestry walk borrowed names from the
+#   registry (3 236 with two string copies per chain level; 4 182 with a
+#   graph rebuild after every added rule and four copies of each seeded
+#   result).
 SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-for ceiling in rules.register:606 rules.derive:4045; do
+for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:3206; do
     STAGE="${ceiling%%:*}"
     MAX="${ceiling##*:}"
     ALLOCS="$(metric "$STAGE.allocs_per_op")"
