@@ -26,7 +26,6 @@
 
 use crate::fxhash::FxHashMap;
 use crate::ids::Oid;
-use crate::subdb::pattern::ExtPattern;
 use std::sync::OnceLock;
 
 /// Counted directional adjacency between two slots `a < b`: the distinct
@@ -108,7 +107,7 @@ impl SubdbIndex {
     /// on demand.
     pub(crate) fn build<'a>(
         width: usize,
-        patterns: impl Iterator<Item = &'a ExtPattern>,
+        patterns: impl Iterator<Item = &'a [Option<Oid>]>,
     ) -> Self {
         let mut ix = SubdbIndex {
             slots: vec![FxHashMap::default(); width],
@@ -134,8 +133,7 @@ impl SubdbIndex {
     }
 
     /// Fold one inserted pattern in.
-    pub(crate) fn add(&mut self, p: &ExtPattern) {
-        let comps = p.components();
+    pub(crate) fn add(&mut self, comps: &[Option<Oid>]) {
         for (i, c) in comps.iter().enumerate() {
             if let Some(o) = c {
                 *self.slots[i].entry(*o).or_insert(0) += 1;
@@ -149,8 +147,7 @@ impl SubdbIndex {
     }
 
     /// Fold one removed pattern out.
-    pub(crate) fn del(&mut self, p: &ExtPattern) {
-        let comps = p.components();
+    pub(crate) fn del(&mut self, comps: &[Option<Oid>]) {
         for (i, c) in comps.iter().enumerate() {
             if let Some(o) = c {
                 if let Some(n) = self.slots[i].get_mut(o) {
@@ -192,7 +189,7 @@ impl SubdbIndex {
         &self,
         a: usize,
         b: usize,
-        patterns: impl Iterator<Item = &'a ExtPattern>,
+        patterns: impl Iterator<Item = &'a [Option<Oid>]>,
     ) -> Option<(&SlotAdj, bool)> {
         let (lo, hi) = (a.min(b), a.max(b));
         if lo == hi || hi >= self.slots.len() {
@@ -201,7 +198,7 @@ impl SubdbIndex {
         let adj = self.adj[self.cell(lo, hi)].get_or_init(|| {
             let mut adj = SlotAdj::default();
             for p in patterns {
-                if let (Some(x), Some(y)) = (p.get(lo), p.get(hi)) {
+                if let (Some(x), Some(y)) = (p[lo], p[hi]) {
                     adj.add(x, y);
                 }
             }
@@ -215,8 +212,8 @@ impl SubdbIndex {
 mod tests {
     use super::*;
 
-    fn p(v: &[Option<u64>]) -> ExtPattern {
-        ExtPattern::new(v.iter().map(|o| o.map(Oid)).collect::<Vec<_>>())
+    fn p(v: &[Option<u64>]) -> Vec<Option<Oid>> {
+        v.iter().map(|o| o.map(Oid)).collect()
     }
 
     #[test]
@@ -226,27 +223,27 @@ mod tests {
             p(&[Some(1), Some(2), Some(4)]), // repeats (1,2) in slots 0,1
             p(&[None, Some(5), Some(3)]),
         ];
-        let mut ix = SubdbIndex::build(3, pats.iter());
+        let mut ix = SubdbIndex::build(3, pats.iter().map(Vec::as_slice));
         assert!(ix.slot_contains(0, Oid(1)));
         assert!(!ix.slot_contains(0, Oid(5)));
         assert_eq!(ix.slot_len(1), 2);
-        let (adj, flip) = ix.pair_adj(0, 1, pats.iter()).unwrap();
+        let (adj, flip) = ix.pair_adj(0, 1, pats.iter().map(Vec::as_slice)).unwrap();
         assert!(!flip);
         assert_eq!(adj.neighbors(Oid(1), true), &[Oid(2)]);
-        let (adj, flip) = ix.pair_adj(1, 0, pats.iter()).unwrap();
+        let (adj, flip) = ix.pair_adj(1, 0, pats.iter().map(Vec::as_slice)).unwrap();
         assert!(flip);
         assert_eq!(adj.neighbors(Oid(2), false), &[Oid(1)]);
-        assert!(ix.pair_adj(1, 1, pats.iter()).is_none());
-        assert!(ix.pair_adj(0, 3, pats.iter()).is_none());
+        assert!(ix.pair_adj(1, 1, pats.iter().map(Vec::as_slice)).is_none());
+        assert!(ix.pair_adj(0, 3, pats.iter().map(Vec::as_slice)).is_none());
 
         // Removing one of the two (1,2) co-binders keeps the edge…
         ix.del(&pats[0]);
-        let (adj, _) = ix.pair_adj(0, 1, pats[1..].iter()).unwrap();
+        let (adj, _) = ix.pair_adj(0, 1, pats[1..].iter().map(Vec::as_slice)).unwrap();
         assert_eq!(adj.neighbors(Oid(1), true), &[Oid(2)]);
         assert!(ix.slot_contains(2, Oid(3))); // still bound by pats[2]
         // …and removing the second erases it.
         ix.del(&pats[1]);
-        let (adj, _) = ix.pair_adj(0, 1, pats[2..].iter()).unwrap();
+        let (adj, _) = ix.pair_adj(0, 1, pats[2..].iter().map(Vec::as_slice)).unwrap();
         assert!(adj.neighbors(Oid(1), true).is_empty());
         assert!(!ix.slot_contains(0, Oid(1)));
         assert!(ix.slot_contains(1, Oid(5)));
@@ -264,14 +261,14 @@ mod tests {
         ];
         let added = p(&[Some(7), Some(2), Some(8)]);
         let after = [before[0].clone(), before[2].clone(), added.clone()];
-        let mut ix = SubdbIndex::build(3, before.iter());
+        let mut ix = SubdbIndex::build(3, before.iter().map(Vec::as_slice));
         // (0, 1) is built now and maintained through the edits; (0, 2) and
         // (1, 2) are not built yet and must not be touched by them.
-        ix.pair_adj(0, 1, before.iter()).unwrap();
+        ix.pair_adj(0, 1, before.iter().map(Vec::as_slice)).unwrap();
         ix.del(&before[1]);
         ix.add(&added);
         assert_eq!(ix.adj.iter().filter(|c| c.get().is_some()).count(), 1);
-        let fresh = SubdbIndex::build(3, after.iter());
+        let fresh = SubdbIndex::build(3, after.iter().map(Vec::as_slice));
         for s in 0..3 {
             let mut a: Vec<Oid> = ix.slot_oids(s).collect();
             let mut b: Vec<Oid> = fresh.slot_oids(s).collect();
@@ -280,8 +277,8 @@ mod tests {
             assert_eq!(a, b, "slot {s}");
         }
         for (a, b) in [(0, 1), (0, 2), (1, 2)] {
-            let (ia, _) = ix.pair_adj(a, b, after.iter()).unwrap();
-            let (fa, _) = fresh.pair_adj(a, b, after.iter()).unwrap();
+            let (ia, _) = ix.pair_adj(a, b, after.iter().map(Vec::as_slice)).unwrap();
+            let (fa, _) = fresh.pair_adj(a, b, after.iter().map(Vec::as_slice)).unwrap();
             assert_eq!(ia.pair_count(), fa.pair_count(), "pair ({a}, {b})");
             for o in fresh.slot_oids(a) {
                 assert_eq!(ia.neighbors(o, true), fa.neighbors(o, true));

@@ -5,10 +5,11 @@ pub mod index;
 pub mod intension;
 pub mod pattern;
 pub mod registry;
+mod rows;
 pub mod subdatabase;
 
 pub use index::{SlotAdj, SubdbIndex};
 pub use intension::{IntEdge, Intension, SlotDef, SlotSource};
-pub use pattern::{is_part, ExtPattern, HeadRange, PatternType};
+pub use pattern::{is_part, ExtPattern, HeadRange, PatternType, Row};
 pub use registry::{RegistryEntry, SubdbRegistry};
 pub use subdatabase::Subdatabase;

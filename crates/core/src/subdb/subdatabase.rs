@@ -5,7 +5,8 @@
 use crate::ids::Oid;
 use crate::subdb::index::{SlotAdj, SubdbIndex};
 use crate::subdb::intension::Intension;
-use crate::subdb::pattern::{ExtPattern, HeadRange, PatternType};
+use crate::subdb::pattern::{ExtPattern, PatternType, Row};
+use crate::subdb::rows::RowStore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
@@ -18,8 +19,9 @@ pub struct Subdatabase {
     pub name: String,
     /// The intensional pattern.
     pub intension: Intension,
-    /// The extensional patterns, deterministically ordered.
-    patterns: BTreeSet<ExtPattern>,
+    /// The extensional patterns: sorted, distinct rows of the intension's
+    /// width, in chunked flat leaves.
+    patterns: RowStore,
     /// Lazily-built access index (see [`SubdbIndex`]). `insert`/`remove`
     /// keep it current once built; bulk mutators discard it; clones start
     /// without one and rebuild on demand.
@@ -40,24 +42,32 @@ impl Clone for Subdatabase {
 }
 
 impl Subdatabase {
-    /// An empty subdatabase over the given intension.
+    /// An empty subdatabase over the given intension; allocates nothing for
+    /// its extension.
     pub fn new(name: impl Into<String>, intension: Intension) -> Self {
-        Subdatabase {
-            name: name.into(),
-            intension,
-            patterns: BTreeSet::new(),
-            index: OnceLock::new(),
-        }
+        let patterns = RowStore::new(intension.width());
+        Subdatabase { name: name.into(), intension, patterns, index: OnceLock::new() }
+    }
+
+    /// Panic unless a row of `width` cells fits this extension.
+    fn check_width(&self, width: usize) {
+        let own = self.intension.width();
+        assert!(
+            width == own,
+            "subdatabase {}: a pattern of width {width} does not fit its width {own}",
+            self.name
+        );
     }
 
     /// The extension's access index (counted slot extents; slot-pair
     /// adjacency through [`Subdatabase::pair_adj`]), built on first use and
     /// kept current by `insert` and `remove`. Bulk mutators (`set_patterns`,
-    /// `retain`, `retain_maximal`, `union_from`) discard it, so a later
-    /// call rebuilds from scratch.
+    /// `set_rows`, `set_sorted_rows`, `retain`, `retain_maximal`,
+    /// `union_from`) discard it, so a later call rebuilds from scratch.
     pub fn index(&self) -> &SubdbIndex {
-        self.index
-            .get_or_init(|| SubdbIndex::build(self.intension.width(), self.patterns.iter()))
+        self.index.get_or_init(|| {
+            SubdbIndex::build(self.intension.width(), self.patterns.iter().map(Row::components))
+        })
     }
 
     /// The counted adjacency between slots `a` and `b` of the access index
@@ -65,7 +75,7 @@ impl Subdatabase {
     /// is flipped relative to the stored `min < max` orientation). Built on
     /// the pair's first request, point-maintained afterwards.
     pub fn pair_adj(&self, a: usize, b: usize) -> Option<(&SlotAdj, bool)> {
-        self.index().pair_adj(a, b, self.patterns.iter())
+        self.index().pair_adj(a, b, self.patterns.iter().map(Row::components))
     }
 
     /// Number of extensional patterns.
@@ -75,46 +85,46 @@ impl Subdatabase {
 
     /// Whether the extension is empty.
     pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
+        self.patterns.len() == 0
     }
 
     /// Insert a pattern (set semantics: duplicates collapse). Returns
-    /// whether the pattern was new. Panics in debug builds on a width
-    /// mismatch.
-    pub fn insert(&mut self, p: ExtPattern) -> bool {
-        debug_assert_eq!(p.width(), self.intension.width(), "pattern width mismatch");
-        if let Some(ix) = self.index.get_mut() {
-            if self.patterns.contains(&p) {
-                return false;
-            }
-            ix.add(&p);
-            return self.patterns.insert(p);
+    /// whether the pattern was new. Panics on a width mismatch.
+    pub fn insert(&mut self, p: impl AsRef<[Option<Oid>]>) -> bool {
+        let row = p.as_ref();
+        self.check_width(row.len());
+        if !self.patterns.insert(row) {
+            return false;
         }
-        self.patterns.insert(p)
+        if let Some(ix) = self.index.get_mut() {
+            ix.add(row);
+        }
+        true
     }
 
     /// Iterate patterns in deterministic (lexicographic) order.
-    pub fn patterns(&self) -> impl Iterator<Item = &ExtPattern> {
+    pub fn patterns(&self) -> impl Iterator<Item = Row<'_>> {
         self.patterns.iter()
     }
 
     /// The patterns whose slot 0 holds `head`, in order: one contiguous
     /// range of the ordered extension, found without scanning the rest.
-    pub fn head_range(&self, head: Option<Oid>) -> impl Iterator<Item = &ExtPattern> {
-        self.patterns.range::<[Option<Oid>], _>(HeadRange::of(head).bounds())
+    pub fn head_range(&self, head: Option<Oid>) -> impl Iterator<Item = Row<'_>> {
+        self.patterns.head_range(head)
     }
 
     /// Whether the extension contains this exact pattern.
-    pub fn contains(&self, p: &ExtPattern) -> bool {
-        self.patterns.contains(p)
+    pub fn contains(&self, p: impl AsRef<[Option<Oid>]>) -> bool {
+        self.patterns.contains(p.as_ref())
     }
 
     /// Remove an exact pattern. Returns whether it was present.
-    pub fn remove(&mut self, p: &ExtPattern) -> bool {
-        let removed = self.patterns.remove(p);
+    pub fn remove(&mut self, p: impl AsRef<[Option<Oid>]>) -> bool {
+        let row = p.as_ref();
+        let removed = self.patterns.remove(row);
         if removed {
             if let Some(ix) = self.index.get_mut() {
-                ix.del(p);
+                ix.del(row);
             }
         }
         removed
@@ -129,12 +139,12 @@ impl Subdatabase {
         let mut out = BTreeSet::new();
         let mut a = self.patterns.iter().peekable();
         let mut b = other.patterns.iter().peekable();
-        let absorb = |p: &ExtPattern, out: &mut BTreeSet<Oid>| {
+        let absorb = |p: Row<'_>, out: &mut BTreeSet<Oid>| {
             out.extend(p.components().iter().flatten().copied());
         };
         loop {
             match (a.peek(), b.peek()) {
-                (Some(&x), Some(&y)) => match x.cmp(y) {
+                (Some(&x), Some(&y)) => match x.cmp(&y) {
                     std::cmp::Ordering::Less => {
                         absorb(x, &mut out);
                         a.next();
@@ -164,22 +174,62 @@ impl Subdatabase {
 
     /// Collect patterns into a vector.
     pub fn to_vec(&self) -> Vec<ExtPattern> {
-        self.patterns.iter().cloned().collect()
+        self.patterns.iter().map(Row::to_pattern).collect()
     }
 
-    /// Replace the full pattern set.
-    pub fn set_patterns(&mut self, ps: impl IntoIterator<Item = ExtPattern>) {
-        self.patterns = ps.into_iter().collect();
+    /// Replace the full pattern set: the patterns, in any order and with
+    /// duplicates, are gathered into one flat buffer and built by
+    /// [`Subdatabase::set_rows`]. Panics on a pattern of the wrong width.
+    pub fn set_patterns<P: AsRef<[Option<Oid>]>>(&mut self, ps: impl IntoIterator<Item = P>) {
+        let mut cells = Vec::new();
+        let mut n = 0;
+        for p in ps {
+            let row = p.as_ref();
+            self.check_width(row.len());
+            cells.extend_from_slice(row);
+            n += 1;
+        }
+        self.set_rows(n, &cells);
+    }
+
+    /// Replace the full pattern set with `n` rows given as one flat buffer
+    /// of `n × width` cells, in any order and with duplicates: the rows are
+    /// sorted by index and copied once into exact-sized leaves. Panics if
+    /// the buffer is not `n` rows of this extension's width.
+    pub fn set_rows(&mut self, n: usize, cells: &[Option<Oid>]) {
+        let w = self.intension.width();
+        assert!(
+            cells.len() == n * w,
+            "subdatabase {}: {} cells are not {n} rows of its width {w}",
+            self.name,
+            cells.len()
+        );
+        let row = |i: u32| &cells[i as usize * w..(i as usize + 1) * w];
+        let mut order: Vec<u32> = (0..u32::try_from(n).expect("at most 2^32 rows")).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        let mut next = order.iter();
+        self.set_sorted_rows(order.len(), |out| {
+            out.copy_from_slice(row(*next.next().expect("one row per slot")));
+        });
+    }
+
+    /// Replace the full pattern set with `n` rows that `fill` writes, one
+    /// call per row, in strictly ascending order, into the store's own
+    /// cells (which start out Null): the bulk build with no intermediate
+    /// copy, for producers that already emit sorted rows. Every leaf is
+    /// sized to exactly the rows it gets. Panics if a row does not sort
+    /// strictly after the one before it.
+    pub fn set_sorted_rows(&mut self, n: usize, fill: impl FnMut(&mut [Option<Oid>])) {
+        self.patterns.build(n, fill);
         self.index = OnceLock::new();
     }
 
     /// Keep the patterns `keep` accepts, in place: nothing is cloned and the
-    /// set is not rebuilt. Returns how many were dropped; the index is
+    /// rows are not re-sorted. Returns how many were dropped; the index is
     /// discarded only if that is not zero.
-    pub fn retain(&mut self, keep: impl FnMut(&ExtPattern) -> bool) -> usize {
-        let before = self.patterns.len();
-        self.patterns.retain(keep);
-        let dropped = before - self.patterns.len();
+    pub fn retain(&mut self, keep: impl FnMut(Row<'_>) -> bool) -> usize {
+        let dropped = self.patterns.retain(keep);
         if dropped > 0 {
             self.index = OnceLock::new();
         }
@@ -203,7 +253,7 @@ impl Subdatabase {
     /// extensional diagram of Figure 3.1b".
     pub fn pattern_types(&self) -> BTreeMap<PatternType, usize> {
         let mut out = BTreeMap::new();
-        for p in &self.patterns {
+        for p in self.patterns.iter() {
             *out.entry(p.pattern_type()).or_insert(0) += 1;
         }
         out
@@ -226,7 +276,7 @@ impl Subdatabase {
         let mut types: Vec<u64> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
         let mut tag: Vec<u32> = Vec::with_capacity(self.patterns.len());
-        for p in &self.patterns {
+        for p in self.patterns.iter() {
             let at = types.len();
             types.resize(at + words, 0);
             for (i, c) in p.components().iter().enumerate() {
@@ -302,14 +352,13 @@ impl Subdatabase {
     /// May_teach … May_teach will contain the union of the two sets"
     /// (paper §4.2). The intensions must have identical slot names.
     pub fn union_from(&mut self, other: &Subdatabase) {
+        self.check_width(other.intension.width());
         debug_assert_eq!(
             self.intension.slots.iter().map(|s| &s.name).collect::<Vec<_>>(),
             other.intension.slots.iter().map(|s| &s.name).collect::<Vec<_>>(),
             "union requires identical slot layout"
         );
-        for p in other.patterns() {
-            self.patterns.insert(p.clone());
-        }
+        self.patterns = self.patterns.union(&other.patterns);
         self.index = OnceLock::new();
     }
 
@@ -329,9 +378,11 @@ impl Subdatabase {
             }
         }
         let mut out = Subdatabase::new(name, intension);
-        for p in &self.patterns {
-            out.insert(p.project(slots));
+        let mut cells = Vec::with_capacity(self.len() * slots.len());
+        for p in self.patterns.iter() {
+            cells.extend(slots.iter().map(|&i| p.get(i)));
         }
+        out.set_rows(self.len(), &cells);
         out
     }
 }
@@ -339,7 +390,7 @@ impl Subdatabase {
 impl fmt::Display for Subdatabase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "subdatabase {} {}", self.name, self.intension)?;
-        for p in &self.patterns {
+        for p in self.patterns.iter() {
             writeln!(f, "  {p}")?;
         }
         Ok(())
@@ -475,8 +526,9 @@ mod tests {
         s.set_patterns(all.iter().cloned());
         for head in [None, Some(0), Some(1), Some(2), Some(3), Some(u64::MAX)] {
             let head = head.map(Oid);
-            let got: Vec<&ExtPattern> = s.head_range(head).collect();
-            let want: Vec<&ExtPattern> = all.iter().filter(|q| q.get(0) == head).collect();
+            let got: Vec<Row<'_>> = s.head_range(head).collect();
+            let want: Vec<Row<'_>> =
+                all.iter().filter(|q| q.get(0) == head).map(ExtPattern::as_row).collect();
             assert_eq!(got, want, "head {head:?}");
         }
     }
@@ -485,8 +537,8 @@ mod tests {
     fn contains_exact_pattern() {
         let mut s = subdb();
         s.insert(p(&[Some(1), Some(2), None]));
-        assert!(s.contains(&p(&[Some(1), Some(2), None])));
-        assert!(!s.contains(&p(&[Some(1), None, None])));
+        assert!(s.contains(p(&[Some(1), Some(2), None])));
+        assert!(!s.contains(p(&[Some(1), None, None])));
     }
 
     #[test]
@@ -497,7 +549,7 @@ mod tests {
         // Build, then point-edit: the maintained index must match a rebuild.
         assert_eq!(s.index().slot_len(1), 2);
         s.insert(p(&[Some(7), Some(2), Some(3)]));
-        s.remove(&p(&[Some(1), Some(4), None]));
+        s.remove(p(&[Some(1), Some(4), None]));
         assert_eq!(s.index().slot_len(0), 2);
         assert!(!s.index().slot_contains(1, Oid(4)));
         let (adj, flip) = s.pair_adj(1, 0).unwrap();
@@ -522,7 +574,7 @@ mod tests {
             p(&[None, Some(5), Some(6)]),
             p(&[Some(7), Some(2), Some(3)]),
         ];
-        let keeps: [fn(&ExtPattern) -> bool; 4] = [
+        let keeps: [fn(Row<'_>) -> bool; 4] = [
             |_| true,
             |_| false,
             |q| q.get(0) == Some(Oid(1)),
@@ -533,7 +585,7 @@ mod tests {
             a.set_patterns(all.iter().cloned());
             let mut b = a.clone();
             let dropped = a.retain(keep);
-            b.set_patterns(all.iter().filter(|q| keep(q)).cloned());
+            b.set_patterns(all.iter().filter(|q| keep(q.as_row())));
             assert_eq!(a.to_vec(), b.to_vec());
             assert_eq!(dropped, all.len() - b.len());
             // The index a later reader builds describes what was kept.
@@ -553,6 +605,167 @@ mod tests {
         assert!(s.index.get().is_none(), "a removal must discard the index");
         assert!(!s.index().slot_contains(1, Oid(4)));
         assert_eq!(s.index().slot_len(0), 1);
+    }
+
+    /// A subdatabase of `width` base slots.
+    fn of_width(width: usize) -> Subdatabase {
+        let slots = (0..width).map(|i| SlotDef::base(format!("S{i}"), ClassId(0))).collect();
+        Subdatabase::new("W", Intension::new(slots))
+    }
+
+    #[test]
+    #[should_panic(expected = "subdatabase S: a pattern of width 2 does not fit its width 3")]
+    fn insert_checks_the_width() {
+        subdb().insert([Some(Oid(1)), None]);
+    }
+
+    #[test]
+    #[should_panic(expected = "subdatabase S: a pattern of width 4 does not fit its width 3")]
+    fn set_patterns_checks_the_width() {
+        subdb().set_patterns([p(&[Some(1), None, None]), p(&[Some(1), None, None, None])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "subdatabase S: 5 cells are not 2 rows of its width 3")]
+    fn set_rows_checks_the_width() {
+        subdb().set_rows(2, &[Some(Oid(1)); 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "subdatabase S: a pattern of width 2 does not fit its width 3")]
+    fn union_from_checks_the_width() {
+        let mut other = of_width(2);
+        other.insert([Some(Oid(1)), None]);
+        subdb().union_from(&other);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be built in strictly ascending order")]
+    fn set_sorted_rows_checks_the_order() {
+        let mut rows = [[Some(Oid(2)), None, None], [Some(Oid(1)), None, None]].into_iter();
+        subdb().set_sorted_rows(2, |row| row.copy_from_slice(&rows.next().unwrap()));
+    }
+
+    /// The extension against a `BTreeSet` of component vectors, written
+    /// here and sharing no code with the row store: seeded random runs of
+    /// every edit and read, at widths 0, 1, 3 and 80, long enough to split
+    /// leaves and to empty them again, with Null, `Oid(0)` and
+    /// `Oid(u64::MAX)` heads.
+    #[test]
+    fn extension_matches_a_btreeset_model() {
+        use crate::propcheck::{check, Gen};
+        type Model = BTreeSet<Vec<Option<Oid>>>;
+
+        fn cell(g: &mut Gen, spread: u64) -> Option<Oid> {
+            match g.range(0..10u32) {
+                0 => None,
+                1 => Some(Oid(0)),
+                2 => Some(Oid(u64::MAX)),
+                _ => Some(Oid(g.range(1..spread))),
+            }
+        }
+        // Few distinct heads, so that one head's rows span several leaves;
+        // a width-1 row is all head, so there heads must be many.
+        fn row(g: &mut Gen, width: usize) -> Vec<Option<Oid>> {
+            let heads = if width == 1 { 4000 } else { 6 };
+            (0..width).map(|i| cell(g, if i == 0 { heads } else { 40 })).collect()
+        }
+        fn rows(g: &mut Gen, width: usize, n: usize) -> Vec<Vec<Option<Oid>>> {
+            (0..n).map(|_| row(g, width)).collect()
+        }
+        fn part(a: &[Option<Oid>], b: &[Option<Oid>]) -> bool {
+            let bound = |r: &[Option<Oid>]| r.iter().filter(|c| c.is_some()).count();
+            a.iter().zip(b).all(|(x, y)| x.is_none() || x == y) && bound(a) < bound(b)
+        }
+        fn agree(sd: &Subdatabase, model: &Model, step: &str) {
+            let got: Vec<Vec<Option<Oid>>> =
+                sd.patterns().map(|p| p.components().to_vec()).collect();
+            let want: Vec<Vec<Option<Oid>>> = model.iter().cloned().collect();
+            assert_eq!(got, want, "after {step}");
+            assert_eq!(sd.len(), model.len(), "len after {step}");
+        }
+
+        check("extension_matches_a_btreeset_model", 8, |g| {
+            for width in [0, 1, 3, 80] {
+                let mut sd = of_width(width);
+                let mut model = Model::new();
+                let big: usize = if width == 1 { 700 } else { 260 };
+                for _ in 0..g.range(150..300usize) {
+                    let step = match g.range(0..100u32) {
+                        0..=39 => {
+                            let r = row(g, width);
+                            assert_eq!(sd.insert(&r), model.insert(r), "insert");
+                            "insert"
+                        }
+                        40..=59 => {
+                            let r = match model.iter().nth(g.range(0..model.len().max(1))) {
+                                Some(r) if g.bool(0.8) => r.clone(),
+                                _ => row(g, width),
+                            };
+                            assert_eq!(sd.remove(&r), model.remove(&r), "remove");
+                            "remove"
+                        }
+                        60..=69 => {
+                            let r = row(g, width);
+                            assert_eq!(sd.contains(&r), model.contains(&r), "contains");
+                            "contains"
+                        }
+                        70..=79 => {
+                            for head in [None, Some(Oid(0)), Some(Oid(u64::MAX)), cell(g, 6)] {
+                                let got: Vec<Vec<Option<Oid>>> =
+                                    sd.head_range(head).map(|p| p.components().to_vec()).collect();
+                                let want: Vec<Vec<Option<Oid>>> = model
+                                    .iter()
+                                    .filter(|r| width > 0 && r[0] == head)
+                                    .cloned()
+                                    .collect();
+                                assert_eq!(got, want, "head_range({head:?})");
+                            }
+                            "head_range"
+                        }
+                        80..=84 => {
+                            let k = g.range(2..5u64);
+                            let keep = |r: &[Option<Oid>]| {
+                                r.iter().flatten().map(|o| o.0 % k).sum::<u64>() % k != 0
+                            };
+                            let dropped = sd.retain(|p| keep(p.components()));
+                            let before = model.len();
+                            model.retain(|r| keep(r));
+                            assert_eq!(dropped, before - model.len(), "retain count");
+                            "retain"
+                        }
+                        85..=88 => {
+                            let n = g.range(0..big);
+                            let new = rows(g, width, n);
+                            sd.set_patterns(&new);
+                            model = new.into_iter().collect();
+                            "set_patterns"
+                        }
+                        89..=91 => {
+                            sd = sd.clone();
+                            "clone"
+                        }
+                        92..=96 => {
+                            let mut other = of_width(width);
+                            let n = g.range(0..big / 2);
+                            for r in rows(g, width, n) {
+                                other.insert(&r);
+                                model.insert(r);
+                            }
+                            sd.union_from(&other);
+                            "union_from"
+                        }
+                        _ => {
+                            sd.retain_maximal();
+                            let all: Vec<Vec<Option<Oid>>> = model.iter().cloned().collect();
+                            model.retain(|a| !all.iter().any(|b| part(a, b)));
+                            "retain_maximal"
+                        }
+                    };
+                    agree(&sd, &model, step);
+                }
+            }
+        });
     }
 
     #[test]

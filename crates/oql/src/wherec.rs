@@ -12,7 +12,7 @@ use dood_core::error::ResolveError;
 use dood_core::ids::Oid;
 use dood_core::obs;
 use dood_core::schema::{ResolvedAttr, Schema};
-use dood_core::subdb::{ExtPattern, Intension, SlotSource, Subdatabase};
+use dood_core::subdb::{Intension, Row, SlotSource, Subdatabase};
 use dood_core::value::Value;
 use dood_store::Database;
 
@@ -81,7 +81,7 @@ impl CmpCond {
     /// Whether `p` satisfies the comparison. An absent component or
     /// perspective reads as no value, and so does Null: the comparison is
     /// unknown, the pattern goes.
-    pub fn passes(&self, p: &ExtPattern, db: &Database) -> bool {
+    pub fn passes(&self, p: Row<'_>, db: &Database) -> bool {
         let lv = p.get(self.lslot).and_then(|lo| db.attr_ref(lo, &self.lattr));
         let rv = match &self.rhs {
             Rhs::Lit(v) => Some(v),
@@ -111,7 +111,7 @@ impl AggCond {
 
     /// A pattern's group: the `by` slot's object (none: the pattern is
     /// ungrouped and cannot qualify), or one constant without `by`.
-    pub fn group_of(&self, p: &ExtPattern) -> Option<Oid> {
+    pub fn group_of(&self, p: Row<'_>) -> Option<Oid> {
         match self.bslot {
             Some(bs) => p.get(bs),
             None => Some(Self::UNGROUPED),
@@ -119,7 +119,7 @@ impl AggCond {
     }
 
     /// The object a pattern contributes to its group's aggregate, if any.
-    pub fn target_of(&self, p: &ExtPattern) -> Option<Oid> {
+    pub fn target_of(&self, p: Row<'_>) -> Option<Oid> {
         p.get(self.tslot)
     }
 
@@ -219,7 +219,7 @@ fn bind_cond(
 
 /// Drop the patterns `keep` rejects, in place, and record the stage's
 /// output cardinality.
-fn filter(sd: &mut Subdatabase, sp: &mut obs::trace::Span, keep: impl FnMut(&ExtPattern) -> bool) {
+fn filter(sd: &mut Subdatabase, sp: &mut obs::trace::Span, keep: impl FnMut(Row<'_>) -> bool) {
     let dropped = sd.retain(keep);
     sp.attr("rows_out", sd.len() as i64);
     if dropped > 0 && obs::metrics_enabled() {
@@ -340,7 +340,7 @@ mod tests {
         for (i, &s) in students.iter().enumerate() {
             let c = if i < 3 { c1 } else { c2 };
             db.associate(enrolls, c, s).unwrap();
-            sd.insert(ExtPattern::new(vec![Some(c), Some(s)]));
+            sd.insert([Some(c), Some(s)]);
         }
         (db, sd)
     }

@@ -17,7 +17,8 @@ use dood_core::obs;
 use dood_oql::ast::ClassRef;
 use dood_oql::eval_context;
 use dood_oql::wherec::find_slot;
-use dood_core::subdb::{ExtPattern, Intension, SlotDef, Subdatabase, SubdbRegistry};
+use dood_core::ids::Oid;
+use dood_core::subdb::{Intension, SlotDef, Subdatabase, SubdbRegistry};
 use dood_store::Database;
 
 /// Evaluate `rule` against the database and the already-derived sources in
@@ -125,9 +126,13 @@ pub fn target_layout(
     Ok(TargetLayout { slots, intension })
 }
 
-/// A context pattern projected onto a layout's target slots.
-pub fn project(p: &ExtPattern, slots: &[Option<usize>]) -> ExtPattern {
-    ExtPattern::new(slots.iter().map(|s| s.and_then(|i| p.get(i))).collect::<Vec<_>>())
+/// The cells of a context row projected onto a layout's target slots, for
+/// the caller to write where the projected row goes.
+pub fn project<'a>(
+    row: &'a [Option<Oid>],
+    slots: &'a [Option<usize>],
+) -> impl Iterator<Item = Option<Oid>> + 'a {
+    slots.iter().map(|s| s.and_then(|i| row[i]))
 }
 
 /// The slot of a named closure level (`Grad_2`) that the data's chains do
@@ -170,10 +175,21 @@ pub fn project_targets(
 ) -> Result<Subdatabase, RuleError> {
     let layout = target_layout(rule, &ctx.intension, db)?;
     let mut out = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
-    out.set_patterns(ctx.patterns().map(|p| project(p, &layout.slots)));
-    // Projection may produce all-Null rows (a retained brace-span pattern
-    // whose classes were all projected away) and newly-subsumed parts.
-    out.retain(|p| p.arity() > 0);
+    // The rows are projected into one flat buffer. Projection may produce
+    // all-Null rows (a retained brace-span pattern whose classes were all
+    // projected away), which are left out, and newly-subsumed parts.
+    let mut cells = Vec::with_capacity(ctx.len() * layout.slots.len());
+    let mut n = 0;
+    for p in ctx.patterns() {
+        let at = cells.len();
+        cells.extend(project(p.components(), &layout.slots));
+        if cells[at..].iter().all(Option::is_none) {
+            cells.truncate(at);
+        } else {
+            n += 1;
+        }
+    }
+    out.set_rows(n, &cells);
     out.retain_maximal();
     Ok(out)
 }

@@ -771,7 +771,7 @@ impl RuleEngine {
                 .filter(|p| !targets.iter().any(|t| t.contains(p)) && sd.remove(p))
                 .collect();
             let inserted = outs.iter().flat_map(|out| &out.inserted);
-            edited.extend(inserted.filter(|p| sd.insert((*p).clone())));
+            edited.extend(inserted.filter(|p| sd.insert(p)));
             return Ok(Maintained::edited(entry, edited));
         }
 

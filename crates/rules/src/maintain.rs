@@ -39,9 +39,9 @@ use crate::error::RuleError;
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::Oid;
 use dood_core::obs;
-use dood_core::subdb::{is_part, ExtPattern, HeadRange, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{is_part, ExtPattern, HeadRange, Row, Subdatabase, SubdbRegistry};
 use dood_oql::ast::WhereCond;
-use dood_oql::eval::{chain_patterns, Evaluator};
+use dood_oql::eval::Evaluator;
 use dood_oql::plan::CompiledContext;
 use dood_oql::resolve::{resolve_context, REdgeKind, ResolvedContext};
 use dood_oql::wherec::{apply_cond, AggCond, Applied, CmpCond};
@@ -249,7 +249,7 @@ impl Posting {
             chains: FxHashMap::default(),
         };
         for p in ctx.patterns() {
-            posting.insert(p);
+            posting.insert(p.components());
         }
         posting
     }
@@ -260,8 +260,8 @@ impl Posting {
     }
 
     /// Index a row; the caller keeps rows distinct.
-    fn insert(&mut self, p: &ExtPattern) {
-        debug_assert_eq!(p.width(), self.width);
+    fn insert(&mut self, p: &[Option<Oid>]) {
+        debug_assert_eq!(p.len(), self.width);
         let start = match self.free.pop() {
             Some(row) => row as usize * self.width,
             None => {
@@ -273,7 +273,7 @@ impl Posting {
                 start
             }
         };
-        for (slot, &c) in p.components().iter().enumerate() {
+        for (slot, &c) in p.iter().enumerate() {
             let entry = (start + slot) as u32;
             self.rows[start + slot] = c;
             let Some(oid) = c else { continue };
@@ -429,9 +429,9 @@ enum Groups {
 
 impl Stage {
     /// Whether `r`, a row of this stage's input, is in its output.
-    fn admits(&self, r: &ExtPattern) -> bool {
+    fn admits(&self, r: Row<'_>) -> bool {
         match self {
-            Stage::Cmp { rejected, .. } => !rejected.contains(r),
+            Stage::Cmp { rejected, .. } => !rejected.contains(r.components()),
             Stage::Agg { cond, groups } => cond.group_of(r).is_some_and(|g| match groups {
                 Groups::Seeded(passing) => passing.binary_search(&g).is_ok(),
                 Groups::Built(groups) => groups.get(&g).is_some_and(|g| g.verdict),
@@ -454,7 +454,7 @@ impl Stage {
             Stage::Cmp { cond, rejected } => {
                 rem.retain(|p| !rejected.remove(p));
                 add.retain(|p| {
-                    let ok = cond.passes(p, db);
+                    let ok = cond.passes(p.as_row(), db);
                     if !ok {
                         rejected.insert(p.clone());
                     }
@@ -470,17 +470,17 @@ impl Stage {
         // flips on an attribute alone is caught.
         let mut touched: Vec<Oid> = Vec::with_capacity(rem.len() + add.len());
         rem.retain(|p| {
-            let Some(g) = cond.group_of(p) else { return false };
+            let Some(g) = cond.group_of(p.as_row()) else { return false };
             let group = groups.get_mut(&g).expect("an input row is counted in its group");
-            group.del(cond.target_of(p));
+            group.del(cond.target_of(p.as_row()));
             touched.push(g);
             // Verdicts still are the old ones: the row was in the output
             // iff its group passed.
             group.verdict
         });
         add.retain(|p| {
-            let Some(g) = cond.group_of(p) else { return false };
-            groups.entry(g).or_default().add(cond.target_of(p));
+            let Some(g) = cond.group_of(p.as_row()) else { return false };
+            groups.entry(g).or_default().add(cond.target_of(p.as_row()));
             touched.push(g);
             true
         });
@@ -506,7 +506,7 @@ impl Stage {
         let flipped = |g: &Oid| lit.binary_search(g).is_ok() || doused.binary_search(g).is_ok();
         let mut joined: Vec<ExtPattern> = Vec::new();
         add.retain(|p| {
-            let g = cond.group_of(p).expect("ungrouped rows were dropped above");
+            let g = cond.group_of(p.as_row()).expect("ungrouped rows were dropped above");
             if flipped(&g) {
                 joined.push(p.clone());
                 return false;
@@ -586,8 +586,11 @@ impl Filter {
                     }
                     Applied::Cmp(cond) => {
                         let input = input.expect("cloned for a comparison");
-                        let rejected =
-                            input.patterns().filter(|p| !sd.contains(p)).cloned().collect();
+                        let rejected = input
+                            .patterns()
+                            .filter(|p| !sd.contains(p))
+                            .map(Row::to_pattern)
+                            .collect();
                         Stage::Cmp { cond, rejected }
                     }
                 });
@@ -601,12 +604,29 @@ impl Filter {
             });
         let full = full.as_ref().or(post.as_ref()).unwrap_or(ctx);
         let layout = target_layout(rule, &ctx.intension, db)?;
+        // Each row is projected into one reused key; a key is boxed only
+        // when it is new, and the target's rows are copied from the keys,
+        // which are sorted and distinct already.
         let mut counts: BTreeMap<ExtPattern, u32> = BTreeMap::new();
-        for key in full.patterns().map(|p| project(p, &layout.slots)).filter(|k| k.arity() > 0) {
-            *counts.entry(key).or_insert(0) += 1;
+        let mut key: Vec<Option<Oid>> = Vec::with_capacity(layout.slots.len());
+        for p in full.patterns() {
+            key.clear();
+            key.extend(project(p.components(), &layout.slots));
+            if key.iter().all(Option::is_none) {
+                continue;
+            }
+            match counts.get_mut(key.as_slice()) {
+                Some(c) => *c += 1,
+                None => {
+                    counts.insert(ExtPattern::new(key.as_slice()), 1);
+                }
+            }
         }
         let mut target = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
-        target.set_patterns(counts.keys().cloned());
+        let mut keys = counts.keys();
+        target.set_sorted_rows(counts.len(), |row| {
+            row.copy_from_slice(keys.next().expect("one key per row").components());
+        });
         target.retain_maximal();
         let ctx_rows = full.len();
         let slots = layout.slots;
@@ -628,7 +648,7 @@ impl Filter {
             let Stage::Agg { cond, groups } = &mut rest[0] else { continue };
             let Groups::Seeded(passing) = groups else { continue };
             let mut built: FxHashMap<Oid, Group> = FxHashMap::default();
-            for r in base.patterns().filter(|r| done.iter().all(|s| s.admits(r))) {
+            for r in base.patterns().filter(|r| done.iter().all(|s| s.admits(*r))) {
                 if let Some(g) = cond.group_of(r) {
                     built.entry(g).or_default().add(cond.target_of(r));
                 }
@@ -696,9 +716,9 @@ impl RuleCache {
     }
 
     /// Edit the cached context, and its posting list with it.
-    fn ctx_insert(&mut self, p: ExtPattern) {
-        if let Some(posting) = self.posting.as_mut().filter(|_| !self.ctx_pre.contains(&p)) {
-            posting.insert(&p);
+    fn ctx_insert(&mut self, p: &ExtPattern) {
+        if let Some(posting) = self.posting.as_mut().filter(|_| !self.ctx_pre.contains(p)) {
+            posting.insert(p.components());
         }
         self.ctx_pre.insert(p);
     }
@@ -748,24 +768,24 @@ impl RuleCache {
         //    attributes are untouched); only the added rows are checked.
         if let Some(post) = post {
             rem.retain(|p| post.remove(p));
-            add.retain(|p| prefix.iter().all(|c| c.passes(p, db)));
+            add.retain(|p| prefix.iter().all(|c| c.passes(p.as_row(), db)));
             for p in &add {
-                post.insert(p.clone());
+                post.insert(p);
             }
         }
         let base = post.as_ref().unwrap_or(ctx_pre);
         for k in 0..stages.len() {
             let (done, rest) = stages.split_at_mut(k);
-            let in_input = |r: &ExtPattern| done.iter().all(|s| s.admits(r));
+            let in_input = |r: Row<'_>| done.iter().all(|s| s.admits(r));
             (rem, add) = rest[0].step(rem, add, db, stats, |cond, g| match cond.by_slot() {
-                None => base.patterns().filter(|r| in_input(r)).cloned().collect(),
+                None => base.patterns().filter(|r| in_input(*r)).map(Row::to_pattern).collect(),
                 Some(by) => {
                     let posting = posting.as_ref().expect("built by ensure_delta_state");
                     let mut rows: Vec<ExtPattern> = posting
                         .rows_of(g)
                         .filter(|row| row[by] == Some(g))
+                        .filter(|r| (post.is_none() || base.contains(r)) && in_input(Row::new(r)))
                         .map(ExtPattern::new)
-                        .filter(|r| (post.is_none() || base.contains(r)) && in_input(r))
                         .collect();
                     rows.sort_unstable();
                     rows.dedup();
@@ -996,7 +1016,7 @@ fn delta_apply_flat(
                 }
             }
         }
-        cache.ctx_insert(r.clone());
+        cache.ctx_insert(&r);
         added.push(r);
     }
     Ok(cache.refresh(target, db, dropped, added, kept, stats))
@@ -1141,7 +1161,7 @@ fn delta_apply_closure(
     // ordered context per root, ascending.
     let mut dropped: Vec<ExtPattern> = Vec::new();
     for &root in &drop_roots {
-        dropped.extend(cache.ctx_pre.head_range(Some(root)).cloned());
+        dropped.extend(cache.ctx_pre.head_range(Some(root)).map(Row::to_pattern));
     }
     stats.dropped = dropped.len();
     let new_chains = ev.closure_chains(&redo_roots, &cc.succ);
@@ -1188,7 +1208,8 @@ fn delta_apply_closure(
     if obs::metrics_enabled() {
         obs::metrics::counter("rules.maintain.closure_delta").inc();
     }
-    let mut added = chain_patterns(new_chains, cc.width);
+    let mut added: Vec<ExtPattern> =
+        new_chains.iter().map(|c| chain_pattern(c, cc.width)).collect();
     // Re-derived chains that came back identical net out (a redo root
     // whose subtree was mostly intact) — cancel them before touching the
     // caches so the WHERE/target stage sees only real edits.
@@ -1199,7 +1220,7 @@ fn delta_apply_closure(
         cache.ctx_remove(p);
     }
     for p in &added {
-        cache.ctx_insert(p.clone());
+        cache.ctx_insert(p);
     }
     cache.closure = Some(cc);
     // Chains that stay — cancelled or untouched — but bind a dirty object
@@ -1211,6 +1232,12 @@ fn delta_apply_closure(
         kept.retain(|p| added.binary_search(p).is_err());
     }
     Ok(cache.refresh(target, db, dropped, added, kept, stats))
+}
+
+/// A closure chain as a pattern of `width` slots, Null-padded.
+fn chain_pattern(chain: &[Oid], width: usize) -> ExtPattern {
+    let cells = chain.iter().map(|&o| Some(o)).chain(std::iter::repeat(None));
+    ExtPattern::new(cells.take(width).collect::<Vec<_>>())
 }
 
 /// Count-maintained target update: adjust derivation counts by the
@@ -1234,31 +1261,37 @@ fn count_target(
 ) -> DeltaOutcome {
     let mut dead: Vec<ExtPattern> = Vec::new();
     let mut born: Vec<ExtPattern> = Vec::new();
+    // Each edit is projected into one reused key; a key is boxed only when
+    // it enters or leaves the counts.
+    let mut key: Vec<Option<Oid>> = Vec::with_capacity(slots.len());
     for p in removed {
-        let key = project(p, slots);
-        if let Some(c) = counts.get_mut(&key) {
+        key.clear();
+        key.extend(project(p.components(), slots));
+        if let Some(c) = counts.get_mut(key.as_slice()) {
             *c -= 1;
             if *c == 0 {
-                counts.remove(&key);
-                dead.push(key);
+                dead.extend(counts.remove_entry(key.as_slice()).map(|(k, _)| k));
             }
         }
     }
     for p in added {
-        let key = project(p, slots);
-        if key.arity() == 0 {
+        key.clear();
+        key.extend(project(p.components(), slots));
+        if key.iter().all(Option::is_none) {
             continue;
         }
-        let c = counts.entry(key.clone()).or_insert(0);
-        *c += 1;
-        if *c == 1 {
-            // A key that died and was re-born in the same step nets out.
-            if let Some(i) = dead.iter().position(|d| *d == key) {
-                dead.swap_remove(i);
-            } else {
-                born.push(key);
-            }
+        if let Some(c) = counts.get_mut(key.as_slice()) {
+            *c += 1;
+            continue;
         }
+        let born_key = ExtPattern::new(key.as_slice());
+        // A key that died and was re-born in the same step nets out.
+        if let Some(i) = dead.iter().position(|d| *d == born_key) {
+            dead.swap_remove(i);
+        } else {
+            born.push(born_key.clone());
+        }
+        counts.insert(born_key, 1);
     }
     /// Is `key` strictly part of any target pattern?
     fn covered(target: &Subdatabase, key: &ExtPattern) -> bool {
@@ -1281,13 +1314,13 @@ fn count_target(
         let shadowed: Vec<ExtPattern> = part_heads(&key)
             .flat_map(|h| target.head_range(h))
             .filter(|q| q.is_part_of(&key))
-            .cloned()
+            .map(Row::to_pattern)
             .collect();
         for q in shadowed {
             target.remove(&q);
             out.removed.push(q);
         }
-        target.insert(key.clone());
+        target.insert(&key);
         out.inserted.push(key);
     }
     for key in dead {
@@ -1305,7 +1338,7 @@ fn count_target(
             if cands.iter().any(|d| k.is_part_of(d)) {
                 continue;
             }
-            target.insert((*k).clone());
+            target.insert(k);
             out.inserted.push((*k).clone());
         }
         out.removed.push(key);
@@ -1393,7 +1426,7 @@ mod tests {
                 let want: Vec<ExtPattern> = sd
                     .patterns()
                     .filter(|q| q.components().contains(&Some(Oid(o))))
-                    .cloned()
+                    .map(Row::to_pattern)
                     .collect();
                 assert_eq!(got, want, "rows of o{o}");
             }
@@ -1416,7 +1449,7 @@ mod tests {
         // The freed rows are reused.
         let entries = posting.rows.len();
         for row in [p(&[Some(7), Some(2), Some(3)]), p(&[Some(1), None, Some(7)])] {
-            posting.insert(&row);
+            posting.insert(row.components());
             sd.insert(row);
         }
         assert_eq!(posting.rows.len(), entries);

@@ -21,14 +21,14 @@ use dood::store::{Database, OrdValue};
 use std::collections::BTreeSet;
 use std::fmt;
 
-fn normalize(t: &mut Table) {
-    t.rows
+fn normalize(rows: &mut Vec<Vec<Value>>) {
+    rows
         .sort_by(|a, b| {
             a.iter()
                 .map(|v| OrdValue(v.clone()))
                 .cmp(b.iter().map(|v| OrdValue(v.clone())))
         });
-    t.rows.dedup();
+    rows.dedup();
 }
 
 /// The old `Display`: widths measured in bytes, a `String` per cell.
@@ -176,9 +176,8 @@ pub fn build_table_rowwise(
             .collect();
         rows.push(row);
     }
-    let mut t = Table { columns, rows };
-    normalize(&mut t);
-    Ok(t)
+    normalize(&mut rows);
+    Ok(Table { columns, rows: rows.into() })
 }
 
 /// Compute one group's aggregate over its distinct target OIDs and test it
@@ -272,7 +271,7 @@ pub fn apply_where_rebuilding(
                             None => false,
                         }
                     })
-                    .cloned()
+                    .map(|p| p.to_pattern())
                     .collect();
                 sd.set_patterns(keep);
             }
@@ -321,7 +320,7 @@ pub fn apply_where_rebuilding(
                         };
                         passes.get(&key).copied().unwrap_or(false)
                     })
-                    .cloned()
+                    .map(|p| p.to_pattern())
                     .collect();
                 sd.set_patterns(keep);
             }

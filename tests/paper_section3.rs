@@ -76,7 +76,6 @@ fn fig_3_1_braces_reconstruct_partial_patterns() {
     let full: Vec<_> = sd
         .patterns()
         .filter(|p| p.pattern_type() == PatternType(0b111))
-        .cloned()
         .collect();
     assert_eq!(full.len(), 3);
     let expect = [

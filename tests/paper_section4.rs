@@ -181,10 +181,9 @@ fn rules_r4_r5_union() {
         let rule = engine.rules().iter().find(|r| r.name == "R5").unwrap().clone();
         dood::rules::apply_rule(&rule, engine.db(), engine.registry()).unwrap()
     };
-    let mut expected: std::collections::BTreeSet<_> =
-        r4_only.patterns().cloned().collect();
-    expected.extend(r5_only.patterns().cloned());
-    let actual: std::collections::BTreeSet<_> = may.patterns().cloned().collect();
+    let mut expected: std::collections::BTreeSet<_> = r4_only.patterns().collect();
+    expected.extend(r5_only.patterns());
+    let actual: std::collections::BTreeSet<_> = may.patterns().collect();
     assert_eq!(actual, expected);
     assert!(!may.is_empty(), "population should contain eligible TAs");
 }
