@@ -156,10 +156,11 @@ done
 # at full size (the smoke run's reads never find a stale result).
 # Allocation counts repeat to 0.1 %, so each ceiling is a measured value
 # plus 25 %: 80.7 allocations per event when the delta step landed (353.0
-# before it; 68.7 on this run), and 105.2 per derive op once reads catch
-# stale results up (353.7 when they re-seeded).
+# before it; 68.7 on this run), and 71.8 per derive op once a seeded
+# target was written from its sorted derivation counts into flat leaves
+# (83.7 with a box per target pattern; 353.7 when reads re-seeded).
 PROPAGATE_ALLOCS_PER_EVENT_MAX=101
-DERIVE_ALLOCS_PER_OP_MAX=130
+DERIVE_ALLOCS_PER_OP_MAX=90
 SUMMARY="$(bash benchmark/run.sh --workload univ_update --seed 7 --seconds 2 --trace 1 | tail -n 1)"
 metric() {
     sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"
@@ -182,20 +183,35 @@ if ! awk -v a="$DERIVE" -v max="$DERIVE_ALLOCS_PER_OP_MAX" \
         "$DERIVE_ALLOCS_PER_OP_MAX or are missing" >&2
     exit 1
 fi
-# A joined row reaches its pattern set in one heap block: allocations per
-# output pattern in `oql.eval` on the read mix, ceiling again a measured
-# value plus 25 %: 1.21 once span rows became flat buffers (2.43 when each
-# row was a Vec<Oid> and then a second vector of slots).
-EVAL_ALLOCS_PER_PATTERN_MAX=1.5
+# A joined row is written straight into its extension's flat leaves, and
+# a table row into the table's one flat run of cells: allocations per
+# output pattern in `oql.eval` and per op in `oql.table` on the read mix,
+# each ceiling again a measured value plus 25 %.
+# - `oql.eval`: 0.039 per pattern once a subdatabase stored its rows in
+#   sorted flat leaves (1.18 with a box per pattern and a B-tree; 2.43
+#   when each span row was a Vec<Oid> and then a second vector of slots).
+# - `oql.table`: 52.9 per op once table rows were one flat buffer (558.3
+#   with a Vec<Value> per row).
+EVAL_ALLOCS_PER_PATTERN_MAX=0.05
+TABLE_ALLOCS_PER_OP_MAX=66
 SUMMARY="$(bash benchmark/run.sh --workload univ_query --seed 7 --seconds 2 --trace 1 | tail -n 1)"
 ALLOCS="$(metric oql.eval.allocs_per_op)"
 PATTERNS="$(metric oql.eval.patterns_per_op)"
 if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \
     'BEGIN { if (a == "" || p == "" || p + 0 == 0) exit 1
-             printf "ci: oql.eval allocates %.2f per output pattern (ceiling %.2f)\n", a / p, max
+             printf "ci: oql.eval allocates %.3f per output pattern (ceiling %.3f)\n", a / p, max
              exit (a / p > max) }'; then
     echo "ci: oql.eval allocations per pattern ($ALLOCS / $PATTERNS) exceed" \
         "$EVAL_ALLOCS_PER_PATTERN_MAX or are missing" >&2
+    exit 1
+fi
+TABLE="$(metric oql.table.allocs_per_op)"
+if ! awk -v a="$TABLE" -v max="$TABLE_ALLOCS_PER_OP_MAX" \
+    'BEGIN { if (a == "") exit 1
+             printf "ci: oql.table allocates %.1f per univ_query op (ceiling %d)\n", a, max
+             exit (a > max) }'; then
+    echo "ci: oql.table allocations per univ_query op ($TABLE) exceed" \
+        "$TABLE_ALLOCS_PER_OP_MAX or are missing" >&2
     exit 1
 fi
 
@@ -213,12 +229,13 @@ fi
 # - `rules.register`: 467 once registration checked the rule graph's order
 #   by reference (485 with a copy of it; 1 137 with a second resolution
 #   and the bound tables).
-# - `rules.derive`: 2 565 once the ancestry walk borrowed names from the
-#   registry (3 236 with two string copies per chain level; 4 182 with a
-#   graph rebuild after every added rule and four copies of each seeded
-#   result).
+# - `rules.derive`: 1 679 once derived results were written into flat
+#   leaves and seeding projected into one reused key (2 565 with a box
+#   per pattern and per projected key; 3 236 with two string copies per
+#   chain level; 4 182 with a graph rebuild after every added rule and
+#   four copies of each seeded result).
 SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:3206; do
+for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:2099; do
     STAGE="${ceiling%%:*}"
     MAX="${ceiling##*:}"
     ALLOCS="$(metric "$STAGE.allocs_per_op")"
