@@ -6,10 +6,12 @@ pub mod intension;
 pub mod pattern;
 pub mod registry;
 mod rows;
+pub mod run;
 pub mod subdatabase;
 
 pub use index::{SlotAdj, SubdbIndex};
 pub use intension::{IntEdge, Intension, SlotDef, SlotSource};
 pub use pattern::{is_part, ExtPattern, HeadRange, PatternType, Row};
 pub use registry::{RegistryEntry, SubdbRegistry};
+pub use run::RowRun;
 pub use subdatabase::Subdatabase;

@@ -15,10 +15,11 @@ use dood_core::ids::Oid;
 use dood_core::schema::{ResolvedAttr, ResolvedEdge};
 use dood_core::obs;
 use dood_core::subdb::{
-    ExtPattern, Intension, SlotAdj, SlotDef, SlotSource, Subdatabase, SubdbIndex, SubdbRegistry,
+    Intension, RowRun, SlotAdj, SlotDef, SlotSource, Subdatabase, SubdbIndex, SubdbRegistry,
 };
 use dood_core::value::Value;
 use dood_store::Database;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -459,90 +460,100 @@ impl<'a> Evaluator<'a> {
     ///
     /// Deleted (or re-classified) oids in `dirty` cannot bind a slot and are
     /// skipped; their stale patterns are dropped by the caller's clean-keep
-    /// pass. Returns bare rows in deterministic (span, slot, join) order; a
-    /// pattern with several dirty slots appears once per slot — callers
-    /// merging into a pattern set absorb the duplicates. No subsumption
-    /// filtering is applied here — the caller unions the delta with the
-    /// retained clean patterns first and re-filters. Not defined for cyclic
-    /// (closure) contexts.
-    pub fn eval_delta(&mut self, name: &str, dirty: &BTreeSet<Oid>) -> Vec<ExtPattern> {
+    /// pass. Returns the rows as one run, sorted and distinct: the joins
+    /// emit a pattern with several dirty slots once per slot, and the run,
+    /// sized from the joins' row buffers, is sorted and deduplicated. No
+    /// subsumption filtering is applied here — the caller unions the delta
+    /// with the retained clean patterns first and re-filters. Not defined
+    /// for cyclic (closure) contexts.
+    pub fn eval_delta(&mut self, name: &str, dirty: &BTreeSet<Oid>) -> RowRun {
         debug_assert!(self.ctx.closure.is_none(), "closure contexts are re-derived in full");
         let width = self.ctx.slots.len();
         let mut sp = obs::trace::span("oql.delta");
         sp.label(|| name.to_string());
         sp.attr("dirty", dirty.len() as i64);
-        let mut rows_out: Vec<ExtPattern> = Vec::new();
-        // Binary single-span associative contexts — the paper's common
-        // association-pair shape — emit their delta rows straight off the
-        // edge: for each dirty oid qualifying for a slot, its accepted
-        // partners across the (single) edge. This skips the generic join
-        // planner's row buffers; the produced row set is identical.
-        if width == 2
+        let mut run = if width == 2
             && self.ctx.spans.as_slice() == [(0usize, 2usize)]
             && self.ctx.edges.len() == 1
             && matches!(self.ctx.edges[0].op, crate::ast::PatOp::Assoc)
         {
-            // `self.ctx` is a shared `&'a` reference, so the edge borrow is
-            // independent of the `&mut self` receiver.
+            // Binary single-span associative contexts — the paper's common
+            // association-pair shape — emit their delta rows straight off
+            // the edge: for each dirty oid qualifying for a slot, its
+            // accepted partners across the (single) edge, walked once to
+            // count the rows and once to write them. This skips the
+            // generic join planner's row buffers; the row set is identical.
             let edge = &self.ctx.edges[0].kind;
-            for slot in 0..2usize {
-                let other = 1 - slot;
-                for &o in dirty {
-                    if !self.live_in_slot(slot, o) || !self.accepts(slot, o) {
-                        continue;
-                    }
-                    for n in self.step(0, edge, o, slot == 0) {
-                        if self.accepts(other, n) {
-                            rows_out.push(ExtPattern::new(if slot == 0 {
-                                vec![Some(o), Some(n)]
-                            } else {
-                                vec![Some(n), Some(o)]
-                            }));
+            let each = |emit: &mut dyn FnMut([Oid; 2])| {
+                for slot in 0..2usize {
+                    let other = 1 - slot;
+                    for &o in dirty {
+                        if !self.live_in_slot(slot, o) || !self.accepts(slot, o) {
+                            continue;
+                        }
+                        for &n in self.step(0, edge, o, slot == 0).iter() {
+                            if self.accepts(other, n) {
+                                emit(if slot == 0 { [o, n] } else { [n, o] });
+                            }
                         }
                     }
                 }
-            }
-            sp.attr("rows_out", rows_out.len() as i64);
-            if obs::metrics_enabled() {
-                obs::metrics::counter("oql.delta.evals").inc();
-                obs::metrics::counter("oql.delta.rows_out").add(rows_out.len() as u64);
-            }
-            return rows_out;
-        }
-        let spans = self.ctx.spans.clone();
-        let mut row: Vec<Option<Oid>> = vec![None; width];
-        for (lo, hi) in spans {
-            row.fill(None);
-            for slot in lo..hi {
-                let restricted: BTreeSet<Oid> = dirty
-                    .iter()
-                    .copied()
-                    .filter(|&o| self.live_in_slot(slot, o) && self.member_ok(slot, o))
-                    .collect();
-                if restricted.is_empty() {
-                    continue;
+            };
+            let mut n = 0;
+            each(&mut |_| n += 1);
+            let mut run = RowRun::with_capacity(2, n);
+            each(&mut |[a, b]| run.push(&[Some(a), Some(b)]));
+            run
+        } else {
+            // One flat join output per restricted slot, `hi - lo` oids a
+            // row, kept until all are in so the run is sized once. The
+            // context is a shared `&'a` reference, so its spans can be
+            // walked while the slots' memberships are swapped.
+            let ctx = self.ctx;
+            let mut joins: Vec<(usize, usize, Vec<Oid>)> =
+                Vec::with_capacity(ctx.spans.iter().map(|(lo, hi)| hi - lo).sum());
+            for &(lo, hi) in &ctx.spans {
+                for slot in lo..hi {
+                    let restricted: BTreeSet<Oid> = dirty
+                        .iter()
+                        .copied()
+                        .filter(|&o| self.live_in_slot(slot, o) && self.member_ok(slot, o))
+                        .collect();
+                    if restricted.is_empty() {
+                        continue;
+                    }
+                    let dsp = self.delta_plan(lo, hi, slot, restricted.len());
+                    let saved_m = std::mem::replace(
+                        &mut self.memberships[slot],
+                        Members::Fixed(restricted),
+                    );
+                    let saved_ix = self.index_scan[slot].take();
+                    joins.push((lo, hi, self.exec_span(&dsp)));
+                    self.memberships[slot] = saved_m;
+                    self.index_scan[slot] = saved_ix;
                 }
-                let dsp = self.delta_plan(lo, hi, slot, restricted.len());
-                let saved_m = std::mem::replace(
-                    &mut self.memberships[slot],
-                    Members::Fixed(restricted),
-                );
-                let saved_ix = self.index_scan[slot].take();
-                let rows = self.exec_span(&dsp);
-                rows_out.reserve(rows.len() / (hi - lo));
-                for r in rows.chunks_exact(hi - lo) {
-                    rows_out.push(pattern_of(&mut row, lo, r));
-                }
-                self.memberships[slot] = saved_m;
-                self.index_scan[slot] = saved_ix;
             }
-        }
-        sp.attr("rows_out", rows_out.len() as i64);
+            let rows = joins.iter().map(|(lo, hi, flat)| flat.len() / (hi - lo)).sum();
+            let mut run = RowRun::with_capacity(width, rows);
+            for (lo, hi, flat) in &joins {
+                for r in flat.chunks_exact(hi - lo) {
+                    run.push_with(|row| {
+                        for (c, &o) in row[*lo..*hi].iter_mut().zip(r) {
+                            *c = Some(o);
+                        }
+                    });
+                }
+            }
+            run
+        };
+        let joined = run.len() as u64;
+        run.sort();
+        sp.attr("rows_out", joined as i64);
         if obs::metrics_enabled() {
             obs::metrics::counter("oql.delta.evals").inc();
-            obs::metrics::counter("oql.delta.rows_out").add(rows_out.len() as u64);
+            obs::metrics::counter("oql.delta.rows_out").add(joined);
         }
-        rows_out
+        run
     }
 
     /// Whether `oid` satisfies `slot`'s membership constraint.
@@ -602,20 +613,26 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Traverse edge `edge_idx` from `oid`; `forward` follows left→right.
-    fn step(&self, edge_idx: usize, kind: &REdgeKind, oid: Oid, forward: bool) -> Vec<Oid> {
+    /// A plain association lends the store's neighbour slice and a derived
+    /// edge its adjacency slice; only an inherited or identity chain is
+    /// traversed into a new list.
+    fn step(&self, edge_idx: usize, kind: &REdgeKind, oid: Oid, forward: bool) -> Cow<'_, [Oid]> {
         match kind {
-            REdgeKind::Base(edge) => {
-                if forward {
-                    self.db.traverse(oid, edge)
-                } else {
-                    self.db.traverse(oid, &reverse_edge(edge))
-                }
+            REdgeKind::Base(ResolvedEdge::Assoc { up_x, assoc, forward: f, up_y })
+                if up_x.is_empty() && up_y.is_empty() =>
+            {
+                Cow::Borrowed(self.db.neighbors(*assoc, oid, forward == *f))
             }
-            REdgeKind::Derived { .. } => self
-                .derived_adj
-                .get(&edge_idx)
-                .map(|&(adj, flip)| adj.neighbors(oid, forward ^ flip).to_vec())
-                .unwrap_or_default(),
+            REdgeKind::Base(edge) => Cow::Owned(if forward {
+                self.db.traverse(oid, edge)
+            } else {
+                self.db.traverse(oid, &reverse_edge(edge))
+            }),
+            REdgeKind::Derived { .. } => Cow::Borrowed(
+                self.derived_adj
+                    .get(&edge_idx)
+                    .map_or(&[][..], |&(adj, flip)| adj.neighbors(oid, forward ^ flip)),
+            ),
         }
     }
 
@@ -945,7 +962,8 @@ impl<'a> Evaluator<'a> {
             for (o, succs) in out.iter_mut() {
                 succs.extend(
                     self.step(usize::MAX, cycle, *o, true)
-                        .into_iter()
+                        .iter()
+                        .copied()
                         .filter(|&s| self.accepts(0, s)),
                 );
             }
@@ -957,7 +975,7 @@ impl<'a> Evaluator<'a> {
             for row in rows.chunks_exact(n) {
                 let i = pos[&row[0]];
                 let last = row[n - 1];
-                for s in self.step(usize::MAX, cycle, last, true) {
+                for &s in self.step(usize::MAX, cycle, last, true).iter() {
                     if self.accepts(0, s) {
                         out[i].1.push(s);
                     }
@@ -1039,49 +1057,69 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// DFS the successor relation from `roots`, emitting the maximal
-    /// root-to-leaf chains (per-path cycle cut, `^N` length cap). `succ`
-    /// must hold a list for every node the walk can reach below the cap:
-    /// [`closure_fixpoint`](Self::closure_fixpoint) expands every slot-0
-    /// candidate and a successor is always one, and the incremental path
-    /// expands every newly reachable node before it calls this.
-    pub fn closure_chains(
+    /// The DFS over the successor relation from `roots` that yields the
+    /// maximal root-to-leaf chains (per-path cycle cut, `^N` length cap).
+    /// `succ` must hold a list for every node the walk can reach below the
+    /// cap: [`closure_fixpoint`](Self::closure_fixpoint) expands every
+    /// slot-0 candidate and a successor is always one, and the incremental
+    /// path expands every newly reachable node before it walks. With
+    /// `roots` ascending and distinct, and the successor lists so (as the
+    /// fixpoint leaves them), the chains come out ascending and distinct.
+    fn chain_walk<'s>(
         &self,
-        roots: &[Oid],
-        succ: &FxHashMap<Oid, Vec<Oid>>,
-    ) -> Vec<Vec<Oid>> {
+        roots: &'s [Oid],
+        succ: &'s FxHashMap<Oid, Vec<Oid>>,
+    ) -> ChainWalk<'s> {
         let max_levels = self
             .ctx
             .closure
             .as_ref()
             .and_then(|(spec, _)| spec.iterations.map(|i| i as usize + 1));
-        let mut chains = Vec::new();
-        let mut path: Vec<Oid> = Vec::new();
-        for &root in roots {
-            dfs_chains(root, &mut path, succ, max_levels, &mut chains);
-            debug_assert!(path.is_empty());
-        }
-        chains
+        ChainWalk::new(roots, succ, max_levels)
     }
 
-    /// Materialize closure chains into a subdatabase, written straight into
-    /// its leaves — a Null-padded chain sorts as the chain does, before
-    /// every longer chain it prefixes — with **no subsumption pass**: a
-    /// chain is emitted only when its tip has no admissible successor, so
-    /// no emitted chain is a positional prefix of another from the same
-    /// root, and chains from different roots differ at slot 0. Each chain
-    /// is freed once its row is written.
-    pub fn closure_subdb(&self, name: &str, mut chains: Vec<Vec<Oid>>) -> Subdatabase {
-        let width = chains.iter().map(Vec::len).max().unwrap_or(1);
-        let mut sd = Subdatabase::new(name, self.closure_intension(width));
-        chains.sort_unstable();
-        chains.dedup();
-        let n = chains.len();
-        let mut next = chains.into_iter();
+    /// The maximal chains from `roots` (see
+    /// [`chain_walk`](Self::chain_walk)) in one flat buffer: a counting
+    /// walk sizes it exactly, a second walk writes it.
+    pub fn closure_chains(&self, roots: &[Oid], succ: &FxHashMap<Oid, Vec<Oid>>) -> Chains {
+        let (mut chains, mut cells) = (0, 0);
+        let mut walk = self.chain_walk(roots, succ);
+        while let Some(c) = walk.next_chain() {
+            (chains, cells) = (chains + 1, cells + c.len());
+        }
+        let mut out = Chains::with_capacity(chains, cells);
+        walk.rewind();
+        while let Some(c) = walk.next_chain() {
+            out.push(c.iter().copied());
+        }
+        out
+    }
+
+    /// Materialize closure chains into a subdatabase as wide as the longest
+    /// one, written straight into its leaves — a Null-padded chain sorts as
+    /// the chain does, before every longer chain it prefixes — with **no
+    /// subsumption pass**: a chain is emitted only when its tip has no
+    /// admissible successor, so no emitted chain is a positional prefix of
+    /// another from the same root, and chains from different roots differ
+    /// at slot 0. Chains already ascending and distinct (as
+    /// [`closure_chains`](Self::closure_chains) emits them) are copied in
+    /// order; others are sorted by index first.
+    pub fn closure_subdb(&self, name: &str, chains: &Chains) -> Subdatabase {
+        let mut sd = Subdatabase::new(name, self.closure_intension(chains.width()));
+        let mut order: Vec<u32> = Vec::new();
+        if !(1..chains.len()).all(|i| chains.get(i - 1) < chains.get(i)) {
+            order.extend(0..u32::try_from(chains.len()).expect("at most 2^32 chains"));
+            order.sort_unstable_by(|&a, &b| chains.get(a as usize).cmp(chains.get(b as usize)));
+            order.dedup_by(|a, b| chains.get(*a as usize) == chains.get(*b as usize));
+        }
+        let n = if order.is_empty() { chains.len() } else { order.len() };
+        let mut next = 0;
         sd.set_sorted_rows(n, |row| {
-            for (c, o) in row.iter_mut().zip(next.next().expect("one chain per row")) {
+            let i = order.get(next).map_or(next, |&i| i as usize);
+            for (c, &o) in row.iter_mut().zip(chains.get(i)) {
                 *c = Some(o);
             }
+            next += 1;
         });
         sd
     }
@@ -1106,11 +1144,24 @@ impl<'a> Evaluator<'a> {
         let mut state = ClosureState::default();
         self.closure_fixpoint(&mut state);
         sp.attr("roots", state.roots.len() as i64);
-        let chains = self.closure_chains(&state.roots, &state.succ);
-        state.width = chains.iter().map(Vec::len).max().unwrap_or(1);
-        sp.attr("chains", chains.len() as i64);
-        sp.attr("width", state.width as i64);
-        let sd = self.closure_subdb(name, chains);
+        // The chains go straight from the walk into the result's leaves: a
+        // counting walk gives their number and the width, a second one
+        // writes them, in order, so no chain is held anywhere else.
+        let (mut chains, mut width) = (0, 1);
+        let mut walk = self.chain_walk(&state.roots, &state.succ);
+        while let Some(c) = walk.next_chain() {
+            (chains, width) = (chains + 1, width.max(c.len()));
+        }
+        state.width = width;
+        sp.attr("chains", chains as i64);
+        sp.attr("width", width as i64);
+        let mut sd = Subdatabase::new(name, self.closure_intension(width));
+        walk.rewind();
+        sd.set_sorted_rows(chains, |row| {
+            for (c, &o) in row.iter_mut().zip(walk.next_chain().expect("counted")) {
+                *c = Some(o);
+            }
+        });
         (sd, state)
     }
 
@@ -1154,13 +1205,10 @@ impl<'a> Evaluator<'a> {
             let mut anchor: Vec<Oid> =
                 dirty.iter().copied().filter(|&o| self.live_in_slot(k, o)).collect();
             if k == n - 1 {
-                let rev = dirty
-                    .iter()
-                    .copied()
-                    .filter(|&o| self.live_in_slot(0, o))
-                    .flat_map(|o| self.step(usize::MAX, cycle, o, false))
-                    .filter(|&l| self.live_in_slot(n - 1, l));
-                anchor.extend(rev);
+                for o in dirty.iter().copied().filter(|&o| self.live_in_slot(0, o)) {
+                    let rev = self.step(usize::MAX, cycle, o, false);
+                    anchor.extend(rev.iter().copied().filter(|&l| self.live_in_slot(n - 1, l)));
+                }
                 anchor.sort_unstable();
                 anchor.dedup();
             }
@@ -1187,40 +1235,135 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// One DFS level of [`Evaluator::closure_chains`]: the successor list is
-/// walked in place. A node is a leaf when it is at the length cap, or when
-/// none of its successors is off the path — which includes a node with no
-/// successor list at all, in every build.
-fn dfs_chains(
-    node: Oid,
-    path: &mut Vec<Oid>,
-    succ: &FxHashMap<Oid, Vec<Oid>>,
+/// Closure chains in one flat buffer: the nodes of every chain back to
+/// back, and where each chain ends.
+#[derive(Debug)]
+pub struct Chains {
+    cells: Vec<Oid>,
+    ends: Vec<u32>,
+}
+
+impl Chains {
+    /// An empty buffer with room for exactly `chains` chains of `cells`
+    /// nodes in all.
+    pub fn with_capacity(chains: usize, cells: usize) -> Self {
+        Chains { cells: Vec::with_capacity(cells), ends: Vec::with_capacity(chains) }
+    }
+
+    /// Make room for exactly `chains` more chains of `cells` more nodes.
+    pub fn reserve_exact(&mut self, chains: usize, cells: usize) {
+        self.cells.reserve_exact(cells);
+        self.ends.reserve_exact(chains);
+    }
+
+    /// Append a chain.
+    pub fn push(&mut self, chain: impl IntoIterator<Item = Oid>) {
+        self.cells.extend(chain);
+        self.ends.push(u32::try_from(self.cells.len()).expect("at most 2^32 chain nodes"));
+    }
+
+    /// Number of chains.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there is no chain.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Chain `i`.
+    pub fn get(&self, i: usize) -> &[Oid] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.cells[start..self.ends[i] as usize]
+    }
+
+    /// Every chain, in buffer order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Oid]> + '_ {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The length of the longest chain (1 if there is none): a closure
+    /// result's width.
+    pub fn width(&self) -> usize {
+        self.iter().map(<[Oid]>::len).max().unwrap_or(1)
+    }
+}
+
+/// The depth-first walk behind [`Evaluator::chain_walk`], one maximal
+/// chain per [`ChainWalk::next_chain`] call. The successor lists are read
+/// in place; the state is the current path and, per node on it, the rest
+/// of its list still to try and whether it has had a child. A node is a
+/// leaf when it is at the length cap, or when none of its successors is off
+/// the path — which includes a node with no successor list at all, in
+/// every build.
+struct ChainWalk<'s> {
+    succ: &'s FxHashMap<Oid, Vec<Oid>>,
     max_levels: Option<usize>,
-    out: &mut Vec<Vec<Oid>>,
-) {
-    path.push(node);
-    let mut leaf = true;
-    if max_levels.is_none_or(|m| path.len() < m) {
-        for &n in succ.get(&node).map_or(&[][..], Vec::as_slice) {
-            if !path.contains(&n) {
-                leaf = false;
-                dfs_chains(n, path, succ, max_levels, out);
+    all_roots: &'s [Oid],
+    roots: std::slice::Iter<'s, Oid>,
+    path: Vec<Oid>,
+    rest: Vec<(&'s [Oid], bool)>,
+    /// The path ends in the leaf handed out last, to be popped first.
+    at_leaf: bool,
+}
+
+impl<'s> ChainWalk<'s> {
+    fn new(
+        roots: &'s [Oid],
+        succ: &'s FxHashMap<Oid, Vec<Oid>>,
+        max_levels: Option<usize>,
+    ) -> Self {
+        let (path, rest) = (Vec::new(), Vec::new());
+        let at_leaf = false;
+        ChainWalk { succ, max_levels, all_roots: roots, roots: roots.iter(), path, rest, at_leaf }
+    }
+
+    /// Start a finished walk over from the first root, keeping the path's
+    /// buffers.
+    fn rewind(&mut self) {
+        debug_assert!(self.path.is_empty(), "rewound in mid-walk");
+        self.roots = self.all_roots.iter();
+    }
+
+    /// Put `node` on the path, with the successors it may try.
+    fn enter(&mut self, node: Oid) {
+        self.path.push(node);
+        let list = match self.max_levels {
+            Some(m) if self.path.len() >= m => &[][..],
+            _ => self.succ.get(&node).map_or(&[][..], Vec::as_slice),
+        };
+        self.rest.push((list, false));
+    }
+
+    /// The next maximal chain, root first.
+    fn next_chain(&mut self) -> Option<&[Oid]> {
+        if std::mem::take(&mut self.at_leaf) {
+            self.path.pop();
+            self.rest.pop();
+        }
+        loop {
+            let Some(&mut (list, had_child)) = self.rest.last_mut() else {
+                let &root = self.roots.next()?;
+                self.enter(root);
+                continue;
+            };
+            match list.iter().position(|n| !self.path.contains(n)) {
+                Some(k) => {
+                    *self.rest.last_mut().expect("checked") = (&list[k + 1..], true);
+                    self.enter(list[k]);
+                }
+                None if had_child => {
+                    self.path.pop();
+                    self.rest.pop();
+                }
+                None => {
+                    self.at_leaf = true;
+                    return Some(&self.path);
+                }
             }
         }
     }
-    if leaf {
-        out.push(path.clone());
-    }
-    path.pop();
-}
-
-/// One pattern from a flat row bound at slots `lo..lo + r.len()`, built in
-/// the reused full-width `row`, whose other slots the caller keeps Null.
-fn pattern_of(row: &mut [Option<Oid>], lo: usize, r: &[Oid]) -> ExtPattern {
-    for (c, &o) in row[lo..lo + r.len()].iter_mut().zip(r) {
-        *c = Some(o);
-    }
-    ExtPattern::new(&*row)
 }
 
 /// Row `i` of span `s`'s flat join output.
@@ -1280,6 +1423,7 @@ mod tests {
     use crate::parser::Parser;
     use crate::resolve::resolve_context;
     use dood_core::schema::SchemaBuilder;
+    use dood_core::subdb::Row;
     use dood_core::value::DType;
 
     /// A miniature database: teachers teach sections of courses.
@@ -1447,17 +1591,23 @@ mod tests {
         // 1 -> {2, 3}, 3 -> {1} (cut on the path); 2 has no list at all.
         let succ: FxHashMap<Oid, Vec<Oid>> =
             [(Oid(1), vec![Oid(2), Oid(3)]), (Oid(3), vec![Oid(1)])].into_iter().collect();
-        let mut path = Vec::new();
-        let mut out = Vec::new();
-        dfs_chains(Oid(1), &mut path, &succ, None, &mut out);
-        assert_eq!(out, vec![vec![Oid(1), Oid(2)], vec![Oid(1), Oid(3)]]);
-        assert!(path.is_empty());
-        out.clear();
-        dfs_chains(Oid(2), &mut path, &succ, None, &mut out);
-        assert_eq!(out, vec![vec![Oid(2)]]);
-        out.clear();
-        dfs_chains(Oid(1), &mut path, &succ, Some(1), &mut out);
-        assert_eq!(out, vec![vec![Oid(1)]]);
+        let walk = |roots: &[Oid], max: Option<usize>| {
+            let mut walk = ChainWalk::new(roots, &succ, max);
+            let mut out: Vec<Vec<Oid>> = Vec::new();
+            while let Some(c) = walk.next_chain() {
+                out.push(c.to_vec());
+            }
+            assert!(walk.next_chain().is_none(), "the walk stays done");
+            walk.rewind();
+            assert_eq!(walk.next_chain().map(<[Oid]>::to_vec), out.first().cloned(), "rewound");
+            out
+        };
+        let c = |v: &[u64]| v.iter().map(|&o| Oid(o)).collect::<Vec<_>>();
+        assert_eq!(walk(&[Oid(1)], None), vec![c(&[1, 2]), c(&[1, 3])]);
+        assert_eq!(walk(&[Oid(2)], None), vec![c(&[2])]);
+        assert_eq!(walk(&[Oid(1)], Some(1)), vec![c(&[1])]);
+        assert_eq!(walk(&[Oid(1), Oid(3)], Some(2)), vec![c(&[1, 2]), c(&[1, 3]), c(&[3, 1])]);
+        assert_eq!(walk(&[Oid(3)], None), vec![c(&[3, 1, 2])]);
     }
 
     #[test]
@@ -1513,29 +1663,47 @@ mod tests {
     #[test]
     fn eval_delta_matches_restricted_full() {
         // eval_delta(dirty) must equal exactly the full-evaluation patterns
-        // that contain at least one dirty component (before subsumption).
+        // that contain at least one dirty component (before subsumption),
+        // as a strictly ascending run: a row with two dirty slots is joined
+        // twice and returned once. "Teacher * Section" and "Section *
+        // Course" take the binary fast path; the braced contexts have more
+        // than one retention span.
         let (db, reg) = setup();
-        let teacher = db.schema().class_by_name("Teacher").unwrap();
-        let t1 = db.extent(teacher).next().unwrap();
-        for src in ["Teacher * Section * Course", "{Teacher * Section} * Course"] {
+        let first = |class: &str| db.extent(db.schema().class_by_name(class).unwrap()).next();
+        let (t1, s1, c1) =
+            (first("Teacher").unwrap(), first("Section").unwrap(), first("Course").unwrap());
+        for src in [
+            "Teacher * Section * Course",
+            "{Teacher * Section} * Course",
+            "Teacher * {Section * Course}",
+            "Teacher * Section",
+            "Section * Course",
+        ] {
             let e = Parser::parse_context_expr(src).unwrap();
             let r = resolve_context(&e, db.schema(), &reg).unwrap();
             let full = Evaluator::new(&r, &db, &reg).unwrap().eval("x");
-            let dirty = BTreeSet::from([t1]);
-            let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &dirty);
-            let expect: BTreeSet<_> = full
-                .patterns()
-                .filter(|p| p.components().iter().flatten().any(|o| dirty.contains(o)))
-                .map(|p| p.to_pattern())
-                .collect();
-            let got: BTreeSet<_> = delta.iter().cloned().collect();
-            // The delta may retain rows the full eval subsumed away; every
-            // expected (maximal) row must be present.
-            assert!(expect.is_subset(&got), "{src}: delta missed rows");
-            // And every delta row touches the dirty set.
-            assert!(got
-                .iter()
-                .all(|p| p.components().iter().flatten().any(|o| dirty.contains(o))));
+            for dirty in [BTreeSet::from([t1]), BTreeSet::from([t1, s1]), BTreeSet::from([s1, c1])]
+            {
+                let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &dirty);
+                assert!(
+                    delta.iter().zip(delta.iter().skip(1)).all(|(a, b)| a < b),
+                    "{src}: the run is not strictly ascending: {delta:?}"
+                );
+                let touches =
+                    |p: &Row<'_>| p.components().iter().flatten().any(|o| dirty.contains(o));
+                let expect: BTreeSet<_> =
+                    full.patterns().filter(touches).map(|p| p.to_pattern()).collect();
+                let got: BTreeSet<_> = delta.iter().map(|p| p.to_pattern()).collect();
+                if src.contains('{') {
+                    // The delta may retain rows the full eval subsumed away;
+                    // every expected (maximal) row must be present.
+                    assert!(expect.is_subset(&got), "{src}: delta missed rows");
+                } else {
+                    assert_eq!(got, expect, "{src}: delta differs from the restricted full eval");
+                }
+                // And every delta row touches the dirty set.
+                assert!(delta.iter().all(|p| touches(&p)), "{src}: a row binds no dirty object");
+            }
         }
     }
 

@@ -27,7 +27,7 @@ use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::{ClassId, Oid};
 use dood_core::obs;
 use dood_core::obs::profile::Profile;
-use dood_core::subdb::{ExtPattern, RegistryEntry, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{RegistryEntry, Row, Subdatabase, SubdbRegistry};
 use dood_oql::ast::{ClassRef, Query, SelectItem, WhereCond};
 use dood_oql::{Oql, QueryOutput};
 use dood_store::{Database, SubscriberId};
@@ -85,7 +85,7 @@ struct Maintained {
 
 impl Maintained {
     /// `entry` after in-place edits: `edits` are the patterns added or removed.
-    fn edited<'a>(entry: RegistryEntry, edits: impl IntoIterator<Item = &'a ExtPattern>) -> Self {
+    fn edited<'a>(entry: RegistryEntry, edits: impl IntoIterator<Item = Row<'a>>) -> Self {
         let diff: BTreeSet<Oid> =
             edits.into_iter().flat_map(|p| p.components().iter().flatten().copied()).collect();
         let change = (!diff.is_empty()).then(|| Some(diff.into_iter().collect()));
@@ -713,7 +713,7 @@ impl RuleEngine {
                 match stepped {
                     Some(out) => {
                         let entry = state.entry.take().expect("stepped above");
-                        Maintained::edited(entry, out.inserted.iter().chain(&out.removed))
+                        Maintained::edited(entry, out.inserted.iter().chain(out.removed.iter()))
                     }
                     None => {
                         let sd = self.seed(rule, &mut state.caches)?;
@@ -765,12 +765,12 @@ impl RuleEngine {
             let sd = &mut entry.subdb;
             // Removals first, and only of patterns no rule of the union
             // derives any more; then the insertions.
-            let mut edited: Vec<&ExtPattern> = outs
+            let mut edited: Vec<Row<'_>> = outs
                 .iter()
-                .flat_map(|out| &out.removed)
+                .flat_map(|out| out.removed.iter())
                 .filter(|p| !targets.iter().any(|t| t.contains(p)) && sd.remove(p))
                 .collect();
-            let inserted = outs.iter().flat_map(|out| &out.inserted);
+            let inserted = outs.iter().flat_map(|out| out.inserted.iter());
             edited.extend(inserted.filter(|p| sd.insert(p)));
             return Ok(Maintained::edited(entry, edited));
         }

@@ -39,7 +39,7 @@ use crate::error::RuleError;
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::Oid;
 use dood_core::obs;
-use dood_core::subdb::{is_part, ExtPattern, HeadRange, Row, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{is_part, ExtPattern, HeadRange, Row, RowRun, Subdatabase, SubdbRegistry};
 use dood_oql::ast::WhereCond;
 use dood_oql::eval::Evaluator;
 use dood_oql::plan::CompiledContext;
@@ -47,6 +47,7 @@ use dood_oql::resolve::{resolve_context, REdgeKind, ResolvedContext};
 use dood_oql::wherec::{apply_cond, AggCond, Applied, CmpCond};
 use dood_store::Database;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -317,10 +318,15 @@ impl Posting {
         self.chain(self.chains.get(&oid).map_or(NIL, |c| c.0))
     }
 
+    /// How many rows [`Posting::rows_of`] yields for `oid`.
+    fn chain_len(&self, oid: Oid) -> usize {
+        self.chains.get(&oid).map_or(0, |c| c.1 as usize)
+    }
+
     /// Un-index a row; whether it was indexed.
-    fn remove(&mut self, p: &ExtPattern) -> bool {
-        let Some(mut entry) = self.shortest_chain(p.components()) else { return false };
-        while entry != NIL && self.row(entry) != p.components() {
+    fn remove(&mut self, p: &[Option<Oid>]) -> bool {
+        let Some(mut entry) = self.shortest_chain(p) else { return false };
+        while entry != NIL && self.row(entry) != p {
             entry = self.next[entry as usize];
         }
         if entry == NIL {
@@ -351,25 +357,22 @@ impl Posting {
 
     /// Whether an indexed row strictly covers the partial row `r`. A cover
     /// binds every component `r` binds, so it is on each of their chains.
-    fn covers(&self, r: &ExtPattern) -> bool {
-        self.shortest_chain(r.components())
-            .is_some_and(|e| self.chain(e).any(|q| is_part(r.components(), q)))
+    fn covers(&self, r: &[Option<Oid>]) -> bool {
+        self.shortest_chain(r).is_some_and(|e| self.chain(e).any(|q| is_part(r, q)))
     }
 
-    /// The indexed rows that are strict parts of `r`. A part binds a subset
-    /// of `r`'s components, so it is on the chain of one of them.
-    fn parts_of(&self, r: &ExtPattern) -> Vec<ExtPattern> {
-        let mut parts: Vec<ExtPattern> = r
-            .components()
-            .iter()
-            .flatten()
-            .flat_map(|&o| self.rows_of(o))
-            .filter(|q| is_part(q, r.components()))
-            .map(ExtPattern::new)
-            .collect();
-        parts.sort_unstable();
-        parts.dedup();
-        parts
+    /// The indexed rows that are strict parts of `r`, sorted and distinct.
+    /// A part binds a subset of `r`'s components, so it is on the chain of
+    /// one of them; the chains are walked once to size the run and once to
+    /// fill it.
+    fn parts_of(&self, r: &[Option<Oid>]) -> RowRun {
+        let parts = || r.iter().flatten().flat_map(|&o| self.rows_of(o)).filter(|q| is_part(q, r));
+        let mut run = RowRun::with_capacity(self.width, parts().count());
+        for q in parts() {
+            run.push(q);
+        }
+        run.sort();
+        run
     }
 }
 
@@ -439,28 +442,29 @@ impl Stage {
         }
     }
 
-    /// Fold the input edits `rem`/`add` in and return the output edits.
-    /// `members(cond, g)` lists the rows of group `g` in the stage's *new*
-    /// input; it is asked only for groups whose verdict flipped.
+    /// Fold the input edits `rem`/`add` — sorted runs, rewritten in place
+    /// into the output edits. `members(cond, g, emit)` emits the rows of
+    /// group `g` in the stage's *new* input; it is asked only for groups
+    /// whose verdict flipped.
     fn step(
         &mut self,
-        mut rem: Vec<ExtPattern>,
-        mut add: Vec<ExtPattern>,
+        rem: &mut RowRun,
+        add: &mut RowRun,
         db: &Database,
         stats: &mut StepStats,
-        members: impl Fn(&AggCond, Oid) -> Vec<ExtPattern>,
-    ) -> (Vec<ExtPattern>, Vec<ExtPattern>) {
+        members: impl Fn(&AggCond, Oid, &mut dyn FnMut(&[Option<Oid>])),
+    ) {
         let (cond, groups) = match self {
             Stage::Cmp { cond, rejected } => {
-                rem.retain(|p| !rejected.remove(p));
+                rem.retain(|p| !rejected.remove(p.components()));
                 add.retain(|p| {
-                    let ok = cond.passes(p.as_row(), db);
+                    let ok = cond.passes(p, db);
                     if !ok {
-                        rejected.insert(p.clone());
+                        rejected.insert(p.to_pattern());
                     }
                     ok
                 });
-                return (rem, add);
+                return;
             }
             Stage::Agg { cond, groups: Groups::Built(groups) } => (&*cond, groups),
             Stage::Agg { .. } => unreachable!("groups are built before the first step"),
@@ -470,17 +474,17 @@ impl Stage {
         // flips on an attribute alone is caught.
         let mut touched: Vec<Oid> = Vec::with_capacity(rem.len() + add.len());
         rem.retain(|p| {
-            let Some(g) = cond.group_of(p.as_row()) else { return false };
+            let Some(g) = cond.group_of(p) else { return false };
             let group = groups.get_mut(&g).expect("an input row is counted in its group");
-            group.del(cond.target_of(p.as_row()));
+            group.del(cond.target_of(p));
             touched.push(g);
             // Verdicts still are the old ones: the row was in the output
             // iff its group passed.
             group.verdict
         });
         add.retain(|p| {
-            let Some(g) = cond.group_of(p.as_row()) else { return false };
-            groups.entry(g).or_default().add(cond.target_of(p.as_row()));
+            let Some(g) = cond.group_of(p) else { return false };
+            groups.entry(g).or_default().add(cond.target_of(p));
             touched.push(g);
             true
         });
@@ -501,29 +505,29 @@ impl Stage {
                 groups.remove(&g);
             }
         }
+        // The members of a doused group that were in the old input too
+        // leave the output: the ones removed from the input are in `rem`
+        // already, and the ones that only now joined it — rows of `add` —
+        // never were in it.
+        for &g in &doused {
+            members(cond, g, &mut |p| {
+                if !add.contains(p) {
+                    rem.push(p);
+                }
+            });
+        }
         // A group that stays as it was passes its own added rows through or
         // holds them back; a flipped group moves with all its members.
         let flipped = |g: &Oid| lit.binary_search(g).is_ok() || doused.binary_search(g).is_ok();
-        let mut joined: Vec<ExtPattern> = Vec::new();
         add.retain(|p| {
-            let g = cond.group_of(p.as_row()).expect("ungrouped rows were dropped above");
-            if flipped(&g) {
-                joined.push(p.clone());
-                return false;
-            }
-            groups.get(&g).is_some_and(|g| g.verdict)
+            let g = cond.group_of(p).expect("ungrouped rows were dropped above");
+            !flipped(&g) && groups.get(&g).is_some_and(|g| g.verdict)
         });
         for &g in &lit {
-            add.extend(members(cond, g));
+            members(cond, g, &mut |p| add.push(p));
         }
-        // The members of a doused group that were in the old input too: the
-        // ones removed from it are in `rem` already, the ones that only now
-        // joined it never were in the output.
-        joined.sort_unstable();
-        for &g in &doused {
-            rem.extend(members(cond, g).into_iter().filter(|p| joined.binary_search(p).is_err()));
-        }
-        (rem, add)
+        rem.sort();
+        add.sort();
     }
 }
 
@@ -716,14 +720,14 @@ impl RuleCache {
     }
 
     /// Edit the cached context, and its posting list with it.
-    fn ctx_insert(&mut self, p: &ExtPattern) {
+    fn ctx_insert(&mut self, p: &[Option<Oid>]) {
         if let Some(posting) = self.posting.as_mut().filter(|_| !self.ctx_pre.contains(p)) {
-            posting.insert(p.components());
+            posting.insert(p);
         }
         self.ctx_pre.insert(p);
     }
 
-    fn ctx_remove(&mut self, p: &ExtPattern) {
+    fn ctx_remove(&mut self, p: &[Option<Oid>]) {
         if self.ctx_pre.remove(p) {
             if let Some(posting) = &mut self.posting {
                 posting.remove(p);
@@ -731,27 +735,33 @@ impl RuleCache {
         }
     }
 
-    /// The cached context rows binding a dirty object, ascending.
-    fn dirty_bound(&self, dirty: &BTreeSet<Oid>) -> Vec<ExtPattern> {
+    /// The cached context rows binding a dirty object, as a sorted run
+    /// sized from the dirty objects' posting-chain lengths.
+    fn dirty_bound(&self, dirty: &BTreeSet<Oid>) -> RowRun {
         let posting = self.posting.as_ref().expect("built by ensure_delta_state");
-        let mut rows: Vec<ExtPattern> =
-            dirty.iter().flat_map(|&o| posting.rows_of(o)).map(ExtPattern::new).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
+        let rows = dirty.iter().map(|&o| posting.chain_len(o)).sum();
+        let mut run = RowRun::with_capacity(posting.width, rows);
+        for &o in dirty {
+            for row in posting.rows_of(o) {
+                run.push(row);
+            }
+        }
+        run.sort();
+        run
     }
 
     /// Stages 3–4, shared by the flat and closure delta paths: run the
     /// exact context edits — `dropped` rows gone, `added` rows new, `kept`
-    /// rows still there but binding a dirty object — through the WHERE
-    /// conditions, then maintain the target by derivation counts.
+    /// rows still there but binding a dirty object, each a sorted run —
+    /// through the WHERE conditions, then maintain the target by
+    /// derivation counts.
     fn refresh(
         &mut self,
         target: &mut Subdatabase,
         db: &Database,
-        dropped: Vec<ExtPattern>,
-        added: Vec<ExtPattern>,
-        kept: Vec<ExtPattern>,
+        dropped: RowRun,
+        added: RowRun,
+        kept: RowRun,
         stats: &mut StepStats,
     ) -> DeltaOutcome {
         let RuleCache { ctx_pre, posting, filter, .. } = self;
@@ -760,16 +770,18 @@ impl RuleCache {
         // removal plus an addition, so every verdict it takes part in is
         // re-evaluated. Without attribute-reading conditions it is no edit.
         let (mut rem, mut add) = (dropped, added);
-        if *reads_attrs {
-            rem.extend(kept.iter().cloned());
-            add.extend(kept);
+        if *reads_attrs && !kept.is_empty() {
+            rem.append(&kept);
+            rem.sort();
+            add.append(&kept);
+            add.sort();
         }
         // 3. WHERE prefix: clean patterns keep their cached verdict (their
         //    attributes are untouched); only the added rows are checked.
         if let Some(post) = post {
             rem.retain(|p| post.remove(p));
-            add.retain(|p| prefix.iter().all(|c| c.passes(p.as_row(), db)));
-            for p in &add {
+            add.retain(|p| prefix.iter().all(|c| c.passes(p, db)));
+            for p in add.iter() {
                 post.insert(p);
             }
         }
@@ -777,19 +789,15 @@ impl RuleCache {
         for k in 0..stages.len() {
             let (done, rest) = stages.split_at_mut(k);
             let in_input = |r: Row<'_>| done.iter().all(|s| s.admits(r));
-            (rem, add) = rest[0].step(rem, add, db, stats, |cond, g| match cond.by_slot() {
-                None => base.patterns().filter(|r| in_input(*r)).map(Row::to_pattern).collect(),
+            rest[0].step(&mut rem, &mut add, db, stats, |cond, g, emit| match cond.by_slot() {
+                None => base.patterns().filter(|r| in_input(*r)).for_each(|r| emit(r.components())),
                 Some(by) => {
                     let posting = posting.as_ref().expect("built by ensure_delta_state");
-                    let mut rows: Vec<ExtPattern> = posting
+                    posting
                         .rows_of(g)
                         .filter(|row| row[by] == Some(g))
                         .filter(|r| (post.is_none() || base.contains(r)) && in_input(Row::new(r)))
-                        .map(ExtPattern::new)
-                        .collect();
-                    rows.sort_unstable();
-                    rows.dedup();
-                    rows
+                        .for_each(emit)
                 }
             });
         }
@@ -845,15 +853,15 @@ pub fn seed_cache(
 }
 
 /// The exact target-pattern edits one delta step made to the target it
-/// patched. Their components are the content delta fed to downstream
-/// rules' dirty sets; a union of several rules (R4/R5) replays them onto
-/// its registered union.
+/// patched, each a sorted run. Their components are the content delta fed
+/// to downstream rules' dirty sets; a union of several rules (R4/R5)
+/// replays them onto its registered union.
 #[derive(Debug, Default)]
 pub struct DeltaOutcome {
     /// Target patterns added by this step.
-    pub inserted: Vec<ExtPattern>,
+    pub inserted: RowRun,
     /// Target patterns removed by this step.
-    pub removed: Vec<ExtPattern>,
+    pub removed: RowRun,
 }
 
 impl DeltaOutcome {
@@ -879,35 +887,8 @@ struct StepStats {
 /// Whether a pattern has any unbound slot. Only partial patterns can take
 /// part in strict subsumption (`is_part_of` requires a strict pattern-type
 /// subtype, so two fully-bound patterns relate only by equality).
-fn is_partial(p: &ExtPattern) -> bool {
-    p.components().iter().any(|c| c.is_none())
-}
-
-/// Split two ascending, duplicate-free vectors into (only in `a`, only in
-/// `b`, in both): a row dropped and re-derived identically is not an edit.
-fn split_common(
-    a: Vec<ExtPattern>,
-    b: Vec<ExtPattern>,
-) -> (Vec<ExtPattern>, Vec<ExtPattern>, Vec<ExtPattern>) {
-    let (mut only_a, mut only_b, mut both) = (Vec::new(), Vec::new(), Vec::new());
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => match x.cmp(y) {
-                std::cmp::Ordering::Less => only_a.extend(ia.next()),
-                std::cmp::Ordering::Greater => only_b.extend(ib.next()),
-                std::cmp::Ordering::Equal => {
-                    both.extend(ia.next());
-                    ib.next();
-                }
-            },
-            (Some(_), None) => only_a.extend(ia.next()),
-            (None, Some(_)) => only_b.extend(ib.next()),
-            (None, None) => break,
-        }
-    }
-    (only_a, only_b, both)
+fn is_partial(p: &[Option<Oid>]) -> bool {
+    p.iter().any(Option::is_none)
 }
 
 /// Apply one delta step **in place**: refresh the cache (context, WHERE
@@ -976,49 +957,46 @@ fn delta_apply_flat(
         Cow::Borrowed(dirty)
     } else {
         let mut wide = dirty.clone();
-        for p in &bound {
+        for p in bound.iter() {
             wide.extend(p.components().iter().flatten().copied());
         }
         Cow::Owned(wide)
     };
 
-    // 2. Semi-naive delta: every valid pattern with a delta-bound slot, once
-    //    per such slot. A bound row that comes back is kept, not an edit.
-    let mut delta =
-        Evaluator::with_compiled(&cache.resolved, db, registry, Arc::clone(&cache.plan))
-            .map_err(RuleError::Query)?
-            .eval_delta(&cache.ctx_pre.name, &rebind);
+    // 2. Semi-naive delta: every valid pattern with a delta-bound slot. A
+    //    bound row that comes back is kept, not an edit.
+    let delta = Evaluator::with_compiled(&cache.resolved, db, registry, Arc::clone(&cache.plan))
+        .map_err(RuleError::Query)?
+        .eval_delta(&cache.ctx_pre.name, &rebind);
     stats.delta_rows = delta.len();
-    delta.sort_unstable();
-    delta.dedup();
-    let (mut dropped, fresh, mut kept) = split_common(bound, delta);
-    for p in &dropped {
-        cache.ctx_remove(p);
+    let (mut dropped, fresh, mut kept) = bound.split_common(delta);
+    for p in dropped.iter() {
+        cache.ctx_remove(p.components());
     }
-    let mut added: Vec<ExtPattern> = Vec::with_capacity(fresh.len());
-    for r in fresh {
+    let mut added = RowRun::with_capacity(width, fresh.len());
+    for r in fresh.iter().map(Row::components) {
         if !full_rows_only {
             // Merge under subsumption. The wider re-binding set re-derives
             // clean rows too; a partial row may hide under a retained one;
             // and a retained (necessarily partial) row that `r` strictly
             // covers goes.
             let posting = cache.posting.as_ref().expect("built by ensure_delta_state");
-            if cache.ctx_pre.contains(&r) || (is_partial(&r) && posting.covers(&r)) {
+            if cache.ctx_pre.contains(r) || (is_partial(r) && posting.covers(r)) {
                 continue;
             }
-            for q in posting.parts_of(&r) {
-                cache.ctx_remove(&q);
-                if let Some(i) = added.iter().position(|a| *a == q) {
-                    added.swap_remove(i);
-                } else {
-                    kept.retain(|k| *k != q);
+            for q in posting.parts_of(r).iter().map(Row::components) {
+                cache.ctx_remove(q);
+                if !added.remove(q) {
+                    kept.remove(q);
                     dropped.push(q);
                 }
             }
         }
-        cache.ctx_insert(&r);
+        cache.ctx_insert(r);
+        // `fresh` is ascending, so `added` stays sorted.
         added.push(r);
     }
+    dropped.sort();
     Ok(cache.refresh(target, db, dropped, added, kept, stats))
 }
 
@@ -1158,19 +1136,20 @@ fn delta_apply_closure(
     drop_roots.dedup();
 
     // The cached chains of redo and dropped roots go: one head range of the
-    // ordered context per root, ascending.
-    let mut dropped: Vec<ExtPattern> = Vec::new();
-    for &root in &drop_roots {
-        dropped.extend(cache.ctx_pre.head_range(Some(root)).map(Row::to_pattern));
+    // ordered context per root, ascending, counted first to size the run.
+    let heads = || drop_roots.iter().flat_map(|&root| cache.ctx_pre.head_range(Some(root)));
+    let mut dropped = RowRun::with_capacity(cache.ctx_pre.intension.width(), heads().count());
+    for p in heads() {
+        dropped.push(p.components());
     }
     stats.dropped = dropped.len();
     let new_chains = ev.closure_chains(&redo_roots, &cc.succ);
     stats.delta_rows = new_chains.len();
-    for p in &dropped {
+    for p in dropped.iter() {
         let c = cc.len_counts.entry(p.arity()).or_insert(0);
         *c = c.saturating_sub(1);
     }
-    for c in &new_chains {
+    for c in new_chains.iter() {
         *cc.len_counts.entry(c.len()).or_insert(0) += 1;
     }
     let new_width =
@@ -1180,64 +1159,103 @@ fn delta_apply_closure(
         // The longest chain length changed: the result intension re-shapes
         // and every cached pattern with it. Rebuild the caches from the
         // patched chain set — the provenance survives, the fixpoint is
-        // still not recomputed.
+        // still not recomputed. The rows that stay join the new chains in
+        // their buffer, which is grown once to fit them.
         if obs::metrics_enabled() {
             obs::metrics::counter("rules.maintain.closure_recompute").inc();
         }
-        for p in &dropped {
+        for p in dropped.iter() {
             cache.ctx_pre.remove(p);
         }
-        let mut chains: Vec<Vec<Oid>> = cache
-            .ctx_pre
-            .patterns()
-            .map(|p| p.components().iter().flatten().copied().collect())
-            .collect();
-        chains.extend(new_chains);
-        let next_pre = ev.closure_subdb(&cache.ctx_pre.name.clone(), chains);
+        let mut chains = new_chains;
+        let cells = cache.ctx_pre.patterns().map(Row::arity).sum();
+        chains.reserve_exact(cache.ctx_pre.len(), cells);
+        for p in cache.ctx_pre.patterns() {
+            chains.push(p.components().iter().flatten().copied());
+        }
+        let next_pre = ev.closure_subdb(&cache.ctx_pre.name, &chains);
         cc.width = new_width;
         cache.closure = Some(cc);
         cache.ctx_pre = next_pre;
         cache.posting = None;
         let (filter, _, next) = Filter::derive(rule, &cache.ctx_pre, db)?;
-        let (removed, inserted, _) = split_common(target.to_vec(), next.to_vec());
+        let out = target_diff(target, &next);
         cache.filter = filter;
         *target = next;
-        return Ok(DeltaOutcome { inserted, removed });
+        return Ok(out);
     }
 
     if obs::metrics_enabled() {
         obs::metrics::counter("rules.maintain.closure_delta").inc();
     }
-    let mut added: Vec<ExtPattern> =
-        new_chains.iter().map(|c| chain_pattern(c, cc.width)).collect();
-    // Re-derived chains that came back identical net out (a redo root
-    // whose subtree was mostly intact) — cancel them before touching the
-    // caches so the WHERE/target stage sees only real edits.
-    added.sort_unstable();
-    added.dedup();
-    let (dropped, added, _) = split_common(dropped, added);
-    for p in &dropped {
-        cache.ctx_remove(p);
+    // Each chain as a Null-padded row. Re-derived chains that came back
+    // identical net out (a redo root whose subtree was mostly intact) —
+    // they are cancelled before the caches are touched, so the
+    // WHERE/target stage sees only real edits.
+    let mut added = RowRun::with_capacity(cc.width, new_chains.len());
+    for c in new_chains.iter() {
+        added.push_with(|row| {
+            for (cell, &o) in row.iter_mut().zip(c) {
+                *cell = Some(o);
+            }
+        });
     }
-    for p in &added {
-        cache.ctx_insert(p);
+    added.sort();
+    let (dropped, added, _) = dropped.split_common(added);
+    for p in dropped.iter() {
+        cache.ctx_remove(p.components());
+    }
+    for p in added.iter() {
+        cache.ctx_insert(p.components());
     }
     cache.closure = Some(cc);
     // Chains that stay — cancelled or untouched — but bind a dirty object
     // keep their structure, not necessarily their attributes: under
     // attribute-reading conditions they re-check their verdicts.
-    let mut kept = Vec::new();
-    if cache.filter.reads_attrs {
-        kept = cache.dirty_bound(dirty);
-        kept.retain(|p| added.binary_search(p).is_err());
-    }
+    let kept = if cache.filter.reads_attrs {
+        let mut kept = cache.dirty_bound(dirty);
+        kept.retain(|p| !added.contains(p));
+        kept
+    } else {
+        RowRun::new(added.width())
+    };
     Ok(cache.refresh(target, db, dropped, added, kept, stats))
 }
 
-/// A closure chain as a pattern of `width` slots, Null-padded.
-fn chain_pattern(chain: &[Oid], width: usize) -> ExtPattern {
-    let cells = chain.iter().map(|&o| Some(o)).chain(std::iter::repeat(None));
-    ExtPattern::new(cells.take(width).collect::<Vec<_>>())
+/// The edits that turn `old` into `new`, two targets of a rule: the rows
+/// only in `old` are removed, those only in `new` inserted. Both
+/// extensions are walked in order, once to size the two runs and once to
+/// fill them.
+fn target_diff(old: &Subdatabase, new: &Subdatabase) -> DeltaOutcome {
+    let walk = |emit: &mut dyn FnMut(bool, Row<'_>)| {
+        let (mut a, mut b) = (old.patterns().peekable(), new.patterns().peekable());
+        loop {
+            let order = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => x.cmp(y),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            match order {
+                Ordering::Less => emit(true, a.next().expect("peeked")),
+                Ordering::Greater => emit(false, b.next().expect("peeked")),
+                Ordering::Equal => {
+                    a.next();
+                    b.next();
+                }
+            }
+        }
+    };
+    let (mut removed, mut inserted) = (0, 0);
+    walk(&mut |gone, _| if gone { removed += 1 } else { inserted += 1 });
+    let mut out = DeltaOutcome {
+        removed: RowRun::with_capacity(old.intension.width(), removed),
+        inserted: RowRun::with_capacity(new.intension.width(), inserted),
+    };
+    walk(&mut |gone, row| {
+        if gone { &mut out.removed } else { &mut out.inserted }.push(row.components())
+    });
+    out
 }
 
 /// Count-maintained target update: adjust derivation counts by the
@@ -1256,27 +1274,32 @@ fn count_target(
     slots: &[Option<usize>],
     counts: &mut BTreeMap<ExtPattern, u32>,
     target: &mut Subdatabase,
-    removed: &[ExtPattern],
-    added: &[ExtPattern],
+    removed: &RowRun,
+    added: &RowRun,
 ) -> DeltaOutcome {
-    let mut dead: Vec<ExtPattern> = Vec::new();
-    let mut born: Vec<ExtPattern> = Vec::new();
+    let mut out =
+        DeltaOutcome { inserted: RowRun::new(slots.len()), removed: RowRun::new(slots.len()) };
     // Each edit is projected into one reused key; a key is boxed only when
-    // it enters or leaves the counts.
+    // it enters the counts.
     let mut key: Vec<Option<Oid>> = Vec::with_capacity(slots.len());
-    for p in removed {
+    let project_into = |p: Row<'_>, key: &mut Vec<Option<Oid>>| {
         key.clear();
         key.extend(project(p.components(), slots));
+    };
+    // Removals first. A key whose count reaches zero stays in the counts,
+    // at zero, until the additions are in: a key that dies and is re-born
+    // in the same step nets out by its count alone.
+    for p in removed.iter() {
+        project_into(p, &mut key);
         if let Some(c) = counts.get_mut(key.as_slice()) {
             *c -= 1;
-            if *c == 0 {
-                dead.extend(counts.remove_entry(key.as_slice()).map(|(k, _)| k));
-            }
         }
     }
-    for p in added {
-        key.clear();
-        key.extend(project(p.components(), slots));
+    // Additions. A key new to the counts is a birth, applied to the target
+    // at once: a covered (or already present) key stays implicit, and an
+    // uncovered one evicts the target members it strictly covers.
+    for p in added.iter() {
+        project_into(p, &mut key);
         if key.iter().all(Option::is_none) {
             continue;
         }
@@ -1284,66 +1307,69 @@ fn count_target(
             *c += 1;
             continue;
         }
-        let born_key = ExtPattern::new(key.as_slice());
-        // A key that died and was re-born in the same step nets out.
-        if let Some(i) = dead.iter().position(|d| *d == born_key) {
-            dead.swap_remove(i);
-        } else {
-            born.push(born_key.clone());
-        }
-        counts.insert(born_key, 1);
-    }
-    /// Is `key` strictly part of any target pattern?
-    fn covered(target: &Subdatabase, key: &ExtPattern) -> bool {
-        match key.get(0) {
-            Some(h) => target.head_range(Some(h)).any(|q| key.is_part_of(q)),
-            None => target.patterns().any(|q| key.is_part_of(q)),
-        }
-    }
-    /// The heads a strict part of `key` can have: `key`'s own, and unbound.
-    fn part_heads(key: &ExtPattern) -> impl Iterator<Item = Option<Oid>> {
-        key.get(0).map(Some).into_iter().chain([None])
-    }
-    let mut out = DeltaOutcome::default();
-    for key in born {
-        // Covered (or already present) keys stay implicit; an uncovered
-        // key evicts the target members it strictly covers.
+        counts.insert(ExtPattern::new(key.as_slice()), 1);
         if target.contains(&key) || (is_partial(&key) && covered(target, &key)) {
             continue;
         }
-        let shadowed: Vec<ExtPattern> = part_heads(&key)
-            .flat_map(|h| target.head_range(h))
-            .filter(|q| q.is_part_of(&key))
-            .map(Row::to_pattern)
-            .collect();
-        for q in shadowed {
-            target.remove(&q);
-            out.removed.push(q);
+        let first = out.removed.len();
+        for h in part_heads(&key) {
+            for q in target.head_range(h).filter(|q| q.is_part_of(&key)) {
+                out.removed.push(q.components());
+            }
+        }
+        for i in first..out.removed.len() {
+            target.remove(out.removed.row(i));
         }
         target.insert(&key);
-        out.inserted.push(key);
+        out.inserted.push(&key);
     }
-    for key in dead {
+    // Deaths, after every birth, so that a resurrection scan sees the final
+    // cover: each key still at zero leaves the counts and the target.
+    for p in removed.iter() {
+        project_into(p, &mut key);
+        if counts.get(key.as_slice()) != Some(&0) {
+            continue;
+        }
+        counts.remove(key.as_slice());
         if !target.remove(&key) {
             continue; // was covered by a live key: nothing visible changed
         }
         // Resurrect the maximal live keys the dead pattern was covering
-        // (strictly part of it, hence partial).
+        // (strictly part of it, hence partial). Keys still at zero die in
+        // this loop too.
         let cands: Vec<&ExtPattern> = part_heads(&key)
             .flat_map(|h| counts.range::<[Option<Oid>], _>(HeadRange::of(h).bounds()))
+            .filter(|&(k, &c)| {
+                let open = !target.contains(k) && !covered(target, k.components());
+                c > 0 && k.is_part_of(&key) && open
+            })
             .map(|(k, _)| k)
-            .filter(|k| k.is_part_of(&key) && !target.contains(k) && !covered(target, k))
             .collect();
         for k in &cands {
             if cands.iter().any(|d| k.is_part_of(d)) {
                 continue;
             }
             target.insert(k);
-            out.inserted.push((*k).clone());
+            out.inserted.push(k.components());
         }
-        out.removed.push(key);
+        out.removed.push(&key);
     }
+    out.inserted.sort();
+    out.removed.sort();
     out
+}
+
+/// Whether `key` is strictly part of any target pattern.
+fn covered(target: &Subdatabase, key: &[Option<Oid>]) -> bool {
+    match key[0] {
+        Some(h) => target.head_range(Some(h)).any(|q| is_part(key, q.components())),
+        None => target.patterns().any(|q| is_part(key, q.components())),
+    }
+}
+
+/// The heads a strict part of `key` can have: `key`'s own, and unbound.
+fn part_heads(key: &[Option<Oid>]) -> impl Iterator<Item = Option<Oid>> {
+    key[0].map(Some).into_iter().chain([None])
 }
 
 #[cfg(test)]
@@ -1433,18 +1459,19 @@ mod tests {
         };
         check(&posting, &sd);
         let partial = p(&[Some(1), Some(2), None]);
-        assert!(posting.covers(&partial), "(1,2,3) covers (1,2,Null)");
-        assert!(!posting.covers(&p(&[Some(1), Some(9), None])));
-        assert!(!posting.covers(&p(&[None, Some(4), Some(5)])));
-        assert_eq!(posting.parts_of(&p(&[Some(1), Some(2), Some(3)])), vec![partial.clone()]);
-        assert!(posting.parts_of(&partial).is_empty());
+        assert!(posting.covers(partial.components()), "(1,2,3) covers (1,2,Null)");
+        assert!(!posting.covers(p(&[Some(1), Some(9), None]).components()));
+        assert!(!posting.covers(p(&[None, Some(4), Some(5)]).components()));
+        let parts = posting.parts_of(p(&[Some(1), Some(2), Some(3)]).components());
+        assert_eq!(parts.iter().map(Row::to_pattern).collect::<Vec<_>>(), vec![partial.clone()]);
+        assert!(posting.parts_of(partial.components()).is_empty());
 
         for gone in [p(&[Some(1), Some(2), Some(3)]), p(&[Some(6), Some(6), None])] {
-            assert!(posting.remove(&gone));
-            assert!(!posting.remove(&gone), "already gone");
+            assert!(posting.remove(gone.components()));
+            assert!(!posting.remove(gone.components()), "already gone");
             sd.remove(&gone);
         }
-        assert!(!posting.covers(&partial));
+        assert!(!posting.covers(partial.components()));
         check(&posting, &sd);
         // The freed rows are reused.
         let entries = posting.rows.len();
@@ -1497,11 +1524,11 @@ mod tests {
             let full = apply_rule(&rule, &db, &reg).unwrap();
             assert_eq!(target.to_vec(), full.to_vec(), "target diverged for `{src}`");
             // Replaying the reported edits reproduces the new target.
-            for p in &out.removed {
+            for p in out.removed.iter() {
                 assert!(mirror.remove(p), "removed edit not present for `{src}`");
             }
-            for p in &out.inserted {
-                mirror.insert(p.clone());
+            for p in out.inserted.iter() {
+                mirror.insert(p);
             }
             assert_eq!(mirror.to_vec(), full.to_vec(), "edits diverged for `{src}`");
             // The refreshed cache is itself a valid base for another step.
@@ -1623,11 +1650,11 @@ mod tests {
             if mirror.intension.width() != target.intension.width() {
                 mirror = target.clone();
             } else {
-                for p in &out.removed {
+                for p in out.removed.iter() {
                     assert!(mirror.remove(p), "removed edit not present for `{src}`");
                 }
-                for p in &out.inserted {
-                    mirror.insert(p.clone());
+                for p in out.inserted.iter() {
+                    mirror.insert(p);
                 }
             }
             assert_eq!(mirror.to_vec(), full.to_vec(), "edits diverged for `{src}`");

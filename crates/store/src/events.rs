@@ -34,31 +34,38 @@ pub enum UpdateEvent {
 
 impl UpdateEvent {
     /// The classes whose extension this event touches (for dependency
-    /// analysis: a rule reading any of these classes may be affected).
-    pub fn touched_classes(&self, schema: &dood_core::schema::Schema) -> Vec<ClassId> {
-        match self {
+    /// analysis: a rule reading any of these classes may be affected): one
+    /// or two, held inline.
+    pub fn touched_classes(
+        &self,
+        schema: &dood_core::schema::Schema,
+    ) -> impl Iterator<Item = ClassId> {
+        let (a, b) = match self {
             UpdateEvent::ObjectCreated { class, .. }
-            | UpdateEvent::ObjectDeleted { class, .. } => vec![*class],
+            | UpdateEvent::ObjectDeleted { class, .. }
+            | UpdateEvent::AttrSet { class, .. } => (*class, None),
             UpdateEvent::Associated { assoc, .. } | UpdateEvent::Dissociated { assoc, .. } => {
                 let d = schema.assoc(*assoc);
-                vec![d.from, d.to]
+                (d.from, Some(d.to))
             }
-            UpdateEvent::AttrSet { class, .. } => vec![*class],
-        }
+        };
+        std::iter::once(a).chain(b)
     }
 
     /// The object identities this event touches — the seed of the dirty
-    /// set for semi-naive incremental maintenance. Deleted oids are
-    /// included on purpose: cached patterns referencing them must be
-    /// invalidated even though the oid can no longer bind a slot.
-    pub fn touched_oids(&self) -> Vec<Oid> {
-        match self {
+    /// set for semi-naive incremental maintenance: one or two, held inline.
+    /// Deleted oids are included on purpose: cached patterns referencing
+    /// them must be invalidated even though the oid can no longer bind a
+    /// slot.
+    pub fn touched_oids(&self) -> impl Iterator<Item = Oid> {
+        let (a, b) = match self {
             UpdateEvent::ObjectCreated { oid, .. }
             | UpdateEvent::ObjectDeleted { oid, .. }
-            | UpdateEvent::AttrSet { oid, .. } => vec![*oid],
+            | UpdateEvent::AttrSet { oid, .. } => (*oid, None),
             UpdateEvent::Associated { from, to, .. }
-            | UpdateEvent::Dissociated { from, to, .. } => vec![*from, *to],
-        }
+            | UpdateEvent::Dissociated { from, to, .. } => (*from, Some(*to)),
+        };
+        std::iter::once(a).chain(b)
     }
 
     /// A stable lowercase tag naming the event kind (metric labels).
@@ -236,8 +243,12 @@ mod tests {
         let s = b.build().unwrap();
         let assoc = s.assocs()[0].id;
         let e = UpdateEvent::Associated { assoc, from: Oid(1), to: Oid(2) };
-        let touched = e.touched_classes(&s);
-        assert_eq!(touched.len(), 2);
+        let d = s.assoc(assoc);
+        assert_eq!(e.touched_classes(&s).collect::<Vec<_>>(), vec![d.from, d.to]);
+        assert_eq!(e.touched_oids().collect::<Vec<_>>(), vec![Oid(1), Oid(2)]);
+        let created = UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid(3) };
+        assert_eq!(created.touched_classes(&s).collect::<Vec<_>>(), vec![ClassId(0)]);
+        assert_eq!(created.touched_oids().collect::<Vec<_>>(), vec![Oid(3)]);
     }
 
     fn ev(n: u64) -> UpdateEvent {

@@ -26,7 +26,11 @@
 //!   `…_university`; a key that dies and is re-born within one step no
 //!   longer netting out in `count_target` — `…_aggregates`, `…_company`;
 //! * a group whose verdict turns true not emitting its members —
-//!   `…_aggregates`, `…_company`, `…_university`.
+//!   `…_aggregates`, `…_company`, `…_university`;
+//! * `dirty_bound` sizing its run one row short and dropping the last
+//!   row — `incremental_equals_fresh_{aggregates,company,university}`, the
+//!   four `catch_up_equals_fresh_*`,
+//!   `university_schedule_survives_deleting_every_section`.
 //!
 //! And of the catch-up in `rules::engine` (EXPERIMENTS.md E21 lists them):
 //! * a derived source's change is ignored (no epoch check in
