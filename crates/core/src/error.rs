@@ -120,8 +120,10 @@ impl std::error::Error for ResolveError {}
 pub enum StoreError {
     /// The OID does not denote a live object.
     NoSuchObject(Oid),
-    /// The object is not an instance of the expected class.
-    WrongClass { oid: Oid, expected: ClassId, actual: ClassId },
+    /// Objects are created only in E-classes; this class is a D-class.
+    NotEntityClass(ClassId),
+    /// Every object identifier has been issued.
+    OidsExhausted,
     /// The association does not exist.
     NoSuchAssoc(AssocId),
     /// The objects' classes do not match the association's endpoints.
@@ -140,10 +142,10 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::NoSuchObject(oid) => write!(f, "no such object {oid}"),
-            StoreError::WrongClass { oid, expected, actual } => write!(
-                f,
-                "object {oid} has class {actual}, expected {expected}"
-            ),
+            StoreError::NotEntityClass(c) => {
+                write!(f, "class {c} is not an entity class, so it has no objects of its own")
+            }
+            StoreError::OidsExhausted => write!(f, "no object identifier is left to issue"),
             StoreError::NoSuchAssoc(a) => write!(f, "no such association {a}"),
             StoreError::AssocEndpointMismatch { assoc, from, to } => write!(
                 f,

@@ -213,7 +213,7 @@ mod tests {
     use super::*;
 
     fn p(v: &[Option<u64>]) -> Vec<Option<Oid>> {
-        v.iter().map(|o| o.map(Oid)).collect()
+        v.iter().map(|o| o.map(Oid::from_raw)).collect()
     }
 
     #[test]
@@ -224,29 +224,29 @@ mod tests {
             p(&[None, Some(5), Some(3)]),
         ];
         let mut ix = SubdbIndex::build(3, pats.iter().map(Vec::as_slice));
-        assert!(ix.slot_contains(0, Oid(1)));
-        assert!(!ix.slot_contains(0, Oid(5)));
+        assert!(ix.slot_contains(0, Oid::from_raw(1)));
+        assert!(!ix.slot_contains(0, Oid::from_raw(5)));
         assert_eq!(ix.slot_len(1), 2);
         let (adj, flip) = ix.pair_adj(0, 1, pats.iter().map(Vec::as_slice)).unwrap();
         assert!(!flip);
-        assert_eq!(adj.neighbors(Oid(1), true), &[Oid(2)]);
+        assert_eq!(adj.neighbors(Oid::from_raw(1), true), &[Oid::from_raw(2)]);
         let (adj, flip) = ix.pair_adj(1, 0, pats.iter().map(Vec::as_slice)).unwrap();
         assert!(flip);
-        assert_eq!(adj.neighbors(Oid(2), false), &[Oid(1)]);
+        assert_eq!(adj.neighbors(Oid::from_raw(2), false), &[Oid::from_raw(1)]);
         assert!(ix.pair_adj(1, 1, pats.iter().map(Vec::as_slice)).is_none());
         assert!(ix.pair_adj(0, 3, pats.iter().map(Vec::as_slice)).is_none());
 
         // Removing one of the two (1,2) co-binders keeps the edge…
         ix.del(&pats[0]);
         let (adj, _) = ix.pair_adj(0, 1, pats[1..].iter().map(Vec::as_slice)).unwrap();
-        assert_eq!(adj.neighbors(Oid(1), true), &[Oid(2)]);
-        assert!(ix.slot_contains(2, Oid(3))); // still bound by pats[2]
+        assert_eq!(adj.neighbors(Oid::from_raw(1), true), &[Oid::from_raw(2)]);
+        assert!(ix.slot_contains(2, Oid::from_raw(3))); // still bound by pats[2]
         // …and removing the second erases it.
         ix.del(&pats[1]);
         let (adj, _) = ix.pair_adj(0, 1, pats[2..].iter().map(Vec::as_slice)).unwrap();
-        assert!(adj.neighbors(Oid(1), true).is_empty());
-        assert!(!ix.slot_contains(0, Oid(1)));
-        assert!(ix.slot_contains(1, Oid(5)));
+        assert!(adj.neighbors(Oid::from_raw(1), true).is_empty());
+        assert!(!ix.slot_contains(0, Oid::from_raw(1)));
+        assert!(ix.slot_contains(1, Oid::from_raw(5)));
     }
 
     /// Pairs are built on their first request and point-maintained from

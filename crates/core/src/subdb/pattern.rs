@@ -269,8 +269,8 @@ impl HeadRange {
     /// The range of patterns headed by `head`.
     pub fn of(head: Option<Oid>) -> Self {
         let next = match head {
-            None => Some(Oid(0)),
-            Some(o) => o.raw().checked_add(1).map(Oid),
+            None => Some(Oid::MIN),
+            Some(o) => o.raw().checked_add(1).map(Oid::from_raw),
         };
         HeadRange { lo: [head], hi: next.map(|n| [Some(n)]) }
     }
@@ -293,7 +293,7 @@ mod tests {
     use super::*;
 
     fn p(v: &[Option<u64>]) -> ExtPattern {
-        ExtPattern::new(v.iter().map(|o| o.map(Oid)).collect::<Vec<_>>())
+        ExtPattern::new(v.iter().map(|o| o.map(Oid::from_raw)).collect::<Vec<_>>())
     }
 
     #[test]
@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     fn full_and_nulls_constructors() {
-        assert_eq!(ExtPattern::full([Oid(1), Oid(2)]).arity(), 2);
+        assert_eq!(ExtPattern::full([Oid::from_raw(1), Oid::from_raw(2)]).arity(), 2);
         assert_eq!(ExtPattern::nulls(3).pattern_type(), PatternType::EMPTY);
     }
 }

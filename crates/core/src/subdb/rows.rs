@@ -19,7 +19,7 @@ use crate::subdb::pattern::Row;
 use std::cmp::Ordering;
 use std::fmt;
 
-/// Cells per leaf: 4 KB of 16-byte cells.
+/// Cells per leaf: 2 KB of 8-byte cells.
 const LEAF_CELLS: usize = 256;
 
 /// Sorted, deduplicated rows in chunked flat leaves (see the module docs).

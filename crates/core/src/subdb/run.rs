@@ -276,9 +276,9 @@ mod tests {
     fn cell(g: &mut Gen) -> Option<Oid> {
         match g.range(0..8u32) {
             0 => None,
-            1 => Some(Oid(1)),
-            2 => Some(Oid(u64::MAX)),
-            _ => Some(Oid(g.range(2..6u64))),
+            1 => Some(Oid::MIN),
+            2 => Some(Oid::MAX),
+            _ => Some(Oid::from_raw(g.range(2..6u64))),
         }
     }
 
@@ -298,8 +298,8 @@ mod tests {
 
     /// Runs against a `BTreeSet` of component vectors written here: built
     /// from unsorted rows with duplicates, searched, edited, and split
-    /// three ways, at widths 1, 2, 5 and 40, with Null cells, `Oid(1)` and
-    /// `Oid(u64::MAX)`.
+    /// three ways, at widths 1, 2, 5 and 40, with Null cells, `Oid::MIN` and
+    /// `Oid::MAX`.
     #[test]
     fn runs_match_a_btreeset_model() {
         check("runs_match_a_btreeset_model", 64, |g| {

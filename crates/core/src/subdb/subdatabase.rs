@@ -415,7 +415,7 @@ mod tests {
     }
 
     fn p(v: &[Option<u64>]) -> ExtPattern {
-        ExtPattern::new(v.iter().map(|o| o.map(Oid)).collect::<Vec<_>>())
+        ExtPattern::new(v.iter().map(|o| o.map(Oid::from_raw)).collect::<Vec<_>>())
     }
 
     #[test]
@@ -464,12 +464,12 @@ mod tests {
             SlotDef::base("D", ClassId(3)),
         ]);
         let mut s = Subdatabase::new("X", i);
-        s.insert(ExtPattern::new(vec![Some(Oid(1)), Some(Oid(5)), Some(Oid(6)), Some(Oid(7))]));
-        s.insert(ExtPattern::new(vec![None, Some(Oid(5)), Some(Oid(6)), None]));
-        s.insert(ExtPattern::new(vec![None, Some(Oid(2)), Some(Oid(3)), None]));
+        s.insert(p(&[Some(1), Some(5), Some(6), Some(7)]));
+        s.insert(p(&[None, Some(5), Some(6), None]));
+        s.insert(p(&[None, Some(2), Some(3), None]));
         s.retain_maximal();
         assert_eq!(s.len(), 2);
-        assert!(s.patterns().all(|p| p.get(1) != Some(Oid(5)) || p.get(0).is_some()));
+        assert!(s.patterns().all(|p| p.get(1) != Some(Oid::from_raw(5)) || p.get(0).is_some()));
     }
 
     #[test]
@@ -506,7 +506,7 @@ mod tests {
         b.insert(p(&[Some(1), Some(2), Some(3)])); // shared — not a diff
         b.insert(p(&[Some(7), Some(8), Some(9)]));
         let d = a.diff_components(&b);
-        assert_eq!(d, vec![Oid(4), Oid(5), Oid(7), Oid(8), Oid(9)]);
+        assert_eq!(d, [4, 5, 7, 8, 9].map(Oid::from_raw));
         assert_eq!(a.diff_components(&b), b.diff_components(&a));
         assert!(a.diff_components(&a).is_empty());
     }
@@ -517,15 +517,15 @@ mod tests {
         let all = [
             p(&[None, Some(5), Some(6)]),
             p(&[None, Some(7), None]),
-            p(&[Some(0), Some(1), None]),
-            p(&[Some(1), Some(2), Some(3)]),
-            p(&[Some(1), Some(4), None]),
-            p(&[Some(2), None, None]),
+            p(&[Some(1), Some(1), None]),
+            p(&[Some(2), Some(2), Some(3)]),
+            p(&[Some(2), Some(4), None]),
+            p(&[Some(3), None, None]),
             p(&[Some(u64::MAX), Some(2), Some(3)]),
         ];
         s.set_patterns(all.iter().cloned());
-        for head in [None, Some(0), Some(1), Some(2), Some(3), Some(u64::MAX)] {
-            let head = head.map(Oid);
+        for head in [None, Some(1), Some(2), Some(3), Some(4), Some(u64::MAX)] {
+            let head = head.map(Oid::from_raw);
             let got: Vec<Row<'_>> = s.head_range(head).collect();
             let want: Vec<Row<'_>> =
                 all.iter().filter(|q| q.get(0) == head).map(ExtPattern::as_row).collect();
@@ -551,19 +551,19 @@ mod tests {
         s.insert(p(&[Some(7), Some(2), Some(3)]));
         s.remove(p(&[Some(1), Some(4), None]));
         assert_eq!(s.index().slot_len(0), 2);
-        assert!(!s.index().slot_contains(1, Oid(4)));
+        assert!(!s.index().slot_contains(1, Oid::from_raw(4)));
         let (adj, flip) = s.pair_adj(1, 0).unwrap();
         assert!(flip);
-        let mut back: Vec<Oid> = adj.neighbors(Oid(2), false).to_vec();
+        let mut back: Vec<Oid> = adj.neighbors(Oid::from_raw(2), false).to_vec();
         back.sort_unstable();
-        assert_eq!(back, vec![Oid(1), Oid(7)]);
+        assert_eq!(back, vec![Oid::from_raw(1), Oid::from_raw(7)]);
         // Bulk mutation discards and a fresh call rebuilds.
         s.set_patterns([p(&[Some(9), Some(9), Some(9)])]);
         assert_eq!(s.index().slot_len(0), 1);
-        assert!(s.index().slot_contains(2, Oid(9)));
+        assert!(s.index().slot_contains(2, Oid::from_raw(9)));
         // Clones start without an index and rebuild on demand.
         let c = s.clone();
-        assert!(c.index().slot_contains(0, Oid(9)));
+        assert!(c.index().slot_contains(0, Oid::from_raw(9)));
     }
 
     #[test]
@@ -577,7 +577,7 @@ mod tests {
         let keeps: [fn(Row<'_>) -> bool; 4] = [
             |_| true,
             |_| false,
-            |q| q.get(0) == Some(Oid(1)),
+            |q| q.get(0) == Some(Oid::from_raw(1)),
             |q| q.get(2).is_some(),
         ];
         for keep in keeps {
@@ -601,9 +601,9 @@ mod tests {
         s.index();
         assert_eq!(s.retain(|_| true), 0);
         assert!(s.index.get().is_some(), "nothing removed: the index is still valid");
-        assert_eq!(s.retain(|q| q.get(1) != Some(Oid(4))), 1);
+        assert_eq!(s.retain(|q| q.get(1) != Some(Oid::from_raw(4))), 1);
         assert!(s.index.get().is_none(), "a removal must discard the index");
-        assert!(!s.index().slot_contains(1, Oid(4)));
+        assert!(!s.index().slot_contains(1, Oid::from_raw(4)));
         assert_eq!(s.index().slot_len(0), 1);
     }
 
@@ -616,7 +616,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "subdatabase S: a pattern of width 2 does not fit its width 3")]
     fn insert_checks_the_width() {
-        subdb().insert([Some(Oid(1)), None]);
+        subdb().insert([Some(Oid::from_raw(1)), None]);
     }
 
     #[test]
@@ -628,29 +628,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "subdatabase S: 5 cells are not 2 rows of its width 3")]
     fn set_rows_checks_the_width() {
-        subdb().set_rows(2, &[Some(Oid(1)); 5]);
+        subdb().set_rows(2, &[Some(Oid::from_raw(1)); 5]);
     }
 
     #[test]
     #[should_panic(expected = "subdatabase S: a pattern of width 2 does not fit its width 3")]
     fn union_from_checks_the_width() {
         let mut other = of_width(2);
-        other.insert([Some(Oid(1)), None]);
+        other.insert([Some(Oid::from_raw(1)), None]);
         subdb().union_from(&other);
     }
 
     #[test]
     #[should_panic(expected = "rows must be built in strictly ascending order")]
     fn set_sorted_rows_checks_the_order() {
-        let mut rows = [[Some(Oid(2)), None, None], [Some(Oid(1)), None, None]].into_iter();
+        let mut rows =
+            [[Some(Oid::from_raw(2)), None, None], [Some(Oid::from_raw(1)), None, None]].into_iter();
         subdb().set_sorted_rows(2, |row| row.copy_from_slice(&rows.next().unwrap()));
     }
 
     /// The extension against a `BTreeSet` of component vectors, written
     /// here and sharing no code with the row store: seeded random runs of
     /// every edit and read, at widths 0, 1, 3 and 80, long enough to split
-    /// leaves and to empty them again, with Null, `Oid(0)` and
-    /// `Oid(u64::MAX)` heads.
+    /// leaves and to empty them again, with Null, `Oid::MIN` and `Oid::MAX`
+    /// heads.
     #[test]
     fn extension_matches_a_btreeset_model() {
         use crate::propcheck::{check, Gen};
@@ -659,9 +660,9 @@ mod tests {
         fn cell(g: &mut Gen, spread: u64) -> Option<Oid> {
             match g.range(0..10u32) {
                 0 => None,
-                1 => Some(Oid(0)),
-                2 => Some(Oid(u64::MAX)),
-                _ => Some(Oid(g.range(1..spread))),
+                1 => Some(Oid::MIN),
+                2 => Some(Oid::MAX),
+                _ => Some(Oid::from_raw(g.range(1..spread))),
             }
         }
         // Few distinct heads, so that one head's rows span several leaves;
@@ -711,7 +712,7 @@ mod tests {
                             "contains"
                         }
                         70..=79 => {
-                            for head in [None, Some(Oid(0)), Some(Oid(u64::MAX)), cell(g, 6)] {
+                            for head in [None, Some(Oid::MIN), Some(Oid::MAX), cell(g, 6)] {
                                 let got: Vec<Vec<Option<Oid>>> =
                                     sd.head_range(head).map(|p| p.components().to_vec()).collect();
                                 let want: Vec<Vec<Option<Oid>>> = model
@@ -726,7 +727,7 @@ mod tests {
                         80..=84 => {
                             let k = g.range(2..5u64);
                             let keep = |r: &[Option<Oid>]| {
-                                r.iter().flatten().map(|o| o.0 % k).sum::<u64>() % k != 0
+                                r.iter().flatten().map(|o| o.raw() % k).sum::<u64>() % k != 0
                             };
                             let dropped = sd.retain(|p| keep(p.components()));
                             let before = model.len();

@@ -736,7 +736,7 @@ impl<'a> Evaluator<'a> {
         let mut out = Vec::new();
         let mut scanned = vec![0u64; sp.steps.len()];
         let mut kept = vec![0u64; sp.steps.len()];
-        let mut row = vec![Oid(0); sp.hi - sp.lo];
+        let mut row = vec![Oid::MIN; sp.hi - sp.lo];
         for &o in cands {
             row[sp.anchor - sp.lo] = o;
             self.exec_steps(sp, na, &mut row, 0, &mut out, &mut scanned, &mut kept);
@@ -1589,8 +1589,9 @@ mod tests {
     #[test]
     fn dfs_chains_ends_a_chain_at_a_node_without_a_successor_list() {
         // 1 -> {2, 3}, 3 -> {1} (cut on the path); 2 has no list at all.
+        let c = |v: &[u64]| v.iter().map(|&o| Oid::from_raw(o)).collect::<Vec<_>>();
         let succ: FxHashMap<Oid, Vec<Oid>> =
-            [(Oid(1), vec![Oid(2), Oid(3)]), (Oid(3), vec![Oid(1)])].into_iter().collect();
+            [(Oid::from_raw(1), c(&[2, 3])), (Oid::from_raw(3), c(&[1]))].into_iter().collect();
         let walk = |roots: &[Oid], max: Option<usize>| {
             let mut walk = ChainWalk::new(roots, &succ, max);
             let mut out: Vec<Vec<Oid>> = Vec::new();
@@ -1602,12 +1603,11 @@ mod tests {
             assert_eq!(walk.next_chain().map(<[Oid]>::to_vec), out.first().cloned(), "rewound");
             out
         };
-        let c = |v: &[u64]| v.iter().map(|&o| Oid(o)).collect::<Vec<_>>();
-        assert_eq!(walk(&[Oid(1)], None), vec![c(&[1, 2]), c(&[1, 3])]);
-        assert_eq!(walk(&[Oid(2)], None), vec![c(&[2])]);
-        assert_eq!(walk(&[Oid(1)], Some(1)), vec![c(&[1])]);
-        assert_eq!(walk(&[Oid(1), Oid(3)], Some(2)), vec![c(&[1, 2]), c(&[1, 3]), c(&[3, 1])]);
-        assert_eq!(walk(&[Oid(3)], None), vec![c(&[3, 1, 2])]);
+        assert_eq!(walk(&c(&[1]), None), vec![c(&[1, 2]), c(&[1, 3])]);
+        assert_eq!(walk(&c(&[2]), None), vec![c(&[2])]);
+        assert_eq!(walk(&c(&[1]), Some(1)), vec![c(&[1])]);
+        assert_eq!(walk(&c(&[1, 3]), Some(2)), vec![c(&[1, 2]), c(&[1, 3]), c(&[3, 1])]);
+        assert_eq!(walk(&c(&[3]), None), vec![c(&[3, 1, 2])]);
     }
 
     #[test]

@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn null_slots_render_null() {
         let (db, mut sd) = setup();
-        sd.insert(ExtPattern::new(vec![Some(Oid(1)), None]));
+        sd.insert(ExtPattern::new(vec![Some(Oid::from_raw(1)), None]));
         let t = build_table(&sd, &[SelectItem::Attr("section#".into())], &db).unwrap();
         assert!(t.rows.iter().any(|r| r[0] == Value::Null));
     }

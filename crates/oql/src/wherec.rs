@@ -106,8 +106,9 @@ pub struct AggCond {
 }
 
 impl AggCond {
-    /// The one group of an aggregate without `by`.
-    const UNGROUPED: Oid = Oid(0);
+    /// The one group of an aggregate without `by`: any constant will do,
+    /// since groups are keyed only by [`AggCond::group_of`].
+    const UNGROUPED: Oid = Oid::MIN;
 
     /// A pattern's group: the `by` slot's object (none: the pattern is
     /// ungrouped and cannot qualify), or one constant without `by`.

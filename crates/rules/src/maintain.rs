@@ -1424,8 +1424,9 @@ mod tests {
     #[test]
     fn posting_list_matches_a_scan() {
         use dood_core::subdb::{Intension, SlotDef};
-        let p =
-            |v: &[Option<u64>]| ExtPattern::new(v.iter().map(|o| o.map(Oid)).collect::<Vec<_>>());
+        let p = |v: &[Option<u64>]| {
+            ExtPattern::new(v.iter().map(|o| o.map(Oid::from_raw)).collect::<Vec<_>>())
+        };
         let cls = dood_core::ids::ClassId(0);
         let int = Intension::new(vec![
             SlotDef::base("A", cls),
@@ -1444,14 +1445,14 @@ mod tests {
         }
         let mut posting = Posting::build(&sd);
         let check = |posting: &Posting, sd: &Subdatabase| {
-            for o in 0..8u64 {
+            for o in 1..8u64 {
                 let mut got: Vec<ExtPattern> =
-                    posting.rows_of(Oid(o)).map(ExtPattern::new).collect();
+                    posting.rows_of(Oid::from_raw(o)).map(ExtPattern::new).collect();
                 got.sort_unstable();
                 got.dedup();
                 let want: Vec<ExtPattern> = sd
                     .patterns()
-                    .filter(|q| q.components().contains(&Some(Oid(o))))
+                    .filter(|q| q.components().contains(&Some(Oid::from_raw(o))))
                     .map(Row::to_pattern)
                     .collect();
                 assert_eq!(got, want, "rows of o{o}");

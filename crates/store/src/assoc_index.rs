@@ -150,51 +150,52 @@ mod tests {
     #[test]
     fn insert_remove_contains() {
         let mut ix = AssocIndex::new();
-        assert!(ix.insert(Oid(1), Oid(2)));
-        assert!(!ix.insert(Oid(1), Oid(2)));
-        assert!(ix.contains(Oid(1), Oid(2)));
+        assert!(ix.insert(Oid::from_raw(1), Oid::from_raw(2)));
+        assert!(!ix.insert(Oid::from_raw(1), Oid::from_raw(2)));
+        assert!(ix.contains(Oid::from_raw(1), Oid::from_raw(2)));
         assert_eq!(ix.len(), 1);
-        assert!(ix.remove(Oid(1), Oid(2)));
-        assert!(!ix.remove(Oid(1), Oid(2)));
+        assert!(ix.remove(Oid::from_raw(1), Oid::from_raw(2)));
+        assert!(!ix.remove(Oid::from_raw(1), Oid::from_raw(2)));
         assert!(ix.is_empty());
     }
 
     #[test]
     fn neighbors_sorted_and_bidirectional() {
         let mut ix = AssocIndex::new();
-        ix.insert(Oid(1), Oid(30));
-        ix.insert(Oid(1), Oid(10));
-        ix.insert(Oid(1), Oid(20));
-        ix.insert(Oid(2), Oid(10));
-        assert_eq!(ix.targets(Oid(1)), &[Oid(10), Oid(20), Oid(30)]);
-        assert_eq!(ix.sources(Oid(10)), &[Oid(1), Oid(2)]);
-        assert_eq!(ix.neighbors(Oid(1), true).len(), 3);
-        assert_eq!(ix.neighbors(Oid(10), false).len(), 2);
-        assert_eq!(ix.out_degree(Oid(1)), 3);
-        assert_eq!(ix.out_degree(Oid(9)), 0);
+        ix.insert(Oid::from_raw(1), Oid::from_raw(30));
+        ix.insert(Oid::from_raw(1), Oid::from_raw(10));
+        ix.insert(Oid::from_raw(1), Oid::from_raw(20));
+        ix.insert(Oid::from_raw(2), Oid::from_raw(10));
+        assert_eq!(ix.targets(Oid::from_raw(1)), [10, 20, 30].map(Oid::from_raw));
+        assert_eq!(ix.sources(Oid::from_raw(10)), &[Oid::from_raw(1), Oid::from_raw(2)]);
+        assert_eq!(ix.neighbors(Oid::from_raw(1), true).len(), 3);
+        assert_eq!(ix.neighbors(Oid::from_raw(10), false).len(), 2);
+        assert_eq!(ix.out_degree(Oid::from_raw(1)), 3);
+        assert_eq!(ix.out_degree(Oid::from_raw(9)), 0);
     }
 
     #[test]
     fn detach_removes_both_directions() {
         let mut ix = AssocIndex::new();
-        ix.insert(Oid(1), Oid(2));
-        ix.insert(Oid(3), Oid(1));
-        ix.insert(Oid(4), Oid(5));
-        let mut removed = ix.detach(Oid(1));
+        ix.insert(Oid::from_raw(1), Oid::from_raw(2));
+        ix.insert(Oid::from_raw(3), Oid::from_raw(1));
+        ix.insert(Oid::from_raw(4), Oid::from_raw(5));
+        let mut removed = ix.detach(Oid::from_raw(1));
         removed.sort_unstable();
-        assert_eq!(removed, vec![(Oid(1), Oid(2)), (Oid(3), Oid(1))]);
+        assert_eq!(removed, [(1, 2), (3, 1)].map(|(a, b)| (Oid::from_raw(a), Oid::from_raw(b))));
         assert_eq!(ix.len(), 1);
-        assert!(ix.targets(Oid(1)).is_empty());
-        assert!(ix.sources(Oid(2)).is_empty());
+        assert!(ix.targets(Oid::from_raw(1)).is_empty());
+        assert!(ix.sources(Oid::from_raw(2)).is_empty());
     }
 
     #[test]
     fn iter_deterministic() {
         let mut ix = AssocIndex::new();
-        ix.insert(Oid(2), Oid(9));
-        ix.insert(Oid(1), Oid(8));
-        ix.insert(Oid(1), Oid(7));
+        ix.insert(Oid::from_raw(2), Oid::from_raw(9));
+        ix.insert(Oid::from_raw(1), Oid::from_raw(8));
+        ix.insert(Oid::from_raw(1), Oid::from_raw(7));
         let all: Vec<(Oid, Oid)> = ix.iter().collect();
-        assert_eq!(all, vec![(Oid(1), Oid(7)), (Oid(1), Oid(8)), (Oid(2), Oid(9))]);
+        let want = [(1, 7), (1, 8), (2, 9)].map(|(a, b)| (Oid::from_raw(a), Oid::from_raw(b)));
+        assert_eq!(all, want);
     }
 }

@@ -170,13 +170,13 @@ mod tests {
     #[test]
     fn insert_remove_eq_scan() {
         let mut ix = AttrIndex::new();
-        ix.insert(Value::Int(5), Oid(1));
-        ix.insert(Value::Int(5), Oid(2));
-        ix.insert(Value::Int(7), Oid(3));
+        ix.insert(Value::Int(5), Oid::from_raw(1));
+        ix.insert(Value::Int(5), Oid::from_raw(2));
+        ix.insert(Value::Int(7), Oid::from_raw(3));
         assert_eq!(ix.len(), 3);
-        assert_eq!(ix.eq_scan(&Value::Int(5)), vec![Oid(1), Oid(2)]);
-        ix.remove(&Value::Int(5), Oid(1));
-        assert_eq!(ix.eq_scan(&Value::Int(5)), vec![Oid(2)]);
+        assert_eq!(ix.eq_scan(&Value::Int(5)), vec![Oid::from_raw(1), Oid::from_raw(2)]);
+        ix.remove(&Value::Int(5), Oid::from_raw(1));
+        assert_eq!(ix.eq_scan(&Value::Int(5)), vec![Oid::from_raw(2)]);
         assert_eq!(ix.len(), 2);
     }
 
@@ -184,32 +184,32 @@ mod tests {
     fn range_scan_bounds() {
         let mut ix = AttrIndex::new();
         for (v, o) in [(5000, 1), (6000, 2), (6500, 3), (7000, 4)] {
-            ix.insert(Value::Int(v), Oid(o));
+            ix.insert(Value::Int(v), Oid::from_raw(o));
         }
         // Paper Query 3.2: c# >= 6000 and c# < 7000.
         let hits = ix.range_scan(
             Bound::Included(&Value::Int(6000)),
             Bound::Excluded(&Value::Int(7000)),
         );
-        assert_eq!(hits, vec![Oid(2), Oid(3)]);
+        assert_eq!(hits, vec![Oid::from_raw(2), Oid::from_raw(3)]);
     }
 
     #[test]
     fn range_scan_skips_null() {
         let mut ix = AttrIndex::new();
-        ix.insert(Value::Null, Oid(1));
-        ix.insert(Value::Int(1), Oid(2));
+        ix.insert(Value::Null, Oid::from_raw(1));
+        ix.insert(Value::Int(1), Oid::from_raw(2));
         let hits = ix.range_scan(Bound::Unbounded, Bound::Unbounded);
-        assert_eq!(hits, vec![Oid(2)]);
+        assert_eq!(hits, vec![Oid::from_raw(2)]);
     }
 
     #[test]
     fn count_equals_range_scan_len() {
         use Bound::*;
         let mut ix = AttrIndex::new();
-        ix.insert(Value::Null, Oid(9));
+        ix.insert(Value::Null, Oid::from_raw(9));
         for (v, o) in [(5000, 1), (6000, 2), (6000, 3), (6500, 4), (7000, 5)] {
-            ix.insert(Value::Int(v), Oid(o));
+            ix.insert(Value::Int(v), Oid::from_raw(o));
         }
         let (v6, v7) = (Value::Int(6000), Value::Int(7000));
         let cases: [(Bound<&Value>, Bound<&Value>, usize); 6] = [
@@ -230,9 +230,9 @@ mod tests {
     #[test]
     fn mixed_numeric_ordering() {
         let mut ix = AttrIndex::new();
-        ix.insert(Value::Real(1.5), Oid(1));
-        ix.insert(Value::Int(2), Oid(2));
+        ix.insert(Value::Real(1.5), Oid::from_raw(1));
+        ix.insert(Value::Int(2), Oid::from_raw(2));
         let hits = ix.range_scan(Bound::Included(&Value::Int(1)), Bound::Excluded(&Value::Int(2)));
-        assert_eq!(hits, vec![Oid(1)]);
+        assert_eq!(hits, vec![Oid::from_raw(1)]);
     }
 }

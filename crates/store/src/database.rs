@@ -105,13 +105,9 @@ impl Database {
     /// Create an object in an E-class.
     pub fn new_object(&mut self, class: ClassId) -> Result<Oid, StoreError> {
         if !self.schema.class(class).is_entity() {
-            return Err(StoreError::WrongClass {
-                oid: Oid(0),
-                expected: class,
-                actual: class,
-            });
+            return Err(StoreError::NotEntityClass(class));
         }
-        let oid = self.oidgen.next();
+        let oid = self.oidgen.next().ok_or(StoreError::OidsExhausted)?;
         self.objects.insert(
             oid,
             ObjRecord { class, attrs: self.layouts.empty_record(class) },
@@ -190,7 +186,7 @@ impl Database {
     /// logged: a freshly loaded database starts with an empty update log.
     pub(crate) fn restore_object(&mut self, oid: Oid, class: ClassId) -> Result<(), StoreError> {
         if !self.schema.class(class).is_entity() {
-            return Err(StoreError::WrongClass { oid, expected: class, actual: class });
+            return Err(StoreError::NotEntityClass(class));
         }
         if self.objects.contains_key(&oid) {
             return Err(StoreError::DuplicateSpecialization { oid, subclass: class });
@@ -642,6 +638,23 @@ mod tests {
     }
 
     #[test]
+    fn objects_are_created_only_in_entity_classes() {
+        let mut db = Database::new(schema());
+        let name = cid(&db, "Name");
+        let err = db.new_object(name).unwrap_err();
+        assert_eq!(err, StoreError::NotEntityClass(name));
+        assert_eq!(
+            err.to_string(),
+            format!("class {name} is not an entity class, so it has no objects of its own")
+        );
+        assert_eq!(
+            db.restore_object(Oid::from_raw(1), name),
+            Err(StoreError::NotEntityClass(name))
+        );
+        assert_eq!(db.object_count(), 0);
+    }
+
+    #[test]
     fn object_lifecycle() {
         let mut db = Database::new(schema());
         let person = cid(&db, "Person");
@@ -697,8 +710,8 @@ mod tests {
         // A Student without a Person perspective has no `Name` to borrow.
         let alone = db.new_object(student).unwrap();
         assert_eq!(db.attr_ref(alone, &name), None);
-        assert_eq!(db.attr_ref(Oid(9_999), &gpa), None);
-        for o in [s, alone, Oid(9_999)] {
+        assert_eq!(db.attr_ref(Oid::from_raw(9_999), &gpa), None);
+        for o in [s, alone, Oid::from_raw(9_999)] {
             for a in [&name, &gpa] {
                 let borrowed = db.attr_ref(o, a).cloned().unwrap_or(Value::Null);
                 assert_eq!(db.attr_resolved(o, a), borrowed);

@@ -12,8 +12,10 @@
 //! round-tripping float form), `b:<bool>`, `s:<escaped>` where `\\`, `\n`
 //! and `\r` are escaped. The dump is deterministic (extent/OID order), so
 //! equal databases produce byte-equal dumps. OIDs are preserved; loading
-//! resumes OID generation past the maximum. The load validates against the
-//! schema it is given.
+//! resumes OID generation past the maximum. An `<oid>` is an integer in
+//! `1..u64::MAX` (no OID is 0, and none is issued after `u64::MAX - 1`);
+//! any other is a bad line. The load validates against the schema it is
+//! given.
 
 use crate::database::Database;
 use dood_core::ids::Oid;
@@ -180,31 +182,35 @@ pub fn load(schema: Schema, text: &str) -> Result<Database, LoadError> {
         None => return Err(LoadError::BadHeader(String::new())),
     }
     let mut db = Database::new(schema);
-    let mut max_oid = 0u64;
+    let mut max_oid = None;
     for (idx, line) in lines {
         let lineno = idx + 1;
         if line.is_empty() {
             continue;
         }
         let bad = || LoadError::BadLine { line: lineno, content: line.to_string() };
+        // 0 is no OID, and after `u64::MAX` no OID is left to issue.
+        let oid = |s: &str| {
+            s.parse().ok().and_then(Oid::new).filter(|&o| o != Oid::MAX).ok_or_else(bad)
+        };
         let mut parts = line.splitn(2, ' ');
         let kind = parts.next().ok_or_else(bad)?;
         let rest = parts.next().ok_or_else(bad)?;
         match kind {
             "O" => {
                 let (oid_s, class_name) = rest.split_once(' ').ok_or_else(bad)?;
-                let oid = Oid(oid_s.parse().map_err(|_| bad())?);
+                let oid = oid(oid_s)?;
                 let class = db.schema().try_class_by_name(class_name).ok_or_else(|| {
                     LoadError::UnknownName { line: lineno, name: class_name.to_string() }
                 })?;
                 db.restore_object(oid, class)
                     .map_err(|error| LoadError::Store { line: lineno, error })?;
-                max_oid = max_oid.max(oid.raw());
+                max_oid = max_oid.max(Some(oid));
             }
             "V" => {
                 let (oid_s, rest2) = rest.split_once(' ').ok_or_else(bad)?;
                 let (attr_name, val_s) = rest2.split_once(' ').ok_or_else(bad)?;
-                let oid = Oid(oid_s.parse().map_err(|_| bad())?);
+                let oid = oid(oid_s)?;
                 let class = db
                     .class_of(oid)
                     .map_err(|error| LoadError::Store { line: lineno, error })?;
@@ -233,15 +239,16 @@ pub fn load(schema: Schema, text: &str) -> Result<Database, LoadError> {
                         line: lineno,
                         name: link_s.to_string(),
                     })?;
-                let from = Oid(from_s.parse().map_err(|_| bad())?);
-                let to = Oid(to_s.parse().map_err(|_| bad())?);
+                let (from, to) = (oid(from_s)?, oid(to_s)?);
                 db.restore_link(assoc, from, to)
                     .map_err(|error| LoadError::Store { line: lineno, error })?;
             }
             _ => return Err(bad()),
         }
     }
-    db.resume_oids_after(Oid(max_oid));
+    if let Some(max_oid) = max_oid {
+        db.resume_oids_after(max_oid);
+    }
     Ok(db)
 }
 
@@ -359,15 +366,15 @@ mod tests {
                     line: 5,
                     error: StoreError::AssocEndpointMismatch {
                         assoc: major,
-                        from: Oid(bad),
-                        to: Oid(other),
+                        from: Oid::from_raw(bad),
+                        to: Oid::from_raw(other),
                     },
                 },
                 "L {from} {to}"
             );
         }
         let ok = load(schema(), &format!("{objects}L Student/Major {s} {d}\n")).unwrap();
-        assert_eq!(ok.links(major), vec![(Oid(s), Oid(d))]);
+        assert_eq!(ok.links(major), vec![(Oid::from_raw(s), Oid::from_raw(d))]);
     }
 
     #[test]
@@ -400,9 +407,9 @@ mod tests {
         assert_eq!(dump(&loaded), text);
         // Escaped text decodes; an escape-free value is taken as it stands.
         let loaded = load(schema(), "dooddump 1\nO 1 Person\nV 1 name s:a\\\\b\\nc\\rd").unwrap();
-        assert_eq!(loaded.attr(Oid(1), "name").unwrap(), Value::str("a\\b\nc\rd"));
+        assert_eq!(loaded.attr(Oid::from_raw(1), "name").unwrap(), Value::str("a\\b\nc\rd"));
         let loaded = load(schema(), "dooddump 1\nO 1 Person\nV 1 name s:a b").unwrap();
-        assert_eq!(loaded.attr(Oid(1), "name").unwrap(), Value::str("a b"));
+        assert_eq!(loaded.attr(Oid::from_raw(1), "name").unwrap(), Value::str("a b"));
     }
 
     #[test]

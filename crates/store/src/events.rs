@@ -224,8 +224,8 @@ mod tests {
     fn push_and_since() {
         let mut log = EventLog::new();
         assert_eq!(log.seq(), 0);
-        let s1 = log.push(UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid(1) });
-        let s2 = log.push(UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid(2) });
+        let s1 = log.push(UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid::from_raw(1) });
+        let s2 = log.push(UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid::from_raw(2) });
         assert_eq!((s1, s2), (1, 2));
         assert_eq!(log.since(0).len(), 2);
         assert_eq!(log.since(1).len(), 1);
@@ -242,17 +242,17 @@ mod tests {
         b.aggregate("A", "B");
         let s = b.build().unwrap();
         let assoc = s.assocs()[0].id;
-        let e = UpdateEvent::Associated { assoc, from: Oid(1), to: Oid(2) };
+        let e = UpdateEvent::Associated { assoc, from: Oid::from_raw(1), to: Oid::from_raw(2) };
         let d = s.assoc(assoc);
         assert_eq!(e.touched_classes(&s).collect::<Vec<_>>(), vec![d.from, d.to]);
-        assert_eq!(e.touched_oids().collect::<Vec<_>>(), vec![Oid(1), Oid(2)]);
-        let created = UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid(3) };
+        assert_eq!(e.touched_oids().collect::<Vec<_>>(), vec![Oid::from_raw(1), Oid::from_raw(2)]);
+        let created = UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid::from_raw(3) };
         assert_eq!(created.touched_classes(&s).collect::<Vec<_>>(), vec![ClassId(0)]);
-        assert_eq!(created.touched_oids().collect::<Vec<_>>(), vec![Oid(3)]);
+        assert_eq!(created.touched_oids().collect::<Vec<_>>(), vec![Oid::from_raw(3)]);
     }
 
     fn ev(n: u64) -> UpdateEvent {
-        UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid(n) }
+        UpdateEvent::ObjectCreated { class: ClassId(0), oid: Oid::from_raw(n) }
     }
 
     #[test]
@@ -320,7 +320,8 @@ mod tests {
     #[test]
     fn event_kind_tags() {
         assert_eq!(ev(1).kind(), "object_created");
-        let e = UpdateEvent::Associated { assoc: AssocId(0), from: Oid(1), to: Oid(2) };
+        let e =
+            UpdateEvent::Associated { assoc: AssocId(0), from: Oid::from_raw(1), to: Oid::from_raw(2) };
         assert_eq!(e.kind(), "associated");
     }
 }

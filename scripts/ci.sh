@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# The per-PR gate: tier-1 verify (ROADMAP.md), a warnings-as-errors build,
+# The per-PR gate: tier-1 verify (ROADMAP.md), the crates' own unit tests,
+# a warnings-as-errors build,
 # a guard against the deleted second executor and first benchmark coming
 # back, doodlint over every built-in rule program (text and --json modes),
 # a DOOD_TRACE=1 smoke run validated by `doodprof --validate`, the
 # hermeticity check, smoke runs of the three gates `benchmark/` cannot state
 # (e15 observability, e19 analysis throughput, e20 flight recorder), and
 # the end-to-end benchmark's own tests, a smoke run of each of its
-# workloads with their pass-0 oracles, and allocation ceilings read from
-# short traced runs.
+# workloads with their pass-0 oracles, and allocation ceilings (counts and
+# KB) read from short traced runs.
 #
 # Usage: scripts/ci.sh
 # Run from anywhere; operates on the workspace containing this script.
@@ -18,6 +19,12 @@ cd "$(dirname "$0")/.."
 echo "== ci: tier-1 verify (cargo build --release && cargo test -q) =="
 cargo build --release
 cargo test -q
+
+echo "== ci: the crates' unit tests (cargo test --workspace) =="
+# Tier-1's `cargo test -q` runs the root package only (tests/*.rs); the
+# unit tests inside crates/* — the row store and row run models, the
+# posting lists, the dump loader — run here. The root package ran above.
+cargo test --workspace --exclude dood -q
 
 echo "== ci: warnings-as-errors build =="
 RUSTFLAGS="-D warnings" cargo build --workspace
@@ -169,8 +176,31 @@ done
 PROPAGATE_ALLOCS_PER_EVENT_MAX=16
 DERIVE_ALLOCS_PER_OP_MAX=39
 CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=42
+# KB allocated per op repeats as exactly as the counts do, so the layers
+# that move rows have KB ceilings too, again a measured value plus 25 %:
+# - `univ_update` `rules.propagate`: 41.2 KB once a cell was 8 bytes
+#   (51.5 KB with 16-byte `Option<Oid>` cells);
+# - `social_closure` `rules.propagate`: 56.7 KB once a cell was 8 bytes
+#   (94.1 KB with 16-byte cells);
+# - `univ_query` `oql.eval` (below): 161.7 KB once a cell was 8 bytes
+#   (207.3 KB with 16-byte cells).
+PROPAGATE_KB_PER_OP_MAX=52
+CLOSURE_PROPAGATE_KB_PER_OP_MAX=71
+EVAL_KB_PER_OP_MAX=203
 metric() {
     sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"
+}
+# $1 (a metric of $SUMMARY) against the ceiling $2 on workload $3.
+kb_ceiling() {
+    local kb
+    kb="$(metric "$1")"
+    if ! awk -v a="$kb" -v max="$2" -v m="$1" -v w="$3" \
+        'BEGIN { if (a == "") exit 1
+                 printf "ci: %s is %.1f KB on %s (ceiling %d)\n", m, a, w, max
+                 exit (a > max) }'; then
+        echo "ci: $1 on $3 ($kb KB) exceeds $2 KB or is missing" >&2
+        exit 1
+    fi
 }
 # The allocations of `rules.propagate` per store event in $SUMMARY, against
 # a ceiling; $1 names the workload.
@@ -188,6 +218,7 @@ propagate_per_event() {
 }
 SUMMARY="$(bash benchmark/run.sh --workload univ_update --seed 7 --seconds 2 --trace 1 | tail -n 1)"
 propagate_per_event univ_update "$PROPAGATE_ALLOCS_PER_EVENT_MAX"
+kb_ceiling rules.propagate.alloc_kb_per_op "$PROPAGATE_KB_PER_OP_MAX" univ_update
 DERIVE="$(metric rules.derive.allocs_per_op)"
 if ! awk -v a="$DERIVE" -v max="$DERIVE_ALLOCS_PER_OP_MAX" \
     'BEGIN { if (a == "") exit 1
@@ -199,6 +230,7 @@ if ! awk -v a="$DERIVE" -v max="$DERIVE_ALLOCS_PER_OP_MAX" \
 fi
 SUMMARY="$(bash benchmark/run.sh --workload social_closure --seed 7 --seconds 2 --trace 1 | tail -n 1)"
 propagate_per_event social_closure "$CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX"
+kb_ceiling rules.propagate.alloc_kb_per_op "$CLOSURE_PROPAGATE_KB_PER_OP_MAX" social_closure
 # A joined row is written straight into its extension's flat leaves, and
 # a table row into the table's one flat run of cells: allocations per
 # output pattern in `oql.eval` and per op in `oql.table` on the read mix,
@@ -211,6 +243,7 @@ propagate_per_event social_closure "$CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX"
 EVAL_ALLOCS_PER_PATTERN_MAX=0.05
 TABLE_ALLOCS_PER_OP_MAX=66
 SUMMARY="$(bash benchmark/run.sh --workload univ_query --seed 7 --seconds 2 --trace 1 | tail -n 1)"
+kb_ceiling oql.eval.alloc_kb_per_op "$EVAL_KB_PER_OP_MAX" univ_query
 ALLOCS="$(metric oql.eval.allocs_per_op)"
 PATTERNS="$(metric oql.eval.patterns_per_op)"
 if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \

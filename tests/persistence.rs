@@ -4,8 +4,10 @@
 //! survived — the "no serialization capability lost" guarantee after the
 //! removal of the serde derives.
 
+use dood::core::error::StoreError;
+use dood::core::ids::Oid;
 use dood::core::value::Value;
-use dood::store::{dump, load, load_full, save_full, Database};
+use dood::store::{dump, load, load_full, save_full, Database, LoadError};
 use dood::workload::university;
 
 fn object_attr_link_counts(db: &Database) -> (usize, usize, usize) {
@@ -94,4 +96,34 @@ fn loaded_university_database_remains_fully_operable() {
     let fresh = loaded.new_object(dept).unwrap();
     assert_eq!(loaded.object_count(), before + 1);
     assert!(db.extent(dept).all(|o| o != fresh), "fresh OID must not collide");
+}
+
+#[test]
+fn a_dump_cannot_name_oid_zero() {
+    let err = load(university::schema(), "dooddump 1\nO 0 Student").unwrap_err();
+    assert_eq!(err, LoadError::BadLine { line: 2, content: "O 0 Student".to_string() });
+}
+
+#[test]
+fn a_dump_cannot_name_the_last_oid() {
+    // No OID is left to issue after `u64::MAX`, so a dump may not name it.
+    let last = format!("O {} Student", u64::MAX);
+    let err = load(university::schema(), &format!("dooddump 1\n{last}")).unwrap_err();
+    assert_eq!(err, LoadError::BadLine { line: 2, content: last });
+
+    let mut db = load(university::schema(), &format!("dooddump 1\nO {} Student", u64::MAX - 1))
+        .expect("the OID before the last one loads");
+    let student = db.schema().class_by_name("Student").unwrap();
+    assert_eq!(db.extent(student).collect::<Vec<_>>(), [Oid::from_raw(u64::MAX - 1)]);
+    let before = db.object_count();
+    assert_eq!(db.new_object(student), Err(StoreError::OidsExhausted));
+    assert_eq!(db.object_count(), before);
+}
+
+#[test]
+fn an_empty_dump_issues_o1_first() {
+    let mut db = load(university::schema(), "dooddump 1\n").expect("empty dump loads");
+    let student = db.schema().class_by_name("Student").unwrap();
+    assert_eq!(db.new_object(student), Ok(Oid::MIN));
+    assert_eq!(db.new_object(student).unwrap().to_string(), "o2");
 }

@@ -24,13 +24,18 @@ fn raw_patterns(g: &mut Gen, rows: std::ops::Range<usize>, width: usize, bound: 
     })
 }
 
+/// The pattern with these raw components.
+fn pattern(comps: &[Option<u64>]) -> ExtPattern {
+    ExtPattern::new(comps.iter().map(|o| o.map(Oid::from_raw)).collect::<Vec<_>>())
+}
+
 fn subdb_from_raw(width: usize, raw: Vec<Vec<Option<u64>>>) -> Subdatabase {
     let slots = (0..width)
         .map(|i| SlotDef::base(format!("C{i}"), dood::core::ids::ClassId(i as u32)))
         .collect();
     let mut sd = Subdatabase::new("t", Intension::new(slots));
     for comps in raw {
-        let pat = ExtPattern::new(comps.into_iter().map(|o| o.map(Oid)).collect::<Vec<_>>());
+        let pat = pattern(&comps);
         if pat.pattern_type() != PatternType::EMPTY {
             sd.insert(pat);
         }
@@ -135,9 +140,7 @@ fn retain_maximal_equals_quadratic_filter() {
         let slots =
             (0..width).map(|i| SlotDef::base(format!("C{i}"), dood::core::ids::ClassId(i as u32)));
         let mut sd = Subdatabase::new("t", Intension::new(slots.collect()));
-        sd.set_patterns(
-            raw.iter().map(|r| ExtPattern::new(r.iter().map(|o| o.map(Oid)).collect::<Vec<_>>())),
-        );
+        sd.set_patterns(raw.iter().map(|r| pattern(r)));
         sd.retain_maximal();
         let got: Vec<Vec<Option<u64>>> = sd
             .patterns()
@@ -159,7 +162,7 @@ fn pattern_type_census_partitions() {
             .collect();
         let mut sd = Subdatabase::new("t", Intension::new(slots));
         for comps in raw {
-            sd.insert(ExtPattern::new(comps.into_iter().map(|o| o.map(Oid)).collect::<Vec<_>>()));
+            sd.insert(pattern(&comps));
         }
         let census = sd.pattern_types();
         assert_eq!(census.values().sum::<usize>(), sd.len());
@@ -308,7 +311,7 @@ fn projection_laws() {
             .collect();
         let mut sd = Subdatabase::new("t", Intension::new(slots));
         for comps in raw {
-            sd.insert(ExtPattern::new(comps.into_iter().map(|o| o.map(Oid)).collect::<Vec<_>>()));
+            sd.insert(pattern(&comps));
         }
         let proj = sd.project("p", &[2, 0]);
         assert_eq!(proj.intension.width(), 2);
