@@ -102,23 +102,22 @@ impl RowRun {
         (0..self.len).map(move |i| self.row(i))
     }
 
-    /// Sort the rows ascending and drop duplicates. An already strictly
-    /// ascending run is only checked. Rows of up to eight cells are sorted
-    /// in place as arrays, allocating nothing; wider rows are sorted by
-    /// index and gathered into one new buffer of the same size.
+    /// Sort the rows ascending and drop duplicates. A strictly ascending
+    /// run is only checked, and an ascending one with duplicates only
+    /// deduplicated. Rows of up to eight cells are sorted in place as
+    /// arrays, allocating nothing; wider rows are sorted by index and
+    /// gathered into one new buffer of the same size.
     pub fn sort(&mut self) {
         let (w, n) = (self.width, self.len);
-        if (1..n).all(|i| self.row(i - 1) < self.row(i)) {
-            return;
-        }
-        if w == 0 {
-            self.len = 1;
+        let step = |i: usize| self.row(i - 1).cmp(&self.row(i));
+        if (1..n).all(|i| step(i).is_lt()) {
             return;
         }
         fn arrays<const W: usize>(cells: &mut [Option<Oid>]) {
             cells.as_chunks_mut::<W>().0.sort_unstable();
         }
         match w {
+            _ if (1..n).all(|i| step(i).is_le()) => {}
             1 => arrays::<1>(&mut self.cells),
             2 => arrays::<2>(&mut self.cells),
             3 => arrays::<3>(&mut self.cells),
@@ -146,6 +145,13 @@ impl RowRun {
             }
         }
         self.truncate(kept);
+    }
+
+    /// Empty the run and make it hold `width`-cell rows, keeping its
+    /// buffer for reuse.
+    pub fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.truncate(0);
     }
 
     /// Keep the first `rows` rows.

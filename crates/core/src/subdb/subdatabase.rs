@@ -7,6 +7,7 @@ use crate::subdb::index::{SlotAdj, SubdbIndex};
 use crate::subdb::intension::Intension;
 use crate::subdb::pattern::{ExtPattern, PatternType, Row};
 use crate::subdb::rows::RowStore;
+use crate::subdb::run::RowRun;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
@@ -137,37 +138,20 @@ impl Subdatabase {
     /// difference.
     pub fn diff_components(&self, other: &Subdatabase) -> Vec<Oid> {
         let mut out = BTreeSet::new();
-        let mut a = self.patterns.iter().peekable();
-        let mut b = other.patterns.iter().peekable();
-        let absorb = |p: Row<'_>, out: &mut BTreeSet<Oid>| {
-            out.extend(p.components().iter().flatten().copied());
-        };
+        let (mut a, mut b) = (self.patterns.iter().peekable(), other.patterns.iter().peekable());
         loop {
-            match (a.peek(), b.peek()) {
-                (Some(&x), Some(&y)) => match x.cmp(&y) {
-                    std::cmp::Ordering::Less => {
-                        absorb(x, &mut out);
-                        a.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        absorb(y, &mut out);
-                        b.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        a.next();
-                        b.next();
-                    }
-                },
-                (Some(&x), None) => {
-                    absorb(x, &mut out);
-                    a.next();
-                }
-                (None, Some(&y)) => {
-                    absorb(y, &mut out);
-                    b.next();
-                }
+            let only = match (a.peek(), b.peek()) {
                 (None, None) => break,
-            }
+                (Some(x), Some(y)) if x == y => {
+                    a.next();
+                    b.next();
+                    continue;
+                }
+                (Some(x), Some(y)) if x < y => a.next(),
+                (Some(_), None) => a.next(),
+                _ => b.next(),
+            };
+            out.extend(only.expect("peeked").components().iter().flatten().copied());
         }
         out.into_iter().collect()
     }
@@ -178,39 +162,28 @@ impl Subdatabase {
     }
 
     /// Replace the full pattern set: the patterns, in any order and with
-    /// duplicates, are gathered into one flat buffer and built by
+    /// duplicates, are gathered into one run and built by
     /// [`Subdatabase::set_rows`]. Panics on a pattern of the wrong width.
     pub fn set_patterns<P: AsRef<[Option<Oid>]>>(&mut self, ps: impl IntoIterator<Item = P>) {
-        let mut cells = Vec::new();
-        let mut n = 0;
+        let mut run = RowRun::new(self.intension.width());
         for p in ps {
             let row = p.as_ref();
             self.check_width(row.len());
-            cells.extend_from_slice(row);
-            n += 1;
+            run.push(row);
         }
-        self.set_rows(n, &cells);
+        self.set_rows(run);
     }
 
-    /// Replace the full pattern set with `n` rows given as one flat buffer
-    /// of `n × width` cells, in any order and with duplicates: the rows are
-    /// sorted by index and copied once into exact-sized leaves. Panics if
-    /// the buffer is not `n` rows of this extension's width.
-    pub fn set_rows(&mut self, n: usize, cells: &[Option<Oid>]) {
-        let w = self.intension.width();
-        assert!(
-            cells.len() == n * w,
-            "subdatabase {}: {} cells are not {n} rows of its width {w}",
-            self.name,
-            cells.len()
-        );
-        let row = |i: u32| &cells[i as usize * w..(i as usize + 1) * w];
-        let mut order: Vec<u32> = (0..u32::try_from(n).expect("at most 2^32 rows")).collect();
-        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-        order.dedup_by(|a, b| row(*a) == row(*b));
-        let mut next = order.iter();
-        self.set_sorted_rows(order.len(), |out| {
-            out.copy_from_slice(row(*next.next().expect("one row per slot")));
+    /// Replace the full pattern set with a run of rows in any order and
+    /// with duplicates: the run is sorted in place ([`RowRun::sort`]) and
+    /// copied once into exact-sized leaves. Panics if the run's width is not
+    /// this extension's.
+    pub fn set_rows(&mut self, mut run: RowRun) {
+        self.check_width(run.width());
+        run.sort();
+        let mut rows = run.iter();
+        self.set_sorted_rows(run.len(), |out| {
+            out.copy_from_slice(rows.next().expect("one row per slot").components());
         });
     }
 
@@ -263,12 +236,13 @@ impl Subdatabase {
     /// §5.1 subsumption). A pattern of type `s` is a part of one of type `t`
     /// iff `s` is a strict subtype of `t` and both bind the same oids on
     /// `s`'s slots. So the patterns are grouped by type, and one strict
-    /// subtype at a time gets one sorted flat buffer of its supertypes'
-    /// patterns projected onto its slots: a pattern of that type goes iff
-    /// its own bound oids are found there by binary search. O(types² +
-    /// patterns · types · log patterns) with a fixed number of allocations,
-    /// none per pattern or per type. A type is a non-null mask of
-    /// `⌈width / 64⌉` words, so any width works.
+    /// subtype at a time gets one sorted run of its supertypes' patterns
+    /// projected onto its slots: a pattern of that type goes iff its own
+    /// bound oids are found there by binary search. O(types² + patterns ·
+    /// types · log patterns) with one reused run and a fixed handful of
+    /// allocations besides, none per pattern; a type allocates only if its
+    /// projections are wider than eight cells and out of order. A type is a
+    /// non-null mask of `⌈width / 64⌉` words, so any width works.
     pub fn retain_maximal(&mut self) {
         let words = self.intension.width().div_ceil(64).max(1);
         // The distinct types (`words` mask words each, in order of first
@@ -313,33 +287,31 @@ impl Subdatabase {
         let Some(most) = (0..n).filter(|&s| rows[s] > 0).map(|s| rows[s] * arity(s)).max() else {
             return;
         };
-        let mut proj: Vec<Oid> = Vec::with_capacity(most);
-        let mut sorted: Vec<u32> = Vec::with_capacity(rows.iter().copied().max().unwrap_or(0));
+        let mut proj = RowRun::with_capacity(1, most);
+        let mut key: Vec<Option<Oid>> = Vec::with_capacity(self.intension.width());
         let mut dead = vec![false; self.patterns.len()];
         for s in (0..n).filter(|&s| rows[s] > 0) {
-            let (m, k) = (mask(s), arity(s));
-            proj.clear();
+            let m = mask(s);
+            proj.reset(arity(s));
             for (p, &t) in self.patterns.iter().zip(&tag) {
                 if sub[s * n + t as usize] {
-                    proj.extend(
-                        p.components()
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| m[i / 64] >> (i % 64) & 1 == 1)
-                            .map(|(_, c)| c.expect("a supertype binds its subtype's slots")),
-                    );
+                    proj.push_with(|row| {
+                        let bound = p.components().iter().enumerate();
+                        let cells = bound.filter(|&(i, _)| m[i / 64] >> (i % 64) & 1 == 1);
+                        for (c, (_, &o)) in row.iter_mut().zip(cells) {
+                            *c = o;
+                        }
+                    });
                 }
             }
-            let row = |r: u32| &proj[r as usize * k..(r as usize + 1) * k];
-            sorted.clear();
-            sorted.extend(0..rows[s] as u32);
-            sorted.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            proj.sort();
             // A pattern's bound oids, in slot order, are its projection onto
             // its own type.
             for ((p, &t), d) in self.patterns.iter().zip(&tag).zip(dead.iter_mut()) {
                 if t as usize == s {
-                    let key = || p.components().iter().flatten();
-                    *d = sorted.binary_search_by(|&r| row(r).iter().cmp(key())).is_ok();
+                    key.clear();
+                    key.extend(p.components().iter().filter(|c| c.is_some()));
+                    *d = proj.contains(&key);
                 }
             }
         }
@@ -378,11 +350,15 @@ impl Subdatabase {
             }
         }
         let mut out = Subdatabase::new(name, intension);
-        let mut cells = Vec::with_capacity(self.len() * slots.len());
+        let mut run = RowRun::with_capacity(slots.len(), self.len());
         for p in self.patterns.iter() {
-            cells.extend(slots.iter().map(|&i| p.get(i)));
+            run.push_with(|row| {
+                for (c, &i) in row.iter_mut().zip(slots) {
+                    *c = p.get(i);
+                }
+            });
         }
-        out.set_rows(self.len(), &cells);
+        out.set_rows(run);
         out
     }
 }
@@ -626,9 +602,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "subdatabase S: 5 cells are not 2 rows of its width 3")]
+    #[should_panic(expected = "subdatabase S: a pattern of width 2 does not fit its width 3")]
     fn set_rows_checks_the_width() {
-        subdb().set_rows(2, &[Some(Oid::from_raw(1)); 5]);
+        subdb().set_rows(RowRun::new(2));
     }
 
     #[test]

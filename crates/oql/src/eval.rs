@@ -20,6 +20,7 @@ use dood_core::subdb::{
 use dood_core::value::Value;
 use dood_store::Database;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -505,12 +506,12 @@ impl<'a> Evaluator<'a> {
             each(&mut |[a, b]| run.push(&[Some(a), Some(b)]));
             run
         } else {
-            // One flat join output per restricted slot, `hi - lo` oids a
-            // row, kept until all are in so the run is sized once. The
-            // context is a shared `&'a` reference, so its spans can be
-            // walked while the slots' memberships are swapped.
+            // One join run per restricted slot, `hi - lo` cells a row, kept
+            // until all are in so the run is sized once. The context is a
+            // shared `&'a` reference, so its spans can be walked while the
+            // slots' memberships are swapped.
             let ctx = self.ctx;
-            let mut joins: Vec<(usize, usize, Vec<Oid>)> =
+            let mut joins: Vec<(usize, RowRun)> =
                 Vec::with_capacity(ctx.spans.iter().map(|(lo, hi)| hi - lo).sum());
             for &(lo, hi) in &ctx.spans {
                 for slot in lo..hi {
@@ -528,20 +529,16 @@ impl<'a> Evaluator<'a> {
                         Members::Fixed(restricted),
                     );
                     let saved_ix = self.index_scan[slot].take();
-                    joins.push((lo, hi, self.exec_span(&dsp)));
+                    joins.push((lo, self.exec_span(&dsp)));
                     self.memberships[slot] = saved_m;
                     self.index_scan[slot] = saved_ix;
                 }
             }
-            let rows = joins.iter().map(|(lo, hi, flat)| flat.len() / (hi - lo)).sum();
+            let rows = joins.iter().map(|(_, join)| join.len()).sum();
             let mut run = RowRun::with_capacity(width, rows);
-            for (lo, hi, flat) in &joins {
-                for r in flat.chunks_exact(hi - lo) {
-                    run.push_with(|row| {
-                        for (c, &o) in row[*lo..*hi].iter_mut().zip(r) {
-                            *c = Some(o);
-                        }
-                    });
+            for (lo, join) in &joins {
+                for r in join.iter() {
+                    run.push_with(|row| row[*lo..*lo + r.width()].copy_from_slice(r.components()));
                 }
             }
             run
@@ -647,14 +644,15 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Execute one compiled span plan: anchor scan, then the fused DFS
-    /// pipeline. Returns the bound rows as one flat buffer, `hi - lo` oids
-    /// a row in slot order. The DFS visits candidates and neighbors in a
-    /// fixed order, so the output order is deterministic.
+    /// pipeline. Returns the bound rows as one unsorted run of `hi - lo`
+    /// cells a row, in slot order, every cell bound. The DFS visits
+    /// candidates and neighbors in a fixed order, so the output order is
+    /// deterministic.
     ///
     /// Emits the `oql.join` span with per-stage `oql.plan.*` children
     /// carrying estimated vs. measured cardinalities (the EXPLAIN ANALYZE
     /// payload `doodprof --plan` renders).
-    fn exec_span(&self, sp: &SpanPlan) -> Vec<Oid> {
+    fn exec_span(&self, sp: &SpanPlan) -> RowRun {
         let mut tsp = obs::trace::span("oql.join");
         tsp.attr("lo", sp.lo as i64);
         tsp.attr("hi", sp.hi as i64);
@@ -669,7 +667,7 @@ impl<'a> Evaluator<'a> {
             .map(|st| if st.nonassoc { Some(self.candidates(st.to_slot)) } else { None })
             .collect();
         let (rows, scanned, kept) = self.exec_span_rows(sp, &cands, &na);
-        let rows_out = (rows.len() / (sp.hi - sp.lo)) as u64;
+        let rows_out = rows.len() as u64;
         tsp.attr("rows_out", rows_out as i64);
         if let Some(a) = obs::account::active() {
             a.add_rows_scanned(cands.len() as u64 + scanned.iter().sum::<u64>());
@@ -725,20 +723,20 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The compiled span pipeline over a subset of the anchor's
-    /// candidates. Returns the bound rows (one flat buffer, `hi - lo` oids
-    /// a row in slot order) plus per-stage `(scanned, kept)` counters.
+    /// candidates. Returns the bound rows (one run of `hi - lo` cells a
+    /// row, in slot order) plus per-stage `(scanned, kept)` counters.
     fn exec_span_rows(
         &self,
         sp: &SpanPlan,
         cands: &[Oid],
         na: &[Option<Vec<Oid>>],
-    ) -> (Vec<Oid>, Vec<u64>, Vec<u64>) {
-        let mut out = Vec::new();
+    ) -> (RowRun, Vec<u64>, Vec<u64>) {
+        let mut out = RowRun::new(sp.hi - sp.lo);
         let mut scanned = vec![0u64; sp.steps.len()];
         let mut kept = vec![0u64; sp.steps.len()];
-        let mut row = vec![Oid::MIN; sp.hi - sp.lo];
+        let mut row = vec![None; sp.hi - sp.lo];
         for &o in cands {
-            row[sp.anchor - sp.lo] = o;
+            row[sp.anchor - sp.lo] = Some(o);
             self.exec_steps(sp, na, &mut row, 0, &mut out, &mut scanned, &mut kept);
         }
         (out, scanned, kept)
@@ -748,25 +746,25 @@ impl<'a> Evaluator<'a> {
     /// the already-bound source slot, filter (membership + predicate),
     /// bind the target slot in the slot-indexed row buffer, and recurse.
     /// Rows are copied out at the leaves only, already in slot order, onto
-    /// the end of the flat output — no per-row allocation, no per-stage
+    /// the end of the output run — no per-row allocation, no per-stage
     /// row materialization or reorder pass.
     #[allow(clippy::too_many_arguments)]
     fn exec_steps(
         &self,
         sp: &SpanPlan,
         na: &[Option<Vec<Oid>>],
-        row: &mut [Oid],
+        row: &mut [Option<Oid>],
         depth: usize,
-        out: &mut Vec<Oid>,
+        out: &mut RowRun,
         scanned: &mut [u64],
         kept: &mut [u64],
     ) {
         if depth == sp.steps.len() {
-            out.extend_from_slice(row);
+            out.push(row);
             return;
         }
         let st = &sp.steps[depth];
-        let from = row[st.from_slot - sp.lo];
+        let from = row[st.from_slot - sp.lo].expect("a step starts at a bound slot");
         if st.nonassoc {
             // "A ! B": pairs whose instances are NOT associated.
             let kind = &self.ctx.edges[st.edge].kind;
@@ -779,7 +777,7 @@ impl<'a> Evaluator<'a> {
                 };
                 if !linked {
                     kept[depth] += 1;
-                    row[st.to_slot - sp.lo] = next;
+                    row[st.to_slot - sp.lo] = Some(next);
                     self.exec_steps(sp, na, row, depth + 1, out, scanned, kept);
                 }
             }
@@ -806,7 +804,7 @@ impl<'a> Evaluator<'a> {
             scanned[depth] += 1;
             if self.accepts(st.to_slot, next) {
                 kept[depth] += 1;
-                row[st.to_slot - sp.lo] = next;
+                row[st.to_slot - sp.lo] = Some(next);
                 self.exec_steps(sp, na, row, depth + 1, out, scanned, kept);
             }
         }
@@ -816,52 +814,48 @@ impl<'a> Evaluator<'a> {
     /// unioned, and subsumption-filtered.
     fn eval_flat(&self, name: &str, sp: &mut obs::trace::Span) -> Subdatabase {
         let mut sd = Subdatabase::new(name, self.intension());
-        // One span's rows all bind the same slots, so as patterns they sort
-        // as their flat OID rows do: each span's rows are sorted by index
-        // and deduplicated on their own, and the spans' runs are merged
-        // straight into the extension's leaves. A span repeating an earlier
-        // one's slots adds nothing.
+        // Every row of one span binds exactly the slots `lo..hi`, so as
+        // patterns a span's rows sort as its run does: each distinct span's
+        // run is sorted in place and goes straight into the extension's
+        // leaves, copied when it is the only one and merged with the others
+        // when there are several. A span repeating an earlier one's slots
+        // adds nothing.
         let spans = &self.plan.spans;
-        let flats: Vec<Vec<Oid>> = spans.iter().map(|span| self.exec_span(span)).collect();
-        let rows = |s: usize| flats[s].len() / (spans[s].hi - spans[s].lo);
-        let mut order: Vec<u32> = Vec::with_capacity((0..spans.len()).map(rows).sum());
-        // Per span: its next and end position in `order`.
-        let mut runs: Vec<(usize, usize)> = Vec::with_capacity(spans.len());
+        let mut runs: Vec<(usize, RowRun)> = Vec::with_capacity(spans.len());
         for (s, span) in spans.iter().enumerate() {
-            let start = order.len();
+            let mut run = self.exec_span(span);
             if spans[..s].iter().all(|t| (t.lo, t.hi) != (span.lo, span.hi)) {
-                let row = |i: u32| span_row(spans, &flats, s, i);
-                order.extend(0..u32::try_from(rows(s)).expect("at most 2^32 rows per span"));
-                order[start..].sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-                let mut end = start;
-                for i in start..order.len() {
-                    if end == start || row(order[end - 1]) != row(order[i]) {
-                        order[end] = order[i];
-                        end += 1;
-                    }
-                }
-                order.truncate(end);
+                run.sort();
+                runs.push((span.lo, run));
             }
-            runs.push((start, order.len()));
         }
-        sd.set_sorted_rows(order.len(), |out| {
-            let head = |s: usize| (spans[s].lo, span_row(spans, &flats, s, order[runs[s].0]));
-            let mut best: Option<usize> = None;
-            for s in (0..runs.len()).filter(|&s| runs[s].0 < runs[s].1) {
-                if best.is_none_or(|b| widened_cmp(head(s), head(b)).is_lt()) {
-                    best = Some(s);
-                }
-            }
-            let s = best.expect("one row per call");
-            let (lo, r) = head(s);
-            for (c, &o) in out[lo..lo + r.len()].iter_mut().zip(r) {
-                *c = Some(o);
-            }
-            runs[s].0 += 1;
-        });
-        drop(flats);
+        if let [(lo, run)] = runs.as_slice() {
+            let mut rows = run.iter();
+            sd.set_sorted_rows(run.len(), |out| {
+                let r = rows.next().expect("one row per call").components();
+                out[*lo..*lo + r.len()].copy_from_slice(r);
+            });
+        } else {
+            let mut next = vec![0; runs.len()];
+            sd.set_sorted_rows(runs.iter().map(|(_, run)| run.len()).sum(), |out| {
+                let head = |k: usize| (runs[k].0, runs[k].1.row(next[k]).components());
+                let k = (0..runs.len())
+                    .filter(|&k| next[k] < runs[k].1.len())
+                    .min_by(|&a, &b| widened_cmp(head(a), head(b)))
+                    .expect("one row per call");
+                let (lo, r) = head(k);
+                out[lo..lo + r.len()].copy_from_slice(r);
+                next[k] += 1;
+            });
+        }
+        let shapes = runs.len();
+        drop(runs);
+        // One span's patterns all have one type, so none is a strict part
+        // of another: subsumption can drop something only between spans.
         let before = sd.len();
-        sd.retain_maximal();
+        if shapes > 1 {
+            sd.retain_maximal();
+        }
         let subsumed = before - sd.len();
         sp.attr("subsumed", subsumed as i64);
         if subsumed > 0 && obs::metrics_enabled() {
@@ -972,9 +966,9 @@ impl<'a> Evaluator<'a> {
             let pos: FxHashMap<Oid, usize> =
                 nodes.iter().enumerate().map(|(i, &o)| (o, i)).collect();
             let (rows, _, _) = self.exec_span_rows(chain, nodes, na);
-            for row in rows.chunks_exact(n) {
-                let i = pos[&row[0]];
-                let last = row[n - 1];
+            for row in rows.iter() {
+                let i = pos[&row.get(0).expect("a chain row is bound")];
+                let last = row.get(n - 1).expect("a chain row is bound");
                 for &s in self.step(usize::MAX, cycle, last, true).iter() {
                     if self.accepts(0, s) {
                         out[i].1.push(s);
@@ -1227,7 +1221,7 @@ impl<'a> Evaluator<'a> {
                 .map(|st| if st.nonassoc { Some(self.candidates(st.to_slot)) } else { None })
                 .collect();
             let (rows, _, _) = self.exec_span_rows(&spp, &anchor, &na);
-            out.extend(rows.chunks_exact(k + 1).map(|r| r[0]));
+            out.extend(rows.iter().map(|r| r.get(0).expect("a prefix row is bound")));
         }
         out.sort_unstable();
         out.dedup();
@@ -1366,22 +1360,13 @@ impl<'s> ChainWalk<'s> {
     }
 }
 
-/// Row `i` of span `s`'s flat join output.
-fn span_row<'f>(spans: &[SpanPlan], flats: &'f [Vec<Oid>], s: usize, i: u32) -> &'f [Oid] {
-    let k = spans[s].hi - spans[s].lo;
-    &flats[s][i as usize * k..(i as usize + 1) * k]
-}
-
-/// Compare two flat rows as the patterns they widen to: row `a` bound at
-/// slots `a.0..`, row `b` at `b.0..`, every other slot Null (`None` sorts
-/// before any OID).
-fn widened_cmp((a_lo, a): (usize, &[Oid]), (b_lo, b): (usize, &[Oid])) -> std::cmp::Ordering {
-    let cell = |lo: usize, r: &[Oid], i: usize| i.checked_sub(lo).and_then(|j| r.get(j).copied());
-    let end = (a_lo + a.len()).max(b_lo + b.len());
-    (a_lo.min(b_lo)..end)
-        .map(|i| cell(a_lo, a, i).cmp(&cell(b_lo, b, i)))
-        .find(|o| o.is_ne())
-        .unwrap_or(std::cmp::Ordering::Equal)
+/// Compare two span rows as the patterns they widen to: row `a` bound at
+/// slots `a.0..`, row `b` at `b.0..`, every other slot Null. A span row
+/// binds every slot of its span, so of two rows starting at different
+/// slots the later one has a Null where the other has an OID and sorts
+/// first; rows starting at one slot compare as their cells do.
+fn widened_cmp((a_lo, a): (usize, &[Option<Oid>]), (b_lo, b): (usize, &[Option<Oid>])) -> Ordering {
+    b_lo.cmp(&a_lo).then_with(|| a.cmp(b))
 }
 
 /// The successor relation a closure fixpoint computed, exposed as
@@ -1423,7 +1408,7 @@ mod tests {
     use crate::parser::Parser;
     use crate::resolve::resolve_context;
     use dood_core::schema::SchemaBuilder;
-    use dood_core::subdb::Row;
+    use dood_core::subdb::{ExtPattern, Row};
     use dood_core::value::DType;
 
     /// A miniature database: teachers teach sections of courses.
@@ -1500,15 +1485,44 @@ mod tests {
         assert_eq!(sd2.len(), 0); // c2 has no sections
     }
 
+    /// `{Teacher * Section} * Course`: teacher-section pairs survive even
+    /// without a course, unless part of a full chain. Subsumption between
+    /// the two spans drops exactly the covered partials: `(t1, s1)` and
+    /// `(t2, s2)` go, `(t3, s3)`, whose section has no course, stays.
     #[test]
     fn braces_retain_partial_patterns() {
         let (db, reg) = setup();
-        // {Teacher * Section} * Course: teacher-section pairs survive even
-        // without a course, unless part of a full chain.
-        let sd = eval("{Teacher * Section} * Course", &db, &reg);
-        let types = sd.pattern_types();
-        assert_eq!(sd.len(), 3);
-        assert_eq!(types.len(), 2); // (T,S,C) ×2 and (T,S) ×1
+        let full = eval("Teacher * Section * Course", &db, &reg).to_vec();
+        let pairs = eval("Teacher * Section", &db, &reg).to_vec();
+        let (covered, kept): (Vec<_>, Vec<_>) = pairs
+            .iter()
+            .map(|p| ExtPattern::new([p.get(0), p.get(1), None]))
+            .partition(|partial| full.iter().any(|f| partial.is_part_of(f)));
+        assert_eq!((covered.len(), kept.len()), (2, 1));
+        let mut want: Vec<ExtPattern> = full.into_iter().chain(kept).collect();
+        want.sort();
+        assert_eq!(eval("{Teacher * Section} * Course", &db, &reg).to_vec(), want);
+    }
+
+    /// A one-span context skips the subsumption pass; its extension is the
+    /// span's raw join rows built by `set_patterns` and then filtered by
+    /// `retain_maximal`. The queries anchor where the planner likes, so
+    /// some runs arrive unsorted.
+    #[test]
+    fn one_span_extension_equals_set_patterns_then_retain_maximal() {
+        let (db, reg) = setup();
+        let queries = ["Teacher * Section * Course", "Section ! Course", "Section * Course [c# >= 6000]"];
+        for q in queries {
+            let e = Parser::parse_context_expr(q).unwrap();
+            let r = resolve_context(&e, db.schema(), &reg).unwrap();
+            let ev = Evaluator::new(&r, &db, &reg).unwrap();
+            assert_eq!(ev.plan.spans.len(), 1, "{q}");
+            let mut want = Subdatabase::new("test", ev.intension());
+            want.set_patterns(ev.exec_span(&ev.plan.spans[0]).iter());
+            want.retain_maximal();
+            assert!(!want.is_empty(), "{q}");
+            assert_eq!(ev.eval("test").to_vec(), want.to_vec(), "{q}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use dood_oql::ast::ClassRef;
 use dood_oql::eval_context;
 use dood_oql::wherec::find_slot;
 use dood_core::ids::Oid;
-use dood_core::subdb::{Intension, SlotDef, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{Intension, RowRun, SlotDef, Subdatabase, SubdbRegistry};
 use dood_store::Database;
 
 /// Evaluate `rule` against the database and the already-derived sources in
@@ -175,21 +175,19 @@ pub fn project_targets(
 ) -> Result<Subdatabase, RuleError> {
     let layout = target_layout(rule, &ctx.intension, db)?;
     let mut out = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
-    // The rows are projected into one flat buffer. Projection may produce
+    // The rows are projected into one run. Projection may produce
     // all-Null rows (a retained brace-span pattern whose classes were all
     // projected away), which are left out, and newly-subsumed parts.
-    let mut cells = Vec::with_capacity(ctx.len() * layout.slots.len());
-    let mut n = 0;
+    let mut run = RowRun::with_capacity(layout.slots.len(), ctx.len());
     for p in ctx.patterns() {
-        let at = cells.len();
-        cells.extend(project(p.components(), &layout.slots));
-        if cells[at..].iter().all(Option::is_none) {
-            cells.truncate(at);
-        } else {
-            n += 1;
-        }
+        run.push_with(|row| {
+            for (c, o) in row.iter_mut().zip(project(p.components(), &layout.slots)) {
+                *c = o;
+            }
+        });
     }
-    out.set_rows(n, &cells);
+    run.retain(|r| r.components().iter().any(Option::is_some));
+    out.set_rows(run);
     out.retain_maximal();
     Ok(out)
 }

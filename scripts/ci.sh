@@ -182,11 +182,12 @@ CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=42
 #   (51.5 KB with 16-byte `Option<Oid>` cells);
 # - `social_closure` `rules.propagate`: 56.7 KB once a cell was 8 bytes
 #   (94.1 KB with 16-byte cells);
-# - `univ_query` `oql.eval` (below): 161.7 KB once a cell was 8 bytes
-#   (207.3 KB with 16-byte cells).
+# - `univ_query` `oql.eval` (below): 149.6 KB once span joins wrote their
+#   rows as runs sorted in place (161.7 KB with an index sort per span
+#   and 8-byte cells; 207.3 KB with 16-byte cells).
 PROPAGATE_KB_PER_OP_MAX=52
 CLOSURE_PROPAGATE_KB_PER_OP_MAX=71
-EVAL_KB_PER_OP_MAX=203
+EVAL_KB_PER_OP_MAX=187
 metric() {
     sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"
 }
@@ -235,12 +236,14 @@ kb_ceiling rules.propagate.alloc_kb_per_op "$CLOSURE_PROPAGATE_KB_PER_OP_MAX" so
 # a table row into the table's one flat run of cells: allocations per
 # output pattern in `oql.eval` and per op in `oql.table` on the read mix,
 # each ceiling again a measured value plus 25 %.
-# - `oql.eval`: 0.039 per pattern once a subdatabase stored its rows in
-#   sorted flat leaves (1.18 with a box per pattern and a B-tree; 2.43
-#   when each span row was a Vec<Oid> and then a second vector of slots).
+# - `oql.eval`: 0.035 per pattern once span joins wrote their rows as
+#   runs sorted in place and one-span contexts skipped subsumption (0.039
+#   once a subdatabase stored its rows in sorted flat leaves; 1.18 with a
+#   box per pattern and a B-tree; 2.43 when each span row was a Vec<Oid>
+#   and then a second vector of slots).
 # - `oql.table`: 52.9 per op once table rows were one flat buffer (558.3
 #   with a Vec<Value> per row).
-EVAL_ALLOCS_PER_PATTERN_MAX=0.05
+EVAL_ALLOCS_PER_PATTERN_MAX=0.044
 TABLE_ALLOCS_PER_OP_MAX=66
 SUMMARY="$(bash benchmark/run.sh --workload univ_query --seed 7 --seconds 2 --trace 1 | tail -n 1)"
 kb_ceiling oql.eval.alloc_kb_per_op "$EVAL_KB_PER_OP_MAX" univ_query

@@ -65,6 +65,7 @@ const UNIVERSITY_QUERIES: &[&str] = &[
     "Section * Course [c# >= 6000]",
     "Student * Section * Course * Department [name = 'CIS']",
     "Department [name = 'CIS'] * Course [c# >= 3000] * Section",
+    "Department [name = 'CIS'] * Grad",
 ];
 const COMPANY_QUERIES: &[&str] = &[
     "Employee * Department",
@@ -92,10 +93,25 @@ fn bom_with_suppliers(shape: cad::BomShape, seed: u64) -> Database {
     db
 }
 
+/// The small university, plus Grad perspectives given late, last student
+/// first, to every student who had none. A late Grad's OID is larger than
+/// every first-made Grad's and than the late Grads of later students, so
+/// descending Student → Grad from a department's students (which come in
+/// OID order) yields Grads out of order: the join for `Department * Grad`,
+/// anchored at slot 0, emits unsorted rows.
+fn university_late_grads(seed: u64) -> Database {
+    let (mut db, pop) = university::populate_with_handles(university::Size::small(), seed);
+    let grad = db.schema().class_by_name("Grad").unwrap();
+    for &st in pop.students.iter().rev() {
+        let _ = db.specialize(st, grad);
+    }
+    db
+}
+
 fn dbs(seed: u64) -> Vec<(Database, &'static [&'static str])> {
     let bom = cad::BomShape { depth: 3, fanout: 3, roots: 2, share_per_mille: 300 };
     vec![
-        (university::populate(university::Size::small(), seed), UNIVERSITY_QUERIES),
+        (university_late_grads(seed), UNIVERSITY_QUERIES),
         (company::populate(company::CompanySize::small(), seed).0, COMPANY_QUERIES),
         (bom_with_suppliers(bom, seed), CAD_QUERIES),
     ]
@@ -113,6 +129,25 @@ fn compiled_equals_interp_across_schemas_and_threads() {
             }
         }
     });
+}
+
+/// The inherited-association case above keeps its shape: the join anchors
+/// at Department, slot 0, and the store hands CIS's Grads out of OID order,
+/// so the span's rows reach the sort unsorted.
+#[test]
+fn inherited_association_rows_arrive_unsorted_at_slot_0() {
+    for seed in [0, 1, 42] {
+        let db = university_late_grads(seed);
+        let reg = SubdbRegistry::new();
+        let plan = plan_of(&db, &reg, "Department [name = 'CIS'] * Grad");
+        assert!(plan.contains("anchor=Department"), "anchor moved:\n{plan}");
+        let schema = db.schema();
+        let (dept, grad) =
+            (schema.class_by_name("Department").unwrap(), schema.class_by_name("Grad").unwrap());
+        let edge = schema.resolve_edge(dept, grad).unwrap();
+        let cis = db.extent(dept).next().unwrap();
+        assert!(!db.traverse(cis, &edge).is_sorted(), "seed {seed}: CIS's Grads come sorted");
+    }
 }
 
 /// A three-class chain `A --AB--> B --BC--> C` of `a`, `b` and `c`
