@@ -8,7 +8,7 @@
 //! [`super::metrics_enabled`], a single relaxed atomic load when off.
 //!
 //! Naming scheme (DESIGN.md §8): dotted lowercase `layer.noun.verb`, e.g.
-//! `oql.join.rows_out`, `store.index.probes`, `oql.closure.frontier`. Histograms
+//! `oql.join.rows_out`, `store.index.probes`, `oql.closure.steps`. Histograms
 //! carry a `_ns` suffix when they record durations.
 //!
 //! Everything is integer-only — exporters never format floats (means are

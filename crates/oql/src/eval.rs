@@ -10,7 +10,7 @@ use crate::error::QueryError;
 use crate::plan::{CompileParts, CompiledContext, EdgeInfo, PlanInputs, SpanPlan};
 use crate::resolve::{REdgeKind, RSlot, ResolvedContext};
 use dood_core::error::ResolveError;
-use dood_core::fxhash::{FxHashMap, FxHashSet};
+use dood_core::fxhash::FxHashMap;
 use dood_core::ids::Oid;
 use dood_core::schema::{ResolvedAttr, ResolvedEdge};
 use dood_core::obs;
@@ -321,8 +321,8 @@ fn build_plan(
             }
         })
         .collect();
-    // Cyclic contexts get a fixpoint stage: the cycle edge's fan-out
-    // drives the planner's view of rounds and reachable-set size.
+    // Cyclic contexts get a closure stage: the `^N` cap, and the cycle
+    // edge's fan-out for the plan's description.
     let closure = ctx.closure.as_ref().map(|(spec, kind)| crate::plan::ClosureParts {
         est_fan: match kind {
             REdgeKind::Base(ResolvedEdge::Assoc { assoc, forward, .. }) => {
@@ -930,7 +930,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Hoisted `!`-stage candidate lists for the compiled chain span
-    /// (computed once per fixpoint, not once per round).
+    /// (computed once per expansion, not once per node).
     fn closure_na(&self) -> Vec<Option<Vec<Oid>>> {
         let chain = &self.plan.closure.as_ref().expect("closure plan").chain;
         chain
@@ -940,40 +940,43 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Compute the successor lists for a batch of slot-0 nodes: run the
-    /// fused chain join with the batch as (unchecked) anchor candidates,
-    /// then the cycle step from each produced row's last slot, filtered by
-    /// slot 0's acceptance — one batched join, not a re-join per node.
-    /// Returns one `(node, sorted deduped successors)` entry per input
-    /// node, in input order.
+    /// Compute the successor lists for a batch of slot-0 nodes, ascending
+    /// and distinct: run the fused chain join with the batch as (unchecked)
+    /// anchor candidates, then the cycle step from each produced row's last
+    /// slot, filtered by slot 0's acceptance — one batched join, not a
+    /// re-join per node. Returns one `(node, sorted deduped successors)`
+    /// entry per input node, in input order.
+    ///
+    /// The cycle step lands in slot 0's class, so a successor that passes
+    /// slot 0's membership and condition is itself a root: expanding the
+    /// roots once gives the whole successor relation, and no successor
+    /// ever needs a list of its own beyond the one it has as a root.
     fn closure_expand(&self, nodes: &[Oid], na: &[Option<Vec<Oid>>]) -> Vec<(Oid, Vec<Oid>)> {
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "batch ascending and distinct");
         let n = self.ctx.slots.len();
         let (_, cycle) = self.ctx.closure.as_ref().expect("closure context");
         let mut out: Vec<(Oid, Vec<Oid>)> =
             nodes.iter().map(|&o| (o, Vec::new())).collect();
+        let push_succs = |succs: &mut Vec<Oid>, last: Oid| {
+            for &s in self.step(usize::MAX, cycle, last, true).iter() {
+                if self.accepts(0, s) {
+                    debug_assert!(self.live_in_slot(0, s), "a successor is a root");
+                    succs.push(s);
+                }
+            }
+        };
         if n == 1 {
             // Single-slot chain: the cycle step is the whole join.
             for (o, succs) in out.iter_mut() {
-                succs.extend(
-                    self.step(usize::MAX, cycle, *o, true)
-                        .iter()
-                        .copied()
-                        .filter(|&s| self.accepts(0, s)),
-                );
+                push_succs(succs, *o);
             }
         } else {
             let chain = &self.plan.closure.as_ref().expect("closure plan").chain;
-            let pos: FxHashMap<Oid, usize> =
-                nodes.iter().enumerate().map(|(i, &o)| (o, i)).collect();
             let (rows, _, _) = self.exec_span_rows(chain, nodes, na);
             for row in rows.iter() {
-                let i = pos[&row.get(0).expect("a chain row is bound")];
-                let last = row.get(n - 1).expect("a chain row is bound");
-                for &s in self.step(usize::MAX, cycle, last, true).iter() {
-                    if self.accepts(0, s) {
-                        out[i].1.push(s);
-                    }
-                }
+                let first = row.get(0).expect("a chain row is bound");
+                let i = nodes.binary_search(&first).expect("a chain row starts at a batch node");
+                push_succs(&mut out[i].1, row.get(n - 1).expect("a chain row is bound"));
             }
         }
         for (_, succs) in out.iter_mut() {
@@ -984,8 +987,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Batched successor computation, one entry per node in input order.
-    /// Nodes must be live instances of the cycle class; exposed for
-    /// incremental maintenance.
+    /// Nodes must be live instances of the cycle class, ascending and
+    /// distinct; exposed for incremental maintenance.
     pub fn closure_succ_batch(&self, nodes: &[Oid]) -> Vec<(Oid, Vec<Oid>)> {
         if nodes.is_empty() {
             return Vec::new();
@@ -993,60 +996,27 @@ impl<'a> Evaluator<'a> {
         self.closure_expand(nodes, &self.closure_na())
     }
 
-    /// The semi-naive fixpoint: starting from the slot-0 candidate set,
-    /// expand only the nodes discovered in the previous round (the delta
-    /// frontier) until no new nodes appear — or until the
-    /// `^N` round bound, past which no successor list can be consulted (a
-    /// node at chain position `p` has fixpoint depth ≤ `p`, and the DFS
-    /// only reads successors at positions ≤ `N - 1`).
+    /// The successor relation: the roots are the slot-0 candidates, and
+    /// one expansion of them gives every list the chain walk can read (see
+    /// [`closure_expand`](Self::closure_expand)). Under `^0` the walk
+    /// reads no list, so nothing is expanded.
     fn closure_fixpoint(&self, state: &mut ClosureState) {
         let plan = self.plan.closure.as_ref().expect("closure plan");
         let mut tsp = obs::trace::span("oql.closure");
-        tsp.attr("est_rounds", plan.est_rounds.round() as i64);
-        tsp.attr("est_reach", plan.est_reach.round() as i64);
-        let na = self.closure_na();
         state.roots = self.candidates(0);
         tsp.attr("roots", state.roots.len() as i64);
-        let mut frontier: Vec<Oid> = state.roots.clone();
-        let mut visited: FxHashSet<Oid> = frontier.iter().copied().collect();
-        let mut rounds: u64 = 0;
-        let mut steps: u64 = 0;
-        while !frontier.is_empty() {
-            if plan.max_levels.is_some_and(|m| rounds >= m.saturating_sub(1) as u64) {
-                break;
-            }
-            if obs::metrics_enabled() {
-                obs::metrics::histogram("oql.closure.frontier").record(frontier.len() as u64);
-            }
-            let results = self.closure_expand(&frontier, &na);
-            steps += frontier.len() as u64;
-            let mut next: Vec<Oid> = Vec::new();
-            for (node, succs) in results {
-                for &s in &succs {
-                    if visited.insert(s) {
-                        next.push(s);
-                    }
-                }
-                state.succ.insert(node, succs);
-            }
-            next.sort_unstable();
-            if tsp.on() {
-                let mut c = obs::trace::span("oql.closure.round");
-                c.attr("round", rounds as i64);
-                c.attr("frontier", frontier.len() as i64);
-                c.attr("new", next.len() as i64);
-            }
-            frontier = next;
-            rounds += 1;
+        let expand = plan.max_levels != Some(1) && !state.roots.is_empty();
+        let steps = if expand { state.roots.len() as u64 } else { 0 };
+        if expand {
+            let lists = self.closure_expand(&state.roots, &self.closure_na());
+            state.succ = lists.into_iter().collect();
         }
-        tsp.attr("rounds", rounds as i64);
-        tsp.attr("reach", visited.len() as i64);
         tsp.attr("steps", steps as i64);
         if obs::metrics_enabled() {
             obs::metrics::counter("oql.closure.steps").add(steps);
         }
         if let Some(a) = obs::account::active() {
-            a.add_closure_rounds(rounds);
+            a.add_closure_rounds(u64::from(expand));
             a.add_rows_scanned(steps);
         }
     }
@@ -1056,19 +1026,15 @@ impl<'a> Evaluator<'a> {
     /// `succ` must hold a list for every node the walk can reach below the
     /// cap: [`closure_fixpoint`](Self::closure_fixpoint) expands every
     /// slot-0 candidate and a successor is always one, and the incremental
-    /// path expands every newly reachable node before it walks. With
-    /// `roots` ascending and distinct, and the successor lists so (as the
-    /// fixpoint leaves them), the chains come out ascending and distinct.
+    /// path keeps a list for every root. With `roots` ascending and
+    /// distinct, and the successor lists so (as the fixpoint leaves them),
+    /// the chains come out ascending and distinct.
     fn chain_walk<'s>(
         &self,
         roots: &'s [Oid],
         succ: &'s FxHashMap<Oid, Vec<Oid>>,
     ) -> ChainWalk<'s> {
-        let max_levels = self
-            .ctx
-            .closure
-            .as_ref()
-            .and_then(|(spec, _)| spec.iterations.map(|i| i as usize + 1));
+        let max_levels = self.plan.closure.as_ref().and_then(|c| c.max_levels);
         ChainWalk::new(roots, succ, max_levels)
     }
 
@@ -1119,8 +1085,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate a cyclic expression (DESIGN.md §11): builds the instance
-    /// hierarchies of §5.2 by a frontier fixpoint over the successor
-    /// relation, then one DFS emitting maximal chains. The runtime
+    /// hierarchies of §5.2 by one batched expansion of the roots into the
+    /// successor relation, then one DFS emitting maximal chains. The runtime
     /// intension is `C, C_1, …, C_k` where `C` is the cycle class and `k`
     /// is data-dependent ("the intensional pattern of the derived
     /// subdatabase is determined at runtime") or capped by the `^N`

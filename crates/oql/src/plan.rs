@@ -102,23 +102,18 @@ pub struct PlanStep {
     pub cross: bool,
 }
 
-/// The compiled fixpoint stage for a cyclic (`^*`) context: the full
-/// chain span lowered once, anchored at slot 0 so frontier batches seed it
-/// directly, plus the cost-model view of the fixpoint (cycle fan-out from
-/// the link or pair count, estimated rounds and reachable-set size). Executed by
-/// the frontier-at-a-time semi-naive kernel in `eval` (DESIGN.md §11).
+/// The compiled closure stage for a cyclic (`^*`) context: the full chain
+/// span lowered once, anchored at slot 0 so the root batch seeds it
+/// directly, plus the cycle edge's fan-out. Executed as one batched
+/// expansion of the roots in `eval` (DESIGN.md §11).
 #[derive(Debug, Clone)]
 pub struct ClosurePlan {
-    /// The chain join `[0, n)` anchored at slot 0 — each fixpoint round
-    /// runs it with the frontier as the (unchecked) anchor candidates.
+    /// The chain join `[0, n)` anchored at slot 0, run with the roots as
+    /// the (unchecked) anchor candidates.
     pub chain: SpanPlan,
     /// Estimated per-node fan-out of the cycle edge (links, or a derived
     /// edge's pairs, over the source extent).
     pub est_fan: f64,
-    /// Estimated fixpoint rounds until the frontier drains.
-    pub est_rounds: f64,
-    /// Estimated reachable-set size (capped at slot 0's effective extent).
-    pub est_reach: f64,
     /// `^N` bound as a chain-length cap in slots (`N + 1`); `None` = until
     /// Null.
     pub max_levels: Option<usize>,
@@ -159,7 +154,7 @@ pub struct CompiledContext {
     /// The plan per retention span (same order as the resolved context's
     /// span list: full span first).
     pub spans: Vec<SpanPlan>,
-    /// The fixpoint stage for cyclic (`^*`) contexts.
+    /// The closure stage for cyclic (`^*`) contexts.
     pub closure: Option<ClosurePlan>,
 }
 
@@ -180,9 +175,11 @@ pub(crate) fn compile(parts: CompileParts, inputs: PlanInputs) -> CompiledContex
         .iter()
         .map(|&(lo, hi)| plan_span(lo, hi, &inputs, &parts.edges))
         .collect();
-    let closure = parts.closure.map(|c| {
-        let n = parts.slot_names.len();
-        plan_closure(c, n, &inputs, &parts.edges)
+    // A closure's chain span is anchored at slot 0: the roots seed it.
+    let closure = parts.closure.map(|c| ClosurePlan {
+        chain: plan_span_anchored(0, parts.slot_names.len(), 0, &inputs, &parts.edges),
+        est_fan: c.est_fan,
+        max_levels: c.max_levels,
     });
     CompiledContext {
         preds: parts.preds,
@@ -191,34 +188,6 @@ pub(crate) fn compile(parts: CompileParts, inputs: PlanInputs) -> CompiledContex
         slot_names: parts.slot_names,
         spans,
         closure,
-    }
-}
-
-/// Build the fixpoint stage for a cyclic context: the chain span is
-/// anchored at slot 0 (the frontier seeds it), rounds and reach are
-/// estimated from the cycle fan-out. A fan ≤ 1 means chains, not trees —
-/// rounds scale with the extent; a fan > 1 saturates logarithmically.
-fn plan_closure(
-    parts: ClosureParts,
-    n: usize,
-    inputs: &PlanInputs,
-    edges: &[EdgeInfo],
-) -> ClosurePlan {
-    let chain = plan_span_anchored(0, n, 0, inputs, edges);
-    let reach_cap = inputs.eff(0).max(1.0);
-    let est_rounds = match parts.max_levels {
-        Some(m) => (m.saturating_sub(1) as f64).max(1.0),
-        None if parts.est_fan > 1.05 => {
-            (reach_cap.ln() / parts.est_fan.ln()).ceil().max(1.0)
-        }
-        None => reach_cap,
-    };
-    ClosurePlan {
-        chain,
-        est_fan: parts.est_fan,
-        est_rounds,
-        est_reach: reach_cap,
-        max_levels: parts.max_levels,
     }
 }
 
@@ -281,15 +250,13 @@ impl CompiledContext {
         }
         if let Some(c) = &self.closure {
             out.push_str(&format!(
-                "  closure ^{} cycle={} fan={:.2} est_rounds={:.0} est_reach={:.0}\n",
+                "  closure ^{} cycle={} fan={:.2}\n",
                 match c.max_levels {
                     Some(m) => (m - 1).to_string(),
                     None => "*".to_string(),
                 },
                 self.slot_names[0],
-                c.est_fan,
-                c.est_rounds,
-                c.est_reach
+                c.est_fan
             ));
         }
         out

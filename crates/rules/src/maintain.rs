@@ -25,11 +25,11 @@
 //! deriving it; a target pattern dies exactly when its count reaches zero.
 //! A step costs O(dirty-touched patterns) whatever the size of the context.
 //!
-//! Cyclic (closure) contexts carry the fixpoint's successor-relation
+//! Cyclic (closure) contexts carry the successor relation as
 //! provenance ([`Evaluator::eval_closure_state`]) in the cache: a delta
-//! recomputes the successor lists of the affected slot-0 nodes only, extends
-//! the frontier from newly reachable nodes, prunes unsupported ones, and
-//! re-runs the chain DFS for exactly the roots whose chains can have changed
+//! recomputes the successor lists of the affected slot-0 nodes only, drops
+//! the lists of roots that stopped being roots, and re-runs the chain DFS
+//! for exactly the roots whose chains can have changed
 //! ([`MaintainPlan::Closure`]); the chain edits take the same WHERE and
 //! target stages.
 
@@ -98,12 +98,12 @@ fn split_where(conds: &[WhereCond]) -> (&[WhereCond], &[WhereCond]) {
     conds.split_at(cut)
 }
 
-/// The cached fixpoint provenance of a closure rule: the successor
-/// relation the chains are a function of, plus the support structure that
-/// localizes deletion. `succ` holds every node the fixpoint expanded;
-/// `pred` is its exact inverse; a node is *supported* while some successor
-/// list still reaches it or it seeds chains itself (root). Chain-length
-/// counts make the result width an O(1) question on every delta.
+/// The cached provenance of a closure rule: the successor relation the
+/// chains are a function of, plus its inverse, which localizes chain
+/// re-derivation. `succ` holds a list for every root (none under `^0`),
+/// and every list names only roots; `pred` is its exact inverse.
+/// Chain-length counts make the result width an O(1) question on every
+/// delta.
 #[derive(Debug, Clone)]
 struct ClosureCache {
     succ: FxHashMap<Oid, Vec<Oid>>,
@@ -140,12 +140,6 @@ impl ClosureCache {
         self.roots.binary_search(&o).is_ok()
     }
 
-    /// Supported = still derivable: some predecessor's list reaches it, or
-    /// it is a root.
-    fn supported(&self, o: Oid) -> bool {
-        self.pred.get(&o).is_some_and(|v| !v.is_empty()) || self.is_root(o)
-    }
-
     fn pred_insert(&mut self, node: Oid, from: Oid) {
         let v = self.pred.entry(node).or_default();
         if let Err(i) = v.binary_search(&from) {
@@ -153,38 +147,25 @@ impl ClosureCache {
         }
     }
 
-    /// Remove one support edge; returns whether `node` just lost its last
-    /// predecessor (a GC candidate unless it is a root).
-    fn pred_remove(&mut self, node: Oid, from: Oid) -> bool {
+    /// Remove one edge of the inverse relation.
+    fn pred_remove(&mut self, node: Oid, from: Oid) {
         if let Some(v) = self.pred.get_mut(&node) {
             if let Ok(i) = v.binary_search(&from) {
                 v.remove(i);
-                return v.is_empty();
             }
         }
-        false
     }
 
-    /// Install a recomputed successor list: diff against the cached one,
-    /// patching `pred` edge by edge. Nodes that just became reachable go to
-    /// `frontier`, nodes that may have lost their last support to
-    /// `drained`, and `seeds` records every node whose list changed (the
-    /// reverse-reachability seeds for the chain re-derivation).
-    fn apply_list(
-        &mut self,
-        node: Oid,
-        new: Vec<Oid>,
-        seeds: &mut Vec<Oid>,
-        frontier: &mut Vec<Oid>,
-        drained: &mut Vec<Oid>,
-    ) {
-        let (old, known) = match self.succ.get(&node) {
-            Some(v) => (v.clone(), true),
-            None => (Vec::new(), false),
+    /// Install a recomputed successor list: take the cached one out and
+    /// diff it against the new one, patching `pred` edge by edge. `seeds`
+    /// records every node whose list changed (the reverse-reachability
+    /// seeds for the chain re-derivation).
+    fn apply_list(&mut self, node: Oid, new: Vec<Oid>, seeds: &mut Vec<Oid>) {
+        let old = match self.succ.get_mut(&node) {
+            Some(v) if *v == new => return,
+            Some(v) => std::mem::take(v),
+            None => Vec::new(),
         };
-        if known && old == new {
-            return;
-        }
         let (mut i, mut j) = (0, 0);
         while i < old.len() || j < new.len() {
             match (old.get(i), new.get(j)) {
@@ -193,16 +174,11 @@ impl ClosureCache {
                     j += 1;
                 }
                 (Some(&a), b) if b.is_none_or(|&b| a < b) => {
-                    if self.pred_remove(a, node) {
-                        drained.push(a);
-                    }
+                    self.pred_remove(a, node);
                     i += 1;
                 }
                 (_, Some(&b)) => {
                     self.pred_insert(b, node);
-                    if !self.succ.contains_key(&b) {
-                        frontier.push(b);
-                    }
                     j += 1;
                 }
                 _ => unreachable!("loop condition"),
@@ -1009,13 +985,13 @@ fn delta_apply_flat(
 ///    slot-0 node whose list may differ (backward prefix joins from the
 ///    dirty objects at each chain position, plus reverse-cycle
 ///    predecessors of dirty slot-0 objects); the lists of those that were
-///    part of the fixpoint (or just became roots) are recomputed in one
-///    batched join, diffed edge-by-edge into the support structure.
-/// 3. *Frontier*: successors that just became reachable extend the
-///    fixpoint exactly as in the cold kernel, one delta round at a time.
-/// 4. *GC*: nodes whose last support died (no predecessor list reaches
-///    them, not a root) leave the provenance, cascading.
-/// 5. *Re-derivation*: a chain changes only if some node on it changed
+///    cached (or just became roots) are recomputed in one batched join,
+///    diffed edge-by-edge into the inverse relation. A successor is always
+///    a root, so every list still names only roots and no node needs a
+///    list of its own beyond the one it has as a root.
+/// 3. *Dropped roots*: each one's list and its inverse edges leave the
+///    provenance. No list names a dropped root, so nothing else goes.
+/// 4. *Re-derivation*: a chain changes only if some node on it changed
 ///    its list, and the chain's prefix up to the first such node consists
 ///    of unchanged edges — so reverse reachability over the *updated*
 ///    predecessor map from the changed nodes, intersected with the root
@@ -1071,46 +1047,23 @@ fn delta_apply_closure(
         .filter(|o| cc.succ.contains_key(o) || cc.is_root(*o))
         .collect();
     let mut seeds: Vec<Oid> = Vec::new();
-    let mut frontier: Vec<Oid> = Vec::new();
-    let mut drained: Vec<Oid> = Vec::new();
     for (node, list) in ev.closure_succ_batch(&recompute) {
-        cc.apply_list(node, list, &mut seeds, &mut frontier, &mut drained);
+        cc.apply_list(node, list, &mut seeds);
     }
 
-    // 3. Delta-frontier expansion of newly reachable nodes.
-    loop {
-        frontier.sort_unstable();
-        frontier.dedup();
-        frontier.retain(|o| !cc.succ.contains_key(o));
-        if frontier.is_empty() {
-            break;
+    // 3. Dropped roots leave the provenance.
+    for &o in &root_drops {
+        for s in cc.succ.remove(&o).unwrap_or_default() {
+            cc.pred_remove(s, o);
         }
-        if obs::metrics_enabled() {
-            obs::metrics::histogram("oql.closure.frontier").record(frontier.len() as u64);
-        }
-        let mut next: Vec<Oid> = Vec::new();
-        for (node, list) in ev.closure_succ_batch(&frontier) {
-            cc.apply_list(node, list, &mut seeds, &mut next, &mut drained);
-        }
-        frontier = next;
-    }
-
-    // 4. Cascade GC of unsupported nodes.
-    drained.extend(root_drops.iter().copied());
-    while let Some(o) = drained.pop() {
-        if cc.supported(o) || !cc.succ.contains_key(&o) {
-            continue;
-        }
-        let list = cc.succ.remove(&o).unwrap_or_default();
         cc.pred.remove(&o);
-        for s in list {
-            if cc.pred_remove(s, o) {
-                drained.push(s);
-            }
-        }
     }
+    debug_assert!(
+        cc.succ.iter().all(|(n, list)| cc.is_root(*n) && list.iter().all(|&s| cc.is_root(s))),
+        "only roots have lists, and every list names only roots"
+    );
 
-    // 5. Roots whose chains must be re-derived: reverse reachability from
+    // 4. Roots whose chains must be re-derived: reverse reachability from
     //    the changed nodes, plus explicit root adds (an unchanged node that
     //    became a root seeds new chains without any list edit).
     seeds.sort_unstable();

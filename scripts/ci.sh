@@ -33,12 +33,15 @@ echo "== ci: one sequential executor, one measuring stick, plans from counts =="
 # The AST-walking evaluator, its mode switches, the committed bench
 # snapshot, the chunking thread pool, and the planner's statistics loop
 # (static priors, drift watchdog, re-plan path) are gone; the reference is
-# tests/common/spec_eval.rs. The names are spelled in two halves so this
+# tests/common/spec_eval.rs. So are the closure kernel's frontier rounds and
+# the planner's round and reach estimates: one expansion of the roots is
+# the whole successor relation. The names are spelled in two halves so this
 # file passes its own check.
 SOURCES="crates src tests scripts examples"
 GONE="Exec""Mode|Planner""Mode|DOOD_""EXEC|DOOD_""PLANNER|BENCH_""SEED"
 GONE="$GONE|Chunk""Pool|DOOD_""THREADS|span_""under|par_""chunk_map"
 GONE="$GONE|Drift""Mark|drift_""band|DOOD_""DRIFT_BAND|install_""priors|get_or_""prior|needs_""replan"
+GONE="$GONE|oql\.closure\.""round|oql\.closure\.""frontier|est_""rounds|est_""reach"
 if grep -rnE "$GONE" $SOURCES; then
     echo "ci: a deleted name is back (see above)" >&2
     exit 1
@@ -95,6 +98,13 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
 DOOD_TRACE=1 DOOD_TRACE_FILE="$TRACE_TMP/trace.jsonl" \
     cargo run -q --release --bin doodprof -- --builtin university > "$TRACE_TMP/profile.txt"
 grep -q "== export Teacher_course ==  rows=11" "$TRACE_TMP/profile.txt"
+# A closure is one expansion of its roots, and --plan says so in one line.
+cargo run -q --release --bin doodprof -- --builtin university --plan > "$TRACE_TMP/plan.txt"
+CLOSURE_LINE="$(grep "^-- closure export Grad_teaching_grad " "$TRACE_TMP/plan.txt")"
+if [[ "$CLOSURE_LINE" != *"roots="*"steps="* || "$CLOSURE_LINE" == *rounds* ]]; then
+    echo "ci: doodprof --plan closure line is not roots= steps=: $CLOSURE_LINE" >&2
+    exit 1
+fi
 cargo run -q --release --bin doodprof -- --validate "$TRACE_TMP/trace.jsonl"
 cargo run -q --release --bin doodprof -- --metrics programs/university.dood > /dev/null
 
@@ -170,12 +180,13 @@ done
 # - `univ_update` `rules.derive`: 30.6 per op once the catch-up's edit
 #   lists were flat row runs too (71.8 with a box per row; 83.7 with a box
 #   per target pattern; 353.7 when reads re-seeded);
-# - `social_closure` `rules.propagate`: 33.2 per event once closure chains
-#   were one flat buffer and the edit lists flat row runs (107.4 with a
-#   `Vec` per chain and a box per row).
+# - `social_closure` `rules.propagate`: 31.7 per event once closure
+#   maintenance stopped cloning each recomputed successor list and
+#   expanding an empty frontier (33.2 before; 107.4 with a `Vec` per chain
+#   and a box per row).
 PROPAGATE_ALLOCS_PER_EVENT_MAX=16
 DERIVE_ALLOCS_PER_OP_MAX=39
-CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=42
+CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=40
 # KB allocated per op repeats as exactly as the counts do, so the layers
 # that move rows have KB ceilings too, again a measured value plus 25 %:
 # - `univ_update` `rules.propagate`: 41.2 KB once a cell was 8 bytes
@@ -281,14 +292,15 @@ fi
 # - `rules.register`: 467 once registration checked the rule graph's order
 #   by reference (485 with a copy of it; 1 137 with a second resolution
 #   and the bound tables).
-# - `rules.derive`: 1 544 once closure chains were one flat buffer and
-#   the catch-up's edit lists flat row runs (1 679 with a `Vec` per chain
-#   and a box per edited row; 2 565 with a box per pattern and per
-#   projected key; 3 236 with two string copies per chain level; 4 182
-#   with a graph rebuild after every added rule and four copies of each
-#   seeded result).
+# - `rules.derive`: 1 486 once a closure was one expansion of its roots
+#   (1 490 with frontier rounds and a visited set; 1 544 before span
+#   joins wrote row runs; 1 679 with a `Vec` per chain and a box per
+#   edited row; 2 565 with a box per pattern and per projected key;
+#   3 236 with two string copies per chain level; 4 182 with a graph
+#   rebuild after every added rule and four copies of each seeded
+#   result).
 SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:1931; do
+for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:1858; do
     STAGE="${ceiling%%:*}"
     MAX="${ceiling##*:}"
     ALLOCS="$(metric "$STAGE.allocs_per_op")"

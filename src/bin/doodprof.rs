@@ -21,9 +21,8 @@
 //! * `--plan` — also print each compiled join pipeline (DESIGN.md §10):
 //!   one block per executed `oql.join` span, with the planner's estimated
 //!   cardinality next to the measured scanned/kept counts per stage, so
-//!   misestimates are visible at a glance. Compiled closure fixpoints
-//!   (DESIGN.md §11) get their own blocks: estimated vs. measured rounds
-//!   and reach, plus per-round frontier sizes.
+//!   misestimates are visible at a glance. Each executed closure
+//!   (DESIGN.md §11) gets one line: its roots and the nodes expanded.
 //! * `--trace-out FILE` — additionally stream every closed span to `FILE`
 //!   as JSON lines (same format as `DOOD_TRACE=1`).
 //! * `--flight` — keep the in-memory flight recorder populated during the
@@ -54,7 +53,7 @@ const USAGE: &str = "usage: doodprof [--builtin NAME | FILE.dood] [--seed N] [--
   --json            machine-readable output (one JSON object per line)
   --plan            also print each compiled join pipeline with estimated
                     vs. measured cardinalities per stage, and each closure
-                    fixpoint with per-round frontier sizes
+                    with its roots and expanded nodes
   --trace-out FILE  also stream spans to FILE as JSON lines
   --flight          keep the flight recorder on and dump its ring after the
                     run; with --validate, use flight-tolerant validation
@@ -260,10 +259,9 @@ fn emit(kind: &str, name: &str, rows: usize, profile: &Profile, json: bool) {
 
 /// `--plan`: extract every compiled join pipeline from a profile tree —
 /// the `oql.join` nodes carrying `oql.plan.scan` / `oql.plan.step`
-/// children — plus every compiled closure fixpoint (`oql.closure` with
-/// its per-round frontier children), and print static (abstract
-/// interpretation) vs. estimated (cost model) vs. measured cardinalities
-/// per stage.
+/// children — plus every closure (`oql.closure`, its roots and expanded
+/// nodes), and print static (abstract interpretation) vs. estimated (cost
+/// model) vs. measured cardinalities per stage.
 fn emit_plans(kind: &str, name: &str, profile: &Profile, json: bool, analysis: Option<&Analysis>) {
     // Each join is attributed to the nearest enclosing `rules.rule` span's
     // label (the rule name) so its slot indices can be matched against the
@@ -385,52 +383,15 @@ fn emit_plans(kind: &str, name: &str, profile: &Profile, json: bool, analysis: O
         }
     }
     for (ci, cl) in closures.iter().enumerate() {
-        let a = |k: &str| cl.attr(k).unwrap_or(-1);
-        let rounds: Vec<&Profile> =
-            cl.children.iter().filter(|c| c.name == "oql.closure.round").collect();
+        let (roots, steps) = (cl.attr("roots").unwrap_or(-1), cl.attr("steps").unwrap_or(-1));
         if json {
-            let mut rs = String::new();
-            for (ri, r) in rounds.iter().enumerate() {
-                if ri > 0 {
-                    rs.push(',');
-                }
-                rs.push_str(&format!(
-                    "{{\"round\":{},\"frontier\":{},\"new\":{}}}",
-                    r.attr("round").unwrap_or(-1),
-                    r.attr("frontier").unwrap_or(-1),
-                    r.attr("new").unwrap_or(-1),
-                ));
-            }
             println!(
                 "{{\"kind\":\"closure\",\"of\":\"{kind}\",\"name\":\"{}\",\"closure\":{ci},\
-                 \"roots\":{},\"est_rounds\":{},\"rounds\":{},\"est_reach\":{},\"reach\":{},\
-                 \"steps\":{},\"frontiers\":[{rs}]}}",
+                 \"roots\":{roots},\"steps\":{steps}}}",
                 obs::json_escape(name),
-                a("roots"),
-                a("est_rounds"),
-                a("rounds"),
-                a("est_reach"),
-                a("reach"),
-                a("steps"),
             );
         } else {
-            println!(
-                "-- closure {kind} {name} #{ci}: roots={} rounds {} (est {}) reach {} (est {}) steps={}",
-                a("roots"),
-                a("rounds"),
-                a("est_rounds"),
-                a("reach"),
-                a("est_reach"),
-                a("steps"),
-            );
-            for r in &rounds {
-                println!(
-                    "   round {}  frontier={} new={}",
-                    r.attr("round").unwrap_or(-1),
-                    r.attr("frontier").unwrap_or(-1),
-                    r.attr("new").unwrap_or(-1),
-                );
-            }
+            println!("-- closure {kind} {name} #{ci}: roots={roots} steps={steps}");
             println!();
         }
     }

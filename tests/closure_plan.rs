@@ -2,13 +2,13 @@
 //! spec-level interpreter of `tests/common/spec_eval.rs` (§5.2 by naive
 //! iteration) — on every closure shape (bounded `^N`, unbounded `^*`,
 //! conditioned slot-0), over all four closure-bearing schemas. And
-//! incremental fixpoint maintenance (provenance-carrying
+//! incremental closure maintenance (provenance-carrying
 //! delta closure in `rules::maintain`) must land on exactly the
 //! subdatabases a fresh recomputation produces, under arbitrary
 //! insert/delete/attr-flip schedules — and, for a rule that keeps its whole
 //! context, on what the spec interpreter says of the final database. Plus
-//! golden closure-plan `describe()` snapshots pinning the
-//! fan-out/rounds/reach estimates.
+//! golden closure-plan `describe()` snapshots pinning the cap and the
+//! fan-out estimate.
 //!
 //! Driven by the in-repo seeded harness (`dood::core::propcheck`); replay
 //! a reported failure with `DOOD_PROP_SEED=<seed> cargo test <name>`.
@@ -32,8 +32,8 @@ use spec_eval::{rows_of, spec_eval, spec_query};
 const CASES: usize = 4;
 
 /// A minimal self-association schema (`N --Next--> N`) whose instances the
-/// maintenance schedules mutate freely: the smallest graph where frontier
-/// rounds, cycle cuts, and support-count GC all occur.
+/// maintenance schedules mutate freely: the smallest graph where cycle
+/// cuts, dropped roots and changed successor lists all occur.
 fn cyclic_db(nodes: usize) -> Database {
     let mut b = SchemaBuilder::new();
     b.e_class("N");
@@ -61,9 +61,9 @@ const UNIVERSITY_QUERIES: &[&str] = &[
     "Grad * TA * Teacher * Section * Student ^*",
     "Grad * TA * Teacher * Section * Student ^2",
 ];
-const CAD_QUERIES: &[&str] = &["Part ^*", "Part ^3", "Part [cost >= 20] ^*"];
-const CYCLIC_QUERIES: &[&str] = &["N ^*", "N ^2", "N [v >= 2] ^*"];
-const SOCIAL_QUERIES: &[&str] = &["Person ^*", "Person ^4", "Person [score >= 50] ^*"];
+const CAD_QUERIES: &[&str] = &["Part ^*", "Part ^3", "Part ^1", "Part [cost >= 20] ^*"];
+const CYCLIC_QUERIES: &[&str] = &["N ^*", "N ^2", "N ^1", "N [v >= 2] ^*"];
+const SOCIAL_QUERIES: &[&str] = &["Person ^*", "Person ^4", "Person ^1", "Person [score >= 50] ^*"];
 
 fn dbs(seed: u64) -> Vec<(Database, &'static [&'static str])> {
     vec![
@@ -74,7 +74,7 @@ fn dbs(seed: u64) -> Vec<(Database, &'static [&'static str])> {
     ]
 }
 
-/// Evaluate `query` through the fixpoint kernel and through the spec
+/// Evaluate `query` through the closure kernel and through the spec
 /// interpreter; assert identical pattern sets.
 fn assert_equiv(db: &Database, reg: &SubdbRegistry, query: &str) {
     let expr = Parser::parse_context_expr(query).unwrap();
@@ -255,7 +255,7 @@ fn closure_over_a_chain_longer_than_64_is_maintained() {
 }
 
 /// Golden closure plans (estimates from the store's counts): a cost-model
-/// change that moves the fan-out, round, or reach estimates shows up here
+/// change that moves the fan-out estimate shows up here
 /// as a readable diff, with `doodprof --plan` as the investigation tool.
 #[test]
 fn golden_closure_plans() {
@@ -272,17 +272,17 @@ fn golden_closure_plans() {
     let part = plan_of(&cad_db, "Part ^*");
     assert_eq!(
         unbounded,
-        "plan\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^* cycle=Person fan=1.15 est_rounds=23 est_reach=26\n",
+        "plan\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^* cycle=Person fan=1.15\n",
         "social `^*` golden plan drifted:\n{unbounded}"
     );
     assert_eq!(
         bounded,
-        "plan\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^2 cycle=Person fan=1.15 est_rounds=2 est_reach=26\n",
+        "plan\n  span [0,1) anchor=Person cost=26 rows=26\n    scan Person est=26\n  closure ^2 cycle=Person fan=1.15\n",
         "social `^2` golden plan drifted:\n{bounded}"
     );
     assert_eq!(
         part,
-        "plan\n  span [0,1) anchor=Part cost=30 rows=30\n    scan Part est=30\n  closure ^* cycle=Part fan=0.93 est_rounds=30 est_reach=30\n",
+        "plan\n  span [0,1) anchor=Part cost=30 rows=30\n    scan Part est=30\n  closure ^* cycle=Part fan=0.93\n",
         "cad `^*` golden plan drifted:\n{part}"
     );
 }
