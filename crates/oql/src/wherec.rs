@@ -172,13 +172,19 @@ impl AggCond {
 }
 
 /// A WHERE condition bound to the slots of one intension.
-enum BoundCond {
+#[derive(Debug)]
+pub enum BoundCond {
+    /// A comparison: a verdict per pattern.
     Cmp(CmpCond),
+    /// An aggregation: a verdict per group.
     Agg(AggCond),
 }
 
-/// Bind a condition's class references and attributes against `int`.
-fn bind_cond(
+/// Bind a condition's class references and attributes against `int`:
+/// [`apply_where`] binds each condition to the set it filters, and
+/// incremental rule maintenance binds a rule's conditions once, to its
+/// cached context.
+pub fn bind_cond(
     cond: &WhereCond,
     int: &Intension,
     schema: &Schema,
@@ -228,33 +234,15 @@ fn filter(sd: &mut Subdatabase, sp: &mut obs::trace::Span, keep: impl FnMut(Row<
     }
 }
 
-/// What one applied condition leaves behind for a caller that will
-/// maintain its verdicts: the bound condition and, for an aggregate, the
-/// groups that passed, ascending.
-#[derive(Debug)]
-pub enum Applied {
-    /// A comparison; its verdicts are per pattern.
-    Cmp(CmpCond),
-    /// An aggregate and its passing groups.
-    Agg(AggCond, Vec<Oid>),
-}
-
 /// Apply one WHERE condition, dropping non-satisfying patterns.
-pub fn apply_cond(
-    sd: &mut Subdatabase,
-    cond: &WhereCond,
-    db: &Database,
-) -> Result<Applied, QueryError> {
+fn apply_cond(sd: &mut Subdatabase, cond: &WhereCond, db: &Database) -> Result<(), QueryError> {
     let mut sp = obs::trace::span(match cond {
         WhereCond::Cmp { .. } => "oql.where.cmp",
         WhereCond::Agg { .. } => "oql.where.agg",
     });
     sp.attr("rows_in", sd.len() as i64);
     match bind_cond(cond, &sd.intension, db.schema())? {
-        BoundCond::Cmp(cmp) => {
-            filter(sd, &mut sp, |p| cmp.passes(p, db));
-            Ok(Applied::Cmp(cmp))
-        }
+        BoundCond::Cmp(cmp) => filter(sd, &mut sp, |p| cmp.passes(p, db)),
         BoundCond::Agg(agg) => {
             // Sorted and deduplicated, the pairs list every group's
             // distinct targets in one run. Patterns arrive sorted, so a
@@ -289,9 +277,9 @@ pub fn apply_cond(
                 }
                 last.1
             });
-            Ok(Applied::Agg(agg, passing))
         }
     }
+    Ok(())
 }
 
 /// Apply WHERE conditions (conjunctive), dropping non-satisfying patterns.

@@ -19,7 +19,9 @@ use crate::ast::Rule;
 use crate::depgraph::DepGraph;
 use crate::derive::{apply_rule, layouts_compatible};
 use crate::error::RuleError;
-use crate::maintain::{delta_apply, dirty_closure, seed_cache, DeltaOutcome, RuleCache};
+use crate::maintain::{
+    audit_cache, delta_apply, dirty_closure, seed_cache, DeltaOutcome, RuleCache,
+};
 use crate::parser::parse_rule;
 use crate::program::Program;
 use dood_core::diag::Diagnostic;
@@ -941,6 +943,31 @@ impl RuleEngine {
         };
         let fresh = self.derive_fresh(name)?;
         Ok(fresh.to_vec() == current.to_vec())
+    }
+
+    /// Check every rule cache that is current — stepped at the store's
+    /// sequence number, with no source changed since — and the target it
+    /// maintains (a union's per-rule target, or else the registered
+    /// result) against a cache seeded afresh from the same store and
+    /// registry. The error names the rule and the first difference.
+    pub fn audit(&self) -> Result<(), String> {
+        for rule in &self.rules {
+            let Some(cache) = self.caches.get(&rule.name) else { continue };
+            let moved = cache
+                .sources()
+                .any(|s| self.registry.get(s).is_none_or(|e| e.changed_at > cache.at_epoch));
+            if cache.at_seq != self.db.seq() || moved {
+                continue;
+            }
+            let union_target = self.union_targets.get(&rule.name);
+            let Some(target) = union_target.or_else(|| self.registry.subdb(&rule.target_subdb))
+            else {
+                continue;
+            };
+            audit_cache(rule, cache, target, &self.db, &self.registry)
+                .map_err(|e| format!("rule {}: {e}", rule.name))?;
+        }
+        Ok(())
     }
 
     /// Compute `name` from scratch (ignoring all cached results).

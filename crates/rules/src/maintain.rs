@@ -25,6 +25,13 @@
 //! deriving it; a target pattern dies exactly when its count reaches zero.
 //! A step costs O(dirty-touched patterns) whatever the size of the context.
 //!
+//! Seeding is the same step from empty — semi-naive evaluation's first
+//! round, whose delta is the whole input: the evaluated context enters an
+//! empty filter as one addition run, so one implementation of WHERE builds
+//! the verdict state and maintains it. Only the sets that start empty are
+//! built in bulk (the post-prefix context, the derivation counts and the
+//! target); the posting list waits for the first delta step.
+//!
 //! Cyclic (closure) contexts carry the successor relation as
 //! provenance ([`Evaluator::eval_closure_state`]) in the cache: a delta
 //! recomputes the successor lists of the affected slot-0 nodes only, drops
@@ -40,15 +47,15 @@ use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::Oid;
 use dood_core::obs;
 use dood_core::subdb::{is_part, ExtPattern, HeadRange, Row, RowRun, Subdatabase, SubdbRegistry};
-use dood_oql::ast::WhereCond;
 use dood_oql::eval::Evaluator;
 use dood_oql::plan::CompiledContext;
 use dood_oql::resolve::{resolve_context, REdgeKind, ResolvedContext};
-use dood_oql::wherec::{apply_cond, AggCond, Applied, CmpCond};
+use dood_oql::wherec::{bind_cond, AggCond, BoundCond, CmpCond};
 use dood_store::Database;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
 use std::sync::Arc;
 
 /// How a rule can be maintained under updates.
@@ -83,19 +90,6 @@ pub fn plan_for(rule: &Rule) -> MaintainPlan {
 pub fn dirty_closure(db: &Database, touched: impl IntoIterator<Item = Oid>) -> BTreeSet<Oid> {
     // Deleted objects have no closure but stay dirty (they seed the set).
     db.perspective_closure_set(touched)
-}
-
-/// Split a WHERE clause at the first aggregate condition. The comparisons
-/// before it see the whole context and share one cached output set; from
-/// the first aggregate on, every condition keeps its own verdict state.
-/// Conditions apply in written order — an aggregate groups over the
-/// currently-filtered set — so the split preserves the original order.
-fn split_where(conds: &[WhereCond]) -> (&[WhereCond], &[WhereCond]) {
-    let cut = conds
-        .iter()
-        .position(|w| matches!(w, WhereCond::Agg { .. }))
-        .unwrap_or(conds.len());
-    conds.split_at(cut)
 }
 
 /// The cached provenance of a closure rule: the successor relation the
@@ -355,11 +349,14 @@ impl Posting {
 /// One group of an aggregate condition's input: how many rows are in it,
 /// its distinct targets (ascending) with the number of rows contributing
 /// each, and the verdict as of the cache's `at_seq`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 struct Group {
     rows: u32,
     targets: Vec<(Oid, u32)>,
     verdict: bool,
+    /// Set while a step adds the group's first rows: it has no member in
+    /// the step's old input.
+    born: bool,
 }
 
 impl Group {
@@ -393,17 +390,7 @@ enum Stage {
     /// A comparison after an aggregate: the input rows it rejects.
     Cmp { cond: CmpCond, rejected: FxHashSet<ExtPattern> },
     /// An aggregate and its groups.
-    Agg { cond: AggCond, groups: Groups },
-}
-
-/// The groups of an aggregate stage. Seeding records only which groups
-/// passed; the cache's first delta step builds the groups from the stage's
-/// input as of `at_seq` and takes their verdicts from that list.
-#[derive(Debug, Clone)]
-enum Groups {
-    /// The passing groups, ascending.
-    Seeded(Vec<Oid>),
-    Built(FxHashMap<Oid, Group>),
+    Agg { cond: AggCond, groups: FxHashMap<Oid, Group> },
 }
 
 impl Stage {
@@ -411,17 +398,17 @@ impl Stage {
     fn admits(&self, r: Row<'_>) -> bool {
         match self {
             Stage::Cmp { rejected, .. } => !rejected.contains(r.components()),
-            Stage::Agg { cond, groups } => cond.group_of(r).is_some_and(|g| match groups {
-                Groups::Seeded(passing) => passing.binary_search(&g).is_ok(),
-                Groups::Built(groups) => groups.get(&g).is_some_and(|g| g.verdict),
-            }),
+            Stage::Agg { cond, groups } => {
+                cond.group_of(r).is_some_and(|g| groups.get(&g).is_some_and(|g| g.verdict))
+            }
         }
     }
 
     /// Fold the input edits `rem`/`add` — sorted runs, rewritten in place
     /// into the output edits. `members(cond, g, emit)` emits the rows of
     /// group `g` in the stage's *new* input; it is asked only for groups
-    /// whose verdict flipped.
+    /// whose verdict flipped and that had members before the step, so the
+    /// seed step, where every group is born, never asks.
     fn step(
         &mut self,
         rem: &mut RowRun,
@@ -442,8 +429,7 @@ impl Stage {
                 });
                 return;
             }
-            Stage::Agg { cond, groups: Groups::Built(groups) } => (&*cond, groups),
-            Stage::Agg { .. } => unreachable!("groups are built before the first step"),
+            Stage::Agg { cond, groups } => (&*cond, groups),
         };
         // Every group of a removed or added row is re-evaluated — rows whose
         // attributes may have changed arrive as both — so a verdict that
@@ -460,7 +446,8 @@ impl Stage {
         });
         add.retain(|p| {
             let Some(g) = cond.group_of(p) else { return false };
-            groups.entry(g).or_default().add(cond.target_of(p));
+            let born = || Group { born: true, ..Group::default() };
+            groups.entry(g).or_insert_with(born).add(cond.target_of(p));
             touched.push(g);
             true
         });
@@ -471,12 +458,16 @@ impl Stage {
         for g in touched {
             let group = groups.get_mut(&g).expect("touched groups exist");
             let verdict = group.rows > 0 && cond.passes(group.targets.iter().map(|&(t, _)| t), db);
+            // A group born in this step has no member in the old input: its
+            // added rows are all its members, and they pass through below
+            // as those of a group that stays as it was.
             match (group.verdict, verdict) {
-                (false, true) => lit.push(g),
+                (false, true) if !group.born => lit.push(g),
                 (true, false) => doused.push(g),
                 _ => {}
             }
             group.verdict = verdict;
+            group.born = false;
             if group.rows == 0 {
                 groups.remove(&g);
             }
@@ -509,7 +500,10 @@ impl Stage {
 
 /// The WHERE clause and THEN projection of a rule over its cached context:
 /// verdict state per condition, and the derivation counts the target is
-/// maintained by.
+/// maintained by. The comparisons before the first aggregate see the whole
+/// context and share one cached output set; from the first aggregate on,
+/// every condition keeps its own verdict state. Conditions apply in written
+/// order: an aggregate groups over the currently-filtered set.
 #[derive(Debug, Clone)]
 struct Filter {
     /// The comparisons before the first aggregate.
@@ -532,112 +526,42 @@ struct Filter {
 }
 
 impl Filter {
-    /// Apply the rule's WHERE clause and THEN projection to a freshly
-    /// evaluated context. Returns the filter state, the number of context
-    /// rows left after the whole WHERE clause, and the target: the maximal
-    /// keys of the derivation counts, each context row projected once.
-    fn derive(
+    /// The state the seed step starts from: the rule's conditions bound to
+    /// the context's intension, with nothing admitted, rejected, grouped or
+    /// counted yet; and the empty target it maintains.
+    fn new(
         rule: &Rule,
         ctx: &Subdatabase,
         db: &Database,
-    ) -> Result<(Filter, usize, Subdatabase), RuleError> {
-        let (pre_conds, suf_conds) = split_where(&rule.where_);
-        let mut prefix = Vec::with_capacity(pre_conds.len());
-        let mut post = None;
-        if !pre_conds.is_empty() {
-            let mut sd = ctx.clone();
-            for cond in pre_conds {
-                match apply_cond(&mut sd, cond, db).map_err(RuleError::Query)? {
-                    Applied::Cmp(cmp) => prefix.push(cmp),
-                    Applied::Agg(..) => unreachable!("the prefix ends before the first aggregate"),
+    ) -> Result<(Filter, Subdatabase), RuleError> {
+        let (mut prefix, mut stages) = (Vec::new(), Vec::new());
+        for cond in &rule.where_ {
+            match bind_cond(cond, &ctx.intension, db.schema()).map_err(RuleError::Query)? {
+                BoundCond::Cmp(cond) if stages.is_empty() => prefix.push(cond),
+                BoundCond::Cmp(cond) => {
+                    stages.push(Stage::Cmp { cond, rejected: Default::default() })
+                }
+                BoundCond::Agg(cond) => {
+                    stages.push(Stage::Agg { cond, groups: Default::default() })
                 }
             }
-            post = Some(sd);
-        }
-        let mut stages = Vec::with_capacity(suf_conds.len());
-        let mut full = None;
-        if !suf_conds.is_empty() {
-            let mut sd = post.as_ref().unwrap_or(ctx).clone();
-            for cond in suf_conds {
-                let input = matches!(cond, WhereCond::Cmp { .. }).then(|| sd.clone());
-                stages.push(match apply_cond(&mut sd, cond, db).map_err(RuleError::Query)? {
-                    Applied::Agg(cond, passing) => {
-                        Stage::Agg { cond, groups: Groups::Seeded(passing) }
-                    }
-                    Applied::Cmp(cond) => {
-                        let input = input.expect("cloned for a comparison");
-                        let rejected = input
-                            .patterns()
-                            .filter(|p| !sd.contains(p))
-                            .map(Row::to_pattern)
-                            .collect();
-                        Stage::Cmp { cond, rejected }
-                    }
-                });
-            }
-            full = Some(sd);
         }
         let reads_attrs = !prefix.is_empty()
             || stages.iter().any(|s| match s {
                 Stage::Cmp { .. } => true,
                 Stage::Agg { cond, .. } => cond.reads_attrs(),
             });
-        let full = full.as_ref().or(post.as_ref()).unwrap_or(ctx);
+        let post =
+            (!prefix.is_empty()).then(|| Subdatabase::new(ctx.name.clone(), ctx.intension.clone()));
         let layout = target_layout(rule, &ctx.intension, db)?;
-        // Each row is projected into one reused key; a key is boxed only
-        // when it is new, and the target's rows are copied from the keys,
-        // which are sorted and distinct already.
-        let mut counts: BTreeMap<ExtPattern, u32> = BTreeMap::new();
-        let mut key: Vec<Option<Oid>> = Vec::with_capacity(layout.slots.len());
-        for p in full.patterns() {
-            key.clear();
-            key.extend(project(p.components(), &layout.slots));
-            if key.iter().all(Option::is_none) {
-                continue;
-            }
-            match counts.get_mut(key.as_slice()) {
-                Some(c) => *c += 1,
-                None => {
-                    counts.insert(ExtPattern::new(key.as_slice()), 1);
-                }
-            }
-        }
-        let mut target = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
-        let mut keys = counts.keys();
-        target.set_sorted_rows(counts.len(), |row| {
-            row.copy_from_slice(keys.next().expect("one key per row").components());
-        });
-        target.retain_maximal();
-        let ctx_rows = full.len();
+        let target = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
         let slots = layout.slots;
-        Ok((Filter { prefix, post, stages, reads_attrs, slots, counts }, ctx_rows, target))
+        Ok((Filter { prefix, post, stages, reads_attrs, slots, counts: BTreeMap::new() }, target))
     }
 
     /// Whether the rule has no WHERE clause.
     fn is_empty(&self) -> bool {
         self.prefix.is_empty() && self.stages.is_empty()
-    }
-
-    /// Build the groups of every aggregate stage that still lacks them,
-    /// from the stage inputs as cached — before a step's edits are folded
-    /// in — with the verdicts recorded at seeding.
-    fn build_groups(&mut self, ctx: &Subdatabase) {
-        let base = self.post.as_ref().unwrap_or(ctx);
-        for k in 0..self.stages.len() {
-            let (done, rest) = self.stages.split_at_mut(k);
-            let Stage::Agg { cond, groups } = &mut rest[0] else { continue };
-            let Groups::Seeded(passing) = groups else { continue };
-            let mut built: FxHashMap<Oid, Group> = FxHashMap::default();
-            for r in base.patterns().filter(|r| done.iter().all(|s| s.admits(*r))) {
-                if let Some(g) = cond.group_of(r) {
-                    built.entry(g).or_default().add(cond.target_of(r));
-                }
-            }
-            for g in passing {
-                built.get_mut(g).expect("a passing group has rows").verdict = true;
-            }
-            *groups = Groups::Built(built);
-        }
     }
 }
 
@@ -684,15 +608,14 @@ impl RuleCache {
         }))
     }
 
-    /// Build what only delta steps need, on the first of them: the posting
-    /// list (an acyclic context finds its dirty-bound rows through it; a
+    /// Build the posting list, which only delta steps need, on the first of
+    /// them: an acyclic context finds its dirty-bound rows through it; a
     /// closure context needs it only to re-check rows and list group
-    /// members, i.e. under a WHERE clause) and the aggregate groups.
-    fn ensure_delta_state(&mut self) {
+    /// members, i.e. under a WHERE clause.
+    fn ensure_posting(&mut self) {
         if self.posting.is_none() && (self.closure.is_none() || !self.filter.is_empty()) {
             self.posting = Some(Posting::build(&self.ctx_pre));
         }
-        self.filter.build_groups(&self.ctx_pre);
     }
 
     /// Edit the cached context, and its posting list with it.
@@ -714,7 +637,7 @@ impl RuleCache {
     /// The cached context rows binding a dirty object, as a sorted run
     /// sized from the dirty objects' posting-chain lengths.
     fn dirty_bound(&self, dirty: &BTreeSet<Oid>) -> RowRun {
-        let posting = self.posting.as_ref().expect("built by ensure_delta_state");
+        let posting = self.posting.as_ref().expect("built by ensure_posting");
         let rows = dirty.iter().map(|&o| posting.chain_len(o)).sum();
         let mut run = RowRun::with_capacity(posting.width, rows);
         for &o in dirty {
@@ -740,8 +663,22 @@ impl RuleCache {
         kept: RowRun,
         stats: &mut StepStats,
     ) -> DeltaOutcome {
+        let (rem, add) = self.where_edits(db, dropped, added, kept, stats);
+        count_target(&self.filter.slots, &mut self.filter.counts, target, &rem, &add)
+    }
+
+    /// Stage 3, shared by the seed and the delta steps: turn the context
+    /// edits into the post-WHERE edits, removals and additions.
+    fn where_edits(
+        &mut self,
+        db: &Database,
+        dropped: RowRun,
+        added: RowRun,
+        kept: RowRun,
+        stats: &mut StepStats,
+    ) -> (RowRun, RowRun) {
         let RuleCache { ctx_pre, posting, filter, .. } = self;
-        let Filter { prefix, post, stages, reads_attrs, slots, counts } = filter;
+        let Filter { prefix, post, stages, reads_attrs, .. } = filter;
         // A kept row's attributes may have changed: it re-enters as a
         // removal plus an addition, so every verdict it takes part in is
         // re-evaluated. Without attribute-reading conditions it is no edit.
@@ -757,8 +694,16 @@ impl RuleCache {
         if let Some(post) = post {
             rem.retain(|p| post.remove(p));
             add.retain(|p| prefix.iter().all(|c| c.passes(p, db)));
-            for p in add.iter() {
-                post.insert(p);
+            if post.is_empty() {
+                // From empty (the seed step) the set is built in bulk.
+                let mut rows = add.iter();
+                post.set_sorted_rows(add.len(), |row| {
+                    row.copy_from_slice(rows.next().expect("one row per slot").components())
+                });
+            } else {
+                for p in add.iter() {
+                    post.insert(p);
+                }
             }
         }
         let base = post.as_ref().unwrap_or(ctx_pre);
@@ -768,7 +713,7 @@ impl RuleCache {
             rest[0].step(&mut rem, &mut add, db, stats, |cond, g, emit| match cond.by_slot() {
                 None => base.patterns().filter(|r| in_input(*r)).for_each(|r| emit(r.components())),
                 Some(by) => {
-                    let posting = posting.as_ref().expect("built by ensure_delta_state");
+                    let posting = posting.as_ref().expect("built by ensure_posting");
                     posting
                         .rows_of(g)
                         .filter(|row| row[by] == Some(g))
@@ -777,8 +722,30 @@ impl RuleCache {
                 }
             });
         }
-        // 4. Target.
-        count_target(slots, counts, target, &rem, &add)
+        (rem, add)
+    }
+
+    /// The seed step, semi-naive evaluation's first round: the whole
+    /// cached context, as one addition run, through the empty filter of
+    /// [`Filter::new`], into its empty `target`. Without conditions the
+    /// context passes as it is, so no run is built. Returns how many
+    /// context rows pass the WHERE clause.
+    fn seed(&mut self, target: &mut Subdatabase, db: &Database) -> usize {
+        if self.filter.is_empty() {
+            let Filter { slots, counts, .. } = &mut self.filter;
+            count_from_empty(slots, counts, target, self.ctx_pre.patterns());
+            return self.ctx_pre.len();
+        }
+        let width = self.ctx_pre.intension.width();
+        let mut added = RowRun::with_capacity(width, self.ctx_pre.len());
+        for p in self.ctx_pre.patterns() {
+            added.push(p.components());
+        }
+        let none = || RowRun::new(width);
+        let (_, add) = self.where_edits(db, none(), added, none(), &mut StepStats::default());
+        let Filter { slots, counts, .. } = &mut self.filter;
+        count_from_empty(slots, counts, target, add.iter());
+        add.len()
     }
 }
 
@@ -812,10 +779,8 @@ pub fn seed_cache(
     } else {
         (ev.eval("if-context"), None)
     };
-    let (filter, ctx_rows, target) = Filter::derive(rule, &ctx_pre, db)?;
-    sp.attr("ctx_rows", ctx_rows as i64);
-    sp.attr("target_rows", target.len() as i64);
-    let cache = RuleCache {
+    let (filter, mut target) = Filter::new(rule, &ctx_pre, db)?;
+    let mut cache = RuleCache {
         ctx_pre,
         posting: None,
         filter,
@@ -825,7 +790,67 @@ pub fn seed_cache(
         plan,
         closure,
     };
+    let ctx_rows = cache.seed(&mut target, db);
+    sp.attr("ctx_rows", ctx_rows as i64);
+    sp.attr("target_rows", target.len() as i64);
     Ok((cache, target))
+}
+
+/// Check `cache`, stepped to the store's current state, and its `target`
+/// against a cache seeded afresh from the same store and registry: context
+/// rows, rows past the prefix, each later condition's rejected rows or
+/// groups, derivation counts and target rows. The error names the first
+/// difference.
+pub(crate) fn audit_cache(
+    rule: &Rule,
+    cache: &RuleCache,
+    target: &Subdatabase,
+    db: &Database,
+    registry: &SubdbRegistry,
+) -> Result<(), String> {
+    let (fresh, fresh_target) =
+        seed_cache(rule, db, registry).map_err(|e| format!("seeding failed: {e}"))?;
+    first_diff("context row", cache.ctx_pre.patterns(), fresh.ctx_pre.patterns())?;
+    let (kept, seeded) = (&cache.filter, &fresh.filter);
+    let (a, b) = (kept.post.iter(), seeded.post.iter());
+    let (a, b) = (a.flat_map(Subdatabase::patterns), b.flat_map(Subdatabase::patterns));
+    first_diff("row past the prefix", a, b)?;
+    fn sorted<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+        let mut v: Vec<T> = items.into_iter().collect();
+        v.sort_unstable();
+        v
+    }
+    for (k, (a, b)) in kept.stages.iter().zip(&seeded.stages).enumerate() {
+        let at = kept.prefix.len() + k;
+        match (a, b) {
+            (Stage::Cmp { rejected: a, .. }, Stage::Cmp { rejected: b, .. }) => {
+                first_diff(&format!("condition {at}: rejected row"), sorted(a), sorted(b))?
+            }
+            (Stage::Agg { groups: a, .. }, Stage::Agg { groups: b, .. }) => {
+                first_diff(&format!("condition {at}: group"), sorted(a), sorted(b))?
+            }
+            _ => unreachable!("the stages of one rule"),
+        }
+    }
+    first_diff("derivation count", kept.counts.iter(), seeded.counts.iter())?;
+    first_diff("target row", target.patterns(), fresh_target.patterns())
+}
+
+/// The first position at which two sequences differ, as an error naming
+/// `what` and both sides (`None`: that side ended there).
+fn first_diff<T: PartialEq + Debug>(
+    what: &str,
+    maintained: impl IntoIterator<Item = T>,
+    seeded: impl IntoIterator<Item = T>,
+) -> Result<(), String> {
+    let (mut a, mut b) = (maintained.into_iter(), seeded.into_iter());
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return Ok(()),
+            (x, y) if x == y => {}
+            (x, y) => return Err(format!("{what}: maintained {x:?}, seeded {y:?}")),
+        }
+    }
 }
 
 /// The exact target-pattern edits one delta step made to the target it
@@ -891,7 +916,7 @@ pub fn delta_apply(
     if obs::metrics_enabled() {
         obs::metrics::counter("rules.rule.delta_applications").inc();
     }
-    cache.ensure_delta_state();
+    cache.ensure_posting();
     let mut stats = StepStats::default();
     let out = if plan == MaintainPlan::Closure {
         delta_apply_closure(rule, db, registry, cache, target, dirty, &mut stats)?
@@ -956,7 +981,7 @@ fn delta_apply_flat(
             // clean rows too; a partial row may hide under a retained one;
             // and a retained (necessarily partial) row that `r` strictly
             // covers goes.
-            let posting = cache.posting.as_ref().expect("built by ensure_delta_state");
+            let posting = cache.posting.as_ref().expect("built by ensure_posting");
             if cache.ctx_pre.contains(r) || (is_partial(r) && posting.covers(r)) {
                 continue;
             }
@@ -1002,9 +1027,9 @@ fn delta_apply_flat(
 ///    WHERE-prefix verdict (attributes may have flipped).
 ///
 /// If the longest chain length changed, the result intension changes width
-/// and every cached pattern re-shapes: the step falls back to rebuilding
-/// the post/target caches from the patched chain set (still no fixpoint
-/// recompute) and reports `rules.maintain.closure_recompute` instead of
+/// and every cached pattern re-shapes: the step re-seeds the filter and the
+/// target from the patched chain set (still no fixpoint recompute) and
+/// reports `rules.maintain.closure_recompute` instead of
 /// `rules.maintain.closure_delta`.
 fn delta_apply_closure(
     rule: &Rule,
@@ -1110,10 +1135,10 @@ fn delta_apply_closure(
 
     if new_width != cc.width {
         // The longest chain length changed: the result intension re-shapes
-        // and every cached pattern with it. Rebuild the caches from the
-        // patched chain set — the provenance survives, the fixpoint is
-        // still not recomputed. The rows that stay join the new chains in
-        // their buffer, which is grown once to fit them.
+        // and every cached pattern with it. Re-seed the filter and the
+        // target from the patched chain set — the provenance survives, the
+        // fixpoint is still not recomputed. The rows that stay join the new
+        // chains in their buffer, which is grown once to fit them.
         if obs::metrics_enabled() {
             obs::metrics::counter("rules.maintain.closure_recompute").inc();
         }
@@ -1131,9 +1156,10 @@ fn delta_apply_closure(
         cache.closure = Some(cc);
         cache.ctx_pre = next_pre;
         cache.posting = None;
-        let (filter, _, next) = Filter::derive(rule, &cache.ctx_pre, db)?;
-        let out = target_diff(target, &next);
+        let (filter, mut next) = Filter::new(rule, &cache.ctx_pre, db)?;
         cache.filter = filter;
+        cache.seed(&mut next, db);
+        let out = target_diff(target, &next);
         *target = next;
         return Ok(out);
     }
@@ -1253,15 +1279,10 @@ fn count_target(
     // uncovered one evicts the target members it strictly covers.
     for p in added.iter() {
         project_into(p, &mut key);
-        if key.iter().all(Option::is_none) {
+        if !count_in(counts, &key) || target.contains(&key) {
             continue;
         }
-        if let Some(c) = counts.get_mut(key.as_slice()) {
-            *c += 1;
-            continue;
-        }
-        counts.insert(ExtPattern::new(key.as_slice()), 1);
-        if target.contains(&key) || (is_partial(&key) && covered(target, &key)) {
+        if is_partial(&key) && covered(target, &key) {
             continue;
         }
         let first = out.removed.len();
@@ -1310,6 +1331,45 @@ fn count_target(
     out.inserted.sort();
     out.removed.sort();
     out
+}
+
+/// The target stage of the seed step, from empty counts into an empty
+/// target: each post-WHERE row is projected once, into one reused key, and
+/// the target is built in bulk from the sorted keys and cut to the maximal
+/// ones, where births one at a time would take a cover and eviction scan
+/// per key.
+fn count_from_empty<'r>(
+    slots: &[Option<usize>],
+    counts: &mut BTreeMap<ExtPattern, u32>,
+    target: &mut Subdatabase,
+    rows: impl Iterator<Item = Row<'r>>,
+) {
+    debug_assert!(counts.is_empty() && target.is_empty(), "the seed step starts from empty");
+    let mut key: Vec<Option<Oid>> = Vec::with_capacity(slots.len());
+    for p in rows {
+        key.clear();
+        key.extend(project(p.components(), slots));
+        count_in(counts, &key);
+    }
+    let mut keys = counts.keys();
+    target.set_sorted_rows(counts.len(), |row| {
+        row.copy_from_slice(keys.next().expect("one key per row").components());
+    });
+    target.retain_maximal();
+}
+
+/// Count one more derivation of `key`, unless it projects nothing (all
+/// Null); whether the key is new to the counts, which box it only then.
+fn count_in(counts: &mut BTreeMap<ExtPattern, u32>, key: &[Option<Oid>]) -> bool {
+    if key.iter().all(Option::is_none) {
+        return false;
+    }
+    if let Some(c) = counts.get_mut(key) {
+        *c += 1;
+        return false;
+    }
+    counts.insert(ExtPattern::new(key), 1);
+    true
 }
 
 /// Whether `key` is strictly part of any target pattern.

@@ -9,8 +9,7 @@
 //! * [`core`] — the OSAM* structural model (classes, the five association
 //!   types, generalization/inheritance) and the subdatabase algebra.
 //! * [`store`] — the extensional object store: extents, attributes,
-//!   association indexes, perspective (identity) links, events,
-//!   transactions.
+//!   association indexes, perspective (identity) links, events.
 //! * [`oql`] — the OQL query language: association pattern expressions,
 //!   braces, WHERE aggregation, SELECT, display, transitive closure.
 //! * [`rules`] — the deductive rule language: `IF … THEN Subdb(…)`,

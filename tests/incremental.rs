@@ -30,7 +30,19 @@
 //! * `dirty_bound` sizing its run one row short and dropping the last
 //!   row — `incremental_equals_fresh_{aggregates,company,university}`, the
 //!   four `catch_up_equals_fresh_*`,
-//!   `university_schedule_survives_deleting_every_section`.
+//!   `university_schedule_survives_deleting_every_section`;
+//! * the seed step building the post-prefix set from the unfiltered
+//!   context — `incremental_equals_fresh_{aggregates,company}`,
+//!   `catch_up_equals_fresh_{aggregates,company,rule_oriented_backward}`;
+//! * a derivation count that starts at 0 at seeding — every
+//!   `incremental_equals_fresh_*` and `catch_up_equals_fresh_*`;
+//! * a group born lit in a step dropping its added rows —
+//!   `incremental_equals_fresh_{aggregates,company,university}`, the four
+//!   `catch_up_equals_fresh_*`;
+//! * a comparison's rejected row left in its set when the row leaves the
+//!   input — `catch_up_equals_fresh_aggregates` through the audit (with
+//!   the audit's rejected-set comparison skipped, only in case 9 of 10,
+//!   through `derive_fresh`), `incremental_equals_fresh_aggregates`.
 //!
 //! And of the catch-up in `rules::engine` (EXPERIMENTS.md E21 lists them):
 //! * a derived source's change is ignored (no epoch check in
@@ -78,6 +90,15 @@ fn assert_fresh(engine: &RuleEngine, subdbs: &[&str]) {
     }
 }
 
+/// Assert every rule cache stepped to the store's current state equals a
+/// cache seeded afresh (`RuleEngine::audit`): its filter state as well as
+/// its target, which `derive_fresh` alone does not see.
+fn assert_audit(engine: &RuleEngine) {
+    if let Err(e) = engine.audit() {
+        panic!("audit: {e}");
+    }
+}
+
 /// `derive_fresh` runs the engine's own evaluator, so at the end of each
 /// schedule the maintained subdatabases of the rules that keep their whole
 /// context and have no WHERE — `(subdatabase, context)` pairs — are also
@@ -118,6 +139,7 @@ fn incremental_equals_fresh_company() {
             apply_company_op(&mut e, i, op, k);
             e.propagate().unwrap();
             assert_fresh(&e, subdbs);
+            assert_audit(&e);
         }
         assert_spec(&e, &[("REa", "Employee * Department"), ("REb", "REa:Employee * Project")]);
     });
@@ -177,7 +199,7 @@ fn apply_company_op(e: &mut RuleEngine, i: usize, op: u8, k: usize) {
         }
         3 => {
             // Flip a salary across the WellPaid threshold.
-            let v = if k % 2 == 0 { 250_000 } else { 10_000 };
+            let v = if k.is_multiple_of(2) { 250_000 } else { 10_000 };
             let _ = db.set_attr(es[k % es.len()], "salary", Value::Int(v + i as i64));
         }
         4 => {
@@ -278,6 +300,7 @@ fn incremental_equals_fresh_aggregates() {
             apply_aggregate_op(&mut e, i, op, k);
             e.propagate().unwrap();
             assert_fresh(&e, &subdbs);
+            assert_audit(&e);
         }
     });
 }
@@ -497,6 +520,7 @@ fn university_schedule(g: &mut Gen) {
         apply_university_op(&mut e, op, k);
         e.propagate().unwrap();
         assert_fresh(&e, &subdbs);
+        assert_audit(&e);
     }
     assert_spec(&e, &[("Heavy", "{Teacher * Section} * Course [credit_hours > 2]")]);
 }
@@ -546,7 +570,7 @@ fn apply_university_op(e: &mut RuleEngine, op: u8, k: usize) {
         }
         // Enrolment churn, two students at a time: the section's course is
         // not touched, whatever its student count does.
-        (6.., _, Some(s), _) if op % 2 == 0 => {
+        (6.., _, Some(s), _) if op.is_multiple_of(2) => {
             for o in students.iter().cycle().skip(k).take(2) {
                 let _ = db.associate(enrolls, *o, s);
             }
@@ -613,12 +637,14 @@ fn run_catch_up(
         if let Some(r) = read {
             check_read(e, &readers[r % readers.len()], pending);
         }
+        assert_audit(e);
     }
     e.propagate().unwrap();
     assert_fresh(e, pre);
     for r in readers {
         check_read(e, r, false);
     }
+    assert_audit(e);
 }
 
 fn check_read(e: &mut RuleEngine, r: &Reader, pending: bool) {
@@ -928,6 +954,7 @@ fn incremental_equals_fresh_cad() {
             apply_cad_op(&mut e, op, k);
             e.propagate().unwrap();
             assert_fresh(&e, &subdbs);
+            assert_audit(&e);
         }
         assert_spec(&e, &[("Bom", "Part ^*"), ("SP", "Supplier * Part")]);
     });
@@ -956,7 +983,7 @@ fn apply_cad_op(e: &mut RuleEngine, op: u8, k: usize) {
         }
         2 => {
             // A supplier (created on demand) supplying an existing part.
-            let s = if sups.is_empty() || k % 3 == 0 {
+            let s = if sups.is_empty() || k.is_multiple_of(3) {
                 let s = db.new_object(supplier).unwrap();
                 let _ = db.set_attr(s, "sname", Value::str(format!("sup-{k}")));
                 s
