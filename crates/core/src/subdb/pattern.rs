@@ -11,9 +11,7 @@
 //! the resolver caps at 64 slots.
 
 use crate::ids::Oid;
-use std::borrow::Borrow;
 use std::fmt;
-use std::ops::Bound;
 
 /// A pattern type: bitmask over the slots of an intension (bit i set ⇔ slot
 /// i is non-null), for patterns of at most 64 slots.
@@ -133,15 +131,6 @@ pub fn is_part(a: &[Option<Oid>], b: &[Option<Oid>]) -> bool {
     wider
 }
 
-/// Patterns order, compare and hash exactly as their component slices do
-/// (the derived impls delegate to the one field), so ordered pattern sets
-/// can be searched by a borrowed slice — in particular by a bare head.
-impl Borrow<[Option<Oid>]> for ExtPattern {
-    fn borrow(&self) -> &[Option<Oid>] {
-        &self.components
-    }
-}
-
 impl AsRef<[Option<Oid>]> for ExtPattern {
     fn as_ref(&self) -> &[Option<Oid>] {
         &self.components
@@ -250,35 +239,6 @@ impl fmt::Display for Row<'_> {
             }
         }
         f.write_str(")")
-    }
-}
-
-/// One end of a range of component rows.
-pub type RowBound<'a> = Bound<&'a [Option<Oid>]>;
-
-/// The range, in the lexicographic pattern order, of the patterns whose
-/// slot 0 holds one given head: a one-element slice sorts before every
-/// longer slice it prefixes, and `None < Some(_)`. Lets ordered pattern
-/// sets and maps be walked one head at a time, in place.
-pub struct HeadRange {
-    lo: [Option<Oid>; 1],
-    hi: Option<[Option<Oid>; 1]>,
-}
-
-impl HeadRange {
-    /// The range of patterns headed by `head`.
-    pub fn of(head: Option<Oid>) -> Self {
-        let next = match head {
-            None => Some(Oid::MIN),
-            Some(o) => o.raw().checked_add(1).map(Oid::from_raw),
-        };
-        HeadRange { lo: [head], hi: next.map(|n| [Some(n)]) }
-    }
-
-    /// The bounds to hand to `BTreeSet::range` / `BTreeMap::range`.
-    pub fn bounds(&self) -> (RowBound<'_>, RowBound<'_>) {
-        let hi = self.hi.as_ref().map_or(Bound::Unbounded, |h| Bound::Excluded(&h[..]));
-        (Bound::Included(&self.lo[..]), hi)
     }
 }
 

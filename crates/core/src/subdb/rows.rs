@@ -1,34 +1,135 @@
-//! The row store behind a subdatabase's extension: a sorted, duplicate-free
-//! sequence of `width`-cell rows, chunked into flat leaves.
+//! The row stores: a sorted, duplicate-free sequence of `width`-cell rows,
+//! chunked into flat leaves — a subdatabase's extension, a rule's rejected
+//! rows, and, with a count beside each row, a rule's derivation counts.
 //!
 //! Each leaf is one `Vec<Option<Oid>>` of whole rows, and the leaves follow
 //! each other in row order, so a walk is a slice walk and a point lookup is
 //! two binary searches (over the leaves' last rows, then inside one leaf).
-//! A leaf holds at most [`LEAF_CELLS`] cells — or one row, if a row is
-//! wider than that — so a point edit moves at most one leaf's cells. A bulk
+//! A leaf holds at most [`Lane::LEAF_CELLS`] cells — or one row, if a row
+//! is wider than that — so a point edit moves at most one leaf's cells. A bulk
 //! build sizes every leaf to exactly the rows it gets: many results are
 //! tiny, and a leaf sized to the cap would mostly be slack. A leaf then
 //! grows by insertion as a `Vec` does, splits in half when it is full, and
 //! is dropped when it empties.
 //!
-//! Width 0 stores no cells: such an extension holds at most one (empty)
-//! row, which `len` alone records.
+//! A leaf carries a [`Lane`] beside its cells: one value per row, in row
+//! order, which splits, grows and drains with its leaf. A set
+//! ([`RowStore`]) has the empty lane `()`, which stores nothing; the
+//! derivation counts ([`RowCounts`]) have a `u32` per row.
+//!
+//! Width 0 stores no cells and no lane: such a store holds at most one
+//! (empty) row, which `len` alone records.
 
 use crate::ids::Oid;
 use crate::subdb::pattern::Row;
+use crate::subdb::run::RowRun;
 use std::cmp::Ordering;
 use std::fmt;
 
-/// Cells per leaf: 2 KB of 8-byte cells.
-const LEAF_CELLS: usize = 256;
+/// The values a leaf keeps beside its rows, one per row and in row order;
+/// every edit of the leaf's rows edits its lane at the same row index.
+pub trait Lane: Clone {
+    /// The value kept per row.
+    type Value: Copy + Default + fmt::Debug;
+    /// Cells a leaf holds at most. A split leaves both halves with room
+    /// for a full leaf, so a store that takes point inserts all its life
+    /// keeps smaller leaves than one that is mostly built in bulk.
+    const LEAF_CELLS: usize;
+    /// An empty lane with room for `rows` values.
+    fn with_capacity(rows: usize) -> Self;
+    /// The value of row `row`.
+    fn get(&self, row: usize) -> Self::Value;
+    /// Append a value for a new last row.
+    fn push(&mut self, value: Self::Value);
+    /// Insert a value for a new row `row`.
+    fn insert(&mut self, row: usize, value: Self::Value);
+    /// Drop the value of row `row`.
+    fn remove(&mut self, row: usize);
+    /// Move the values from row `row` on into a new lane with room for
+    /// `room` values.
+    fn split_off(&mut self, row: usize, room: usize) -> Self;
+    /// Make room for `rows` more values.
+    fn reserve_exact(&mut self, rows: usize);
+    /// Copy the value of row `from` to row `to` (`to <= from`).
+    fn move_row(&mut self, from: usize, to: usize);
+    /// Keep the first `rows` values.
+    fn truncate(&mut self, rows: usize);
+}
 
-/// Sorted, deduplicated rows in chunked flat leaves (see the module docs).
+/// The empty lane of a set: nothing is stored, and every edit is free.
+impl Lane for () {
+    type Value = ();
+    /// 2 KB of 8-byte cells.
+    const LEAF_CELLS: usize = 256;
+    fn with_capacity(_: usize) {}
+    fn get(&self, _: usize) {}
+    fn push(&mut self, _: ()) {}
+    fn insert(&mut self, _: usize, _: ()) {}
+    fn remove(&mut self, _: usize) {}
+    fn split_off(&mut self, _: usize, _: usize) {}
+    fn reserve_exact(&mut self, _: usize) {}
+    fn move_row(&mut self, _: usize, _: usize) {}
+    fn truncate(&mut self, _: usize) {}
+}
+
+/// The count lane of [`RowCounts`].
+impl Lane for Vec<u32> {
+    type Value = u32;
+    /// 1 KB of 8-byte cells: derivation counts take a point insert per
+    /// birth, and a closure's counts take many.
+    const LEAF_CELLS: usize = 128;
+    fn with_capacity(rows: usize) -> Self {
+        Vec::with_capacity(rows)
+    }
+    fn get(&self, row: usize) -> u32 {
+        self[row]
+    }
+    fn push(&mut self, value: u32) {
+        Vec::push(self, value)
+    }
+    fn insert(&mut self, row: usize, value: u32) {
+        Vec::insert(self, row, value)
+    }
+    fn remove(&mut self, row: usize) {
+        Vec::remove(self, row);
+    }
+    fn split_off(&mut self, row: usize, room: usize) -> Self {
+        let mut right = Vec::with_capacity(room);
+        right.extend_from_slice(&self[row..]);
+        self.truncate(row);
+        right
+    }
+    fn reserve_exact(&mut self, rows: usize) {
+        Vec::reserve_exact(self, rows)
+    }
+    fn move_row(&mut self, from: usize, to: usize) {
+        self[to] = self[from];
+    }
+    fn truncate(&mut self, rows: usize) {
+        Vec::truncate(self, rows)
+    }
+}
+
+/// One leaf: whole rows, and their lane.
+#[derive(Clone)]
+struct Leaf<L> {
+    cells: Vec<Option<Oid>>,
+    lane: L,
+}
+
+/// Sorted, deduplicated rows in chunked flat leaves, each row with a lane
+/// value (see the module docs). `RowStore` alone is a set of rows.
 #[derive(Clone, Default)]
-pub(crate) struct RowStore {
+pub struct RowStore<L: Lane = ()> {
     width: usize,
     len: usize,
-    leaves: Vec<Vec<Option<Oid>>>,
+    leaves: Vec<Leaf<L>>,
 }
+
+/// Rows with a `u32` count each: a rule's derivation counts, target
+/// projection → how many post-WHERE context rows derive it. A key is a
+/// row in a leaf, not a box.
+pub type RowCounts = RowStore<Vec<u32>>;
 
 /// Where a row is, or would go: the leaf, and the row's index in it.
 struct Slot {
@@ -37,19 +138,30 @@ struct Slot {
     found: bool,
 }
 
-impl RowStore {
+impl<L: Lane> RowStore<L> {
     /// An empty store of `width`-cell rows; allocates nothing.
-    pub(crate) fn new(width: usize) -> Self {
+    pub fn new(width: usize) -> Self {
         RowStore { width, len: 0, leaves: Vec::new() }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Cells per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether the store holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Rows a leaf holds at most.
     fn cap(&self) -> usize {
-        (LEAF_CELLS / self.width).max(1)
+        (L::LEAF_CELLS / self.width).max(1)
     }
 
     /// Row `i` of `leaf`.
@@ -61,8 +173,8 @@ impl RowStore {
     /// hold on a (possibly empty) prefix of the rows and nowhere after it.
     fn partition(&self, before: impl Fn(&[Option<Oid>]) -> bool) -> (usize, usize) {
         let w = self.width;
-        let leaf = self.leaves.partition_point(|l| before(&l[l.len() - w..]));
-        let Some(cells) = self.leaves.get(leaf) else { return (leaf, 0) };
+        let leaf = self.leaves.partition_point(|l| before(&l.cells[l.cells.len() - w..]));
+        let Some(Leaf { cells, .. }) = self.leaves.get(leaf) else { return (leaf, 0) };
         let (mut lo, mut hi) = (0, cells.len() / w);
         while lo < hi {
             let mid = (lo + hi) / 2;
@@ -78,68 +190,77 @@ impl RowStore {
     /// Where `row` is or would be inserted. `width` must be non-zero.
     fn locate(&self, row: &[Option<Oid>]) -> Slot {
         let (leaf, i) = self.partition(|r| r < row);
-        let found = self.leaves.get(leaf).is_some_and(|cells| self.row_of(cells, i) == row);
+        let found = self.leaves.get(leaf).is_some_and(|l| self.row_of(&l.cells, i) == row);
         Slot { leaf, row: i, found }
     }
 
-    pub(crate) fn contains(&self, row: &[Option<Oid>]) -> bool {
+    /// Where `row` is, if the store holds it.
+    fn find(&self, row: &[Option<Oid>]) -> Option<Slot> {
+        (self.width > 0 && row.len() == self.width).then(|| self.locate(row)).filter(|s| s.found)
+    }
+
+    /// Whether the store holds `row`.
+    pub fn contains(&self, row: &[Option<Oid>]) -> bool {
         if self.width == 0 {
             return self.len == 1 && row.is_empty();
         }
-        row.len() == self.width && self.locate(row).found
+        self.find(row).is_some()
     }
 
-    /// Insert a row of the store's width; whether it was new.
-    pub(crate) fn insert(&mut self, row: &[Option<Oid>]) -> bool {
-        debug_assert_eq!(row.len(), self.width);
+    /// Insert `row`, absent, with `value` at `slot`, where [`Self::locate`]
+    /// put it. `width` must be non-zero.
+    fn put(&mut self, slot: Slot, row: &[Option<Oid>], value: L::Value) {
+        debug_assert!(!slot.found);
         let w = self.width;
-        if w == 0 {
-            let new = self.len == 0;
-            self.len = 1;
-            return new;
-        }
-        let Slot { mut leaf, row: mut at, found } = self.locate(row);
-        if found {
-            return false;
-        }
+        let Slot { mut leaf, row: mut at, .. } = slot;
         self.len += 1;
+        let single = || {
+            let mut lane = L::with_capacity(1);
+            lane.push(value);
+            Leaf { cells: row.to_vec(), lane }
+        };
         if self.leaves.is_empty() {
-            self.leaves.push(row.to_vec());
-            return true;
+            self.leaves.push(single());
+            return;
         }
         if leaf == self.leaves.len() {
             // Past the last row: append to the last leaf.
             leaf -= 1;
-            at = self.leaves[leaf].len() / w;
+            at = self.leaves[leaf].cells.len() / w;
         }
         let cap = self.cap();
-        if self.leaves[leaf].len() / w == cap {
+        if self.leaves[leaf].cells.len() / w == cap {
             if cap == 1 {
-                self.leaves.insert(leaf + at, row.to_vec());
-                return true;
+                self.leaves.insert(leaf + at, single());
+                return;
             }
             // The upper half moves to a new leaf with room for a full one.
             let mid = cap / 2;
-            let mut right = Vec::with_capacity(cap * w);
-            right.extend_from_slice(&self.leaves[leaf][mid * w..]);
-            self.leaves[leaf].truncate(mid * w);
-            self.leaves.insert(leaf + 1, right);
+            let left = &mut self.leaves[leaf];
+            let mut cells = Vec::with_capacity(cap * w);
+            cells.extend_from_slice(&left.cells[mid * w..]);
+            left.cells.truncate(mid * w);
+            let lane = left.lane.split_off(mid, cap);
+            self.leaves.insert(leaf + 1, Leaf { cells, lane });
             if at > mid {
                 leaf += 1;
                 at -= mid;
             }
         }
-        let cells = &mut self.leaves[leaf];
+        let Leaf { cells, lane } = &mut self.leaves[leaf];
         if cells.len() == cells.capacity() {
             // Grow as a `Vec` does, doubling, but never past the cap.
-            cells.reserve_exact(cells.len().min(cap * w - cells.len()).max(w));
+            let rows = cells.len() / w;
+            let more = rows.min(cap - rows).max(1);
+            cells.reserve_exact(more * w);
+            lane.reserve_exact(more);
         }
         cells.splice(at * w..at * w, row.iter().copied());
-        true
+        lane.insert(at, value);
     }
 
     /// Remove a row; whether it was present.
-    pub(crate) fn remove(&mut self, row: &[Option<Oid>]) -> bool {
+    pub fn remove(&mut self, row: &[Option<Oid>]) -> bool {
         let w = self.width;
         if w == 0 {
             let present = self.len == 1 && row.is_empty();
@@ -148,40 +269,41 @@ impl RowStore {
             }
             return present;
         }
-        if row.len() != w {
-            return false;
-        }
-        let Slot { leaf, row: at, found } = self.locate(row);
-        if !found {
-            return false;
-        }
+        let Some(Slot { leaf, row: at, .. }) = self.find(row) else { return false };
         self.len -= 1;
-        let cells = &mut self.leaves[leaf];
+        let Leaf { cells, lane } = &mut self.leaves[leaf];
         cells.drain(at * w..(at + 1) * w);
+        lane.remove(at);
         if cells.is_empty() {
             self.leaves.remove(leaf);
         }
         true
     }
 
-    /// Every row, ascending.
-    pub(crate) fn iter(&self) -> Rows<'_> {
-        Rows { store: self, leaf: 0, at: 0, end: (self.leaves.len(), 0), zero: self.len }
+    /// Every row with its lane value, ascending.
+    pub fn entries(&self) -> Entries<'_, L> {
+        Entries { store: self, leaf: 0, at: 0, end: (self.leaves.len(), 0), zero: self.len }
     }
 
-    /// The rows whose slot 0 holds `head`, ascending: one contiguous range.
-    pub(crate) fn head_range(&self, head: Option<Oid>) -> Rows<'_> {
+    /// Every row, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = Row<'_>> + '_ {
+        self.entries().map(|(row, _)| row)
+    }
+
+    /// The rows whose slot 0 holds `head`, with their lane values,
+    /// ascending: one contiguous range, found by two binary searches.
+    pub fn head_range(&self, head: Option<Oid>) -> Entries<'_, L> {
         if self.width == 0 {
-            return Rows { store: self, leaf: 0, at: 0, end: (0, 0), zero: 0 };
+            return Entries { store: self, leaf: 0, at: 0, end: (0, 0), zero: 0 };
         }
         let (leaf, at) = self.partition(|r| r[0] < head);
         let end = self.partition(|r| r[0] <= head);
-        Rows { store: self, leaf, at: at * self.width, end: (end.0, end.1 * self.width), zero: 0 }
+        Entries { store: self, leaf, at, end, zero: 0 }
     }
 
     /// Keep the rows `keep` accepts, leaf by leaf in place; emptied leaves
     /// go. Returns how many rows were dropped.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(Row<'_>) -> bool) -> usize {
+    pub fn retain(&mut self, mut keep: impl FnMut(Row<'_>) -> bool) -> usize {
         let w = self.width;
         let before = self.len;
         if w == 0 {
@@ -190,31 +312,33 @@ impl RowStore {
             }
             return before - self.len;
         }
-        for cells in &mut self.leaves {
+        for Leaf { cells, lane } in &mut self.leaves {
             let mut kept = 0;
             for i in 0..cells.len() / w {
                 if keep(Row::new(&cells[i * w..(i + 1) * w])) {
                     cells.copy_within(i * w..(i + 1) * w, kept * w);
+                    lane.move_row(i, kept);
                     kept += 1;
                 }
             }
             self.len -= cells.len() / w - kept;
             cells.truncate(kept * w);
+            lane.truncate(kept);
         }
-        self.leaves.retain(|cells| !cells.is_empty());
+        self.leaves.retain(|l| !l.cells.is_empty());
         before - self.len
     }
 
     /// Replace the contents with `n` rows, written in ascending order by
-    /// `fill` into cells that start out Null. Every leaf is sized to
-    /// exactly the rows it gets. Panics if a row does not sort strictly
-    /// after the one before it.
-    pub(crate) fn build(&mut self, n: usize, mut fill: impl FnMut(&mut [Option<Oid>])) {
+    /// `fill` into cells that start out Null; `fill` returns the row's lane
+    /// value. Every leaf is sized to exactly the rows it gets. Panics if a
+    /// row does not sort strictly after the one before it.
+    pub fn build(&mut self, n: usize, mut fill: impl FnMut(&mut [Option<Oid>]) -> L::Value) {
         let w = self.width;
         self.len = n;
         self.leaves = Vec::new();
         if w == 0 {
-            assert!(n <= 1, "an extension of width 0 holds at most one row, not {n}");
+            assert!(n <= 1, "a store of width 0 holds at most one row, not {n}");
             if n == 1 {
                 fill(&mut []);
             }
@@ -222,26 +346,45 @@ impl RowStore {
         }
         let cap = self.cap();
         self.leaves.reserve_exact(n.div_ceil(cap));
-        let mut prev: Option<(usize, usize)> = None;
         for start in (0..n).step_by(cap) {
             let rows = cap.min(n - start);
-            self.leaves.push(vec![None; rows * w]);
-            let leaf = self.leaves.len() - 1;
+            let mut leaf = Leaf { cells: vec![None; rows * w], lane: L::with_capacity(rows) };
             for i in 0..rows {
-                fill(&mut self.leaves[leaf][i * w..(i + 1) * w]);
-                if let Some((pl, pi)) = prev {
-                    let (p, r) =
-                        (&self.leaves[pl][pi * w..][..w], &self.leaves[leaf][i * w..][..w]);
-                    assert!(p < r, "rows must be built in strictly ascending order");
+                leaf.lane.push(fill(&mut leaf.cells[i * w..(i + 1) * w]));
+                let prev = match i {
+                    0 => self.leaves.last().map(|l| &l.cells[l.cells.len() - w..]),
+                    _ => Some(&leaf.cells[(i - 1) * w..i * w]),
+                };
+                if let Some(p) = prev {
+                    let row = &leaf.cells[i * w..(i + 1) * w];
+                    assert!(p < row, "rows must be built in strictly ascending order");
                 }
-                prev = Some((leaf, i));
             }
+            self.leaves.push(leaf);
         }
+    }
+}
+
+impl RowStore {
+    /// Insert a row of the store's width; whether it was new.
+    pub fn insert(&mut self, row: &[Option<Oid>]) -> bool {
+        debug_assert_eq!(row.len(), self.width);
+        if self.width == 0 {
+            let new = self.len == 0;
+            self.len = 1;
+            return new;
+        }
+        let slot = self.locate(row);
+        if slot.found {
+            return false;
+        }
+        self.put(slot, row, ());
+        true
     }
 
     /// The sorted union of two stores of one width, built exact-sized:
     /// one pass counts the distinct rows, a second writes them.
-    pub(crate) fn union(&self, other: &RowStore) -> RowStore {
+    pub fn union(&self, other: &RowStore) -> RowStore {
         debug_assert_eq!(self.width, other.width);
         let mut out = RowStore::new(self.width);
         let union = || Union { a: self.iter().peekable(), b: other.iter().peekable() };
@@ -253,13 +396,67 @@ impl RowStore {
     }
 }
 
-/// The distinct rows of two ascending row runs, ascending.
-struct Union<'a> {
-    a: std::iter::Peekable<Rows<'a>>,
-    b: std::iter::Peekable<Rows<'a>>,
+/// Derivation counts. A key is never all Null, so a counted row has at
+/// least one cell: the edits below need a non-zero width.
+impl RowCounts {
+    /// The count of `row`, if the store holds it (possibly at zero, between
+    /// a step's decrements and its deaths).
+    pub fn get(&self, row: &[Option<Oid>]) -> Option<u32> {
+        self.find(row).map(|s| self.leaves[s.leaf].lane[s.row])
+    }
+
+    /// Count one more derivation of `row`; whether the row is new to the
+    /// store, born at 1.
+    pub fn increment(&mut self, row: &[Option<Oid>]) -> bool {
+        assert!(self.width > 0 && row.len() == self.width, "a counted row of width {}", row.len());
+        let slot = self.locate(row);
+        if slot.found {
+            self.leaves[slot.leaf].lane[slot.row] += 1;
+            return false;
+        }
+        self.put(slot, row, 1);
+        true
+    }
+
+    /// Count one derivation of `row` fewer; its new count, or `None` if the
+    /// store does not hold it. A row at zero stays until it is removed.
+    pub fn decrement(&mut self, row: &[Option<Oid>]) -> Option<u32> {
+        let s = self.find(row)?;
+        let count = &mut self.leaves[s.leaf].lane[s.row];
+        *count = count.checked_sub(1).expect("a derivation count below zero");
+        Some(*count)
+    }
+
+    /// Replace the contents with the distinct rows of `run`, each counted
+    /// by its copies in the run: the run is sorted in place, keeping its
+    /// duplicates, and run-length counted into exact-sized leaves.
+    pub fn set_counted(&mut self, mut run: RowRun) {
+        assert_eq!(run.width(), self.width, "a run of another width");
+        assert!(self.width > 0 || run.is_empty(), "counted rows have at least one cell");
+        run.order();
+        let n = run.len();
+        let distinct =
+            (1..n).filter(|&i| run.row(i - 1) != run.row(i)).count() + usize::from(n > 0);
+        let mut i = 0;
+        self.build(distinct, |cells| {
+            let row = run.row(i);
+            cells.copy_from_slice(row.components());
+            let start = i;
+            while i < n && run.row(i) == row {
+                i += 1;
+            }
+            u32::try_from(i - start).expect("a derivation count fits in u32")
+        });
+    }
 }
 
-impl<'a> Iterator for Union<'a> {
+/// The distinct rows of two ascending row runs, ascending.
+struct Union<I: Iterator> {
+    a: std::iter::Peekable<I>,
+    b: std::iter::Peekable<I>,
+}
+
+impl<'a, I: Iterator<Item = Row<'a>>> Iterator for Union<I> {
     type Item = Row<'a>;
 
     fn next(&mut self) -> Option<Row<'a>> {
@@ -278,42 +475,139 @@ impl<'a> Iterator for Union<'a> {
     }
 }
 
-impl fmt::Debug for RowStore {
+impl<L: Lane> fmt::Debug for RowStore<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
+        f.debug_set().entries(self.entries()).finish()
     }
 }
 
-/// A run of a store's rows, ascending: from a (leaf, cell) position up to
-/// an exclusive end position. A width-0 store instead yields `zero` empty
-/// rows.
-pub(crate) struct Rows<'a> {
-    store: &'a RowStore,
+/// A run of a store's rows with their lane values, ascending: from a
+/// (leaf, row) position up to an exclusive end position. A width-0 store
+/// instead yields `zero` empty rows.
+pub struct Entries<'a, L: Lane> {
+    store: &'a RowStore<L>,
     leaf: usize,
     at: usize,
     end: (usize, usize),
     zero: usize,
 }
 
-impl<'a> Iterator for Rows<'a> {
-    type Item = Row<'a>;
+impl<'a, L: Lane> Iterator for Entries<'a, L> {
+    type Item = (Row<'a>, L::Value);
 
-    fn next(&mut self) -> Option<Row<'a>> {
+    fn next(&mut self) -> Option<Self::Item> {
         let w = self.store.width;
         if w == 0 {
             self.zero = self.zero.checked_sub(1)?;
-            return Some(Row::new(&[]));
+            return Some((Row::new(&[]), L::Value::default()));
         }
         if (self.leaf, self.at) >= self.end {
             return None;
         }
-        let cells = &self.store.leaves[self.leaf];
-        let row = Row::new(&cells[self.at..self.at + w]);
-        self.at += w;
-        if self.at == cells.len() {
+        let Leaf { cells, lane } = &self.store.leaves[self.leaf];
+        let entry = (Row::new(&cells[self.at * w..(self.at + 1) * w]), lane.get(self.at));
+        self.at += 1;
+        if self.at * w == cells.len() {
             self.leaf += 1;
             self.at = 0;
         }
-        Some(row)
+        Some(entry)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::propcheck::{check, Gen};
+    use std::collections::BTreeMap;
+
+    type Model = BTreeMap<Vec<Option<Oid>>, u32>;
+
+    fn cell(g: &mut Gen) -> Option<Oid> {
+        match g.range(0..10u32) {
+            0 => None,
+            1 => Some(Oid::MIN),
+            2 => Some(Oid::MAX),
+            _ => Some(Oid::from_raw(g.range(2..12u64))),
+        }
+    }
+
+    /// The store's rows and counts, and that its leaves are well formed:
+    /// none empty, none over the cap, one count per row.
+    fn entries(store: &RowCounts) -> Vec<(Vec<Option<Oid>>, u32)> {
+        let w = store.width;
+        for Leaf { cells, lane } in &store.leaves {
+            assert!(!cells.is_empty() && cells.len() / w <= store.cap(), "leaf size");
+            assert_eq!(lane.len(), cells.len() / w, "one count per row");
+        }
+        assert_eq!(store.leaves.iter().map(|l| l.lane.len()).sum::<usize>(), store.len());
+        store.entries().map(|(r, c)| (r.components().to_vec(), c)).collect()
+    }
+
+    fn want(model: &Model, keep: impl Fn(&[Option<Oid>]) -> bool) -> Vec<(Vec<Option<Oid>>, u32)> {
+        model.iter().filter(|(k, _)| keep(k)).map(|(k, &c)| (k.clone(), c)).collect()
+    }
+
+    /// Derivation counts against a `BTreeMap` of component vectors written
+    /// here: built in bulk from a run with duplicates, then incremented,
+    /// decremented, grown by new rows, shrunk by removals, read by head
+    /// range and filtered in place, at widths 1, 3, 9 and 40. Widths 9 and
+    /// 40 hold 14 and 3 rows per leaf, so leaves split and are dropped.
+    #[test]
+    fn counts_match_a_btreemap_model() {
+        check("counts_match_a_btreemap_model", 64, |g| {
+            for width in [1, 3, 9, 40] {
+                let row = |g: &mut Gen| -> Vec<Option<Oid>> {
+                    (0..width).map(|i| if i < 3 { cell(g) } else { None }).collect()
+                };
+                let mut model = Model::new();
+                let mut run = RowRun::new(width);
+                for _ in 0..g.range(0..120usize) {
+                    let r = row(g);
+                    run.push(&r);
+                    *model.entry(r).or_insert(0) += 1;
+                }
+                let mut store = RowCounts::new(width);
+                store.set_counted(run);
+                assert_eq!(entries(&store), want(&model, |_| true), "bulk");
+
+                for _ in 0..g.range(0..120usize) {
+                    let r = row(g);
+                    match (g.range(0..4u32), model.get(&r).copied()) {
+                        (0 | 1, c) => {
+                            assert_eq!(store.increment(&r), c.is_none(), "increment");
+                            *model.entry(r.clone()).or_insert(0) += 1;
+                        }
+                        (2, Some(c)) if c > 0 => {
+                            assert_eq!(store.decrement(&r), Some(c - 1), "decrement");
+                            model.insert(r.clone(), c - 1);
+                        }
+                        (2, None) => assert_eq!(store.decrement(&r), None, "decrement"),
+                        (_, c) => {
+                            assert_eq!(store.remove(&r), c.is_some(), "remove");
+                            model.remove(&r);
+                        }
+                    }
+                    assert_eq!(store.get(&r), model.get(&r).copied(), "get");
+                    assert_eq!(store.contains(&r), model.contains_key(&r), "contains");
+                }
+                assert_eq!(entries(&store), want(&model, |_| true), "edits");
+                assert_eq!(store.len(), model.len());
+
+                let heads = model.keys().map(|k| k[0]).chain([None, cell(g)]);
+                for head in heads.collect::<Vec<_>>() {
+                    let got: Vec<_> =
+                        store.head_range(head).map(|(r, c)| (r.components().to_vec(), c)).collect();
+                    assert_eq!(got, want(&model, |k| k[0] == head), "head range of {head:?}");
+                }
+
+                let gone = cell(g);
+                let dropped = store.retain(|r| r.get(0) != gone);
+                let before = model.len();
+                model.retain(|k, _| k[0] != gone);
+                assert_eq!(dropped, before - model.len(), "retain");
+                assert_eq!(entries(&store), want(&model, |_| true), "retain");
+            }
+        });
     }
 }

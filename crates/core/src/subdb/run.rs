@@ -110,15 +110,30 @@ impl RowRun {
     /// one row of scratch.
     pub fn sort(&mut self) {
         let (w, n) = (self.width, self.len);
-        let step = |i: usize| self.row(i - 1).cmp(&self.row(i));
-        if (1..n).all(|i| step(i).is_lt()) {
+        if (1..n).all(|i| self.row(i - 1) < self.row(i)) {
             return;
         }
+        self.order();
+        let cells = &mut self.cells;
+        let mut kept = 1;
+        for i in 1..n {
+            if cells[i * w..][..w] != cells[(kept - 1) * w..][..w] {
+                cells.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        self.truncate(kept);
+    }
+
+    /// Sort the rows ascending, keeping duplicates, as [`RowRun::sort`]
+    /// does: an ascending run is only checked.
+    pub(crate) fn order(&mut self) {
+        let (w, n) = (self.width, self.len);
         fn arrays<const W: usize>(cells: &mut [Option<Oid>]) {
             cells.as_chunks_mut::<W>().0.sort_unstable();
         }
         match w {
-            _ if (1..n).all(|i| step(i).is_le()) => {}
+            _ if (1..n).all(|i| self.row(i - 1) <= self.row(i)) => {}
             1 => arrays::<1>(&mut self.cells),
             2 => arrays::<2>(&mut self.cells),
             3 => arrays::<3>(&mut self.cells),
@@ -150,15 +165,6 @@ impl RowRun {
                 }
             }
         }
-        let cells = &mut self.cells;
-        let mut kept = 1;
-        for i in 1..n {
-            if cells[i * w..][..w] != cells[(kept - 1) * w..][..w] {
-                cells.copy_within(i * w..(i + 1) * w, kept * w);
-                kept += 1;
-            }
-        }
-        self.truncate(kept);
     }
 
     /// Empty the run and make it hold `width`-cell rows, keeping its

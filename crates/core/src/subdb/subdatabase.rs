@@ -111,7 +111,7 @@ impl Subdatabase {
     /// The patterns whose slot 0 holds `head`, in order: one contiguous
     /// range of the ordered extension, found without scanning the rest.
     pub fn head_range(&self, head: Option<Oid>) -> impl Iterator<Item = Row<'_>> {
-        self.patterns.head_range(head)
+        self.patterns.head_range(head).map(|(row, _)| row)
     }
 
     /// Whether the extension contains this exact pattern.

@@ -66,14 +66,29 @@ pub enum ControlMode {
 }
 
 /// One subdatabase's maintenance state, pulled out of the engine for a
-/// stratum step or a catch-up: its rules' delta caches, a union's per-rule
-/// targets, and its registry entry, stale or not. The entry of a
-/// single-rule result *is* the target its rule's cache maintains. The step
-/// mutates all of it in place; `put_back` drains it back.
+/// stratum step or a catch-up: its rules' delta caches and a union's
+/// per-rule targets, each with its rule's index, and its registry entry,
+/// stale or not. The entry of a single-rule result *is* the target its
+/// rule's cache maintains. The step mutates all of it in place; `put_back`
+/// drains it back.
 struct MaintainState {
-    caches: FxHashMap<String, RuleCache>,
-    targets: FxHashMap<String, Subdatabase>,
+    caches: Vec<(usize, RuleCache)>,
+    targets: Vec<(usize, Subdatabase)>,
     entry: Option<RegistryEntry>,
+}
+
+/// The value under `rule` in a list of per-rule state.
+fn of_rule<T>(list: &mut [(usize, T)], rule: usize) -> Option<&mut T> {
+    list.iter_mut().find(|(i, _)| *i == rule).map(|(_, v)| v)
+}
+
+/// Put `value` under `rule` in a list of per-rule state, in place of the
+/// value there.
+fn put<T>(list: &mut Vec<(usize, T)>, rule: usize, value: T) {
+    match of_rule(list, rule) {
+        Some(slot) => *slot = value,
+        None => list.push((rule, value)),
+    }
 }
 
 /// What maintaining one subdatabase produced, for the commit: the refreshed
@@ -125,12 +140,13 @@ pub struct RuleEngine {
     /// Per rule: the base classes its IF clause reads (hierarchy-closed).
     base_reads: Vec<FxHashSet<ClassId>>,
     /// Per-rule maintenance caches (context, WHERE verdicts, derivation
-    /// counts) keyed by rule name.
-    caches: FxHashMap<String, RuleCache>,
-    /// The targets the caches of a union's rules (R4/R5) maintain, keyed
-    /// by rule name; the registry holds their union. A single-rule
-    /// result's cache maintains its registry entry itself.
-    union_targets: FxHashMap<String, Subdatabase>,
+    /// counts), indexed as `rules`: rules are only ever appended, so an
+    /// index names one rule for the engine's lifetime.
+    caches: Vec<Option<RuleCache>>,
+    /// The targets the caches of a union's rules (R4/R5) maintain, indexed
+    /// as `rules`; the registry holds their union. A single-rule result's
+    /// cache maintains its registry entry itself.
+    union_targets: Vec<Option<Subdatabase>>,
     /// Monotone count of registry commits that changed a result's content.
     /// Entries record the epoch of their last change and caches the epoch
     /// they last stepped at, so a cache can tell whether a source moved
@@ -178,8 +194,8 @@ impl RuleEngine {
             mode: ControlMode::ResultOriented,
             watermark,
             base_reads: Vec::new(),
-            caches: FxHashMap::default(),
-            union_targets: FxHashMap::default(),
+            caches: Vec::new(),
+            union_targets: Vec::new(),
             epoch: 0,
             current_dirty: None,
             dirty_from: watermark,
@@ -295,6 +311,8 @@ impl RuleEngine {
             return Err(e);
         }
         self.graph = Arc::new(graph);
+        self.caches.resize_with(self.rules.len(), || None);
+        self.union_targets.resize_with(self.rules.len(), || None);
         Ok(())
     }
 
@@ -434,16 +452,13 @@ impl RuleEngine {
     /// its entry, stale or not — out of the engine, so that a step can
     /// mutate it while the engine stays read-only.
     fn take_state(&mut self, name: &str) -> MaintainState {
-        let mut caches = FxHashMap::default();
-        let mut targets = FxHashMap::default();
-        for &i in self.graph.rules_for(name) {
-            let rn = &self.rules[i].name;
-            if let Some(c) = self.caches.remove(rn) {
-                caches.insert(rn.clone(), c);
-            }
-            if let Some(t) = self.union_targets.remove(rn) {
-                targets.insert(rn.clone(), t);
-            }
+        let idxs = self.graph.rules_for(name);
+        let mut caches = Vec::with_capacity(idxs.len());
+        // A single-rule result keeps no target apart from its entry.
+        let mut targets = Vec::with_capacity(if idxs.len() > 1 { idxs.len() } else { 0 });
+        for &i in idxs {
+            caches.extend(self.caches[i].take().map(|c| (i, c)));
+            targets.extend(self.union_targets[i].take().map(|t| (i, t)));
         }
         MaintainState { caches, targets, entry: self.registry.take(name) }
     }
@@ -468,8 +483,12 @@ impl RuleEngine {
                 return Err(e);
             }
         };
-        self.caches.extend(state.caches);
-        self.union_targets.extend(state.targets);
+        for (i, cache) in state.caches {
+            self.caches[i] = Some(cache);
+        }
+        for (i, target) in state.targets {
+            self.union_targets[i] = Some(target);
+        }
         entry.derived_at = self.db.seq();
         entry.stale = false;
         if let Some(diff) = change {
@@ -708,8 +727,10 @@ impl RuleEngine {
             // place and a seed moves its target in.
             [i] => {
                 let rule = &self.rules[i];
-                let stepped = match (state.caches.get_mut(&rule.name), &mut state.entry) {
-                    (Some(cache), Some(entry)) => self.step(rule, cache, &mut entry.subdb, dirty)?,
+                let stepped = match (of_rule(&mut state.caches, i), &mut state.entry) {
+                    (Some(cache), Some(entry)) => {
+                        self.step(rule, cache, &mut entry.subdb, dirty)?
+                    }
                     _ => None,
                 };
                 match stepped {
@@ -718,7 +739,7 @@ impl RuleEngine {
                         Maintained::edited(entry, out.inserted.iter().chain(out.removed.iter()))
                     }
                     None => {
-                        let sd = self.seed(rule, &mut state.caches)?;
+                        let sd = self.seed(i, &mut state.caches)?;
                         Maintained::replaced(state.entry.take(), sd)
                     }
                 }
@@ -742,17 +763,18 @@ impl RuleEngine {
         let mut outs: Vec<DeltaOutcome> = Vec::with_capacity(idxs.len());
         for &i in idxs {
             let rule = &self.rules[i];
-            let kept = state.caches.get_mut(&rule.name).zip(state.targets.get_mut(&rule.name));
-            match kept.map(|(cache, target)| self.step(rule, cache, target, dirty)).transpose()? {
+            let kept = of_rule(&mut state.caches, i).zip(of_rule(&mut state.targets, i));
+            match kept.map(|(c, t)| self.step(rule, c, t, dirty)).transpose()? {
                 Some(Some(out)) => outs.push(out),
                 _ => {
-                    let sd = self.seed(rule, &mut state.caches)?;
-                    state.targets.insert(rule.name.clone(), sd);
+                    let sd = self.seed(i, &mut state.caches)?;
+                    put(&mut state.targets, i, sd);
                 }
             }
         }
+        let target = |i: usize| state.targets.iter().find(|(j, _)| *j == i).map(|(_, t)| t);
         let targets: Vec<&Subdatabase> =
-            idxs.iter().map(|&i| &state.targets[&self.rules[i].name]).collect();
+            idxs.iter().map(|&i| target(i).expect("a target per rule")).collect();
 
         // Every rule stepped and there is a union to refresh: the steps'
         // exact edits are replayed onto it in O(|edits|). A closure delta
@@ -824,15 +846,16 @@ impl RuleEngine {
         Ok(Some(out))
     }
 
-    /// Seed `rule`'s cache into `caches`; returns the target it maintains.
+    /// Seed the cache of rule `rule` into `caches`; returns the target it
+    /// maintains.
     fn seed(
         &self,
-        rule: &Rule,
-        caches: &mut FxHashMap<String, RuleCache>,
+        rule: usize,
+        caches: &mut Vec<(usize, RuleCache)>,
     ) -> Result<Subdatabase, RuleError> {
-        let (mut cache, sd) = seed_cache(rule, &self.db, &self.registry)?;
+        let (mut cache, sd) = seed_cache(&self.rules[rule], &self.db, &self.registry)?;
         cache.at_epoch = self.epoch;
-        caches.insert(rule.name.clone(), cache);
+        put(caches, rule, cache);
         Ok(sd)
     }
 
@@ -951,15 +974,15 @@ impl RuleEngine {
     /// result) against a cache seeded afresh from the same store and
     /// registry. The error names the rule and the first difference.
     pub fn audit(&self) -> Result<(), String> {
-        for rule in &self.rules {
-            let Some(cache) = self.caches.get(&rule.name) else { continue };
+        for (i, rule) in self.rules.iter().enumerate() {
+            let Some(cache) = &self.caches[i] else { continue };
             let moved = cache
                 .sources()
                 .any(|s| self.registry.get(s).is_none_or(|e| e.changed_at > cache.at_epoch));
             if cache.at_seq != self.db.seq() || moved {
                 continue;
             }
-            let union_target = self.union_targets.get(&rule.name);
+            let union_target = self.union_targets[i].as_ref();
             let Some(target) = union_target.or_else(|| self.registry.subdb(&rule.target_subdb))
             else {
                 continue;

@@ -23,14 +23,21 @@
 //! *derivation counts*: the target is the projection of the post-WHERE
 //! context, so each target pattern carries the number of context patterns
 //! deriving it; a target pattern dies exactly when its count reaches zero.
+//! The counts are one flat shape, a [`RowCounts`] — sorted rows in flat
+//! leaves with a `u32` count beside each — and a comparison's rejected
+//! rows are the same store without the counts: a key is a row, not a box.
 //! A step costs O(dirty-touched patterns) whatever the size of the context.
 //!
 //! Seeding is the same step from empty — semi-naive evaluation's first
 //! round, whose delta is the whole input: the evaluated context enters an
-//! empty filter as one addition run, so one implementation of WHERE builds
-//! the verdict state and maintains it. Only the sets that start empty are
-//! built in bulk (the post-prefix context, the derivation counts and the
-//! target); the posting list waits for the first delta step.
+//! empty filter, so one implementation of WHERE builds the verdict state
+//! and maintains it. The prefix is checked once per context row and only
+//! the rows it passes are copied, into the post-prefix set; the later
+//! conditions take those rows as one addition run. The sets that start
+//! empty are built in bulk: the post-prefix context, the derivation counts
+//! (the projected keys sorted and run-length counted) and the target (the
+//! same keys, cut to the maximal ones); the posting list waits for the
+//! first delta step.
 //!
 //! Cyclic (closure) contexts carry the successor relation as
 //! provenance ([`Evaluator::eval_closure_state`]) in the cache: a delta
@@ -46,7 +53,7 @@ use crate::error::RuleError;
 use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::Oid;
 use dood_core::obs;
-use dood_core::subdb::{is_part, ExtPattern, HeadRange, Row, RowRun, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{is_part, Row, RowCounts, RowRun, RowStore, Subdatabase, SubdbRegistry};
 use dood_oql::eval::Evaluator;
 use dood_oql::plan::CompiledContext;
 use dood_oql::resolve::{resolve_context, REdgeKind, ResolvedContext};
@@ -54,7 +61,7 @@ use dood_oql::wherec::{bind_cond, AggCond, BoundCond, CmpCond};
 use dood_store::Database;
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -388,7 +395,7 @@ impl Group {
 #[derive(Debug, Clone)]
 enum Stage {
     /// A comparison after an aggregate: the input rows it rejects.
-    Cmp { cond: CmpCond, rejected: FxHashSet<ExtPattern> },
+    Cmp { cond: CmpCond, rejected: RowStore },
     /// An aggregate and its groups.
     Agg { cond: AggCond, groups: FxHashMap<Oid, Group> },
 }
@@ -423,7 +430,7 @@ impl Stage {
                 add.retain(|p| {
                     let ok = cond.passes(p, db);
                     if !ok {
-                        rejected.insert(p.to_pattern());
+                        rejected.insert(p.components());
                     }
                     ok
                 });
@@ -521,8 +528,9 @@ struct Filter {
     /// The context slots the THEN clause projects onto (`None`: Null).
     slots: Vec<Option<usize>>,
     /// Derivation counts: target projection → number of post-WHERE context
-    /// patterns deriving it. Ordered, so the keys of one head are a range.
-    counts: BTreeMap<ExtPattern, u32>,
+    /// patterns deriving it, as rows with a count lane. Ordered, so the keys
+    /// of one head are a range.
+    counts: RowCounts,
 }
 
 impl Filter {
@@ -539,7 +547,7 @@ impl Filter {
             match bind_cond(cond, &ctx.intension, db.schema()).map_err(RuleError::Query)? {
                 BoundCond::Cmp(cond) if stages.is_empty() => prefix.push(cond),
                 BoundCond::Cmp(cond) => {
-                    stages.push(Stage::Cmp { cond, rejected: Default::default() })
+                    stages.push(Stage::Cmp { cond, rejected: RowStore::new(ctx.intension.width()) })
                 }
                 BoundCond::Agg(cond) => {
                     stages.push(Stage::Agg { cond, groups: Default::default() })
@@ -556,7 +564,8 @@ impl Filter {
         let layout = target_layout(rule, &ctx.intension, db)?;
         let target = Subdatabase::new(rule.target_subdb.clone(), layout.intension);
         let slots = layout.slots;
-        Ok((Filter { prefix, post, stages, reads_attrs, slots, counts: BTreeMap::new() }, target))
+        let counts = RowCounts::new(slots.len());
+        Ok((Filter { prefix, post, stages, reads_attrs, slots, counts }, target))
     }
 
     /// Whether the rule has no WHERE clause.
@@ -667,8 +676,8 @@ impl RuleCache {
         count_target(&self.filter.slots, &mut self.filter.counts, target, &rem, &add)
     }
 
-    /// Stage 3, shared by the seed and the delta steps: turn the context
-    /// edits into the post-WHERE edits, removals and additions.
+    /// Stage 3 of a delta step: turn the context edits into the post-WHERE
+    /// edits, removals and additions.
     fn where_edits(
         &mut self,
         db: &Database,
@@ -677,8 +686,7 @@ impl RuleCache {
         kept: RowRun,
         stats: &mut StepStats,
     ) -> (RowRun, RowRun) {
-        let RuleCache { ctx_pre, posting, filter, .. } = self;
-        let Filter { prefix, post, stages, reads_attrs, .. } = filter;
+        let Filter { prefix, post, reads_attrs, .. } = &mut self.filter;
         // A kept row's attributes may have changed: it re-enters as a
         // removal plus an addition, so every verdict it takes part in is
         // re-evaluated. Without attribute-reading conditions it is no edit.
@@ -695,7 +703,7 @@ impl RuleCache {
             rem.retain(|p| post.remove(p));
             add.retain(|p| prefix.iter().all(|c| c.passes(p, db)));
             if post.is_empty() {
-                // From empty (the seed step) the set is built in bulk.
+                // From empty the set is built in bulk.
                 let mut rows = add.iter();
                 post.set_sorted_rows(add.len(), |row| {
                     row.copy_from_slice(rows.next().expect("one row per slot").components())
@@ -706,11 +714,27 @@ impl RuleCache {
                 }
             }
         }
+        self.stage_edits(db, &mut rem, &mut add, stats);
+        (rem, add)
+    }
+
+    /// The conditions from the first aggregate on, shared by the seed and
+    /// the delta steps: rewrite the post-prefix edits in place into the
+    /// post-WHERE edits.
+    fn stage_edits(
+        &mut self,
+        db: &Database,
+        rem: &mut RowRun,
+        add: &mut RowRun,
+        stats: &mut StepStats,
+    ) {
+        let RuleCache { ctx_pre, posting, filter, .. } = self;
+        let Filter { post, stages, .. } = filter;
         let base = post.as_ref().unwrap_or(ctx_pre);
         for k in 0..stages.len() {
             let (done, rest) = stages.split_at_mut(k);
             let in_input = |r: Row<'_>| done.iter().all(|s| s.admits(r));
-            rest[0].step(&mut rem, &mut add, db, stats, |cond, g, emit| match cond.by_slot() {
+            rest[0].step(rem, add, db, stats, |cond, g, emit| match cond.by_slot() {
                 None => base.patterns().filter(|r| in_input(*r)).for_each(|r| emit(r.components())),
                 Some(by) => {
                     let posting = posting.as_ref().expect("built by ensure_posting");
@@ -722,29 +746,39 @@ impl RuleCache {
                 }
             });
         }
-        (rem, add)
     }
 
     /// The seed step, semi-naive evaluation's first round: the whole
-    /// cached context, as one addition run, through the empty filter of
-    /// [`Filter::new`], into its empty `target`. Without conditions the
-    /// context passes as it is, so no run is built. Returns how many
-    /// context rows pass the WHERE clause.
+    /// cached context through the empty filter of [`Filter::new`], into
+    /// its empty `target`. The prefix is checked once per context row, and
+    /// only the passing rows are copied, straight into the post-prefix set;
+    /// only the stages from the first aggregate on take an addition run,
+    /// of the post-prefix rows. Returns how many context rows pass the
+    /// WHERE clause.
     fn seed(&mut self, target: &mut Subdatabase, db: &Database) -> usize {
-        if self.filter.is_empty() {
-            let Filter { slots, counts, .. } = &mut self.filter;
-            count_from_empty(slots, counts, target, self.ctx_pre.patterns());
-            return self.ctx_pre.len();
+        let RuleCache { ctx_pre, filter, .. } = self;
+        let Filter { prefix, post, stages, slots, counts, .. } = filter;
+        if let Some(post) = post.as_mut() {
+            let pass: Vec<bool> =
+                ctx_pre.patterns().map(|p| prefix.iter().all(|c| c.passes(p, db))).collect();
+            let mut rows = ctx_pre.patterns().zip(&pass).filter_map(|(p, &ok)| ok.then_some(p));
+            post.set_sorted_rows(pass.iter().filter(|&&ok| ok).count(), |row| {
+                row.copy_from_slice(rows.next().expect("one passing row per slot").components())
+            });
         }
-        let width = self.ctx_pre.intension.width();
-        let mut added = RowRun::with_capacity(width, self.ctx_pre.len());
-        for p in self.ctx_pre.patterns() {
-            added.push(p.components());
+        let base = post.as_ref().unwrap_or(ctx_pre);
+        if stages.is_empty() {
+            count_from_empty(slots, counts, target, base.len(), || base.patterns());
+            return base.len();
         }
-        let none = || RowRun::new(width);
-        let (_, add) = self.where_edits(db, none(), added, none(), &mut StepStats::default());
+        let width = base.intension.width();
+        let mut add = RowRun::with_capacity(width, base.len());
+        for p in base.patterns() {
+            add.push(p.components());
+        }
+        self.stage_edits(db, &mut RowRun::new(width), &mut add, &mut StepStats::default());
         let Filter { slots, counts, .. } = &mut self.filter;
-        count_from_empty(slots, counts, target, add.iter());
+        count_from_empty(slots, counts, target, add.len(), || add.iter());
         add.len()
     }
 }
@@ -796,10 +830,12 @@ pub fn seed_cache(
     Ok((cache, target))
 }
 
-/// Check `cache`, stepped to the store's current state, and its `target`
-/// against a cache seeded afresh from the same store and registry: context
-/// rows, rows past the prefix, each later condition's rejected rows or
-/// groups, derivation counts and target rows. The error names the first
+/// Check `cache`, stepped to the store's current state, and its `target`:
+/// first its own invariants — every live derivation count is at least 1,
+/// and the target is exactly the maximal keys of the counts — then against
+/// a cache seeded afresh from the same store and registry: context rows,
+/// rows past the prefix, each later condition's rejected rows or groups,
+/// derivation counts and target rows. The error names the first
 /// difference.
 pub(crate) fn audit_cache(
     rule: &Rule,
@@ -808,6 +844,18 @@ pub(crate) fn audit_cache(
     db: &Database,
     registry: &SubdbRegistry,
 ) -> Result<(), String> {
+    let counts = &cache.filter.counts;
+    if let Some((key, _)) = counts.entries().find(|&(_, c)| c == 0) {
+        return Err(format!("derivation count: {key:?} is kept at 0"));
+    }
+    let mut maximal = Subdatabase::new(target.name.clone(), target.intension.clone());
+    let mut keys = counts.iter();
+    maximal.set_sorted_rows(counts.len(), |row| {
+        row.copy_from_slice(keys.next().expect("one key per row").components())
+    });
+    maximal.retain_maximal();
+    first_diff("target row against the maximal count keys", target.patterns(), maximal.patterns())?;
+
     let (fresh, fresh_target) =
         seed_cache(rule, db, registry).map_err(|e| format!("seeding failed: {e}"))?;
     first_diff("context row", cache.ctx_pre.patterns(), fresh.ctx_pre.patterns())?;
@@ -824,7 +872,7 @@ pub(crate) fn audit_cache(
         let at = kept.prefix.len() + k;
         match (a, b) {
             (Stage::Cmp { rejected: a, .. }, Stage::Cmp { rejected: b, .. }) => {
-                first_diff(&format!("condition {at}: rejected row"), sorted(a), sorted(b))?
+                first_diff(&format!("condition {at}: rejected row"), a.iter(), b.iter())?
             }
             (Stage::Agg { groups: a, .. }, Stage::Agg { groups: b, .. }) => {
                 first_diff(&format!("condition {at}: group"), sorted(a), sorted(b))?
@@ -832,7 +880,7 @@ pub(crate) fn audit_cache(
             _ => unreachable!("the stages of one rule"),
         }
     }
-    first_diff("derivation count", kept.counts.iter(), seeded.counts.iter())?;
+    first_diff("derivation count", counts.entries(), seeded.counts.entries())?;
     first_diff("target row", target.patterns(), fresh_target.patterns())
 }
 
@@ -1251,15 +1299,14 @@ fn target_diff(old: &Subdatabase, new: &Subdatabase) -> DeltaOutcome {
 /// patterns, and full scans would dominate the step.
 fn count_target(
     slots: &[Option<usize>],
-    counts: &mut BTreeMap<ExtPattern, u32>,
+    counts: &mut RowCounts,
     target: &mut Subdatabase,
     removed: &RowRun,
     added: &RowRun,
 ) -> DeltaOutcome {
     let mut out =
         DeltaOutcome { inserted: RowRun::new(slots.len()), removed: RowRun::new(slots.len()) };
-    // Each edit is projected into one reused key; a key is boxed only when
-    // it enters the counts.
+    // Each edit is projected into one reused key.
     let mut key: Vec<Option<Oid>> = Vec::with_capacity(slots.len());
     let project_into = |p: Row<'_>, key: &mut Vec<Option<Oid>>| {
         key.clear();
@@ -1270,16 +1317,15 @@ fn count_target(
     // in the same step nets out by its count alone.
     for p in removed.iter() {
         project_into(p, &mut key);
-        if let Some(c) = counts.get_mut(key.as_slice()) {
-            *c -= 1;
-        }
+        counts.decrement(&key);
     }
     // Additions. A key new to the counts is a birth, applied to the target
     // at once: a covered (or already present) key stays implicit, and an
-    // uncovered one evicts the target members it strictly covers.
+    // uncovered one evicts the target members it strictly covers. A key
+    // that projects nothing (all Null) is never counted.
     for p in added.iter() {
         project_into(p, &mut key);
-        if !count_in(counts, &key) || target.contains(&key) {
+        if is_null(&key) || !counts.increment(&key) || target.contains(&key) {
             continue;
         }
         if is_partial(&key) && covered(target, &key) {
@@ -1301,19 +1347,19 @@ fn count_target(
     // cover: each key still at zero leaves the counts and the target.
     for p in removed.iter() {
         project_into(p, &mut key);
-        if counts.get(key.as_slice()) != Some(&0) {
+        if counts.get(&key) != Some(0) {
             continue;
         }
-        counts.remove(key.as_slice());
+        counts.remove(&key);
         if !target.remove(&key) {
             continue; // was covered by a live key: nothing visible changed
         }
         // Resurrect the maximal live keys the dead pattern was covering
         // (strictly part of it, hence partial). Keys still at zero die in
         // this loop too.
-        let cands: Vec<&ExtPattern> = part_heads(&key)
-            .flat_map(|h| counts.range::<[Option<Oid>], _>(HeadRange::of(h).bounds()))
-            .filter(|&(k, &c)| {
+        let cands: Vec<Row<'_>> = part_heads(&key)
+            .flat_map(|h| counts.head_range(h))
+            .filter(|&(k, c)| {
                 let open = !target.contains(k) && !covered(target, k.components());
                 c > 0 && k.is_part_of(&key) && open
             })
@@ -1334,42 +1380,60 @@ fn count_target(
 }
 
 /// The target stage of the seed step, from empty counts into an empty
-/// target: each post-WHERE row is projected once, into one reused key, and
-/// the target is built in bulk from the sorted keys and cut to the maximal
-/// ones, where births one at a time would take a cover and eviction scan
-/// per key.
-fn count_from_empty<'r>(
+/// target. The post-WHERE rows, `n` of them as `rows` yields them, are
+/// projected onto keys and run-length counted into the counts; the target
+/// is built in bulk from the same sorted distinct keys and cut to the
+/// maximal ones, where births one at a time would take a cover and
+/// eviction scan per key. Keys that come ascending — an order-preserving
+/// projection of the sorted rows — are counted straight from the rows;
+/// others are projected into one run, which is sorted first.
+fn count_from_empty<'r, I: Iterator<Item = Row<'r>>>(
     slots: &[Option<usize>],
-    counts: &mut BTreeMap<ExtPattern, u32>,
+    counts: &mut RowCounts,
     target: &mut Subdatabase,
-    rows: impl Iterator<Item = Row<'r>>,
+    n: usize,
+    rows: impl Fn() -> I,
 ) {
     debug_assert!(counts.is_empty() && target.is_empty(), "the seed step starts from empty");
-    let mut key: Vec<Option<Oid>> = Vec::with_capacity(slots.len());
-    for p in rows {
-        key.clear();
-        key.extend(project(p.components(), slots));
-        count_in(counts, &key);
+    let key = |p: Row<'r>| project(p.components(), slots);
+    let keyed = || rows().filter(|p| key(*p).any(|c| c.is_some()));
+    let steps = || keyed().zip(keyed().skip(1)).map(|(a, b)| key(a).cmp(key(b)));
+    if steps().all(Ordering::is_le) {
+        let distinct =
+            steps().filter(|o| o.is_lt()).count() + usize::from(keyed().next().is_some());
+        let mut keyed = keyed().peekable();
+        counts.build(distinct, |cells| {
+            let first = keyed.next().expect("one key per distinct key");
+            for (cell, c) in cells.iter_mut().zip(key(first)) {
+                *cell = c;
+            }
+            let mut count = 1;
+            while keyed.next_if(|p| key(*p).eq(cells.iter().copied())).is_some() {
+                count += 1;
+            }
+            count
+        });
+    } else {
+        let mut keys = RowRun::with_capacity(slots.len(), n);
+        for p in keyed() {
+            keys.push_with(|cells| {
+                for (cell, c) in cells.iter_mut().zip(key(p)) {
+                    *cell = c;
+                }
+            });
+        }
+        counts.set_counted(keys);
     }
-    let mut keys = counts.keys();
+    let mut keys = counts.iter();
     target.set_sorted_rows(counts.len(), |row| {
         row.copy_from_slice(keys.next().expect("one key per row").components());
     });
     target.retain_maximal();
 }
 
-/// Count one more derivation of `key`, unless it projects nothing (all
-/// Null); whether the key is new to the counts, which box it only then.
-fn count_in(counts: &mut BTreeMap<ExtPattern, u32>, key: &[Option<Oid>]) -> bool {
-    if key.iter().all(Option::is_none) {
-        return false;
-    }
-    if let Some(c) = counts.get_mut(key) {
-        *c += 1;
-        return false;
-    }
-    counts.insert(ExtPattern::new(key), 1);
-    true
+/// Whether a key projects nothing: every cell Null.
+fn is_null(key: &[Option<Oid>]) -> bool {
+    key.iter().all(Option::is_none)
 }
 
 /// Whether `key` is strictly part of any target pattern.
@@ -1436,7 +1500,7 @@ mod tests {
     /// through insertions, removals and row reuse.
     #[test]
     fn posting_list_matches_a_scan() {
-        use dood_core::subdb::{Intension, SlotDef};
+        use dood_core::subdb::{ExtPattern, Intension, SlotDef};
         let p = |v: &[Option<u64>]| {
             ExtPattern::new(v.iter().map(|o| o.map(Oid::from_raw)).collect::<Vec<_>>())
         };

@@ -37,14 +37,16 @@ echo "== ci: one sequential executor, one measuring stick, plans from counts =="
 # the planner's round and reach estimates: one expansion of the roots is
 # the whole successor relation. So are the batch seed of a rule cache, its
 # deferred aggregate groups and the unused store transaction: a seed is the
-# delta step from empty. The names are spelled in two halves so this file
-# passes its own check.
+# delta step from empty. So are derivation counts and rejected rows keyed by
+# boxed patterns and the head range over them: both are row stores. The
+# names are spelled in two halves so this file passes its own check.
 SOURCES="crates src tests scripts examples"
 GONE="Exec""Mode|Planner""Mode|DOOD_""EXEC|DOOD_""PLANNER|BENCH_""SEED"
 GONE="$GONE|Chunk""Pool|DOOD_""THREADS|span_""under|par_""chunk_map"
 GONE="$GONE|Drift""Mark|drift_""band|DOOD_""DRIFT_BAND|install_""priors|get_or_""prior|needs_""replan"
 GONE="$GONE|oql\.closure\.""round|oql\.closure\.""frontier|est_""rounds|est_""reach"
 GONE="$GONE|Groups::""Seeded|build_""groups|wherec::""Applied|Filter::""derive|store::""txn"
+GONE="$GONE|Head""Range|BTreeMap<Ext""Pattern|FxHashSet<Ext""Pattern"
 if grep -rnE "$GONE" $SOURCES; then
     echo "ci: a deleted name is back (see above)" >&2
     exit 1
@@ -177,30 +179,33 @@ done
 # store event in `rules.propagate` on the closure workload. Allocation
 # counts repeat to 0.1 %, so each ceiling is a measured value plus 25 %,
 # rounded up:
-# - `univ_update` `rules.propagate`: 12.8 per event once the edit lists
-#   were flat row runs (46.7 with a box per row; 80.7 when the delta step
-#   landed, 353.0 before it);
-# - `univ_update` `rules.derive`: 30.6 per op once the catch-up's edit
-#   lists were flat row runs too (71.8 with a box per row; 83.7 with a box
-#   per target pattern; 353.7 when reads re-seeded);
-# - `social_closure` `rules.propagate`: 31.7 per event once closure
-#   maintenance stopped cloning each recomputed successor list and
-#   expanding an empty frontier (33.2 before; 107.4 with a `Vec` per chain
-#   and a box per row).
+# - `univ_update` `rules.propagate`: 12.1 per event once derivation counts
+#   were counted row stores (12.8 with a boxed key per count; 46.7 with a
+#   box per row; 80.7 when the delta step landed, 353.0 before it);
+# - `univ_update` `rules.derive`: 25.7 per op once derivation counts were
+#   counted row stores (30.6 with a boxed key per count; 71.8 with a box
+#   per row; 83.7 with a box per target pattern; 353.7 when reads
+#   re-seeded);
+# - `social_closure` `rules.propagate`: 25.9 per event once derivation
+#   counts were counted row stores (31.7 with a boxed key per count; 33.2
+#   while closure maintenance cloned each recomputed successor list; 107.4
+#   with a `Vec` per chain and a box per row).
 PROPAGATE_ALLOCS_PER_EVENT_MAX=16
-DERIVE_ALLOCS_PER_OP_MAX=39
-CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=40
+DERIVE_ALLOCS_PER_OP_MAX=33
+CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=33
 # KB allocated per op repeats as exactly as the counts do, so the layers
 # that move rows have KB ceilings too, again a measured value plus 25 %:
-# - `univ_update` `rules.propagate`: 41.2 KB once a cell was 8 bytes
-#   (51.5 KB with 16-byte `Option<Oid>` cells);
-# - `social_closure` `rules.propagate`: 56.7 KB once a cell was 8 bytes
-#   (94.1 KB with 16-byte cells);
+# - `univ_update` `rules.propagate`: 35.3 KB once derivation counts were
+#   counted row stores (41.2 KB with a boxed key per count; 51.5 KB with
+#   16-byte `Option<Oid>` cells);
+# - `social_closure` `rules.propagate`: 55.8 KB once derivation counts
+#   were counted row stores (56.7 KB with a boxed key per count; 94.1 KB
+#   with 16-byte cells);
 # - `univ_query` `oql.eval` (below): 149.6 KB once span joins wrote their
 #   rows as runs sorted in place (161.7 KB with an index sort per span
 #   and 8-byte cells; 207.3 KB with 16-byte cells).
-PROPAGATE_KB_PER_OP_MAX=52
-CLOSURE_PROPAGATE_KB_PER_OP_MAX=71
+PROPAGATE_KB_PER_OP_MAX=45
+CLOSURE_PROPAGATE_KB_PER_OP_MAX=70
 EVAL_KB_PER_OP_MAX=187
 metric() {
     sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"
@@ -295,15 +300,17 @@ fi
 # - `rules.register`: 467 once registration checked the rule graph's order
 #   by reference (485 with a copy of it; 1 137 with a second resolution
 #   and the bound tables).
-# - `rules.derive`: 1 486 once a closure was one expansion of its roots
-#   (1 490 with frontier rounds and a visited set; 1 544 before span
+# - `rules.derive`: 1 133 once derivation counts were counted row stores
+#   and rule caches were indexed by rule (1 486 with a boxed key per count
+#   and a hash table per seeded rule; 1 490 with frontier rounds and a
+#   visited set; 1 544 before span
 #   joins wrote row runs; 1 679 with a `Vec` per chain and a box per
 #   edited row; 2 565 with a box per pattern and per projected key;
 #   3 236 with two string copies per chain level; 4 182 with a graph
 #   rebuild after every added rule and four copies of each seeded
 #   result).
 SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:1858; do
+for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:1417; do
     STAGE="${ceiling%%:*}"
     MAX="${ceiling##*:}"
     ALLOCS="$(metric "$STAGE.allocs_per_op")"
@@ -315,5 +322,10 @@ for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:18
         exit 1
     fi
 done
+# The seed's counts, target and context copies in KB: 166.3 once
+# derivation counts were counted row stores and the prefix copied only the
+# rows it passes (224.7 with a boxed key per count and the whole context
+# copied for the prefix), again a measured value plus 25 %.
+kb_ceiling rules.derive.alloc_kb_per_op 208 cold_pipeline
 
 echo "ci: PASS"
