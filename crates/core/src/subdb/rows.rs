@@ -363,6 +363,33 @@ impl<L: Lane> RowStore<L> {
             self.leaves.push(leaf);
         }
     }
+
+    /// Give every row a new shape, keeping its lane value: cell `j` of the
+    /// new row is cell `cols[j]` of the old one, or Null. One pass of cell
+    /// copies into exact-sized leaves, with no sort: adding or dropping a
+    /// column that is Null in every row keeps the rows' order, and the
+    /// caller keeps to that (a cell `cols` drops must be Null, which debug
+    /// builds check; the build panics on rows out of order).
+    pub fn reshape(&mut self, cols: &[Option<usize>]) {
+        // The leading columns that stay where they are copy as one slice.
+        let same = cols.iter().enumerate().take_while(|&(j, &c)| c == Some(j)).count();
+        if same == cols.len() && same == self.width {
+            return;
+        }
+        let old = std::mem::replace(self, RowStore::new(cols.len()));
+        let mut entries = old.entries();
+        self.build(old.len, |cells| {
+            let (row, value) = entries.next().expect("one entry per row");
+            let row = row.components();
+            let dropped_null = (0..row.len()).all(|i| row[i].is_none() || cols.contains(&Some(i)));
+            debug_assert!(dropped_null, "a dropped cell is Null");
+            cells[..same].copy_from_slice(&row[..same]);
+            for (cell, col) in cells[same..].iter_mut().zip(&cols[same..]) {
+                *cell = col.and_then(|i| row[i]);
+            }
+            value
+        });
+    }
 }
 
 impl RowStore {
@@ -607,6 +634,40 @@ mod tests {
                 model.retain(|k, _| k[0] != gone);
                 assert_eq!(dropped, before - model.len(), "retain");
                 assert_eq!(entries(&store), want(&model, |_| true), "retain");
+            }
+        });
+    }
+
+    /// Re-shaping counted rows at widths 1, 3 and 9: Null columns put in
+    /// at random places keep every row's order and count, each row reads
+    /// as the model's row with those Nulls in, and leaves are cut to the
+    /// new width's cap; narrowing back gives the same store.
+    #[test]
+    fn reshape_widens_and_narrows_back() {
+        check("reshape_widens_and_narrows_back", 64, |g| {
+            for width in [1, 3, 9] {
+                let mut model = Model::new();
+                let mut run = RowRun::new(width);
+                for _ in 0..g.range(0..120usize) {
+                    let r: Vec<Option<Oid>> = (0..width).map(|_| cell(g)).collect();
+                    run.push(&r);
+                    *model.entry(r).or_insert(0) += 1;
+                }
+                let mut store = RowCounts::new(width);
+                store.set_counted(run);
+                let mut cols: Vec<Option<usize>> = (0..width).map(Some).collect();
+                for _ in 0..g.range(1..40usize) {
+                    let at = g.range(0..cols.len() + 1);
+                    cols.insert(at, None);
+                }
+                store.reshape(&cols);
+                let wide = |k: &[Option<Oid>]| cols.iter().map(|i| i.and_then(|i| k[i])).collect();
+                let widened: Vec<_> = model.iter().map(|(k, &c)| (wide(k), c)).collect();
+                assert_eq!(entries(&store), widened, "widened by {cols:?}");
+                let back: Vec<Option<usize>> =
+                    (0..width).map(|i| cols.iter().position(|&c| c == Some(i))).collect();
+                store.reshape(&back);
+                assert_eq!(entries(&store), want(&model, |_| true), "narrowed back");
             }
         });
     }

@@ -98,7 +98,7 @@ impl RowRun {
     }
 
     /// Every row, in run order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Row<'_>> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Row<'_>> + Clone + '_ {
         (0..self.len).map(move |i| self.row(i))
     }
 

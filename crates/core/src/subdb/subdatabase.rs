@@ -198,6 +198,17 @@ impl Subdatabase {
         self.index = OnceLock::new();
     }
 
+    /// Give the extension the intension `intension`, whose slot `j` holds
+    /// this one's slot `cols[j]`, or Null in every pattern: one pass of
+    /// cell copies ([`RowStore::reshape`]), for a change of shape that only
+    /// adds or drops slots Null in every pattern. The index is discarded.
+    pub fn reshape(&mut self, intension: Intension, cols: &[Option<usize>]) {
+        assert_eq!(cols.len(), intension.width(), "one source column per slot");
+        self.patterns.reshape(cols);
+        self.intension = intension;
+        self.index = OnceLock::new();
+    }
+
     /// Keep the patterns `keep` accepts, in place: nothing is cloned and the
     /// rows are not re-sorted. Returns how many were dropped; the index is
     /// discarded only if that is not zero.

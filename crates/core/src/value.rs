@@ -110,14 +110,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Three-valued comparison used by intra-class and inter-class
     /// predicates: `None` when either side is `Null` or the types are not
     /// comparable (the pattern is then dropped, never matched — SQL-style

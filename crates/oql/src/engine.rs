@@ -105,18 +105,6 @@ impl Oql {
         let (res, spans) = obs::trace::capture(|| self.run(db, registry, q));
         Ok((res?, Profile::single(&spans)))
     }
-
-    /// Parse and run a query block under span capture (see
-    /// [`run_profiled`](Self::run_profiled)).
-    pub fn query_profiled(
-        &self,
-        db: &Database,
-        registry: &SubdbRegistry,
-        src: &str,
-    ) -> Result<(QueryOutput, Profile), QueryError> {
-        let q = Parser::parse_query(src)?;
-        self.run_profiled(db, registry, &q)
-    }
 }
 
 /// Evaluate a context expression plus WHERE conditions into a named

@@ -1,6 +1,6 @@
 //! OQL error types.
 
-use dood_core::diag::{line_col, Diagnostic, Span};
+use dood_core::diag::line_col;
 use dood_core::error::ResolveError;
 use std::fmt;
 
@@ -31,11 +31,6 @@ impl ParseError {
         self.line = line;
         self.col = col;
         self
-    }
-
-    /// Convert to a renderable diagnostic (code `P001`).
-    pub fn to_diagnostic(&self, src: &str) -> Diagnostic {
-        Diagnostic::error("P001", self.msg.clone()).with_span(Span::point(self.at), src)
     }
 }
 

@@ -1055,35 +1055,6 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// Materialize closure chains into a subdatabase as wide as the longest
-    /// one, written straight into its leaves — a Null-padded chain sorts as
-    /// the chain does, before every longer chain it prefixes — with **no
-    /// subsumption pass**: a chain is emitted only when its tip has no
-    /// admissible successor, so no emitted chain is a positional prefix of
-    /// another from the same root, and chains from different roots differ
-    /// at slot 0. Chains already ascending and distinct (as
-    /// [`closure_chains`](Self::closure_chains) emits them) are copied in
-    /// order; others are sorted by index first.
-    pub fn closure_subdb(&self, name: &str, chains: &Chains) -> Subdatabase {
-        let mut sd = Subdatabase::new(name, self.closure_intension(chains.width()));
-        let mut order: Vec<u32> = Vec::new();
-        if !(1..chains.len()).all(|i| chains.get(i - 1) < chains.get(i)) {
-            order.extend(0..u32::try_from(chains.len()).expect("at most 2^32 chains"));
-            order.sort_unstable_by(|&a, &b| chains.get(a as usize).cmp(chains.get(b as usize)));
-            order.dedup_by(|a, b| chains.get(*a as usize) == chains.get(*b as usize));
-        }
-        let n = if order.is_empty() { chains.len() } else { order.len() };
-        let mut next = 0;
-        sd.set_sorted_rows(n, |row| {
-            let i = order.get(next).map_or(next, |&i| i as usize);
-            for (c, &o) in row.iter_mut().zip(chains.get(i)) {
-                *c = Some(o);
-            }
-            next += 1;
-        });
-        sd
-    }
-
     /// Evaluate a cyclic expression (DESIGN.md §11): builds the instance
     /// hierarchies of §5.2 by one batched expansion of the roots into the
     /// successor relation, then one DFS emitting maximal chains. The runtime
@@ -1112,7 +1083,6 @@ impl<'a> Evaluator<'a> {
         while let Some(c) = walk.next_chain() {
             (chains, width) = (chains + 1, width.max(c.len()));
         }
-        state.width = width;
         sp.attr("chains", chains as i64);
         sp.attr("width", width as i64);
         let mut sd = Subdatabase::new(name, self.closure_intension(width));
@@ -1210,12 +1180,6 @@ impl Chains {
         Chains { cells: Vec::with_capacity(cells), ends: Vec::with_capacity(chains) }
     }
 
-    /// Make room for exactly `chains` more chains of `cells` more nodes.
-    pub fn reserve_exact(&mut self, chains: usize, cells: usize) {
-        self.cells.reserve_exact(cells);
-        self.ends.reserve_exact(chains);
-    }
-
     /// Append a chain.
     pub fn push(&mut self, chain: impl IntoIterator<Item = Oid>) {
         self.cells.extend(chain);
@@ -1241,12 +1205,6 @@ impl Chains {
     /// Every chain, in buffer order.
     pub fn iter(&self) -> impl Iterator<Item = &[Oid]> + '_ {
         (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// The length of the longest chain (1 if there is none): a closure
-    /// result's width.
-    pub fn width(&self) -> usize {
-        self.iter().map(<[Oid]>::len).max().unwrap_or(1)
     }
 }
 
@@ -1347,8 +1305,6 @@ pub struct ClosureState {
     pub succ: FxHashMap<Oid, Vec<Oid>>,
     /// The root set the chains started from (sorted slot-0 candidates).
     pub roots: Vec<Oid>,
-    /// The result's intension width (longest chain).
-    pub width: usize,
 }
 
 /// Invert a resolved edge for right-to-left traversal.

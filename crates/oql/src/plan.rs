@@ -213,12 +213,6 @@ impl CompiledContext {
         plan_span_anchored(lo, hi, slot, &inputs, &self.edges)
     }
 
-    /// Whether any span's chosen plan contains an unconstrained
-    /// cross-product stage (the W106 condition).
-    pub fn has_cross_stage(&self) -> bool {
-        self.spans.iter().any(|s| s.steps.iter().any(|st| st.cross))
-    }
-
     /// A deterministic plain-text rendering of the plan tree: one line per
     /// span and stage with estimated cardinalities. The golden EXPLAIN
     /// snapshot format (`tests/plan.rs`) and the static half of

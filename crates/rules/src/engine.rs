@@ -70,10 +70,11 @@ pub enum ControlMode {
 /// per-rule targets, each with its rule's index, and its registry entry,
 /// stale or not. The entry of a single-rule result *is* the target its
 /// rule's cache maintains. The step mutates all of it in place; `put_back`
-/// drains it back.
+/// drains it back. Caches and targets are boxed, in the engine too, so a
+/// rule that never derives costs its slots a pointer each.
 struct MaintainState {
-    caches: Vec<(usize, RuleCache)>,
-    targets: Vec<(usize, Subdatabase)>,
+    caches: Vec<(usize, Box<RuleCache>)>,
+    targets: Vec<(usize, Box<Subdatabase>)>,
     entry: Option<RegistryEntry>,
 }
 
@@ -101,11 +102,16 @@ struct Maintained {
 }
 
 impl Maintained {
-    /// `entry` after in-place edits: `edits` are the patterns added or removed.
-    fn edited<'a>(entry: RegistryEntry, edits: impl IntoIterator<Item = Row<'a>>) -> Self {
-        let diff: BTreeSet<Oid> =
-            edits.into_iter().flat_map(|p| p.components().iter().flatten().copied()).collect();
-        let change = (!diff.is_empty()).then(|| Some(diff.into_iter().collect()));
+    /// `entry` after in-place edits: `edits` are the patterns added or
+    /// removed. Their oids are gathered into one exact-sized vector, then
+    /// sorted and deduplicated.
+    fn edited<'a>(entry: RegistryEntry, edits: impl Iterator<Item = Row<'a>> + Clone) -> Self {
+        let oids = || edits.clone().flat_map(|p| p.components().iter().flatten().copied());
+        let mut diff: Vec<Oid> = Vec::with_capacity(oids().count());
+        diff.extend(oids());
+        diff.sort_unstable();
+        diff.dedup();
+        let change = (!diff.is_empty()).then_some(Some(diff));
         Maintained { entry, change }
     }
 
@@ -142,11 +148,11 @@ pub struct RuleEngine {
     /// Per-rule maintenance caches (context, WHERE verdicts, derivation
     /// counts), indexed as `rules`: rules are only ever appended, so an
     /// index names one rule for the engine's lifetime.
-    caches: Vec<Option<RuleCache>>,
+    caches: Vec<Option<Box<RuleCache>>>,
     /// The targets the caches of a union's rules (R4/R5) maintain, indexed
     /// as `rules`; the registry holds their union. A single-rule result's
     /// cache maintains its registry entry itself.
-    union_targets: Vec<Option<Subdatabase>>,
+    union_targets: Vec<Option<Box<Subdatabase>>>,
     /// Monotone count of registry commits that changed a result's content.
     /// Entries record the epoch of their last change and caches the epoch
     /// they last stepped at, so a cache can tell whether a source moved
@@ -768,11 +774,11 @@ impl RuleEngine {
                 Some(Some(out)) => outs.push(out),
                 _ => {
                     let sd = self.seed(i, &mut state.caches)?;
-                    put(&mut state.targets, i, sd);
+                    put(&mut state.targets, i, Box::new(sd));
                 }
             }
         }
-        let target = |i: usize| state.targets.iter().find(|(j, _)| *j == i).map(|(_, t)| t);
+        let target = |i: usize| state.targets.iter().find(|(j, _)| *j == i).map(|(_, t)| &**t);
         let targets: Vec<&Subdatabase> =
             idxs.iter().map(|&i| target(i).expect("a target per rule")).collect();
 
@@ -796,7 +802,7 @@ impl RuleEngine {
                 .collect();
             let inserted = outs.iter().flat_map(|out| out.inserted.iter());
             edited.extend(inserted.filter(|p| sd.insert(p)));
-            return Ok(Maintained::edited(entry, edited));
+            return Ok(Maintained::edited(entry, edited.iter().copied()));
         }
 
         // Otherwise: the union of the rules' results, compared with the
@@ -851,11 +857,11 @@ impl RuleEngine {
     fn seed(
         &self,
         rule: usize,
-        caches: &mut Vec<(usize, RuleCache)>,
+        caches: &mut Vec<(usize, Box<RuleCache>)>,
     ) -> Result<Subdatabase, RuleError> {
         let (mut cache, sd) = seed_cache(&self.rules[rule], &self.db, &self.registry)?;
         cache.at_epoch = self.epoch;
-        put(caches, rule, cache);
+        put(caches, rule, Box::new(cache));
         Ok(sd)
     }
 
@@ -938,13 +944,6 @@ impl RuleEngine {
         Ok((res?, Profile::single(&spans)))
     }
 
-    /// Parse and run a query under span capture (see
-    /// [`run_query_profiled`](Self::run_query_profiled)).
-    pub fn query_profiled(&mut self, src: &str) -> Result<(QueryOutput, Profile), RuleError> {
-        let q = dood_oql::Parser::parse_query(src)?;
-        self.run_query_profiled(&q)
-    }
-
     /// Materialize and return a derived subdatabase (backward chaining).
     pub fn subdb(&mut self, name: &str) -> Result<&Subdatabase, RuleError> {
         self.derive(name)?;
@@ -982,7 +981,7 @@ impl RuleEngine {
             if cache.at_seq != self.db.seq() || moved {
                 continue;
             }
-            let union_target = self.union_targets[i].as_ref();
+            let union_target = self.union_targets[i].as_deref();
             let Some(target) = union_target.or_else(|| self.registry.subdb(&rule.target_subdb))
             else {
                 continue;

@@ -136,11 +136,6 @@ impl AssocIndex {
             self.fwd[&k].iter().map(move |&t| (k, t))
         })
     }
-
-    /// Number of distinct source OIDs.
-    pub fn source_count(&self) -> usize {
-        self.fwd.len()
-    }
 }
 
 #[cfg(test)]

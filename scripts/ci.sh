@@ -38,8 +38,10 @@ echo "== ci: one sequential executor, one measuring stick, plans from counts =="
 # the whole successor relation. So are the batch seed of a rule cache, its
 # deferred aggregate groups and the unused store transaction: a seed is the
 # delta step from empty. So are derivation counts and rejected rows keyed by
-# boxed patterns and the head range over them: both are row stores. The
-# names are spelled in two halves so this file passes its own check.
+# boxed patterns and the head range over them: both are row stores. So are
+# a closure's re-seed on a change of width, its target diff and counter: a
+# width change re-shapes the cached rows in place. The names are spelled
+# in two halves so this file passes its own check.
 SOURCES="crates src tests scripts examples"
 GONE="Exec""Mode|Planner""Mode|DOOD_""EXEC|DOOD_""PLANNER|BENCH_""SEED"
 GONE="$GONE|Chunk""Pool|DOOD_""THREADS|span_""under|par_""chunk_map"
@@ -47,6 +49,7 @@ GONE="$GONE|Drift""Mark|drift_""band|DOOD_""DRIFT_BAND|install_""priors|get_or_"
 GONE="$GONE|oql\.closure\.""round|oql\.closure\.""frontier|est_""rounds|est_""reach"
 GONE="$GONE|Groups::""Seeded|build_""groups|wherec::""Applied|Filter::""derive|store::""txn"
 GONE="$GONE|Head""Range|BTreeMap<Ext""Pattern|FxHashSet<Ext""Pattern"
+GONE="$GONE|target""_diff|closure""_recompute"
 if grep -rnE "$GONE" $SOURCES; then
     echo "ci: a deleted name is back (see above)" >&2
     exit 1
@@ -182,30 +185,34 @@ done
 # - `univ_update` `rules.propagate`: 12.1 per event once derivation counts
 #   were counted row stores (12.8 with a boxed key per count; 46.7 with a
 #   box per row; 80.7 when the delta step landed, 353.0 before it);
-# - `univ_update` `rules.derive`: 25.7 per op once derivation counts were
-#   counted row stores (30.6 with a boxed key per count; 71.8 with a box
-#   per row; 83.7 with a box per target pattern; 353.7 when reads
-#   re-seeded);
-# - `social_closure` `rules.propagate`: 25.9 per event once derivation
-#   counts were counted row stores (31.7 with a boxed key per count; 33.2
-#   while closure maintenance cloned each recomputed successor list; 107.4
-#   with a `Vec` per chain and a box per row).
+# - `univ_update` `rules.derive`: 25.4 per op once rule caches were boxed
+#   (25.7 with a cache in every engine slot; 30.6 with a boxed key per
+#   count; 71.8 with a box per row; 83.7 with a box per target pattern;
+#   353.7 when reads re-seeded);
+# - `social_closure` `rules.propagate`: 23.7 per event once a closure's
+#   change of width re-shaped its caches in place and a commit gathered
+#   its oids into one vector (25.9 with a re-seed per change of width and
+#   a B-tree per commit; 31.7 with a boxed key per count; 33.2 while
+#   closure maintenance cloned each recomputed successor list; 107.4 with
+#   a `Vec` per chain and a box per row).
 PROPAGATE_ALLOCS_PER_EVENT_MAX=16
-DERIVE_ALLOCS_PER_OP_MAX=33
-CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=33
+DERIVE_ALLOCS_PER_OP_MAX=32
+CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=30
 # KB allocated per op repeats as exactly as the counts do, so the layers
 # that move rows have KB ceilings too, again a measured value plus 25 %:
-# - `univ_update` `rules.propagate`: 35.3 KB once derivation counts were
-#   counted row stores (41.2 KB with a boxed key per count; 51.5 KB with
-#   16-byte `Option<Oid>` cells);
-# - `social_closure` `rules.propagate`: 55.8 KB once derivation counts
-#   were counted row stores (56.7 KB with a boxed key per count; 94.1 KB
-#   with 16-byte cells);
+# - `univ_update` `rules.propagate`: 33.4 KB once rule caches were boxed
+#   and a commit gathered its oids into one vector (35.3 KB with a cache
+#   in every slot of a step's state; 41.2 KB with a boxed key per count;
+#   51.5 KB with 16-byte `Option<Oid>` cells);
+# - `social_closure` `rules.propagate`: 44.1 KB once a closure's change of
+#   width re-shaped its caches in place (55.8 KB with a re-seed and a
+#   target diff per change of width; 56.7 KB with a boxed key per count;
+#   94.1 KB with 16-byte cells);
 # - `univ_query` `oql.eval` (below): 149.6 KB once span joins wrote their
 #   rows as runs sorted in place (161.7 KB with an index sort per span
 #   and 8-byte cells; 207.3 KB with 16-byte cells).
-PROPAGATE_KB_PER_OP_MAX=45
-CLOSURE_PROPAGATE_KB_PER_OP_MAX=70
+PROPAGATE_KB_PER_OP_MAX=42
+CLOSURE_PROPAGATE_KB_PER_OP_MAX=56
 EVAL_KB_PER_OP_MAX=187
 metric() {
     sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"

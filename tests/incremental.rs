@@ -70,6 +70,7 @@ use dood::core::obs::trace;
 use dood::core::propcheck::{check, Gen};
 use dood::core::value::Value;
 use dood::rules::{ChainStrategy, ControlMode, EvalPolicy, Program, RuleEngine};
+use dood::store::Database;
 use dood::workload::{cad, company, programs, university};
 use spec_eval::{rows_of, spec_query};
 
@@ -889,7 +890,6 @@ fn catch_up_work_is_bounded_by_the_touched_fanout() {
 fn failed_step_leaves_no_cache_ahead_of_its_copy() {
     use dood::core::schema::SchemaBuilder;
     use dood::core::value::DType;
-    use dood::store::Database;
     let mut b = SchemaBuilder::new();
     b.e_class("N");
     b.d_class("v", DType::Int);
@@ -1003,6 +1003,147 @@ fn apply_cad_op(e: &mut RuleEngine, op: u8, k: usize) {
             let _ = db.delete_object(parts[k % parts.len()]);
         }
     }
+}
+
+/// A closure's width follows its longest chain both ways, and its caches
+/// are re-shaped in place each time (DESIGN.md §11). Each round extends a
+/// longest chain at its tip by one or two levels — the width goes up —
+/// then cuts it again: deletes the new tip or unlinks it (the width comes
+/// back down), or deletes a node in its middle; then one free edit (an
+/// edge, possibly closing a cycle, or an attribute flip). Over a one-class
+/// cycle (`N ^*`) the rules take a family target, a family before a class,
+/// a named level the chains may not reach (R7's shape), a WHERE prefix, and
+/// an aggregate followed by a comparison; over a three-class cycle
+/// (`A * B * C ^*`, one column per level, as R6/R7's five-class cycle) a
+/// family target, a named level and a WHERE prefix. After every step each
+/// result equals its fresh derivation, the audit passes, and the
+/// whole-context result equals the spec interpreter's.
+#[test]
+fn closure_width_changes_both_ways() {
+    check("closure_width_changes_both_ways", CASES, |g| {
+        let n_rules: &[(&str, &str)] = &[
+            ("Rt", "if context N ^* then T (N, N_*)"),
+            ("Rf", "if context N ^* then F (N_*, N)"),
+            ("Rl", "if context N ^* then L (N, N_2)"),
+            ("Ru", "if context N [v < 60] ^* where N.v >= 0 then U (N, N_*)"),
+            ("Ra", "if context N ^* where sum(N.v by N) >= 10 and N.v < 90 then A (N, N_*)"),
+        ];
+        let abc_rules: &[(&str, &str)] = &[
+            ("Rt", "if context A * B * C ^* then T (A, A_*)"),
+            ("Rl", "if context A * B * C ^* then L (A, A_2)"),
+            ("Ru", "if context A * B * C ^* where A.v >= 10 then U (A, A_*)"),
+        ];
+        for (classes, rules, spec) in
+            [(&["N"][..], n_rules, "N ^*"), (&["A", "B", "C"][..], abc_rules, "A * B * C ^*")]
+        {
+            let mut e = RuleEngine::new(cycle_db(classes, g));
+            let mut subdbs = Vec::new();
+            for (name, src) in rules {
+                e.add_rule(name, src).unwrap();
+                let target = src.rsplit("then ").next().unwrap().split(' ').next().unwrap();
+                subdbs.push(target);
+                e.set_policy(target, EvalPolicy::PreEvaluated);
+            }
+            for s in &subdbs {
+                e.subdb(s).unwrap();
+            }
+            let step = |e: &mut RuleEngine| {
+                e.propagate().unwrap();
+                assert_fresh(e, &subdbs);
+                assert_audit(e);
+                assert_spec(e, &[("T", spec)]);
+                e.registry().subdb("T").unwrap().intension.width()
+            };
+            for _ in 0..g.range(2..5usize) {
+                let before = step(&mut e);
+                let tip = *longest_chain(&e).last().unwrap();
+                let (into, tip) = extend(e.db_mut(), classes, tip, g.range(1..3usize), g);
+                let widened = step(&mut e);
+                assert!(widened > before, "{spec}: {before} -> {widened} on an extension");
+                let (kind, k) = (g.range(0..3u8), g.range(0..64usize));
+                let db = e.db_mut();
+                let link = |db: &Database, i: usize| {
+                    let cls = db.schema().class_by_name(classes[i]).unwrap();
+                    db.schema().own_link_by_name(cls, &format!("L{i}")).unwrap()
+                };
+                match kind {
+                    0 => db.delete_object(tip).unwrap(),
+                    1 => db.dissociate(link(db, classes.len() - 1), into, tip).unwrap(),
+                    _ => {
+                        let longest = longest_chain(&e);
+                        e.db_mut().delete_object(longest[k % longest.len()]).unwrap();
+                    }
+                }
+                let cut = step(&mut e);
+                assert!(kind == 2 || cut < widened, "{spec}: {widened} -> {cut} on a cut");
+                let db = e.db_mut();
+                let pop: Vec<Oid> =
+                    db.extent(db.schema().class_by_name(classes[0]).unwrap()).collect();
+                let (a, b) = (pop[k % pop.len()], pop[(k / 3 + 1) % pop.len()]);
+                if g.bool(0.5) && classes.len() == 1 && a != b && !db.linked(link(db, 0), a, b) {
+                    db.associate(link(db, 0), a, b).unwrap();
+                } else {
+                    db.set_attr(a, "v", Value::Int(g.range(0..100i64))).unwrap();
+                }
+            }
+            step(&mut e);
+        }
+    });
+}
+
+/// A `k`-class cycle: class `i` links to class `i + 1` (mod `k`) through
+/// `L{i}`, and every class has an integer `v`. Five chains of one to four
+/// levels, every node's `v` drawn from 0..100.
+fn cycle_db(classes: &[&str], g: &mut Gen) -> Database {
+    use dood::core::schema::SchemaBuilder;
+    use dood::core::value::DType;
+    let mut b = SchemaBuilder::new();
+    b.d_class("v", DType::Int);
+    for (i, c) in classes.iter().enumerate() {
+        b.e_class(*c);
+        b.attr(*c, "v");
+        b.aggregate_named(*c, classes[(i + 1) % classes.len()], format!("L{i}"));
+    }
+    let mut db = Database::new(b.build().unwrap());
+    let root = db.schema().class_by_name(classes[0]).unwrap();
+    for _ in 0..5 {
+        let o = db.new_object(root).unwrap();
+        db.set_attr(o, "v", Value::Int(g.range(0..100i64))).unwrap();
+        extend(&mut db, classes, o, g.range(0..4usize), g);
+    }
+    db
+}
+
+/// The nodes of a longest chain of the maintained `T`, root first.
+fn longest_chain(e: &RuleEngine) -> Vec<Oid> {
+    let t = e.registry().subdb("T").unwrap();
+    let row = t.patterns().max_by_key(|p| p.arity()).unwrap();
+    row.components().iter().flatten().copied().collect()
+}
+
+/// Hang `levels` new levels below `from`, each one new object per class
+/// of the cycle; returns the last level's node and the node linking into
+/// it (`from` and the same pair when `levels` is 0).
+fn extend(
+    db: &mut Database,
+    classes: &[&str],
+    from: Oid,
+    levels: usize,
+    g: &mut Gen,
+) -> (Oid, Oid) {
+    let (mut into, mut tip) = (from, from);
+    for _ in 0..levels * classes.len() {
+        let class = db.class_of(tip).ok();
+        let i = classes.iter().position(|c| db.schema().class_by_name(c).ok() == class).unwrap();
+        let cls = db.schema().class_by_name(classes[i]).unwrap();
+        let next = db.schema().class_by_name(classes[(i + 1) % classes.len()]).unwrap();
+        let link = db.schema().own_link_by_name(cls, &format!("L{i}")).unwrap();
+        let o = db.new_object(next).unwrap();
+        db.set_attr(o, "v", Value::Int(g.range(0..100i64))).unwrap();
+        db.associate(link, tip, o).unwrap();
+        (into, tip) = (tip, o);
+    }
+    (into, tip)
 }
 
 /// Regression (engine level): deleting an object and propagating must not
