@@ -13,6 +13,6 @@ pub use index::{SlotAdj, SubdbIndex};
 pub use intension::{IntEdge, Intension, SlotDef, SlotSource};
 pub use pattern::{is_part, ExtPattern, PatternType, Row};
 pub use registry::{RegistryEntry, SubdbRegistry};
-pub use rows::{Entries, Lane, RowCounts, RowStore};
+pub use rows::{Entries, Lane, RowBlocks, RowCounts, RowStore};
 pub use run::RowRun;
 pub use subdatabase::Subdatabase;

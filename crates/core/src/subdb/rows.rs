@@ -8,9 +8,11 @@
 //! A leaf holds at most [`Lane::LEAF_CELLS`] cells — or one row, if a row
 //! is wider than that — so a point edit moves at most one leaf's cells. A bulk
 //! build sizes every leaf to exactly the rows it gets: many results are
-//! tiny, and a leaf sized to the cap would mostly be slack. A leaf then
-//! grows by insertion as a `Vec` does, splits in half when it is full, and
-//! is dropped when it empties.
+//! tiny, and a leaf sized to the cap would mostly be slack. A span join's
+//! [`RowBlocks`] are the exception: its blocks become leaves as they are,
+//! and each may carry up to its own size in slack. A leaf then grows by
+//! insertion as a `Vec` does, splits in half when it is full, and is
+//! dropped when it empties.
 //!
 //! A leaf carries a [`Lane`] beside its cells: one value per row, in row
 //! order, which splits, grows and drains with its leaf. A set
@@ -409,6 +411,32 @@ impl RowStore {
         true
     }
 
+    /// Replace the contents with the distinct rows of `blocks`, a writer of
+    /// the store's width: its blocks become the leaves. Strictly ascending
+    /// rows are kept as they are. Others are gathered into one exact-sized
+    /// run, sorted and deduplicated there, and written back into the
+    /// blocks in order, each filled to its capacity; blocks left empty go.
+    pub fn set_blocks(&mut self, mut blocks: RowBlocks) {
+        let w = self.width;
+        assert_eq!(blocks.width, w, "blocks of another width");
+        if !blocks.ascending {
+            let mut run = RowRun::with_capacity(w, blocks.len);
+            blocks.iter().for_each(|r| run.push(r.components()));
+            run.sort();
+            blocks.len = run.len();
+            let mut rows = run.iter();
+            for Leaf { cells, .. } in &mut blocks.blocks {
+                cells.clear();
+                while cells.len() < cells.capacity() {
+                    let Some(r) = rows.next() else { break };
+                    cells.extend_from_slice(r.components());
+                }
+            }
+            blocks.blocks.retain(|b| !b.cells.is_empty());
+        }
+        (self.len, self.leaves) = (blocks.len, blocks.blocks);
+    }
+
     /// The sorted union of two stores of one width, built exact-sized:
     /// one pass counts the distinct rows, a second writes them.
     pub fn union(&self, other: &RowStore) -> RowStore {
@@ -474,6 +502,68 @@ impl RowCounts {
             }
             u32::try_from(i - start).expect("a derivation count fits in u32")
         });
+    }
+}
+
+/// A span join's output: rows of one non-zero width appended one at a
+/// time, in any order, into blocks that are never reallocated and that a
+/// [`RowStore`] takes as its leaves ([`RowStore::set_blocks`]). The first
+/// block holds four rows and each next one twice the rows of the one
+/// before, up to a leaf's cap: a three-row span allocates one small block,
+/// and a large one at most a leaf's worth of slack. The writer keeps
+/// whether its rows are strictly ascending so far.
+pub struct RowBlocks {
+    width: usize,
+    len: usize,
+    blocks: Vec<Leaf<()>>,
+    ascending: bool,
+}
+
+impl RowBlocks {
+    /// An empty writer of `width`-cell rows; allocates nothing.
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "span rows have at least one cell");
+        RowBlocks { width, len: 0, blocks: Vec::new(), ascending: true }
+    }
+
+    /// Cells per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows written.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no row has been written.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append a row. Panics on a row of another width.
+    pub fn push(&mut self, row: &[Option<Oid>]) {
+        let w = self.width;
+        assert_eq!(row.len(), w, "a row of width {} among rows of width {w}", row.len());
+        self.len += 1;
+        let rows = match self.blocks.last_mut() {
+            Some(Leaf { cells, .. }) => {
+                self.ascending &= cells[cells.len() - w..] < *row;
+                if cells.len() < cells.capacity() {
+                    return cells.extend_from_slice(row);
+                }
+                2 * cells.len() / w
+            }
+            None => 4,
+        };
+        let mut cells = Vec::with_capacity(rows.min((<() as Lane>::LEAF_CELLS / w).max(1)) * w);
+        cells.extend_from_slice(row);
+        self.blocks.push(Leaf { cells, lane: () });
+    }
+
+    /// Every row, in write order.
+    pub fn iter(&self) -> impl Iterator<Item = Row<'_>> + '_ {
+        self.blocks.iter().flat_map(|b| b.cells.chunks_exact(self.width)).map(Row::new)
     }
 }
 

@@ -6,7 +6,7 @@ use crate::ids::Oid;
 use crate::subdb::index::{SlotAdj, SubdbIndex};
 use crate::subdb::intension::Intension;
 use crate::subdb::pattern::{ExtPattern, PatternType, Row};
-use crate::subdb::rows::RowStore;
+use crate::subdb::rows::{RowBlocks, RowStore};
 use crate::subdb::run::RowRun;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -63,7 +63,7 @@ impl Subdatabase {
     /// The extension's access index (counted slot extents; slot-pair
     /// adjacency through [`Subdatabase::pair_adj`]), built on first use and
     /// kept current by `insert` and `remove`. Bulk mutators (`set_patterns`,
-    /// `set_rows`, `set_sorted_rows`, `retain`, `retain_maximal`,
+    /// `set_rows`, `set_blocks`, `set_sorted_rows`, `retain`, `retain_maximal`,
     /// `union_from`) discard it, so a later call rebuilds from scratch.
     pub fn index(&self) -> &SubdbIndex {
         self.index.get_or_init(|| {
@@ -185,6 +185,15 @@ impl Subdatabase {
         self.set_sorted_rows(run.len(), |out| {
             out.copy_from_slice(rows.next().expect("one row per slot").components());
         });
+    }
+
+    /// Replace the full pattern set with the distinct rows of a span join's
+    /// blocks, in any order and with duplicates ([`RowStore::set_blocks`]).
+    /// Panics if the rows' width is not this extension's.
+    pub fn set_blocks(&mut self, blocks: RowBlocks) {
+        self.check_width(blocks.width());
+        self.patterns.set_blocks(blocks);
+        self.index = OnceLock::new();
     }
 
     /// Replace the full pattern set with `n` rows that `fill` writes, one

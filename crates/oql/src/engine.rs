@@ -49,8 +49,8 @@ impl Oql {
     /// An engine with the built-in operations `display`, `print`, `count`.
     pub fn new() -> Self {
         let mut ops: FxHashMap<String, OpFn> = FxHashMap::default();
-        ops.insert("display".into(), Box::new(|t: &Table| t.to_string()));
-        ops.insert("print".into(), Box::new(|t: &Table| t.to_string()));
+        ops.insert("display".into(), Box::new(Table::render));
+        ops.insert("print".into(), Box::new(Table::render));
         ops.insert("count".into(), Box::new(|t: &Table| t.len().to_string()));
         Oql { ops }
     }

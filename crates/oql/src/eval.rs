@@ -15,12 +15,12 @@ use dood_core::ids::Oid;
 use dood_core::schema::{ResolvedAttr, ResolvedEdge};
 use dood_core::obs;
 use dood_core::subdb::{
-    Intension, RowRun, SlotAdj, SlotDef, SlotSource, Subdatabase, SubdbIndex, SubdbRegistry,
+    Intension, RowBlocks, RowRun, SlotAdj, SlotDef, SlotSource, Subdatabase, SubdbIndex,
+    SubdbRegistry,
 };
 use dood_core::value::Value;
 use dood_store::Database;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -463,7 +463,7 @@ impl<'a> Evaluator<'a> {
     /// skipped; their stale patterns are dropped by the caller's clean-keep
     /// pass. Returns the rows as one run, sorted and distinct: the joins
     /// emit a pattern with several dirty slots once per slot, and the run,
-    /// sized from the joins' row buffers, is sorted and deduplicated. No
+    /// sized from the joins' blocks, is sorted and deduplicated. No
     /// subsumption filtering is applied here — the caller unions the delta
     /// with the retained clean patterns first and re-filters. Not defined
     /// for cyclic (closure) contexts.
@@ -506,13 +506,12 @@ impl<'a> Evaluator<'a> {
             each(&mut |[a, b]| run.push(&[Some(a), Some(b)]));
             run
         } else {
-            // One join run per restricted slot, `hi - lo` cells a row, kept
-            // until all are in so the run is sized once. The context is a
-            // shared `&'a` reference, so its spans can be walked while the
-            // slots' memberships are swapped.
+            // Every restricted slot's join writes its full-width rows into
+            // one set of blocks, gathered once all are in so the run is
+            // sized once. The context is a shared `&'a` reference, so its
+            // spans can be walked while the slots' memberships are swapped.
             let ctx = self.ctx;
-            let mut joins: Vec<(usize, RowRun)> =
-                Vec::with_capacity(ctx.spans.iter().map(|(lo, hi)| hi - lo).sum());
+            let mut joins = RowBlocks::new(width);
             for &(lo, hi) in &ctx.spans {
                 for slot in lo..hi {
                     let restricted: BTreeSet<Oid> = dirty
@@ -529,17 +528,14 @@ impl<'a> Evaluator<'a> {
                         Members::Fixed(restricted),
                     );
                     let saved_ix = self.index_scan[slot].take();
-                    joins.push((lo, self.exec_span(&dsp)));
+                    self.exec_span(&dsp, &mut joins);
                     self.memberships[slot] = saved_m;
                     self.index_scan[slot] = saved_ix;
                 }
             }
-            let rows = joins.iter().map(|(_, join)| join.len()).sum();
-            let mut run = RowRun::with_capacity(width, rows);
-            for (lo, join) in &joins {
-                for r in join.iter() {
-                    run.push_with(|row| row[*lo..*lo + r.width()].copy_from_slice(r.components()));
-                }
+            let mut run = RowRun::with_capacity(width, joins.len());
+            for r in joins.iter() {
+                run.push(r.components());
             }
             run
         };
@@ -644,15 +640,15 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Execute one compiled span plan: anchor scan, then the fused DFS
-    /// pipeline. Returns the bound rows as one unsorted run of `hi - lo`
-    /// cells a row, in slot order, every cell bound. The DFS visits
-    /// candidates and neighbors in a fixed order, so the output order is
-    /// deterministic.
+    /// pipeline. Appends the bound rows to `out`, full-width and unsorted:
+    /// every cell of the span's slots `lo..hi` bound, every other cell
+    /// Null. The DFS visits candidates and neighbors in a fixed order, so
+    /// the output order is deterministic.
     ///
     /// Emits the `oql.join` span with per-stage `oql.plan.*` children
     /// carrying estimated vs. measured cardinalities (the EXPLAIN ANALYZE
     /// payload `doodprof --plan` renders).
-    fn exec_span(&self, sp: &SpanPlan) -> RowRun {
+    fn exec_span(&self, sp: &SpanPlan, out: &mut RowBlocks) {
         let mut tsp = obs::trace::span("oql.join");
         tsp.attr("lo", sp.lo as i64);
         tsp.attr("hi", sp.hi as i64);
@@ -666,8 +662,9 @@ impl<'a> Evaluator<'a> {
             .iter()
             .map(|st| if st.nonassoc { Some(self.candidates(st.to_slot)) } else { None })
             .collect();
-        let (rows, scanned, kept) = self.exec_span_rows(sp, &cands, &na);
-        let rows_out = rows.len() as u64;
+        let before = out.len();
+        let (scanned, kept) = self.exec_span_rows(sp, &cands, &na, out);
+        let rows_out = (out.len() - before) as u64;
         tsp.attr("rows_out", rows_out as i64);
         if let Some(a) = obs::account::active() {
             a.add_rows_scanned(cands.len() as u64 + scanned.iter().sum::<u64>());
@@ -719,35 +716,34 @@ impl<'a> Evaluator<'a> {
             obs::metrics::counter("oql.join.evals").inc();
             obs::metrics::counter("oql.join.rows_out").add(rows_out);
         }
-        rows
     }
 
     /// The compiled span pipeline over a subset of the anchor's
-    /// candidates. Returns the bound rows (one run of `hi - lo` cells a
-    /// row, in slot order) plus per-stage `(scanned, kept)` counters.
+    /// candidates. Appends the bound rows to `out` (full-width, Null
+    /// outside `lo..hi`) and returns per-stage `(scanned, kept)` counters.
     fn exec_span_rows(
         &self,
         sp: &SpanPlan,
         cands: &[Oid],
         na: &[Option<Vec<Oid>>],
-    ) -> (RowRun, Vec<u64>, Vec<u64>) {
-        let mut out = RowRun::new(sp.hi - sp.lo);
+        out: &mut RowBlocks,
+    ) -> (Vec<u64>, Vec<u64>) {
         let mut scanned = vec![0u64; sp.steps.len()];
         let mut kept = vec![0u64; sp.steps.len()];
-        let mut row = vec![None; sp.hi - sp.lo];
+        let mut row = vec![None; out.width()];
         for &o in cands {
-            row[sp.anchor - sp.lo] = Some(o);
-            self.exec_steps(sp, na, &mut row, 0, &mut out, &mut scanned, &mut kept);
+            row[sp.anchor] = Some(o);
+            self.exec_steps(sp, na, &mut row, 0, out, &mut scanned, &mut kept);
         }
-        (out, scanned, kept)
+        (scanned, kept)
     }
 
     /// One DFS level of the fused pipeline: traverse the stage's edge from
     /// the already-bound source slot, filter (membership + predicate),
     /// bind the target slot in the slot-indexed row buffer, and recurse.
-    /// Rows are copied out at the leaves only, already in slot order, onto
-    /// the end of the output run — no per-row allocation, no per-stage
-    /// row materialization or reorder pass.
+    /// Rows are copied out at the leaves only, already full-width, onto the
+    /// end of the output blocks — no per-row allocation, no per-stage row
+    /// materialization or reorder pass.
     #[allow(clippy::too_many_arguments)]
     fn exec_steps(
         &self,
@@ -755,7 +751,7 @@ impl<'a> Evaluator<'a> {
         na: &[Option<Vec<Oid>>],
         row: &mut [Option<Oid>],
         depth: usize,
-        out: &mut RowRun,
+        out: &mut RowBlocks,
         scanned: &mut [u64],
         kept: &mut [u64],
     ) {
@@ -764,7 +760,7 @@ impl<'a> Evaluator<'a> {
             return;
         }
         let st = &sp.steps[depth];
-        let from = row[st.from_slot - sp.lo].expect("a step starts at a bound slot");
+        let from = row[st.from_slot].expect("a step starts at a bound slot");
         if st.nonassoc {
             // "A ! B": pairs whose instances are NOT associated.
             let kind = &self.ctx.edges[st.edge].kind;
@@ -777,7 +773,7 @@ impl<'a> Evaluator<'a> {
                 };
                 if !linked {
                     kept[depth] += 1;
-                    row[st.to_slot - sp.lo] = Some(next);
+                    row[st.to_slot] = Some(next);
                     self.exec_steps(sp, na, row, depth + 1, out, scanned, kept);
                 }
             }
@@ -804,52 +800,34 @@ impl<'a> Evaluator<'a> {
             scanned[depth] += 1;
             if self.accepts(st.to_slot, next) {
                 kept[depth] += 1;
-                row[st.to_slot - sp.lo] = Some(next);
+                row[st.to_slot] = Some(next);
                 self.exec_steps(sp, na, row, depth + 1, out, scanned, kept);
             }
         }
     }
 
-    /// Evaluate a non-cyclic context: all retention spans joined, widened,
-    /// unioned, and subsumption-filtered.
+    /// Evaluate a non-cyclic context: all retention spans joined, unioned,
+    /// and subsumption-filtered.
     fn eval_flat(&self, name: &str, sp: &mut obs::trace::Span) -> Subdatabase {
         let mut sd = Subdatabase::new(name, self.intension());
-        // Every row of one span binds exactly the slots `lo..hi`, so as
-        // patterns a span's rows sort as its run does: each distinct span's
-        // run is sorted in place and goes straight into the extension's
-        // leaves, copied when it is the only one and merged with the others
-        // when there are several. A span repeating an earlier one's slots
-        // adds nothing.
+        // Every span writes full-width rows, Null outside its slots, into
+        // one set of blocks, so rows of different spans compare as the
+        // patterns they are. The blocks become the extension's leaves, the
+        // rows sorted first unless they came strictly ascending. A span
+        // repeating an earlier one's slots adds nothing; it runs into
+        // blocks of its own, which are dropped.
         let spans = &self.plan.spans;
-        let mut runs: Vec<(usize, RowRun)> = Vec::with_capacity(spans.len());
+        let mut rows = RowBlocks::new(sd.intension.width());
+        let mut shapes = 0;
         for (s, span) in spans.iter().enumerate() {
-            let mut run = self.exec_span(span);
             if spans[..s].iter().all(|t| (t.lo, t.hi) != (span.lo, span.hi)) {
-                run.sort();
-                runs.push((span.lo, run));
+                self.exec_span(span, &mut rows);
+                shapes += 1;
+            } else {
+                self.exec_span(span, &mut RowBlocks::new(rows.width()));
             }
         }
-        if let [(lo, run)] = runs.as_slice() {
-            let mut rows = run.iter();
-            sd.set_sorted_rows(run.len(), |out| {
-                let r = rows.next().expect("one row per call").components();
-                out[*lo..*lo + r.len()].copy_from_slice(r);
-            });
-        } else {
-            let mut next = vec![0; runs.len()];
-            sd.set_sorted_rows(runs.iter().map(|(_, run)| run.len()).sum(), |out| {
-                let head = |k: usize| (runs[k].0, runs[k].1.row(next[k]).components());
-                let k = (0..runs.len())
-                    .filter(|&k| next[k] < runs[k].1.len())
-                    .min_by(|&a, &b| widened_cmp(head(a), head(b)))
-                    .expect("one row per call");
-                let (lo, r) = head(k);
-                out[lo..lo + r.len()].copy_from_slice(r);
-                next[k] += 1;
-            });
-        }
-        let shapes = runs.len();
-        drop(runs);
+        sd.set_blocks(rows);
         // One span's patterns all have one type, so none is a strict part
         // of another: subsumption can drop something only between spans.
         let before = sd.len();
@@ -972,7 +950,8 @@ impl<'a> Evaluator<'a> {
             }
         } else {
             let chain = &self.plan.closure.as_ref().expect("closure plan").chain;
-            let (rows, _, _) = self.exec_span_rows(chain, nodes, na);
+            let mut rows = RowBlocks::new(n);
+            self.exec_span_rows(chain, nodes, na, &mut rows);
             for row in rows.iter() {
                 let first = row.get(0).expect("a chain row is bound");
                 let i = nodes.binary_search(&first).expect("a chain row starts at a batch node");
@@ -1156,7 +1135,8 @@ impl<'a> Evaluator<'a> {
                 .iter()
                 .map(|st| if st.nonassoc { Some(self.candidates(st.to_slot)) } else { None })
                 .collect();
-            let (rows, _, _) = self.exec_span_rows(&spp, &anchor, &na);
+            let mut rows = RowBlocks::new(n);
+            self.exec_span_rows(&spp, &anchor, &na, &mut rows);
             out.extend(rows.iter().map(|r| r.get(0).expect("a prefix row is bound")));
         }
         out.sort_unstable();
@@ -1282,15 +1262,6 @@ impl<'s> ChainWalk<'s> {
             }
         }
     }
-}
-
-/// Compare two span rows as the patterns they widen to: row `a` bound at
-/// slots `a.0..`, row `b` at `b.0..`, every other slot Null. A span row
-/// binds every slot of its span, so of two rows starting at different
-/// slots the later one has a Null where the other has an OID and sorts
-/// first; rows starting at one slot compare as their cells do.
-fn widened_cmp((a_lo, a): (usize, &[Option<Oid>]), (b_lo, b): (usize, &[Option<Oid>])) -> Ordering {
-    b_lo.cmp(&a_lo).then_with(|| a.cmp(b))
 }
 
 /// The successor relation a closure fixpoint computed, exposed as
@@ -1440,7 +1411,9 @@ mod tests {
             let ev = Evaluator::new(&r, &db, &reg).unwrap();
             assert_eq!(ev.plan.spans.len(), 1, "{q}");
             let mut want = Subdatabase::new("test", ev.intension());
-            want.set_patterns(ev.exec_span(&ev.plan.spans[0]).iter());
+            let mut rows = RowBlocks::new(want.intension.width());
+            ev.exec_span(&ev.plan.spans[0], &mut rows);
+            want.set_patterns(rows.iter());
             want.retain_maximal();
             assert!(!want.is_empty(), "{q}");
             assert_eq!(ev.eval("test").to_vec(), want.to_vec(), "{q}");

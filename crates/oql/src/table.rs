@@ -147,78 +147,79 @@ impl Table {
         let idx = self.columns.iter().position(|c| c == name)?;
         Some(self.rows.iter().map(|r| &r[idx]).collect())
     }
-}
 
-/// Write `n` bytes of `pattern` (a run of one ASCII character).
-fn fill(f: &mut fmt::Formatter<'_>, pattern: &str, mut n: usize) -> fmt::Result {
-    while n > 0 {
-        let k = n.min(pattern.len());
-        f.write_str(&pattern[..k])?;
-        n -= k;
+    /// The table as text: a header line, a rule, a line per row and the
+    /// row count, columns padded to their widest cell in chars. One pass
+    /// measures the widths and the exact length in bytes, formatting each
+    /// non-string cell into one reused buffer; a second writes the text
+    /// into one allocation of that length.
+    pub fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.chars().count()).collect();
+        let mut scratch = String::new();
+        // Bytes beyond one per char, over every header and cell.
+        let mut extra: usize = self.columns.iter().map(|c| c.len() - c.chars().count()).sum();
+        for row in &self.rows {
+            for (v, w) in row.iter().zip(&mut widths) {
+                let t = text(v, &mut scratch);
+                let chars = t.chars().count();
+                *w = (*w).max(chars);
+                extra += t.len() - chars;
+            }
+        }
+        // A line is `|`, ` cell |` per column and a newline; the last one
+        // is `(n rows)` and a newline.
+        let line: usize = 2 + widths.iter().map(|w| w + 3).sum::<usize>();
+        let n = self.rows.len();
+        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let len = line * (n + 2) + extra + digits + 8;
+        let mut out = String::with_capacity(len);
+        out.push('|');
+        for (c, &w) in self.columns.iter().zip(&widths) {
+            cell(&mut out, c, w);
+        }
+        out.push_str("\n|");
+        for &w in &widths {
+            out.extend(std::iter::repeat_n('-', w + 2));
+            out.push('|');
+        }
+        out.push('\n');
+        for row in &self.rows {
+            out.push('|');
+            for (v, &w) in row.iter().zip(&widths) {
+                cell(&mut out, text(v, &mut scratch), w);
+            }
+            out.push('\n');
+        }
+        writeln!(out, "({n} rows)").expect("formatting into a String");
+        debug_assert_eq!(out.len(), len, "the measured length");
+        out
     }
-    Ok(())
 }
 
-const SPACES: &str = "                                ";
-const DASHES: &str = "--------------------------------";
+/// Append ` text<padding> |`, `text` left-aligned in `width` chars.
+fn cell(out: &mut String, text: &str, width: usize) {
+    out.push(' ');
+    out.push_str(text);
+    out.extend(std::iter::repeat_n(' ', width - text.chars().count() + 1));
+    out.push('|');
+}
 
-/// ` text<padding> |`, `text` left-aligned in `width` columns.
-fn cell(f: &mut fmt::Formatter<'_>, text: &str, chars: usize, width: usize) -> fmt::Result {
-    f.write_str(" ")?;
-    f.write_str(text)?;
-    fill(f, SPACES, width - chars + 1)?;
-    f.write_str("|")
+/// A cell's text: a string as it is, any other value formatted into
+/// `scratch`.
+fn text<'a>(v: &'a Value, scratch: &'a mut String) -> &'a str {
+    match v {
+        Value::Str(s) => s,
+        _ => {
+            scratch.clear();
+            write!(scratch, "{v}").expect("formatting into a String");
+            scratch
+        }
+    }
 }
 
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Widths are in chars, as the padding is. A string cell is written
-        // from where it is; every other cell is formatted once, into
-        // `scratch`. `cells` holds, per cell, where its text ends in
-        // `scratch` and how many chars it has.
-        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.chars().count()).collect();
-        let mut scratch = String::new();
-        let mut cells: Vec<(usize, usize)> =
-            Vec::with_capacity(self.rows.len() * self.columns.len());
-        for row in &self.rows {
-            for (v, w) in row.iter().zip(&mut widths) {
-                let text = match v {
-                    Value::Str(s) => &**s,
-                    _ => {
-                        let start = scratch.len();
-                        write!(scratch, "{v}")?;
-                        &scratch[start..]
-                    }
-                };
-                let chars = text.chars().count();
-                *w = (*w).max(chars);
-                cells.push((scratch.len(), chars));
-            }
-        }
-        f.write_str("|")?;
-        for (c, &w) in self.columns.iter().zip(&widths) {
-            cell(f, c, c.chars().count(), w)?;
-        }
-        f.write_str("\n|")?;
-        for &w in &widths {
-            fill(f, DASHES, w + 2)?;
-            f.write_str("|")?;
-        }
-        f.write_str("\n")?;
-        let (mut cells, mut at) = (cells.iter(), 0);
-        for row in &self.rows {
-            f.write_str("|")?;
-            for ((v, &w), &(end, chars)) in row.iter().zip(&widths).zip(&mut cells) {
-                let text = match v {
-                    Value::Str(s) => &**s,
-                    _ => &scratch[at..end],
-                };
-                at = end;
-                cell(f, text, chars, w)?;
-            }
-            f.write_str("\n")?;
-        }
-        writeln!(f, "({} rows)", self.rows.len())
+        f.write_str(&self.render())
     }
 }
 
@@ -390,8 +391,18 @@ fn project_encoded(sd: &Subdatabase, cols: &[Column], db: &Database) -> Option<R
         .collect();
 
     // Dictionaries. Patterns arrive sorted, so runs of one OID are common
-    // in the leading slots and are not stored twice.
-    let mut dicts: Vec<Vec<Oid>> = slots.iter().map(|_| Vec::with_capacity(n)).collect();
+    // in the leading slots and are not stored twice. Slot 0's runs are its
+    // distinct heads, already ascending: its dictionary is sized by
+    // counting them and needs no sort.
+    let (mut heads, mut last) = (0, None);
+    if slots.contains(&0) {
+        for h in sd.patterns().map(|p| p.get(0)) {
+            heads += usize::from(h.is_some() && h != last);
+            last = h;
+        }
+    }
+    let mut dicts: Vec<Vec<Oid>> =
+        slots.iter().map(|&s| Vec::with_capacity(if s == 0 { heads } else { n })).collect();
     let mut absent = vec![false; slots.len()];
     for p in sd.patterns() {
         for ((&s, dict), absent) in slots.iter().zip(&mut dicts).zip(&mut absent) {
@@ -402,7 +413,7 @@ fn project_encoded(sd: &Subdatabase, cols: &[Column], db: &Database) -> Option<R
             }
         }
     }
-    for dict in &mut dicts {
+    for (dict, _) in dicts.iter_mut().zip(&slots).filter(|&(_, &s)| s != 0) {
         dict.sort_unstable();
         dict.dedup();
     }

@@ -1354,12 +1354,15 @@ fn count_target(
         }
         // Resurrect the maximal live keys the dead pattern was covering
         // (strictly part of it, hence partial). Keys still at zero die in
-        // this loop too.
+        // this loop too. The cheap tests go first: the cover walk is a
+        // head-range scan of the target.
         let cands: Vec<Row<'_>> = part_heads(&key)
             .flat_map(|h| counts.head_range(h))
             .filter(|&(k, c)| {
-                let open = !target.contains(k) && !covered(target, k.components());
-                c > 0 && k.is_part_of(&key) && open
+                c > 0
+                    && k.is_part_of(&key)
+                    && !target.contains(k)
+                    && !covered(target, k.components())
             })
             .map(|(k, _)| k)
             .collect();

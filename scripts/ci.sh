@@ -40,8 +40,9 @@ echo "== ci: one sequential executor, one measuring stick, plans from counts =="
 # delta step from empty. So are derivation counts and rejected rows keyed by
 # boxed patterns and the head range over them: both are row stores. So are
 # a closure's re-seed on a change of width, its target diff and counter: a
-# width change re-shapes the cached rows in place. The names are spelled
-# in two halves so this file passes its own check.
+# width change re-shapes the cached rows in place. So is the comparison of
+# span rows as the patterns they widen to: span rows are full-width. The
+# names are spelled in two halves so this file passes its own check.
 SOURCES="crates src tests scripts examples"
 GONE="Exec""Mode|Planner""Mode|DOOD_""EXEC|DOOD_""PLANNER|BENCH_""SEED"
 GONE="$GONE|Chunk""Pool|DOOD_""THREADS|span_""under|par_""chunk_map"
@@ -49,7 +50,7 @@ GONE="$GONE|Drift""Mark|drift_""band|DOOD_""DRIFT_BAND|install_""priors|get_or_"
 GONE="$GONE|oql\.closure\.""round|oql\.closure\.""frontier|est_""rounds|est_""reach"
 GONE="$GONE|Groups::""Seeded|build_""groups|wherec::""Applied|Filter::""derive|store::""txn"
 GONE="$GONE|Head""Range|BTreeMap<Ext""Pattern|FxHashSet<Ext""Pattern"
-GONE="$GONE|target""_diff|closure""_recompute"
+GONE="$GONE|target""_diff|closure""_recompute|widened""_cmp"
 if grep -rnE "$GONE" $SOURCES; then
     echo "ci: a deleted name is back (see above)" >&2
     exit 1
@@ -208,12 +209,20 @@ CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=30
 #   width re-shaped its caches in place (55.8 KB with a re-seed and a
 #   target diff per change of width; 56.7 KB with a boxed key per count;
 #   94.1 KB with 16-byte cells);
-# - `univ_query` `oql.eval` (below): 149.6 KB once span joins wrote their
-#   rows as runs sorted in place (161.7 KB with an index sort per span
-#   and 8-byte cells; 207.3 KB with 16-byte cells).
+# - `univ_query` `oql.eval` (below): 60.3 KB once span joins wrote their
+#   rows into blocks that become the extension's leaves (149.6 KB with a
+#   run per span that grew by doubling and was then copied into leaves;
+#   161.7 KB with an index sort per span and 8-byte cells; 207.3 KB with
+#   16-byte cells);
+# - `univ_query` `oql.table` (below): 103.5 KB once a table rendered into
+#   one buffer of its final size and slot 0's dictionary was sized by its
+#   distinct heads (142.5 KB with a renderer writing into a `String` that
+#   grew by doubling). The benchmark's traced path renders through
+#   `Display`, one more copy of the text.
 PROPAGATE_KB_PER_OP_MAX=42
 CLOSURE_PROPAGATE_KB_PER_OP_MAX=56
-EVAL_KB_PER_OP_MAX=187
+EVAL_KB_PER_OP_MAX=76
+TABLE_KB_PER_OP_MAX=130
 metric() {
     sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"
 }
@@ -267,12 +276,14 @@ kb_ceiling rules.propagate.alloc_kb_per_op "$CLOSURE_PROPAGATE_KB_PER_OP_MAX" so
 #   once a subdatabase stored its rows in sorted flat leaves; 1.18 with a
 #   box per pattern and a B-tree; 2.43 when each span row was a Vec<Oid>
 #   and then a second vector of slots).
-# - `oql.table`: 52.9 per op once table rows were one flat buffer (558.3
-#   with a Vec<Value> per row).
+# - `oql.table`: 39.1 per op once a table rendered into one buffer of its
+#   final size (52.9 once table rows were one flat buffer; 558.3 with a
+#   Vec<Value> per row).
 EVAL_ALLOCS_PER_PATTERN_MAX=0.044
-TABLE_ALLOCS_PER_OP_MAX=66
+TABLE_ALLOCS_PER_OP_MAX=49
 SUMMARY="$(bash benchmark/run.sh --workload univ_query --seed 7 --seconds 2 --trace 1 | tail -n 1)"
 kb_ceiling oql.eval.alloc_kb_per_op "$EVAL_KB_PER_OP_MAX" univ_query
+kb_ceiling oql.table.alloc_kb_per_op "$TABLE_KB_PER_OP_MAX" univ_query
 ALLOCS="$(metric oql.eval.allocs_per_op)"
 PATTERNS="$(metric oql.eval.patterns_per_op)"
 if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \

@@ -1,6 +1,6 @@
 //! The result stage as it was before it became late-materialising, kept as
 //! the oracle of `tests/result_stage.rs`: the row-wise table builder
-//! (`build_table` with `Table::normalize`), the byte-measuring renderer, and
+//! (`build_table` with `Table::normalize`), the formatter-written renderer, and
 //! the WHERE filter that cloned every kept pattern, rebuilt the set and
 //! grouped aggregates in a hash map of `BTreeSet`s. Moved here verbatim
 //! from `crates/oql/src/{table,wherec}.rs`; only the spans, counters and
@@ -31,12 +31,14 @@ fn normalize(rows: &mut Vec<Vec<Value>>) {
     rows.dedup();
 }
 
-/// The old `Display`: widths measured in bytes, a `String` per cell.
-pub struct ByteWidths<'a>(pub &'a Table);
+/// The old `Display`, a `String` per cell, with widths measured by `.1`:
+/// in bytes (`str::len`) as it first was, or in chars as it was before
+/// `Table::render` wrote one exact buffer.
+pub struct Written<'a>(pub &'a Table, pub fn(&str) -> usize);
 
-impl fmt::Display for ByteWidths<'_> {
+impl fmt::Display for Written<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut widths: Vec<usize> = self.0.columns.iter().map(|c| c.len()).collect();
+        let mut widths: Vec<usize> = self.0.columns.iter().map(|c| self.1(c)).collect();
         let rendered: Vec<Vec<String>> = self
             .0
             .rows
@@ -45,7 +47,7 @@ impl fmt::Display for ByteWidths<'_> {
             .collect();
         for row in &rendered {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(self.1(cell));
             }
         }
         let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {

@@ -8,7 +8,9 @@
 
 use dood::core::ids::Oid;
 use dood::core::propcheck::{check, Gen};
-use dood::core::subdb::{ExtPattern, Intension, PatternType, SlotDef, Subdatabase, SubdbRegistry};
+use dood::core::subdb::{
+    ExtPattern, Intension, PatternType, RowBlocks, RowRun, SlotDef, Subdatabase, SubdbRegistry,
+};
 use dood::core::value::Value;
 use dood::datalog::{self, Atom};
 use dood::oql::Oql;
@@ -153,6 +155,65 @@ fn retain_maximal_equals_quadratic_filter() {
 }
 
 /// Pattern-type census partitions the extension.
+/// A span join's block writer against `Subdatabase::set_rows`, at widths
+/// 1, 3, 9 and 40: rows of one to three spans `lo..hi`, each no wider than
+/// the intension and Null outside it, written ascending, unsorted, or
+/// unsorted with duplicates. The extension `set_blocks` builds holds the
+/// rows `set_rows` sorts and deduplicates, and takes the same point edits
+/// afterwards (adopted blocks are leaves with slack).
+#[test]
+fn span_blocks_equal_set_rows() {
+    check("span_blocks_equal_set_rows", 64, |g| {
+        for width in [1, 3, 9, 40] {
+            let cell = |g: &mut Gen| Some(Oid::from_raw(g.range(1..4u64)));
+            let mut rows: Vec<Vec<Option<Oid>>> = Vec::new();
+            for _ in 0..g.range(1..4usize) {
+                let lo = g.range(0..width);
+                let hi = g.range(lo + 1..width + 1);
+                for _ in 0..g.range(0..200usize) {
+                    let mut r = vec![None; width];
+                    r[lo..hi].iter_mut().for_each(|c| *c = cell(g));
+                    rows.push(r);
+                }
+            }
+            let mode = g.range(0..3u32);
+            if mode < 2 {
+                rows.sort();
+                rows.dedup();
+            }
+            if mode > 0 {
+                for i in (1..rows.len()).rev() {
+                    rows.swap(i, g.range(0..i + 1));
+                }
+            }
+            let mut blocks = RowBlocks::new(width);
+            let mut run = RowRun::new(width);
+            for r in &rows {
+                blocks.push(r);
+                run.push(r);
+            }
+            assert_eq!(blocks.len(), rows.len());
+            assert!(blocks.iter().eq(run.iter()), "rows in write order");
+            let slots = (0..width).map(|i| SlotDef::base(format!("S{i}"), dood::core::ids::ClassId(0)));
+            let mut want = Subdatabase::new("want", Intension::new(slots.collect()));
+            let mut got = want.clone();
+            want.set_rows(run);
+            got.set_blocks(blocks);
+            assert_eq!(got.to_vec(), want.to_vec(), "mode {mode}");
+            for _ in 0..g.range(0..40usize) {
+                if g.bool(0.5) || rows.is_empty() {
+                    let r: Vec<Option<Oid>> = (0..width).map(|_| cell(g)).collect();
+                    assert_eq!(got.insert(&r), want.insert(&r), "insert {r:?}");
+                } else {
+                    let r = g.choose(&rows).clone();
+                    assert_eq!(got.remove(&r), want.remove(&r), "remove {r:?}");
+                }
+            }
+            assert_eq!(got.to_vec(), want.to_vec(), "mode {mode}, after edits");
+        }
+    });
+}
+
 #[test]
 fn pattern_type_census_partitions() {
     check("pattern_type_census_partitions", CASES, |g| {

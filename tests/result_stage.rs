@@ -18,10 +18,10 @@ use dood::core::schema::SchemaBuilder;
 use dood::core::subdb::{ExtPattern, Intension, SlotDef, Subdatabase};
 use dood::core::value::{DType, Value};
 use dood::oql::ast::{AggFunc, ClassRef, CmpOp, CmpRhs, Literal, SelectItem, WhereCond};
-use dood::oql::table::build_table;
+use dood::oql::table::{build_table, Table};
 use dood::oql::wherec::apply_where;
 use dood::store::Database;
-use result_oracle::{apply_where_rebuilding, build_table_rowwise, ByteWidths};
+use result_oracle::{apply_where_rebuilding, build_table_rowwise, Written};
 
 const CASES: usize = 160;
 
@@ -186,7 +186,44 @@ fn assert_same_table(sd: &Subdatabase, select: &[SelectItem], db: &Database) {
     // Debug forms: a NaN cell is not `==` to itself.
     assert_eq!(format!("{new:?}"), format!("{old:?}"), "SELECT {select:?}\n{sd}");
     if let (Ok(new), Ok(old)) = (new, old) {
-        assert_eq!(new.to_string(), ByteWidths(&old).to_string());
+        assert_eq!(new.to_string(), Written(&old, str::len).to_string());
+        assert_eq!(new.render(), Written(&new, chars).to_string());
+    }
+}
+
+fn chars(s: &str) -> usize {
+    s.chars().count()
+}
+
+/// `Table::render`, which `Display` writes, against the formatter-written
+/// text with widths in chars, on the tables of `oql::table`'s own tests:
+/// the two-column query table, non-ASCII headers and cells, no rows, no
+/// columns with and without a row, and nine columns too wide for a key.
+#[test]
+fn render_equals_the_formatter_written_text() {
+    let s = |t: &str| Value::str(t);
+    let tables = [
+        (
+            vec!["Teacher.name", "Section.section#"],
+            vec![vec![s("jones"), Value::Int(2)], vec![s("smith"), Value::Int(1)]],
+        ),
+        (vec!["a"], vec![]),
+        (
+            vec!["naïve", "n"],
+            vec![
+                vec![s("Zoë Müller"), Value::Int(1)],
+                vec![s("日本"), Value::Real(2.5)],
+                vec![s("a long ASCII name"), Value::Null],
+            ],
+        ),
+        (vec![], vec![vec![]]),
+        (vec![], vec![]),
+        (vec!["a"; 9], (0..200).map(|i| vec![Value::Int(i); 9]).collect()),
+    ];
+    for (columns, rows) in tables {
+        let t = Table { columns: columns.into_iter().map(String::from).collect(), rows: rows.into() };
+        assert_eq!(t.render(), Written(&t, chars).to_string(), "{t:?}");
+        assert_eq!(t.to_string(), t.render());
     }
 }
 
