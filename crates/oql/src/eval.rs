@@ -814,17 +814,23 @@ impl<'a> Evaluator<'a> {
         // one set of blocks, so rows of different spans compare as the
         // patterns they are. The blocks become the extension's leaves, the
         // rows sorted first unless they came strictly ascending. A span
-        // repeating an earlier one's slots adds nothing; it runs into
-        // blocks of its own, which are dropped.
+        // repeating an earlier one's slots adds nothing, so it is not run:
+        // its `oql.join` span names the span it repeats.
         let spans = &self.plan.spans;
         let mut rows = RowBlocks::new(sd.intension.width());
         let mut shapes = 0;
         for (s, span) in spans.iter().enumerate() {
-            if spans[..s].iter().all(|t| (t.lo, t.hi) != (span.lo, span.hi)) {
-                self.exec_span(span, &mut rows);
-                shapes += 1;
-            } else {
-                self.exec_span(span, &mut RowBlocks::new(rows.width()));
+            match spans[..s].iter().position(|t| (t.lo, t.hi) == (span.lo, span.hi)) {
+                None => {
+                    self.exec_span(span, &mut rows);
+                    shapes += 1;
+                }
+                Some(first) => {
+                    let mut tsp = obs::trace::span("oql.join");
+                    tsp.attr("lo", span.lo as i64);
+                    tsp.attr("hi", span.hi as i64);
+                    tsp.attr("repeats", first as i64);
+                }
             }
         }
         sd.set_blocks(rows);

@@ -16,7 +16,7 @@
 use crate::assoc_index::AssocIndex;
 use crate::attr_index::AttrIndex;
 use crate::events::{EventLog, UpdateEvent};
-use crate::object::{AttrLayouts, ObjRecord};
+use crate::object::{AttrLayouts, ClassRows, ObjRecord};
 use dood_core::error::StoreError;
 use dood_core::fxhash::FxHashMap;
 use dood_core::ids::{AssocId, ClassId, Oid, OidGen};
@@ -32,7 +32,10 @@ pub struct Database {
     layouts: AttrLayouts,
     oidgen: OidGen,
     objects: FxHashMap<Oid, ObjRecord>,
-    extents: Vec<BTreeSet<Oid>>,
+    /// Per class: its direct instances, ascending.
+    extents: Vec<Vec<Oid>>,
+    /// Per class: its objects' direct attribute values.
+    rows: Vec<ClassRows>,
     assoc_ix: Vec<AssocIndex>,
     attr_ix: FxHashMap<(ClassId, AssocId), AttrIndex>,
     log: EventLog,
@@ -50,7 +53,12 @@ impl Database {
     /// A new, empty database over a shared schema.
     pub fn with_arc(schema: Arc<Schema>) -> Self {
         let layouts = AttrLayouts::new(&schema);
-        let extents = vec![BTreeSet::new(); schema.class_count()];
+        let extents = vec![Vec::new(); schema.class_count()];
+        let rows = schema
+            .classes()
+            .iter()
+            .map(|c| ClassRows::new(layouts.attrs_of(c.id).len()))
+            .collect();
         let assoc_ix = vec![AssocIndex::new(); schema.assoc_count()];
         let gen_assocs = schema
             .assocs()
@@ -64,6 +72,7 @@ impl Database {
             oidgen: OidGen::new(),
             objects: FxHashMap::default(),
             extents,
+            rows,
             assoc_ix,
             attr_ix: FxHashMap::default(),
             log: EventLog::new(),
@@ -108,11 +117,10 @@ impl Database {
             return Err(StoreError::NotEntityClass(class));
         }
         let oid = self.oidgen.next().ok_or(StoreError::OidsExhausted)?;
-        self.objects.insert(
-            oid,
-            ObjRecord { class, attrs: self.layouts.empty_record(class) },
-        );
-        self.extents[class.index()].insert(oid);
+        let row = self.rows[class.index()].alloc();
+        self.objects.insert(oid, ObjRecord { class, row });
+        // OIDs are issued ascending, past every loaded one.
+        self.extents[class.index()].push(oid);
         self.log.push(UpdateEvent::ObjectCreated { class, oid });
         Ok(oid)
     }
@@ -170,14 +178,19 @@ impl Database {
                 });
             }
         }
-        // Drop attribute index entries.
+        // Drop attribute index entries, then the row.
         let rec = self.objects.remove(&oid).expect("checked live");
+        let rows = &mut self.rows[class.index()];
         for (slot, &attr) in self.layouts.attrs_of(class).iter().enumerate() {
             if let Some(ix) = self.attr_ix.get_mut(&(class, attr)) {
-                ix.remove(&rec.attrs[slot], oid);
+                ix.remove(&rows.row(rec.row)[slot], oid);
             }
         }
-        self.extents[class.index()].remove(&oid);
+        rows.release(rec.row);
+        let extent = &mut self.extents[class.index()];
+        if let Ok(at) = extent.binary_search(&oid) {
+            extent.remove(at);
+        }
         self.log.push(UpdateEvent::ObjectDeleted { class, oid });
         Ok(())
     }
@@ -191,10 +204,17 @@ impl Database {
         if self.objects.contains_key(&oid) {
             return Err(StoreError::DuplicateSpecialization { oid, subclass: class });
         }
-        self.objects
-            .insert(oid, ObjRecord { class, attrs: self.layouts.empty_record(class) });
-        self.extents[class.index()].insert(oid);
+        let row = self.rows[class.index()].alloc();
+        self.objects.insert(oid, ObjRecord { class, row });
+        // A dump lists a class's objects ascending; a hand-written one may not.
+        let extent = &mut self.extents[class.index()];
+        extent.insert(extent.partition_point(|&o| o < oid), oid);
         Ok(())
+    }
+
+    /// Make room for `n` more objects (dump loading).
+    pub(crate) fn reserve_objects(&mut self, n: usize) {
+        self.objects.reserve(n);
     }
 
     /// Resume OID generation after `watermark` (dump loading).
@@ -202,19 +222,19 @@ impl Database {
         self.oidgen = OidGen::starting_after(watermark);
     }
 
-    /// Restore a link without event logging or cardinality re-checks beyond
-    /// endpoint classes (dump loading; the dump came from a valid store).
-    pub(crate) fn restore_link(&mut self, assoc: AssocId, from: Oid, to: Oid)
-        -> Result<(), StoreError>
-    {
-        if assoc.index() >= self.assoc_ix.len() {
-            return Err(StoreError::NoSuchAssoc(assoc));
+    /// Build every association's index from the links a load staged, each
+    /// in bulk, without event logging or cardinality re-checks (the dump
+    /// came from a valid store; [`check_link`](Self::check_link) vetted the
+    /// endpoints line by line). Replaces the indexes of the staged
+    /// associations, which a fresh store holds empty.
+    pub(crate) fn restore_links(&mut self, mut links: Vec<(AssocId, Oid, Oid)>) {
+        links.sort_unstable_by_key(|&(assoc, ..)| assoc);
+        let mut pairs = Vec::new();
+        for run in links.chunk_by(|a, b| a.0 == b.0) {
+            pairs.clear();
+            pairs.extend(run.iter().map(|&(_, from, to)| (from, to)));
+            self.assoc_ix[run[0].0.index()] = AssocIndex::from_pairs(&mut pairs);
         }
-        let d = self.schema.assoc(assoc);
-        self.check_endpoint(from, d.from, assoc, to)?;
-        self.check_endpoint(to, d.to, assoc, from)?;
-        self.assoc_ix[assoc.index()].insert(from, to);
-        Ok(())
     }
 
     /// Restore an attribute value without event logging (dump loading).
@@ -230,7 +250,7 @@ impl Database {
         if !value.conforms_to(dtype) {
             return Err(StoreError::TypeMismatch { class, attr });
         }
-        self.objects.get_mut(&oid).expect("checked live").attrs[slot] = value;
+        self.rows[class.index()].row_mut(self.objects[&oid].row)[slot] = value;
         Ok(())
     }
 
@@ -272,8 +292,8 @@ impl Database {
         if !value.conforms_to(dtype) {
             return Err(StoreError::TypeMismatch { class, attr });
         }
-        let rec = self.objects.get_mut(&oid).expect("checked live");
-        let old = std::mem::replace(&mut rec.attrs[slot], value.clone());
+        let cell = &mut self.rows[class.index()].row_mut(self.objects[&oid].row)[slot];
+        let old = std::mem::replace(cell, value.clone());
         if let Some(ix) = self.attr_ix.get_mut(&(class, attr)) {
             ix.remove(&old, oid);
             ix.insert(value.clone(), oid);
@@ -315,7 +335,7 @@ impl Database {
 
     fn direct_ref(&self, oid: Oid, attr: AssocId) -> Option<&Value> {
         let rec = self.objects.get(&oid)?;
-        Some(&rec.attrs[self.layouts.slot(rec.class, attr)?])
+        Some(&self.rows[rec.class.index()].row(rec.row)[self.layouts.slot(rec.class, attr)?])
     }
 
     // ------------------------------------------------------------------
@@ -332,17 +352,23 @@ impl Database {
         Ok(())
     }
 
-    /// Associate two objects under an ordinary association. Endpoint classes
-    /// must match the association exactly (inherited associations connect
-    /// the superclass *perspective* objects).
-    pub fn associate(&mut self, assoc: AssocId, from: Oid, to: Oid) -> Result<(), StoreError> {
+    /// Whether `assoc` may link `from` to `to`: both live, and of the
+    /// association's endpoint classes exactly.
+    pub(crate) fn check_link(&self, assoc: AssocId, from: Oid, to: Oid) -> Result<(), StoreError> {
         if assoc.index() >= self.assoc_ix.len() {
             return Err(StoreError::NoSuchAssoc(assoc));
         }
         let d = self.schema.assoc(assoc);
         self.check_endpoint(from, d.from, assoc, to)?;
-        self.check_endpoint(to, d.to, assoc, from)?;
-        if d.cardinality == Cardinality::Single
+        self.check_endpoint(to, d.to, assoc, from)
+    }
+
+    /// Associate two objects under an ordinary association. Endpoint classes
+    /// must match the association exactly (inherited associations connect
+    /// the superclass *perspective* objects).
+    pub fn associate(&mut self, assoc: AssocId, from: Oid, to: Oid) -> Result<(), StoreError> {
+        self.check_link(assoc, from, to)?;
+        if self.schema.assoc(assoc).cardinality == Cardinality::Single
             && self.assoc_ix[assoc.index()].out_degree(from) > 0
             && !self.assoc_ix[assoc.index()].contains(from, to)
         {
@@ -564,9 +590,9 @@ impl Database {
             .ok_or_else(|| StoreError::NoSuchAttribute { class, attr: attr_name.to_string() })?;
         let mut ix = AttrIndex::new();
         let slot = self.layouts.slot(class, attr).expect("own attr has slot");
+        let rows = &self.rows[class.index()];
         for &oid in &self.extents[class.index()] {
-            let v = self.objects[&oid].attrs[slot].clone();
-            ix.insert(v, oid);
+            ix.insert(rows.row(self.objects[&oid].row)[slot].clone(), oid);
         }
         self.attr_ix.insert((class, attr), ix);
         Ok(())
@@ -613,6 +639,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dood_core::propcheck::Gen;
     use dood_core::schema::SchemaBuilder;
     use dood_core::value::DType;
 
@@ -893,6 +920,111 @@ mod tests {
         let a = db.schema().assocs()[0].id;
         db.associate(a, s, c).unwrap();
         assert!(db.check_constraints().is_empty());
+    }
+
+    /// Extents and attribute rows against a model over random creates,
+    /// specializations, attribute writes and (cascading) deletes of
+    /// objects with and without attributes: every extent is the live
+    /// objects of its class ascending, every attribute reads what was last
+    /// written, and a class's rows are handed out as a free list would,
+    /// a deleted object's row first, reset to Null.
+    #[test]
+    fn extents_and_rows_match_a_model() {
+        use dood_core::propcheck::check;
+        use std::collections::BTreeMap;
+        check("extents_and_rows_match_a_model", 64, |g| {
+            let mut db = Database::new(schema());
+            let classes = ["Person", "Student", "Teacher", "Section"].map(|n| cid(&db, n));
+            let [person, student, ..] = classes;
+            let attr = |c: ClassId| db.layouts.attrs_of(c).first().copied();
+            let attrs = classes.map(attr);
+            // Per live object: its class, its parent perspective and the
+            // value of its class's attribute; per class: rows handed out
+            // and freed rows, last freed last.
+            let mut live: BTreeMap<Oid, (ClassId, Option<Oid>, Value)> = BTreeMap::new();
+            let mut rows: BTreeMap<ClassId, (usize, Vec<usize>)> = BTreeMap::new();
+            for _ in 0..g.range(0..80usize) {
+                let oids: Vec<Oid> = live.keys().copied().collect();
+                let pick = |g: &mut Gen| (!oids.is_empty()).then(|| *g.choose(&oids));
+                let created = match g.range(0..8u32) {
+                    0..=2 => {
+                        let c = *g.choose(&[person, person, classes[3]]);
+                        Some((db.new_object(c).unwrap(), c, None))
+                    }
+                    3 => pick(g).filter(|o| live[o].0 == person).and_then(|p| {
+                        let sub = *g.choose(&classes[1..3]);
+                        db.specialize(p, sub).ok().map(|o| (o, sub, Some(p)))
+                    }),
+                    4 | 5 => {
+                        if let Some(o) = pick(g) {
+                            let gone: Vec<Oid> = live
+                                .iter()
+                                .filter(|(&k, v)| k == o || v.1 == Some(o))
+                                .map(|(&k, _)| k)
+                                .collect();
+                            let freed: Vec<(ClassId, usize)> = gone
+                                .iter()
+                                .map(|k| (live[k].0, db.objects[k].row))
+                                .collect();
+                            db.delete_object(o).unwrap();
+                            // At most one object of each class goes, so
+                            // the order of the cascade does not matter.
+                            for &(c, row) in &freed {
+                                if attrs[classes.iter().position(|&x| x == c).unwrap()].is_some() {
+                                    rows.entry(c).or_default().1.push(row);
+                                }
+                            }
+                            for k in gone {
+                                live.remove(&k);
+                            }
+                        }
+                        None
+                    }
+                    _ => {
+                        if let Some(o) = pick(g) {
+                            let c = live[&o].0;
+                            let v = if c == student {
+                                Value::Real(g.range(0..4u32) as f64)
+                            } else {
+                                Value::str(g.string_of("ab", 0..3))
+                            };
+                            if c == person || c == student {
+                                db.set_attr(o, if c == person { "Name" } else { "GPA" }, v.clone())
+                                    .unwrap();
+                                live.get_mut(&o).unwrap().2 = v;
+                            }
+                        }
+                        None
+                    }
+                };
+                if let Some((o, c, parent)) = created {
+                    live.insert(o, (c, parent, Value::Null));
+                    let row = db.objects[&o].row;
+                    if attrs[classes.iter().position(|&x| x == c).unwrap()].is_none() {
+                        assert_eq!(row, 0, "a class without attributes has no rows");
+                    } else {
+                        let (issued, free) = rows.entry(c).or_default();
+                        let want = free.pop().unwrap_or_else(|| {
+                            *issued += 1;
+                            *issued - 1
+                        });
+                        assert_eq!(row, want, "row of {o}");
+                    }
+                }
+                for (i, &c) in classes.iter().enumerate() {
+                    let want: Vec<Oid> =
+                        live.iter().filter(|(_, v)| v.0 == c).map(|(&k, _)| k).collect();
+                    assert_eq!(db.extent(c).collect::<Vec<_>>(), want, "extent of {c}");
+                    assert_eq!(db.extent_size(c), want.len());
+                    if let Some(a) = attrs[i] {
+                        for o in want {
+                            assert_eq!(db.attr_direct(o, a), live[&o].2, "{a} of {o}");
+                        }
+                    }
+                }
+                assert_eq!(db.object_count(), live.len());
+            }
+        });
     }
 
     #[test]

@@ -173,7 +173,29 @@ pub fn load_full(text: &str) -> Result<Database, LoadError> {
     load(schema, data_text)
 }
 
+/// `resolve()`, or what it gave the previous time when `key` is the same:
+/// a dump lists its lines grouped by class, attribute and link, so most
+/// lines repeat the name the line before them resolved.
+fn cached<K: PartialEq + Copy, V: Copy>(
+    last: &mut Option<(K, V)>,
+    key: K,
+    resolve: impl FnOnce() -> Result<V, LoadError>,
+) -> Result<V, LoadError> {
+    match *last {
+        Some((k, v)) if k == key => Ok(v),
+        _ => {
+            let v = resolve()?;
+            *last = Some((key, v));
+            Ok(v)
+        }
+    }
+}
+
 /// Load a dump into a fresh database over `schema`.
+///
+/// Objects and attribute values are stored at their lines. Links are
+/// checked at their lines (both ends live and of the association's
+/// classes) and staged; each association's index is then built in bulk.
 pub fn load(schema: Schema, text: &str) -> Result<Database, LoadError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -181,14 +203,27 @@ pub fn load(schema: Schema, text: &str) -> Result<Database, LoadError> {
         Some((_, other)) => return Err(LoadError::BadHeader(other.to_string())),
         None => return Err(LoadError::BadHeader(String::new())),
     }
+    let (mut objects, mut links) = (0, 0);
+    for line in text.lines() {
+        match line.as_bytes().first() {
+            Some(b'O') => objects += 1,
+            Some(b'L') => links += 1,
+            _ => {}
+        }
+    }
     let mut db = Database::new(schema);
+    db.reserve_objects(objects);
+    let mut staged = Vec::with_capacity(links);
     let mut max_oid = None;
+    let (mut last_class, mut last_attr, mut last_link) = (None, None, None);
     for (idx, line) in lines {
         let lineno = idx + 1;
         if line.is_empty() {
             continue;
         }
         let bad = || LoadError::BadLine { line: lineno, content: line.to_string() };
+        let unknown = |name: &str| LoadError::UnknownName { line: lineno, name: name.to_string() };
+        let store = |error| LoadError::Store { line: lineno, error };
         // 0 is no OID, and after `u64::MAX` no OID is left to issue.
         let oid = |s: &str| {
             s.parse().ok().and_then(Oid::new).filter(|&o| o != Oid::MAX).ok_or_else(bad)
@@ -200,52 +235,46 @@ pub fn load(schema: Schema, text: &str) -> Result<Database, LoadError> {
             "O" => {
                 let (oid_s, class_name) = rest.split_once(' ').ok_or_else(bad)?;
                 let oid = oid(oid_s)?;
-                let class = db.schema().try_class_by_name(class_name).ok_or_else(|| {
-                    LoadError::UnknownName { line: lineno, name: class_name.to_string() }
+                let class = cached(&mut last_class, class_name, || {
+                    db.schema().try_class_by_name(class_name).ok_or_else(|| unknown(class_name))
                 })?;
-                db.restore_object(oid, class)
-                    .map_err(|error| LoadError::Store { line: lineno, error })?;
+                db.restore_object(oid, class).map_err(store)?;
                 max_oid = max_oid.max(Some(oid));
             }
             "V" => {
                 let (oid_s, rest2) = rest.split_once(' ').ok_or_else(bad)?;
                 let (attr_name, val_s) = rest2.split_once(' ').ok_or_else(bad)?;
                 let oid = oid(oid_s)?;
-                let class = db
-                    .class_of(oid)
-                    .map_err(|error| LoadError::Store { line: lineno, error })?;
-                let attr =
-                    db.schema().own_attr_by_name(class, attr_name).ok_or_else(|| {
-                        LoadError::UnknownName { line: lineno, name: attr_name.to_string() }
-                    })?;
+                let class = db.class_of(oid).map_err(store)?;
+                let attr = cached(&mut last_attr, (class, attr_name), || {
+                    db.schema().own_attr_by_name(class, attr_name).ok_or_else(|| unknown(attr_name))
+                })?;
                 let value = decode_value(val_s).ok_or_else(bad)?;
-                db.restore_attr(oid, attr, value)
-                    .map_err(|error| LoadError::Store { line: lineno, error })?;
+                db.restore_attr(oid, attr, value).map_err(store)?;
             }
             "L" => {
                 let (link_s, rest2) = rest.split_once(' ').ok_or_else(bad)?;
                 let (from_s, to_s) = rest2.split_once(' ').ok_or_else(bad)?;
-                let (class_name, link_name) = link_s.split_once('/').ok_or_else(bad)?;
-                let class = db.schema().try_class_by_name(class_name).ok_or_else(|| {
-                    LoadError::UnknownName { line: lineno, name: class_name.to_string() }
+                let assoc = cached(&mut last_link, link_s, || {
+                    let (class_name, link_name) = link_s.split_once('/').ok_or_else(bad)?;
+                    let schema = db.schema();
+                    let class =
+                        schema.try_class_by_name(class_name).ok_or_else(|| unknown(class_name))?;
+                    schema
+                        .outgoing(class)
+                        .iter()
+                        .copied()
+                        .find(|&a| schema.assoc(a).name == link_name)
+                        .ok_or_else(|| unknown(link_s))
                 })?;
-                let assoc = db
-                    .schema()
-                    .outgoing(class)
-                    .iter()
-                    .copied()
-                    .find(|&a| db.schema().assoc(a).name == link_name)
-                    .ok_or_else(|| LoadError::UnknownName {
-                        line: lineno,
-                        name: link_s.to_string(),
-                    })?;
                 let (from, to) = (oid(from_s)?, oid(to_s)?);
-                db.restore_link(assoc, from, to)
-                    .map_err(|error| LoadError::Store { line: lineno, error })?;
+                db.check_link(assoc, from, to).map_err(store)?;
+                staged.push((assoc, from, to));
             }
             _ => return Err(bad()),
         }
     }
+    db.restore_links(staged);
     if let Some(max_oid) = max_oid {
         db.resume_oids_after(max_oid);
     }
@@ -375,6 +404,73 @@ mod tests {
         }
         let ok = load(schema(), &format!("{objects}L Student/Major {s} {d}\n")).unwrap();
         assert_eq!(ok.links(major), vec![(Oid::from_raw(s), Oid::from_raw(d))]);
+    }
+
+    #[test]
+    fn objects_out_of_oid_order_load_into_ascending_extents() {
+        let text = "dooddump 1\nO 5 Person\nO 2 Person\nO 9 Person\nO 3 Person\n\
+                    V 2 name s:b\nV 5 name s:a\n";
+        let mut db = load(schema(), text).unwrap();
+        let person = db.schema().class_by_name("Person").unwrap();
+        assert_eq!(db.extent(person).collect::<Vec<_>>(), [2, 3, 5, 9].map(Oid::from_raw));
+        assert_eq!(db.attr(Oid::from_raw(2), "name").unwrap(), Value::str("b"));
+        assert_eq!(db.attr(Oid::from_raw(3), "name").unwrap(), Value::Null);
+        assert_eq!(db.attr(Oid::from_raw(5), "name").unwrap(), Value::str("a"));
+        // OIDs resume past the greatest, not past the last line's.
+        assert_eq!(db.new_object(person), Ok(Oid::from_raw(10)));
+        assert_eq!(
+            dump(&db),
+            "dooddump 1\nO 2 Person\nO 3 Person\nO 5 Person\nO 9 Person\nO 10 Person\n\
+             V 2 name s:b\nV 5 name s:a\n"
+        );
+    }
+
+    /// Persons 1 and 2, their Student perspectives 3 and 4, Depts 5 and 6.
+    const TWO_STUDENTS: &str =
+        "dooddump 1\nO 1 Person\nO 2 Person\nO 3 Student\nO 4 Student\nO 5 Dept\nO 6 Dept\n\
+         V 1 name s:ann\n";
+
+    #[test]
+    fn links_of_two_associations_may_interleave() {
+        let text = format!(
+            "{TWO_STUDENTS}L Student/Major 4 6\nL Person/G_Student 1 3\n\
+             L Student/Major 3 5\nL Person/G_Student 2 4\n"
+        );
+        let db = load(schema(), &text).unwrap();
+        let student = db.schema().class_by_name("Student").unwrap();
+        let major = db.schema().own_link_by_name(student, "Major").unwrap();
+        let g = db.schema().own_link_by_name(student, "G_Student").unwrap();
+        let pairs = |v: [(u64, u64); 2]| v.map(|(a, b)| (Oid::from_raw(a), Oid::from_raw(b)));
+        assert_eq!(db.links(major), pairs([(3, 5), (4, 6)]));
+        assert_eq!(db.links(g), pairs([(1, 3), (2, 4)]));
+        assert_eq!(db.neighbors(major, Oid::from_raw(5), false), [Oid::from_raw(3)]);
+        // The Student perspective reads its Person's name over the G link.
+        assert_eq!(db.attr(Oid::from_raw(3), "name").unwrap(), Value::str("ann"));
+        // The dump lists each association's links together, in order.
+        let again = format!(
+            "{TWO_STUDENTS}L Person/G_Student 1 3\nL Person/G_Student 2 4\n\
+             L Student/Major 3 5\nL Student/Major 4 6\n"
+        );
+        assert_eq!(dump(&db), again);
+    }
+
+    #[test]
+    fn duplicated_links_load_once() {
+        let text = format!(
+            "{TWO_STUDENTS}L Student/Major 3 5\nL Person/G_Student 1 3\n\
+             L Student/Major 3 5\nL Student/Major 3 5\nL Person/G_Student 1 3\n"
+        );
+        let db = load(schema(), &text).unwrap();
+        let student = db.schema().class_by_name("Student").unwrap();
+        let major = db.schema().own_link_by_name(student, "Major").unwrap();
+        let g = db.schema().own_link_by_name(student, "G_Student").unwrap();
+        assert_eq!((db.link_count(major), db.link_count(g)), (1, 1));
+        assert_eq!(db.neighbors(major, Oid::from_raw(3), true), [Oid::from_raw(5)]);
+        assert_eq!(db.neighbors(major, Oid::from_raw(5), false), [Oid::from_raw(3)]);
+        assert_eq!(
+            dump(&db),
+            format!("{TWO_STUDENTS}L Person/G_Student 1 3\nL Student/Major 3 5\n")
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Object records and per-class attribute layouts.
+//! Object records, per-class attribute layouts and attribute rows.
 //!
 //! Each object belongs to exactly one class and stores values for the
 //! descriptive attributes declared *directly* on that class; inherited
@@ -7,19 +7,18 @@
 //! are actually two different perspectives of the same real-world object"
 //! (paper §3.2).
 
-use dood_core::fxhash::FxHashMap;
 use dood_core::ids::{AssocId, ClassId};
 use dood_core::schema::Schema;
 use dood_core::value::Value;
 
-/// The stored state of one object: its class and its direct attribute
-/// values (positionally laid out by [`AttrLayouts`]).
-#[derive(Debug, Clone)]
+/// The stored state of one object: its class, and the row of its class's
+/// attribute rows that holds its direct attribute values.
+#[derive(Debug, Clone, Copy)]
 pub struct ObjRecord {
     /// The class this object is a direct instance of.
     pub class: ClassId,
-    /// Direct attribute values, in layout order. `Value::Null` when unset.
-    pub attrs: Box<[Value]>,
+    /// Its row of direct attribute values; 0 for a class without any.
+    pub row: usize,
 }
 
 /// Precomputed positional layout of each class's direct attributes.
@@ -27,19 +26,20 @@ pub struct ObjRecord {
 pub struct AttrLayouts {
     /// Per class: the attribute associations in slot order.
     per_class: Vec<Vec<AssocId>>,
-    /// (class, attr assoc) → slot.
-    slot_of: FxHashMap<(ClassId, AssocId), usize>,
+    /// Per association: the class declaring it as an attribute, and its slot
+    /// there (an attribute is declared on one class only).
+    slot_of: Vec<Option<(ClassId, usize)>>,
 }
 
 impl AttrLayouts {
     /// Build layouts for all classes of a schema.
     pub fn new(schema: &Schema) -> Self {
         let mut per_class = Vec::with_capacity(schema.class_count());
-        let mut slot_of = FxHashMap::default();
+        let mut slot_of = vec![None; schema.assoc_count()];
         for c in schema.classes() {
             let attrs = schema.own_attrs(c.id);
             for (i, &a) in attrs.iter().enumerate() {
-                slot_of.insert((c.id, a), i);
+                slot_of[a.index()] = Some((c.id, i));
             }
             per_class.push(attrs);
         }
@@ -53,12 +53,59 @@ impl AttrLayouts {
 
     /// The slot of attribute `attr` on `class`.
     pub fn slot(&self, class: ClassId, attr: AssocId) -> Option<usize> {
-        self.slot_of.get(&(class, attr)).copied()
+        match self.slot_of.get(attr.index()) {
+            Some(&Some((owner, slot))) if owner == class => Some(slot),
+            _ => None,
+        }
+    }
+}
+
+/// The direct attribute values of one class's objects in one vector, a row
+/// of `stride` values (the class's own attribute count) per object. A
+/// deleted object's row is reset to Null and kept for the class's next
+/// object, so objects cost no allocation of their own.
+#[derive(Debug)]
+pub(crate) struct ClassRows {
+    stride: usize,
+    values: Vec<Value>,
+    free: Vec<usize>,
+}
+
+impl ClassRows {
+    /// No rows, each to be `stride` values wide.
+    pub(crate) fn new(stride: usize) -> Self {
+        ClassRows { stride, values: Vec::new(), free: Vec::new() }
     }
 
-    /// A fresh all-null attribute vector for `class`.
-    pub fn empty_record(&self, class: ClassId) -> Box<[Value]> {
-        vec![Value::Null; self.per_class[class.index()].len()].into_boxed_slice()
+    /// A row of Nulls for a new object: a freed one if there is one.
+    pub(crate) fn alloc(&mut self) -> usize {
+        if self.stride == 0 {
+            return 0;
+        }
+        if let Some(row) = self.free.pop() {
+            return row;
+        }
+        let row = self.values.len() / self.stride;
+        self.values.resize(self.values.len() + self.stride, Value::Null);
+        row
+    }
+
+    /// Reset `row` to Null and keep it for the next [`alloc`](Self::alloc).
+    pub(crate) fn release(&mut self, row: usize) {
+        if self.stride > 0 {
+            self.row_mut(row).fill(Value::Null);
+            self.free.push(row);
+        }
+    }
+
+    /// The values of `row`, in slot order.
+    pub(crate) fn row(&self, row: usize) -> &[Value] {
+        &self.values[row * self.stride..][..self.stride]
+    }
+
+    /// The values of `row`, mutably.
+    pub(crate) fn row_mut(&mut self, row: usize) -> &mut [Value] {
+        &mut self.values[row * self.stride..][..self.stride]
     }
 }
 
@@ -88,6 +135,8 @@ mod tests {
         let ss = s.own_attr_by_name(person, "SS").unwrap();
         assert_eq!(layouts.slot(person, ss), Some(0));
         assert_eq!(layouts.slot(teacher, ss), None);
-        assert_eq!(layouts.empty_record(teacher).len(), 1);
+        let degree = s.own_attr_by_name(teacher, "Degree").unwrap();
+        assert_eq!(layouts.slot(teacher, degree), Some(0));
+        assert_eq!(layouts.slot(person, degree), None);
     }
 }

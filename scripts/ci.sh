@@ -310,8 +310,11 @@ fi
 # allocations per `cold_pipeline` op in `store.load`, `rules.parse`,
 # `rules.register` and `rules.derive`, from one short traced run, each
 # ceiling a measured value plus 25 %.
-# - `store.load`: 709 once a link copied no `AssocDef` and an escape-free
-#   string skipped `unescape` (1 064 before).
+# - `store.load`: 359.5 once extents were sorted vectors, attributes rows
+#   of one vector per class, a sole neighbour inline and each association
+#   built in bulk from its sorted links (709 with a box per object, a
+#   vector per link key and a name lookup per line; 1 064 before a link
+#   copied no `AssocDef` and an escape-free string skipped `unescape`).
 # - `rules.parse`: 306 once keywords and directives matched without a
 #   lower-case copy and the parser stopped cloning the tokens it steps
 #   over (540 before).
@@ -328,7 +331,7 @@ fi
 #   rebuild after every added rule and four copies of each seeded
 #   result).
 SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-for ceiling in store.load:886 rules.parse:382 rules.register:584 rules.derive:1417; do
+for ceiling in store.load:450 rules.parse:382 rules.register:584 rules.derive:1417; do
     STAGE="${ceiling%%:*}"
     MAX="${ceiling##*:}"
     ALLOCS="$(metric "$STAGE.allocs_per_op")"
@@ -345,5 +348,8 @@ done
 # rows it passes (224.7 with a boxed key per count and the whole context
 # copied for the prefix), again a measured value plus 25 %.
 kb_ceiling rules.derive.alloc_kb_per_op 208 cold_pipeline
+# The loaded store in KB: 56.8 once objects, extents and association
+# indexes were laid out as above (70.8 before), a measured value plus 25 %.
+kb_ceiling store.load.alloc_kb_per_op 71 cold_pipeline
 
 echo "ci: PASS"

@@ -2,9 +2,14 @@
 //! closure of the subdatabase world under rules, pattern-algebra laws,
 //! naive ≡ semi-naive fixpoints, OQL-closure ≡ Datalog reachability, and
 //! forward-maintenance ≡ from-scratch derivation under random updates.
+//! Also the evaluator ≡ the spec interpreter of `tests/common/spec_eval.rs`
+//! on random brace contexts, and a dump loader that never panics.
 //!
 //! Driven by the in-repo seeded harness (`dood::core::propcheck`); replay
 //! a reported failure with `DOOD_PROP_SEED=<seed> cargo test <name>`.
+
+#[path = "common/spec_eval.rs"]
+mod spec_eval;
 
 use dood::core::ids::Oid;
 use dood::core::propcheck::{check, Gen};
@@ -15,7 +20,8 @@ use dood::core::value::Value;
 use dood::datalog::{self, Atom};
 use dood::oql::Oql;
 use dood::rules::{EvalPolicy, RuleEngine};
-use dood::workload::{cad, company, university};
+use dood::workload::{cad, company, figures, university};
+use spec_eval::{rows_of, spec_query};
 
 const CASES: usize = 24;
 
@@ -438,6 +444,58 @@ fn incremental_maintenance_matches_full() {
     });
 }
 
+/// `names` joined by ` * ` under one to three random brace pairs that nest
+/// or are disjoint, equal pairs included (`{{A}}`), so that a retention
+/// span may start at any slot and may repeat another.
+fn braced(g: &mut Gen, names: &[&str]) -> String {
+    let n = names.len();
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    for _ in 0..g.range(1..4usize) {
+        let lo = g.range(0..n);
+        let hi = g.range(lo + 1..n + 1);
+        let laminar = |&(a, b): &(usize, usize)| {
+            b <= lo || hi <= a || (a <= lo && hi <= b) || (lo <= a && b <= hi)
+        };
+        if spans.iter().all(laminar) {
+            spans.push((lo, hi));
+        }
+    }
+    let mut out = String::new();
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            out.push_str(" * ");
+        }
+        out.extend(spans.iter().filter(|s| s.0 == i).map(|_| '{'));
+        out.push_str(name);
+        out.extend(spans.iter().filter(|s| s.1 == i + 1).map(|_| '}'));
+    }
+    out
+}
+
+/// Brace contexts over random university populations and over §5.1's
+/// instance: the evaluator returns the spec interpreter's patterns, Null
+/// padding and subsumption included, for spans starting after slot 0.
+#[test]
+fn random_brace_contexts_equal_the_spec() {
+    const CHAINS: [&[&str]; 4] = [
+        &["Department", "Course", "Section", "Student"],
+        &["Teacher", "Section", "Course"],
+        &["Student", "Section", "Teacher"],
+        &["A", "B", "C", "D"],
+    ];
+    let (fig, _) = figures::fig_5_1();
+    check("random_brace_contexts_equal_the_spec", CASES, |g| {
+        let db = university::populate(university::Size::small(), g.range(0u64..500));
+        let reg = SubdbRegistry::new();
+        for names in CHAINS {
+            let db = if names[0] == "A" { &fig } else { &db };
+            let src = braced(g, names);
+            let out = Oql::new().query(db, &reg, &format!("context {src}")).unwrap();
+            assert_eq!(rows_of(&out.subdb), spec_query(db, &reg, &src), "context {src}");
+        }
+    });
+}
+
 /// Persistence: dump → load round-trips any generated population, and
 /// queries over the loaded store give identical results.
 #[test]
@@ -453,6 +511,53 @@ fn dump_load_round_trips() {
         let a = Oql::new().query(&db, &reg, q).unwrap().subdb.to_vec();
         let b = Oql::new().query(&loaded, &reg, q).unwrap().subdb.to_vec();
         assert_eq!(a, b);
+    });
+}
+
+/// Loader robustness: a university dump with lines dropped, swapped and
+/// byte-mutated loads to `Ok` or a typed `LoadError` and never panics
+/// (`check` fails a case that panics), and a dump of what it accepted is a
+/// fixpoint of `dump(load(_))`.
+#[test]
+fn mutated_dumps_load_or_fail_typed() {
+    let text = dood::store::dump(&university::populate(university::Size::small(), 5));
+    let lines: Vec<&str> = text.lines().collect();
+    // Bytes the format gives meaning to, and a few it does not.
+    let alphabet: Vec<char> = "0123456789 /:\\-.OVLnibrs_xé".chars().collect();
+    check("mutated_dumps_load_or_fail_typed", 256, |g| {
+        let mut ls: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        for _ in 0..g.range(1..6usize) {
+            let at = g.range(0..ls.len());
+            match g.range(0..4u32) {
+                0 if ls.len() > 1 => {
+                    ls.remove(at);
+                }
+                1 => {
+                    let other = g.range(0..ls.len());
+                    ls.swap(at, other);
+                }
+                _ => {
+                    let mut chars: Vec<char> = ls[at].chars().collect();
+                    let i = g.range(0..=chars.len());
+                    let c = *g.choose(&alphabet);
+                    match g.range(0..3u32) {
+                        0 if i < chars.len() => chars[i] = c,
+                        1 if i < chars.len() => {
+                            chars.remove(i);
+                        }
+                        _ => chars.insert(i, c),
+                    }
+                    ls[at] = chars.into_iter().collect();
+                }
+            }
+        }
+        let mutated = ls.join("\n");
+        if let Ok(loaded) = dood::store::load(university::schema(), &mutated) {
+            let once = dood::store::dump(&loaded);
+            let again = dood::store::load(university::schema(), &once)
+                .unwrap_or_else(|e| panic!("a dump of an accepted dump does not load: {e}"));
+            assert_eq!(dood::store::dump(&again), once);
+        }
     });
 }
 
