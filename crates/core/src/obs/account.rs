@@ -268,19 +268,6 @@ fn slowcfg() -> &'static Mutex<SlowCfg> {
     })
 }
 
-/// Override the slow-query threshold (µs); `None` disables the log.
-/// Overrides the `DOOD_SLOWLOG_US` environment default.
-pub fn set_slowlog_threshold(us: Option<u64>) {
-    slowcfg().lock().unwrap().thresh = us;
-}
-
-/// Append slow-query records to `path` instead of the environment default.
-pub fn slowlog_to_path(path: &str) -> std::io::Result<()> {
-    let f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    slowcfg().lock().unwrap().sink = Some(Box::new(f));
-    Ok(())
-}
-
 fn maybe_log_slow(rep: &QueryReport) {
     let mut cfg = slowcfg().lock().unwrap();
     let Some(thresh) = cfg.thresh else { return };

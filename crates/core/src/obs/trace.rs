@@ -376,19 +376,6 @@ pub fn stream_to_path(path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Flush and remove the stream writer, recomputing the gate.
-pub fn stop_stream() {
-    {
-        let mut w = stream().lock().unwrap();
-        if let Some(w) = w.as_mut() {
-            let _ = w.flush();
-        }
-        *w = None;
-        STREAM_ON.store(false, Ordering::Relaxed);
-    }
-    recompute_gate();
-}
-
 /// Flush the stream writer, if any (call before process exit — the writer
 /// is buffered).
 pub fn flush_stream() {

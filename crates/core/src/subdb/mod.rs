@@ -9,7 +9,7 @@ mod rows;
 pub mod run;
 pub mod subdatabase;
 
-pub use index::{SlotAdj, SubdbIndex};
+pub use index::{SlotExtent, SlotPair, SubdbIndex};
 pub use intension::{IntEdge, Intension, SlotDef, SlotSource};
 pub use pattern::{is_part, ExtPattern, PatternType, Row};
 pub use registry::{RegistryEntry, SubdbRegistry};

@@ -173,8 +173,15 @@ impl<L: Lane> RowStore<L> {
 
     /// The first row position at which `before` turns false; `before` must
     /// hold on a (possibly empty) prefix of the rows and nowhere after it.
+    #[inline]
     fn partition(&self, before: impl Fn(&[Option<Oid>]) -> bool) -> (usize, usize) {
         let w = self.width;
+        // The index's widths search their rows as arrays.
+        match w {
+            1 => return self.partition_rows::<1>(|r| before(r)),
+            2 => return self.partition_rows::<2>(|r| before(r)),
+            _ => {}
+        }
         let leaf = self.leaves.partition_point(|l| before(&l.cells[l.cells.len() - w..]));
         let Some(Leaf { cells, .. }) = self.leaves.get(leaf) else { return (leaf, 0) };
         let (mut lo, mut hi) = (0, cells.len() / w);
@@ -189,10 +196,30 @@ impl<L: Lane> RowStore<L> {
         (leaf, lo)
     }
 
+    /// [`Self::partition`] for a store of width `W`.
+    #[inline]
+    fn partition_rows<const W: usize>(
+        &self,
+        before: impl Fn(&[Option<Oid>; W]) -> bool,
+    ) -> (usize, usize) {
+        fn rows<L, const W: usize>(l: &Leaf<L>) -> &[[Option<Oid>; W]] {
+            l.cells.as_chunks::<W>().0
+        }
+        let leaf = self.leaves.partition_point(|l| rows::<L, W>(l).last().is_some_and(&before));
+        let row = self.leaves.get(leaf).map_or(0, |l| rows::<L, W>(l).partition_point(&before));
+        (leaf, row)
+    }
+
     /// Where `row` is or would be inserted. `width` must be non-zero.
     fn locate(&self, row: &[Option<Oid>]) -> Slot {
-        let (leaf, i) = self.partition(|r| r < row);
-        let found = self.leaves.get(leaf).is_some_and(|l| self.row_of(&l.cells, i) == row);
+        // The index's widths compare cells, not slices.
+        let (leaf, i) = match *row {
+            [x] => self.partition(|r| r[0] < x),
+            [x, y] => self.partition(|r| (r[0], r[1]) < (x, y)),
+            _ => self.partition(|r| r < row),
+        };
+        let at = |l: &Leaf<L>| l.cells.get(i * row.len()..).is_some_and(|c| c.starts_with(row));
+        let found = self.leaves.get(leaf).is_some_and(at);
         Slot { leaf, row: i, found }
     }
 
@@ -271,7 +298,14 @@ impl<L: Lane> RowStore<L> {
             }
             return present;
         }
-        let Some(Slot { leaf, row: at, .. }) = self.find(row) else { return false };
+        let Some(slot) = self.find(row) else { return false };
+        self.cut(slot);
+        true
+    }
+
+    /// Remove the row at `slot`, where [`Self::find`] found it.
+    fn cut(&mut self, Slot { leaf, row: at, .. }: Slot) {
+        let w = self.width;
         self.len -= 1;
         let Leaf { cells, lane } = &mut self.leaves[leaf];
         cells.drain(at * w..(at + 1) * w);
@@ -279,28 +313,27 @@ impl<L: Lane> RowStore<L> {
         if cells.is_empty() {
             self.leaves.remove(leaf);
         }
-        true
     }
 
     /// Every row with its lane value, ascending.
     pub fn entries(&self) -> Entries<'_, L> {
-        Entries { store: self, leaf: 0, at: 0, end: (self.leaves.len(), 0), zero: self.len }
+        Entries { store: self, leaf: 0, at: 0, head: None, zero: self.len }
     }
 
     /// Every row, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = Row<'_>> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = Row<'_>> + Clone + '_ {
         self.entries().map(|(row, _)| row)
     }
 
     /// The rows whose slot 0 holds `head`, with their lane values,
-    /// ascending: one contiguous range, found by two binary searches.
+    /// ascending: one contiguous range, found by one binary search and
+    /// ended by the first row with another head.
     pub fn head_range(&self, head: Option<Oid>) -> Entries<'_, L> {
         if self.width == 0 {
-            return Entries { store: self, leaf: 0, at: 0, end: (0, 0), zero: 0 };
+            return Entries { store: self, leaf: 0, at: 0, head: None, zero: 0 };
         }
         let (leaf, at) = self.partition(|r| r[0] < head);
-        let end = self.partition(|r| r[0] <= head);
-        Entries { store: self, leaf, at, end, zero: 0 }
+        Entries { store: self, leaf, at, head: Some(head), zero: 0 }
     }
 
     /// Keep the rows `keep` accepts, leaf by leaf in place; emptied leaves
@@ -411,6 +444,17 @@ impl RowStore {
         true
     }
 
+    /// Replace the contents with the rows of `run`, sorted and distinct
+    /// ([`RowRun::sort`]), copied once into exact-sized leaves. Panics on
+    /// a run of another width, or one out of order.
+    pub fn set_run(&mut self, run: &RowRun) {
+        assert_eq!(run.width(), self.width, "a run of another width");
+        let mut rows = run.iter();
+        self.build(run.len(), |cells| {
+            cells.copy_from_slice(rows.next().expect("one row per slot").components());
+        });
+    }
+
     /// Replace the contents with the distinct rows of `blocks`, a writer of
     /// the store's width: its blocks become the leaves. Strictly ascending
     /// rows are kept as they are. Others are gathered into one exact-sized
@@ -482,10 +526,23 @@ impl RowCounts {
         Some(*count)
     }
 
+    /// Count one derivation of `row` fewer, and remove it at zero; whether
+    /// it went. A row the store does not hold is left alone.
+    pub fn release(&mut self, row: &[Option<Oid>]) -> bool {
+        let Some(s) = self.find(row) else { return false };
+        let count = &mut self.leaves[s.leaf].lane[s.row];
+        *count = count.checked_sub(1).expect("a derivation count below zero");
+        let gone = *count == 0;
+        if gone {
+            self.cut(s);
+        }
+        gone
+    }
+
     /// Replace the contents with the distinct rows of `run`, each counted
     /// by its copies in the run: the run is sorted in place, keeping its
     /// duplicates, and run-length counted into exact-sized leaves.
-    pub fn set_counted(&mut self, mut run: RowRun) {
+    pub fn set_counted(&mut self, run: &mut RowRun) {
         assert_eq!(run.width(), self.width, "a run of another width");
         assert!(self.width > 0 || run.is_empty(), "counted rows have at least one cell");
         run.order();
@@ -599,13 +656,15 @@ impl<L: Lane> fmt::Debug for RowStore<L> {
 }
 
 /// A run of a store's rows with their lane values, ascending: from a
-/// (leaf, row) position up to an exclusive end position. A width-0 store
-/// instead yields `zero` empty rows.
+/// (leaf, row) position to the last row, or, given a `head`, to the last
+/// row whose slot 0 holds it. A width-0 store instead yields `zero` empty
+/// rows.
+#[derive(Clone)]
 pub struct Entries<'a, L: Lane> {
     store: &'a RowStore<L>,
     leaf: usize,
     at: usize,
-    end: (usize, usize),
+    head: Option<Option<Oid>>,
     zero: usize,
 }
 
@@ -618,11 +677,12 @@ impl<'a, L: Lane> Iterator for Entries<'a, L> {
             self.zero = self.zero.checked_sub(1)?;
             return Some((Row::new(&[]), L::Value::default()));
         }
-        if (self.leaf, self.at) >= self.end {
+        let Leaf { cells, lane } = self.store.leaves.get(self.leaf)?;
+        let row = &cells[self.at * w..(self.at + 1) * w];
+        if self.head.is_some_and(|h| row[0] != h) {
             return None;
         }
-        let Leaf { cells, lane } = &self.store.leaves[self.leaf];
-        let entry = (Row::new(&cells[self.at * w..(self.at + 1) * w]), lane.get(self.at));
+        let entry = (Row::new(row), lane.get(self.at));
         self.at += 1;
         if self.at * w == cells.len() {
             self.leaf += 1;
@@ -685,7 +745,7 @@ mod tests {
                     *model.entry(r).or_insert(0) += 1;
                 }
                 let mut store = RowCounts::new(width);
-                store.set_counted(run);
+                store.set_counted(&mut run);
                 assert_eq!(entries(&store), want(&model, |_| true), "bulk");
 
                 for _ in 0..g.range(0..120usize) {
@@ -744,7 +804,7 @@ mod tests {
                     *model.entry(r).or_insert(0) += 1;
                 }
                 let mut store = RowCounts::new(width);
-                store.set_counted(run);
+                store.set_counted(&mut run);
                 let mut cols: Vec<Option<usize>> = (0..width).map(Some).collect();
                 for _ in 0..g.range(1..40usize) {
                     let at = g.range(0..cols.len() + 1);

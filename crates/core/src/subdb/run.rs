@@ -92,6 +92,13 @@ impl RowRun {
         self.len += other.len;
     }
 
+    /// Swap the two cells of every row of a width-2 run, in place. The run
+    /// is unsorted until the next [`RowRun::sort`].
+    pub fn flip(&mut self) {
+        assert_eq!(self.width, 2, "a run of width {} flipped", self.width);
+        self.cells.as_chunks_mut::<2>().0.iter_mut().for_each(|r| r.swap(0, 1));
+    }
+
     /// Row `i`.
     pub fn row(&self, i: usize) -> Row<'_> {
         Row::new(&self.cells[i * self.width..(i + 1) * self.width])

@@ -3,7 +3,7 @@
 //! world of subdatabases is closed under this rule-based language".
 
 use crate::ids::Oid;
-use crate::subdb::index::{SlotAdj, SubdbIndex};
+use crate::subdb::index::{SlotExtent, SlotPair, SubdbIndex};
 use crate::subdb::intension::Intension;
 use crate::subdb::pattern::{ExtPattern, PatternType, Row};
 use crate::subdb::rows::{RowBlocks, RowStore};
@@ -60,23 +60,38 @@ impl Subdatabase {
         );
     }
 
-    /// The extension's access index (counted slot extents; slot-pair
-    /// adjacency through [`Subdatabase::pair_adj`]), built on first use and
-    /// kept current by `insert` and `remove`. Bulk mutators (`set_patterns`,
+    /// The extension's access index ([`SubdbIndex`]): each slot extent and
+    /// slot pair is built on its first request and kept current by
+    /// `insert` and `remove` from then on. Bulk mutators (`set_patterns`,
     /// `set_rows`, `set_blocks`, `set_sorted_rows`, `retain`, `retain_maximal`,
-    /// `union_from`) discard it, so a later call rebuilds from scratch.
-    pub fn index(&self) -> &SubdbIndex {
-        self.index.get_or_init(|| {
-            SubdbIndex::build(self.intension.width(), self.patterns.iter().map(Row::components))
-        })
+    /// `union_from`) discard it, so a later request rebuilds.
+    fn index(&self) -> &SubdbIndex {
+        self.index.get_or_init(|| SubdbIndex::new(self.intension.width()))
     }
 
-    /// The counted adjacency between slots `a` and `b` of the access index
+    /// The counted extent of `slot` in the access index (`None` for a slot
+    /// out of range). Built on its first request, point-maintained
+    /// afterwards.
+    pub fn counted_extent(&self, slot: usize) -> Option<&SlotExtent> {
+        self.index().extent(slot, self.patterns.iter().map(Row::components))
+    }
+
+    /// The counted co-bindings of slots `a` and `b` in the access index
     /// (any order; the flag says whether the caller's "forward" `a` → `b`
     /// is flipped relative to the stored `min < max` orientation). Built on
     /// the pair's first request, point-maintained afterwards.
-    pub fn pair_adj(&self, a: usize, b: usize) -> Option<(&SlotAdj, bool)> {
-        self.index().pair_adj(a, b, self.patterns.iter().map(Row::components))
+    pub fn slot_pair(&self, a: usize, b: usize) -> Option<(&SlotPair, bool)> {
+        self.index().pair(a, b, self.patterns.iter().map(Row::components))
+    }
+
+    /// Compare every built extent and pair of the access index with one
+    /// built afresh, counts included. The error names the first
+    /// difference.
+    pub fn check_index(&self) -> Result<(), String> {
+        match self.index.get() {
+            Some(ix) => ix.check(self.patterns.iter().map(Row::components)),
+            None => Ok(()),
+        }
     }
 
     /// Number of extensional patterns.
@@ -181,10 +196,8 @@ impl Subdatabase {
     pub fn set_rows(&mut self, mut run: RowRun) {
         self.check_width(run.width());
         run.sort();
-        let mut rows = run.iter();
-        self.set_sorted_rows(run.len(), |out| {
-            out.copy_from_slice(rows.next().expect("one row per slot").components());
-        });
+        self.patterns.set_run(&run);
+        self.index = OnceLock::new();
     }
 
     /// Replace the full pattern set with the distinct rows of a span join's
@@ -543,23 +556,23 @@ mod tests {
         s.insert(p(&[Some(1), Some(2), Some(3)]));
         s.insert(p(&[Some(1), Some(4), None]));
         // Build, then point-edit: the maintained index must match a rebuild.
-        assert_eq!(s.index().slot_len(1), 2);
+        assert_eq!(s.counted_extent(1).unwrap().len(), 2);
         s.insert(p(&[Some(7), Some(2), Some(3)]));
         s.remove(p(&[Some(1), Some(4), None]));
-        assert_eq!(s.index().slot_len(0), 2);
-        assert!(!s.index().slot_contains(1, Oid::from_raw(4)));
-        let (adj, flip) = s.pair_adj(1, 0).unwrap();
+        assert_eq!(s.counted_extent(0).unwrap().len(), 2);
+        assert!(!s.counted_extent(1).unwrap().contains(Oid::from_raw(4)));
+        let (pair, flip) = s.slot_pair(1, 0).unwrap();
         assert!(flip);
-        let mut back: Vec<Oid> = adj.neighbors(Oid::from_raw(2), false).to_vec();
-        back.sort_unstable();
+        let back: Vec<Oid> = pair.neighbors(Oid::from_raw(2), false).collect();
         assert_eq!(back, vec![Oid::from_raw(1), Oid::from_raw(7)]);
+        assert_eq!(s.check_index(), Ok(()));
         // Bulk mutation discards and a fresh call rebuilds.
         s.set_patterns([p(&[Some(9), Some(9), Some(9)])]);
-        assert_eq!(s.index().slot_len(0), 1);
-        assert!(s.index().slot_contains(2, Oid::from_raw(9)));
+        assert_eq!(s.counted_extent(0).unwrap().len(), 1);
+        assert!(s.counted_extent(2).unwrap().contains(Oid::from_raw(9)));
         // Clones start without an index and rebuild on demand.
         let c = s.clone();
-        assert!(c.index().slot_contains(0, Oid::from_raw(9)));
+        assert!(c.counted_extent(0).unwrap().contains(Oid::from_raw(9)));
     }
 
     #[test]
@@ -585,7 +598,7 @@ mod tests {
             assert_eq!(a.to_vec(), b.to_vec());
             assert_eq!(dropped, all.len() - b.len());
             // The index a later reader builds describes what was kept.
-            assert_eq!(a.index().slot_len(1), b.index().slot_len(1));
+            assert_eq!(a.counted_extent(1).unwrap().len(), b.counted_extent(1).unwrap().len());
         }
     }
 
@@ -599,8 +612,8 @@ mod tests {
         assert!(s.index.get().is_some(), "nothing removed: the index is still valid");
         assert_eq!(s.retain(|q| q.get(1) != Some(Oid::from_raw(4))), 1);
         assert!(s.index.get().is_none(), "a removal must discard the index");
-        assert!(!s.index().slot_contains(1, Oid::from_raw(4)));
-        assert_eq!(s.index().slot_len(0), 1);
+        assert!(!s.counted_extent(1).unwrap().contains(Oid::from_raw(4)));
+        assert_eq!(s.counted_extent(0).unwrap().len(), 1);
     }
 
     /// A subdatabase of `width` base slots.

@@ -10,17 +10,15 @@ use crate::error::QueryError;
 use crate::plan::{CompileParts, CompiledContext, EdgeInfo, PlanInputs, SpanPlan};
 use crate::resolve::{REdgeKind, RSlot, ResolvedContext};
 use dood_core::error::ResolveError;
-use dood_core::fxhash::FxHashMap;
 use dood_core::ids::Oid;
 use dood_core::schema::{ResolvedAttr, ResolvedEdge};
 use dood_core::obs;
 use dood_core::subdb::{
-    Intension, RowBlocks, RowRun, SlotAdj, SlotDef, SlotSource, Subdatabase, SubdbIndex,
-    SubdbRegistry,
+    Intension, RowBlocks, Row, RowRun, RowStore, SlotDef, SlotExtent, SlotPair, SlotSource,
+    Subdatabase, SubdbRegistry,
 };
 use dood_core::value::Value;
 use dood_store::Database;
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -84,16 +82,16 @@ fn compile_pred(
 
 /// A slot's membership constraint.
 ///
-/// Derived slots point straight into their source subdatabase's
-/// [`SubdbIndex`], so constructing an evaluator never materializes an
-/// extent — the index is built once per source content version and shared
-/// by every evaluation against it (the incremental-maintenance hot path
-/// constructs an evaluator per delta step).
+/// Derived slots point straight into their source subdatabase's counted
+/// slot extent ([`Subdatabase::counted_extent`]), built once per source
+/// content version and shared by every evaluation against it (the
+/// incremental-maintenance hot path constructs an evaluator per delta
+/// step).
 enum Members<'a> {
     /// Base-class slot: no membership restriction beyond the class extent.
     Open,
-    /// Derived slot: membership is the given slot of the source's index.
-    Indexed(&'a SubdbIndex, usize),
+    /// Derived slot: membership is the source's extent of that slot.
+    Indexed(&'a SlotExtent),
     /// Explicitly restricted (delta evaluation).
     Fixed(BTreeSet<Oid>),
 }
@@ -108,15 +106,27 @@ pub struct Evaluator<'a> {
     plan: Arc<CompiledContext>,
     /// Per slot: the membership constraint (see [`Members`]).
     memberships: Vec<Members<'a>>,
-    /// Adjacency for derived edges, keyed by edge index (`usize::MAX` keys
-    /// the closure cycle edge): a borrow of the source index's slot-pair
-    /// adjacency plus whether the edge's left→right direction is flipped
-    /// relative to the stored orientation.
-    derived_adj: FxHashMap<usize, (&'a SlotAdj, bool)>,
+    /// Per edge, the closure's cycle edge last (see [`Self::cycle_edge`]):
+    /// a derived edge bound to its source. Empty when no edge is derived.
+    derived: Vec<Option<DerivedEdge<'a>>>,
     /// Per slot: working copy of the plan's index-backed candidate
     /// pre-filters (E10); restrictions clear entries without touching the
     /// shared plan.
     index_scan: Vec<Option<IndexScan>>,
+}
+
+/// A derived edge bound to its source subdatabase's index.
+#[derive(Clone, Copy)]
+struct DerivedEdge<'a> {
+    /// The source's slot pair.
+    pair: &'a SlotPair,
+    /// Whether the edge's left→right runs against the pair's stored
+    /// `min < max` orientation.
+    flip: bool,
+    /// Per direction (backward, forward): whether the slot a step lands in
+    /// takes its membership from the source slot the partners come from,
+    /// so that every partner is a member.
+    lands: [bool; 2],
 }
 
 /// A pre-resolved index range scan for a slot condition.
@@ -174,13 +184,13 @@ fn index_hint(slot_base: dood_core::ids::ClassId, cond: &CPred, db: &Database) -
 }
 
 /// Bind derived slots and edges to their source subdatabases' access
-/// indexes ([`Subdatabase::index`]). Shared by [`Evaluator::new`] and
-/// [`Evaluator::with_compiled`].
+/// indexes ([`Subdatabase::counted_extent`], [`Subdatabase::slot_pair`]).
+/// Shared by [`Evaluator::new`] and [`Evaluator::with_compiled`].
 #[allow(clippy::type_complexity)]
 fn bind_sources<'a>(
     ctx: &'a ResolvedContext,
     registry: &'a SubdbRegistry,
-) -> Result<(Vec<Members<'a>>, FxHashMap<usize, (&'a SlotAdj, bool)>), QueryError> {
+) -> Result<(Vec<Members<'a>>, Vec<Option<DerivedEdge<'a>>>), QueryError> {
     let mut memberships = Vec::with_capacity(ctx.slots.len());
     for slot in &ctx.slots {
         match &slot.derived {
@@ -194,30 +204,39 @@ fn bind_sources<'a>(
                         class: slot_name.clone(),
                     },
                 )?;
-                memberships.push(Members::Indexed(entry.subdb.index(), idx));
+                let extent = entry.subdb.counted_extent(idx).expect("a slot of the source");
+                memberships.push(Members::Indexed(extent));
             }
             None => memberships.push(Members::Open),
         }
     }
-    let mut derived_adj = FxHashMap::default();
-    let edge_adj = |subdb: &String, a: usize, b: usize| -> Result<(&'a SlotAdj, bool), QueryError> {
-        let entry = registry
-            .get(subdb)
-            .ok_or_else(|| QueryError::UnknownSubdb(subdb.clone()))?;
-        Ok(entry
-            .subdb
-            .pair_adj(a, b)
-            .expect("resolved derived edge joins two distinct slots"))
+    let kinds = ctx.edges.iter().map(|e| &e.kind).chain(ctx.closure.as_ref().map(|(_, k)| k));
+    let derived = match kinds.clone().any(|k| matches!(k, REdgeKind::Derived { .. })) {
+        true => kinds
+            .enumerate()
+            .map(|(i, k)| {
+                let REdgeKind::Derived { subdb, a, b } = k else { return Ok(None) };
+                let entry = registry
+                    .get(subdb)
+                    .ok_or_else(|| QueryError::UnknownSubdb(subdb.clone()))?;
+                let (pair, flip) = entry
+                    .subdb
+                    .slot_pair(*a, *b)
+                    .expect("resolved derived edge joins two distinct slots");
+                // Edge `i` joins slots `i` and `i + 1`; the cycle edge lands
+                // nowhere this holds for.
+                let from_source = |slot: usize, of: usize| {
+                    let name = &entry.subdb.intension.slots[of].name;
+                    let source = ctx.slots.get(slot).and_then(|s| s.derived.as_ref());
+                    i < ctx.edges.len() && source.is_some_and(|(s, n)| s == subdb && n == name)
+                };
+                let lands = [from_source(i, *a), from_source(i + 1, *b)];
+                Ok(Some(DerivedEdge { pair, flip, lands }))
+            })
+            .collect::<Result<_, QueryError>>()?,
+        false => Vec::new(),
     };
-    for (i, e) in ctx.edges.iter().enumerate() {
-        if let REdgeKind::Derived { subdb, a, b } = &e.kind {
-            derived_adj.insert(i, edge_adj(subdb, *a, *b)?);
-        }
-    }
-    if let Some((_, REdgeKind::Derived { subdb, a, b })) = &ctx.closure {
-        derived_adj.insert(usize::MAX, edge_adj(subdb, *a, *b)?);
-    }
-    Ok((memberships, derived_adj))
+    Ok((memberships, derived))
 }
 
 /// Selectivity of a condition no index answers: the one constant the cost
@@ -234,7 +253,7 @@ fn plan_inputs(
     ctx: &ResolvedContext,
     db: &Database,
     memberships: &[Members<'_>],
-    derived_adj: &FxHashMap<usize, (&SlotAdj, bool)>,
+    derived: &[Option<DerivedEdge<'_>>],
     preds: &[Option<CPred>],
     hints: &[Option<IndexScan>],
 ) -> PlanInputs {
@@ -242,7 +261,7 @@ fn plan_inputs(
     let cards: Vec<f64> = (0..n)
         .map(|i| match &memberships[i] {
             Members::Open => db.extent_size(ctx.slots[i].base) as f64,
-            Members::Indexed(ix, s) => ix.slot_len(*s) as f64,
+            Members::Indexed(extent) => extent.len() as f64,
             Members::Fixed(set) => set.len() as f64,
         })
         .collect();
@@ -268,7 +287,7 @@ fn plan_inputs(
             }
             REdgeKind::Base(ResolvedEdge::Identity { .. }) => (1.0, 1.0),
             REdgeKind::Derived { .. } => {
-                let pairs = derived_adj.get(&i).map_or(0.0, |&(adj, _)| adj.pair_count() as f64);
+                let pairs = pair_count(derived, i);
                 (pairs / cards[i].max(1.0), pairs / cards[i + 1].max(1.0))
             }
         };
@@ -276,6 +295,11 @@ fn plan_inputs(
         rev_fan.push(r);
     }
     PlanInputs { cards, sels, fwd_fan, rev_fan, constrained, hinted }
+}
+
+/// Distinct co-bindings of derived edge `edge` (0 if it is not bound).
+fn pair_count(derived: &[Option<DerivedEdge<'_>>], edge: usize) -> f64 {
+    derived.get(edge).copied().flatten().map_or(0.0, |d| d.pair.pair_count() as f64)
 }
 
 /// Average neighbours per instance when traversing `assoc` in direction
@@ -293,11 +317,11 @@ fn build_plan(
     ctx: &ResolvedContext,
     db: &Database,
     memberships: &[Members<'_>],
-    derived_adj: &FxHashMap<usize, (&SlotAdj, bool)>,
+    derived: &[Option<DerivedEdge<'_>>],
     preds: Vec<Option<CPred>>,
     hints: Vec<Option<IndexScan>>,
 ) -> CompiledContext {
-    let inputs = plan_inputs(ctx, db, memberships, derived_adj, &preds, &hints);
+    let inputs = plan_inputs(ctx, db, memberships, derived, &preds, &hints);
     let edges = ctx
         .edges
         .iter()
@@ -330,9 +354,7 @@ fn build_plan(
             }
             REdgeKind::Base(ResolvedEdge::Identity { .. }) => 1.0,
             REdgeKind::Derived { .. } => {
-                let pairs =
-                    derived_adj.get(&usize::MAX).map_or(0.0, |&(adj, _)| adj.pair_count() as f64);
-                pairs / inputs.cards[0].max(1.0)
+                pair_count(derived, ctx.edges.len()) / inputs.cards[0].max(1.0)
             }
         },
         max_levels: spec.iterations.map(|i| i as usize + 1),
@@ -352,7 +374,8 @@ impl<'a> Evaluator<'a> {
     /// Prepare an evaluator: compiles predicates into a cost-ordered
     /// [`CompiledContext`] (DESIGN.md §10) and binds derived slots and
     /// edges to their source subdatabases' access indexes
-    /// ([`Subdatabase::index`]). Construction is O(1) in source size when
+    /// ([`Subdatabase::counted_extent`], [`Subdatabase::slot_pair`]).
+    /// Construction is O(1) in source size when
     /// the indexes already exist — the steady state for incremental rule
     /// maintenance, which constructs an evaluator per delta step against
     /// slowly-changing registered sources (and can skip even the
@@ -362,7 +385,7 @@ impl<'a> Evaluator<'a> {
         db: &'a Database,
         registry: &'a SubdbRegistry,
     ) -> Result<Self, QueryError> {
-        let (memberships, derived_adj) = bind_sources(ctx, registry)?;
+        let (memberships, derived) = bind_sources(ctx, registry)?;
         let mut preds = Vec::with_capacity(ctx.slots.len());
         for slot in &ctx.slots {
             preds.push(match &slot.cond {
@@ -383,14 +406,14 @@ impl<'a> Evaluator<'a> {
                 cond.as_ref().and_then(|c| index_hint(slot.base, c, db))
             })
             .collect();
-        let plan = Arc::new(build_plan(ctx, db, &memberships, &derived_adj, preds, hints));
+        let plan = Arc::new(build_plan(ctx, db, &memberships, &derived, preds, hints));
         let index_scan = plan.hints.clone();
         Ok(Evaluator {
             ctx,
             db,
             plan,
             memberships,
-            derived_adj,
+            derived,
             index_scan,
         })
     }
@@ -405,14 +428,14 @@ impl<'a> Evaluator<'a> {
         registry: &'a SubdbRegistry,
         plan: Arc<CompiledContext>,
     ) -> Result<Self, QueryError> {
-        let (memberships, derived_adj) = bind_sources(ctx, registry)?;
+        let (memberships, derived) = bind_sources(ctx, registry)?;
         let index_scan = plan.hints.clone();
         Ok(Evaluator {
             ctx,
             db,
             plan,
             memberships,
-            derived_adj,
+            derived,
             index_scan,
         })
     }
@@ -439,7 +462,7 @@ impl<'a> Evaluator<'a> {
             self.ctx,
             self.db,
             &self.memberships,
-            &self.derived_adj,
+            &self.derived,
             &self.plan.preds,
             &self.plan.hints,
         )
@@ -492,11 +515,11 @@ impl<'a> Evaluator<'a> {
                         if !self.live_in_slot(slot, o) || !self.accepts(slot, o) {
                             continue;
                         }
-                        for &n in self.step(0, edge, o, slot == 0).iter() {
+                        self.step(0, edge, o, slot == 0, |n| {
                             if self.accepts(other, n) {
                                 emit(if slot == 0 { [o, n] } else { [n, o] });
                             }
-                        }
+                        });
                     }
                 }
             };
@@ -553,7 +576,7 @@ impl<'a> Evaluator<'a> {
     fn member_ok(&self, slot: usize, oid: Oid) -> bool {
         match &self.memberships[slot] {
             Members::Open => true,
-            Members::Indexed(ix, s) => ix.slot_contains(*s, oid),
+            Members::Indexed(extent) => extent.contains(oid),
             Members::Fixed(set) => set.contains(&oid),
         }
     }
@@ -561,11 +584,15 @@ impl<'a> Evaluator<'a> {
     /// Whether `oid` qualifies for `slot` (derived membership + intra-class
     /// condition; class correctness is guaranteed by traversal).
     fn accepts(&self, slot: usize, oid: Oid) -> bool {
-        self.member_ok(slot, oid)
-            && match &self.plan.preds[slot] {
-                Some(p) => p.eval(self.db, oid),
-                None => true,
-            }
+        self.member_ok(slot, oid) && self.cond_ok(slot, oid)
+    }
+
+    /// Whether `oid` passes `slot`'s intra-class condition.
+    fn cond_ok(&self, slot: usize, oid: Oid) -> bool {
+        match &self.plan.preds[slot] {
+            Some(p) => p.eval(self.db, oid),
+            None => true,
+        }
     }
 
     /// All qualifying instances of a slot, ascending.
@@ -583,10 +610,10 @@ impl<'a> Evaluator<'a> {
         }
         let base: Vec<Oid> = match &self.memberships[slot] {
             Members::Open => self.db.extent(self.ctx.slots[slot].base).collect(),
-            Members::Indexed(ix, s) => {
-                let mut v: Vec<Oid> = ix.slot_oids(*s).collect();
-                v.sort_unstable();
-                v
+            Members::Indexed(extent) => {
+                let mut oids = Vec::with_capacity(extent.len());
+                oids.extend(extent.oids());
+                oids
             }
             Members::Fixed(set) => set.iter().copied().collect(),
         };
@@ -605,37 +632,57 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Traverse edge `edge_idx` from `oid`; `forward` follows left→right.
-    /// A plain association lends the store's neighbour slice and a derived
-    /// edge its adjacency slice; only an inherited or identity chain is
+    /// Edge `edge` bound to its source, if it is derived.
+    fn derived_edge(&self, edge: usize) -> Option<DerivedEdge<'a>> {
+        self.derived.get(edge).copied().flatten()
+    }
+
+    /// The index of the closure's cycle edge, after the context's edges.
+    fn cycle_edge(&self) -> usize {
+        self.ctx.edges.len()
+    }
+
+    /// Traverse edge `edge_idx` from `oid`, handing each neighbour to
+    /// `visit` in ascending order; `forward` follows left→right. A plain
+    /// association walks the store's neighbour slice and a derived edge a
+    /// head range of its slot pair; only an inherited or identity chain is
     /// traversed into a new list.
-    fn step(&self, edge_idx: usize, kind: &REdgeKind, oid: Oid, forward: bool) -> Cow<'_, [Oid]> {
+    fn step(
+        &self,
+        edge_idx: usize,
+        kind: &REdgeKind,
+        oid: Oid,
+        forward: bool,
+        visit: impl FnMut(Oid),
+    ) {
         match kind {
             REdgeKind::Base(ResolvedEdge::Assoc { up_x, assoc, forward: f, up_y })
                 if up_x.is_empty() && up_y.is_empty() =>
             {
-                Cow::Borrowed(self.db.neighbors(*assoc, oid, forward == *f))
+                self.db.neighbors(*assoc, oid, forward == *f).iter().copied().for_each(visit)
             }
-            REdgeKind::Base(edge) => Cow::Owned(if forward {
-                self.db.traverse(oid, edge)
-            } else {
-                self.db.traverse(oid, &reverse_edge(edge))
-            }),
-            REdgeKind::Derived { .. } => Cow::Borrowed(
-                self.derived_adj
-                    .get(&edge_idx)
-                    .map_or(&[][..], |&(adj, flip)| adj.neighbors(oid, forward ^ flip)),
-            ),
+            REdgeKind::Base(edge) => {
+                let next = match forward {
+                    true => self.db.traverse(oid, edge),
+                    false => self.db.traverse(oid, &reverse_edge(edge)),
+                };
+                next.into_iter().for_each(visit)
+            }
+            REdgeKind::Derived { .. } => {
+                if let Some(d) = self.derived_edge(edge_idx) {
+                    d.pair.neighbors(oid, forward ^ d.flip).for_each(visit)
+                }
+            }
         }
     }
 
     fn links(&self, edge_idx: usize, kind: &REdgeKind, x: Oid, y: Oid) -> bool {
         match kind {
             REdgeKind::Base(edge) => self.db.edge_links(x, edge, y),
-            REdgeKind::Derived { .. } => self
-                .derived_adj
-                .get(&edge_idx)
-                .is_some_and(|&(adj, flip)| adj.neighbors(x, !flip).binary_search(&y).is_ok()),
+            REdgeKind::Derived { .. } => self.derived_edge(edge_idx).is_some_and(|d| match d.flip {
+                false => d.pair.contains(x, y),
+                true => d.pair.contains(y, x),
+            }),
         }
     }
 
@@ -779,30 +826,31 @@ impl<'a> Evaluator<'a> {
             }
             return;
         }
-        let info = &self.plan.edges[st.edge];
-        let owned: Vec<Oid>;
-        let neighbors: &[Oid] = if let Some((assoc, f)) = info.flat {
-            // Plain association: zero-alloc neighbor slice from the store.
-            self.db.neighbors(assoc, from, if st.forward { f } else { !f })
-        } else if let Some(fwd) = &info.fwd {
-            // Chained base edge, pre-directed at compile time (no per-row
-            // edge reversal).
-            let e = if st.forward { fwd } else { info.rev.as_ref().expect("rev precomputed") };
-            owned = self.db.traverse(from, e);
-            &owned
-        } else {
-            self.derived_adj
-                .get(&st.edge)
-                .map(|&(adj, flip)| adj.neighbors(from, st.forward ^ flip))
-                .unwrap_or(&[])
-        };
-        for &next in neighbors {
+        // A partner over a derived edge is bound in the source slot it
+        // comes from, so a slot whose membership is that slot's extent
+        // takes it without a lookup.
+        let derived = self.derived_edge(st.edge);
+        let member = derived.is_some_and(|d| d.lands[usize::from(st.forward)])
+            && matches!(self.memberships[st.to_slot], Members::Indexed(_));
+        let visit = |next: Oid| {
             scanned[depth] += 1;
-            if self.accepts(st.to_slot, next) {
+            if (member || self.member_ok(st.to_slot, next)) && self.cond_ok(st.to_slot, next) {
                 kept[depth] += 1;
                 row[st.to_slot] = Some(next);
                 self.exec_steps(sp, na, row, depth + 1, out, scanned, kept);
             }
+        };
+        let info = &self.plan.edges[st.edge];
+        if let Some((assoc, f)) = info.flat {
+            // Plain association: zero-alloc neighbor slice from the store.
+            self.db.neighbors(assoc, from, st.forward == f).iter().copied().for_each(visit)
+        } else if let Some(fwd) = &info.fwd {
+            // Chained base edge, pre-directed at compile time (no per-row
+            // edge reversal).
+            let e = if st.forward { fwd } else { info.rev.as_ref().expect("rev precomputed") };
+            self.db.traverse(from, e).into_iter().for_each(visit)
+        } else if let Some(d) = derived {
+            d.pair.neighbors(from, st.forward ^ d.flip).for_each(visit)
         }
     }
 
@@ -924,78 +972,64 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// Compute the successor lists for a batch of slot-0 nodes, ascending
-    /// and distinct: run the fused chain join with the batch as (unchecked)
-    /// anchor candidates, then the cycle step from each produced row's last
-    /// slot, filtered by slot 0's acceptance — one batched join, not a
-    /// re-join per node. Returns one `(node, sorted deduped successors)`
-    /// entry per input node, in input order.
+    /// Compute the successor relation of a batch of slot-0 nodes: run the
+    /// fused chain join with the batch as (unchecked) anchor candidates,
+    /// then the cycle step from each produced row's last slot, filtered by
+    /// slot 0's acceptance — one batched join, not a re-join per node.
+    /// Returns the `(node, successor)` rows, sorted and distinct, so a
+    /// node's list is its head range. Under `^0` no chain reads a list,
+    /// and none is computed.
     ///
     /// The cycle step lands in slot 0's class, so a successor that passes
     /// slot 0's membership and condition is itself a root: expanding the
     /// roots once gives the whole successor relation, and no successor
     /// ever needs a list of its own beyond the one it has as a root.
-    fn closure_expand(&self, nodes: &[Oid], na: &[Option<Vec<Oid>>]) -> Vec<(Oid, Vec<Oid>)> {
+    pub fn closure_succ_batch(&self, nodes: &[Oid]) -> RowRun {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "batch ascending and distinct");
+        let mut out = RowRun::new(2);
+        let capped = self.plan.closure.as_ref().is_some_and(|c| c.max_levels == Some(1));
+        if nodes.is_empty() || capped {
+            return out;
+        }
         let n = self.ctx.slots.len();
         let (_, cycle) = self.ctx.closure.as_ref().expect("closure context");
-        let mut out: Vec<(Oid, Vec<Oid>)> =
-            nodes.iter().map(|&o| (o, Vec::new())).collect();
-        let push_succs = |succs: &mut Vec<Oid>, last: Oid| {
-            for &s in self.step(usize::MAX, cycle, last, true).iter() {
+        let mut push_succs = |node: Oid, last: Oid| {
+            self.step(self.cycle_edge(), cycle, last, true, |s| {
                 if self.accepts(0, s) {
                     debug_assert!(self.live_in_slot(0, s), "a successor is a root");
-                    succs.push(s);
+                    out.push(&[Some(node), Some(s)]);
                 }
-            }
+            })
         };
         if n == 1 {
             // Single-slot chain: the cycle step is the whole join.
-            for (o, succs) in out.iter_mut() {
-                push_succs(succs, *o);
-            }
+            nodes.iter().for_each(|&o| push_succs(o, o));
         } else {
             let chain = &self.plan.closure.as_ref().expect("closure plan").chain;
             let mut rows = RowBlocks::new(n);
-            self.exec_span_rows(chain, nodes, na, &mut rows);
+            self.exec_span_rows(chain, nodes, &self.closure_na(), &mut rows);
             for row in rows.iter() {
                 let first = row.get(0).expect("a chain row is bound");
-                let i = nodes.binary_search(&first).expect("a chain row starts at a batch node");
-                push_succs(&mut out[i].1, row.get(n - 1).expect("a chain row is bound"));
+                push_succs(first, row.get(n - 1).expect("a chain row is bound"));
             }
         }
-        for (_, succs) in out.iter_mut() {
-            succs.sort_unstable();
-            succs.dedup();
-        }
+        out.sort();
         out
-    }
-
-    /// Batched successor computation, one entry per node in input order.
-    /// Nodes must be live instances of the cycle class, ascending and
-    /// distinct; exposed for incremental maintenance.
-    pub fn closure_succ_batch(&self, nodes: &[Oid]) -> Vec<(Oid, Vec<Oid>)> {
-        if nodes.is_empty() {
-            return Vec::new();
-        }
-        self.closure_expand(nodes, &self.closure_na())
     }
 
     /// The successor relation: the roots are the slot-0 candidates, and
     /// one expansion of them gives every list the chain walk can read (see
-    /// [`closure_expand`](Self::closure_expand)). Under `^0` the walk
-    /// reads no list, so nothing is expanded.
-    fn closure_fixpoint(&self, state: &mut ClosureState) {
-        let plan = self.plan.closure.as_ref().expect("closure plan");
+    /// [`closure_succ_batch`](Self::closure_succ_batch)).
+    fn closure_fixpoint(&self) -> ClosureState {
         let mut tsp = obs::trace::span("oql.closure");
-        state.roots = self.candidates(0);
-        tsp.attr("roots", state.roots.len() as i64);
-        let expand = plan.max_levels != Some(1) && !state.roots.is_empty();
-        let steps = if expand { state.roots.len() as u64 } else { 0 };
-        if expand {
-            let lists = self.closure_expand(&state.roots, &self.closure_na());
-            state.succ = lists.into_iter().collect();
-        }
+        let roots = self.candidates(0);
+        tsp.attr("roots", roots.len() as i64);
+        let pairs = self.closure_succ_batch(&roots);
+        let expand = self.plan.closure.as_ref().expect("closure plan").max_levels != Some(1)
+            && !roots.is_empty();
+        let steps = if expand { roots.len() as u64 } else { 0 };
+        let mut succ = RowStore::new(2);
+        succ.set_run(&pairs);
         tsp.attr("steps", steps as i64);
         if obs::metrics_enabled() {
             obs::metrics::counter("oql.closure.steps").add(steps);
@@ -1004,31 +1038,33 @@ impl<'a> Evaluator<'a> {
             a.add_closure_rounds(u64::from(expand));
             a.add_rows_scanned(steps);
         }
+        ClosureState { succ, roots }
     }
 
     /// The DFS over the successor relation from `roots` that yields the
     /// maximal root-to-leaf chains (per-path cycle cut, `^N` length cap).
-    /// `succ` must hold a list for every node the walk can reach below the
-    /// cap: [`closure_fixpoint`](Self::closure_fixpoint) expands every
+    /// `succ` must hold the list of every node the walk can reach below
+    /// the cap: [`closure_fixpoint`](Self::closure_fixpoint) expands every
     /// slot-0 candidate and a successor is always one, and the incremental
-    /// path keeps a list for every root. With `roots` ascending and
-    /// distinct, and the successor lists so (as the fixpoint leaves them),
-    /// the chains come out ascending and distinct.
+    /// path keeps the list of every root. With `roots` ascending and
+    /// distinct, the chains come out ascending and distinct.
     fn chain_walk<'s>(
         &self,
         roots: &'s [Oid],
-        succ: &'s FxHashMap<Oid, Vec<Oid>>,
+        succ: &RowStore,
+        buf: &'s mut WalkBuffers,
     ) -> ChainWalk<'s> {
         let max_levels = self.plan.closure.as_ref().and_then(|c| c.max_levels);
-        ChainWalk::new(roots, succ, max_levels)
+        ChainWalk::new(roots, succ, max_levels, buf)
     }
 
     /// The maximal chains from `roots` (see
     /// [`chain_walk`](Self::chain_walk)) in one flat buffer: a counting
-    /// walk sizes it exactly, a second walk writes it.
-    pub fn closure_chains(&self, roots: &[Oid], succ: &FxHashMap<Oid, Vec<Oid>>) -> Chains {
+    /// walk sizes it exactly, a second walk writes it. The walk runs in
+    /// `buf`.
+    pub fn closure_chains(&self, roots: &[Oid], succ: &RowStore, buf: &mut WalkBuffers) -> Chains {
         let (mut chains, mut cells) = (0, 0);
-        let mut walk = self.chain_walk(roots, succ);
+        let mut walk = self.chain_walk(roots, succ, buf);
         while let Some(c) = walk.next_chain() {
             (chains, cells) = (chains + 1, cells + c.len());
         }
@@ -1057,14 +1093,14 @@ impl<'a> Evaluator<'a> {
         name: &str,
         sp: &mut obs::trace::Span,
     ) -> (Subdatabase, ClosureState) {
-        let mut state = ClosureState::default();
-        self.closure_fixpoint(&mut state);
+        let state = self.closure_fixpoint();
         sp.attr("roots", state.roots.len() as i64);
         // The chains go straight from the walk into the result's leaves: a
         // counting walk gives their number and the width, a second one
         // writes them, in order, so no chain is held anywhere else.
         let (mut chains, mut width) = (0, 1);
-        let mut walk = self.chain_walk(&state.roots, &state.succ);
+        let mut buf = WalkBuffers::default();
+        let mut walk = self.chain_walk(&state.roots, &state.succ, &mut buf);
         while let Some(c) = walk.next_chain() {
             (chains, width) = (chains + 1, width.max(c.len()));
         }
@@ -1121,8 +1157,11 @@ impl<'a> Evaluator<'a> {
                 dirty.iter().copied().filter(|&o| self.live_in_slot(k, o)).collect();
             if k == n - 1 {
                 for o in dirty.iter().copied().filter(|&o| self.live_in_slot(0, o)) {
-                    let rev = self.step(usize::MAX, cycle, o, false);
-                    anchor.extend(rev.iter().copied().filter(|&l| self.live_in_slot(n - 1, l)));
+                    self.step(self.cycle_edge(), cycle, o, false, |l| {
+                        if self.live_in_slot(n - 1, l) {
+                            anchor.push(l);
+                        }
+                    });
                 }
                 anchor.sort_unstable();
                 anchor.dedup();
@@ -1194,20 +1233,39 @@ impl Chains {
     }
 }
 
+/// The buffers of a chain walk. A caller that walks again and again (a
+/// closure rule's cache) keeps them, so that once they have grown a walk
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct WalkBuffers {
+    /// The nodes the walk can reach from its roots, ascending, each with
+    /// where its list starts and ends in `edges`.
+    heads: Vec<(Oid, u32, u32)>,
+    /// Every reached node's successors, each with the index of its own
+    /// list in `heads`.
+    edges: Vec<(Oid, u32)>,
+    /// The current path (first a stack of nodes to expand).
+    path: Vec<Oid>,
+    /// Per node on the path: the next edge of its list to try, the end of
+    /// the list, and whether it has had a child.
+    rest: Vec<(u32, u32, bool)>,
+}
+
 /// The depth-first walk behind [`Evaluator::chain_walk`], one maximal
-/// chain per [`ChainWalk::next_chain`] call. The successor lists are read
-/// in place; the state is the current path and, per node on it, the rest
-/// of its list still to try and whether it has had a child. A node is a
-/// leaf when it is at the length cap, or when none of its successors is off
-/// the path — which includes a node with no successor list at all, in
-/// every build.
+/// chain per [`ChainWalk::next_chain`] call. The lists of the nodes the
+/// roots reach are read once, when the walk starts, into a flat copy in
+/// which each edge names the position of its successor's own list, so that
+/// entering a node over an edge is O(1) and only a root's list is searched
+/// for; a walk from a few roots copies only what they reach. The state is
+/// the current path and, per node on it, the rest of its list still to try
+/// (none at the length cap) and whether it has had a child. A node is a
+/// leaf when none of the successors left to it is off the path — which
+/// includes a node with no successor row at all.
 struct ChainWalk<'s> {
-    succ: &'s FxHashMap<Oid, Vec<Oid>>,
+    buf: &'s mut WalkBuffers,
     max_levels: Option<usize>,
     all_roots: &'s [Oid],
     roots: std::slice::Iter<'s, Oid>,
-    path: Vec<Oid>,
-    rest: Vec<(&'s [Oid], bool)>,
     /// The path ends in the leaf handed out last, to be popped first.
     at_leaf: bool,
 }
@@ -1215,55 +1273,83 @@ struct ChainWalk<'s> {
 impl<'s> ChainWalk<'s> {
     fn new(
         roots: &'s [Oid],
-        succ: &'s FxHashMap<Oid, Vec<Oid>>,
+        succ: &RowStore,
         max_levels: Option<usize>,
+        buf: &'s mut WalkBuffers,
     ) -> Self {
-        let (path, rest) = (Vec::new(), Vec::new());
-        let at_leaf = false;
-        ChainWalk { succ, max_levels, all_roots: roots, roots: roots.iter(), path, rest, at_leaf }
+        let next = |r: (Row<'_>, ())| r.0.get(1).expect("an edge row is bound");
+        let at = |i: usize| u32::try_from(i).expect("at most 2^32 successor rows");
+        let find = |heads: &[(Oid, u32, u32)], o: &Oid| heads.binary_search_by_key(o, |h| h.0);
+        let WalkBuffers { heads, edges, path, rest } = buf;
+        (heads.clear(), edges.clear(), path.clear(), rest.clear());
+        // A depth-first search from the roots, with `path` as its stack,
+        // copies each node's list as it takes the node off the stack.
+        heads.extend(roots.iter().map(|&r| (r, 0, 0)));
+        path.extend_from_slice(roots);
+        while let Some(node) = path.pop() {
+            let start = edges.len();
+            edges.extend(succ.head_range(Some(node)).map(|r| (next(r), 0)));
+            for &(s, _) in &edges[start..] {
+                if let Err(i) = find(heads, &s) {
+                    heads.insert(i, (s, 0, 0));
+                    path.push(s);
+                }
+            }
+            let i = find(heads, &node).expect("a node taken off the stack is reached");
+            (heads[i].1, heads[i].2) = (at(start), at(edges.len()));
+        }
+        for (s, list) in edges.iter_mut() {
+            *list = at(find(heads, s).expect("a successor is reached"));
+        }
+        ChainWalk { buf, max_levels, all_roots: roots, roots: roots.iter(), at_leaf: false }
     }
 
     /// Start a finished walk over from the first root, keeping the path's
     /// buffers.
     fn rewind(&mut self) {
-        debug_assert!(self.path.is_empty(), "rewound in mid-walk");
+        debug_assert!(self.buf.path.is_empty(), "rewound in mid-walk");
         self.roots = self.all_roots.iter();
     }
 
-    /// Put `node` on the path, with the successors it may try.
-    fn enter(&mut self, node: Oid) {
-        self.path.push(node);
-        let list = match self.max_levels {
-            Some(m) if self.path.len() >= m => &[][..],
-            _ => self.succ.get(&node).map_or(&[][..], Vec::as_slice),
+    /// Put `node`, whose list is `list`, on the path.
+    fn enter(&mut self, node: Oid, list: u32) {
+        let WalkBuffers { heads, path, rest, .. } = &mut *self.buf;
+        path.push(node);
+        let (start, end) = match self.max_levels.is_some_and(|m| path.len() >= m) {
+            true => (0, 0),
+            false => (heads[list as usize].1, heads[list as usize].2),
         };
-        self.rest.push((list, false));
+        rest.push((start, end, false));
     }
 
     /// The next maximal chain, root first.
     fn next_chain(&mut self) -> Option<&[Oid]> {
         if std::mem::take(&mut self.at_leaf) {
-            self.path.pop();
-            self.rest.pop();
+            self.buf.path.pop();
+            self.buf.rest.pop();
         }
         loop {
-            let Some(&mut (list, had_child)) = self.rest.last_mut() else {
+            let WalkBuffers { heads, edges, path, rest } = &mut *self.buf;
+            let Some((start, end, had_child)) = rest.last_mut() else {
                 let &root = self.roots.next()?;
-                self.enter(root);
+                let list = heads.binary_search_by_key(&root, |h| h.0);
+                self.enter(root, list.expect("a root is reached") as u32);
                 continue;
             };
-            match list.iter().position(|n| !self.path.contains(n)) {
+            let list = &edges[*start as usize..*end as usize];
+            match list.iter().position(|(n, _)| !path.contains(n)) {
                 Some(k) => {
-                    *self.rest.last_mut().expect("checked") = (&list[k + 1..], true);
-                    self.enter(list[k]);
+                    let (next, its) = list[k];
+                    (*start, *had_child) = (*start + k as u32 + 1, true);
+                    self.enter(next, its);
                 }
-                None if had_child => {
-                    self.path.pop();
-                    self.rest.pop();
+                None if *had_child => {
+                    path.pop();
+                    rest.pop();
                 }
                 None => {
                     self.at_leaf = true;
-                    return Some(&self.path);
+                    return Some(&self.buf.path);
                 }
             }
         }
@@ -1274,12 +1360,12 @@ impl<'s> ChainWalk<'s> {
 /// provenance for incremental maintenance: `rules::maintain` caches it per
 /// closure rule and extends/prunes it on deltas instead of recomputing the
 /// fixpoint (DESIGN.md §11).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ClosureState {
-    /// Per expanded node: its sorted, deduped successor list (the chain
-    /// join from the node plus the cycle step, slot-0-filtered). Nodes
-    /// with no successors carry an empty list.
-    pub succ: FxHashMap<Oid, Vec<Oid>>,
+    /// The `(node, successor)` rows: per expanded node, its successors
+    /// (the chain join from the node plus the cycle step, slot-0-filtered)
+    /// as one head range.
+    pub succ: RowStore,
     /// The root set the chains started from (sorted slot-0 candidates).
     pub roots: Vec<Oid>,
 }
@@ -1505,10 +1591,15 @@ mod tests {
     fn dfs_chains_ends_a_chain_at_a_node_without_a_successor_list() {
         // 1 -> {2, 3}, 3 -> {1} (cut on the path); 2 has no list at all.
         let c = |v: &[u64]| v.iter().map(|&o| Oid::from_raw(o)).collect::<Vec<_>>();
-        let succ: FxHashMap<Oid, Vec<Oid>> =
-            [(Oid::from_raw(1), c(&[2, 3])), (Oid::from_raw(3), c(&[1]))].into_iter().collect();
+        let mut edges = RowRun::new(2);
+        for (n, s) in [(1, 2), (1, 3), (3, 1)] {
+            edges.push(&[Some(Oid::from_raw(n)), Some(Oid::from_raw(s))]);
+        }
+        let mut succ = RowStore::new(2);
+        succ.set_run(&edges);
         let walk = |roots: &[Oid], max: Option<usize>| {
-            let mut walk = ChainWalk::new(roots, &succ, max);
+            let mut buf = WalkBuffers::default();
+            let mut walk = ChainWalk::new(roots, &succ, max, &mut buf);
             let mut out: Vec<Vec<Oid>> = Vec::new();
             while let Some(c) = walk.next_chain() {
                 out.push(c.to_vec());

@@ -971,8 +971,14 @@ impl RuleEngine {
     /// sequence number, with no source changed since — and the target it
     /// maintains (a union's per-rule target, or else the registered
     /// result) against a cache seeded afresh from the same store and
-    /// registry. The error names the rule and the first difference.
+    /// registry; and every registered subdatabase's access index, if it
+    /// is built, against one built afresh. The error names the rule or the
+    /// subdatabase, and the first difference.
     pub fn audit(&self) -> Result<(), String> {
+        for name in self.registry.names() {
+            let sd = self.registry.subdb(name).expect("a listed entry");
+            sd.check_index().map_err(|e| format!("subdatabase {name}: index {e}"))?;
+        }
         for (i, rule) in self.rules.iter().enumerate() {
             let Some(cache) = &self.caches[i] else { continue };
             let moved = cache

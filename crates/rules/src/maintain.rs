@@ -57,7 +57,7 @@ use dood_core::obs;
 use dood_core::subdb::{
     is_part, Intension, Row, RowCounts, RowRun, RowStore, Subdatabase, SubdbRegistry,
 };
-use dood_oql::eval::Evaluator;
+use dood_oql::eval::{Evaluator, WalkBuffers};
 use dood_oql::plan::CompiledContext;
 use dood_oql::resolve::{resolve_context, REdgeKind, ResolvedContext};
 use dood_oql::wherec::{bind_cond, AggCond, BoundCond, CmpCond};
@@ -104,91 +104,112 @@ pub fn dirty_closure(db: &Database, touched: impl IntoIterator<Item = Oid>) -> B
 
 /// The cached provenance of a closure rule: the successor relation the
 /// chains are a function of, plus its inverse, which localizes chain
-/// re-derivation. `succ` holds a list for every root (none under `^0`),
-/// and every list names only roots; `pred` is its exact inverse.
-/// Chain-length counts make the result width an O(1) question on every
-/// delta.
+/// re-derivation. `succ` holds the `(node, successor)` rows of every root
+/// (none under `^0`), and every row names only roots; `pred` holds the
+/// same edges as `(successor, node)` rows. Chain-length counts make the
+/// result width an O(1) question on every delta.
 #[derive(Debug, Clone)]
 struct ClosureCache {
-    succ: FxHashMap<Oid, Vec<Oid>>,
-    pred: FxHashMap<Oid, Vec<Oid>>,
+    succ: RowStore,
+    pred: RowStore,
     /// Sorted slot-0 candidates as of `at_seq`.
     roots: Vec<Oid>,
-    /// Chains per length; the max live key is the result's width.
-    len_counts: FxHashMap<usize, u32>,
+    /// Chains per length, indexed by length; the last entry is non-zero
+    /// and its index is the result's width.
+    len_counts: Vec<u32>,
+    /// The chain walk's buffers, kept from step to step.
+    walk: WalkBuffers,
 }
 
 impl ClosureCache {
     fn new(state: dood_oql::eval::ClosureState, sd: &Subdatabase) -> Self {
-        let mut pred: FxHashMap<Oid, Vec<Oid>> = FxHashMap::default();
-        for (&n, list) in &state.succ {
-            for &s in list {
-                pred.entry(s).or_default().push(n);
-            }
+        let mut edges = RowRun::with_capacity(2, state.succ.len());
+        for r in state.succ.iter() {
+            edges.push(r.components());
         }
-        for v in pred.values_mut() {
-            v.sort_unstable();
-        }
+        edges.flip();
+        edges.sort();
+        let mut pred = RowStore::new(2);
+        pred.set_run(&edges);
         let mut roots = state.roots;
         roots.sort_unstable();
-        let mut len_counts: FxHashMap<usize, u32> = FxHashMap::default();
-        for p in sd.patterns() {
-            *len_counts.entry(p.arity()).or_insert(0) += 1;
-        }
-        ClosureCache { succ: state.succ, pred, roots, len_counts }
+        let (len_counts, walk) = (Vec::new(), WalkBuffers::default());
+        let mut cc = ClosureCache { succ: state.succ, pred, roots, len_counts, walk };
+        cc.count_chains(sd.patterns().map(Row::arity), true);
+        cc
     }
 
     fn is_root(&self, o: Oid) -> bool {
         self.roots.binary_search(&o).is_ok()
     }
 
-    fn pred_insert(&mut self, node: Oid, from: Oid) {
-        let v = self.pred.entry(node).or_default();
-        if let Err(i) = v.binary_search(&from) {
-            v.insert(i, from);
-        }
-    }
-
-    /// Remove one edge of the inverse relation.
-    fn pred_remove(&mut self, node: Oid, from: Oid) {
-        if let Some(v) = self.pred.get_mut(&node) {
-            if let Ok(i) = v.binary_search(&from) {
-                v.remove(i);
+    /// Count chains of the given lengths in (`add`) or out, and drop the
+    /// trailing zero counts.
+    fn count_chains(&mut self, lens: impl Iterator<Item = usize>, add: bool) {
+        for len in lens {
+            if len >= self.len_counts.len() {
+                self.len_counts.resize(len + 1, 0);
             }
+            let c = &mut self.len_counts[len];
+            *c = if add { *c + 1 } else { c.checked_sub(1).expect("a chain counted in") };
+        }
+        while self.len_counts.last() == Some(&0) {
+            self.len_counts.pop();
         }
     }
 
-    /// Install a recomputed successor list: take the cached one out and
-    /// diff it against the new one, patching `pred` edge by edge. `seeds`
-    /// records every node whose list changed (the reverse-reachability
-    /// seeds for the chain re-derivation).
-    fn apply_list(&mut self, node: Oid, new: Vec<Oid>, seeds: &mut Vec<Oid>) {
-        let old = match self.succ.get_mut(&node) {
-            Some(v) if *v == new => return,
-            Some(v) => std::mem::take(v),
-            None => Vec::new(),
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < new.len() {
-            match (old.get(i), new.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i += 1;
-                    j += 1;
+    /// The result's width: the longest chain's length, 1 with no chain.
+    fn width(&self) -> usize {
+        self.len_counts.len().saturating_sub(1).max(1)
+    }
+
+    /// Install a recomputed successor list, ascending: diff it against the
+    /// node's head range of `succ` and patch both relations edge by edge.
+    /// Whether the list changed; `edits` is scratch.
+    fn apply_list(
+        &mut self,
+        node: Oid,
+        new: impl Iterator<Item = Oid>,
+        edits: &mut Vec<(Oid, bool)>,
+    ) -> bool {
+        edits.clear();
+        let mut old = self.succ.head_range(Some(node)).map(|(r, _)| second(r)).peekable();
+        let mut new = new.peekable();
+        loop {
+            match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(a), Some(b)) if a == b => {
+                    old.next();
+                    new.next();
                 }
                 (Some(&a), b) if b.is_none_or(|&b| a < b) => {
-                    self.pred_remove(a, node);
-                    i += 1;
+                    edits.push((a, false));
+                    old.next();
                 }
                 (_, Some(&b)) => {
-                    self.pred_insert(b, node);
-                    j += 1;
+                    edits.push((b, true));
+                    new.next();
                 }
-                _ => unreachable!("loop condition"),
+                _ => unreachable!("one side is left"),
             }
         }
-        self.succ.insert(node, new);
-        seeds.push(node);
+        for &(succ, insert) in edits.iter() {
+            let (fwd, back) = ([Some(node), Some(succ)], [Some(succ), Some(node)]);
+            if insert {
+                self.succ.insert(&fwd);
+                self.pred.insert(&back);
+            } else {
+                self.succ.remove(&fwd);
+                self.pred.remove(&back);
+            }
+        }
+        !edits.is_empty()
     }
+}
+
+/// The second cell of a bound pair row.
+fn second(r: Row<'_>) -> Oid {
+    r.get(1).expect("an edge row is bound")
 }
 
 /// End of a posting chain.
@@ -874,9 +895,10 @@ pub fn seed_cache(
 /// Check `cache`, stepped to the store's current state, and its `target`:
 /// first its own invariants — every live derivation count is at least 1,
 /// and the target is exactly the maximal keys of the counts — then against
-/// a cache seeded afresh from the same store and registry: context rows,
-/// rows past the prefix, each later condition's rejected rows or groups,
-/// derivation counts and target rows. The error names the first
+/// a cache seeded afresh from the same store and registry: context rows, a
+/// closure's roots, successor and predecessor edges and chain counts per
+/// length, rows past the prefix, each later condition's rejected rows or
+/// groups, derivation counts and target rows. The error names the first
 /// difference.
 pub(crate) fn audit_cache(
     rule: &Rule,
@@ -900,6 +922,12 @@ pub(crate) fn audit_cache(
     let (fresh, fresh_target) =
         seed_cache(rule, db, registry).map_err(|e| format!("seeding failed: {e}"))?;
     first_diff("context row", cache.ctx_pre.patterns(), fresh.ctx_pre.patterns())?;
+    if let (Some(a), Some(b)) = (&cache.closure, &fresh.closure) {
+        first_diff("closure root", &a.roots, &b.roots)?;
+        first_diff("closure successor edge", a.succ.iter(), b.succ.iter())?;
+        first_diff("closure predecessor edge", a.pred.iter(), b.pred.iter())?;
+        first_diff("closure chains of a length", &a.len_counts, &b.len_counts)?;
+    }
     let (kept, seeded) = (&cache.filter, &fresh.filter);
     let (a, b) = (kept.post.iter(), seeded.post.iter());
     let (a, b) = (a.flat_map(Subdatabase::patterns), b.flat_map(Subdatabase::patterns));
@@ -1152,26 +1180,33 @@ fn delta_apply_closure(
         }
     }
 
-    // 2. Recompute the affected successor lists.
+    // 2. Recompute the affected successor lists: those of the roots, and
+    //    of the roots just dropped (every root had one).
     let affected = ev.closure_affected(dirty);
     let recompute: Vec<Oid> = affected
         .into_iter()
-        .filter(|o| cc.succ.contains_key(o) || cc.is_root(*o))
+        .filter(|o| cc.is_root(*o) || root_drops.binary_search(o).is_ok())
         .collect();
-    let mut seeds: Vec<Oid> = Vec::new();
-    for (node, list) in ev.closure_succ_batch(&recompute) {
-        cc.apply_list(node, list, &mut seeds);
+    let lists = ev.closure_succ_batch(&recompute);
+    let (mut seeds, mut edits) = (Vec::new(), Vec::new());
+    let mut at = 0;
+    for &node in &recompute {
+        let start = at;
+        while at < lists.len() && lists.row(at).get(0) == Some(node) {
+            at += 1;
+        }
+        let new = (start..at).map(|i| second(lists.row(i)));
+        if cc.apply_list(node, new, &mut edits) {
+            seeds.push(node);
+        }
     }
 
     // 3. Dropped roots leave the provenance.
     for &o in &root_drops {
-        for s in cc.succ.remove(&o).unwrap_or_default() {
-            cc.pred_remove(s, o);
-        }
-        cc.pred.remove(&o);
+        cc.apply_list(o, std::iter::empty(), &mut edits);
     }
     debug_assert!(
-        cc.succ.iter().all(|(n, list)| cc.is_root(*n) && list.iter().all(|&s| cc.is_root(s))),
+        cc.succ.iter().all(|r| cc.is_root(r.get(0).unwrap()) && cc.is_root(second(r))),
         "only roots have lists, and every list names only roots"
     );
 
@@ -1183,11 +1218,9 @@ fn delta_apply_closure(
     let mut visited: FxHashSet<Oid> = seeds.iter().copied().collect();
     let mut queue: Vec<Oid> = seeds;
     while let Some(o) = queue.pop() {
-        if let Some(preds) = cc.pred.get(&o) {
-            for &p in preds {
-                if visited.insert(p) {
-                    queue.push(p);
-                }
+        for (r, _) in cc.pred.head_range(Some(o)) {
+            if visited.insert(second(r)) {
+                queue.push(second(r));
             }
         }
     }
@@ -1202,17 +1235,11 @@ fn delta_apply_closure(
 
     // The chain lengths lose the cached chains of redo and dropped roots
     // and gain the re-derived ones; the longest is the new width.
-    let new_chains = ev.closure_chains(&redo_roots, &cc.succ);
+    let new_chains = ev.closure_chains(&redo_roots, &cc.succ, &mut cc.walk);
     stats.delta_rows = new_chains.len();
-    for p in chains_of(&cache.ctx_pre, &drop_roots) {
-        let c = cc.len_counts.entry(p.arity()).or_insert(0);
-        *c = c.saturating_sub(1);
-    }
-    for c in new_chains.iter() {
-        *cc.len_counts.entry(c.len()).or_insert(0) += 1;
-    }
-    let new_width =
-        cc.len_counts.iter().filter(|&(_, &n)| n > 0).map(|(&l, _)| l).max().unwrap_or(1);
+    cc.count_chains(new_chains.iter().map(<[Oid]>::len), true);
+    cc.count_chains(chains_of(&cache.ctx_pre, &drop_roots).map(Row::arity), false);
+    let new_width = cc.width();
 
     // 5. Width: if the longest chain changed length, the result intension
     //    gains or loses levels. The filter is re-bound to the new intension
@@ -1423,7 +1450,7 @@ fn count_from_empty<'r, I: Iterator<Item = Row<'r>>>(
                 }
             });
         }
-        counts.set_counted(keys);
+        counts.set_counted(&mut keys);
     }
     let mut keys = counts.iter();
     target.set_sorted_rows(counts.len(), |row| {
@@ -1789,7 +1816,7 @@ mod tests {
         assert_eq!(target.to_vec(), full.to_vec());
         assert_eq!(cache.ctx_pre.intension.width(), 5, "width must not have changed");
         // Untouched chains' provenance survives: ns[0] still reaches ns[1].
-        assert!(cache.closure.as_ref().unwrap().succ[&ns[0]].contains(&ns[1]));
+        assert!(cache.closure.as_ref().unwrap().succ.contains(&[Some(ns[0]), Some(ns[1])]));
     }
 
     #[test]

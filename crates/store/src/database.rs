@@ -223,18 +223,30 @@ impl Database {
     }
 
     /// Build every association's index from the links a load staged, each
-    /// in bulk, without event logging or cardinality re-checks (the dump
-    /// came from a valid store; [`check_link`](Self::check_link) vetted the
-    /// endpoints line by line). Replaces the indexes of the staged
-    /// associations, which a fresh store holds empty.
-    pub(crate) fn restore_links(&mut self, mut links: Vec<(AssocId, Oid, Oid)>) {
-        links.sort_unstable_by_key(|&(assoc, ..)| assoc);
+    /// in bulk and without event logging ([`check_link`](Self::check_link)
+    /// vetted the endpoints line by line). The links are sorted once, and a
+    /// single-valued association that gives one source two targets is
+    /// refused, with the tag (a load's line number) of one of the two
+    /// links. Replaces the indexes of the staged associations, which a
+    /// fresh store holds empty.
+    pub(crate) fn restore_links(
+        &mut self,
+        mut links: Vec<(AssocId, Oid, Oid, u32)>,
+    ) -> Result<(), (u32, StoreError)> {
+        links.sort_unstable_by_key(|&(assoc, from, to, _)| (assoc, from, to));
         let mut pairs = Vec::new();
         for run in links.chunk_by(|a, b| a.0 == b.0) {
+            let assoc = run[0].0;
+            if self.schema.assoc(assoc).cardinality == Cardinality::Single {
+                if let Some(w) = run.windows(2).find(|w| w[0].1 == w[1].1 && w[0].2 != w[1].2) {
+                    return Err((w[1].3, StoreError::CardinalityViolation { assoc, from: w[1].1 }));
+                }
+            }
             pairs.clear();
-            pairs.extend(run.iter().map(|&(_, from, to)| (from, to)));
-            self.assoc_ix[run[0].0.index()] = AssocIndex::from_pairs(&mut pairs);
+            pairs.extend(run.iter().map(|&(_, from, to, _)| (from, to)));
+            self.assoc_ix[assoc.index()] = AssocIndex::from_pairs(&mut pairs);
         }
+        Ok(())
     }
 
     /// Restore an attribute value without event logging (dump loading).

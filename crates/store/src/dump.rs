@@ -195,7 +195,9 @@ fn cached<K: PartialEq + Copy, V: Copy>(
 ///
 /// Objects and attribute values are stored at their lines. Links are
 /// checked at their lines (both ends live and of the association's
-/// classes) and staged; each association's index is then built in bulk.
+/// classes) and staged; each association's index is then built in bulk,
+/// and a single-valued association whose links give one source two
+/// targets fails naming one of the two `L` lines.
 pub fn load(schema: Schema, text: &str) -> Result<Database, LoadError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -269,12 +271,14 @@ pub fn load(schema: Schema, text: &str) -> Result<Database, LoadError> {
                 })?;
                 let (from, to) = (oid(from_s)?, oid(to_s)?);
                 db.check_link(assoc, from, to).map_err(store)?;
-                staged.push((assoc, from, to));
+                let line = u32::try_from(lineno).map_err(|_| bad())?;
+                staged.push((assoc, from, to, line));
             }
             _ => return Err(bad()),
         }
     }
-    db.restore_links(staged);
+    db.restore_links(staged)
+        .map_err(|(line, error)| LoadError::Store { line: line as usize, error })?;
     if let Some(max_oid) = max_oid {
         db.resume_oids_after(max_oid);
     }
@@ -404,6 +408,25 @@ mod tests {
         }
         let ok = load(schema(), &format!("{objects}L Student/Major {s} {d}\n")).unwrap();
         assert_eq!(ok.links(major), vec![(Oid::from_raw(s), Oid::from_raw(d))]);
+    }
+
+    /// Two `Major` links from one Student break the association's single
+    /// cardinality, as `Database::associate` would refuse the second.
+    #[test]
+    fn two_targets_on_a_single_valued_link_are_a_store_error() {
+        let text = "dooddump 1\nO 3 Student\nO 5 Dept\nO 6 Dept\n\
+                    L Student/Major 3 5\nL Student/Major 3 6\n";
+        let sch = schema();
+        let student = sch.class_by_name("Student").unwrap();
+        let major = sch.own_link_by_name(student, "Major").unwrap();
+        let err = load(sch, text).unwrap_err();
+        let LoadError::Store { line, error } = err else { panic!("{err:?}") };
+        assert!(line == 5 || line == 6, "line {line} is not one of the two links");
+        let from = Oid::from_raw(3);
+        assert_eq!(error, StoreError::CardinalityViolation { assoc: major, from });
+        // The same link twice is one link.
+        let twice = text.replace("Major 3 6", "Major 3 5");
+        assert_eq!(load(schema(), &twice).unwrap().link_count(major), 1);
     }
 
     #[test]

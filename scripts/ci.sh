@@ -41,8 +41,10 @@ echo "== ci: one sequential executor, one measuring stick, plans from counts =="
 # boxed patterns and the head range over them: both are row stores. So are
 # a closure's re-seed on a change of width, its target diff and counter: a
 # width change re-shapes the cached rows in place. So is the comparison of
-# span rows as the patterns they widen to: span rows are full-width. The
-# names are spelled in two halves so this file passes its own check.
+# span rows as the patterns they widen to: span rows are full-width. So is
+# the hash-mapped slot-pair adjacency: extents and pairs are counted row
+# stores. The names are spelled in two halves so this file passes its own
+# check.
 SOURCES="crates src tests scripts examples"
 GONE="Exec""Mode|Planner""Mode|DOOD_""EXEC|DOOD_""PLANNER|BENCH_""SEED"
 GONE="$GONE|Chunk""Pool|DOOD_""THREADS|span_""under|par_""chunk_map"
@@ -50,7 +52,7 @@ GONE="$GONE|Drift""Mark|drift_""band|DOOD_""DRIFT_BAND|install_""priors|get_or_"
 GONE="$GONE|oql\.closure\.""round|oql\.closure\.""frontier|est_""rounds|est_""reach"
 GONE="$GONE|Groups::""Seeded|build_""groups|wherec::""Applied|Filter::""derive|store::""txn"
 GONE="$GONE|Head""Range|BTreeMap<Ext""Pattern|FxHashSet<Ext""Pattern"
-GONE="$GONE|target""_diff|closure""_recompute|widened""_cmp"
+GONE="$GONE|target""_diff|closure""_recompute|widened""_cmp|Slot""Adj"
 if grep -rnE "$GONE" $SOURCES; then
     echo "ci: a deleted name is back (see above)" >&2
     exit 1
@@ -183,32 +185,38 @@ done
 # store event in `rules.propagate` on the closure workload. Allocation
 # counts repeat to 0.1 %, so each ceiling is a measured value plus 25 %,
 # rounded up:
-# - `univ_update` `rules.propagate`: 12.1 per event once derivation counts
-#   were counted row stores (12.8 with a boxed key per count; 46.7 with a
-#   box per row; 80.7 when the delta step landed, 353.0 before it);
-# - `univ_update` `rules.derive`: 25.4 per op once rule caches were boxed
-#   (25.7 with a cache in every engine slot; 30.6 with a boxed key per
-#   count; 71.8 with a box per row; 83.7 with a box per target pattern;
-#   353.7 when reads re-seeded);
-# - `social_closure` `rules.propagate`: 23.7 per event once a closure's
-#   change of width re-shaped its caches in place and a commit gathered
-#   its oids into one vector (25.9 with a re-seed per change of width and
-#   a B-tree per commit; 31.7 with a boxed key per count; 33.2 while
-#   closure maintenance cloned each recomputed successor list; 107.4 with
-#   a `Vec` per chain and a box per row).
-PROPAGATE_ALLOCS_PER_EVENT_MAX=16
-DERIVE_ALLOCS_PER_OP_MAX=32
-CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=30
+# - `univ_update` `rules.propagate`: 11.7 per event once index extents,
+#   pairs and closure successors were counted row stores (11.9 with hash
+#   maps and a vector per key; 12.1 once derivation counts were counted
+#   row stores; 12.8 with a boxed key per count; 46.7 with a box per row;
+#   80.7 when the delta step landed, 353.0 before it);
+# - `univ_update` `rules.derive`: 24.0 per op once index extents and pairs
+#   were counted row stores (24.2 with hash maps; 25.4 once rule caches
+#   were boxed; 25.7 with a cache in every engine slot; 30.6 with a boxed
+#   key per count; 71.8 with a box per row; 83.7 with a box per target
+#   pattern; 353.7 when reads re-seeded);
+# - `social_closure` `rules.propagate`: 20.5 per event once closure
+#   successors were row stores walked through buffers the cache keeps
+#   (23.7 with a hash map and a vector per node, once a closure's change
+#   of width re-shaped its caches in place and a commit gathered its oids
+#   into one vector; 25.9 with a re-seed per change of width and a B-tree
+#   per commit; 31.7 with a boxed key per count; 33.2 while closure
+#   maintenance cloned each recomputed successor list; 107.4 with a `Vec`
+#   per chain and a box per row).
+PROPAGATE_ALLOCS_PER_EVENT_MAX=15
+DERIVE_ALLOCS_PER_OP_MAX=31
+CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=26
 # KB allocated per op repeats as exactly as the counts do, so the layers
 # that move rows have KB ceilings too, again a measured value plus 25 %:
 # - `univ_update` `rules.propagate`: 33.4 KB once rule caches were boxed
 #   and a commit gathered its oids into one vector (35.3 KB with a cache
 #   in every slot of a step's state; 41.2 KB with a boxed key per count;
 #   51.5 KB with 16-byte `Option<Oid>` cells);
-# - `social_closure` `rules.propagate`: 44.1 KB once a closure's change of
-#   width re-shaped its caches in place (55.8 KB with a re-seed and a
-#   target diff per change of width; 56.7 KB with a boxed key per count;
-#   94.1 KB with 16-byte cells);
+# - `social_closure` `rules.propagate`: 43.1 KB once closure successors
+#   were row stores (44.1 KB with a hash map and a vector per node, once a
+#   closure's change of width re-shaped its caches in place; 55.8 KB with
+#   a re-seed and a target diff per change of width; 56.7 KB with a boxed
+#   key per count; 94.1 KB with 16-byte cells);
 # - `univ_query` `oql.eval` (below): 60.3 KB once span joins wrote their
 #   rows into blocks that become the extension's leaves (149.6 KB with a
 #   run per span that grew by doubling and was then copied into leaves;
@@ -220,7 +228,7 @@ CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=30
 #   grew by doubling). The benchmark's traced path renders through
 #   `Display`, one more copy of the text.
 PROPAGATE_KB_PER_OP_MAX=42
-CLOSURE_PROPAGATE_KB_PER_OP_MAX=56
+CLOSURE_PROPAGATE_KB_PER_OP_MAX=54
 EVAL_KB_PER_OP_MAX=76
 TABLE_KB_PER_OP_MAX=130
 metric() {
@@ -321,8 +329,10 @@ fi
 # - `rules.register`: 467 once registration checked the rule graph's order
 #   by reference (485 with a copy of it; 1 137 with a second resolution
 #   and the bound tables).
-# - `rules.derive`: 1 133 once derivation counts were counted row stores
-#   and rule caches were indexed by rule (1 486 with a boxed key per count
+# - `rules.derive`: 845.7 once index extents and pairs were counted row
+#   stores built on first request (1 117 with a hash map per slot and a
+#   vector per pair key; 1 133 once derivation counts were counted row
+#   stores and rule caches were indexed by rule; 1 486 with a boxed key per count
 #   and a hash table per seeded rule; 1 490 with frontier rounds and a
 #   visited set; 1 544 before span
 #   joins wrote row runs; 1 679 with a `Vec` per chain and a box per
@@ -331,7 +341,7 @@ fi
 #   rebuild after every added rule and four copies of each seeded
 #   result).
 SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-for ceiling in store.load:450 rules.parse:382 rules.register:584 rules.derive:1417; do
+for ceiling in store.load:450 rules.parse:382 rules.register:584 rules.derive:1058; do
     STAGE="${ceiling%%:*}"
     MAX="${ceiling##*:}"
     ALLOCS="$(metric "$STAGE.allocs_per_op")"
@@ -343,11 +353,13 @@ for ceiling in store.load:450 rules.parse:382 rules.register:584 rules.derive:14
         exit 1
     fi
 done
-# The seed's counts, target and context copies in KB: 166.3 once
-# derivation counts were counted row stores and the prefix copied only the
-# rows it passes (224.7 with a boxed key per count and the whole context
-# copied for the prefix), again a measured value plus 25 %.
-kb_ceiling rules.derive.alloc_kb_per_op 208 cold_pipeline
+# The seed's counts, target and context copies in KB: 123.2 once index
+# extents and pairs were counted row stores built on first request (155.2
+# with hash maps; 166.3 once derivation counts were counted row stores and
+# the prefix copied only the rows it passes; 224.7 with a boxed key per
+# count and the whole context copied for the prefix), again a measured
+# value plus 25 %.
+kb_ceiling rules.derive.alloc_kb_per_op 154 cold_pipeline
 # The loaded store in KB: 56.8 once objects, extents and association
 # indexes were laid out as above (70.8 before), a measured value plus 25 %.
 kb_ceiling store.load.alloc_kb_per_op 71 cold_pipeline

@@ -159,6 +159,9 @@ fn run_schedule(
     for &(kind, k) in ops {
         mutate(e.db_mut(), class, link, attr, kind, k);
         e.propagate().unwrap();
+        if let Err(err) = e.audit() {
+            panic!("audit: {err}");
+        }
         for s in subdbs {
             let fresh = e.derive_fresh(s).unwrap();
             assert_eq!(rows_of(e.registry().subdb(s).unwrap()), rows_of(&fresh), "{s} != fresh");
