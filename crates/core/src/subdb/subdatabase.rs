@@ -8,7 +8,7 @@ use crate::subdb::intension::Intension;
 use crate::subdb::pattern::{ExtPattern, PatternType, Row};
 use crate::subdb::rows::{RowBlocks, RowStore};
 use crate::subdb::run::RowRun;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -150,9 +150,9 @@ impl Subdatabase {
     /// the two extensions — the objects an incremental maintenance step
     /// must treat as changed downstream. Both pattern sets iterate in
     /// lexicographic order, so a single merge pass finds the symmetric
-    /// difference.
+    /// difference; its oids are returned sorted and distinct.
     pub fn diff_components(&self, other: &Subdatabase) -> Vec<Oid> {
-        let mut out = BTreeSet::new();
+        let mut out = Vec::new();
         let (mut a, mut b) = (self.patterns.iter().peekable(), other.patterns.iter().peekable());
         loop {
             let only = match (a.peek(), b.peek()) {
@@ -168,7 +168,9 @@ impl Subdatabase {
             };
             out.extend(only.expect("peeked").components().iter().flatten().copied());
         }
-        out.into_iter().collect()
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Collect patterns into a vector.
@@ -244,13 +246,16 @@ impl Subdatabase {
 
     /// The distinct instances appearing in a slot — the extent of that
     /// target class ("the set of instances of a target class is a subset of
-    /// the set of instances of the source class", paper §4).
-    pub fn slot_extent(&self, slot: usize) -> BTreeSet<Oid> {
-        self.patterns.iter().filter_map(|p| p.get(slot)).collect()
+    /// the set of instances of the source class", paper §4), ascending.
+    pub fn slot_extent(&self, slot: usize) -> Vec<Oid> {
+        let mut out: Vec<Oid> = self.patterns.iter().filter_map(|p| p.get(slot)).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Extent of a slot by name.
-    pub fn extent_of(&self, slot_name: &str) -> Option<BTreeSet<Oid>> {
+    pub fn extent_of(&self, slot_name: &str) -> Option<Vec<Oid>> {
         self.intension.slot_by_name(slot_name).map(|i| self.slot_extent(i))
     }
 
@@ -660,10 +665,12 @@ mod tests {
     /// here and sharing no code with the row store: seeded random runs of
     /// every edit and read, at widths 0, 1, 3 and 80, long enough to split
     /// leaves and to empty them again, with Null, `Oid::MIN` and `Oid::MAX`
-    /// heads.
+    /// heads. A slot's extent and the oids of a union's new rows are
+    /// checked against the model's as sorted, distinct runs.
     #[test]
     fn extension_matches_a_btreeset_model() {
         use crate::propcheck::{check, Gen};
+        use std::collections::BTreeSet;
         type Model = BTreeSet<Vec<Option<Oid>>>;
 
         fn cell(g: &mut Gen, spread: u64) -> Option<Oid> {
@@ -718,6 +725,12 @@ mod tests {
                         60..=69 => {
                             let r = row(g, width);
                             assert_eq!(sd.contains(&r), model.contains(&r), "contains");
+                            if width > 0 {
+                                let slot = g.range(0..width);
+                                let want: BTreeSet<_> =
+                                    model.iter().filter_map(|r| r[slot]).collect();
+                                assert!(sd.slot_extent(slot).iter().eq(&want), "slot_extent");
+                            }
                             "contains"
                         }
                         70..=79 => {
@@ -758,11 +771,16 @@ mod tests {
                         92..=96 => {
                             let mut other = of_width(width);
                             let n = g.range(0..big / 2);
+                            let mut new: BTreeSet<_> = BTreeSet::new();
                             for r in rows(g, width, n) {
                                 other.insert(&r);
-                                model.insert(r);
+                                if model.insert(r.clone()) {
+                                    new.extend(r.into_iter().flatten());
+                                }
                             }
+                            let before = sd.clone();
                             sd.union_from(&other);
+                            assert!(before.diff_components(&sd).iter().eq(&new), "diff_components");
                             "union_from"
                         }
                         _ => {

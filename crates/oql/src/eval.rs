@@ -19,7 +19,6 @@ use dood_core::subdb::{
 };
 use dood_core::value::Value;
 use dood_store::Database;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A compiled intra-class predicate: attribute references are resolved.
@@ -92,8 +91,6 @@ enum Members<'a> {
     Open,
     /// Derived slot: membership is the source's extent of that slot.
     Indexed(&'a SlotExtent),
-    /// Explicitly restricted (delta evaluation).
-    Fixed(BTreeSet<Oid>),
 }
 
 /// The evaluator for one resolved context expression.
@@ -109,10 +106,6 @@ pub struct Evaluator<'a> {
     /// Per edge, the closure's cycle edge last (see [`Self::cycle_edge`]):
     /// a derived edge bound to its source. Empty when no edge is derived.
     derived: Vec<Option<DerivedEdge<'a>>>,
-    /// Per slot: working copy of the plan's index-backed candidate
-    /// pre-filters (E10); restrictions clear entries without touching the
-    /// shared plan.
-    index_scan: Vec<Option<IndexScan>>,
 }
 
 /// A derived edge bound to its source subdatabase's index.
@@ -262,7 +255,6 @@ fn plan_inputs(
         .map(|i| match &memberships[i] {
             Members::Open => db.extent_size(ctx.slots[i].base) as f64,
             Members::Indexed(extent) => extent.len() as f64,
-            Members::Fixed(set) => set.len() as f64,
         })
         .collect();
     let sels: Vec<f64> = (0..n)
@@ -407,15 +399,7 @@ impl<'a> Evaluator<'a> {
             })
             .collect();
         let plan = Arc::new(build_plan(ctx, db, &memberships, &derived, preds, hints));
-        let index_scan = plan.hints.clone();
-        Ok(Evaluator {
-            ctx,
-            db,
-            plan,
-            memberships,
-            derived,
-            index_scan,
-        })
+        Ok(Evaluator { ctx, db, plan, memberships, derived })
     }
 
     /// Prepare an evaluator around an already-compiled context (the rule
@@ -429,15 +413,7 @@ impl<'a> Evaluator<'a> {
         plan: Arc<CompiledContext>,
     ) -> Result<Self, QueryError> {
         let (memberships, derived) = bind_sources(ctx, registry)?;
-        let index_scan = plan.hints.clone();
-        Ok(Evaluator {
-            ctx,
-            db,
-            plan,
-            memberships,
-            derived,
-            index_scan,
-        })
+        Ok(Evaluator { ctx, db, plan, memberships, derived })
     }
 
     /// The compiled form, shareable with rule caches (cheap `Arc` clone).
@@ -490,7 +466,7 @@ impl<'a> Evaluator<'a> {
     /// subsumption filtering is applied here — the caller unions the delta
     /// with the retained clean patterns first and re-filters. Not defined
     /// for cyclic (closure) contexts.
-    pub fn eval_delta(&mut self, name: &str, dirty: &BTreeSet<Oid>) -> RowRun {
+    pub fn eval_delta(&self, name: &str, dirty: &[Oid]) -> RowRun {
         debug_assert!(self.ctx.closure.is_none(), "closure contexts are re-derived in full");
         let width = self.ctx.slots.len();
         let mut sp = obs::trace::span("oql.delta");
@@ -531,13 +507,13 @@ impl<'a> Evaluator<'a> {
         } else {
             // Every restricted slot's join writes its full-width rows into
             // one set of blocks, gathered once all are in so the run is
-            // sized once. The context is a shared `&'a` reference, so its
-            // spans can be walked while the slots' memberships are swapped.
-            let ctx = self.ctx;
+            // sized once. The delta plan anchors at the restricted slot, so
+            // its candidates are the dirty oids that can bind it, which
+            // stay ascending.
             let mut joins = RowBlocks::new(width);
-            for &(lo, hi) in &ctx.spans {
+            for &(lo, hi) in &self.ctx.spans {
                 for slot in lo..hi {
-                    let restricted: BTreeSet<Oid> = dirty
+                    let restricted: Vec<Oid> = dirty
                         .iter()
                         .copied()
                         .filter(|&o| self.live_in_slot(slot, o) && self.member_ok(slot, o))
@@ -546,14 +522,7 @@ impl<'a> Evaluator<'a> {
                         continue;
                     }
                     let dsp = self.delta_plan(lo, hi, slot, restricted.len());
-                    let saved_m = std::mem::replace(
-                        &mut self.memberships[slot],
-                        Members::Fixed(restricted),
-                    );
-                    let saved_ix = self.index_scan[slot].take();
-                    self.exec_span(&dsp, &mut joins);
-                    self.memberships[slot] = saved_m;
-                    self.index_scan[slot] = saved_ix;
+                    self.exec_span(&dsp, self.passing(slot, restricted), &mut joins);
                 }
             }
             let mut run = RowRun::with_capacity(width, joins.len());
@@ -577,7 +546,6 @@ impl<'a> Evaluator<'a> {
         match &self.memberships[slot] {
             Members::Open => true,
             Members::Indexed(extent) => extent.contains(oid),
-            Members::Fixed(set) => set.contains(&oid),
         }
     }
 
@@ -599,7 +567,7 @@ impl<'a> Evaluator<'a> {
     fn candidates(&self, slot: usize) -> Vec<Oid> {
         // E10: serve selective single-comparison conditions from the
         // store's ordered attribute index when one exists.
-        if let Some(scan) = &self.index_scan[slot] {
+        if let Some(scan) = &self.plan.hints[slot] {
             if let Some(mut hits) = scan.scan(self.db) {
                 hits.sort_unstable();
                 if obs::metrics_enabled() {
@@ -615,8 +583,12 @@ impl<'a> Evaluator<'a> {
                 oids.extend(extent.oids());
                 oids
             }
-            Members::Fixed(set) => set.iter().copied().collect(),
         };
+        self.passing(slot, base)
+    }
+
+    /// The oids of `base` that pass `slot`'s intra-class condition.
+    fn passing(&self, slot: usize, base: Vec<Oid>) -> Vec<Oid> {
         match &self.plan.preds[slot] {
             Some(p) => {
                 let scanned = base.len();
@@ -686,21 +658,20 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Execute one compiled span plan: anchor scan, then the fused DFS
-    /// pipeline. Appends the bound rows to `out`, full-width and unsorted:
-    /// every cell of the span's slots `lo..hi` bound, every other cell
-    /// Null. The DFS visits candidates and neighbors in a fixed order, so
-    /// the output order is deterministic.
+    /// Execute one compiled span plan from the anchor's candidates `cands`
+    /// through the fused DFS pipeline. Appends the bound rows to `out`,
+    /// full-width and unsorted: every cell of the span's slots `lo..hi`
+    /// bound, every other cell Null. The DFS visits candidates and
+    /// neighbors in a fixed order, so the output order is deterministic.
     ///
     /// Emits the `oql.join` span with per-stage `oql.plan.*` children
     /// carrying estimated vs. measured cardinalities (the EXPLAIN ANALYZE
     /// payload `doodprof --plan` renders).
-    fn exec_span(&self, sp: &SpanPlan, out: &mut RowBlocks) {
+    fn exec_span(&self, sp: &SpanPlan, cands: Vec<Oid>, out: &mut RowBlocks) {
         let mut tsp = obs::trace::span("oql.join");
         tsp.attr("lo", sp.lo as i64);
         tsp.attr("hi", sp.hi as i64);
         tsp.attr("anchor", sp.anchor as i64);
-        let cands = self.candidates(sp.anchor);
         tsp.attr("rows_in", cands.len() as i64);
         // `!` stages enumerate the target slot's candidates; hoist each
         // list once per span instead of once per row.
@@ -870,7 +841,7 @@ impl<'a> Evaluator<'a> {
         for (s, span) in spans.iter().enumerate() {
             match spans[..s].iter().position(|t| (t.lo, t.hi) == (span.lo, span.hi)) {
                 None => {
-                    self.exec_span(span, &mut rows);
+                    self.exec_span(span, self.candidates(span.anchor), &mut rows);
                     shapes += 1;
                 }
                 Some(first) => {
@@ -1147,7 +1118,7 @@ impl<'a> Evaluator<'a> {
     /// change position of any vanished or appearing derivation row: all
     /// positions strictly left of it are intact in current data, so the
     /// backward join from the dirty witness reaches the origin.
-    pub fn closure_affected(&self, dirty: &BTreeSet<Oid>) -> Vec<Oid> {
+    pub fn closure_affected(&self, dirty: &[Oid]) -> Vec<Oid> {
         let n = self.ctx.slots.len();
         let (_, cycle) = self.ctx.closure.as_ref().expect("closure context");
         let mut out: Vec<Oid> = Vec::new();
@@ -1395,6 +1366,7 @@ mod tests {
     use dood_core::schema::SchemaBuilder;
     use dood_core::subdb::{ExtPattern, Row};
     use dood_core::value::DType;
+    use std::collections::BTreeSet;
 
     /// A miniature database: teachers teach sections of courses.
     fn setup() -> (Database, SubdbRegistry) {
@@ -1504,7 +1476,8 @@ mod tests {
             assert_eq!(ev.plan.spans.len(), 1, "{q}");
             let mut want = Subdatabase::new("test", ev.intension());
             let mut rows = RowBlocks::new(want.intension.width());
-            ev.exec_span(&ev.plan.spans[0], &mut rows);
+            let span = &ev.plan.spans[0];
+            ev.exec_span(span, ev.candidates(span.anchor), &mut rows);
             want.set_patterns(rows.iter());
             want.retain_maximal();
             assert!(!want.is_empty(), "{q}");
@@ -1641,7 +1614,7 @@ mod tests {
         let e = Parser::parse_context_expr("Section * Course [c# >= 6000]").unwrap();
         let r = resolve_context(&e, db.schema(), &reg).unwrap();
         let ev = Evaluator::new(&r, &db, &reg).unwrap();
-        assert!(ev.index_scan.iter().any(|h| h.is_some()), "index hint should fire");
+        assert!(ev.plan.hints.iter().any(|h| h.is_some()), "index hint should fire");
         assert_eq!(ev.eval("x").to_vec(), scanned_single.to_vec());
     }
 
@@ -1656,12 +1629,12 @@ mod tests {
         db.delete_object(t1).unwrap();
         let e = Parser::parse_context_expr("Teacher * Section * Course").unwrap();
         let r = resolve_context(&e, db.schema(), &reg).unwrap();
-        let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &BTreeSet::from([t1]));
+        let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &[t1]);
         assert!(delta.is_empty(), "deleted oid bound a slot");
         // A live oid binds the slots of its own class only.
         let course = db.schema().class_by_name("Course").unwrap();
         let c = db.extent(course).next().unwrap();
-        let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &BTreeSet::from([c]));
+        let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &[c]);
         assert!(!delta.is_empty());
         assert!(delta.iter().all(|p| p.get(2) == Some(c)), "wrong-class oid bound a slot");
     }
@@ -1688,8 +1661,10 @@ mod tests {
             let e = Parser::parse_context_expr(src).unwrap();
             let r = resolve_context(&e, db.schema(), &reg).unwrap();
             let full = Evaluator::new(&r, &db, &reg).unwrap().eval("x");
-            for dirty in [BTreeSet::from([t1]), BTreeSet::from([t1, s1]), BTreeSet::from([s1, c1])]
-            {
+            // Dirty sets are sorted, distinct runs.
+            for mut dirty in [vec![t1], vec![t1, s1, t1], vec![c1, s1], vec![c1, s1, t1]] {
+                dirty.sort_unstable();
+                dirty.dedup();
                 let delta = Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &dirty);
                 assert!(
                     delta.iter().zip(delta.iter().skip(1)).all(|(a, b)| a < b),
@@ -1719,7 +1694,7 @@ mod tests {
         let e = Parser::parse_context_expr("Teacher * Section * Course").unwrap();
         let r = resolve_context(&e, db.schema(), &reg).unwrap();
         let delta =
-            Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &BTreeSet::new());
+            Evaluator::new(&r, &db, &reg).unwrap().eval_delta("x", &[]);
         assert!(delta.is_empty());
     }
 }

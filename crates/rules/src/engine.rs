@@ -14,6 +14,15 @@
 //!   reading backward-derived data silently consumes a stale or missing
 //!   copy, so downstream pre-computed results can become inconsistent with
 //!   the base data — reproduced by the `Ra…Rd` scenario tests.
+//!
+//! Forward chaining steps every affected rule cache over one dirty set:
+//! the objects the update batch touched, closed over the identity links,
+//! as a sorted, distinct `Vec<Oid>` lent to each step as `&[Oid]`. Every
+//! commit that changes a result merges the oids of its edits, closed the
+//! same way, into that run (extend, stable sort, dedup), so a later
+//! stratum's steps see the derived changes; a cache that sat out earlier
+//! propagates, or a read's catch-up, merges the events it missed into a
+//! rule-local run.
 
 use crate::ast::Rule;
 use crate::depgraph::DepGraph;
@@ -34,7 +43,6 @@ use dood_oql::ast::{ClassRef, Query, SelectItem, WhereCond};
 use dood_oql::{Oql, QueryOutput};
 use dood_store::{Database, SubscriberId};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Per-result evaluation policy (result-oriented control, paper §6).
@@ -162,9 +170,10 @@ pub struct RuleEngine {
     epoch: u64,
     /// Treat analyzer warnings as fatal in [`RuleEngine::register`].
     strict: bool,
-    /// Dirty objects of the update batch being propagated, when any. Grows
-    /// as maintained subdatabases commit content diffs.
-    current_dirty: Option<BTreeSet<Oid>>,
+    /// Dirty objects of the update batch being propagated, when any, as a
+    /// sorted, distinct run. Grows as maintained subdatabases commit
+    /// content diffs.
+    current_dirty: Option<Vec<Oid>>,
     /// Event-log watermark the current dirty set starts from: a rule cache
     /// at `at_seq >= dirty_from` can be delta-advanced by `current_dirty`.
     dirty_from: u64,
@@ -449,7 +458,7 @@ impl RuleEngine {
         // Lend the dirty set of a propagate under way, as the stratum loop
         // does.
         let dirty = self.current_dirty.take();
-        let result = self.maintain_subdb(name, &mut state, dirty.as_ref());
+        let result = self.maintain_subdb(name, &mut state, dirty.as_deref());
         self.current_dirty = dirty;
         self.put_back(state, result)
     }
@@ -518,16 +527,19 @@ impl RuleEngine {
 
     /// Fold a committed content delta — the component oids of the patterns
     /// that came or went — into the running dirty set of the propagate under
-    /// way (perspective-closed), so downstream rules' delta steps see
-    /// source-extent changes: aggregate verdict flips can add or drop target
-    /// patterns whose components were never base-dirty. Returns whether the
-    /// delta is in the dirty set: not outside a propagate, nor when it is
-    /// unknown (no before-image).
+    /// way (perspective-closed, merged into the sorted run), so downstream
+    /// rules' delta steps see source-extent changes: aggregate verdict flips
+    /// can add or drop target patterns whose components were never
+    /// base-dirty. Returns whether the delta is in the dirty set: not
+    /// outside a propagate, nor when it is unknown (no before-image).
     fn fold_commit_delta(&mut self, diff: Option<Vec<Oid>>) -> bool {
         match (self.current_dirty.as_mut(), diff) {
             (Some(dirty), Some(d)) => {
                 if !d.is_empty() {
-                    dirty.extend(dirty_closure(&self.db, d));
+                    // Two ascending runs: the stable sort merges them.
+                    dirty.extend(self.db.perspective_closure_set(d));
+                    dirty.sort();
+                    dirty.dedup();
                 }
                 true
             }
@@ -552,8 +564,7 @@ impl RuleEngine {
             touched.extend(e.touched_classes(self.db.schema()));
         }
         if n_events > 0 {
-            let oids = events.iter().flat_map(|e| e.touched_oids());
-            self.current_dirty = Some(dirty_closure(&self.db, oids));
+            self.current_dirty = Some(dirty_closure(&self.db, events));
         }
         self.watermark = self.db.seq();
         self.db.events_mut().ack(self.events_sub, self.watermark);
@@ -720,7 +731,7 @@ impl RuleEngine {
         &self,
         name: &str,
         state: &mut MaintainState,
-        dirty: Option<&BTreeSet<Oid>>,
+        dirty: Option<&[Oid]>,
     ) -> Result<Maintained, RuleError> {
         let idxs = self.graph.rules_for(name);
         debug_assert!(!idxs.is_empty());
@@ -764,7 +775,7 @@ impl RuleEngine {
         name: &str,
         idxs: &[usize],
         state: &mut MaintainState,
-        dirty: Option<&BTreeSet<Oid>>,
+        dirty: Option<&[Oid]>,
     ) -> Result<Maintained, RuleError> {
         let mut outs: Vec<DeltaOutcome> = Vec::with_capacity(idxs.len());
         for &i in idxs {
@@ -841,7 +852,7 @@ impl RuleEngine {
         rule: &Rule,
         cache: &mut RuleCache,
         target: &mut Subdatabase,
-        dirty: Option<&BTreeSet<Oid>>,
+        dirty: Option<&[Oid]>,
     ) -> Result<Option<DeltaOutcome>, RuleError> {
         let Some(step_dirty) = self.step_dirty(cache, dirty) else { return Ok(None) };
         let out = delta_apply(rule, &self.db, &self.registry, cache, target, &step_dirty)?;
@@ -875,8 +886,8 @@ impl RuleEngine {
     fn step_dirty<'d>(
         &self,
         cache: &RuleCache,
-        dirty: Option<&'d BTreeSet<Oid>>,
-    ) -> Option<Cow<'d, BTreeSet<Oid>>> {
+        dirty: Option<&'d [Oid]>,
+    ) -> Option<Cow<'d, [Oid]>> {
         let source_moved = cache.sources().any(|s| {
             self.registry.get(s).is_none_or(|e| {
                 let uncovered = if dirty.is_some() && e.changed_at > self.dirty_epoch {
@@ -897,10 +908,10 @@ impl RuleEngine {
             _ => {
                 // The cache sat out earlier propagates, or this is a read:
                 // replay the events it missed into a rule-local dirty set.
-                let missed =
-                    self.db.events().since(cache.at_seq).iter().flat_map(|e| e.touched_oids());
-                let mut full = dirty_closure(&self.db, missed);
+                let mut full = dirty_closure(&self.db, self.db.events().since(cache.at_seq));
                 full.extend(dirty.into_iter().flatten().copied());
+                full.sort();
+                full.dedup();
                 Some(Cow::Owned(full))
             }
         }

@@ -3,9 +3,10 @@
 //! The paper's forward chaining "runs the relevant deductive rules to
 //! maintain the consistency between the derived subdatabase and the
 //! original database" but does not prescribe *how*. This module implements
-//! event-log-driven delta maintenance: given the set of *dirty* objects
-//! touched by an update batch (closed over perspective/identity links),
-//! every cached context pattern either
+//! event-log-driven delta maintenance: given the *dirty* objects touched by
+//! an update batch (closed over perspective/identity links) as a sorted,
+//! distinct run of oids ([`dirty_closure`]), every cached context pattern
+//! either
 //!
 //! 1. contains no dirty object — it cannot have changed and is kept; or
 //! 2. contains a dirty object — it is found through the cache's posting
@@ -51,7 +52,7 @@
 use crate::ast::Rule;
 use crate::derive::{project, target_layout};
 use crate::error::RuleError;
-use dood_core::fxhash::{FxHashMap, FxHashSet};
+use dood_core::fxhash::FxHashMap;
 use dood_core::ids::Oid;
 use dood_core::obs;
 use dood_core::subdb::{
@@ -61,10 +62,9 @@ use dood_oql::eval::{Evaluator, WalkBuffers};
 use dood_oql::plan::CompiledContext;
 use dood_oql::resolve::{resolve_context, REdgeKind, ResolvedContext};
 use dood_oql::wherec::{bind_cond, AggCond, BoundCond, CmpCond};
-use dood_store::Database;
+use dood_store::{Database, UpdateEvent};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -92,13 +92,16 @@ pub fn plan_for(rule: &Rule) -> MaintainPlan {
     }
 }
 
-/// Expand an update batch's touched objects over the identity links: a
-/// pattern slot may hold a different perspective of the touched object.
-/// Deleted oids are *kept* — they invalidate cached patterns referencing
-/// them — but can never re-bind a slot ([`Evaluator::eval_delta`] drops
-/// non-live oids).
-pub fn dirty_closure(db: &Database, touched: impl IntoIterator<Item = Oid>) -> BTreeSet<Oid> {
-    // Deleted objects have no closure but stay dirty (they seed the set).
+/// The dirty set of an update batch: the objects its events touched,
+/// expanded over the identity links — a pattern slot may hold a different
+/// perspective of a touched object — as a sorted, distinct run. Deleted
+/// oids are *kept* — they invalidate cached patterns referencing them — but
+/// can never re-bind a slot ([`Evaluator::eval_delta`] drops non-live
+/// oids).
+pub fn dirty_closure(db: &Database, events: &[UpdateEvent]) -> Vec<Oid> {
+    // An event touches at most two objects.
+    let mut touched = Vec::with_capacity(2 * events.len());
+    touched.extend(events.iter().flat_map(UpdateEvent::touched_oids));
     db.perspective_closure_set(touched)
 }
 
@@ -667,7 +670,7 @@ impl RuleCache {
 
     /// The cached context rows binding a dirty object, as a sorted run
     /// sized from the dirty objects' posting-chain lengths.
-    fn dirty_bound(&self, dirty: &BTreeSet<Oid>) -> RowRun {
+    fn dirty_bound(&self, dirty: &[Oid]) -> RowRun {
         let posting = self.posting.as_ref().expect("built by ensure_posting");
         let rows = dirty.iter().map(|&o| posting.chain_len(o)).sum();
         let mut run = RowRun::with_capacity(posting.width, rows);
@@ -1010,20 +1013,22 @@ fn is_partial(p: &[Option<Oid>]) -> bool {
 /// Apply one delta step **in place**: refresh the cache (context, WHERE
 /// verdicts, derivation counts) and `target` — the target as of
 /// `cache.at_seq`, as seeded and stepped — given the perspective-closed
-/// dirty set covering every event since `cache.at_seq`, and return the
-/// exact target edits. On error `target` is as it was (the cache is not:
-/// drop it and re-seed). The whole step is O(dirty-touched patterns), not
-/// O(context): clean patterns are never scanned, copied, re-checked, or
-/// re-counted. The caller must ensure that every change to the rule's
-/// derived sources since `at_seq` is reflected in `dirty`.
+/// dirty set covering every event since `cache.at_seq`, a sorted, distinct
+/// run (checked in debug builds), and return the exact target edits. On
+/// error `target` is as it was (the cache is not: drop it and re-seed).
+/// The whole step is O(dirty-touched patterns), not O(context): clean
+/// patterns are never scanned, copied, re-checked, or re-counted. The
+/// caller must ensure that every change to the rule's derived sources
+/// since `at_seq` is reflected in `dirty`.
 pub fn delta_apply(
     rule: &Rule,
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
     target: &mut Subdatabase,
-    dirty: &BTreeSet<Oid>,
+    dirty: &[Oid],
 ) -> Result<DeltaOutcome, RuleError> {
+    debug_assert!(dirty.is_sorted_by(|a, b| a < b), "a dirty set is a sorted, distinct run");
     let plan = plan_for(rule);
     let mut sp = obs::trace::span("rules.rule");
     sp.label(|| rule.name.clone());
@@ -1054,7 +1059,7 @@ fn delta_apply_flat(
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
     target: &mut Subdatabase,
-    dirty: &BTreeSet<Oid>,
+    dirty: &[Oid],
     stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
     // 1. The cached rows binding a dirty object, off the posting list.
@@ -1066,16 +1071,18 @@ fn delta_apply_flat(
     // re-binding `dirty` finds all of them. Under braces a shorter pattern
     // resurfaces when its subsumer dies; all its components are inside
     // that subsumer, so there the re-binding set widens to every component
-    // of a dirty-bound row.
+    // of a dirty-bound row, sorted once with the dirty run.
     let width = cache.ctx_pre.intension.width();
     let full_rows_only = cache.resolved.spans.as_slice() == [(0, width)];
-    let rebind: Cow<BTreeSet<Oid>> = if full_rows_only {
+    let rebind: Cow<[Oid]> = if full_rows_only {
         Cow::Borrowed(dirty)
     } else {
-        let mut wide = dirty.clone();
-        for p in bound.iter() {
-            wide.extend(p.components().iter().flatten().copied());
-        }
+        let cells = || bound.iter().flat_map(|p| p.components().iter().flatten().copied());
+        let mut wide = Vec::with_capacity(dirty.len() + cells().count());
+        wide.extend_from_slice(dirty);
+        wide.extend(cells());
+        wide.sort_unstable();
+        wide.dedup();
         Cow::Owned(wide)
     };
 
@@ -1152,7 +1159,7 @@ fn delta_apply_closure(
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
     target: &mut Subdatabase,
-    dirty: &BTreeSet<Oid>,
+    dirty: &[Oid],
     stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
     let ev = Evaluator::with_compiled(&cache.resolved, db, registry, Arc::clone(&cache.plan))
@@ -1180,13 +1187,9 @@ fn delta_apply_closure(
         }
     }
 
-    // 2. Recompute the affected successor lists: those of the roots, and
-    //    of the roots just dropped (every root had one).
-    let affected = ev.closure_affected(dirty);
-    let recompute: Vec<Oid> = affected
-        .into_iter()
-        .filter(|o| cc.is_root(*o) || root_drops.binary_search(o).is_ok())
-        .collect();
+    // 2. Recompute the affected successor lists of the current roots.
+    let mut recompute = ev.closure_affected(dirty);
+    recompute.retain(|&o| cc.is_root(o));
     let lists = ev.closure_succ_batch(&recompute);
     let (mut seeds, mut edits) = (Vec::new(), Vec::new());
     let mut at = 0;
@@ -1212,23 +1215,30 @@ fn delta_apply_closure(
 
     // 4. Roots whose chains must be re-derived: reverse reachability from
     //    the changed nodes, plus explicit root adds (an unchanged node that
-    //    became a root seeds new chains without any list edit).
-    seeds.sort_unstable();
-    seeds.dedup();
-    let mut visited: FxHashSet<Oid> = seeds.iter().copied().collect();
+    //    became a root seeds new chains without any list edit). A node that
+    //    is reached has a list, so it is a root: one mark per root records
+    //    it, and the marked roots come out ascending.
+    let marks = if seeds.is_empty() && root_adds.is_empty() { 0 } else { cc.roots.len() };
+    let mut redo = vec![false; marks];
+    let root_at = |o: Oid| cc.roots.binary_search(&o).expect("a node with a list is a root");
+    for &o in &seeds {
+        redo[root_at(o)] = true;
+    }
     let mut queue: Vec<Oid> = seeds;
     while let Some(o) = queue.pop() {
         for (r, _) in cc.pred.head_range(Some(o)) {
-            if visited.insert(second(r)) {
+            let i = root_at(second(r));
+            if !redo[i] {
+                redo[i] = true;
                 queue.push(second(r));
             }
         }
     }
-    let mut redo_roots: Vec<Oid> =
-        visited.iter().copied().filter(|o| cc.is_root(*o)).collect();
-    redo_roots.extend(root_adds.iter().copied());
-    redo_roots.sort_unstable();
-    redo_roots.dedup();
+    for &o in &root_adds {
+        redo[root_at(o)] = true;
+    }
+    let redo_roots: Vec<Oid> =
+        cc.roots.iter().zip(&redo).filter_map(|(&o, &redo)| redo.then_some(o)).collect();
     let mut drop_roots: Vec<Oid> = redo_roots.iter().chain(&root_drops).copied().collect();
     drop_roots.sort_unstable();
     drop_roots.dedup();
@@ -1505,8 +1515,8 @@ mod tests {
         (db, avec, bvec)
     }
 
-    fn dirty_since(db: &Database, mark: u64) -> BTreeSet<Oid> {
-        dirty_closure(db, db.events().since(mark).iter().flat_map(|e| e.touched_oids()))
+    fn dirty_since(db: &Database, mark: u64) -> Vec<Oid> {
+        dirty_closure(db, db.events().since(mark))
     }
 
     #[test]
@@ -1825,12 +1835,18 @@ mod tests {
         b.e_class("Person");
         b.e_class("Student");
         b.generalize("Person", "Student");
+        b.d_class("v", DType::Int);
+        b.attr("Person", "v");
         let mut db = Database::new(b.build().unwrap());
         let person = db.schema().class_by_name("Person").unwrap();
         let student = db.schema().class_by_name("Student").unwrap();
         let p = db.new_object(person).unwrap();
         let st = db.specialize(p, student).unwrap();
-        let d = dirty_closure(&db, [p]);
-        assert!(d.contains(&p) && d.contains(&st));
+        let mark = db.seq();
+        db.set_attr(p, "v", Value::Int(1)).unwrap();
+        db.set_attr(p, "v", Value::Int(2)).unwrap();
+        let mut want = vec![p, st];
+        want.sort_unstable();
+        assert_eq!(dirty_since(&db, mark), want, "sorted, distinct, both perspectives");
     }
 }

@@ -22,7 +22,6 @@ use dood_core::fxhash::FxHashMap;
 use dood_core::ids::{AssocId, ClassId, Oid, OidGen};
 use dood_core::schema::{Cardinality, ResolvedAttr, ResolvedEdge, Schema};
 use dood_core::value::Value;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The extensional database over a fixed schema.
@@ -519,26 +518,22 @@ impl Database {
     /// pass — one traversal and one result set for the batch, where
     /// per-seed [`perspective_closure`](Self::perspective_closure) calls
     /// would re-visit shared ancestors and re-allocate per seed. Deleted
-    /// seeds have no closure but stay in the result.
-    pub fn perspective_closure_set(
-        &self,
-        seeds: impl IntoIterator<Item = Oid>,
-    ) -> BTreeSet<Oid> {
-        let mut out = BTreeSet::new();
-        let mut frontier: Vec<Oid> = Vec::new();
-        for o in seeds {
-            if out.insert(o) {
-                frontier.push(o);
-            }
+    /// seeds have no closure but stay in the result, which is sorted and
+    /// distinct. A `Vec` of seeds is collected in place.
+    pub fn perspective_closure_set(&self, seeds: impl IntoIterator<Item = Oid>) -> Vec<Oid> {
+        let mut out: Vec<Oid> = seeds.into_iter().collect();
+        out.sort_unstable();
+        out.dedup();
+        if self.gen_assocs.is_empty() {
+            return out;
         }
+        let mut frontier = out.clone();
         while let Some(cur) = frontier.pop() {
             for &g in &self.gen_assocs {
-                for &n in self.assoc_ix[g.index()]
-                    .targets(cur)
-                    .iter()
-                    .chain(self.assoc_ix[g.index()].sources(cur).iter())
-                {
-                    if out.insert(n) {
+                let ix = &self.assoc_ix[g.index()];
+                for &n in ix.targets(cur).iter().chain(ix.sources(cur)) {
+                    if let Err(i) = out.binary_search(&n) {
+                        out.insert(i, n);
                         frontier.push(n);
                     }
                 }

@@ -43,8 +43,9 @@ echo "== ci: one sequential executor, one measuring stick, plans from counts =="
 # width change re-shapes the cached rows in place. So is the comparison of
 # span rows as the patterns they widen to: span rows are full-width. So is
 # the hash-mapped slot-pair adjacency: extents and pairs are counted row
-# stores. The names are spelled in two halves so this file passes its own
-# check.
+# stores. So is the membership swap of a delta join: the restricted slot
+# anchors the join, and the dirty oids that can bind it are its candidates.
+# The names are spelled in two halves so this file passes its own check.
 SOURCES="crates src tests scripts examples"
 GONE="Exec""Mode|Planner""Mode|DOOD_""EXEC|DOOD_""PLANNER|BENCH_""SEED"
 GONE="$GONE|Chunk""Pool|DOOD_""THREADS|span_""under|par_""chunk_map"
@@ -52,9 +53,18 @@ GONE="$GONE|Drift""Mark|drift_""band|DOOD_""DRIFT_BAND|install_""priors|get_or_"
 GONE="$GONE|oql\.closure\.""round|oql\.closure\.""frontier|est_""rounds|est_""reach"
 GONE="$GONE|Groups::""Seeded|build_""groups|wherec::""Applied|Filter::""derive|store::""txn"
 GONE="$GONE|Head""Range|BTreeMap<Ext""Pattern|FxHashSet<Ext""Pattern"
-GONE="$GONE|target""_diff|closure""_recompute|widened""_cmp|Slot""Adj"
+GONE="$GONE|target""_diff|closure""_recompute|widened""_cmp|Slot""Adj|Members::""Fixed"
 if grep -rnE "$GONE" $SOURCES; then
     echo "ci: a deleted name is back (see above)" >&2
+    exit 1
+fi
+# A set of OIDs on the engine path is one shape, a sorted, distinct
+# `Vec<Oid>` read as `&[Oid]`: no B-tree of OIDs, and no copy-on-write one,
+# in the engine crates. `tests/` keeps B-trees as models, so it is not
+# scanned.
+OID_TREE="BTreeSet""<Oid>|Cow<""BTreeSet"
+if grep -rnE "$OID_TREE" crates/core/src crates/oql/src crates/rules/src; then
+    echo "ci: a B-tree set of OIDs is back in the engine (see above)" >&2
     exit 1
 fi
 # Every switch is a configuration to test: the count only goes down.
@@ -185,38 +195,45 @@ done
 # store event in `rules.propagate` on the closure workload. Allocation
 # counts repeat to 0.1 %, so each ceiling is a measured value plus 25 %,
 # rounded up:
-# - `univ_update` `rules.propagate`: 11.7 per event once index extents,
-#   pairs and closure successors were counted row stores (11.9 with hash
-#   maps and a vector per key; 12.1 once derivation counts were counted
+# - `univ_update` `rules.propagate`: 10.7 per event once dirty sets were
+#   sorted runs and a delta join anchored at its restricted slot without
+#   swapping its membership (11.7 once index extents, pairs and closure
+#   successors were counted row stores; 11.9 with hash maps and a vector
+#   per key; 12.1 once derivation counts were counted
 #   row stores; 12.8 with a boxed key per count; 46.7 with a box per row;
 #   80.7 when the delta step landed, 353.0 before it);
-# - `univ_update` `rules.derive`: 24.0 per op once index extents and pairs
-#   were counted row stores (24.2 with hash maps; 25.4 once rule caches
-#   were boxed; 25.7 with a cache in every engine slot; 30.6 with a boxed
-#   key per count; 71.8 with a box per row; 83.7 with a box per target
-#   pattern; 353.7 when reads re-seeded);
-# - `social_closure` `rules.propagate`: 20.5 per event once closure
-#   successors were row stores walked through buffers the cache keeps
-#   (23.7 with a hash map and a vector per node, once a closure's change
-#   of width re-shaped its caches in place and a commit gathered its oids
-#   into one vector; 25.9 with a re-seed per change of width and a B-tree
-#   per commit; 31.7 with a boxed key per count; 33.2 while closure
-#   maintenance cloned each recomputed successor list; 107.4 with a `Vec`
-#   per chain and a box per row).
-PROPAGATE_ALLOCS_PER_EVENT_MAX=15
-DERIVE_ALLOCS_PER_OP_MAX=31
-CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=26
+# - `univ_update` `rules.derive`: 17.0 per op once a catch-up's dirty set was
+#   a sorted run sized from its events (24.0 once index extents and pairs were
+#   counted row stores; 24.2 with hash maps; 25.4 once rule caches were boxed;
+#   25.7 with a cache in every engine slot; 30.6 with a boxed key per count;
+#   71.8 with a box per row; 83.7 with a box per target pattern; 353.7 when
+#   reads re-seeded);
+# - `social_closure` `rules.propagate`: 18.7 per event once dirty sets were
+#   sorted runs and a closure step stopped recomputing the lists of the roots
+#   it drops (20.5 once closure successors were row stores walked through
+#   buffers the cache keeps; 23.7 with a hash map and a vector per node, once
+#   a closure's change of width re-shaped its caches in place and a commit
+#   gathered its oids into one vector; 25.9 with a re-seed per change of width
+#   and a B-tree per commit; 31.7 with a boxed key per count; 33.2 while
+#   closure maintenance cloned each recomputed successor list; 107.4 with a
+#   `Vec` per chain and a box per row).
+PROPAGATE_ALLOCS_PER_EVENT_MAX=14
+DERIVE_ALLOCS_PER_OP_MAX=22
+CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=24
 # KB allocated per op repeats as exactly as the counts do, so the layers
 # that move rows have KB ceilings too, again a measured value plus 25 %:
-# - `univ_update` `rules.propagate`: 33.4 KB once rule caches were boxed
-#   and a commit gathered its oids into one vector (35.3 KB with a cache
+# - `univ_update` `rules.propagate`: 23.5 KB once dirty sets were sorted
+#   runs (24.6 KB with B-trees of oids, once index extents and pairs were
+#   counted row stores; 33.4 KB once rule caches were boxed and a commit
+#   gathered its oids into one vector; 35.3 KB with a cache
 #   in every slot of a step's state; 41.2 KB with a boxed key per count;
 #   51.5 KB with 16-byte `Option<Oid>` cells);
-# - `social_closure` `rules.propagate`: 43.1 KB once closure successors
-#   were row stores (44.1 KB with a hash map and a vector per node, once a
-#   closure's change of width re-shaped its caches in place; 55.8 KB with
-#   a re-seed and a target diff per change of width; 56.7 KB with a boxed
-#   key per count; 94.1 KB with 16-byte cells);
+# - `social_closure` `rules.propagate`: 43.0 KB once dirty sets were
+#   sorted runs (43.1 KB once closure successors were row stores; 44.1 KB
+#   with a hash map and a vector per node, once a closure's change of
+#   width re-shaped its caches in place; 55.8 KB with a re-seed and a
+#   target diff per change of width; 56.7 KB with a boxed key per count;
+#   94.1 KB with 16-byte cells);
 # - `univ_query` `oql.eval` (below): 60.3 KB once span joins wrote their
 #   rows into blocks that become the extension's leaves (149.6 KB with a
 #   run per span that grew by doubling and was then copied into leaves;
@@ -227,7 +244,7 @@ CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=26
 #   distinct heads (142.5 KB with a renderer writing into a `String` that
 #   grew by doubling). The benchmark's traced path renders through
 #   `Display`, one more copy of the text.
-PROPAGATE_KB_PER_OP_MAX=42
+PROPAGATE_KB_PER_OP_MAX=30
 CLOSURE_PROPAGATE_KB_PER_OP_MAX=54
 EVAL_KB_PER_OP_MAX=76
 TABLE_KB_PER_OP_MAX=130
@@ -329,19 +346,19 @@ fi
 # - `rules.register`: 467 once registration checked the rule graph's order
 #   by reference (485 with a copy of it; 1 137 with a second resolution
 #   and the bound tables).
-# - `rules.derive`: 845.7 once index extents and pairs were counted row
-#   stores built on first request (1 117 with a hash map per slot and a
-#   vector per pair key; 1 133 once derivation counts were counted row
-#   stores and rule caches were indexed by rule; 1 486 with a boxed key per count
-#   and a hash table per seeded rule; 1 490 with frontier rounds and a
-#   visited set; 1 544 before span
-#   joins wrote row runs; 1 679 with a `Vec` per chain and a box per
-#   edited row; 2 565 with a box per pattern and per projected key;
-#   3 236 with two string copies per chain level; 4 182 with a graph
-#   rebuild after every added rule and four copies of each seeded
+# - `rules.derive`: 844.4 once dirty sets were sorted runs and an evaluator
+#   kept no copy of its plan's index hints (845.7 once index extents and pairs
+#   were counted row stores built on first request; 1 117 with a hash map per
+#   slot and a vector per pair key; 1 133 once derivation counts were counted
+#   row stores and rule caches were indexed by rule; 1 486 with a boxed key
+#   per count and a hash table per seeded rule; 1 490 with frontier rounds and
+#   a visited set; 1 544 before span joins wrote row runs; 1 679 with a `Vec`
+#   per chain and a box per edited row; 2 565 with a box per pattern and per
+#   projected key; 3 236 with two string copies per chain level; 4 182 with a
+#   graph rebuild after every added rule and four copies of each seeded
 #   result).
 SUMMARY="$(bash benchmark/run.sh --workload cold_pipeline --seed 7 --seconds 2 --trace 1 | tail -n 1)"
-for ceiling in store.load:450 rules.parse:382 rules.register:584 rules.derive:1058; do
+for ceiling in store.load:450 rules.parse:382 rules.register:584 rules.derive:1056; do
     STAGE="${ceiling%%:*}"
     MAX="${ceiling##*:}"
     ALLOCS="$(metric "$STAGE.allocs_per_op")"
@@ -353,13 +370,13 @@ for ceiling in store.load:450 rules.parse:382 rules.register:584 rules.derive:10
         exit 1
     fi
 done
-# The seed's counts, target and context copies in KB: 123.2 once index
-# extents and pairs were counted row stores built on first request (155.2
-# with hash maps; 166.3 once derivation counts were counted row stores and
-# the prefix copied only the rows it passes; 224.7 with a boxed key per
-# count and the whole context copied for the prefix), again a measured
-# value plus 25 %.
-kb_ceiling rules.derive.alloc_kb_per_op 154 cold_pipeline
+# The seed's counts, target and context copies in KB: 118.5 once dirty sets
+# were sorted runs (123.2 once index extents and pairs were counted row stores
+# built on first request; 155.2 with hash maps; 166.3 once derivation counts
+# were counted row stores and the prefix copied only the rows it passes; 224.7
+# with a boxed key per count and the whole context copied for the prefix),
+# again a measured value plus 25 %.
+kb_ceiling rules.derive.alloc_kb_per_op 149 cold_pipeline
 # The loaded store in KB: 56.8 once objects, extents and association
 # indexes were laid out as above (70.8 before), a measured value plus 25 %.
 kb_ceiling store.load.alloc_kb_per_op 71 cold_pipeline

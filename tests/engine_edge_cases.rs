@@ -252,7 +252,7 @@ fn deletion_invalidates_and_rederives() {
         .add_rule("R1", "if context Teacher * Section then T (Teacher, Section)")
         .unwrap();
     let before = engine.subdb("T").unwrap().slot_extent(0);
-    let victim = *before.iter().next().expect("some teacher teaches");
+    let victim = *before.first().expect("some teacher teaches");
     // Delete the whole person (cascades to the teacher perspective).
     let schema = engine.db().schema();
     let teacher = schema.class_by_name("Teacher").unwrap();

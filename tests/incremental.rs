@@ -42,7 +42,22 @@
 //! * a comparison's rejected row left in its set when the row leaves the
 //!   input — `catch_up_equals_fresh_aggregates` through the audit (with
 //!   the audit's rejected-set comparison skipped, only in case 9 of 10,
-//!   through `derive_fresh`), `incremental_equals_fresh_aggregates`.
+//!   through `derive_fresh`), `incremental_equals_fresh_aggregates`;
+//! * the widened re-binding set without the dirty-bound rows' components —
+//!   `incremental_equals_fresh_university`,
+//!   `catch_up_equals_fresh_aggregates`.
+//!
+//! And of the dirty run in `rules::engine` and the store:
+//! * a commit's content delta not merged into the dirty run —
+//!   `incremental_equals_fresh_aggregates` (`OverAvg`);
+//! * the merge without its `dedup`, or the perspective closure handed out
+//!   descending — every propagating test, through `delta_apply`'s check
+//!   that a dirty set is a sorted, distinct run.
+//!
+//! And of a derived result's slot pairs in `core::subdb::index`: a pair
+//! removal that drops the co-binding without counting it down, and a pair
+//! insert that skips the reverse store — `derived_edge_pairs_are_point_maintained`
+//! through the audit.
 //!
 //! And of the catch-up in `rules::engine` (EXPERIMENTS.md E21 lists them):
 //! * a derived source's change is ignored (no epoch check in
@@ -217,6 +232,54 @@ fn apply_company_op(e: &mut RuleEngine, i: usize, op: u8, k: usize) {
     }
 }
 
+/// A derived edge's slot pair, point-edited. `Staffed` keeps three slots,
+/// so one `(Department, Project)` co-binding is counted once per employee
+/// of the department; `Sponsored` reads it over `Staffed`'s derived edge,
+/// which builds the pair, and a query reads it backward, from `Project`.
+/// Random company ops then edit `Staffed` row by row through `propagate`,
+/// and after every step the audit holds the built pair — both directions,
+/// counts included — against a fresh build, and the query the spec.
+#[test]
+fn derived_edge_pairs_are_point_maintained() {
+    check("derived_edge_pairs_are_point_maintained", CASES, |g| {
+        let seed = g.range(0u64..100);
+        let ops = g.vec(2..12, |g| (g.range(0u8..6), g.range(0usize..64)));
+        let (db, _) = company::populate(company::CompanySize::small(), seed);
+        let mut e = RuleEngine::new(db);
+        e.add_rule(
+            "Rs",
+            "if context Employee * Department * Project \
+             then Staffed (Employee, Department, Project)",
+        )
+        .unwrap();
+        e.add_rule(
+            "Rp",
+            "if context Staffed:Department * Staffed:Project then Sponsored (Department, Project)",
+        )
+        .unwrap();
+        let subdbs = ["Staffed", "Sponsored"];
+        for s in subdbs {
+            e.set_policy(s, EvalPolicy::PreEvaluated);
+            e.subdb(s).unwrap();
+        }
+        let backward = "Staffed:Project * Staffed:Department";
+        let read = |e: &mut RuleEngine| {
+            let got = rows_of(&e.query(&format!("context {backward}")).unwrap().subdb);
+            assert_eq!(got, spec_query(e.db(), e.registry(), backward), "`{backward}`");
+        };
+        read(&mut e);
+        assert_audit(&e);
+        for (i, (op, k)) in ops.iter().copied().enumerate() {
+            apply_company_op(&mut e, i, op, k);
+            e.propagate().unwrap();
+            assert_audit(&e);
+            assert_fresh(&e, &subdbs);
+            read(&mut e);
+            assert_audit(&e);
+        }
+    });
+}
+
 /// One rule per aggregate shape, each deriving the subdatabase of its name.
 const AGGREGATE_RULES: &[(&str, &str)] = &[
     (
@@ -272,16 +335,23 @@ const AGGREGATE_RULES: &[(&str, &str)] = &[
         "if context Employee * CountBy:Department where min(Employee.salary by Department) < 35000 \
          then OverSource (Employee)",
     ),
+    // `AvgAll` holds every employee while the average salary is above its
+    // threshold and none below it: a salary that moves the average adds or
+    // drops employees none of whose objects the update touched, so a
+    // reader stepping in a later stratum finds them only through the
+    // dirty run `AvgAll`'s commit merged its delta into.
+    ("OverAvg", "if context AvgAll:Employee * Project then OverAvg (Employee, Project)"),
 ];
 
 /// The aggregate conditions' group state (DESIGN.md §9): every aggregate
 /// function with and without `by`, two aggregates in sequence, a
 /// comparison after an aggregate (and an aggregate after that), a brace
-/// context under an aggregate, and an aggregate over a maintained source —
-/// under link churn, hires and firings, attribute-only updates that flip a
-/// verdict without moving a pattern, and groups emptied in one step. The
-/// thresholds sit where `CompanySize::small()` puts the aggregates, so
-/// verdicts flip both ways in most schedules.
+/// context under an aggregate, an aggregate over a maintained source, and
+/// a reader of a global aggregate, whose changes reach it only through the
+/// dirty run — under link churn, hires and firings, attribute-only updates
+/// that flip a verdict without moving a pattern, and groups emptied in one
+/// step. The thresholds sit where `CompanySize::small()` puts the
+/// aggregates, so verdicts flip both ways in most schedules.
 #[test]
 fn incremental_equals_fresh_aggregates() {
     check("incremental_equals_fresh_aggregates", CASES, |g| {
