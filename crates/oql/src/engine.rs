@@ -249,6 +249,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.table.len(), 1);
-        assert_eq!(out.table.rows[0][0], Value::str("jones"));
+        assert_eq!(out.table.rows.row(0)[0], Value::str("jones"));
     }
 }

@@ -297,5 +297,5 @@ fn derived_subdb_uniformly_operable() {
         .query("context TC:Teacher * TC:Course [c# >= 2000] select name display")
         .unwrap();
     assert_patterns(&out.subdb, vec![vec![s(names["t2"]), s(names["c2"])]]);
-    assert_eq!(out.table.rows[0][0], Value::str("t2"));
+    assert_eq!(out.table.rows.row(0)[0], Value::str("t2"));
 }
