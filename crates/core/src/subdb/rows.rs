@@ -325,6 +325,12 @@ impl<L: Lane> RowStore<L> {
         self.entries().map(|(row, _)| row)
     }
 
+    /// The rows leaf by leaf, ascending: each leaf one flat run of whole
+    /// rows, `width` cells a row. A width-0 store has no leaves.
+    pub fn leaves(&self) -> impl Iterator<Item = &[Option<Oid>]> + '_ {
+        self.leaves.iter().map(|l| l.cells.as_slice())
+    }
+
     /// The rows whose slot 0 holds `head`, with their lane values,
     /// ascending: one contiguous range, found by one binary search and
     /// ended by the first row with another head.

@@ -123,6 +123,13 @@ impl Subdatabase {
         self.patterns.iter()
     }
 
+    /// The patterns leaf by leaf, in order: each leaf one flat run of whole
+    /// patterns, the intension's width in cells a pattern. A width-0
+    /// extension has no leaves, whether or not it holds its empty pattern.
+    pub fn leaves(&self) -> impl Iterator<Item = &[Option<Oid>]> + '_ {
+        self.patterns.leaves()
+    }
+
     /// The patterns whose slot 0 holds `head`, in order: one contiguous
     /// range of the ordered extension, found without scanning the rest.
     pub fn head_range(&self, head: Option<Oid>) -> impl Iterator<Item = Row<'_>> {

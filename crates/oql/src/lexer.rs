@@ -8,7 +8,7 @@ use crate::token::{Spanned, Token};
 /// starts a line comment.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(token_estimate(bytes));
     let mut i = 0;
     while i < bytes.len() {
         // Chars are decoded properly so multibyte input errors cleanly
@@ -180,12 +180,37 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
     Ok(out)
 }
 
+/// How many tokens `src` makes, near enough to size the token vector
+/// once: one per run of word bytes, one per other byte that is not blank,
+/// and the end. Two-byte operators, reals, comments and strings count
+/// more; a number that runs into a word (`3x`) counts less.
+fn token_estimate(bytes: &[u8]) -> usize {
+    let word = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'#') || !b.is_ascii();
+    let mut prev_word = false;
+    let mut n = 1;
+    for &b in bytes {
+        let w = word(b);
+        n += usize::from(if w { !prev_word } else { !b.is_ascii_whitespace() });
+        prev_word = w;
+    }
+    n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn toks(src: &str) -> Vec<Token> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
+    }
+
+    #[test]
+    fn plain_text_sizes_the_tokens_once() {
+        let q = "context A * B where count(B by A) > 8 select A [name], B [title] display";
+        for src in ["", q, "if context Person ^*\n  then Reach (Person, Person_*)"] {
+            let toks = lex(src).unwrap();
+            assert_eq!(toks.capacity(), toks.len(), "{src}");
+        }
     }
 
     #[test]

@@ -472,11 +472,63 @@ struct Encoded {
     slot_ix: usize,
     /// Where the column's ranks start in the columns' one run of ranks:
     /// the dense rank, in [`ord_cmp`] order, of the column's value for
-    /// each entry of the slot's dictionary, the first an absent
-    /// component's.
+    /// each code of the slot's dictionary, the first an absent component's.
     ranks: usize,
     /// The column's weight in a pattern's key.
     stride: u64,
+}
+
+/// One used slot's dictionary: its OIDs ascending, coded 1 + their place
+/// (0 codes an absent component); whether a pattern lacks the slot; and
+/// the code of each OID the slot changes to, in the order the changes
+/// come. Slot 0's changes come ascending, so its `n`th is code `n + 1`.
+/// The key pass keeps in `at` the slot's last component, how many changes
+/// it has met and the last one's code.
+struct Dict {
+    oids: Vec<Oid>,
+    absent: bool,
+    changes: Option<Vec<u32>>,
+    at: (Option<Oid>, usize, u32),
+}
+
+/// Gather slot `s`'s changes (each component unlike the previous
+/// pattern's) into `scratch` and build its [`Dict`]. Another slot than 0
+/// sorts its changes tagged with their order, so that the sort which makes
+/// the dictionary also codes each change. `None` if an OID leaves no room
+/// for the tag.
+fn dict(sd: &Subdatabase, s: usize, scratch: &mut Vec<u64>) -> Option<Dict> {
+    scratch.clear();
+    let (mut absent, mut last, mut first) = (false, None, true);
+    for leaf in sd.leaves() {
+        for &o in leaf[s..].iter().step_by(sd.intension.width()) {
+            if o != last || first {
+                (last, first) = (o, false);
+                match o {
+                    Some(o) => scratch.push(o.raw()),
+                    None => absent = true,
+                }
+            }
+        }
+    }
+    let oids = |raw: &[u64]| raw.iter().map(|&o| Oid::from_raw(o)).collect();
+    if s == 0 {
+        return Some(Dict { oids: oids(scratch), absent, changes: None, at: (None, 0, 0) });
+    }
+    let tag = u64::BITS - (scratch.len() as u64 | 1).leading_zeros();
+    for (i, o) in scratch.iter_mut().enumerate() {
+        *o = o.checked_shl(tag).filter(|t| t >> tag == *o)? | i as u64;
+    }
+    scratch.sort_unstable();
+    // The distinct OIDs move to the front as they are met.
+    let (mut changes, mut distinct) = (vec![0; scratch.len()], 0);
+    for i in 0..scratch.len() {
+        let (o, at) = (scratch[i] >> tag, scratch[i] & ((1 << tag) - 1));
+        distinct += usize::from(distinct == 0 || scratch[distinct - 1] != o);
+        scratch[distinct - 1] = o;
+        changes[at as usize] = distinct as u32;
+    }
+    let changes = Some(changes);
+    Some(Dict { oids: oids(&scratch[..distinct]), absent, changes, at: (None, 0, 0) })
 }
 
 /// Whether `v`, which follows `prev` in [`ord_cmp`] order, starts a new
@@ -493,59 +545,46 @@ fn starts_rank(prev: Option<&Value>, v: &Value) -> Option<bool> {
     (same == (prev == v)).then_some(!same)
 }
 
-/// Dictionary-encoded projection: per used slot the sorted distinct OIDs,
-/// per column one value read for each of them and its dense rank, per
-/// pattern one mixed-radix key of ranks (first column most significant).
-/// Sorting and deduplicating the keys sorts and deduplicates the rows; a
-/// row's codes are its key's digits, and each column keeps one clone of
-/// each of its distinct values. `None` when ranks cannot stand for some
-/// column's values ([`starts_rank`]) or the keys do not fit a `u64`.
+/// Dictionary-encoded projection: per used slot the sorted distinct OIDs
+/// and the code of each change ([`Dict`]), per column one value read for
+/// each of them and its dense rank, per pattern one mixed-radix key of
+/// ranks (first column most significant). Sorting and deduplicating the
+/// keys sorts and deduplicates the rows; a row's codes are its key's
+/// digits, and each column keeps one clone of each of its distinct values.
+/// The extension is read from its leaves, once per used slot and once for
+/// the keys. `None` when ranks cannot stand for some column's values
+/// ([`starts_rank`]), an OID does not fit beside its tag, or the keys do
+/// not fit a `u64`.
 fn project_encoded(sd: &Subdatabase, cols: &[Column], db: &Database) -> Option<Rows> {
     let n = sd.len();
     // Dictionary positions and ranks are `u32`s.
     u32::try_from(n).ok()?;
     // The slots some column reads, and which of them each column does.
     let mut slots: Vec<usize> = Vec::with_capacity(cols.len());
-    let slot_ix: Vec<usize> = cols
+    let mut enc: Vec<Encoded> = cols
         .iter()
         .map(|c| {
-            slots.iter().position(|&s| s == c.slot()).unwrap_or_else(|| {
+            let slot_ix = slots.iter().position(|&s| s == c.slot()).unwrap_or_else(|| {
                 slots.push(c.slot());
                 slots.len() - 1
-            })
+            });
+            Encoded { slot_ix, ranks: 0, stride: 1 }
         })
         .collect();
-
-    // Dictionaries, each with whether some pattern lacks the slot. A
-    // slot's OIDs are gathered into one scratch sized to the pattern
-    // count, sorted and deduplicated there, and copied out at their exact
-    // number. Patterns arrive sorted, so a repeat of the previous OID is
-    // not gathered, and slot 0's OIDs arrive ascending.
+    // Dictionaries, gathered in one scratch sized to the pattern count and
+    // copied out at their exact size.
     let mut scratch: Vec<u64> = Vec::with_capacity(n);
-    let dicts: Vec<(Vec<Oid>, bool)> = slots
-        .iter()
-        .map(|&s| {
-            scratch.clear();
-            let mut absent = false;
-            for o in sd.patterns().map(|p| p.get(s)) {
-                match o {
-                    Some(o) if scratch.last() != Some(&o.raw()) => scratch.push(o.raw()),
-                    Some(_) => {}
-                    None => absent = true,
-                }
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            (scratch.iter().map(|&o| Oid::from_raw(o)).collect(), absent)
-        })
-        .collect();
+    let mut dicts: Vec<Dict> =
+        slots.iter().map(|&s| dict(sd, s, &mut scratch)).collect::<Option<_>>()?;
 
     // OID columns show the OID's text, which sorts as text.
     let oid_text: Vec<Vec<Value>> = cols
         .iter()
-        .zip(&slot_ix)
-        .map(|(c, &k)| match c {
-            Column::Class { .. } => dicts[k].0.iter().map(|o| Value::str(o.to_string())).collect(),
+        .zip(&enc)
+        .map(|(c, e)| match c {
+            Column::Class { .. } => {
+                dicts[e.slot_ix].oids.iter().map(|o| Value::str(o.to_string())).collect()
+            }
             Column::Attr { .. } => Vec::new(),
         })
         .collect();
@@ -553,14 +592,13 @@ fn project_encoded(sd: &Subdatabase, cols: &[Column], db: &Database) -> Option<R
     // Ranks. A column's entries (an absent component's Null first, then a
     // value per dictionary entry) are sorted by `ord_cmp` in one buffer
     // that serves every column.
-    let largest = dicts.iter().map(|d| d.0.len() + 1).max().unwrap_or(0);
+    let largest = dicts.iter().map(|d| d.oids.len() + 1).max().unwrap_or(0);
     let mut order: Vec<(&Value, u32)> = Vec::with_capacity(largest);
-    let mut ranks: Vec<u32> = vec![0; slot_ix.iter().map(|&k| dicts[k].0.len() + 1).sum()];
-    let mut enc: Vec<Encoded> = Vec::with_capacity(cols.len());
+    let mut ranks: Vec<u32> = vec![0; enc.iter().map(|e| dicts[e.slot_ix].oids.len() + 1).sum()];
     let mut values: Vec<Vec<Value>> = Vec::with_capacity(cols.len());
     let mut start = 0;
-    for ((c, text), &slot_ix) in cols.iter().zip(&oid_text).zip(&slot_ix) {
-        let (dict, absent) = &dicts[slot_ix];
+    for ((c, text), e) in cols.iter().zip(&oid_text).zip(&mut enc) {
+        let Dict { oids: dict, absent, .. } = &dicts[e.slot_ix];
         order.clear();
         if *absent {
             order.push((&NULL, 0));
@@ -587,7 +625,7 @@ fn project_encoded(sd: &Subdatabase, cols: &[Column], db: &Database) -> Option<R
             }
         }
         values.push(column);
-        enc.push(Encoded { slot_ix, ranks: start, stride: 1 });
+        e.ranks = start;
         start += dict.len() + 1;
     }
     let mut stride = 1u64;
@@ -596,28 +634,42 @@ fn project_encoded(sd: &Subdatabase, cols: &[Column], db: &Database) -> Option<R
         stride = stride.checked_mul(column.len().max(1) as u64)?;
     }
 
-    // Keys, in the dictionaries' scratch. A pattern's components are
-    // looked up in the dictionaries once per slot; the lookup of the
-    // previous pattern is tried first.
+    // Keys, in the dictionaries' scratch. A component that differs from
+    // the previous pattern's is the slot's next change, whose code its
+    // dictionary kept.
     let keys = &mut scratch;
     keys.clear();
-    let mut at: Vec<(Option<Oid>, u32)> = vec![(None, 0); slots.len()];
-    for p in sd.patterns() {
-        for ((&s, (dict, _)), at) in slots.iter().zip(&dicts).zip(&mut at) {
-            let o = p.get(s);
-            if o != at.0 {
-                let found = o.map_or(0, |o| {
-                    1 + dict.binary_search(&o).expect("gathered from these patterns")
-                });
-                *at = (o, found as u32);
+    if slots.is_empty() {
+        // No column: one empty row, if there is a pattern.
+        keys.extend((n > 0).then_some(0));
+    }
+    let mut first = true;
+    let w = sd.intension.width();
+    for leaf in sd.leaves() {
+        for row in leaf.chunks_exact(w) {
+            let mut changed = false;
+            for (&s, dict) in slots.iter().zip(&mut dicts) {
+                let (o, at) = (row[s], &mut dict.at);
+                if o != at.0 || first {
+                    let code = match (o, &dict.changes) {
+                        (None, _) => 0,
+                        (Some(_), None) => at.1 as u32 + 1,
+                        (Some(_), Some(codes)) => codes[at.1],
+                    };
+                    *at = (o, at.1 + usize::from(o.is_some()), code);
+                    changed = true;
+                }
             }
-        }
-        let key = enc
-            .iter()
-            .map(|e| ranks[e.ranks + at[e.slot_ix].1 as usize] as u64 * e.stride)
-            .sum();
-        if keys.last() != Some(&key) {
-            keys.push(key);
+            first = false;
+            if changed {
+                let key = enc
+                    .iter()
+                    .map(|e| ranks[e.ranks + dicts[e.slot_ix].at.2 as usize] as u64 * e.stride)
+                    .sum();
+                if keys.last() != Some(&key) {
+                    keys.push(key);
+                }
+            }
         }
     }
     keys.sort_unstable();

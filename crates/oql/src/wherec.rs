@@ -15,6 +15,7 @@ use dood_core::schema::{ResolvedAttr, Schema};
 use dood_core::subdb::{Intension, Row, SlotSource, Subdatabase};
 use dood_core::value::Value;
 use dood_store::Database;
+use std::cell::Cell;
 
 /// Find the unique slot a class reference denotes within an intension.
 pub fn find_slot(int: &Intension, cref: &ClassRef) -> Result<usize, QueryError> {
@@ -55,10 +56,6 @@ pub fn slot_attr(
     }
     Ok(schema.resolve_attr(def.base, attr)?)
 }
-
-/// One `(group, target)` pair of an aggregation: the `by` slot's object
-/// (one constant for an ungrouped aggregate) and the target slot's, if any.
-type GroupTarget = (Oid, Option<Oid>);
 
 /// A comparison condition bound to the slots of one intension: the
 /// per-pattern verdict, shared by [`apply_where`] and by incremental rule
@@ -234,6 +231,63 @@ fn filter(sd: &mut Subdatabase, sp: &mut obs::trace::Span, keep: impl FnMut(Row<
     }
 }
 
+/// A run of an aggregate's input: consecutive patterns of one group, whose
+/// targets start at `start` in [`group_runs`]' buffer, and its group's
+/// verdict.
+struct Run {
+    group: Oid,
+    start: usize,
+    pass: Cell<bool>,
+}
+
+/// Every run of patterns with one group, in pattern order, each with its
+/// group's verdict, and the number of groups. Patterns arrive sorted, so a
+/// group is one run when the `by` slot is slot 0 or absent, and one run per
+/// prefix it appears under otherwise. A run's targets are gathered into
+/// one buffer, a repeat of the one before once; the runs are ordered by
+/// group, and a group's targets are sorted where they lie if it is one run,
+/// merged if it recurs, so that its verdict sees them distinct and
+/// ascending, as the sum needs.
+fn group_runs(sd: &Subdatabase, agg: &AggCond, db: &Database) -> (Vec<Run>, usize) {
+    let (mut targets, mut runs) = (Vec::with_capacity(sd.len()), Vec::<Run>::new());
+    let mut last = None;
+    for leaf in sd.leaves() {
+        for p in leaf.chunks_exact(sd.intension.width()).map(Row::new) {
+            let g = agg.group_of(p);
+            if g != last {
+                last = g;
+                let start = targets.len();
+                runs.extend(g.map(|group| Run { group, start, pass: Cell::new(false) }));
+            }
+            if let (Some(_), Some(t)) = (g, agg.target_of(p)) {
+                if targets.len() == runs[runs.len() - 1].start || targets.last() != Some(&t) {
+                    targets.push(t);
+                }
+            }
+        }
+    }
+    let mut order: Vec<usize> = (0..runs.len()).collect();
+    order.sort_unstable_by_key(|&r| (runs[r].group, r));
+    let end = targets.len();
+    let span = |r: usize| runs[r].start..runs.get(r + 1).map_or(end, |next| next.start);
+    let (mut merged, mut groups) = (Vec::new(), 0);
+    for same in order.chunk_by(|&a, &b| runs[a].group == runs[b].group) {
+        let distinct = match *same {
+            [r] => &mut targets[span(r)],
+            _ => {
+                merged.clear();
+                same.iter().for_each(|&r| merged.extend_from_slice(&targets[span(r)]));
+                &mut merged[..]
+            }
+        };
+        distinct.sort_unstable();
+        let pass = agg.passes(distinct.chunk_by(|a, b| a == b).map(|t| t[0]), db);
+        same.iter().for_each(|&r| runs[r].pass.set(pass));
+        groups += 1;
+    }
+    (runs, groups)
+}
+
 /// Apply one WHERE condition, dropping non-satisfying patterns.
 fn apply_cond(sd: &mut Subdatabase, cond: &WhereCond, db: &Database) -> Result<(), QueryError> {
     let mut sp = obs::trace::span(match cond {
@@ -244,36 +298,16 @@ fn apply_cond(sd: &mut Subdatabase, cond: &WhereCond, db: &Database) -> Result<(
     match bind_cond(cond, &sd.intension, db.schema())? {
         BoundCond::Cmp(cmp) => filter(sd, &mut sp, |p| cmp.passes(p, db)),
         BoundCond::Agg(agg) => {
-            // Sorted and deduplicated, the pairs list every group's
-            // distinct targets in one run. Patterns arrive sorted, so a
-            // pair often repeats the one before it.
-            let mut pairs: Vec<GroupTarget> = Vec::with_capacity(sd.len());
-            for p in sd.patterns() {
-                if let Some(g) = agg.group_of(p) {
-                    let pair = (g, agg.target_of(p));
-                    if pairs.last() != Some(&pair) {
-                        pairs.push(pair);
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
-            // A run: its group's distinct targets, after at most one `None`
-            // for patterns without one. Runs come in group order, so
-            // `passing` is sorted.
-            let mut groups = 0i64;
-            let passing: Vec<Oid> = pairs
-                .chunk_by(|a, b| a.0 == b.0)
-                .inspect(|_| groups += 1)
-                .filter(|run| agg.passes(run.iter().filter_map(|&(_, t)| t), db))
-                .map(|run| run[0].0)
-                .collect();
-            sp.attr("groups", groups);
+            let (runs, groups) = group_runs(sd, &agg, db);
+            sp.attr("groups", groups as i64);
+            // The filter meets the runs in the order they were made: a run
+            // starts wherever the group changes to one.
+            let mut verdicts = runs.iter().map(|r| r.pass.get());
             let mut last = (None, false);
             filter(sd, &mut sp, |p| {
                 let g = agg.group_of(p);
                 if g != last.0 {
-                    last = (g, g.is_some_and(|g| passing.binary_search(&g).is_ok()));
+                    last = (g, g.is_some() && verdicts.next().expect("a run per change of group"));
                 }
                 last.1
             });

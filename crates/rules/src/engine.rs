@@ -978,14 +978,27 @@ impl RuleEngine {
         Ok(fresh.to_vec() == current.to_vec())
     }
 
-    /// Check every rule cache that is current — stepped at the store's
-    /// sequence number, with no source changed since — and the target it
-    /// maintains (a union's per-rule target, or else the registered
-    /// result) against a cache seeded afresh from the same store and
-    /// registry; and every registered subdatabase's access index, if it
-    /// is built, against one built afresh. The error names the rule or the
-    /// subdatabase, and the first difference.
+    /// Check that no watermark the engine keeps (its own, `dirty_from`, a
+    /// rule cache's `at_seq`) is past the store's sequence number; every
+    /// rule cache that is current — stepped at the store's sequence
+    /// number, with no source changed since — and the target it maintains
+    /// (a union's per-rule target, or else the registered result) against
+    /// a cache seeded afresh from the same store and registry; and every
+    /// registered subdatabase's access index, if it is built, against one
+    /// built afresh. The error names the rule or the subdatabase, and the
+    /// first difference.
     pub fn audit(&self) -> Result<(), String> {
+        let seq = self.db.seq();
+        let caches = self.rules.iter().zip(&self.caches).filter_map(|(r, c)| {
+            Some((format!("rule {}: cache at_seq", r.name), c.as_ref()?.at_seq))
+        });
+        let engine = [("engine watermark", self.watermark), ("dirty_from", self.dirty_from)];
+        let engine = engine.map(|(what, at)| (what.to_string(), at));
+        for (what, at) in engine.into_iter().chain(caches) {
+            if at > seq {
+                return Err(format!("{what} {at} is past the store's sequence number {seq}"));
+            }
+        }
         for name in self.registry.names() {
             let sd = self.registry.subdb(name).expect("a listed entry");
             sd.check_index().map_err(|e| format!("subdatabase {name}: index {e}"))?;
@@ -1061,4 +1074,23 @@ pub fn referenced_subdbs(q: &Query) -> Vec<String> {
     out.sort_unstable();
     out.dedup();
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dood_core::schema::SchemaBuilder;
+
+    #[test]
+    fn audit_fails_on_a_watermark_past_the_store() {
+        let mut b = SchemaBuilder::new();
+        b.e_class("A");
+        let mut engine = RuleEngine::new(Database::new(b.build().unwrap()));
+        engine.add_rule("r", "if context A then T (A)").unwrap();
+        engine.derive("T").unwrap();
+        assert_eq!(engine.audit(), Ok(()));
+        engine.caches[0].as_mut().expect("a cache").at_seq += 1;
+        let err = engine.audit().unwrap_err();
+        assert!(err.starts_with("rule r: cache at_seq 1 is past"), "{err}");
+    }
 }

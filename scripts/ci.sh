@@ -247,11 +247,17 @@ CLOSURE_PROPAGATE_ALLOCS_PER_EVENT_MAX=24
 #   of its final size and slot 0's dictionary was sized by its distinct
 #   heads; 142.5 KB with a renderer writing into a `String` that grew by
 #   doubling). The benchmark's traced path renders through `Display`, one
-#   more copy of the text.
+#   more copy of the text. It reads 82.2 KB since each slot's dictionary
+#   sort also codes the slot's changes, a `u32` per change, so the ceiling
+#   stays;
+# - `univ_query` `oql.where` (below): 11.1 KB once an aggregate gathered
+#   its runs' targets as 8-byte OIDs (16.2 KB with a 16-byte
+#   `(group, target)` pair per pattern).
 PROPAGATE_KB_PER_OP_MAX=30
 CLOSURE_PROPAGATE_KB_PER_OP_MAX=54
 EVAL_KB_PER_OP_MAX=76
 TABLE_KB_PER_OP_MAX=100
+WHERE_KB_PER_OP_MAX=14
 metric() {
     sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p" <<<"$SUMMARY"
 }
@@ -305,16 +311,21 @@ kb_ceiling rules.propagate.alloc_kb_per_op "$CLOSURE_PROPAGATE_KB_PER_OP_MAX" so
 #   once a subdatabase stored its rows in sorted flat leaves; 1.18 with a
 #   box per pattern and a B-tree; 2.43 when each span row was a Vec<Oid>
 #   and then a second vector of slots).
-# - `oql.table`: 37.6 per op once rows were codes, every column's ranks
+# - `oql.table`: 36.8 per op once the key pass kept its cursors in the
+#   dictionaries (37.6 once rows were codes, every column's ranks
 #   shared one sort buffer and one run of ranks, and `display` measured
-#   each distinct value once (39.1 once a table rendered into one buffer
+#   each distinct value once; 39.1 once a table rendered into one buffer
 #   of its final size; 52.9 once table rows were one flat buffer; 558.3
 #   with a Vec<Value> per row).
+# - `oql.where`: 1.5 per op once an aggregate grouped its input by runs
+#   (1.3 with one sort of `(group, target)` pairs).
 EVAL_ALLOCS_PER_PATTERN_MAX=0.044
-TABLE_ALLOCS_PER_OP_MAX=47
+TABLE_ALLOCS_PER_OP_MAX=46.1
+WHERE_ALLOCS_PER_OP_MAX=1.9
 SUMMARY="$(bash benchmark/run.sh --workload univ_query --seed 7 --seconds 2 --trace 1 | tail -n 1)"
 kb_ceiling oql.eval.alloc_kb_per_op "$EVAL_KB_PER_OP_MAX" univ_query
 kb_ceiling oql.table.alloc_kb_per_op "$TABLE_KB_PER_OP_MAX" univ_query
+kb_ceiling oql.where.alloc_kb_per_op "$WHERE_KB_PER_OP_MAX" univ_query
 ALLOCS="$(metric oql.eval.allocs_per_op)"
 PATTERNS="$(metric oql.eval.patterns_per_op)"
 if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \
@@ -325,15 +336,18 @@ if ! awk -v a="$ALLOCS" -v p="$PATTERNS" -v max="$EVAL_ALLOCS_PER_PATTERN_MAX" \
         "$EVAL_ALLOCS_PER_PATTERN_MAX or are missing" >&2
     exit 1
 fi
-TABLE="$(metric oql.table.allocs_per_op)"
-if ! awk -v a="$TABLE" -v max="$TABLE_ALLOCS_PER_OP_MAX" \
-    'BEGIN { if (a == "") exit 1
-             printf "ci: oql.table allocates %.1f per univ_query op (ceiling %d)\n", a, max
-             exit (a > max) }'; then
-    echo "ci: oql.table allocations per univ_query op ($TABLE) exceed" \
-        "$TABLE_ALLOCS_PER_OP_MAX or are missing" >&2
-    exit 1
-fi
+for ceiling in oql.table:$TABLE_ALLOCS_PER_OP_MAX oql.where:$WHERE_ALLOCS_PER_OP_MAX; do
+    STAGE="${ceiling%%:*}"
+    MAX="${ceiling##*:}"
+    ALLOCS="$(metric "$STAGE.allocs_per_op")"
+    if ! awk -v a="$ALLOCS" -v max="$MAX" -v s="$STAGE" \
+        'BEGIN { if (a == "") exit 1
+                 printf "ci: %s allocates %.2f per univ_query op (ceiling %.1f)\n", s, a, max
+                 exit (a > max) }'; then
+        echo "ci: $STAGE allocations per univ_query op ($ALLOCS) exceed $MAX or are missing" >&2
+        exit 1
+    fi
+done
 
 # Each derived result is built once, the rule graph once per program,
 # registration resolves a program once and computes no numeric bounds, and

@@ -407,3 +407,104 @@ fn grouped_aggregates_with_null_groups_and_targets() {
         }
     });
 }
+
+/// An aggregate of every function over the target slot `target`, grouped
+/// by `by`, against a random threshold.
+fn aggregate(g: &mut Gen, target: usize, by: Option<usize>) -> WhereCond {
+    let func = *g.choose(&[AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max]);
+    let (slot, _) = SLOTS[target];
+    WhereCond::Agg {
+        attr: (func != AggFunc::Count || g.bool(0.5)).then(|| g.choose(attrs_of(slot)).to_string()),
+        func,
+        target: ClassRef::base(slot),
+        by: by.map(|b| ClassRef::base(SLOTS[b].0)),
+        op: cmp_op(g),
+        value: Literal::Int(g.range(0i64..6)),
+    }
+}
+
+/// Aggregates over sets of 200 to 400 patterns, which span several leaves:
+/// ungrouped, by slot 0 (each group one run), and by a later slot (groups
+/// that recur under every head they appear with), on every target slot.
+/// Few objects make groups recur and share targets across their runs;
+/// some patterns lack the group or the target.
+#[test]
+fn aggregates_over_many_leaves_equal_the_rebuilding_filter() {
+    check("aggregates_over_many_leaves_equal_the_rebuilding_filter", 24, |g| {
+        let shape = Shape {
+            objects: g.range(2usize..9),
+            domain: g.range(1i64..6),
+            irregular: false,
+            strings: 0,
+        };
+        let (db, sd) = generate(g, shape, 200..400);
+        for by in [None, Some(0), Some(1), Some(2), Some(3)] {
+            for target in 0..SLOTS.len() {
+                let cond = aggregate(g, target, by);
+                assert_same_filter(&sd, &[cond], &db);
+            }
+        }
+    });
+}
+
+/// `sum` and `avg` over Real targets whose floating-point sum depends on
+/// the order it is taken in (1e16 + 1 - 1e16 is 0 one way and 1 another):
+/// both filters add a group's distinct targets in ascending OID order,
+/// however the group's patterns were spread over runs and leaves.
+#[test]
+fn order_dependent_sums_equal_the_rebuilding_filter() {
+    check("order_dependent_sums_equal_the_rebuilding_filter", 24, |g| {
+        let shape = Shape { objects: g.range(3usize..8), domain: 4, irregular: false, strings: 0 };
+        let (mut db, sd) = generate(g, shape, 200..300);
+        for b in sd.slot_extent(1) {
+            let v = *g.choose(&[1e16, 1.0, -1e16, 2.0]);
+            db.set_attr(b, "weight", Value::Real(v)).unwrap();
+        }
+        for by in [None, Some(0), Some(2), Some(3)] {
+            for func in [AggFunc::Sum, AggFunc::Avg] {
+                let thresholds = [(CmpOp::Ge, 1), (CmpOp::Lt, 1), (CmpOp::Eq, 0), (CmpOp::Gt, 2)];
+                for (op, value) in thresholds {
+                    let cond = WhereCond::Agg {
+                        func,
+                        target: ClassRef::base("B"),
+                        attr: Some("weight".into()),
+                        by: by.map(|b| ClassRef::base(SLOTS[b].0)),
+                        op,
+                        value: Literal::Int(value),
+                    };
+                    assert_same_filter(&sd, &[cond], &db);
+                }
+            }
+        }
+    });
+}
+
+/// SELECTs over sets of 200 to 400 patterns, which span several leaves: on
+/// a prefix of the slots, so that many patterns make one row (the shape of
+/// a grouped report), on slot 0 alone, on later slots alone, and on all.
+#[test]
+fn prefix_selects_over_many_leaves_equal_the_rowwise_builder() {
+    check("prefix_selects_over_many_leaves_equal_the_rowwise_builder", 24, |g| {
+        let shape = Shape {
+            objects: g.range(2usize..12),
+            domain: g.range(2i64..40),
+            irregular: false,
+            strings: g.range(0u8..3),
+        };
+        let (db, sd) = generate(g, shape, 200..400);
+        let attrs = |slot: &str| {
+            SelectItem::ClassAttrs(ClassRef::base(slot), vec![attrs_of(slot)[0].into()])
+        };
+        for select in [
+            vec![attrs("A"), attrs("B")],
+            vec![SelectItem::Class(ClassRef::base("A")), attrs("B")],
+            vec![attrs("A")],
+            vec![attrs("C"), attrs("A_1")],
+            vec![SelectItem::Class(ClassRef::base("B"))],
+            select(g),
+        ] {
+            assert_same_table(&sd, &select, &db);
+        }
+        assert_same_table(&sd, &[], &db);
+    });
+}
