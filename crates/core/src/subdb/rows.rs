@@ -17,7 +17,8 @@
 //! A leaf carries a [`Lane`] beside its cells: one value per row, in row
 //! order, which splits, grows and drains with its leaf. A set
 //! ([`RowStore`]) has the empty lane `()`, which stores nothing; the
-//! derivation counts ([`RowCounts`]) have a `u32` per row.
+//! derivation counts ([`RowCounts`]) have a `u32` per row, whose top bit
+//! marks the row *visible* ([`RowCounts::VISIBLE`]).
 //!
 //! Width 0 stores no cells and no lane: such a store holds at most one
 //! (empty) row, which `len` alone records.
@@ -130,7 +131,9 @@ pub struct RowStore<L: Lane = ()> {
 
 /// Rows with a `u32` count each: a rule's derivation counts, target
 /// projection → how many post-WHERE context rows derive it. A key is a
-/// row in a leaf, not a box.
+/// row in a leaf, not a box. The lane's top bit is a mark beside the count,
+/// [`RowCounts::VISIBLE`]: a rule sets it on exactly the keys its target
+/// shows, so the target is the marked keys and no second store.
 pub type RowCounts = RowStore<Vec<u32>>;
 
 /// Where a row is, or would go: the leaf, and the row's index in it.
@@ -502,21 +505,65 @@ impl RowStore {
 }
 
 /// Derivation counts. A key is never all Null, so a counted row has at
-/// least one cell: the edits below need a non-zero width.
+/// least one cell: the edits below need a non-zero width. A count lives in
+/// the lane's low 31 bits; the edits keep the [`RowCounts::VISIBLE`] mark.
 impl RowCounts {
-    /// The count of `row`, if the store holds it (possibly at zero, between
-    /// a step's decrements and its deaths).
+    /// The lane bit that marks a key visible; the rest of a lane value is
+    /// the key's count.
+    pub const VISIBLE: u32 = 1 << 31;
+
+    /// The lane value of `row` — its count, possibly zero between a step's
+    /// decrements and its deaths, and its [`RowCounts::VISIBLE`] mark — if
+    /// the store holds it.
     pub fn get(&self, row: &[Option<Oid>]) -> Option<u32> {
         self.find(row).map(|s| self.leaves[s.leaf].lane[s.row])
     }
 
+    /// Whether the store holds `row` and it is marked visible.
+    pub fn is_visible(&self, row: &[Option<Oid>]) -> bool {
+        self.find(row).is_some_and(|s| self.leaves[s.leaf].lane[s.row] & Self::VISIBLE != 0)
+    }
+
+    /// Mark `row` visible or not; a row the store does not hold is left
+    /// alone.
+    pub fn set_visible(&mut self, row: &[Option<Oid>], on: bool) {
+        if let Some(s) = self.find(row) {
+            let lane = &mut self.leaves[s.leaf].lane[s.row];
+            *lane = if on { *lane | Self::VISIBLE } else { *lane & !Self::VISIBLE };
+        }
+    }
+
+    /// Mark visible each of `rows`, ascending and every one held by the
+    /// store: one merge walk of the leaves. Panics on a row the store does
+    /// not hold.
+    pub fn mark_visible<'a>(&mut self, rows: impl IntoIterator<Item = Row<'a>>) {
+        let w = self.width;
+        let (mut leaf, mut at) = (0, 0);
+        for row in rows {
+            loop {
+                let Leaf { cells, lane } = self.leaves.get_mut(leaf).expect("a held row");
+                if at * w == cells.len() {
+                    (leaf, at) = (leaf + 1, 0);
+                    continue;
+                }
+                at += 1;
+                if cells[(at - 1) * w..at * w] == *row.components() {
+                    lane[at - 1] |= Self::VISIBLE;
+                    break;
+                }
+            }
+        }
+    }
+
     /// Count one more derivation of `row`; whether the row is new to the
-    /// store, born at 1.
+    /// store, born at 1 and not visible.
     pub fn increment(&mut self, row: &[Option<Oid>]) -> bool {
         assert!(self.width > 0 && row.len() == self.width, "a counted row of width {}", row.len());
         let slot = self.locate(row);
         if slot.found {
-            self.leaves[slot.leaf].lane[slot.row] += 1;
+            let lane = &mut self.leaves[slot.leaf].lane[slot.row];
+            debug_assert!(*lane & !Self::VISIBLE < !Self::VISIBLE, "a count fits in 31 bits");
+            *lane += 1;
             return false;
         }
         self.put(slot, row, 1);
@@ -524,25 +571,27 @@ impl RowCounts {
     }
 
     /// Count one derivation of `row` fewer; its new count, or `None` if the
-    /// store does not hold it. A row at zero stays until it is removed.
+    /// store does not hold it. A row at zero stays, mark and all, until it
+    /// is removed.
     pub fn decrement(&mut self, row: &[Option<Oid>]) -> Option<u32> {
         let s = self.find(row)?;
-        let count = &mut self.leaves[s.leaf].lane[s.row];
-        *count = count.checked_sub(1).expect("a derivation count below zero");
-        Some(*count)
+        let lane = &mut self.leaves[s.leaf].lane[s.row];
+        let count = (*lane & !Self::VISIBLE).checked_sub(1).expect("a derivation count below zero");
+        *lane = *lane & Self::VISIBLE | count;
+        Some(count)
     }
 
     /// Count one derivation of `row` fewer, and remove it at zero; whether
     /// it went. A row the store does not hold is left alone.
     pub fn release(&mut self, row: &[Option<Oid>]) -> bool {
         let Some(s) = self.find(row) else { return false };
-        let count = &mut self.leaves[s.leaf].lane[s.row];
-        *count = count.checked_sub(1).expect("a derivation count below zero");
-        let gone = *count == 0;
-        if gone {
+        let lane = &mut self.leaves[s.leaf].lane[s.row];
+        let count = (*lane & !Self::VISIBLE).checked_sub(1).expect("a derivation count below zero");
+        *lane = *lane & Self::VISIBLE | count;
+        if count == 0 {
             self.cut(s);
         }
-        gone
+        count == 0
     }
 
     /// Replace the contents with the distinct rows of `run`, each counted
@@ -563,7 +612,7 @@ impl RowCounts {
             while i < n && run.row(i) == row {
                 i += 1;
             }
-            u32::try_from(i - start).expect("a derivation count fits in u32")
+            u32::try_from(i - start).ok().filter(|&c| c < Self::VISIBLE).expect("a count fits")
         });
     }
 }

@@ -194,13 +194,9 @@ pub fn project_targets(
 
 /// Check that two rules deriving the same subdatabase agree on the slot
 /// layout (names), so their unions are meaningful (R4/R5 semantics).
-pub fn layouts_compatible(a: &Subdatabase, b: &Subdatabase) -> bool {
-    a.intension.slots.len() == b.intension.slots.len()
-        && a.intension
-            .slots
-            .iter()
-            .zip(&b.intension.slots)
-            .all(|(x, y)| x.name == y.name && x.base == y.base)
+pub fn layouts_compatible(a: &Intension, b: &Intension) -> bool {
+    a.slots.len() == b.slots.len()
+        && a.slots.iter().zip(&b.slots).all(|(x, y)| x.name == y.name && x.base == y.base)
 }
 
 /// The target-slot *names* a rule will produce, without evaluating it
@@ -327,7 +323,7 @@ mod tests {
         .unwrap();
         let s1 = apply_rule(&r1, &db, &reg).unwrap();
         let s2 = apply_rule(&r2, &db, &reg).unwrap();
-        assert!(!layouts_compatible(&s1, &s2));
-        assert!(layouts_compatible(&s1, &s1));
+        assert!(!layouts_compatible(&s1.intension, &s2.intension));
+        assert!(layouts_compatible(&s1.intension, &s1.intension));
     }
 }

@@ -29,7 +29,7 @@ use crate::depgraph::DepGraph;
 use crate::derive::{apply_rule, layouts_compatible};
 use crate::error::RuleError;
 use crate::maintain::{
-    audit_cache, delta_apply, dirty_closure, seed_cache, DeltaOutcome, RuleCache,
+    audit_cache, delta_apply, dirty_closure, first_diff, seed_cache, DeltaOutcome, RuleCache,
 };
 use crate::parser::parse_rule;
 use crate::program::Program;
@@ -38,7 +38,7 @@ use dood_core::fxhash::{FxHashMap, FxHashSet};
 use dood_core::ids::{ClassId, Oid};
 use dood_core::obs;
 use dood_core::obs::profile::Profile;
-use dood_core::subdb::{RegistryEntry, Row, Subdatabase, SubdbRegistry};
+use dood_core::subdb::{RegistryEntry, Row, RowRun, Subdatabase, SubdbRegistry};
 use dood_oql::ast::{ClassRef, Query, SelectItem, WhereCond};
 use dood_oql::{Oql, QueryOutput};
 use dood_store::{Database, SubscriberId};
@@ -74,30 +74,21 @@ pub enum ControlMode {
 }
 
 /// One subdatabase's maintenance state, pulled out of the engine for a
-/// stratum step or a catch-up: its rules' delta caches and a union's
-/// per-rule targets, each with its rule's index, and its registry entry,
-/// stale or not. The entry of a single-rule result *is* the target its
-/// rule's cache maintains. The step mutates all of it in place; `put_back`
-/// drains it back. Caches and targets are boxed, in the engine too, so a
-/// rule that never derives costs its slots a pointer each.
+/// stratum step or a catch-up: its rules' delta caches, each with its
+/// rule's index, and its registry entry, stale or not. A rule's target is
+/// the visible keys of its cache's derivation counts, so the entry is the
+/// result's one copy, a single rule's target or the union of a union's
+/// (R4/R5). The step mutates all of it in place; `put_back` drains it back.
+/// Caches are boxed, in the engine too, so a rule that never derives costs
+/// its slot a pointer.
 struct MaintainState {
     caches: Vec<(usize, Box<RuleCache>)>,
-    targets: Vec<(usize, Box<Subdatabase>)>,
     entry: Option<RegistryEntry>,
 }
 
 /// The value under `rule` in a list of per-rule state.
 fn of_rule<T>(list: &mut [(usize, T)], rule: usize) -> Option<&mut T> {
     list.iter_mut().find(|(i, _)| *i == rule).map(|(_, v)| v)
-}
-
-/// Put `value` under `rule` in a list of per-rule state, in place of the
-/// value there.
-fn put<T>(list: &mut Vec<(usize, T)>, rule: usize, value: T) {
-    match of_rule(list, rule) {
-        Some(slot) => *slot = value,
-        None => list.push((rule, value)),
-    }
 }
 
 /// What maintaining one subdatabase produced, for the commit: the refreshed
@@ -157,10 +148,6 @@ pub struct RuleEngine {
     /// counts), indexed as `rules`: rules are only ever appended, so an
     /// index names one rule for the engine's lifetime.
     caches: Vec<Option<Box<RuleCache>>>,
-    /// The targets the caches of a union's rules (R4/R5) maintain, indexed
-    /// as `rules`; the registry holds their union. A single-rule result's
-    /// cache maintains its registry entry itself.
-    union_targets: Vec<Option<Box<Subdatabase>>>,
     /// Monotone count of registry commits that changed a result's content.
     /// Entries record the epoch of their last change and caches the epoch
     /// they last stepped at, so a cache can tell whether a source moved
@@ -210,7 +197,6 @@ impl RuleEngine {
             watermark,
             base_reads: Vec::new(),
             caches: Vec::new(),
-            union_targets: Vec::new(),
             epoch: 0,
             current_dirty: None,
             dirty_from: watermark,
@@ -327,7 +313,6 @@ impl RuleEngine {
         }
         self.graph = Arc::new(graph);
         self.caches.resize_with(self.rules.len(), || None);
-        self.union_targets.resize_with(self.rules.len(), || None);
         Ok(())
     }
 
@@ -463,23 +448,20 @@ impl RuleEngine {
         self.put_back(state, result)
     }
 
-    /// Pull `name`'s maintenance state — its rules' caches and targets and
-    /// its entry, stale or not — out of the engine, so that a step can
-    /// mutate it while the engine stays read-only.
+    /// Pull `name`'s maintenance state — its rules' caches and its entry,
+    /// stale or not — out of the engine, so that a step can mutate it while
+    /// the engine stays read-only.
     fn take_state(&mut self, name: &str) -> MaintainState {
         let idxs = self.graph.rules_for(name);
         let mut caches = Vec::with_capacity(idxs.len());
-        // A single-rule result keeps no target apart from its entry.
-        let mut targets = Vec::with_capacity(if idxs.len() > 1 { idxs.len() } else { 0 });
         for &i in idxs {
             caches.extend(self.caches[i].take().map(|c| (i, c)));
-            targets.extend(self.union_targets[i].take().map(|t| (i, t)));
         }
-        MaintainState { caches, targets, entry: self.registry.take(name) }
+        MaintainState { caches, entry: self.registry.take(name) }
     }
 
     /// Return a maintenance step's state to the engine. On success the
-    /// caches and targets go back and the result is committed. On error no
+    /// caches go back and the result is committed. On error no
     /// cache goes back — one may have stepped past the entry — so the rules
     /// re-seed next time, and the entry is restored as it was, but stale:
     /// it no longer reflects the events the failed step consumed.
@@ -500,9 +482,6 @@ impl RuleEngine {
         };
         for (i, cache) in state.caches {
             self.caches[i] = Some(cache);
-        }
-        for (i, target) in state.targets {
-            self.union_targets[i] = Some(target);
         }
         entry.derived_at = self.db.seq();
         entry.stale = false;
@@ -727,6 +706,15 @@ impl RuleEngine {
     /// read-only; all mutation lands in the taken-out `state`. Returns the
     /// refreshed result plus what the commit needs to know. `dirty` is the
     /// perspective-closed dirty set of the propagate under way, if any.
+    ///
+    /// Every rule steps or seeds against the one entry. A single rule
+    /// patches it in place, a closure's change of width included. The rules
+    /// of a union (R4/R5) step without it, and once all have stepped their
+    /// net edits are written into it: a rule's removal applies only while no
+    /// rule of the union still shows the pattern, and an insertion only
+    /// where the union lacked it. After a seed, or a closure's re-shape in a
+    /// union, the union is re-formed from its rules' visible keys and
+    /// compared with the entry, which no step has touched.
     fn maintain_subdb(
         &self,
         name: &str,
@@ -738,88 +726,86 @@ impl RuleEngine {
         let mut sp = obs::trace::span("rules.derive");
         sp.label(|| name.to_string());
         sp.attr("rules", idxs.len() as i64);
-        let maintained = match *idxs {
-            // A single-rule result: its registry entry is the target the
-            // rule's cache maintains, so a delta step patches the entry in
-            // place and a seed moves its target in.
-            [i] => {
-                let rule = &self.rules[i];
-                let stepped = match (of_rule(&mut state.caches, i), &mut state.entry) {
-                    (Some(cache), Some(entry)) => {
-                        self.step(rule, cache, &mut entry.subdb, dirty)?
-                    }
-                    _ => None,
-                };
-                match stepped {
-                    Some(out) => {
-                        let entry = state.entry.take().expect("stepped above");
-                        Maintained::edited(entry, out.inserted.iter().chain(out.removed.iter()))
-                    }
-                    None => {
-                        let sd = self.seed(i, &mut state.caches)?;
-                        Maintained::replaced(state.entry.take(), sd)
-                    }
+        let union = idxs.len() > 1;
+        let (mut edits, mut seeded, mut reform) = (None::<DeltaOutcome>, None, false);
+        for &i in idxs {
+            let rule = &self.rules[i];
+            let stepped = match (of_rule(&mut state.caches, i), state.entry.as_mut()) {
+                (Some(cache), Some(entry)) => {
+                    self.step(rule, cache, (!union).then_some(&mut entry.subdb), dirty)?
+                }
+                _ => None,
+            };
+            let Some(out) = stepped else {
+                seeded = Some(self.seed(i, &mut state.caches)?);
+                reform = true;
+                continue;
+            };
+            reform |= union && out.reshape.is_some();
+            match &mut edits {
+                None => edits = Some(out),
+                Some(all) => {
+                    all.inserted.append(&out.inserted);
+                    all.removed.append(&out.removed);
                 }
             }
-            _ => self.maintain_union(name, idxs, state, dirty)?,
+        }
+        let maintained = match edits.filter(|_| !reform) {
+            Some(mut edits) => {
+                let mut entry = state.entry.take().expect("every rule stepped against it");
+                if union {
+                    let (sd, caches) = (&mut entry.subdb, &state.caches);
+                    edits.removed.sort();
+                    edits.inserted.sort();
+                    let shown = |p: Row<'_>| caches.iter().any(|(_, c)| c.shows(p));
+                    edits.removed.retain(|p| !shown(p) && sd.remove(p));
+                    edits.inserted.retain(|p| sd.insert(p));
+                }
+                Maintained::edited(entry, edits.inserted.iter().chain(edits.removed.iter()))
+            }
+            None => {
+                // A single rule's seeded target is its result.
+                let sd = match seeded {
+                    Some(sd) if !union => sd,
+                    _ => self.reform(name, idxs, |i| {
+                        &*state.caches.iter().find(|(j, _)| *j == i).expect("a cache per rule").1
+                    })?,
+                };
+                Maintained::replaced(state.entry.take(), sd)
+            }
         };
         sp.attr("rows_out", maintained.entry.subdb.len() as i64);
         Ok(maintained)
     }
 
-    /// A union of several rules (R4/R5): each rule maintains a target of
-    /// its own, and the registered union follows by replaying their edits
-    /// when every rule took a delta step, by re-forming it otherwise.
-    fn maintain_union(
+    /// A union (R4/R5) re-formed from its rules' visible keys — "May_teach
+    /// will contain the union of the two sets of extensional patterns
+    /// derived by the two rules", each set as it is, with no cut to the
+    /// maximal patterns — laid out as its first rule's target: the rules
+    /// must agree on the layout.
+    fn reform<'c>(
         &self,
         name: &str,
         idxs: &[usize],
-        state: &mut MaintainState,
-        dirty: Option<&[Oid]>,
-    ) -> Result<Maintained, RuleError> {
-        let mut outs: Vec<DeltaOutcome> = Vec::with_capacity(idxs.len());
-        for &i in idxs {
-            let rule = &self.rules[i];
-            let kept = of_rule(&mut state.caches, i).zip(of_rule(&mut state.targets, i));
-            match kept.map(|(c, t)| self.step(rule, c, t, dirty)).transpose()? {
-                Some(Some(out)) => outs.push(out),
-                _ => {
-                    let sd = self.seed(i, &mut state.caches)?;
-                    put(&mut state.targets, i, Box::new(sd));
-                }
+        cache: impl Fn(usize) -> &'c RuleCache,
+    ) -> Result<Subdatabase, RuleError> {
+        let layout = cache(idxs[0]).target_intension(&self.rules[idxs[0]], &self.db)?;
+        for &i in &idxs[1..] {
+            if !layouts_compatible(&layout, &cache(i).target_intension(&self.rules[i], &self.db)?) {
+                return Err(RuleError::TargetLayoutMismatch {
+                    subdb: name.to_string(),
+                    rule: self.rules[i].name.clone(),
+                });
             }
         }
-        let target = |i: usize| state.targets.iter().find(|(j, _)| *j == i).map(|(_, t)| &**t);
-        let targets: Vec<&Subdatabase> =
-            idxs.iter().map(|&i| target(i).expect("a target per rule")).collect();
-
-        // Every rule stepped and there is a union to refresh: the steps'
-        // exact edits are replayed onto it in O(|edits|). A closure delta
-        // that changed the longest chain re-shaped its target's intension;
-        // edit replay cannot cross that.
-        let replay = outs.len() == idxs.len()
-            && state.entry.as_ref().is_some_and(|e| {
-                targets.iter().all(|t| t.intension.width() == e.subdb.intension.width())
-            });
-        if replay {
-            let mut entry = state.entry.take().expect("checked above");
-            let sd = &mut entry.subdb;
-            // Removals first, and only of patterns no rule of the union
-            // derives any more; then the insertions.
-            let mut edited: Vec<Row<'_>> = outs
-                .iter()
-                .flat_map(|out| out.removed.iter())
-                .filter(|p| !targets.iter().any(|t| t.contains(p)) && sd.remove(p))
-                .collect();
-            let inserted = outs.iter().flat_map(|out| out.inserted.iter());
-            edited.extend(inserted.filter(|p| sd.insert(p)));
-            return Ok(Maintained::edited(entry, edited.iter().copied()));
+        let rows = idxs.iter().map(|&i| cache(i).visible().count()).sum();
+        let mut run = RowRun::with_capacity(layout.width(), rows);
+        for &i in idxs {
+            cache(i).visible().for_each(|k| run.push(k.components()));
         }
-
-        // Otherwise: the union of the rules' results, compared with the
-        // one it replaces.
-        let sd = self.union_of(name, idxs.iter().copied().zip(targets))?;
-        Ok(Maintained::replaced(state.entry.take(), sd))
+        let mut sd = Subdatabase::new(name, layout);
+        sd.set_rows(run);
+        Ok(sd)
     }
 
     /// The union of a subdatabase's rule targets (R4/R5), given with the
@@ -833,7 +819,9 @@ impl RuleEngine {
         for (i, sd) in parts {
             match &mut acc {
                 None => acc = Some(sd.clone()),
-                Some(prev) if layouts_compatible(prev, sd) => prev.union_from(sd),
+                Some(prev) if layouts_compatible(&prev.intension, &sd.intension) => {
+                    prev.union_from(sd)
+                }
                 Some(_) => {
                     return Err(RuleError::TargetLayoutMismatch {
                         subdb: name.to_string(),
@@ -845,13 +833,14 @@ impl RuleEngine {
         Ok(acc.expect("at least one rule"))
     }
 
-    /// Advance `cache` and the `target` it maintains by one delta step, if
-    /// the events since the cache's last step allow one (`None`: re-seed).
+    /// Advance `cache`, and the result `target` if one is given, by one
+    /// delta step, if the events since the cache's last step allow one
+    /// (`None`: re-seed).
     fn step(
         &self,
         rule: &Rule,
         cache: &mut RuleCache,
-        target: &mut Subdatabase,
+        target: Option<&mut Subdatabase>,
         dirty: Option<&[Oid]>,
     ) -> Result<Option<DeltaOutcome>, RuleError> {
         let Some(step_dirty) = self.step_dirty(cache, dirty) else { return Ok(None) };
@@ -872,7 +861,10 @@ impl RuleEngine {
     ) -> Result<Subdatabase, RuleError> {
         let (mut cache, sd) = seed_cache(&self.rules[rule], &self.db, &self.registry)?;
         cache.at_epoch = self.epoch;
-        put(caches, rule, Box::new(cache));
+        match of_rule(caches, rule) {
+            Some(slot) => **slot = cache,
+            None => caches.push((rule, Box::new(cache))),
+        }
         Ok(sd)
     }
 
@@ -980,13 +972,14 @@ impl RuleEngine {
 
     /// Check that no watermark the engine keeps (its own, `dirty_from`, a
     /// rule cache's `at_seq`) is past the store's sequence number; every
-    /// rule cache that is current — stepped at the store's sequence
-    /// number, with no source changed since — and the target it maintains
-    /// (a union's per-rule target, or else the registered result) against
-    /// a cache seeded afresh from the same store and registry; and every
     /// registered subdatabase's access index, if it is built, against one
-    /// built afresh. The error names the rule or the subdatabase, and the
-    /// first difference.
+    /// built afresh, and its rows against the union of its rules' visible
+    /// keys, where every rule has a cache; and every rule cache that is
+    /// current — stepped at the store's sequence number, with no source
+    /// changed since — against its own invariants (its visible keys are
+    /// exactly the maximal count keys) and a cache seeded afresh from the
+    /// same store and registry. The error names the rule or the
+    /// subdatabase, and the first difference.
     pub fn audit(&self) -> Result<(), String> {
         let seq = self.db.seq();
         let caches = self.rules.iter().zip(&self.caches).filter_map(|(r, c)| {
@@ -1002,6 +995,15 @@ impl RuleEngine {
         for name in self.registry.names() {
             let sd = self.registry.subdb(name).expect("a listed entry");
             sd.check_index().map_err(|e| format!("subdatabase {name}: index {e}"))?;
+            let idxs = self.graph.rules_for(name);
+            if !idxs.is_empty() && idxs.iter().all(|&i| self.caches[i].is_some()) {
+                let cache = |i: usize| &**self.caches[i].as_ref().expect("checked above");
+                let union = self
+                    .reform(name, idxs, cache)
+                    .map_err(|e| format!("subdatabase {name}: {e}"))?;
+                first_diff("row against its rules' visible keys", sd.patterns(), union.patterns())
+                    .map_err(|e| format!("subdatabase {name}: {e}"))?;
+            }
         }
         for (i, rule) in self.rules.iter().enumerate() {
             let Some(cache) = &self.caches[i] else { continue };
@@ -1011,12 +1013,7 @@ impl RuleEngine {
             if cache.at_seq != self.db.seq() || moved {
                 continue;
             }
-            let union_target = self.union_targets[i].as_deref();
-            let Some(target) = union_target.or_else(|| self.registry.subdb(&rule.target_subdb))
-            else {
-                continue;
-            };
-            audit_cache(rule, cache, target, &self.db, &self.registry)
+            audit_cache(rule, cache, &self.db, &self.registry)
                 .map_err(|e| format!("rule {}: {e}", rule.name))?;
         }
         Ok(())

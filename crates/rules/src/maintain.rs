@@ -599,8 +599,10 @@ impl Filter {
     }
 }
 
-/// The per-rule state carried between maintenance steps. The target it
-/// maintains is the caller's: [`delta_apply`] patches it in place.
+/// The per-rule state carried between maintenance steps. The rule's target
+/// is the visible keys of its derivation counts ([`RuleCache::visible`]);
+/// the registered result is the caller's, and [`delta_apply`] patches it in
+/// place when it is the rule's alone.
 #[derive(Debug, Clone)]
 pub struct RuleCache {
     /// The IF-context before any WHERE condition (post-subsumption).
@@ -640,6 +642,27 @@ impl RuleCache {
             REdgeKind::Derived { subdb, .. } => Some(subdb.as_str()),
             REdgeKind::Base(_) => None,
         }))
+    }
+
+    /// The rule's target: the maximal keys of its derivation counts, which
+    /// carry the visible mark, ascending.
+    pub(crate) fn visible(&self) -> impl Iterator<Item = Row<'_>> {
+        self.filter.counts.entries().filter(|&(_, c)| shown(c)).map(|(k, _)| k)
+    }
+
+    /// Whether `p` is a visible key of the rule's counts.
+    pub(crate) fn shows(&self, p: Row<'_>) -> bool {
+        self.filter.counts.is_visible(p.components())
+    }
+
+    /// The intension of the rule's target over the cached context, laid out
+    /// afresh ([`target_layout`]).
+    pub(crate) fn target_intension(
+        &self,
+        rule: &Rule,
+        db: &Database,
+    ) -> Result<Intension, RuleError> {
+        Ok(target_layout(rule, &self.ctx_pre.intension, db)?.intension)
     }
 
     /// Build the posting list, which only delta steps need, on the first of
@@ -687,10 +710,10 @@ impl RuleCache {
     /// exact context edits — `dropped` rows gone, `added` rows new, `kept`
     /// rows still there but binding a dirty object, each a sorted run —
     /// through the WHERE conditions, then maintain the target by
-    /// derivation counts.
+    /// derivation counts, writing its edits into `target` if one is given.
     fn refresh(
         &mut self,
-        target: &mut Subdatabase,
+        target: Option<&mut Subdatabase>,
         db: &Database,
         dropped: RowRun,
         added: RowRun,
@@ -807,14 +830,19 @@ impl RuleCache {
         add.len()
     }
 
-    /// Give a closure cache, and the `target` it maintains, the closure
-    /// intension `int` of another width. `next` is the filter bound to
+    /// Give a closure cache, and the `target` it maintains if one is given,
+    /// the closure intension `int` of another width. `next` is the filter bound to
     /// `int` by [`Filter::new`], with the empty target of its layout, so the
     /// conditions and the layout are re-bound without touching a row. The
     /// columns that come or go are Null in every row (DESIGN.md §11), so
     /// each store keeps its order, verdicts and counts, and takes one pass
     /// of cell copies ([`RowStore::reshape`]); the groups move as they are.
-    fn reshape(&mut self, int: Intension, next: (Filter, Subdatabase), target: &mut Subdatabase) {
+    fn reshape(
+        &mut self,
+        int: Intension,
+        next: (Filter, Subdatabase),
+        target: Option<&mut Subdatabase>,
+    ) {
         let (next, shape) = next;
         let from = self.ctx_pre.intension.width();
         let ctx_cols: Vec<Option<usize>> =
@@ -840,7 +868,9 @@ impl RuleCache {
         });
         self.filter.counts = old.counts;
         self.filter.counts.reshape(&key_cols);
-        target.reshape(shape.intension, &key_cols);
+        if let Some(target) = target {
+            target.reshape(shape.intension, &key_cols);
+        }
         self.ctx_pre.reshape(int, &ctx_cols);
         if self.posting.is_some() {
             self.posting = Some(Posting::build(&self.ctx_pre));
@@ -895,35 +925,34 @@ pub fn seed_cache(
     Ok((cache, target))
 }
 
-/// Check `cache`, stepped to the store's current state, and its `target`:
-/// first its own invariants — every live derivation count is at least 1,
-/// and the target is exactly the maximal keys of the counts — then against
-/// a cache seeded afresh from the same store and registry: context rows, a
-/// closure's roots, successor and predecessor edges and chain counts per
-/// length, rows past the prefix, each later condition's rejected rows or
-/// groups, derivation counts and target rows. The error names the first
+/// Check `cache`, stepped to the store's current state, against a cache
+/// seeded afresh from the same store and registry, after its own
+/// invariants — every live derivation count is at least 1, and the visible
+/// marks are on exactly the maximal keys: context rows, a closure's roots,
+/// successor and predecessor edges and chain counts per length, rows past
+/// the prefix, each later condition's rejected rows or groups, derivation
+/// counts with their marks, and target rows. The error names the first
 /// difference.
 pub(crate) fn audit_cache(
     rule: &Rule,
     cache: &RuleCache,
-    target: &Subdatabase,
     db: &Database,
     registry: &SubdbRegistry,
 ) -> Result<(), String> {
     let counts = &cache.filter.counts;
-    if let Some((key, _)) = counts.entries().find(|&(_, c)| c == 0) {
+    if let Some((key, _)) = counts.entries().find(|&(_, c)| c & !RowCounts::VISIBLE == 0) {
         return Err(format!("derivation count: {key:?} is kept at 0"));
     }
-    let mut maximal = Subdatabase::new(target.name.clone(), target.intension.clone());
+    let (fresh, fresh_target) =
+        seed_cache(rule, db, registry).map_err(|e| format!("seeding failed: {e}"))?;
+    let mut maximal = Subdatabase::new(rule.target_subdb.clone(), fresh_target.intension.clone());
     let mut keys = counts.iter();
     maximal.set_sorted_rows(counts.len(), |row| {
         row.copy_from_slice(keys.next().expect("one key per row").components())
     });
     maximal.retain_maximal();
-    first_diff("target row against the maximal count keys", target.patterns(), maximal.patterns())?;
+    first_diff("visible key against the maximal keys", cache.visible(), maximal.patterns())?;
 
-    let (fresh, fresh_target) =
-        seed_cache(rule, db, registry).map_err(|e| format!("seeding failed: {e}"))?;
     first_diff("context row", cache.ctx_pre.patterns(), fresh.ctx_pre.patterns())?;
     if let (Some(a), Some(b)) = (&cache.closure, &fresh.closure) {
         first_diff("closure root", &a.roots, &b.roots)?;
@@ -953,12 +982,12 @@ pub(crate) fn audit_cache(
         }
     }
     first_diff("derivation count", counts.entries(), seeded.counts.entries())?;
-    first_diff("target row", target.patterns(), fresh_target.patterns())
+    first_diff("target row", cache.visible(), fresh_target.patterns())
 }
 
 /// The first position at which two sequences differ, as an error naming
 /// `what` and both sides (`None`: that side ended there).
-fn first_diff<T: PartialEq + Debug>(
+pub(crate) fn first_diff<T: PartialEq + Debug>(
     what: &str,
     maintained: impl IntoIterator<Item = T>,
     seeded: impl IntoIterator<Item = T>,
@@ -973,10 +1002,11 @@ fn first_diff<T: PartialEq + Debug>(
     }
 }
 
-/// The exact target-pattern edits one delta step made to the target it
-/// patched, each a sorted run. Their components are the content delta fed
-/// to downstream rules' dirty sets; a union of several rules (R4/R5)
-/// replays them onto its registered union.
+/// The exact edits one delta step made to a rule's target, its visible
+/// keys: each a sorted run, the two disjoint. Their components are the
+/// content delta fed to downstream rules' dirty sets; a union of several
+/// rules (R4/R5) writes the net of its rules' edits into its registered
+/// union.
 #[derive(Debug, Default)]
 pub struct DeltaOutcome {
     /// Target patterns added by this step.
@@ -1011,11 +1041,12 @@ fn is_partial(p: &[Option<Oid>]) -> bool {
 }
 
 /// Apply one delta step **in place**: refresh the cache (context, WHERE
-/// verdicts, derivation counts) and `target` — the target as of
-/// `cache.at_seq`, as seeded and stepped — given the perspective-closed
-/// dirty set covering every event since `cache.at_seq`, a sorted, distinct
-/// run (checked in debug builds), and return the exact target edits. On
-/// error `target` is as it was (the cache is not: drop it and re-seed).
+/// verdicts, derivation counts and their visible marks) and, if one is
+/// given, `target` — the rule's registered result as of `cache.at_seq` —
+/// given the perspective-closed dirty set covering every event since
+/// `cache.at_seq`, a sorted, distinct run (checked in debug builds), and
+/// return the exact target edits. On error `target` is as it was (the
+/// cache is not: drop it and re-seed).
 /// The whole step is O(dirty-touched patterns), not O(context): clean
 /// patterns are never scanned, copied, re-checked, or re-counted. The
 /// caller must ensure that every change to the rule's derived sources
@@ -1025,7 +1056,7 @@ pub fn delta_apply(
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
-    target: &mut Subdatabase,
+    mut target: Option<&mut Subdatabase>,
     dirty: &[Oid],
 ) -> Result<DeltaOutcome, RuleError> {
     debug_assert!(dirty.is_sorted_by(|a, b| a < b), "a dirty set is a sorted, distinct run");
@@ -1039,16 +1070,18 @@ pub fn delta_apply(
     cache.ensure_posting();
     let mut stats = StepStats::default();
     let out = if plan == MaintainPlan::Closure {
-        delta_apply_closure(rule, db, registry, cache, target, dirty, &mut stats)?
+        delta_apply_closure(rule, db, registry, cache, target.as_deref_mut(), dirty, &mut stats)?
     } else {
-        delta_apply_flat(db, registry, cache, target, dirty, &mut stats)?
+        delta_apply_flat(db, registry, cache, target.as_deref_mut(), dirty, &mut stats)?
     };
     cache.at_seq = db.seq();
     sp.attr("delta_rows", stats.delta_rows as i64);
     sp.attr("dropped", stats.dropped as i64);
     sp.attr("groups_touched", stats.groups_touched as i64);
     sp.attr("ctx_rows", cache.filter.post.as_ref().unwrap_or(&cache.ctx_pre).len() as i64);
-    sp.attr("target_rows", target.len() as i64);
+    if let Some(target) = target {
+        sp.attr("target_rows", target.len() as i64);
+    }
     Ok(out)
 }
 
@@ -1058,7 +1091,7 @@ fn delta_apply_flat(
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
-    target: &mut Subdatabase,
+    target: Option<&mut Subdatabase>,
     dirty: &[Oid],
     stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
@@ -1158,7 +1191,7 @@ fn delta_apply_closure(
     db: &Database,
     registry: &SubdbRegistry,
     cache: &mut RuleCache,
-    target: &mut Subdatabase,
+    mut target: Option<&mut Subdatabase>,
     dirty: &[Oid],
     stats: &mut StepStats,
 ) -> Result<DeltaOutcome, RuleError> {
@@ -1263,7 +1296,7 @@ fn delta_apply_closure(
     let mut next = int.map(bind).transpose()?;
     if reshape.is_some_and(|(from, to)| to > from) {
         let (filter, int) = next.take().expect("bound above");
-        cache.reshape(int, filter, target);
+        cache.reshape(int, filter, target.as_deref_mut());
     }
     if obs::metrics_enabled() {
         obs::metrics::counter("rules.maintain.closure_delta").inc();
@@ -1306,7 +1339,7 @@ fn delta_apply_closure(
     } else {
         RowRun::new(added.width())
     };
-    let mut out = cache.refresh(target, db, dropped, added, kept, stats);
+    let mut out = cache.refresh(target.as_deref_mut(), db, dropped, added, kept, stats);
     if let Some((filter, int)) = next {
         cache.reshape(int, filter, target);
     }
@@ -1321,26 +1354,26 @@ fn chains_of<'a>(ctx: &'a Subdatabase, roots: &'a [Oid]) -> impl Iterator<Item =
 }
 
 /// Count-maintained target update: adjust derivation counts by the
-/// post-WHERE edits, then patch the target — which always holds exactly the
-/// maximal elements of the live count keys — by the keys whose count
-/// crossed zero. Births run before deaths so a death's resurrection scan
-/// sees the final cover.
+/// post-WHERE edits, then mark visible exactly the maximal live keys — the
+/// target — by the keys whose count crossed zero, and write the edits into
+/// `target`, the registered entry, if one is given. Births run before
+/// deaths so a death's resurrection scan sees the final cover.
 ///
 /// The part-of relation pins every bound slot of the part — slot 0
 /// included — so a cover, eviction, or resurrection scan can only ever
-/// match patterns whose head equals the key's head (or is unbound). Target
-/// and counts are ordered, so those are head ranges, walked in place:
-/// family-projected closure targets hold thousands of mostly-partial chain
-/// patterns, and full scans would dominate the step.
+/// match keys whose head equals the key's head (or is unbound). The counts
+/// are ordered, so those are head ranges, walked in place: family-projected
+/// closure targets hold thousands of mostly-partial chain patterns, and
+/// full scans would dominate the step.
 fn count_target(
     slots: &[Option<usize>],
     counts: &mut RowCounts,
-    target: &mut Subdatabase,
+    target: Option<&mut Subdatabase>,
     removed: &RowRun,
     added: &RowRun,
 ) -> DeltaOutcome {
     let w = slots.len();
-    let mut out = DeltaOutcome { inserted: RowRun::new(w), removed: RowRun::new(w), reshape: None };
+    let (mut inserted, mut gone) = (RowRun::new(w), RowRun::new(w));
     // Each edit is projected into one reused key.
     let mut key: Vec<Option<Oid>> = Vec::with_capacity(slots.len());
     let project_into = |p: Row<'_>, key: &mut Vec<Option<Oid>>| {
@@ -1348,73 +1381,93 @@ fn count_target(
         key.extend(project(p.components(), slots));
     };
     // Removals first. A key whose count reaches zero stays in the counts,
-    // at zero, until the additions are in: a key that dies and is re-born
-    // in the same step nets out by its count alone.
+    // at zero and as visible as it was, until the additions are in: a key
+    // that dies and is re-born in the same step nets out by its count alone.
     for p in removed.iter() {
         project_into(p, &mut key);
         counts.decrement(&key);
     }
-    // Additions. A key new to the counts is a birth, applied to the target
-    // at once: a covered (or already present) key stays implicit, and an
-    // uncovered one evicts the target members it strictly covers. A key
-    // that projects nothing (all Null) is never counted.
+    // Additions. A key new to the counts is a birth, shown at once: a
+    // covered key stays hidden, and an uncovered one hides the visible keys
+    // it strictly covers. A key that projects nothing (all Null) is never
+    // counted.
     for p in added.iter() {
         project_into(p, &mut key);
-        if is_null(&key) || !counts.increment(&key) || target.contains(&key) {
+        if is_null(&key) || !counts.increment(&key) {
             continue;
         }
-        if is_partial(&key) && covered(target, &key) {
+        if is_partial(&key) && covered(counts, &key) {
             continue;
         }
-        let first = out.removed.len();
+        let first = gone.len();
         for h in part_heads(&key) {
-            for q in target.head_range(h).filter(|q| q.is_part_of(&key)) {
-                out.removed.push(q.components());
+            for (q, c) in counts.head_range(h) {
+                if shown(c) && q.is_part_of(&key) {
+                    gone.push(q.components());
+                }
             }
         }
-        for i in first..out.removed.len() {
-            target.remove(out.removed.row(i));
+        for i in first..gone.len() {
+            counts.set_visible(gone.row(i).components(), false);
         }
-        target.insert(&key);
-        out.inserted.push(&key);
+        counts.set_visible(&key, true);
+        inserted.push(&key);
     }
     // Deaths, after every birth, so that a resurrection scan sees the final
-    // cover: each key still at zero leaves the counts and the target.
+    // cover: each key still at zero leaves the counts, and the target if it
+    // was visible.
+    let mut hidden = false;
     for p in removed.iter() {
         project_into(p, &mut key);
-        if counts.get(&key) != Some(0) {
+        let Some(c) = counts.get(&key).filter(|c| c & !RowCounts::VISIBLE == 0) else {
             continue;
-        }
+        };
         counts.remove(&key);
-        if !target.remove(&key) {
+        if !shown(c) {
             continue; // was covered by a live key: nothing visible changed
         }
-        // Resurrect the maximal live keys the dead pattern was covering
-        // (strictly part of it, hence partial). Keys still at zero die in
-        // this loop too. The cheap tests go first: the cover walk is a
-        // head-range scan of the target.
-        let cands: Vec<Row<'_>> = part_heads(&key)
-            .flat_map(|h| counts.head_range(h))
-            .filter(|&(k, c)| {
-                c > 0
-                    && k.is_part_of(&key)
-                    && !target.contains(k)
-                    && !covered(target, k.components())
-            })
-            .map(|(k, _)| k)
-            .collect();
-        for k in &cands {
-            if cands.iter().any(|d| k.is_part_of(d)) {
-                continue;
+        // Show the maximal live keys the dead key was covering (strictly
+        // part of it, hence partial): those no other of them covers. Keys
+        // still at zero die in this loop too. The cheap tests go first: the
+        // cover walk is a head range. The others leave `inserted` below.
+        let first = inserted.len();
+        for h in part_heads(&key) {
+            for (k, c) in counts.head_range(h) {
+                let live = c & !RowCounts::VISIBLE > 0;
+                if live && !shown(c) && k.is_part_of(&key) && !covered(counts, k.components()) {
+                    inserted.push(k.components());
+                }
             }
-            target.insert(k);
-            out.inserted.push(k.components());
         }
-        out.removed.push(&key);
+        for i in first..inserted.len() {
+            let k = inserted.row(i);
+            let maximal = !(first..inserted.len()).any(|j| k.is_part_of(inserted.row(j)));
+            counts.set_visible(k.components(), maximal);
+            hidden |= !maximal;
+        }
+        gone.push(&key);
     }
-    out.inserted.sort();
-    out.removed.sort();
-    out
+    inserted.sort();
+    gone.sort();
+    // A key born and then evicted is in both runs, and no edit.
+    let (removed, mut inserted, _) = gone.split_common(inserted);
+    if hidden {
+        inserted.retain(|k| counts.is_visible(k.components()));
+    }
+    if let Some(target) = target {
+        for p in removed.iter() {
+            target.remove(p);
+        }
+        for p in inserted.iter() {
+            target.insert(p);
+        }
+    }
+    DeltaOutcome { inserted, removed, reshape: None }
+}
+
+/// Whether a count lane value marks its key visible.
+fn shown(c: u32) -> bool {
+    c & RowCounts::VISIBLE != 0
 }
 
 /// The target stage of the seed step, from empty counts into an empty
@@ -1422,9 +1475,10 @@ fn count_target(
 /// projected onto keys and run-length counted into the counts; the target
 /// is built in bulk from the same sorted distinct keys and cut to the
 /// maximal ones, where births one at a time would take a cover and
-/// eviction scan per key. Keys that come ascending — an order-preserving
-/// projection of the sorted rows — are counted straight from the rows;
-/// others are projected into one run, which is sorted first.
+/// eviction scan per key, and then marked visible in the counts by one
+/// merge walk. Keys that come ascending — an order-preserving projection
+/// of the sorted rows — are counted straight from the rows; others are
+/// projected into one run, which is sorted first.
 fn count_from_empty<'r, I: Iterator<Item = Row<'r>>>(
     slots: &[Option<usize>],
     counts: &mut RowCounts,
@@ -1462,24 +1516,26 @@ fn count_from_empty<'r, I: Iterator<Item = Row<'r>>>(
         }
         counts.set_counted(&mut keys);
     }
-    let mut keys = counts.iter();
+    let mut keys = counts.entries();
     target.set_sorted_rows(counts.len(), |row| {
-        row.copy_from_slice(keys.next().expect("one key per row").components());
+        row.copy_from_slice(keys.next().expect("one key per row").0.components());
     });
     target.retain_maximal();
+    counts.mark_visible(target.patterns());
+}
+
+/// Whether `key` is strictly part of any visible key.
+fn covered(counts: &RowCounts, key: &[Option<Oid>]) -> bool {
+    let cover = |(q, c): (Row<'_>, u32)| shown(c) && is_part(key, q.components());
+    match key[0] {
+        Some(h) => counts.head_range(Some(h)).any(cover),
+        None => counts.entries().any(cover),
+    }
 }
 
 /// Whether a key projects nothing: every cell Null.
 fn is_null(key: &[Option<Oid>]) -> bool {
     key.iter().all(Option::is_none)
-}
-
-/// Whether `key` is strictly part of any target pattern.
-fn covered(target: &Subdatabase, key: &[Option<Oid>]) -> bool {
-    match key[0] {
-        Some(h) => target.head_range(Some(h)).any(|q| is_part(key, q.components())),
-        None => target.patterns().any(|q| is_part(key, q.components())),
-    }
 }
 
 /// The heads a strict part of `key` can have: `key`'s own, and unbound.
@@ -1636,7 +1692,7 @@ mod tests {
             db.associate(link, na, nb).unwrap();
 
             let dirty = dirty_since(&db, mark);
-            let out = delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
+            let out = delta_apply(&rule, &db, &reg, &mut cache, Some(&mut target), &dirty).unwrap();
             let full = apply_rule(&rule, &db, &reg).unwrap();
             assert_eq!(target.to_vec(), full.to_vec(), "target diverged for `{src}`");
             // Replaying the reported edits reproduces the new target.
@@ -1651,7 +1707,7 @@ mod tests {
             let mark = db.seq();
             db.dissociate(link, avec[0], bvec[0]).unwrap();
             let dirty = dirty_since(&db, mark);
-            delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
+            delta_apply(&rule, &db, &reg, &mut cache, Some(&mut target), &dirty).unwrap();
             let full2 = apply_rule(&rule, &db, &reg).unwrap();
             assert_eq!(target.to_vec(), full2.to_vec(), "second step diverged for `{src}`");
         }
@@ -1668,12 +1724,11 @@ mod tests {
         let (mut cache, mut target) = seed_cache(&rule, &db, &reg).unwrap();
         let mark = db.seq();
         db.delete_object(avec[1]).unwrap();
-        delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty_since(&db, mark)).unwrap();
+        delta_apply(&rule, &db, &reg, &mut cache, Some(&mut target), &dirty_since(&db, mark))
+            .unwrap();
         let full = apply_rule(&rule, &db, &reg).unwrap();
         assert_eq!(target.to_vec(), full.to_vec());
-        assert!(target
-            .patterns()
-            .all(|p| p.components().iter().flatten().all(|&o| o != avec[1])));
+        assert!(target.patterns().all(|p| p.components().iter().flatten().all(|&o| o != avec[1])));
     }
 
     /// Counting deletion: two context patterns projecting onto the same
@@ -1694,17 +1749,109 @@ mod tests {
         let mark = db.seq();
         db.dissociate(link, avec[0], bvec[0]).unwrap();
         let dirty = dirty_since(&db, mark);
-        let one = delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
+        let one = delta_apply(&rule, &db, &reg, &mut cache, Some(&mut target), &dirty).unwrap();
         assert!(target.patterns().any(|p| p.get(0) == Some(avec[0])), "count 2→1 kept");
         assert!(one.inserted.is_empty() && one.removed.is_empty(), "count 2→1 is invisible");
 
         let mark = db.seq();
         db.dissociate(link, avec[0], bvec[1]).unwrap();
         let dirty = dirty_since(&db, mark);
-        let zero = delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty).unwrap();
+        let zero = delta_apply(&rule, &db, &reg, &mut cache, Some(&mut target), &dirty).unwrap();
         assert!(target.patterns().all(|p| p.get(0) != Some(avec[0])), "count 1→0 dies");
         assert!(zero.removed.iter().any(|p| p.get(0) == Some(avec[0])));
         assert_eq!(target.to_vec(), apply_rule(&rule, &db, &reg).unwrap().to_vec());
+    }
+
+    /// `count_target` against a model that shares no code with the row
+    /// stores: the context rows present as a `BTreeSet`, the counts as a
+    /// `BTreeMap`, the target as the maximal keys found by brute force. A
+    /// seed through `count_from_empty`, then random runs of removals and
+    /// additions over partial keys (a row can leave and come back in one
+    /// run); after every run the counts, their visible marks, the returned
+    /// edits and the written entry must match the model.
+    #[test]
+    fn count_target_matches_a_model() {
+        use dood_core::propcheck::{check, Gen};
+        use dood_core::subdb::SlotDef;
+        use std::collections::{BTreeMap, BTreeSet};
+        type Cells = Vec<Option<Oid>>;
+        fn maximal(counts: &BTreeMap<Cells, u32>) -> BTreeSet<Cells> {
+            let part = |a: &Cells, b: &Cells| {
+                a != b && a.iter().zip(b).all(|(x, y)| x.is_none() || x == y)
+            };
+            counts.keys().filter(|k| !counts.keys().any(|q| part(k, q))).cloned().collect()
+        }
+        fn run_of(rows: &BTreeSet<Cells>, width: usize) -> RowRun {
+            let mut run = RowRun::new(width);
+            rows.iter().for_each(|r| run.push(r));
+            run.sort();
+            run
+        }
+        let set = |run: &RowRun| -> BTreeSet<Cells> {
+            run.iter().map(|r| r.components().to_vec()).collect()
+        };
+        check("count_target_matches_a_model", 64, |g| {
+            // Context rows are four cells wide, and the key is three of them,
+            // so several rows derive one key; a permuted key comes unsorted.
+            let slots =
+                if g.bool(0.5) { [Some(0), Some(1), Some(2)] } else { [Some(2), Some(0), Some(1)] };
+            let row = |g: &mut Gen| -> Cells {
+                let mut cell = || g.bool(0.7).then(|| Oid::from_raw(g.range(1..4u64)));
+                vec![cell(), cell(), cell(), Some(Oid::from_raw(1 + u64::from(g.bool(0.5))))]
+            };
+            let model = |present: &BTreeSet<Cells>| {
+                let mut counts: BTreeMap<Cells, u32> = BTreeMap::new();
+                for r in present {
+                    let key: Cells = slots.iter().map(|s| s.and_then(|i| r[i])).collect();
+                    if key.iter().any(Option::is_some) {
+                        *counts.entry(key).or_default() += 1;
+                    }
+                }
+                counts
+            };
+            let cls = dood_core::ids::ClassId(0);
+            let int = Intension::new(["A", "B", "C"].map(|n| SlotDef::base(n, cls)).to_vec());
+            let mut target = Subdatabase::new("T", int);
+            let mut counts = RowCounts::new(3);
+            let mut present: BTreeSet<Cells> = (0..g.range(0..12usize)).map(|_| row(g)).collect();
+            let seed = run_of(&present, 4);
+            count_from_empty(&slots, &mut counts, &mut target, seed.len(), || seed.iter());
+            for _ in 0..g.range(1..10usize) {
+                let before = maximal(&model(&present));
+                let gone: BTreeSet<Cells> =
+                    present.iter().filter(|_| g.bool(0.3)).cloned().collect();
+                present.retain(|r| !gone.contains(r));
+                let mut came: BTreeSet<Cells> = (0..g.range(0..6usize)).map(|_| row(g)).collect();
+                came.extend(gone.iter().filter(|_| g.bool(0.3)).cloned());
+                came.retain(|r| !present.contains(r));
+                present.extend(came.iter().cloned());
+                let out = count_target(
+                    &slots,
+                    &mut counts,
+                    Some(&mut target),
+                    &run_of(&gone, 4),
+                    &run_of(&came, 4),
+                );
+                let want = model(&present);
+                let after = maximal(&want);
+                let kept: BTreeMap<Cells, u32> = counts
+                    .entries()
+                    .map(|(k, c)| (k.components().to_vec(), c & !RowCounts::VISIBLE))
+                    .collect();
+                assert_eq!(kept, want, "counts");
+                let shown: BTreeSet<Cells> = counts
+                    .entries()
+                    .filter(|&(_, c)| shown(c))
+                    .map(|(k, _)| k.components().to_vec())
+                    .collect();
+                assert_eq!(shown, after, "visible marks");
+                let wrote: BTreeSet<Cells> =
+                    target.patterns().map(|p| p.components().to_vec()).collect();
+                assert_eq!(wrote, after, "written entry");
+                assert_eq!(set(&out.inserted), &after - &before, "inserted edits");
+                assert_eq!(set(&out.removed), &before - &after, "removed edits");
+            }
+        });
     }
 
     /// A prerequisite-style self-association for closure rules: five nodes
@@ -1751,7 +1898,8 @@ mod tests {
             let mut step = |db: &Database, mark: u64, what: &str| {
                 let mut mirror = target.clone();
                 let dirty = dirty_since(db, mark);
-                let out = delta_apply(&rule, db, &reg, &mut cache, &mut target, &dirty).unwrap();
+                let out =
+                    delta_apply(&rule, db, &reg, &mut cache, Some(&mut target), &dirty).unwrap();
                 let full = apply_rule(&rule, db, &reg).unwrap();
                 assert_eq!(target.to_vec(), full.to_vec(), "{what} step diverged for `{src}`");
                 let widen = |mirror: &mut Subdatabase| {
@@ -1821,7 +1969,8 @@ mod tests {
         let mark = db.seq();
         db.dissociate(next, m0, m1).unwrap();
         db.associate(next, m1, m0).unwrap();
-        delta_apply(&rule, &db, &reg, &mut cache, &mut target, &dirty_since(&db, mark)).unwrap();
+        delta_apply(&rule, &db, &reg, &mut cache, Some(&mut target), &dirty_since(&db, mark))
+            .unwrap();
         let full = apply_rule(&rule, &db, &reg).unwrap();
         assert_eq!(target.to_vec(), full.to_vec());
         assert_eq!(cache.ctx_pre.intension.width(), 5, "width must not have changed");

@@ -25,6 +25,15 @@
 //!   (`delta` not deduplicated) — `…_aggregates`, `…_company`,
 //!   `…_university`; a key that dies and is re-born within one step no
 //!   longer netting out in `count_target` — `…_aggregates`, `…_company`;
+//!   restated once a rule's target was the visible marks on its counts (a
+//!   key at zero removed before the additions, mark and all) — every
+//!   `incremental_equals_fresh_*` and `catch_up_equals_fresh_*`, the four
+//!   closure maintenance tests of `tests/closure_plan.rs` and six
+//!   `maintain` unit tests, `count_target_matches_a_model` among them;
+//! * an eviction that leaves a part's visible mark set —
+//!   `closure_width_changes_both_ways`, `count_target_matches_a_model`;
+//! * a seed that marks no key visible — the same tests as the one before,
+//!   and `failed_step_leaves_no_cache_ahead_of_its_copy`;
 //! * a group whose verdict turns true not emitting its members —
 //!   `…_aggregates`, `…_company`, `…_university`;
 //! * `dirty_bound` sizing its run one row short and dropping the last
@@ -75,7 +84,13 @@
 //!   `failed_step_leaves_no_cache_ahead_of_its_copy`;
 //! * a union (R4/R5) applies a rule's removal although another of its
 //!   rules still derives the pattern — `incremental_equals_fresh_company`,
-//!   `catch_up_equals_fresh_company`, `…_rule_oriented_backward`.
+//!   `catch_up_equals_fresh_company`, `…_rule_oriented_backward`; restated
+//!   as the union's put-back skipped (a removal written although another
+//!   rule still shows the pattern visible) — the same three and
+//!   `nested_unions_keep_both_sets`;
+//! * a union re-formed from its rules' visible keys and then cut to its
+//!   maximal patterns (`retain_maximal`), which is what counts summed over
+//!   the union's rules would give — `nested_unions_keep_both_sets` alone.
 
 #[path = "common/spec_eval.rs"]
 mod spec_eval;
@@ -565,8 +580,7 @@ fn university_schedule(g: &mut Gen) {
     let ops = g.vec(2..10, |g| (g.range(0u8..6), g.range(0usize..64)));
     let db = university::populate(university::Size::small(), seed);
     let mut e = RuleEngine::new(db);
-    e.add_rule("Ru1", "if context Teacher * Section * Course then TSC (Teacher, Course)")
-        .unwrap();
+    e.add_rule("Ru1", "if context Teacher * Section * Course then TSC (Teacher, Course)").unwrap();
     e.add_rule("Ru2", "if context {Teacher * Section} * Course then TC (Course)").unwrap();
     e.add_rule(
         "Ru3",
@@ -760,10 +774,7 @@ fn catch_up_equals_fresh_university() {
                 "if context Teacher * Section * Crowded:Course \
                  then TeachesCrowded (Teacher, Section, Course)",
             ),
-            (
-                "Ry1",
-                "if context Teacher * Section * Crowded:Course then Busy (Teacher, Course)",
-            ),
+            ("Ry1", "if context Teacher * Section * Crowded:Course then Busy (Teacher, Course)"),
             (
                 "Ry2",
                 "if context Teacher * Section * Course [credit_hours > 2] \
@@ -819,9 +830,7 @@ fn catch_up_equals_fresh_company() {
         for s in &pre {
             e.set_policy(*s, EvalPolicy::PreEvaluated);
         }
-        run_catch_up(&mut e, &pre, &readers, &steps, |e, i, op, k| {
-            apply_company_op(e, i, op, k)
-        });
+        run_catch_up(&mut e, &pre, &readers, &steps, |e, i, op, k| apply_company_op(e, i, op, k));
     });
 }
 
@@ -998,6 +1007,174 @@ fn failed_step_leaves_no_cache_ahead_of_its_copy() {
     e.db_mut().set_attr(ns[2], "v", Value::Int(10)).unwrap();
     e.propagate().unwrap();
     assert_fresh(&e, &["T"]);
+}
+
+/// Unions whose rules' patterns nest, read as R4/R5 word it: "the union of
+/// the two sets of extensional patterns derived by the two rules", with no
+/// cut to the maximal patterns. `Nest` puts a brace rule's teacher-section
+/// parts — the sections of light courses — beside a full-key rule's rows,
+/// which strictly cover them. `T` puts a closure's chains beside the same
+/// chains cut at every node of `v >= 50`; a spine of nodes under 50, longer
+/// than any other chain, keeps the two rules at one width while it grows
+/// and shrinks. Each union is pre- or post-evaluated and runs random
+/// writes, propagates and catch-up reads, with the audit after every step;
+/// every read equals `derive_fresh` and the union of the two rules'
+/// contexts under the spec interpreter.
+#[test]
+fn nested_unions_keep_both_sets() {
+    check("nested_unions_keep_both_sets", CASES, |g| {
+        let db = university::populate(university::Size::small(), g.range(0u64..100));
+        let mut e = RuleEngine::new(db);
+        let contexts =
+            ["{Teacher * Section} * Course [credit_hours > 2]", "Teacher * Section * Course"];
+        for (name, context) in ["Rn1", "Rn2"].into_iter().zip(contexts) {
+            let src = format!("if context {context} then Nest (Teacher, Section, Course)");
+            e.add_rule(name, &src).unwrap();
+        }
+        let steps = catch_up_steps(g, 10, 1);
+        run_nested_union(&mut e, "Nest", &contexts, g.bool(0.5), &steps, |e, op, k| {
+            apply_university_op(e, op, k)
+        });
+
+        let (mut e, mut spine, mut others) = spine_db(g);
+        let contexts = ["N ^*", "N [v < 50] ^*"];
+        for (name, context) in ["Rt1", "Rt2"].into_iter().zip(contexts) {
+            e.add_rule(name, &format!("if context {context} then T (N, N_*)")).unwrap();
+        }
+        let steps = catch_up_steps(g, 6, 1);
+        run_nested_union(&mut e, "T", &contexts, g.bool(0.5), &steps, |e, op, k| {
+            apply_spine_op(e, &mut spine, &mut others, op, k)
+        });
+    });
+}
+
+/// Run a catch-up schedule over the union `name` of the rules of
+/// `contexts`, pre-evaluated or not: after every propagate of a
+/// pre-evaluated union and every read of a post-evaluated one, the union
+/// equals `derive_fresh` and the union of the contexts' spec rows; the
+/// audit runs after every step.
+fn run_nested_union(
+    e: &mut RuleEngine,
+    name: &str,
+    contexts: &[&str],
+    pre: bool,
+    steps: &[Step],
+    mut apply: impl FnMut(&mut RuleEngine, u8, usize),
+) {
+    let check = |e: &RuleEngine| {
+        let kept = e.registry().subdb(name).expect("fresh");
+        assert_eq!(kept.to_vec(), e.derive_fresh(name).unwrap().to_vec(), "{name} != derive_fresh");
+        let mut spec: Vec<_> =
+            contexts.iter().flat_map(|c| spec_query(e.db(), e.registry(), c)).collect();
+        spec.sort();
+        spec.dedup();
+        assert_eq!(rows_of(kept), spec, "{name} != the union of its contexts' spec rows");
+    };
+    if pre {
+        e.set_policy(name, EvalPolicy::PreEvaluated);
+    }
+    e.subdb(name).unwrap();
+    check(e);
+    for &(op, k, propagate, read) in steps {
+        apply(e, op, k);
+        if propagate {
+            e.propagate().unwrap();
+            if pre {
+                check(e);
+            }
+        }
+        // A pre-evaluated union is current after a propagate, not before.
+        if read.is_some() && !pre {
+            e.subdb(name).unwrap();
+            check(e);
+        }
+        assert_audit(e);
+    }
+    e.propagate().unwrap();
+    e.subdb(name).unwrap();
+    check(e);
+    assert_audit(e);
+}
+
+/// A `Next` graph over `N`: a spine of nodes of `v < 50` and, apart from
+/// it, fewer other nodes than the spine has, with random `v` and edges
+/// among themselves only, so no chain is longer than the spine's. Returns
+/// the engine, the spine and the other nodes.
+fn spine_db(g: &mut Gen) -> (RuleEngine, Vec<Oid>, Vec<Oid>) {
+    use dood::core::schema::SchemaBuilder;
+    use dood::core::value::DType;
+    let mut b = SchemaBuilder::new();
+    b.e_class("N");
+    b.d_class("v", DType::Int);
+    b.attr("N", "v");
+    b.aggregate_named("N", "N", "Next");
+    let mut db = Database::new(b.build().unwrap());
+    let n = db.schema().class_by_name("N").unwrap();
+    let next = db.schema().own_link_by_name(n, "Next").unwrap();
+    let node = |db: &mut Database, v: i64| {
+        let o = db.new_object(n).unwrap();
+        db.set_attr(o, "v", Value::Int(v)).unwrap();
+        o
+    };
+    let others: Vec<Oid> =
+        (0..g.range(2..6usize)).map(|_| node(&mut db, g.range(0..100i64))).collect();
+    let spine: Vec<Oid> = (0..others.len() + 2).map(|_| node(&mut db, g.range(0..50i64))).collect();
+    for w in spine.windows(2) {
+        db.associate(next, w[0], w[1]).unwrap();
+    }
+    for _ in 0..others.len() {
+        let (a, b) = (others[g.range(0..others.len())], others[g.range(0..others.len())]);
+        let _ = db.associate(next, a, b);
+    }
+    (RuleEngine::new(db), spine, others)
+}
+
+/// One write of a `spine_db` schedule: an edge among the other nodes comes
+/// or goes, one of them flips `v` across 50 or is deleted, or the spine
+/// grows or loses its tail, which widens or narrows both rules at once.
+fn apply_spine_op(
+    e: &mut RuleEngine,
+    spine: &mut Vec<Oid>,
+    others: &mut Vec<Oid>,
+    op: u8,
+    k: usize,
+) {
+    let db = e.db_mut();
+    let n = db.schema().class_by_name("N").unwrap();
+    let next = db.schema().own_link_by_name(n, "Next").unwrap();
+    let tail = *spine.last().unwrap();
+    let (a, b) = match others.len() {
+        0 => (None, None),
+        len => (Some(others[k % len]), Some(others[(k / 3 + 1) % len])),
+    };
+    match (op, a, b) {
+        (0, Some(a), Some(b)) => {
+            let _ = db.associate(next, a, b);
+        }
+        (1, Some(a), Some(b)) => {
+            let _ = db.dissociate(next, a, b);
+        }
+        (2, Some(a), _) => {
+            let low = matches!(db.attr(a, "v").unwrap(), Value::Int(v) if v < 50);
+            let v = if low { 50 + k % 50 } else { k % 50 };
+            db.set_attr(a, "v", Value::Int(v as i64)).unwrap();
+        }
+        (3, Some(a), _) if others.len() > 1 => {
+            db.delete_object(a).unwrap();
+            others.retain(|&o| o != a);
+        }
+        (4, ..) => {
+            let o = db.new_object(n).unwrap();
+            db.set_attr(o, "v", Value::Int((k % 50) as i64)).unwrap();
+            db.associate(next, tail, o).unwrap();
+            spine.push(o);
+        }
+        (5, ..) if spine.len() > others.len() + 2 => {
+            db.delete_object(tail).unwrap();
+            spine.pop();
+        }
+        _ => {}
+    }
 }
 
 /// CAD schema: the `Part ^*` BOM closure (the scoped-rederivation fallback
@@ -1223,10 +1400,8 @@ fn extend(
 fn deleted_oid_never_resurrects_through_the_cache() {
     let (db, com) = company::populate(company::CompanySize::small(), 3);
     let mut e = RuleEngine::new(db);
-    e.add_rule("Ra", "if context Employee * Department then REa (Employee, Department)")
-        .unwrap();
-    e.add_rule("Rb", "if context REa:Employee * Project then REb (Employee, Project)")
-        .unwrap();
+    e.add_rule("Ra", "if context Employee * Department then REa (Employee, Department)").unwrap();
+    e.add_rule("Rb", "if context REa:Employee * Project then REb (Employee, Project)").unwrap();
     e.set_policy("REa", EvalPolicy::PreEvaluated);
     e.set_policy("REb", EvalPolicy::PreEvaluated);
     e.query("context REb:Employee").unwrap();
@@ -1265,10 +1440,8 @@ fn forward_reads_backward_source_is_reported() {
     let (db, com) = company::populate(company::CompanySize::small(), 7);
     let mut e = RuleEngine::new(db);
     e.set_mode(ControlMode::RuleOriented);
-    e.add_rule("Ra", "if context Employee * Department then REa (Employee, Department)")
-        .unwrap();
-    e.add_rule("Rb", "if context REa:Employee * Project then REb (Employee, Project)")
-        .unwrap();
+    e.add_rule("Ra", "if context Employee * Department then REa (Employee, Department)").unwrap();
+    e.add_rule("Rb", "if context REa:Employee * Project then REb (Employee, Project)").unwrap();
     e.set_strategy("Ra", ChainStrategy::Backward);
     e.set_strategy("Rb", ChainStrategy::Forward);
 
@@ -1294,8 +1467,7 @@ fn forward_reads_backward_source_is_reported() {
 fn absent_forward_subdb_is_stale_absent_backward_is_fine() {
     let (db, _) = company::populate(company::CompanySize::small(), 11);
     let mut e = RuleEngine::new(db);
-    e.add_rule("Ra", "if context Employee * Department then REa (Employee, Department)")
-        .unwrap();
+    e.add_rule("Ra", "if context Employee * Department then REa (Employee, Department)").unwrap();
 
     // Result-oriented control: absence is never staleness.
     assert!(e.is_consistent("REa").unwrap());
